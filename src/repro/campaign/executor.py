@@ -341,6 +341,9 @@ def _run_pool(
     future failed with :class:`BrokenProcessPool` (or was cancelled by the
     breakage) is re-run in a **single-job pool**, where a crash is
     attributable to exactly that job and is recorded as its ``error`` row.
+    A worker can also die before the last job is submitted; ``submit`` then
+    raises :class:`BrokenProcessPool`, and that job and every later one go
+    to the isolated re-runs too.
     Jobs that finished before the breakage keep their records; an innocent
     job re-run after a breakage has at-least-once (not exactly-once)
     semantics.
@@ -373,10 +376,16 @@ def _run_pool(
     # any start method) and derive each job's trace path themselves.
     trace_arg = str(trace_dir) if trace_dir is not None else None
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(_pool_worker, job.to_dict(), job_timeout, trace_arg): job
-            for job in pending
-        }
+        futures = {}
+        for index, job in enumerate(pending):
+            try:
+                future = pool.submit(_pool_worker, job.to_dict(), job_timeout, trace_arg)
+            except BrokenProcessPool:
+                # An earlier job already killed its worker: this job and every
+                # later one never reached the pool.
+                suspects.extend(pending[index:])
+                break
+            futures[future] = job
         for future in as_completed(futures):
             job = futures[future]
             try:

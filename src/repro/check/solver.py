@@ -17,7 +17,9 @@ Two layers:
   decision-level consistency, and the implication graph (every implied
   variable's reason clause contains its literal, with every antecedent
   falsified *earlier* on the trail — which makes the graph acyclic by
-  construction).
+  construction).  On the reference backend it also audits the order heap's
+  dedupe state: every live current entry recorded in ``_heap_activity`` is
+  in the heap, and no entry appears twice.
 
 Both solvers call the sanitizer at every decision point when constructed
 under ``REPRO_CHECK_SOLVER=1`` (one attribute test per decision when off);
@@ -161,6 +163,38 @@ def _enc_watch(lit: int) -> int:
     return (lit << 1 | 1) if lit > 0 else (-lit << 1)
 
 
+def _order_heap_violations(solver) -> List[Violation]:
+    """Audit the reference backend's order-heap dedupe state.
+
+    ``_heap_activity[var]`` records the activity of ``var``'s live current
+    heap entry (negative: none).  Pushes are skipped on the strength of that
+    record, so a recorded entry missing from the heap would starve the
+    variable, and a duplicate entry means a push bypassed the rule.
+    """
+    violations: List[Violation] = []
+    counts: Dict[Tuple[float, int], int] = {}
+    for entry in solver._order_heap:
+        counts[entry] = counts.get(entry, 0) + 1
+    for (neg_activity, var), count in counts.items():
+        if count > 1:
+            violations.append(
+                Violation(
+                    "heap-duplicate",
+                    f"order heap holds entry ({neg_activity}, {var}) {count}x",
+                )
+            )
+    for var, activity in enumerate(solver._heap_activity):
+        if activity >= 0 and (-activity, var) not in counts:
+            violations.append(
+                Violation(
+                    "heap-missing",
+                    f"variable {var} records a live heap entry at activity "
+                    f"{activity} but the order heap has no such entry",
+                )
+            )
+    return violations
+
+
 def check_solver_invariants(solver) -> List[Violation]:
     """Audit a CDCL backend's internal state; returns all violations.
 
@@ -289,6 +323,8 @@ def check_solver_invariants(solver) -> List[Violation]:
                         "maps there",
                     )
                 )
+
+        violations.extend(_order_heap_violations(solver))
 
     for where, literals in clause_map.items():
         for lit in literals:

@@ -16,12 +16,13 @@ stored in a flat list indexed by encoded literal:
   straight off the assignment array instead of through ``_value()`` /
   ``_enqueue()`` / ``_watch()`` method calls.
 
-In pure Python the method-call and dict overhead dominates unit propagation,
-so the flattened loop clears the ``bench_solver_throughput.py`` bar of
->= 1.5x propagations/second over the reference backend while remaining
-answer-identical: both solvers are sound and complete, so they return the
-same SAT/UNSAT verdict on every formula (models and resource-limited ``None``
-answers may differ — heuristic state is not shared).
+Blocker literals, the binary-clause fast path and the ``_in_heap`` flag
+change the propagation order and the decision heap, so this backend's
+search differs from the reference solver's.  It stays answer-identical:
+both solvers are sound and complete, so they return the same SAT/UNSAT
+verdict on every formula (models and resource-limited ``None`` answers may
+differ — heuristic state is not shared).  ``bench_solver_throughput.py``
+records both backends' propagation rates without a bar on their ratio.
 """
 
 from __future__ import annotations

@@ -16,6 +16,40 @@ The public surface is small:
     ``None`` when a resource limit was hit.
 ``model()``
     The satisfying assignment of the most recent SAT answer.
+
+Search identity
+---------------
+The search is a pure function of the calls made on the solver.  Its
+decisions, propagations, conflicts, learned clauses (literal order
+included), restarts, answers, models and DRUP proof steps are part of the
+contract, pinned by ``tests/property/test_solver_golden.py``: the attack
+outcomes, the campaign tables and the benchmark's work digest are all
+computed from them.  So a speed-up here must not reorder anything the
+search can observe — watch lists keep their order, the in-place literal
+swaps inside clauses stay as they are, and the order heap yields the same
+variable at every decision.  Blocker literals, binary-clause shortcuts and
+an ``in_heap`` flag (which drops the re-push when only a *stale* entry is
+left) each change the search; that is why ``cdcl-arena`` diverges.
+
+The hot loops (``_propagate``, ``_backtrack``, ``_analyze``,
+``_pick_branch_variable``, ``add_clause``) are inlined by hand: locals are
+bound once, literal values are read straight off ``_assign``, propagations
+are counted in a local, a watch list is rebuilt only when one of its
+watches moves, and conflict analysis reuses one ``seen`` buffer.
+
+Order heap
+----------
+Decisions come from a lazy-deletion binary heap of ``(-activity, var)``
+entries.  An entry is *current* when its activity equals the variable's
+activity; a pick pops entries until it meets a current entry of an
+unassigned variable, re-pushing a stale entry of an unassigned variable at
+its current activity.  A pick therefore only ever returns a variable
+through a current entry, and a second copy of a live current entry cannot
+change which variable is picked.  Every push follows one rule: skip it when
+the variable already has a live current entry.  ``_heap_activity[var]``
+records the activity of the variable's live current entry (``-1.0`` for
+none — activities are never negative) and is cleared when that entry is
+popped, so the heap never holds two copies of one entry.
 """
 
 from __future__ import annotations
@@ -25,6 +59,9 @@ import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
+
+#: ``_heap_activity`` value of a variable without a live current heap entry.
+_NO_ENTRY = -1.0
 
 
 @dataclass
@@ -76,6 +113,11 @@ class Solver:
         self._trail_lim: List[int] = []
         self._qhead = 0
         self._order_heap: List = []
+        # Activity of each variable's live current heap entry (module
+        # docstring, "Order heap"); _NO_ENTRY when it has none.
+        self._heap_activity: List[float] = [_NO_ENTRY]
+        # Conflict-analysis marks, all False between _analyze calls.
+        self._seen: List[bool] = [False]
         self._var_inc = 1.0
         self._var_decay = 0.95
         self._model: Dict[int, int] = {}
@@ -108,6 +150,8 @@ class Solver:
         self._reason.append(None)
         self._activity.append(0.0)
         self._phase.append(0)
+        self._heap_activity.append(_NO_ENTRY)
+        self._seen.append(False)
         return self.num_vars
 
     def _ensure_var(self, var: int) -> None:
@@ -116,8 +160,14 @@ class Solver:
 
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add a clause.  Must be called at decision level 0 (between solves)."""
-        clause = []
+        # One pass: drop duplicate literals and literals already false at
+        # level 0, note a literal already true there.  Every literal is still
+        # read (a later 0 raises, a later tautology skips the clause).
+        assign, levels = self._assign, self._level
+        num_vars = self.num_vars
+        simplified = []
         seen = set()
+        satisfied = False
         for lit in literals:
             lit = int(lit)
             if lit == 0:
@@ -127,20 +177,18 @@ class Solver:
             if lit in seen:
                 continue
             seen.add(lit)
-            clause.append(lit)
-            self._ensure_var(abs(lit))
-        if not clause:
-            self._unsat = True
-            return
-        # Drop literals already false at level 0, stop if already satisfied.
-        simplified = []
-        for lit in clause:
-            value = self._value(lit)
-            if value == 1 and self._level[abs(lit)] == 0:
-                return
-            if value == -1 and self._level[abs(lit)] == 0:
+            var = lit if lit > 0 else -lit
+            if var > num_vars:
+                self._ensure_var(var)
+                num_vars = var
+            value = assign[var]
+            if value != 0 and levels[var] == 0:
+                if (value if lit > 0 else -value) == 1:
+                    satisfied = True
                 continue
             simplified.append(lit)
+        if satisfied:
+            return
         if not simplified:
             self._unsat = True
             return
@@ -152,19 +200,25 @@ class Solver:
             return
         index = len(self.clauses)
         self.clauses.append(simplified)
-        self._watch(simplified[0], index)
-        self._watch(simplified[1], index)
+        watches = self._watches
+        for lit in (-simplified[0], -simplified[1]):
+            watching = watches.get(lit)
+            if watching is None:
+                watches[lit] = [index]
+            else:
+                watching.append(index)
 
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
         """Add many clauses."""
+        add_clause = self.add_clause
         for clause in clauses:
-            self.add_clause(clause)
+            add_clause(clause)
 
     def _watch(self, lit: int, clause_index: int) -> None:
         self._watches.setdefault(-lit, []).append(clause_index)
 
     # ------------------------------------------------------------------ #
-    # assignment helpers
+    # assignment helpers (cold paths; the hot loops inline them)
     # ------------------------------------------------------------------ #
     def _value(self, lit: int) -> int:
         """+1 if lit is true, -1 if false, 0 if unassigned."""
@@ -181,95 +235,118 @@ class Solver:
             return False
         var = abs(lit)
         self._assign[var] = 1 if lit > 0 else -1
-        self._level[var] = self._decision_level()
+        self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(lit)
         return True
 
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
-    def _new_decision_level(self) -> None:
-        self._trail_lim.append(len(self._trail))
-
     def _backtrack(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        boundary = self._trail_lim[level]
-        for lit in reversed(self._trail[boundary:]):
-            var = abs(lit)
-            self._phase[var] = self._assign[var]
-            self._assign[var] = 0
-            self._reason[var] = None
-            self._heap_push(var)
-        del self._trail[boundary:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+        boundary = trail_lim[level]
+        trail = self._trail
+        assign, phase, reason = self._assign, self._phase, self._reason
+        activity, heap_activity = self._activity, self._heap_activity
+        heap, heappush = self._order_heap, heapq.heappush
+        for lit in reversed(trail[boundary:]):
+            var = lit if lit > 0 else -lit
+            phase[var] = assign[var]
+            assign[var] = 0
+            reason[var] = None
+            current = activity[var]
+            if heap_activity[var] != current:
+                heap_activity[var] = current
+                heappush(heap, (-current, var))
+        del trail[boundary:]
+        del trail_lim[level:]
+        self._qhead = len(trail)
 
     # ------------------------------------------------------------------ #
     # propagation
     # ------------------------------------------------------------------ #
     def _propagate(self) -> Optional[int]:
         """Unit propagation.  Returns a conflicting clause index or None."""
-        while self._qhead < len(self._trail):  # hot-loop
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.stats.propagations += 1
-            watching = self._watches.get(lit)
+        trail = self._trail
+        clauses = self.clauses
+        watches = self._watches
+        assign, levels, reasons = self._assign, self._level, self._reason
+        current_level = len(self._trail_lim)
+        qhead = self._qhead
+        propagations = 0
+        conflict: Optional[int] = None
+        while qhead < len(trail):  # hot-loop
+            lit = trail[qhead]
+            qhead += 1
+            propagations += 1
+            watching = watches.get(lit)
             if not watching:
                 continue
-            new_watching: List[int] = []
-            conflict: Optional[int] = None
+            # Rebuilt only once a watch moves away; until then the list
+            # is read in place and left untouched.
+            new_watching: Optional[List[int]] = None
+            false_lit = -lit
             i = 0
             n = len(watching)
             while i < n:
                 clause_index = watching[i]
                 i += 1
-                clause = self.clauses[clause_index]
+                clause = clauses[clause_index]
                 # Normalise so the falsified watched literal is clause[1].
-                false_lit = -lit
                 if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
+                    clause[0] = clause[1]
+                    clause[1] = false_lit
                 first = clause[0]
-                if self._value(first) == 1:
-                    new_watching.append(clause_index)
+                value = assign[first] if first > 0 else -assign[-first]
+                if value == 1:
+                    if new_watching is not None:
+                        new_watching.append(clause_index)
                     continue
                 # Look for a replacement watch.
-                found = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watch(clause[1], clause_index)
-                        found = True
+                    other = clause[k]
+                    if (assign[other] if other > 0 else -assign[-other]) != -1:
+                        clause[1] = other
+                        clause[k] = false_lit
+                        moved = watches.get(-other)
+                        if moved is None:
+                            watches[-other] = [clause_index]
+                        else:
+                            moved.append(clause_index)
+                        if new_watching is None:
+                            new_watching = watching[:i - 1]
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                new_watching.append(clause_index)
-                if not self._enqueue(first, clause_index):
-                    conflict = clause_index
-                    # keep remaining watches
-                    new_watching.extend(watching[i:])
-                    break
-            self._watches[lit] = new_watching
+                else:
+                    # Clause is unit or conflicting.
+                    if new_watching is not None:
+                        new_watching.append(clause_index)
+                    if value == -1:
+                        conflict = clause_index
+                        # keep remaining watches
+                        if new_watching is not None:
+                            new_watching.extend(watching[i:])
+                        break
+                    var = first if first > 0 else -first
+                    assign[var] = 1 if first > 0 else -1
+                    levels[var] = current_level
+                    reasons[var] = clause_index
+                    trail.append(first)
+            if new_watching is not None:
+                watches[lit] = new_watching
             if conflict is not None:
-                return conflict
-        return None
+                break
+        self._qhead = qhead
+        self.stats.propagations += propagations
+        return conflict
 
     # ------------------------------------------------------------------ #
     # conflict analysis
     # ------------------------------------------------------------------ #
-    def _bump(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._assign[var] == 0:
-            self._heap_push(var)
-        if self._activity[var] > 1e100:
-            for v in range(1, self.num_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-
-    def _decay_activities(self) -> None:
-        self._var_inc /= self._var_decay
+    def _rescale_activities(self) -> None:
+        activity = self._activity
+        for v in range(1, self.num_vars + 1):
+            activity[v] *= 1e-100
+        self._var_inc *= 1e-100
 
     def _analyze(self, conflict_index: int) -> (List[int], int):
         """First-UIP conflict analysis.
@@ -277,48 +354,62 @@ class Solver:
         Returns the learned clause (asserting literal first) and the level to
         backtrack to.
         """
+        clauses, trail = self.clauses, self._trail
+        assign, levels, reasons = self._assign, self._level, self._reason
+        activity, seen, var_inc = self._activity, self._seen, self._var_inc
         learned: List[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * (self.num_vars + 1)
         counter = 0
         lit = None
-        clause = self.clauses[conflict_index]
-        index = len(self._trail) - 1
-        current_level = self._decision_level()
+        clause = clauses[conflict_index]
+        index = len(trail) - 1
+        current_level = len(self._trail_lim)
 
         while True:
             for reason_lit in clause:
-                if lit is not None and reason_lit == lit:
+                if reason_lit == lit:
                     continue
-                var = abs(reason_lit)
-                if not seen[var] and self._level[var] > 0:
+                var = reason_lit if reason_lit > 0 else -reason_lit
+                if not seen[var] and levels[var] > 0:
                     seen[var] = True
-                    self._bump(var)
-                    if self._level[var] >= current_level:
+                    # VSIDS bump.
+                    current = activity[var] + var_inc
+                    activity[var] = current
+                    if assign[var] == 0:
+                        self._heap_push(var)
+                    if current > 1e100:
+                        self._rescale_activities()
+                        var_inc = self._var_inc
+                    if levels[var] >= current_level:
                         counter += 1
                     else:
                         learned.append(reason_lit)
             # find next literal to expand (most recent on trail at current level)
-            while not seen[abs(self._trail[index])]:
+            lit = trail[index]
+            while not seen[lit if lit > 0 else -lit]:
                 index -= 1
-            lit = self._trail[index]
-            var = abs(lit)
+                lit = trail[index]
+            var = lit if lit > 0 else -lit
             seen[var] = False
             counter -= 1
             index -= 1
             if counter == 0:
                 break
-            reason_index = self._reason[var]
+            reason_index = reasons[var]
             assert reason_index is not None, "decision reached before UIP"
-            clause = self.clauses[reason_index]
+            clause = clauses[reason_index]
         learned[0] = -lit
+        # Every current-level mark was cleared as the walk expanded it; the
+        # lower-level marks are exactly the learned tail.
+        for other in learned[1:]:
+            seen[other if other > 0 else -other] = False
 
         if len(learned) == 1:
             return learned, 0
         # Backtrack level: highest level among the non-asserting literals.
         max_index = 1
-        max_level = self._level[abs(learned[1])]
+        max_level = levels[abs(learned[1])]
         for k in range(2, len(learned)):
-            lvl = self._level[abs(learned[k])]
+            lvl = levels[abs(learned[k])]
             if lvl > max_level:
                 max_level = lvl
                 max_index = k
@@ -329,7 +420,11 @@ class Solver:
     # decisions
     # ------------------------------------------------------------------ #
     def _heap_push(self, var: int) -> None:
-        heapq.heappush(self._order_heap, (-self._activity[var], var))
+        """Push ``var`` at its current activity unless that entry is live."""
+        current = self._activity[var]
+        if self._heap_activity[var] != current:
+            self._heap_activity[var] = current
+            heapq.heappush(self._order_heap, (-current, var))
 
     def _pick_branch_variable(self) -> Optional[int]:
         """Highest-activity unassigned variable (lazy-deletion heap).
@@ -339,21 +434,26 @@ class Solver:
         current activity.  Variables never pushed (activity 0) are covered by
         the fallback linear scan, which also refills the heap.
         """
-        while self._order_heap:
-            neg_activity, var = heapq.heappop(self._order_heap)
-            if self._assign[var] != 0:
+        heap, heappop = self._order_heap, heapq.heappop
+        assign, activity = self._assign, self._activity
+        heap_activity = self._heap_activity
+        while heap:
+            neg_activity, var = heappop(heap)
+            if heap_activity[var] == -neg_activity:
+                heap_activity[var] = _NO_ENTRY  # its live current entry left
+            if assign[var] != 0:
                 continue
-            if -neg_activity != self._activity[var]:
+            if -neg_activity != activity[var]:
                 self._heap_push(var)
                 continue
             return var
         # Heap exhausted: rebuild it from all unassigned variables.
-        unassigned = [v for v in range(1, self.num_vars + 1) if self._assign[v] == 0]
+        unassigned = [v for v in range(1, self.num_vars + 1) if assign[v] == 0]
         if not unassigned:
             return None
         for var in unassigned:
             self._heap_push(var)
-        return max(unassigned, key=lambda v: self._activity[v])
+        return max(unassigned, key=activity.__getitem__)
 
     # ------------------------------------------------------------------ #
     # main search
@@ -376,7 +476,8 @@ class Solver:
         time_limit:
             Abort with ``None`` after this many seconds of wall-clock time.
         """
-        self.stats.solve_calls += 1
+        stats = self.stats
+        stats.solve_calls += 1
         if self._unsat:
             return False
         assumptions = list(assumptions or [])
@@ -389,6 +490,9 @@ class Solver:
             self._unsat = True
             return False
 
+        propagate, backtrack = self._propagate, self._backtrack
+        trail, trail_lim = self._trail, self._trail_lim
+        assign, levels, reasons = self._assign, self._level, self._reason
         deadline = time.monotonic() + time_limit if time_limit else None
         conflicts_this_call = 0
         restart_index = 1
@@ -396,17 +500,17 @@ class Solver:
         conflicts_since_restart = 0
 
         while True:
-            conflict = self._propagate()
+            conflict = propagate()
             if conflict is not None:
-                self.stats.conflicts += 1
+                stats.conflicts += 1
                 conflicts_this_call += 1
                 conflicts_since_restart += 1
-                if self._decision_level() == 0:
+                if not trail_lim:
                     self._unsat = True
                     return False
-                if self._decision_level() <= num_assumptions:
+                if len(trail_lim) <= num_assumptions:
                     # Conflict depends only on assumptions: UNSAT under them.
-                    self._backtrack(0)
+                    backtrack(0)
                     return False
                 learned, back_level = self._analyze(conflict)
                 if self.proof is not None:
@@ -414,23 +518,22 @@ class Solver:
                     # the conflict, which is what the DRUP checker replays.
                     self.proof.learned(learned)
                 if self.trace is not None and (
-                    self.stats.conflicts % self.trace_stride == 0
+                    stats.conflicts % self.trace_stride == 0
                 ):
                     # LBD (distinct decision levels in the learned clause) is
                     # only meaningful before backtracking clears the levels.
-                    levels = self._level
                     self.trace.emit(
                         "conflict",
-                        conflicts=self.stats.conflicts,
-                        decisions=self.stats.decisions,
-                        propagations=self.stats.propagations,
-                        learned=self.stats.learned_clauses,
-                        level=self._decision_level(),
+                        conflicts=stats.conflicts,
+                        decisions=stats.decisions,
+                        propagations=stats.propagations,
+                        learned=stats.learned_clauses,
+                        level=len(trail_lim),
                         lbd=len({levels[abs(lit)] for lit in learned}),
                         learned_len=len(learned),
                     )
                 back_level = max(back_level, num_assumptions)
-                self._backtrack(back_level)
+                backtrack(back_level)
                 if len(learned) == 1:
                     if not self._enqueue(learned[0], None):
                         self._unsat = True
@@ -438,30 +541,30 @@ class Solver:
                 else:
                     index = len(self.clauses)
                     self.clauses.append(learned)
-                    self.stats.learned_clauses += 1
+                    stats.learned_clauses += 1
                     self._watch(learned[0], index)
                     self._watch(learned[1], index)
                     self._enqueue(learned[0], index)
-                self._decay_activities()
+                self._var_inc /= self._var_decay
 
                 if conflict_limit is not None and conflicts_this_call >= conflict_limit:
-                    self._backtrack(0)
+                    backtrack(0)
                     return None
                 if deadline is not None and time.monotonic() > deadline:
-                    self._backtrack(0)
+                    backtrack(0)
                     return None
                 if conflicts_since_restart >= restart_budget:
-                    self.stats.restarts += 1
+                    stats.restarts += 1
                     if self.trace is not None:
                         self.trace.emit(
                             "restart",
-                            restarts=self.stats.restarts,
-                            conflicts=self.stats.conflicts,
+                            restarts=stats.restarts,
+                            conflicts=stats.conflicts,
                         )
                     restart_index += 1
                     restart_budget = 32 * _luby(restart_index)
                     conflicts_since_restart = 0
-                    self._backtrack(min(num_assumptions, self._decision_level()))
+                    backtrack(min(num_assumptions, len(trail_lim)))
                 continue
 
             # No conflict: propagation quiesced — audit the solver state
@@ -470,17 +573,17 @@ class Solver:
                 self._run_invariant_checks()
 
             # Place assumptions first, then decide.
-            if self._decision_level() < num_assumptions:
-                lit = assumptions[self._decision_level()]
+            if len(trail_lim) < num_assumptions:
+                lit = assumptions[len(trail_lim)]
                 value = self._value(lit)
                 if value == 1:
                     # Already satisfied: open a dummy level to keep indices aligned.
-                    self._new_decision_level()
+                    trail_lim.append(len(trail))
                     continue
                 if value == -1:
-                    self._backtrack(0)
+                    backtrack(0)
                     return False
-                self._new_decision_level()
+                trail_lim.append(len(trail))
                 self._enqueue(lit, None)
                 continue
 
@@ -488,19 +591,23 @@ class Solver:
             if var is None:
                 # All variables assigned: SAT.
                 self._model = {
-                    v: (1 if self._assign[v] == 1 else 0)
+                    v: (1 if assign[v] == 1 else 0)
                     for v in range(1, self.num_vars + 1)
                 }
-                self._backtrack(0)
+                backtrack(0)
                 return True
-            self.stats.decisions += 1
-            if deadline is not None and self.stats.decisions % 512 == 0 and time.monotonic() > deadline:
-                self._backtrack(0)
+            stats.decisions += 1
+            if deadline is not None and stats.decisions % 512 == 0 and time.monotonic() > deadline:
+                backtrack(0)
                 return None
-            self._new_decision_level()
-            phase = self._phase[var]
-            lit = var if phase == 1 else -var
-            self._enqueue(lit, None)
+            # Decide: the picked variable is unassigned, so enqueue directly.
+            level = len(trail_lim)
+            trail_lim.append(len(trail))
+            lit = var if self._phase[var] == 1 else -var
+            assign[var] = 1 if lit > 0 else -1
+            levels[var] = level + 1
+            reasons[var] = None
+            trail.append(lit)
 
     # ------------------------------------------------------------------ #
     # results

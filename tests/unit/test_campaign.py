@@ -3,6 +3,8 @@
 import json
 import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -709,6 +711,33 @@ class TestParallelExecutor:
         assert culprit["status"] == "error"
         assert "worker process died" in culprit["error"]
         for job in jobs[1:]:
+            assert store.record_for(job.key)["status"] == "completed"
+
+    def test_submit_into_broken_pool_reruns_the_rest_isolated(
+        self, tmp_path, monkeypatch
+    ):
+        """A job can kill its worker before the last job is submitted; the
+        shared pool's ``submit`` then raises BrokenProcessPool.  That must
+        not escape run_campaign: the refused job and every later one re-run
+        in single-job pools."""
+        real_submit = ProcessPoolExecutor.submit
+        pool_sizes = []
+
+        def submit(pool, *args, **kwargs):
+            pool_sizes.append(pool._max_workers)
+            if len(pool_sizes) == 3:
+                raise BrokenProcessPool("a worker died before this submit")
+            return real_submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        spec = CampaignSpec(name="c", jobs=sleep_jobs(4, seconds=0.01))
+        store = ResultStore(tmp_path / "store")
+        summary = run_campaign(spec, store, workers=2)
+        assert (summary.completed, summary.errors) == (4, 0)
+        # Two jobs reached the shared pool; the third submit was refused, so
+        # jobs three and four each ran in an isolated one-worker pool.
+        assert pool_sizes == [2, 2, 2, 1, 1]
+        for job in spec.jobs:
             assert store.record_for(job.key)["status"] == "completed"
 
 

@@ -6,6 +6,8 @@ could produce, so each test seeds one such state and asserts the checker
 names it precisely.
 """
 
+import heapq
+
 import pytest
 
 from repro.check.solver import (
@@ -185,6 +187,23 @@ def test_reference_shrunken_clause_caught():
     solver = reference_with([[1, 2, 3]])
     solver.clauses[0] = [1]
     assert "clause-corrupt" in kinds_of(check_solver_invariants(solver))
+
+
+def test_reference_dropped_heap_entry_caught():
+    # Pushes are skipped while _heap_activity records a live current entry,
+    # so an entry lost from the heap would starve its variable for good.
+    solver = reference_with([[1, 2, 3], [-1, 2]])
+    assert solver.solve() is True  # the final backtrack re-pushes every variable
+    assert check_solver_invariants(solver) == []
+    entry = next(
+        entry for entry in solver._order_heap
+        if solver._heap_activity[entry[1]] == -entry[0]
+    )
+    solver._order_heap.remove(entry)
+    heapq.heapify(solver._order_heap)
+    violations = check_solver_invariants(solver)
+    assert kinds_of(violations) == ["heap-missing"]
+    assert f"variable {entry[1]} " in violations[0].message
 
 
 # --------------------------------------------------------------------- #
