@@ -412,10 +412,12 @@ class ArenaSolver:
         time_limit: Optional[float] = None,
     ) -> Optional[bool]:
         """Run the CDCL search (same contract as the reference solver)."""
+        assumptions = list(assumptions or [])
+        if 0 in assumptions:
+            raise ValueError("literal 0 is not allowed")
         self.stats.solve_calls += 1
         if self._unsat:
             return False
-        assumptions = list(assumptions or [])
         for lit in assumptions:
             self._ensure_var(abs(lit))
         num_assumptions = len(assumptions)

@@ -4,6 +4,12 @@ Literals follow the DIMACS convention: variables are positive integers and a
 negative literal is the negated variable.  :class:`CNF` is a thin container
 used to pass formulas between the Tseitin encoder, the attacks and the
 solver; the solver itself keeps its own internal clause database.
+
+:meth:`CNF.add_clause` is the checked entry point for clauses built outside
+the encoder (blocking clauses, DIMACS input, test fixtures): it stores plain
+``int`` tuples and rejects an empty clause or a literal 0.  The Tseitin
+encoder appends to ``clauses`` directly, since its literals are valid by
+construction (see :mod:`repro.sat.tseitin`).
 """
 
 from __future__ import annotations
@@ -27,14 +33,18 @@ class CNF:
         return self.num_vars
 
     def add_clause(self, literals: Iterable[int]) -> None:
-        """Add one clause, updating ``num_vars`` to cover its literals."""
-        clause = tuple(int(l) for l in literals)
+        """Add one checked clause, updating ``num_vars`` to cover its literals.
+
+        Literals are stored as plain ``int``; an empty clause or a literal 0
+        raises ``ValueError`` and stores nothing.
+        """
+        clause = tuple(map(int, literals))
         if not clause:
             raise ValueError("empty clause added to CNF (formula is trivially UNSAT)")
-        if any(l == 0 for l in clause):
+        if 0 in clause:
             raise ValueError("literal 0 is not allowed")
         self.clauses.append(clause)
-        top = max(abs(l) for l in clause)
+        top = max(max(clause), -min(clause))
         if top > self.num_vars:
             self.num_vars = top
 

@@ -10,10 +10,12 @@ on top keep their benchmark circuits modest in size.
 The public surface is small:
 
 ``add_clause`` / ``add_clauses``
-    Grow the clause database (incremental: clauses persist across calls).
+    Grow the clause database (incremental: clauses persist across calls;
+    a literal 0 raises ``ValueError``).
 ``solve(assumptions=…, conflict_limit=…, time_limit=…)``
     Returns ``True`` (SAT), ``False`` (UNSAT under the assumptions) or
-    ``None`` when a resource limit was hit.
+    ``None`` when a resource limit was hit.  An assumption 0 raises
+    ``ValueError``.
 ``model()``
     The satisfying assignment of the most recent SAT answer.
 
@@ -32,10 +34,28 @@ an ``in_heap`` flag (which drops the re-push when only a *stale* entry is
 left) each change the search; that is why ``cdcl-arena`` diverges.
 
 The hot loops (``_propagate``, ``_backtrack``, ``_analyze``,
-``_pick_branch_variable``, ``add_clause``) are inlined by hand: locals are
-bound once, literal values are read straight off ``_assign``, propagations
-are counted in a local, a watch list is rebuilt only when one of its
-watches moves, and conflict analysis reuses one ``seen`` buffer.
+``_pick_branch_variable``, ``add_clause``, ``add_clauses``) are inlined by
+hand: locals are bound once, literal values are read straight off
+``_assign``, propagations are counted in a local, a watch list is rebuilt
+only when one of its watches moves, and conflict analysis reuses one
+``seen`` buffer.
+
+Clause intake
+-------------
+The clause database, the watch lists (order included), the level-0 trail
+and ``num_vars`` are search state too, so every clause enters them the way
+``add_clause``'s loop defines: each literal read through ``int()``; a 0
+raises; a tautology is skipped; duplicate literals and literals false at
+level 0 are dropped; a clause true at level 0 is skipped; ``num_vars`` grows
+to each new variable as the loop meets it; a unit is enqueued and
+propagated at once; anything longer is stored and its first two literals
+watched.  ``add_clauses`` — what ``SolveSession.sync`` calls — takes a
+shortcut only where that loop would keep the clause whole: a tuple or list
+of two or more ``int`` literals over distinct, unassigned variables (no 0,
+no ``bool``) grows ``num_vars`` to its largest variable, then is stored and
+watched directly.  Every other clause takes the loop.  Units are never
+batched: each is enqueued and propagated in order, and the solver never
+grows past the variables its clauses name.
 
 Order heap
 ----------
@@ -209,9 +229,45 @@ class Solver:
                 watching.append(index)
 
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
-        """Add many clauses."""
-        add_clause = self.add_clause
+        """Add many clauses, each exactly as :meth:`add_clause` would.
+
+        A plain clause is stored and watched here without ``add_clause``'s
+        per-literal loop; every other clause takes the loop (module
+        docstring, "Clause intake").
+        """
+        add_clause, ensure_var = self.add_clause, self._ensure_var
+        stored, watches, assign = self.clauses, self._watches, self._assign
         for clause in clauses:
+            kind = type(clause)
+            if (kind is tuple or kind is list) and len(clause) > 1:
+                # A non-int literal, a repeated variable (duplicate literal
+                # or tautology), a 0 or an assigned variable (fixed at level
+                # 0 between solves) sends the clause to the loop.
+                # ``variables`` starts with 0 so a literal 0 counts as
+                # repeated.
+                num_vars = self.num_vars
+                top = 0
+                variables = [0]
+                for lit in clause:
+                    if type(lit) is not int:
+                        break
+                    var = lit if lit > 0 else -lit
+                    if var in variables:
+                        break
+                    variables.append(var)
+                    if var > num_vars:
+                        if var > top:
+                            top = var
+                    elif assign[var]:
+                        break
+                else:
+                    if top:
+                        ensure_var(top)
+                    index = len(stored)
+                    stored.append(list(clause))
+                    watches.setdefault(-clause[0], []).append(index)
+                    watches.setdefault(-clause[1], []).append(index)
+                    continue
             add_clause(clause)
 
     def _watch(self, lit: int, clause_index: int) -> None:
@@ -476,11 +532,13 @@ class Solver:
         time_limit:
             Abort with ``None`` after this many seconds of wall-clock time.
         """
+        assumptions = list(assumptions or [])
+        if 0 in assumptions:
+            raise ValueError("literal 0 is not allowed")
         stats = self.stats
         stats.solve_calls += 1
         if self._unsat:
             return False
-        assumptions = list(assumptions or [])
         for lit in assumptions:
             self._ensure_var(abs(lit))
         num_assumptions = len(assumptions)

@@ -5,15 +5,64 @@ gate contributes the standard Tseitin clauses relating its output variable to
 its input variables.  The encoder also supports *instantiating* the same
 circuit multiple times under different net-name prefixes, which is how the
 attacks build miters and time-frame unrollings without copying circuits.
+
+CNF identity
+------------
+The CNF is part of the solver's search contract: the default ``cdcl``
+solver's decisions follow the variable numbering and the clause and literal
+order, so the attack outcomes and the benchmark's work digest are computed
+from them (pinned by ``tests/property/test_tseitin_golden.py``).
+
+* Variables: :meth:`TseitinEncoder.encode` allocates them per gate in
+  topological order — the output first, then the inputs in order, then the
+  gate's XOR-chain auxiliaries — and afterwards "touches" the primary
+  inputs, the primary outputs and each flip-flop's Q and D, in that order,
+  so every IO net has a variable even when no gate reads it.
+* Clauses: gate by gate in the same order, each gate's clauses and the
+  literals inside them in the order of its pattern below.  A repeated gate
+  input stays a duplicate literal (or a tautology) in the CNF.
+
+Encoder clauses are appended to ``cnf.clauses`` as tuples, without
+:meth:`CNF.add_clause`'s checks: every literal comes from a variable the
+encoder allocated on ``cnf.num_vars``, so it is a non-zero ``int`` no larger
+than ``num_vars``.  Clauses built anywhere else (blocking clauses, DIMACS
+input) go through ``CNF.add_clause``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.netlist.circuit import Circuit, CircuitError
-from repro.netlist.gates import Gate, GateType
+from repro.netlist.gates import GateType
 from repro.sat.cnf import CNF
+
+
+class _NetVars(dict):
+    """Local net -> variable for one :meth:`TseitinEncoder.encode` call.
+
+    A missing net is resolved once: its ``shared_nets`` name as given, else
+    prefix + net, looked up in the encoder's variable map or allocated.
+    """
+
+    def __init__(self, encoder: "TseitinEncoder", prefix: str,
+                 shared: Mapping[str, str]) -> None:
+        super().__init__()
+        self.varmap = encoder.varmap
+        self.cnf = encoder.cnf
+        self.prefix = prefix
+        self.shared = shared
+
+    def __missing__(self, net: str) -> int:
+        name = self.shared.get(net)
+        if name is None:
+            name = self.prefix + net
+        variable = self.varmap.get(name)
+        if variable is None:
+            variable = self.cnf.new_var()
+            self.varmap[name] = variable
+        self[net] = variable
+        return variable
 
 
 class TseitinEncoder:
@@ -50,26 +99,29 @@ class TseitinEncoder:
         return net in self.varmap
 
     # ------------------------------------------------------------------ #
-    # gate clauses
+    # gate clauses (variables in, clause tuples appended to the CNF)
     # ------------------------------------------------------------------ #
     def _encode_and(self, out: int, ins: Sequence[int], *, negate: bool = False) -> None:
         out_lit = -out if negate else out
+        append = self.cnf.clauses.append
         for lit in ins:
-            self.cnf.add_clause([-out_lit, lit])
-        self.cnf.add_clause([out_lit] + [-lit for lit in ins])
+            append((-out_lit, lit))
+        append((out_lit, *[-lit for lit in ins]))
 
     def _encode_or(self, out: int, ins: Sequence[int], *, negate: bool = False) -> None:
         out_lit = -out if negate else out
+        append = self.cnf.clauses.append
         for lit in ins:
-            self.cnf.add_clause([out_lit, -lit])
-        self.cnf.add_clause([-out_lit] + list(ins))
+            append((out_lit, -lit))
+        append((-out_lit, *ins))
 
     def _encode_xor2(self, out: int, a: int, b: int, *, negate: bool = False) -> None:
         out_lit = -out if negate else out
-        self.cnf.add_clause([-out_lit, a, b])
-        self.cnf.add_clause([-out_lit, -a, -b])
-        self.cnf.add_clause([out_lit, -a, b])
-        self.cnf.add_clause([out_lit, a, -b])
+        clauses = self.cnf.clauses
+        clauses.append((-out_lit, a, b))
+        clauses.append((-out_lit, -a, -b))
+        clauses.append((out_lit, -a, b))
+        clauses.append((out_lit, a, -b))
 
     def _encode_xor(self, out: int, ins: Sequence[int], *, negate: bool = False) -> None:
         if len(ins) == 2:
@@ -83,17 +135,15 @@ class TseitinEncoder:
             self._encode_xor2(target, prev, lit, negate=negate and last)
             prev = target
 
-    def encode_gate(self, gate: Gate, *, prefix: str = "") -> None:
-        """Emit clauses for one gate (optionally with prefixed net names)."""
-        out = self.var(prefix + gate.output)
-        ins = [self.var(prefix + name) for name in gate.inputs]
-        gtype = gate.gtype
+    def _encode_gate(self, gtype: GateType, out: int, ins: List[int]) -> None:
+        """Append the clauses of one gate over already-allocated variables."""
+        clauses = self.cnf.clauses
         if gtype == GateType.BUF:
-            self.cnf.add_clause([-out, ins[0]])
-            self.cnf.add_clause([out, -ins[0]])
+            clauses.append((-out, ins[0]))
+            clauses.append((out, -ins[0]))
         elif gtype == GateType.NOT:
-            self.cnf.add_clause([-out, -ins[0]])
-            self.cnf.add_clause([out, ins[0]])
+            clauses.append((-out, -ins[0]))
+            clauses.append((out, ins[0]))
         elif gtype == GateType.AND:
             self._encode_and(out, ins)
         elif gtype == GateType.NAND:
@@ -109,14 +159,14 @@ class TseitinEncoder:
         elif gtype == GateType.MUX:
             sel, d0, d1 = ins
             # out = sel ? d1 : d0
-            self.cnf.add_clause([-out, sel, d0])
-            self.cnf.add_clause([-out, -sel, d1])
-            self.cnf.add_clause([out, sel, -d0])
-            self.cnf.add_clause([out, -sel, -d1])
+            clauses.append((-out, sel, d0))
+            clauses.append((-out, -sel, d1))
+            clauses.append((out, sel, -d0))
+            clauses.append((out, -sel, -d1))
         elif gtype == GateType.CONST0:
-            self.cnf.add_clause([-out])
+            clauses.append((-out,))
         elif gtype == GateType.CONST1:
-            self.cnf.add_clause([out])
+            clauses.append((out,))
         else:  # pragma: no cover - exhaustive above
             raise CircuitError(f"cannot encode gate type {gtype}")
 
@@ -130,40 +180,36 @@ class TseitinEncoder:
         Parameters
         ----------
         prefix:
-            Prepended to every net name; use distinct prefixes to place
-            independent copies of the same circuit in one CNF.
+            Prepended to every net name not in ``shared_nets``; use distinct
+            prefixes to place independent copies of the same circuit in one
+            CNF.
         shared_nets:
-            Optional mapping ``local net -> global net`` applied *before*
-            prefixing; nets mapped to the same global name share a variable
-            (used to tie key inputs across copies / time frames).
+            Optional mapping ``local net -> global net``.  A mapped net takes
+            its global name as given, *without* the prefix; nets mapped to
+            the same global name share a variable (used to tie key inputs
+            across copies / time frames).
 
         Flip-flops are **not** encoded; callers decide how to connect the
         sequential boundary (pseudo-inputs for the combinational attack,
-        frame-to-frame wiring for the unrolling attacks).
+        frame-to-frame wiring for the unrolling attacks).  Variables and
+        clauses come in the order the module docstring ("CNF identity")
+        fixes.
         """
-        shared = dict(shared_nets or {})
-
-        def resolve(net: str) -> str:
-            if net in shared:
-                return shared[net]
-            return prefix + net
-
+        nets = _NetVars(self, prefix, shared_nets or {})
+        variable = nets.__getitem__
+        gates = circuit.gates
+        encode_gate = self._encode_gate
         for out in circuit.topological_order():
-            gate = circuit.gates[out]
-            resolved = Gate(
-                output=resolve(gate.output),
-                gtype=gate.gtype,
-                inputs=tuple(resolve(i) for i in gate.inputs),
-            )
-            self.encode_gate(resolved)
+            gate = gates[out]
+            encode_gate(gate.gtype, variable(gate.output), list(map(variable, gate.inputs)))
         # Touch IO nets so they always have variables even if undriven/unused.
         for net in circuit.inputs:
-            self.var(resolve(net))
+            variable(net)
         for net in circuit.outputs:
-            self.var(resolve(net))
+            variable(net)
         for q, ff in circuit.dffs.items():
-            self.var(resolve(q))
-            self.var(resolve(ff.d))
+            variable(q)
+            variable(ff.d)
         return self.cnf
 
     # ------------------------------------------------------------------ #
@@ -172,12 +218,12 @@ class TseitinEncoder:
     def add_equality(self, net_a: str, net_b: str) -> None:
         """Constrain two nets to be equal."""
         a, b = self.var(net_a), self.var(net_b)
-        self.cnf.add_clause([-a, b])
-        self.cnf.add_clause([a, -b])
+        self.cnf.clauses.append((-a, b))
+        self.cnf.clauses.append((a, -b))
 
     def add_value(self, net: str, value: int) -> None:
         """Constrain a net to a constant value."""
-        self.cnf.add_clause([self.literal(net, bool(value))])
+        self.cnf.clauses.append((self.literal(net, bool(value)),))
 
     def add_assignment(self, values: Mapping[str, int], *, prefix: str = "") -> None:
         """Constrain many nets to constant values."""

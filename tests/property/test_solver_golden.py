@@ -19,7 +19,11 @@ The corpus:
 * ``rescale`` — random 3-SAT with a fast activity decay, so activities
   are rescaled twice within a few hundred conflicts;
 * ``incremental`` — clauses added between solves: level-0 units,
-  tautologies, duplicate literals, fresh variables, assumptions.
+  tautologies, duplicate literals, fresh variables, assumptions;
+* ``miter`` — a Tseitin-encoded SAT-attack miter (two key copies, an
+  inequality over their outputs, then two DIP constraint copies per side
+  fixed by ``add_value`` units), synced through a ``SolveSession`` so the
+  solver receives the encoder's clause tuples the way every attack does.
 
 It also checks that the order heap holds no duplicate entry after each
 solve (the dedupe rule of the solver's "Order heap" docstring section).
@@ -39,9 +43,14 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import pytest
 
+from repro.benchmarks_data.generator import random_sequential_circuit
 from repro.check.certify.proof import ProofLogger
+from repro.netlist.gates import GateType
 from repro.perf.suites.solver import layered_circuit_cnf, pigeonhole, search_instances
+from repro.sat.session import SolveSession
 from repro.sat.solver import Solver
+from repro.sat.tseitin import TseitinEncoder
+from repro.sim.logicsim import evaluate_combinational
 
 #: One solve call: (answer, decisions, propagations, conflicts,
 #: learned_clauses, restarts, digest of the call's learned clauses + model).
@@ -50,6 +59,8 @@ Call = Tuple[Optional[bool], int, int, int, int, int, str]
 # An operation: ("new",) starts a fresh solver (a case's first operation
 # gets one anyway), ("decay", factor) sets its activity decay, ("add",
 # clauses) and ("solve", assumptions, conflict_limit) drive it.
+# ("session", encoder) starts a fresh solver inside a SolveSession around
+# ``encoder`` and ("sync",) flows the encoder's new clauses into it.
 Op = tuple
 
 
@@ -113,12 +124,54 @@ def _incremental() -> Iterator[Op]:
     yield ("solve", [1, 3], None)
 
 
+def _miter() -> Iterator[Op]:
+    design = random_sequential_circuit(
+        "golden", num_inputs=8, num_outputs=4, num_dffs=0, num_gates=60, seed=3
+    ).circuit
+    # Lock six gates with XOR/XNOR key gates (correct key bit 0/1).
+    rng = random.Random(8)
+    locked = design.copy(name="locked")
+    for index, net in enumerate(rng.sample(sorted(locked.gates), 6)):
+        key = locked.add_input(f"key{index}", is_key=True)
+        gate = locked.remove_gate(net)
+        locked.add_gate(f"{net}_pre", gate.gtype, gate.inputs)
+        locked.add_gate(net, rng.choice([GateType.XOR, GateType.XNOR]), [f"{net}_pre", key])
+    functional = [net for net in locked.inputs if net not in locked.key_inputs]
+
+    encoder = TseitinEncoder()
+    yield ("session", encoder)
+    tie = {net: net for net in functional}
+    encoder.encode(locked, prefix="A@", shared_nets=tie)
+    encoder.encode(locked, prefix="B@", shared_nets=tie)
+    diff = encoder.literal(encoder.encode_inequality(
+        [f"A@{out}" for out in locked.outputs], [f"B@{out}" for out in locked.outputs]
+    ), True)
+    yield ("sync",)
+    yield ("solve", [diff], None)
+    for tag in (1, 2):
+        dip = {net: rng.randint(0, 1) for net in functional}
+        response = evaluate_combinational(design, dip)
+        for side in ("A", "B"):
+            prefix = f"c{side}{tag}@"
+            shared = {net: f"{side}@{net}" for net in locked.key_inputs}
+            shared.update({net: f"{prefix}{net}" for net in functional})
+            encoder.encode(locked, prefix=prefix, shared_nets=shared)
+            for net in functional:
+                encoder.add_value(f"{prefix}{net}", dip[net])
+            for out in locked.outputs:
+                encoder.add_value(f"{prefix}{out}", response[out])
+        yield ("sync",)
+        yield ("solve", [diff], None)
+    yield ("solve", [], None)
+
+
 CASES: Dict[str, Callable[[], Iterator[Op]]] = {
     "cascade": _cascade,
     "random-3sat": _random_3sat,
     "pigeonhole": _pigeonhole,
     "rescale": _rescale,
     "incremental": _incremental,
+    "miter": _miter,
 }
 
 
@@ -132,7 +185,13 @@ def replay(name: str) -> Tuple[Tuple[Call, ...], Tuple[int, ...]]:
     calls: List[Call] = []
     duplicates: List[int] = []
     solver: Optional[Solver] = None
+    session: Optional[SolveSession] = None
     for op in CASES[name]():
+        if op[0] == "session":
+            session = SolveSession("cdcl", encoder=op[1])
+            solver = session.solver
+            solver.proof = ProofLogger()
+            continue
         if solver is None or op[0] == "new":
             solver = Solver()
             solver.proof = ProofLogger()
@@ -140,6 +199,8 @@ def replay(name: str) -> Tuple[Tuple[Call, ...], Tuple[int, ...]]:
             solver._var_decay = op[1]
         elif op[0] == "add":
             solver.add_clauses(op[1])
+        elif op[0] == "sync":
+            session.sync()
         elif op[0] == "solve":
             steps_before = len(solver.proof.steps)
             answer = solver.solve(assumptions=op[1], conflict_limit=op[2])
@@ -159,6 +220,8 @@ def replay(name: str) -> Tuple[Tuple[Call, ...], Tuple[int, ...]]:
 
 # Recorded from the solver as it stood before its hot loops were inlined
 # and its order heap deduplicated; both must leave every value unchanged.
+# The miter case was recorded before add_clauses took its plain-clause
+# shortcut, which must leave it unchanged too.
 EXPECTED: Dict[str, List[Call]] = {
     'cascade': [
         (True, 14, 376, 2, 2, 0, '47b264d92ab92ca6'),
@@ -177,6 +240,12 @@ EXPECTED: Dict[str, List[Call]] = {
         (True, 60, 286, 12, 12, 0, '5e239d383ac677b9'),
         (True, 78, 335, 13, 13, 0, '8fe9a6da2f4c0080'),
         (False, 78, 357, 14, 13, 0, '053530fafa409638'),
+    ],
+    'miter': [
+        (True, 19, 175, 0, 0, 0, '6c8e76d8c99758f0'),
+        (True, 34, 516, 0, 0, 0, '753406f047c3a6b2'),
+        (True, 62, 1181, 4, 3, 0, '02c67611433f65a4'),
+        (True, 76, 1396, 4, 3, 0, 'c6210571d3977cc6'),
     ],
     'pigeonhole': [
         (False, 1075, 10316, 809, 805, 14, '2a7169014b455d38'),

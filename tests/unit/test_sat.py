@@ -10,6 +10,7 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.sat.cnf import CNF
 from repro.sat.miter import build_key_miter, build_miter
+from repro.sat.session import create_solver, solver_backends
 from repro.sat.solver import Solver, _luby, solve_cnf
 from repro.sat.tseitin import TseitinEncoder
 from repro.sim.logicsim import evaluate_combinational
@@ -38,6 +39,40 @@ class TestCnf:
             cnf.add_clause([0])
         with pytest.raises(ValueError):
             cnf.add_clause([])
+
+    @pytest.mark.parametrize("clause", [[0, 1, 2], [1, 0, 2], [1, 2, 0], []])
+    def test_rejects_zero_anywhere_and_empty_without_storing(self, clause):
+        cnf = CNF()
+        with pytest.raises(ValueError) as error:
+            cnf.add_clause(clause)
+        expected = "literal 0 is not allowed" if clause else "empty clause"
+        assert expected in str(error.value)
+        assert cnf.clauses == [] and cnf.num_vars == 0
+
+    def test_num_vars_tracks_largest_negative_literal(self):
+        cnf = CNF()
+        cnf.add_clause([2, -7, 3])
+        assert cnf.num_vars == 7
+        cnf.add_clause([-9])
+        assert cnf.num_vars == 9
+        cnf.add_clause([4, -1])
+        assert cnf.num_vars == 9
+        assert cnf.clauses == [(2, -7, 3), (-9,), (4, -1)]
+
+    def test_bool_literals_are_stored_as_int(self):
+        cnf = CNF()
+        cnf.add_clause([True, -2])
+        assert cnf.clauses == [(1, -2)]
+        assert [type(lit) for lit in cnf.clauses[0]] == [int, int]
+
+    def test_numpy_literals_are_stored_as_int(self):
+        numpy = pytest.importorskip("numpy")
+        cnf = CNF()
+        cnf.add_clause(numpy.array([3, -5], dtype=numpy.int64))
+        cnf.add_clause([numpy.int64(-6), 1])
+        assert cnf.clauses == [(3, -5), (-6, 1)]
+        assert {type(lit) for clause in cnf.clauses for lit in clause} == {int}
+        assert type(cnf.num_vars) is int and cnf.num_vars == 6
 
     def test_dimacs_roundtrip(self):
         cnf = CNF()
@@ -122,6 +157,17 @@ class TestSolver:
                     any((lit > 0) == bool(model.get(abs(lit), 0)) for lit in clause)
                     for clause in clauses
                 )
+
+    @pytest.mark.parametrize("backend", solver_backends())
+    def test_rejects_zero_assumption(self, backend):
+        solver = create_solver(backend)
+        solver.add_clauses([[1, 2], [-1, 2]])
+        with pytest.raises(ValueError, match="literal 0 is not allowed"):
+            solver.solve(assumptions=[0])
+        with pytest.raises(ValueError, match="literal 0 is not allowed"):
+            solver.solve(assumptions=[2, 0])
+        assert solver.stats.solve_calls == 0
+        assert solver.solve(assumptions=[2]) is True
 
     def test_solve_cnf_helper(self):
         assert solve_cnf([[1, 2], [-1]]) is True
