@@ -1,30 +1,20 @@
 """Throughput of the packed bit-parallel engine versus the scalar simulator.
 
 The ``test_perf_*`` functions are conventional pytest-benchmark
-measurements on the embedded ISCAS'89 profile; the acceptance bars
-(>= 10x scalar throughput on 64-vector batches, and >= 4x bigint tiling
-for the numpy uint64 backend on thousands-of-lane passes) live in the
-:mod:`repro.perf` registry as ``engine.packed_speedup`` /
-``engine.numpy_speedup`` / ``engine.wide_batch`` and are enforced through
-the ``perf_run`` fixture.
+measurements on the embedded ISCAS'89 profile; the acceptance bar
+(>= 10x scalar throughput on 64-vector batches) lives in the
+:mod:`repro.perf` registry as ``engine.packed_speedup`` and is enforced
+through the ``perf_run`` fixture.
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_engine_throughput.py -q
 
 Set ``REPRO_BENCH_SMOKE=1`` (the CI smoke job does) for a reduced-size run:
 a smaller generated circuit, shorter timing windows and a relaxed bar.
-The numpy-backend measurements skip when numpy is not installed.
 """
 
-import random
-
-import pytest
-
-from repro.engine.compiler import numpy_available
 from repro.engine.packed import PackedSimulator, pack_vectors
-from repro.perf.suites.engine import BATCH, WIDE_LANES, prepared_circuit, wide_circuit
+from repro.perf.suites.engine import BATCH, prepared_circuit
 from repro.sim.logicsim import CombinationalSimulator
-
-needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
 
 def test_perf_scalar_simulator_64_vectors(benchmark):
@@ -69,49 +59,4 @@ def test_packed_engine_speedup_bar(perf_run):
     result = perf_run("engine.packed_speedup")
     assert result.metrics["speedup"] == (
         result.metrics["packed_vps"] / result.metrics["scalar_vps"]
-    )
-
-
-@needs_numpy
-def test_perf_bigint_tiled_wide_pass(benchmark):
-    circuit = wide_circuit(800)
-    sim = PackedSimulator(circuit, backend="bigint")
-    rng = random.Random(0)
-    words = {net: rng.getrandbits(WIDE_LANES) for net in circuit.inputs}
-
-    result = benchmark(lambda: sim.output_words(words, width=WIDE_LANES))
-    assert len(result) == len(circuit.outputs)
-    benchmark.extra_info["lanes_per_round"] = WIDE_LANES
-
-
-@needs_numpy
-def test_perf_numpy_wide_pass(benchmark):
-    """The numpy uint64 backend on the same wide pass — one fused array
-    sweep per kernel chunk instead of 32 sequential bigint tiles."""
-    circuit = wide_circuit(800)
-    sim = PackedSimulator(circuit, backend="numpy")
-    rng = random.Random(0)
-    words = {net: rng.getrandbits(WIDE_LANES) for net in circuit.inputs}
-
-    result = benchmark(lambda: sim.output_words(words, width=WIDE_LANES))
-    assert len(result) == len(circuit.outputs)
-    benchmark.extra_info["lanes_per_round"] = WIDE_LANES
-
-
-@needs_numpy
-def test_numpy_engine_speedup_bar(perf_run):
-    """Acceptance bar: numpy backend >= 4x bigint tiling on wide passes."""
-    result = perf_run("engine.numpy_speedup")
-    assert result.metrics["speedup"] == (
-        result.metrics["numpy_lps"] / result.metrics["bigint_lps"]
-    )
-
-
-@needs_numpy
-def test_wide_batch_round_trip_bar(perf_run):
-    """Acceptance bar: swizzled numpy round trip >= 2x the reference loops
-    (1.5x in smoke) on wide end-to-end batches."""
-    result = perf_run("engine.wide_batch")
-    assert result.metrics["speedup"] == (
-        result.metrics["fast_vps"] / result.metrics["reference_vps"]
     )

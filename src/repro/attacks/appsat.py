@@ -65,7 +65,7 @@ def appsat_attack(
     restores the one-DIP-per-solver-call reference path), and
     ``solver_backend`` selects the session's solver backend.
     """
-    batched, backend = parse_engine(engine)
+    batched = parse_engine(engine)
     if dip_batch < 1:
         raise ValueError("dip_batch must be at least 1")
     if not batched:
@@ -80,8 +80,8 @@ def appsat_attack(
                             details={"reason": "circuit has no key inputs"})
 
     locked_view = locked_circuit.combinational_view() if locked_circuit.dffs else locked_circuit
-    oracle = BatchedCombinationalOracle(original, backend=backend)
-    locked_sim = PackedSimulator(locked_view, backend=backend)
+    oracle = BatchedCombinationalOracle(original)
+    locked_sim = PackedSimulator(locked_view)
 
     key_nets = list(locked_view.key_inputs)
     functional_nets = [n for n in locked_view.inputs if n not in set(key_nets)]

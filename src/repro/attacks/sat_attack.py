@@ -193,12 +193,10 @@ def sat_attack(
         Upper bound on DIPs harvested per round before a single batched
         oracle query answers them all (see the module docstring).
     engine:
-        ``"packed"`` (default) enables batched DIP harvesting with the
-        auto-selected packed backend; ``"packed-bigint"`` /
-        ``"packed-numpy"`` pin the packed engine's evaluation backend (see
-        :data:`repro.engine.packed.ENGINE_CHOICES`); ``"scalar"`` forces
-        ``dip_batch=1`` and keeps the original one-DIP-per-solver-call
-        reference path.
+        ``"packed"`` (default) enables batched DIP harvesting;
+        ``"scalar"`` forces ``dip_batch=1`` and keeps the original
+        one-DIP-per-solver-call reference path (see
+        :data:`repro.engine.packed.ENGINE_CHOICES`).
     solver_backend:
         Registry name of the session's solver backend (``"cdcl"`` or the
         arena-tuned ``"cdcl-arena"``; see :mod:`repro.sat.session`).
@@ -208,7 +206,7 @@ def sat_attack(
         DRUP certificate checkable by ``repro check proof`` (see
         CHECKS.md); ``details["certificates"]`` counts the pairs written.
     """
-    batched, backend = parse_engine(engine)
+    batched = parse_engine(engine)
     if dip_batch < 1:
         raise ValueError("dip_batch must be at least 1")
     if not batched:
@@ -227,7 +225,7 @@ def sat_attack(
     locked_view = locked_circuit.combinational_view() if locked_circuit.dffs else locked_circuit
     # Batched oracle: DIP queries are inherently one-at-a-time, but the final
     # key verification and any sampling ride the packed engine for free.
-    oracle = BatchedCombinationalOracle(original, backend=backend)
+    oracle = BatchedCombinationalOracle(original)
 
     key_nets = list(locked_view.key_inputs)
     functional_nets = [n for n in locked_view.inputs if n not in set(key_nets)]

@@ -253,7 +253,7 @@ def sequential_oracle_guided_attack(
     pair there for each UNSAT answer (``repro check proof`` replays them),
     and the pair count lands in ``details["certificates"]``.
     """
-    batched, backend = parse_engine(engine)
+    batched = parse_engine(engine)
     if dis_batch < 1 or key_batch < 1:
         raise ValueError("dis_batch and key_batch must be at least 1")
     if not batched:
@@ -269,7 +269,7 @@ def sequential_oracle_guided_attack(
                             details={"reason": "circuit has no key inputs"})
 
     oracle = (
-        BatchedSequentialOracle(original, backend=backend)
+        BatchedSequentialOracle(original)
         if batched
         else SequentialOracle(original)
     )
@@ -456,7 +456,6 @@ def sequential_oracle_guided_attack(
             survivors = packed_candidate_key_filter(
                 original, locked_circuit, candidates, key_nets,
                 num_sequences=verify_sequences, sequence_length=verify_length,
-                backend=backend,
             )
             prefiltered_keys += sum(1 for alive in survivors if not alive)
             candidates = [c for c, alive in zip(candidates, survivors) if alive]

@@ -18,37 +18,20 @@ promises:
 The check is always-on in the test suite (see ``tests/conftest.py``) and
 opt-in at runtime via ``REPRO_CHECK_KERNELS=1``; :func:`verify_packed_words`
 is the matching runtime word-range sanitizer for the packed simulator.
-
-The compiler's second codegen target — the numpy ``uint64`` kernels from
-:func:`repro.engine.compiler.numpy_kernel_sources` — is covered by
-:func:`verify_numpy_kernel_source` / :func:`verify_compiled_numpy` with the
-same invariants restated for that grammar: the body is nothing but in-place
-ufunc calls ``band/bor/bxor/binv(v[...], ..., v[<out>])`` and broadcast
-constant assignments ``v[<out>] = 0`` / ``= mask``; each output slot is
-written by exactly one *contiguous* statement group (a gate's chain may
-re-read and re-write its own row, which is how in-place folding works, but
-never anybody else's); every other row a statement reads was finished
-earlier.  :func:`verify_packed_array` is the matching runtime sanitizer for
-the numpy buffer.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set
 
 from repro.netlist.circuit import CircuitError
 
 _KERNEL_NAME = "_kernel"
 _KERNEL_PARAMS = ("v", "mask")
-_NUMPY_KERNEL_PARAMS = ("v", "mask", "band", "bor", "bxor", "binv")
 
 #: Binary operators a kernel expression may use.
 _ALLOWED_BINOPS = (ast.BitAnd, ast.BitOr, ast.BitXor)
-
-#: In-place ufunc whitelist for the numpy target: name -> exact arity
-#: (inputs + the trailing output row).
-_NUMPY_UFUNC_ARITY = {"band": 3, "bor": 3, "bxor": 3, "binv": 2}
 
 
 class KernelVerificationError(CircuitError):
@@ -231,198 +214,6 @@ def verify_compiled(compiled) -> List[int]:
     return assigned
 
 
-def _row_slot(node: ast.expr) -> Optional[int]:
-    """The slot of a ``v[<non-negative constant int>]`` row read, else None."""
-    if (
-        isinstance(node, ast.Subscript)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "v"
-        and isinstance(node.slice, ast.Constant)
-        and isinstance(node.slice.value, int)
-        and not isinstance(node.slice.value, bool)
-        and node.slice.value >= 0
-    ):
-        return node.slice.value
-    return None
-
-
-def verify_numpy_kernel_source(
-    source: str,
-    defined: Set[int],
-    *,
-    label: str = "<numpy kernel>",
-) -> List[int]:
-    """Verify one numpy-target kernel chunk against the extended whitelist.
-
-    The numpy grammar is call-shaped rather than expression-shaped, so the
-    single-assignment invariant is restated as *contiguous-group
-    assignment*: a gate lowers to a run of in-place ufunc calls that all
-    target the same output row, and while that run is "open" the row may be
-    re-read and re-written (that is the in-place fold); any statement
-    targeting a different row closes the group for good.  Inputs of a
-    group's first statement must be finished rows; later statements may
-    also read the open row.  Constant assignments (``v[o] = 0`` /
-    ``v[o] = mask``) are single-statement groups.
-
-    ``defined`` threads across chunks exactly like
-    :func:`verify_kernel_source`; the returned list holds this chunk's
-    finished slots in program order.
-    """
-    violations: List[str] = []
-    assigned: List[int] = []
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        raise KernelVerificationError(label, [f"does not parse: {exc.msg}"])
-
-    if len(tree.body) != 1 or not isinstance(tree.body[0], ast.FunctionDef):
-        raise KernelVerificationError(
-            label, ["source is not a single function definition"]
-        )
-    func = tree.body[0]
-    params = tuple(arg.arg for arg in func.args.args)
-    if (
-        func.name != _KERNEL_NAME
-        or params != _NUMPY_KERNEL_PARAMS
-        or func.args.vararg or func.args.kwarg
-        or func.args.kwonlyargs or func.args.posonlyargs
-        or func.args.defaults or func.decorator_list
-    ):
-        raise KernelVerificationError(
-            label,
-            [
-                "signature is not exactly def "
-                f"{_KERNEL_NAME}({', '.join(_NUMPY_KERNEL_PARAMS)})"
-            ],
-        )
-
-    open_slot: Optional[int] = None
-
-    def finish(slot: Optional[int]) -> None:
-        if slot is not None:
-            defined.add(slot)
-            assigned.append(slot)
-
-    for stmt in func.body:
-        if isinstance(stmt, ast.Pass):
-            continue
-        if isinstance(stmt, ast.Assign):
-            # Broadcast constant: v[o] = 0 / v[o] = mask, one statement,
-            # never part of a ufunc group.
-            finish(open_slot)
-            open_slot = None
-            if len(stmt.targets) != 1:
-                violations.append(
-                    f"line {stmt.lineno}: multi-target assignment"
-                )
-                continue
-            slot = _row_slot(stmt.targets[0])
-            if slot is None:
-                violations.append(
-                    f"line {stmt.lineno}: assignment target is not "
-                    "v[<constant slot>]"
-                )
-                continue
-            if slot in defined:
-                violations.append(
-                    f"line {stmt.lineno}: v[{slot}] assigned twice (program "
-                    "is not single-group straight-line code)"
-                )
-                continue
-            value = stmt.value
-            is_zero = (
-                isinstance(value, ast.Constant)
-                and value.value == 0
-                and not isinstance(value.value, bool)
-                and isinstance(value.value, int)
-            )
-            is_mask = isinstance(value, ast.Name) and value.id == "mask"
-            if not (is_zero or is_mask):
-                violations.append(
-                    f"line {stmt.lineno}: constant assignment RHS must be 0 "
-                    "or mask"
-                )
-                continue
-            defined.add(slot)
-            assigned.append(slot)
-            continue
-        if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)):
-            violations.append(
-                f"line {stmt.lineno}: statement {type(stmt).__name__} is not "
-                "an in-place ufunc call or constant assignment"
-            )
-            continue
-        call = stmt.value
-        if not isinstance(call.func, ast.Name) or call.func.id not in _NUMPY_UFUNC_ARITY:
-            violations.append(
-                f"line {stmt.lineno}: call to something other than "
-                f"{'/'.join(sorted(_NUMPY_UFUNC_ARITY))}"
-            )
-            continue
-        name = call.func.id
-        arity = _NUMPY_UFUNC_ARITY[name]
-        if len(call.args) != arity or call.keywords:
-            violations.append(
-                f"line {stmt.lineno}: {name} takes exactly {arity} "
-                "positional row arguments"
-            )
-            continue
-        slots = [_row_slot(arg) for arg in call.args]
-        if any(slot is None for slot in slots):
-            violations.append(
-                f"line {stmt.lineno}: {name} argument is not v[<constant slot>]"
-            )
-            continue
-        out = slots[-1]
-        if out != open_slot:
-            # A new group starts: the previous one is finished for good.
-            finish(open_slot)
-            open_slot = None
-            if out in defined:
-                violations.append(
-                    f"line {stmt.lineno}: v[{out}] assigned twice (program "
-                    "is not single-group straight-line code)"
-                )
-                continue
-            readable = defined
-        else:
-            readable = defined | {open_slot}
-        bad = [slot for slot in slots[:-1] if slot not in readable]
-        if bad:
-            violations.append(
-                f"line {stmt.lineno}: reads v[{bad[0]}] before it is "
-                "defined (levelization broken)"
-            )
-            continue
-        open_slot = out
-
-    finish(open_slot)
-    if violations:
-        raise KernelVerificationError(label, violations)
-    return assigned
-
-
-def verify_compiled_numpy(compiled) -> List[int]:
-    """Verify every numpy-target kernel chunk of a ``CompiledCircuit``.
-
-    The numpy twin of :func:`verify_compiled`: seeds the defined-slot set
-    with the sources and threads it through
-    :func:`repro.engine.compiler.numpy_kernel_sources` in execution order.
-    """
-    from repro.engine.compiler import numpy_kernel_sources
-
-    defined: Set[int] = set(compiled.input_slots)
-    defined.update(slot for _, slot, _ in compiled.state_items)
-    assigned: List[int] = []
-    for start, source in numpy_kernel_sources(compiled.ops):
-        assigned.extend(
-            verify_numpy_kernel_source(
-                source, defined, label=f"<repro.engine numpy kernel@{start}>"
-            )
-        )
-    return assigned
-
-
 def verify_packed_words(
     values: Iterable[int],
     mask: int,
@@ -441,30 +232,4 @@ def verify_packed_words(
         if word < 0 or word > mask
     ]
     if violations:
-        raise KernelVerificationError(label, violations)
-
-
-def verify_packed_array(
-    buffer,
-    mask_row,
-    *,
-    label: str = "<packed array>",
-) -> None:
-    """Runtime sanitizer for the numpy backend's uint64 value buffer.
-
-    The numpy twin of :func:`verify_packed_words`: after the per-pass
-    canonicalization sweep, no row may carry bits outside the lane mask
-    (``mask_row`` is all-ones words with a partial final word).  Works by
-    duck-typing on the array arguments, so this module still imports
-    without numpy.
-    """
-    stray = buffer & ~mask_row
-    if stray.any():
-        rows = stray.any(axis=1).nonzero()[0]
-        violations = [
-            f"slot row #{int(row)} has bits outside the lane mask"
-            for row in rows[:8]
-        ]
-        if len(rows) > 8:
-            violations.append(f"... and {len(rows) - 8} more rows")
         raise KernelVerificationError(label, violations)

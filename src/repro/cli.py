@@ -458,35 +458,23 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 1 if findings else 0
 
     if args.command_check == "program":
-        from repro.check.program import (
-            KernelVerificationError,
-            verify_compiled,
-            verify_compiled_numpy,
-        )
+        from repro.check.program import KernelVerificationError, verify_compiled
         from repro.engine.compiler import compile_circuit
         from repro.netlist.circuit import CircuitError
 
-        targets = ("bigint", "numpy") if args.target == "both" else (args.target,)
         try:
             circuit = load_bench(args.netlist)
             # codegen=False: verify the kernel source without executing it.
-            # Neither target needs numpy importable — only running does.
             compiled = compile_circuit(circuit, codegen=False)
-            counts = {}
-            for target in targets:
-                verifier = verify_compiled if target == "bigint" else verify_compiled_numpy
-                counts[target] = len(verifier(compiled))
+            count = len(verify_compiled(compiled))
         except KernelVerificationError as exc:
             print(f"check program: {exc}", file=sys.stderr)
             return 1
         except (OSError, CircuitError) as exc:
             print(f"check program: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
-        summary = ", ".join(
-            f"{count} {target} kernel ops" for target, count in counts.items()
-        )
         print(f"check program: {circuit.name}: verified "
-              f"{summary} over {compiled.num_slots} slots "
+              f"{count} kernel ops over {compiled.num_slots} slots "
               f"({compiled.num_levels} levels)")
         return 0
 
@@ -764,10 +752,9 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--attack", default="sat", choices=sorted(_ATTACKS))
     attack.add_argument("--time-limit", type=float, default=60.0)
     attack.add_argument("--engine", default="packed", choices=list(ENGINE_CHOICES),
-                        help="packed = batched DIP/DIS harvesting with the "
-                             "auto-selected backend (default); packed-bigint/"
-                             "packed-numpy pin the packed evaluation backend; "
-                             "scalar = bit-exact legacy path")
+                        help="packed = batched DIP/DIS harvesting through the "
+                             "bit-parallel engine (default); scalar = one "
+                             "query per solver call (reference path)")
     attack.add_argument("--solver-backend", default="cdcl",
                         choices=list(solver_backends()),
                         help="CDCL session backend: cdcl = reference solver; "
@@ -1009,11 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "without executing it (the same verifier the engine runs "
                     "before exec under REPRO_CHECK_KERNELS=1).")
     check_program.add_argument("netlist", help=".bench netlist")
-    check_program.add_argument(
-        "--target", default="both", choices=["bigint", "numpy", "both"],
-        help="which codegen target's kernels to verify (default: both; "
-             "verification never executes them, so numpy need not be "
-             "installed)")
     check_program.set_defaults(func=_cmd_check)
 
     check_cnf_p = check_sub.add_parser(

@@ -8,10 +8,8 @@ is an implementation detail of the simulator, not of the threat model).
 
 Both classes subclass their scalar counterpart, so every attack written
 against the scalar oracle API keeps working and picks up the fast path by
-constructing the batched variant instead.  The ``backend`` knob selects the
-packed engine's evaluation backend (see :data:`repro.engine.packed.
-BACKENDS`); the default ``"auto"`` uses the numpy uint64 kernels for batches
-wider than one tile when numpy is available.
+constructing the batched variant instead.  Batches wider than one packed
+word are tiled by the simulator (see :data:`repro.engine.packed.TILE_WIDTH`).
 """
 
 from __future__ import annotations
@@ -26,9 +24,9 @@ from repro.netlist.circuit import Circuit
 class BatchedCombinationalOracle(CombinationalOracle):
     """Scan-access oracle answering whole batches of vectors per call."""
 
-    def __init__(self, original: Circuit, *, backend: str = "auto") -> None:
+    def __init__(self, original: Circuit) -> None:
         super().__init__(original)
-        self._packed = PackedSimulator(self.view, backend=backend)
+        self._packed = PackedSimulator(self.view)
 
     def query(self, assignment: Mapping[str, int]) -> Dict[str, int]:
         """Scalar query, served by the packed engine (width-1 batch)."""
@@ -55,9 +53,9 @@ class BatchedCombinationalOracle(CombinationalOracle):
 class BatchedSequentialOracle(SequentialOracle):
     """Reset-and-run oracle simulating N independent sequences as lanes."""
 
-    def __init__(self, original: Circuit, *, backend: str = "auto") -> None:
+    def __init__(self, original: Circuit) -> None:
         super().__init__(original)
-        self._packed = PackedSimulator(original, backend=backend)
+        self._packed = PackedSimulator(original)
 
     def query(
         self, input_sequence: Sequence[Mapping[str, int]]

@@ -12,27 +12,15 @@ The hot path is an ``exec``-generated kernel: one Python function whose body
 is the straight-line sequence of slot assignments (chunked so pathological
 circuits never hit compiler limits).  A table-driven interpreter over the
 same op list is kept as a readable reference (``codegen=False``) and is what
-the unit tests diff against the generated code.
-
-Two codegen targets lower the same :class:`PackedOp` program:
-
-* **bigint** (:func:`kernel_sources`) — slot assignments over arbitrary-
-  width Python ints, evaluated per ≤128-lane tile;
-* **numpy** (:func:`numpy_kernel_sources`) — in-place ``uint64`` ufunc
-  calls over rows of one ``(num_slots, n_words)`` array, evaluating
-  thousands of lanes per pass.  ``~`` is exact on ``uint64`` (no sign
-  bits), so inversions are plain ``invert`` calls and only the final
-  partial word needs the mask fix-up, which the runtime applies once per
-  pass.  The ufuncs are passed in as parameters (``band``/``bor``/
-  ``bxor``/``binv``) so the generated source contains no imports or
-  attribute access and stays verifiable by :mod:`repro.check.program`.
-
-Both targets are verified structurally *before* exec under
-``REPRO_CHECK_KERNELS=1`` (always-on in the test suite).
+the unit tests diff against the generated code.  Words are arbitrary-width
+Python ints; :mod:`repro.engine.packed` evaluates wide batches per
+``TILE_WIDTH``-lane tile.  The kernel source is verified structurally
+*before* exec under ``REPRO_CHECK_KERNELS=1`` (always-on in the test suite).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -43,44 +31,14 @@ from repro.netlist.gates import GateType
 #: Maximum number of ops lowered into one generated kernel function.
 _KERNEL_CHUNK = 4096
 
-#: Parameter list of a generated numpy kernel: the slot buffer, the
-#: canonical lane-mask row, and the four ufuncs the program may call.
-NUMPY_KERNEL_PARAMS = ("v", "mask", "band", "bor", "bxor", "binv")
-
-# Guarded numpy import, resolved once.  ``None`` = not probed yet,
-# ``False`` = unavailable; tests monkeypatch this to ``False`` to exercise
-# the degradation paths without uninstalling numpy.
-_numpy_cache = None
-
-
-def numpy_module():
-    """The numpy module, or ``None`` when it cannot be imported."""
-    global _numpy_cache
-    if _numpy_cache is None:
-        try:
-            import numpy
-
-            _numpy_cache = numpy
-        except ImportError:  # pragma: no cover - depends on environment
-            _numpy_cache = False
-    return _numpy_cache or None
-
 
 def numpy_available() -> bool:
-    """True when the numpy engine backend can run in this environment."""
-    return numpy_module() is not None
+    """True when numpy is installed, probed without importing it.
 
-
-def require_numpy(context: str):
-    """Return numpy or raise a :class:`CircuitError` naming the caller."""
-    module = numpy_module()
-    if module is None:
-        raise CircuitError(
-            f"{context} requires numpy, which is not installed; use "
-            "backend='bigint' (or 'auto', which falls back to the tiled "
-            "bigint path) instead"
-        )
-    return module
+    The engine does not use numpy; ``perfbench/worker.py`` records this in
+    its environment report.
+    """
+    return importlib.util.find_spec("numpy") is not None
 
 
 @dataclass(frozen=True)
@@ -147,94 +105,6 @@ def _build_kernels(ops: Sequence[PackedOp]) -> List[Callable[[List[int], int], N
     for start, source in kernel_sources(ops):
         namespace: Dict[str, object] = {}
         exec(compile(source, f"<repro.engine kernel@{start}>", "exec"), namespace)
-        kernels.append(namespace["_kernel"])  # type: ignore[arg-type]
-    return kernels
-
-
-def _numpy_chain(ufunc: str, ins: Sequence[str], out: str) -> List[str]:
-    """Left-fold ``ins`` through ``ufunc`` into the row ``out``, in place.
-
-    A single input degenerates to an idempotent self-application of ``band``
-    (``x & x == x``), which doubles as the row copy — matching the bigint
-    target, where a one-input AND/OR/XOR all lower to the bare operand.
-    """
-    if len(ins) == 1:
-        return [f"band({ins[0]}, {ins[0]}, {out})"]
-    statements = [f"{ufunc}({ins[0]}, {ins[1]}, {out})"]
-    for operand in ins[2:]:
-        statements.append(f"{ufunc}({out}, {operand}, {out})")
-    return statements
-
-
-def _numpy_op_statements(op: PackedOp) -> List[str]:
-    """Statements computing ``op`` over rows of the uint64 buffer ``v``.
-
-    Every statement is either an in-place ufunc call whose *last* argument
-    is the output row (no temporaries, no allocation in the hot loop) or a
-    broadcast constant assignment.  ``~`` is exact on uint64, so the
-    inverting gate types end in one ``binv`` instead of the bigint target's
-    ``mask ^`` — the final partial word is fixed up once per pass by the
-    runtime, not per gate.
-    """
-    out = f"v[{op.out_slot}]"
-    ins = [f"v[{slot}]" for slot in op.in_slots]
-    gtype = op.gtype
-    if gtype in (GateType.BUF, GateType.AND):
-        return _numpy_chain("band", ins, out)
-    if gtype is GateType.NOT:
-        return [f"binv({ins[0]}, {out})"]
-    if gtype is GateType.NAND:
-        return _numpy_chain("band", ins, out) + [f"binv({out}, {out})"]
-    if gtype is GateType.OR:
-        return _numpy_chain("bor", ins, out)
-    if gtype is GateType.NOR:
-        return _numpy_chain("bor", ins, out) + [f"binv({out}, {out})"]
-    if gtype is GateType.XOR:
-        return _numpy_chain("bxor", ins, out)
-    if gtype is GateType.XNOR:
-        return _numpy_chain("bxor", ins, out) + [f"binv({out}, {out})"]
-    if gtype is GateType.MUX:
-        # mux(sel, d0, d1) = d0 ^ (sel & (d0 ^ d1)): three in-place ufuncs,
-        # no inverted temporary for ~sel.
-        sel, d0, d1 = ins
-        return [
-            f"bxor({d0}, {d1}, {out})",
-            f"band({out}, {sel}, {out})",
-            f"bxor({out}, {d0}, {out})",
-        ]
-    if gtype is GateType.CONST0:
-        return [f"{out} = 0"]
-    if gtype is GateType.CONST1:
-        return [f"{out} = mask"]
-    raise CircuitError(f"unsupported gate type {gtype!r}")  # pragma: no cover
-
-
-def numpy_kernel_sources(ops: Sequence[PackedOp]) -> Iterator[Tuple[int, str]]:
-    """Yield ``(start_index, source)`` per generated numpy kernel chunk.
-
-    The numpy twin of :func:`kernel_sources` and, like it, the single
-    source of the synthesized text: both the exec path and
-    :func:`repro.check.program.verify_compiled_numpy` consume this, so what
-    is verified is byte-for-byte what runs.  Chunks split on op boundaries,
-    so a gate's statement chain never spans two kernels.
-    """
-    header = f"def _kernel({', '.join(NUMPY_KERNEL_PARAMS)}):"
-    for start in range(0, max(len(ops), 1), _KERNEL_CHUNK):
-        lines = [header]
-        chunk = ops[start:start + _KERNEL_CHUNK]
-        for op in chunk:
-            lines.extend(f"    {statement}" for statement in _numpy_op_statements(op))
-        if not chunk:
-            lines.append("    pass")
-        yield start, "\n".join(lines)
-
-
-def _build_numpy_kernels(ops: Sequence[PackedOp]) -> List[Callable]:
-    """exec-compile the op list into in-place uint64 ufunc kernels."""
-    kernels: List[Callable] = []
-    for start, source in numpy_kernel_sources(ops):
-        namespace: Dict[str, object] = {}
-        exec(compile(source, f"<repro.engine numpy kernel@{start}>", "exec"), namespace)
         kernels.append(namespace["_kernel"])  # type: ignore[arg-type]
     return kernels
 
@@ -318,7 +188,6 @@ class CompiledCircuit:
     num_levels: int
     level_of: Dict[str, int]
     _kernels: List[Callable[[List[int], int], None]] = field(default_factory=list)
-    _numpy_kernels: Optional[List[Callable]] = field(default=None)
 
     @property
     def num_slots(self) -> int:
@@ -337,45 +206,6 @@ class CompiledCircuit:
         """Reference evaluation path bypassing the generated kernels."""
         for op in self.ops:
             _interpret_op(op, values, mask)
-
-    def numpy_kernels(self, *, verify: Optional[bool] = None) -> List[Callable]:
-        """The numpy-target kernels, built (and cached) on first use.
-
-        Like :func:`compile_circuit`, ``verify=None`` defers to the
-        ``REPRO_CHECK_KERNELS=1`` environment flag; when armed, the
-        generated source is proven straight-line/levelized/bitwise-only by
-        :func:`repro.check.program.verify_compiled_numpy` before it is
-        ``exec``-ed.  Building the kernels needs no numpy — only running
-        them does.
-        """
-        if self._numpy_kernels is None:
-            if verify is None:
-                verify = os.environ.get("REPRO_CHECK_KERNELS", "") == "1"
-            if verify:
-                from repro.check.program import verify_compiled_numpy
-
-                verify_compiled_numpy(self)
-            self._numpy_kernels = _build_numpy_kernels(self.ops)
-        return self._numpy_kernels
-
-    def run_numpy(self, buffer, mask_row) -> None:
-        """Evaluate the program in place over a ``(num_slots, n_words)``
-        uint64 array (one row per slot, one column per 64-lane word).
-
-        ``mask_row`` is the canonical lane mask (all-ones words, partial
-        final word); the caller owns the final partial-word fix-up, since
-        the numpy target leaves garbage above the lane width in inverted
-        rows (``~`` is exact on uint64, so correctness of the live lanes is
-        unaffected).
-        """
-        module = require_numpy("CompiledCircuit.run_numpy")
-        kernels = self.numpy_kernels()
-        band = module.bitwise_and
-        bor = module.bitwise_or
-        bxor = module.bitwise_xor
-        binv = module.invert
-        for kernel in kernels:
-            kernel(buffer, mask_row, band, bor, bxor, binv)
 
 
 def compile_circuit(

@@ -30,7 +30,6 @@ def packed_random_equivalence_check(
     key_assignment: Optional[Mapping[str, int]] = None,
     num_vectors: int = 256,
     seed: int = 0,
-    backend: str = "auto",
 ) -> EquivalenceResult:
     """Bit-parallel version of :func:`repro.sim.equivalence.random_equivalence_check`.
 
@@ -58,10 +57,10 @@ def packed_random_equivalence_check(
         {net: vec.get(net, 0) for net in orig_view.inputs} for vec in vectors
     ]
     width = len(vectors)
-    cand_words = PackedSimulator(cand_view, backend=backend).output_words(
+    cand_words = PackedSimulator(cand_view).output_words(
         pack_vectors(vectors, cand_view.inputs), width=width
     )
-    orig_words = PackedSimulator(orig_view, backend=backend).output_words(
+    orig_words = PackedSimulator(orig_view).output_words(
         pack_vectors(orig_vectors, orig_view.inputs), width=width
     )
 
@@ -93,7 +92,6 @@ def packed_sequential_equivalence_check(
     num_sequences: int = 16,
     sequence_length: int = 32,
     seed: int = 0,
-    backend: str = "auto",
 ) -> EquivalenceResult:
     """Bit-parallel version of :func:`repro.sim.equivalence.sequential_equivalence_check`.
 
@@ -135,8 +133,8 @@ def packed_sequential_equivalence_check(
     if lanes == 0 or sequence_length == 0:
         return EquivalenceResult(equivalent=True, checked=0, method="sequential")
 
-    orig_sim = PackedSimulator(original, backend=backend)
-    locked_sim = PackedSimulator(locked, backend=backend)
+    orig_sim = PackedSimulator(original)
+    locked_sim = PackedSimulator(locked)
     orig_state = orig_sim.initial_state_words(lanes)
     locked_state = locked_sim.initial_state_words(lanes)
 
@@ -187,7 +185,6 @@ def packed_candidate_key_filter(
     num_sequences: int = 8,
     sequence_length: int = 48,
     seed: int = 0,
-    backend: str = "auto",
 ) -> List[bool]:
     """Lane-parallel refutation of candidate static keys.
 
@@ -238,8 +235,8 @@ def packed_candidate_key_filter(
                 word |= block_mask << (b * num_sequences)
         key_words[net] = word
 
-    orig_sim = PackedSimulator(original, backend=backend)
-    locked_sim = PackedSimulator(locked, backend=backend)
+    orig_sim = PackedSimulator(original)
+    locked_sim = PackedSimulator(locked)
     orig_state = orig_sim.initial_state_words(num_sequences)
     locked_state = locked_sim.initial_state_words(lanes)
 

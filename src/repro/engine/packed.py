@@ -11,7 +11,8 @@ The batch entry points (``evaluate_batch`` / ``outputs_batch`` /
 CombinationalSimulator` contract vector-for-vector, including the missing-
 input :class:`~repro.netlist.circuit.CircuitError` and the ``ff.init``
 default for absent state bits, so the two simulators are interchangeable and
-can be diffed bit-for-bit.
+can be diffed bit-for-bit.  A per-lane state list must hold exactly one
+mapping per input vector (:class:`ValueError` otherwise).
 
 Batches of arbitrary width are supported through *multi-word tiling*: a pass
 wider than :data:`TILE_WIDTH` lanes is split transparently into word-sized
@@ -20,37 +21,14 @@ stitched back into full-width words.  Tiling keeps every intermediate word
 inside CPython's fast fixed-digit-count big-int range instead of letting
 one enormous int flow through every gate, and callers never see it: the
 word-level and batch APIs accept any width / batch size.
-
-Two evaluation backends sit behind the same word-level contract:
-
-* ``"bigint"`` — the tiled arbitrary-width-int path described above, the
-  universal fallback with no dependencies;
-* ``"numpy"`` — the vectorized target from :func:`repro.engine.compiler.
-  numpy_kernel_sources`: every net slot is a row of one ``(num_slots,
-  n_words)`` ``uint64`` buffer (reused across passes) and each gate is a
-  handful of whole-row in-place ufunc calls, so a 4096-lane batch is one
-  fused array sweep instead of 32 sequential bigint tiles;
-* ``"auto"`` (the default) — numpy whenever it is importable *and* the
-  pass is wider than one tile, the tiled bigint path otherwise.  With
-  numpy absent, ``"auto"`` silently degrades to ``"bigint"``; only an
-  explicit ``backend="numpy"`` raises.
-
-Both backends produce bit-identical words (the property tests prove it
-against the scalar reference), so the choice is purely a throughput knob.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.engine.compiler import (
-    CompiledCircuit,
-    compile_circuit,
-    numpy_available,
-    numpy_module,
-    require_numpy,
-)
+from repro.engine.compiler import CompiledCircuit, compile_circuit
 from repro.netlist.circuit import Circuit, CircuitError
 
 #: Per-lane state: either one mapping broadcast to every lane, or one
@@ -60,35 +38,22 @@ StateArg = Optional[Union[Mapping[str, int], Sequence[Mapping[str, int]]]]
 #: Lane count above which a packed pass is split into word-sized tiles.
 TILE_WIDTH = 128
 
-#: Packed-engine evaluation backends (see the module docstring).
-BACKENDS = ("auto", "bigint", "numpy")
-
 #: Attack-level ``engine=`` knob values accepted by :func:`parse_engine`.
-ENGINE_CHOICES = ("packed", "packed-bigint", "packed-numpy", "scalar")
-
-#: All-ones uint64 word (``~0`` is exact on uint64; no sign bit exists).
-_FULL_WORD = 0xFFFF_FFFF_FFFF_FFFF
+ENGINE_CHOICES = ("packed", "scalar")
 
 
-def parse_engine(engine: str) -> Tuple[bool, str]:
-    """Split an attack ``engine`` knob into ``(batched, packed backend)``.
+def parse_engine(engine: str) -> bool:
+    """Validate an attack ``engine`` knob; True when it asks for batching.
 
-    ``"packed"`` is batched with the ``"auto"`` backend; ``"packed-bigint"``
-    and ``"packed-numpy"`` pin the packed backend; ``"scalar"`` disables
-    batching entirely (the packed engine still serves width-1 passes, for
-    which ``"bigint"`` is always the right backend).
+    ``"packed"`` batches queries through the packed engine; ``"scalar"``
+    keeps the one-at-a-time reference paths (the packed engine still serves
+    their width-1 passes).
     """
-    if engine == "packed":
-        return True, "auto"
-    if engine == "packed-bigint":
-        return True, "bigint"
-    if engine == "packed-numpy":
-        return True, "numpy"
-    if engine == "scalar":
-        return False, "bigint"
-    raise ValueError(
-        f"unknown engine {engine!r} (expected one of {', '.join(ENGINE_CHOICES)})"
-    )
+    if engine not in ENGINE_CHOICES:
+        raise ValueError(
+            f"unknown engine {engine!r} (expected one of {', '.join(ENGINE_CHOICES)})"
+        )
+    return engine == "packed"
 
 
 def pack_bits(bits: Sequence[int]) -> int:
@@ -100,56 +65,23 @@ def pack_bits(bits: Sequence[int]) -> int:
     return word
 
 
-def _pack_iter_numpy(module, values: Iterable[int], count: int) -> int:
-    """Pack ``count`` 0/1 values into a word via the byte swizzle.
-
-    ``np.packbits`` over a uint8 lane array replaces ``count`` big-int
-    shift-or steps (each O(count/64) words deep) with one O(count) byte
-    pass — the difference between O(count²) and O(count) work per net on
-    wide batch boundaries.
-    """
-    lanes = module.fromiter(values, dtype=module.uint8, count=count)
-    packed = module.packbits(lanes, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def _unpack_word_bigint(word: int, count: int) -> List[int]:
-    """Per-lane shift-and-mask unpack (the dependency-free fallback)."""
+def unpack_bits(word: int, count: int) -> List[int]:
+    """Inverse of :func:`pack_bits` for the first ``count`` lanes."""
     return [(word >> lane) & 1 for lane in range(count)]
 
 
-def _unpack_word_numpy(module, word: int, count: int) -> List[int]:
-    """Unpack a word's first ``count`` lanes via ``int.to_bytes``/
-    ``np.unpackbits`` — O(count) instead of O(count²) big-int shifting."""
-    data = (word & ((1 << count) - 1)).to_bytes((count + 7) >> 3, "little")
-    lanes = module.unpackbits(
-        module.frombuffer(data, dtype=module.uint8), count=count, bitorder="little"
-    )
-    return lanes.tolist()
-
-
-def _swizzle_module(count: int):
-    """numpy, when a ``count``-lane transpose is wide enough to repay the
-    byte swizzle (one tile or less and the plain loops win); else None."""
-    if count <= TILE_WIDTH:
-        return None
-    return numpy_module()
-
-
-def unpack_bits(word: int, count: int) -> List[int]:
-    """Inverse of :func:`pack_bits` for the first ``count`` lanes."""
-    module = _swizzle_module(count)
-    if module is not None:
-        return _unpack_word_numpy(module, word, count)
-    return _unpack_word_bigint(word, count)
-
-
-def _pack_vectors_bigint(
+def pack_vectors(
     vectors: Sequence[Mapping[str, int]],
     nets: Sequence[str],
-    default: Optional[int],
+    *,
+    default: Optional[int] = None,
 ) -> Dict[str, int]:
-    """Reference shift-or transpose (kept as the numpy-free fallback)."""
+    """Transpose per-vector dicts into per-net words.
+
+    ``default`` fills lanes whose mapping lacks a net; with ``default=None``
+    a missing net raises :class:`CircuitError` (the scalar simulator's
+    missing-primary-input behaviour).
+    """
     words: Dict[str, int] = {}
     for net in nets:
         word = 0
@@ -171,68 +103,15 @@ def _pack_vectors_bigint(
     return words
 
 
-def _pack_vectors_numpy(
-    module,
-    vectors: Sequence[Mapping[str, int]],
-    nets: Sequence[str],
-    default: Optional[int],
-) -> Dict[str, int]:
-    """Byte-swizzle transpose for wide batches (bit-identical to the
-    bigint fallback; the unit tests cross-check the two)."""
-    count = len(vectors)
-    words: Dict[str, int] = {}
-    for net in nets:
-        if default is None:
-            try:
-                word = _pack_iter_numpy(
-                    module, (int(vector[net]) & 1 for vector in vectors), count
-                )
-            except KeyError as exc:
-                raise CircuitError(f"missing value for primary input {net!r}") from exc
-        else:
-            word = _pack_iter_numpy(
-                module,
-                (int(vector.get(net, default)) & 1 for vector in vectors),
-                count,
-            )
-        words[net] = word
-    return words
-
-
-def pack_vectors(
-    vectors: Sequence[Mapping[str, int]],
-    nets: Sequence[str],
-    *,
-    default: Optional[int] = None,
-) -> Dict[str, int]:
-    """Transpose per-vector dicts into per-net words.
-
-    ``default`` fills lanes whose mapping lacks a net; with ``default=None``
-    a missing net raises :class:`CircuitError` (the scalar simulator's
-    missing-primary-input behaviour).  Batches wider than one tile swizzle
-    through ``np.packbits`` when numpy is available.
-    """
-    module = _swizzle_module(len(vectors))
-    if module is not None:
-        return _pack_vectors_numpy(module, vectors, nets, default)
-    return _pack_vectors_bigint(vectors, nets, default)
-
-
 def unpack_vectors(
     words: Mapping[str, int], nets: Sequence[str], count: int
 ) -> List[Dict[str, int]]:
     """Transpose per-net words back into ``count`` per-vector dicts."""
     vectors: List[Dict[str, int]] = [{} for _ in range(count)]
-    module = _swizzle_module(count)
     for net in nets:
         word = words[net]
-        if module is not None:
-            lanes = _unpack_word_numpy(module, word, count)
-            for lane, bit in enumerate(lanes):
-                vectors[lane][net] = bit
-        else:
-            for lane in range(count):
-                vectors[lane][net] = (word >> lane) & 1
+        for lane in range(count):
+            vectors[lane][net] = (word >> lane) & 1
     return vectors
 
 
@@ -254,23 +133,12 @@ class PackedSimulator:
         *,
         compiled: Optional[CompiledCircuit] = None,
         tile_width: Optional[int] = TILE_WIDTH,
-        backend: str = "auto",
     ) -> None:
         if tile_width is not None and tile_width < 1:
             raise ValueError("tile_width must be a positive lane count or None")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r} (expected one of {', '.join(BACKENDS)})"
-            )
-        if backend == "numpy":
-            require_numpy("PackedSimulator(backend='numpy')")
         self.circuit = circuit
         self.compiled = compiled if compiled is not None else compile_circuit(circuit)
         self.tile_width = tile_width
-        self.backend = backend
-        # The numpy backend's value buffer, grown on demand and reused
-        # across passes so the hot loop never allocates.
-        self._np_buffer = None
         # Debug sanitizer (see repro.check.program): after every packed pass,
         # assert no word leaked bits past the batch mask.  One attribute test
         # per tile when off.
@@ -279,7 +147,6 @@ class PackedSimulator:
     def refresh(self) -> None:
         """Recompile after the circuit was mutated."""
         self.compiled = compile_circuit(self.circuit)
-        self._np_buffer = None
 
     # ------------------------------------------------------------------ #
     # word-level API
@@ -322,96 +189,13 @@ class PackedSimulator:
             )
         return values
 
-    def _use_numpy(self, width: int) -> bool:
-        """Should this ``width``-lane pass run on the numpy backend?"""
-        if self.backend == "numpy":
-            return True
-        if self.backend == "bigint":
-            return False
-        tile = self.tile_width if self.tile_width is not None else TILE_WIDTH
-        return width > tile and numpy_available()
-
-    def _eval_slots_numpy(
-        self,
-        input_words: Mapping[str, int],
-        state_words: Optional[Mapping[str, int]],
-        width: int,
-        wanted: Optional[Sequence[int]] = None,
-    ):
-        """One vectorized pass: slot ``s`` lives in row ``s`` of a reused
-        ``(num_slots, n_words)`` uint64 buffer.
-
-        Returns per-slot words — the full slot list when ``wanted`` is
-        ``None``, else a dict covering only the requested slots (extracting
-        a row back into a Python int costs real time at thousands of lanes,
-        so callers that need a handful of outputs say so).
-        """
-        module = require_numpy("PackedSimulator(backend='numpy')")
-        compiled = self.compiled
-        n_words = max(1, (width + 63) >> 6)
-        nbytes = n_words << 3
-        buf = self._np_buffer
-        if buf is None or buf.shape != (compiled.num_slots, n_words):
-            buf = module.zeros((compiled.num_slots, n_words), dtype="<u8")
-            self._np_buffer = buf
-        mask_int = (1 << width) - 1
-        tail = mask_int >> ((n_words - 1) << 6)
-        mask_row = module.empty(n_words, dtype="<u8")
-        mask_row[:] = _FULL_WORD
-        mask_row[-1] = tail
-        frombuffer = module.frombuffer
-        for net, slot in zip(self.circuit.inputs, compiled.input_slots):
-            try:
-                word = input_words[net]
-            except KeyError as exc:
-                raise CircuitError(f"missing word for primary input {net!r}") from exc
-            buf[slot] = frombuffer((word & mask_int).to_bytes(nbytes, "little"), "<u8")
-        state_words = state_words or {}
-        for q, slot, init in compiled.state_items:
-            word = state_words.get(q)
-            if word is None:
-                if init:
-                    buf[slot] = mask_row
-                else:
-                    buf[slot] = 0
-            else:
-                buf[slot] = frombuffer(
-                    (word & mask_int).to_bytes(nbytes, "little"), "<u8"
-                )
-        compiled.run_numpy(buf, mask_row)
-        # ``binv`` is exact on uint64, so inverted rows carry garbage above
-        # the live lanes of the final partial word.  Bitwise ops are lane-
-        # independent — the garbage never contaminates live lanes — so one
-        # canonicalizing sweep restores the packed-word invariant.
-        buf[:, -1] &= tail
-        if self.check_words:
-            from repro.check.program import verify_packed_array
-
-            verify_packed_array(buf, mask_row, label=f"<numpy pass width={width}>")
-        if wanted is None:
-            return [
-                int.from_bytes(buf[slot].tobytes(), "little")
-                for slot in range(compiled.num_slots)
-            ]
-        return {
-            slot: int.from_bytes(buf[slot].tobytes(), "little") for slot in set(wanted)
-        }
-
     def _eval_slots(
         self,
         input_words: Mapping[str, int],
         state_words: Optional[Mapping[str, int]],
         width: int,
-        wanted: Optional[Sequence[int]] = None,
-    ):
-        """Per-slot result words, indexable by slot number.
-
-        ``wanted`` is an optional slot subset the caller will read; the
-        bigint path ignores it (slot extraction is free there), the numpy
-        path uses it to skip converting unread rows.
-        """
-        if self._use_numpy(width):
-            return self._eval_slots_numpy(input_words, state_words, width, wanted)
+    ) -> List[int]:
+        """Per-slot result words, tiled above ``tile_width`` lanes."""
         tile = self.tile_width
         if tile is None or width <= tile:
             return self._eval_slots_tile(input_words, state_words, width, 0)
@@ -445,9 +229,7 @@ class PackedSimulator:
         width: int,
     ) -> Dict[str, int]:
         """Evaluate and return only the primary-output words."""
-        values = self._eval_slots(
-            input_words, state_words, width, wanted=self.compiled.output_slots
-        )
+        values = self._eval_slots(input_words, state_words, width)
         return {
             net: values[slot]
             for net, slot in zip(self.circuit.outputs, self.compiled.output_slots)
@@ -461,12 +243,7 @@ class PackedSimulator:
         width: int,
     ) -> Dict[str, int]:
         """Evaluate and return the next-state words keyed by Q net."""
-        values = self._eval_slots(
-            input_words,
-            state_words,
-            width,
-            wanted=[d_slot for _, d_slot in self.compiled.dff_d_slots],
-        )
+        values = self._eval_slots(input_words, state_words, width)
         return {q: values[d_slot] for q, d_slot in self.compiled.dff_d_slots}
 
     def step_words(
@@ -482,8 +259,7 @@ class PackedSimulator:
         from the flip-flop reset values.
         """
         compiled = self.compiled
-        wanted = list(compiled.output_slots) + [d for _, d in compiled.dff_d_slots]
-        values = self._eval_slots(input_words, state_words, width, wanted=wanted)
+        values = self._eval_slots(input_words, state_words, width)
         outputs = {
             net: values[slot]
             for net, slot in zip(self.circuit.outputs, compiled.output_slots)
@@ -504,17 +280,13 @@ class PackedSimulator:
                 q: (mask if int(value) & 1 else 0)
                 for q, value in state_vectors.items()
             }
-        count = len(state_vectors)
-        module = _swizzle_module(count)
+        if len(state_vectors) != width:
+            raise ValueError(
+                f"{len(state_vectors)} state vectors for a batch of "
+                f"{width} input vectors"
+            )
         words: Dict[str, int] = {}
         for q, _, init in self.compiled.state_items:
-            if module is not None:
-                words[q] = _pack_iter_numpy(
-                    module,
-                    (int(state.get(q, init)) & 1 for state in state_vectors),
-                    count,
-                )
-                continue
             word = 0
             for lane, state in enumerate(state_vectors):
                 value = state.get(q, init)
@@ -523,21 +295,30 @@ class PackedSimulator:
             words[q] = word
         return words
 
+    def _batch_slots(
+        self,
+        input_vectors: Sequence[Mapping[str, int]],
+        state_vectors: StateArg,
+    ) -> List[int]:
+        """Per-slot words for a batch of per-vector dicts (empty for none)."""
+        width = len(input_vectors)
+        state_words = self._pack_states(state_vectors, width)
+        if width == 0:
+            return []
+        input_words = pack_vectors(input_vectors, self.circuit.inputs)
+        return self._eval_slots(input_words, state_words, width)
+
     def evaluate_batch(
         self,
         input_vectors: Sequence[Mapping[str, int]],
         state_vectors: StateArg = None,
     ) -> List[Dict[str, int]]:
         """Evaluate every vector; one full net-value dict per vector."""
-        width = len(input_vectors)
-        if width == 0:
-            return []
-        input_words = pack_vectors(input_vectors, self.circuit.inputs)
-        values = self._eval_slots(input_words, self._pack_states(state_vectors, width), width)
+        values = self._batch_slots(input_vectors, state_vectors)
         names = self.compiled.net_names
         return [
             {names[slot]: (values[slot] >> lane) & 1 for slot in range(len(names))}
-            for lane in range(width)
+            for lane in range(len(input_vectors))
         ]
 
     def outputs_batch(
@@ -546,20 +327,11 @@ class PackedSimulator:
         state_vectors: StateArg = None,
     ) -> List[Dict[str, int]]:
         """Evaluate every vector; one primary-output dict per vector."""
-        width = len(input_vectors)
-        if width == 0:
-            return []
-        input_words = pack_vectors(input_vectors, self.circuit.inputs)
-        values = self._eval_slots(
-            input_words,
-            self._pack_states(state_vectors, width),
-            width,
-            wanted=self.compiled.output_slots,
-        )
+        values = self._batch_slots(input_vectors, state_vectors)
         pairs = list(zip(self.circuit.outputs, self.compiled.output_slots))
         return [
             {net: (values[slot] >> lane) & 1 for net, slot in pairs}
-            for lane in range(width)
+            for lane in range(len(input_vectors))
         ]
 
     def next_state_batch(
@@ -568,18 +340,9 @@ class PackedSimulator:
         state_vectors: StateArg = None,
     ) -> List[Dict[str, int]]:
         """Evaluate every vector; one next-state dict (keyed by Q) per vector."""
-        width = len(input_vectors)
-        if width == 0:
-            return []
-        input_words = pack_vectors(input_vectors, self.circuit.inputs)
-        values = self._eval_slots(
-            input_words,
-            self._pack_states(state_vectors, width),
-            width,
-            wanted=[d_slot for _, d_slot in self.compiled.dff_d_slots],
-        )
+        values = self._batch_slots(input_vectors, state_vectors)
         pairs = self.compiled.dff_d_slots
         return [
             {q: (values[d_slot] >> lane) & 1 for q, d_slot in pairs}
-            for lane in range(width)
+            for lane in range(len(input_vectors))
         ]

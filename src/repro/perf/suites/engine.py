@@ -16,21 +16,6 @@ from repro.perf.registry import Bar, perf_benchmark
 #: Lanes per packed pass in the speedup workload (one machine word).
 BATCH = 64
 
-#: Lanes for the wide-batch workloads (thousands of lanes = the numpy
-#: backend's home turf; 4096 = 32 bigint tiles = 64 uint64 words).
-WIDE_LANES = 4096
-
-
-def wide_circuit(num_gates: int):
-    """A generated ISCAS'89-scale combinational view plus packed stimulus."""
-    from repro.benchmarks_data.generator import random_sequential_circuit
-
-    circuit = random_sequential_circuit(
-        "s15850_scale", num_inputs=30, num_outputs=30, num_dffs=50,
-        num_gates=num_gates, seed=1,
-    ).circuit.combinational_view()
-    return circuit
-
 
 def prepared_circuit(name: str = "s15850"):
     """An embedded ISCAS'89 combinational view plus a 64-vector batch."""
@@ -98,137 +83,4 @@ def packed_speedup(harness: Harness, params: Dict[str, object]) -> Dict[str, flo
         "scalar_vps": scalar_vps,
         "packed_vps": packed_vps,
         "speedup": packed_vps / scalar_vps,
-    }
-
-
-@perf_benchmark(
-    "engine.numpy_speedup",
-    params=dict(num_gates=2000, lanes=8192, min_seconds=0.2),
-    smoke=dict(lanes=WIDE_LANES, min_seconds=0.05),
-    bars=[Bar("speedup", ">=", 4.0)],
-    primary="numpy_pass",
-)
-def numpy_speedup(harness: Harness, params: Dict[str, object]) -> Dict[str, float]:
-    """numpy uint64 kernel lanes/second over bigint tiling on wide passes
-    (the >= 4x acceptance bar of the vectorized-backend PR).
-
-    Word-level API on purpose: the metric isolates kernel execution (one
-    fused array sweep per chunk versus lanes/128 sequential bigint tile
-    passes) from the batch-boundary transpose, which ``engine.wide_batch``
-    measures end to end.  Requires numpy; there is no degraded mode because
-    a bigint-vs-bigint "speedup" of 1x would silently gut the bar.
-    """
-    from repro.engine.compiler import require_numpy
-    from repro.engine.packed import PackedSimulator
-
-    require_numpy("the engine.numpy_speedup benchmark")
-    circuit = wide_circuit(int(params["num_gates"]))
-    lanes = int(params["lanes"])
-    rng = random.Random(0)
-    input_words = {net: rng.getrandbits(lanes) for net in circuit.inputs}
-
-    bigint = PackedSimulator(circuit, backend="bigint")
-    vectorized = PackedSimulator(circuit, backend="numpy")
-
-    # Results must agree before timing means anything.
-    if vectorized.output_words(input_words, width=lanes) != bigint.output_words(
-        input_words, width=lanes
-    ):
-        raise RuntimeError(
-            "numpy backend disagrees with the bigint reference on the "
-            "speedup workload — fix correctness before measuring")
-
-    min_seconds = float(params["min_seconds"])
-    bigint_lps = harness.sustained_rate(
-        lambda: bigint.output_words(input_words, width=lanes),
-        units=lanes, min_seconds=min_seconds,
-    )
-    numpy_lps = harness.sustained_rate(
-        lambda: vectorized.output_words(input_words, width=lanes),
-        units=lanes, min_seconds=min_seconds,
-    )
-    harness.time_series(
-        "numpy_pass",
-        lambda: vectorized.output_words(input_words, width=lanes),
-        repeats=5, warmup=1,
-    )
-    return {
-        "bigint_lps": bigint_lps,
-        "numpy_lps": numpy_lps,
-        "speedup": numpy_lps / bigint_lps,
-    }
-
-
-@perf_benchmark(
-    "engine.wide_batch",
-    params=dict(num_gates=2000, lanes=8192, min_seconds=0.2),
-    smoke=dict(lanes=WIDE_LANES, min_seconds=0.05),
-    bars=[Bar("speedup", ">=", 2.0, smoke_threshold=1.5)],
-    primary="wide_batch",
-)
-def wide_batch(harness: Harness, params: Dict[str, object]) -> Dict[str, float]:
-    """End-to-end wide oracle round trip — transpose vectors in, one packed
-    pass, transpose outputs back out — new fast path versus the pre-PR
-    reference loops.
-
-    The fast path is the ``np.packbits``/``np.unpackbits`` batch-boundary
-    swizzles feeding the auto-selected (numpy) backend; the reference is
-    the retained bigint shift-or transpose feeding bigint tiling — i.e.
-    exactly what every wide ``query_batch`` cost before this PR.  The bar
-    is deliberately looser than ``engine.numpy_speedup``'s: per-lane dict
-    handling is O(lanes) Python work on both sides and dilutes the kernel
-    win.  Requires numpy (with it absent both sides run the same code and
-    the bar would be meaningless).
-    """
-    from repro.engine.compiler import require_numpy
-    from repro.engine.packed import (
-        PackedSimulator,
-        _pack_vectors_bigint,
-        pack_vectors,
-        unpack_vectors,
-    )
-
-    require_numpy("the engine.wide_batch benchmark")
-    circuit = wide_circuit(int(params["num_gates"]))
-    lanes = int(params["lanes"])
-    outputs = circuit.outputs
-    rng = random.Random(0)
-    vectors = [
-        {net: rng.randint(0, 1) for net in circuit.inputs} for _ in range(lanes)
-    ]
-
-    bigint = PackedSimulator(circuit, backend="bigint")
-    auto = PackedSimulator(circuit, backend="auto")
-
-    def fast_round_trip():
-        words = auto.output_words(pack_vectors(vectors, circuit.inputs), width=lanes)
-        return unpack_vectors(words, outputs, lanes)
-
-    def reference_round_trip():
-        words = bigint.output_words(
-            _pack_vectors_bigint(vectors, circuit.inputs, None), width=lanes
-        )
-        return [
-            {net: (words[net] >> lane) & 1 for net in outputs}
-            for lane in range(lanes)
-        ]
-
-    # Results must agree before timing means anything.
-    if fast_round_trip() != reference_round_trip():
-        raise RuntimeError(
-            "swizzled numpy round trip disagrees with the reference loops "
-            "on the wide-batch workload — fix correctness before measuring")
-
-    min_seconds = float(params["min_seconds"])
-    reference_vps = harness.sustained_rate(
-        reference_round_trip, units=lanes, min_seconds=min_seconds,
-    )
-    fast_vps = harness.sustained_rate(
-        fast_round_trip, units=lanes, min_seconds=min_seconds,
-    )
-    harness.time_series("wide_batch", fast_round_trip, repeats=5, warmup=1)
-    return {
-        "reference_vps": reference_vps,
-        "fast_vps": fast_vps,
-        "speedup": fast_vps / reference_vps,
     }

@@ -59,16 +59,13 @@ def random_equivalence_check(
     ``key_assignment`` fixes the candidate's key inputs.
 
     ``engine="packed"`` (the default) evaluates all vectors in one
-    bit-parallel pass per circuit via :mod:`repro.engine`
-    (``"packed-bigint"`` / ``"packed-numpy"`` pin the packed backend, see
-    :data:`repro.engine.packed.ENGINE_CHOICES`); ``engine="scalar"`` keeps
-    the vector-at-a-time reference loop.  Both draw the same seeded
-    stimulus and report identical results.
+    bit-parallel pass per circuit via :mod:`repro.engine`;
+    ``engine="scalar"`` keeps the vector-at-a-time reference loop.  Both
+    draw the same seeded stimulus and report identical results.
     """
     from repro.engine.packed import parse_engine
 
-    batched, backend = parse_engine(engine)
-    if batched:
+    if parse_engine(engine):
         from repro.engine.equivalence import packed_random_equivalence_check
 
         return packed_random_equivalence_check(
@@ -77,7 +74,6 @@ def random_equivalence_check(
             key_assignment=key_assignment,
             num_vectors=num_vectors,
             seed=seed,
-            backend=backend,
         )
     rng = random.Random(seed)
     orig_view = original.combinational_view() if original.dffs else original
@@ -126,15 +122,13 @@ def sequential_equivalence_check(
     match the original on every observed cycle.
 
     ``engine="packed"`` (the default) simulates all sequences as lanes of
-    one bit-parallel run per circuit via :mod:`repro.engine`
-    (``"packed-bigint"`` / ``"packed-numpy"`` pin the packed backend);
+    one bit-parallel run per circuit via :mod:`repro.engine`;
     ``engine="scalar"`` keeps the sequence-at-a-time reference loop.  Both
     draw the same seeded stimulus and report identical results.
     """
     from repro.engine.packed import parse_engine
 
-    batched, backend = parse_engine(engine)
-    if batched:
+    if parse_engine(engine):
         from repro.engine.equivalence import packed_sequential_equivalence_check
 
         return packed_sequential_equivalence_check(
@@ -145,7 +139,6 @@ def sequential_equivalence_check(
             num_sequences=num_sequences,
             sequence_length=sequence_length,
             seed=seed,
-            backend=backend,
         )
     rng = random.Random(seed)
     key_inputs = list(key_inputs if key_inputs is not None else locked.key_inputs)

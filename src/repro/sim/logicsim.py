@@ -134,8 +134,9 @@ class CombinationalSimulator:
         """Evaluate N vectors in one packed pass; one full value map each.
 
         ``state_vectors`` may be one mapping (broadcast to every vector) or
-        one mapping per vector; absent state bits default to ``ff.init``,
-        exactly as in :meth:`evaluate`.
+        exactly one mapping per vector (:class:`ValueError` otherwise);
+        absent state bits default to ``ff.init``, exactly as in
+        :meth:`evaluate`.
         """
         return self.packed().evaluate_batch(input_vectors, state_vectors)
 
@@ -168,11 +169,7 @@ def toggle_counts(
     """
     from repro.engine.packed import parse_engine
 
-    # Toggle counting advances state cycle by cycle (width-1 passes), so the
-    # packed backend choice is irrelevant here — any packed-* spelling takes
-    # the compiled-program path.
-    batched, _ = parse_engine(engine)
-    if batched:
+    if parse_engine(engine):
         from repro.engine.equivalence import packed_toggle_counts
 
         return packed_toggle_counts(circuit, input_vectors, initial_state=initial_state)

@@ -1,26 +1,21 @@
-"""Property tests: the numpy uint64 backend is bit-exact.
+"""Property tests: tiled packed passes are bit-exact at every width.
 
-The packed engine's two evaluation backends must be indistinguishable:
-``backend="numpy"`` (row-per-slot uint64 kernels) == ``backend="bigint"``
-(tiled arbitrary-width ints) == the scalar :mod:`repro.sim` reference,
-bit for bit, on random circuits covering every gate type, random DFF init
-values, and widths straddling every alignment boundary (1, 63, 64, 65,
-128, 129, and non-multiples of 64 past the tile width).  The suite runs
-with ``REPRO_CHECK_KERNELS=1`` armed (see ``tests/conftest.py``), so both
-codegen targets are structurally verified before exec and every pass is
-range-checked.
-
-With numpy not installed the numpy-backend assertions are skipped and the
-remaining checks still prove bigint == scalar.
+The packed engine evaluates a batch wider than ``TILE_WIDTH`` lanes tile
+by tile and stitches the words back together; ``tile_width=None`` runs the
+same batch as one arbitrarily wide word.  Both must equal the scalar
+:mod:`repro.sim` reference, bit for bit, on random circuits covering every
+gate type, random DFF init values, and widths straddling every word and
+tile boundary (1, 63, 64, 65, 128, 129, and non-multiples of 64 past the
+tile width).  The suite runs with ``REPRO_CHECK_KERNELS=1`` armed (see
+``tests/conftest.py``), so the kernel is structurally verified before exec
+and every pass is range-checked.
 """
 
 import random
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.engine.compiler import numpy_available
-from repro.engine.packed import PackedSimulator, pack_vectors
+from repro.engine.packed import PackedSimulator
 from repro.sim.logicsim import CombinationalSimulator
 from test_engine_properties import _random_circuit_all_gates
 
@@ -28,18 +23,15 @@ SLOW = settings(max_examples=25, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 #: Lane counts chosen to straddle word and tile boundaries; the >128 ones
-#: exercise the numpy auto path and the multi-word partial-tail fix-up.
+#: run as several tiles with a partial tail.
 WIDTHS = [1, 63, 64, 65, 128, 129, 200, 320, 391]
-
-needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
 
 def _simulators(circuit):
-    sims = [PackedSimulator(circuit, backend="bigint")]
-    if numpy_available():
-        sims.append(PackedSimulator(circuit, backend="numpy"))
-        sims.append(PackedSimulator(circuit, backend="auto"))
-    return sims
+    return [
+        PackedSimulator(circuit),
+        PackedSimulator(circuit, tile_width=None),
+    ]
 
 
 @SLOW
@@ -62,71 +54,3 @@ def test_backends_match_scalar_combinational(seed, width):
         assert sim.next_state_batch(vectors, states) == reference_next
         # Default state (ff.init) path.
         assert sim.outputs_batch(vectors) == reference_default
-
-
-@SLOW
-@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(WIDTHS))
-def test_backends_match_wordwise(seed, width):
-    # Word-level APIs: the exact words (not just extracted lanes) must agree,
-    # proving the numpy path's final-partial-word canonicalization leaks
-    # nothing past the lane mask.
-    rng = random.Random(seed)
-    circuit = _random_circuit_all_gates(seed, num_dffs=rng.randint(0, 3))
-    input_words = pack_vectors(
-        [{net: rng.randint(0, 1) for net in circuit.inputs} for _ in range(width)],
-        circuit.inputs,
-    )
-    sims = _simulators(circuit)
-    reference = sims[0]
-    ref_eval = reference.eval_words(input_words, width=width)
-    ref_step = reference.step_words(input_words, None, width=width)
-    for sim in sims[1:]:
-        assert sim.eval_words(input_words, width=width) == ref_eval
-        assert sim.step_words(input_words, None, width=width) == ref_step
-
-
-@needs_numpy
-@given(st.integers(min_value=0, max_value=10_000))
-@SLOW
-def test_numpy_sequential_lockstep_matches_bigint(seed):
-    rng = random.Random(seed)
-    circuit = _random_circuit_all_gates(seed, num_dffs=rng.randint(1, 4))
-    lanes = rng.choice([129, 200, 4096])
-    length = rng.randint(1, 6)
-    sequences = [
-        [{net: rng.randint(0, 1) for net in circuit.inputs} for _ in range(length)]
-        for _ in range(lanes)
-    ]
-    big = PackedSimulator(circuit, backend="bigint")
-    vec = PackedSimulator(circuit, backend="numpy")
-    big_state = big.initial_state_words(lanes)
-    vec_state = vec.initial_state_words(lanes)
-    for t in range(length):
-        words = pack_vectors([seq[t] for seq in sequences], circuit.inputs)
-        big_out, big_state = big.step_words(words, big_state, width=lanes)
-        vec_out, vec_state = vec.step_words(words, vec_state, width=lanes)
-        assert vec_out == big_out
-        assert vec_state == big_state
-
-
-@needs_numpy
-def test_numpy_matches_bigint_at_4096_lanes():
-    # One deterministic thousands-of-lanes pass per API: the scale the
-    # backend exists for, too slow to draw from hypothesis.
-    rng = random.Random(4096)
-    circuit = _random_circuit_all_gates(17, num_dffs=3)
-    width = 4096
-    vectors = [
-        {net: rng.randint(0, 1) for net in circuit.inputs} for _ in range(width)
-    ]
-    states = [{q: rng.randint(0, 1) for q in circuit.dffs} for _ in range(width)]
-    big = PackedSimulator(circuit, backend="bigint")
-    vec = PackedSimulator(circuit, backend="numpy")
-    assert vec.outputs_batch(vectors, states) == big.outputs_batch(vectors, states)
-    input_words = pack_vectors(vectors, circuit.inputs)
-    assert vec.eval_words(input_words, width=width) == big.eval_words(
-        input_words, width=width
-    )
-    assert vec.step_words(input_words, None, width=width) == big.step_words(
-        input_words, None, width=width
-    )

@@ -3,7 +3,7 @@
 Covers the compiler's levelization and slot allocation, the exec-generated
 kernels against the table-driven interpreter, every gate type's packed
 kernel against the scalar gate semantics, the packing/transpose round trip,
-and the batched oracles' accounting.
+the attack-level ``engine`` knob, and the batched oracles' accounting.
 """
 
 import random
@@ -18,14 +18,17 @@ from repro.engine.batch_oracle import (
 from repro.engine.compiler import compile_circuit
 from repro.engine.equivalence import packed_toggle_counts
 from repro.engine.packed import (
+    ENGINE_CHOICES,
     PackedSimulator,
     pack_bits,
     pack_vectors,
+    parse_engine,
     unpack_bits,
     unpack_vectors,
 )
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GATE_EVAL, GateType
+from repro.sim.equivalence import random_equivalence_check
 from repro.sim.logicsim import CombinationalSimulator, toggle_counts
 
 
@@ -179,6 +182,9 @@ class TestPackedSimulator:
         sim = PackedSimulator(circuit)
         with pytest.raises(CircuitError):
             sim.outputs_batch([{"a": 1}])
+        # Word-level API, across several tiles.
+        with pytest.raises(CircuitError, match="missing word for primary input"):
+            sim.output_words({"a": 0}, width=200)
 
     def test_empty_batch(self):
         sim = PackedSimulator(_small_circuit())
@@ -201,6 +207,28 @@ class TestPackedSimulator:
         # Absent state bits fall back to ff.init (0 here).
         assert sim.outputs_batch(vectors, [{}, {"q": 1}]) == [{"y": 0}, {"y": 1}]
 
+    def test_per_lane_state_list_must_match_batch(self):
+        circuit = Circuit("gated")
+        circuit.add_input("a")
+        circuit.add_gate("n", GateType.AND, ["a", "q"])
+        circuit.add_gate("d", GateType.BUF, ["q"])
+        circuit.add_dff("q", "d", init=1)
+        circuit.add_output("n")
+        sim = PackedSimulator(circuit)
+        vectors = [{"a": 1}] * 4
+        assert sim.outputs_batch(vectors) == [{"n": 1}] * 4
+        assert sim.outputs_batch(vectors, [{"q": 1}] * 4) == [{"n": 1}] * 4
+        for states in ([{"q": 1}] * 2, [{"q": 1}] * 5):
+            message = f"{len(states)} state vectors for a batch of 4"
+            for batch in (
+                sim.evaluate_batch,
+                sim.outputs_batch,
+                sim.next_state_batch,
+                CombinationalSimulator(circuit).outputs_batch,
+            ):
+                with pytest.raises(ValueError, match=message):
+                    batch(vectors, states)
+
     def test_refresh_recompiles(self):
         circuit = _small_circuit()
         sim = PackedSimulator(circuit)
@@ -219,6 +247,21 @@ class TestPackedSimulator:
         ]
         assert sim.outputs_batch(vectors) == [sim.outputs(v) for v in vectors]
         assert sim.evaluate_batch(vectors) == [sim.evaluate(v) for v in vectors]
+
+
+class TestEngineChoice:
+    def test_parse_engine_choices(self):
+        assert ENGINE_CHOICES == ("packed", "scalar")
+        assert parse_engine("packed") is True
+        assert parse_engine("scalar") is False
+
+    def test_unknown_engine_rejected(self):
+        for engine in ("packed-bigint", "packed-numpy", "vector"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                parse_engine(engine)
+        circuit = _small_circuit()
+        with pytest.raises(ValueError, match="unknown engine"):
+            random_equivalence_check(circuit, circuit, engine="packed-numpy")
 
 
 class TestBatchedOracles:
