@@ -7,12 +7,11 @@ corruptibility schemes (Anti-SAT) this recovers an almost-correct key quickly;
 against Cute-Lock the returned static key is simply wrong, which is the deep
 red "x..x" outcome in the paper's tables.
 
-Like :func:`~repro.attacks.sat_attack.sat_attack`, the DIP loop harvests up
-to ``dip_batch`` DIPs per round behind activation-gated blocking clauses and
-answers them with one batched oracle pass (``engine="packed"``, the
-default); the error-sampling cadence is preserved — the candidate key is
-re-sampled whenever the iteration count crosses a ``settle_rounds``
-boundary.  ``engine="scalar"`` keeps the original one-DIP-per-call path.
+The DIP loop is the exact attack's (:func:`~repro.attacks.sat_attack.\
+sat_attack`): one solver call, one DIP, one oracle query, one constraint per
+iteration.  Every ``settle_rounds`` iterations the candidate key is checked
+against the oracle on ``samples_per_round`` random patterns, all of them
+lanes of one packed pass.
 """
 
 from __future__ import annotations
@@ -22,12 +21,9 @@ import time
 from typing import Dict, Optional, Union
 
 from repro.attacks.results import AttackOutcome, AttackResult
-from repro.attacks.sat_attack import (
-    _DipHarvester,
-    _as_locked_pair,
-)
+from repro.attacks.sat_attack import _as_locked_pair, _DipMiter
 from repro.engine.batch_oracle import BatchedCombinationalOracle
-from repro.engine.packed import PackedSimulator, parse_engine
+from repro.engine.packed import PackedSimulator
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit
 from repro.sat.session import DEFAULT_BACKEND, SolveSession
@@ -47,8 +43,6 @@ def appsat_attack(
     conflict_limit: Optional[int] = 200_000,
     verify_vectors: int = 256,
     seed: int = 0,
-    dip_batch: int = 8,
-    engine: str = "packed",
     solver_backend: str = DEFAULT_BACKEND,
 ) -> AttackResult:
     """Run the AppSAT approximate attack.
@@ -58,19 +52,8 @@ def appsat_attack(
     most ``error_threshold`` the candidate is returned as the approximate
     key.  The result is classified against the oracle exactly like the exact
     attack (an approximate key that fails full verification is reported as
-    ``WRONG_KEY``).
-
-    ``dip_batch``/``engine`` control batched DIP harvesting exactly as in
-    :func:`~repro.attacks.sat_attack.sat_attack` (``engine="scalar"``
-    restores the one-DIP-per-solver-call reference path), and
-    ``solver_backend`` selects the session's solver backend.
+    ``WRONG_KEY``).  ``solver_backend`` selects the session's solver backend.
     """
-    batched = parse_engine(engine)
-    if dip_batch < 1:
-        raise ValueError("dip_batch must be at least 1")
-    if not batched:
-        dip_batch = 1
-
     locked_circuit, original = _as_locked_pair(locked, oracle_circuit)
     start = time.monotonic()
     rng = random.Random(seed)
@@ -91,23 +74,13 @@ def appsat_attack(
     session = SolveSession(
         solver_backend, conflict_limit=conflict_limit, deadline=deadline
     )
-    encoder = session.encoder
-    shared_functional = {net: net for net in functional_nets}
-    encoder.encode(locked_view, prefix="A@", shared_nets=shared_functional)
-    encoder.encode(locked_view, prefix="B@", shared_nets=shared_functional)
-    keys_a = [f"A@{net}" for net in key_nets]
-    keys_b = [f"B@{net}" for net in key_nets]
-    diff_net = encoder.encode_inequality(
-        [f"A@{out}" for out in shared_outputs], [f"B@{out}" for out in shared_outputs]
-    )
-    diff_literal = encoder.literal(diff_net, True)
+    miter = _DipMiter(session, locked_view, key_nets, functional_nets, shared_outputs)
 
     def extract_candidate() -> Optional[Dict[str, int]]:
         status = session.solve(phase="key-extract")
         if not status:
             return None
-        model = session.model()
-        return {net: model.get(encoder.varmap.get(f"A@{net}", -1), 0) for net in key_nets}
+        return miter.key()
 
     def sample_error(candidate: Dict[str, int]) -> float:
         # One packed pass per side: all samples of the round are lanes.
@@ -126,32 +99,14 @@ def appsat_attack(
         )
         return errors / max(samples_per_round, 1)
 
-    constraint_tag = 0
-    dip_rounds = 0
-    harvester = _DipHarvester(
-        session, diff_literal, functional_nets, deadline, max_iterations
-    )
-
-    def add_dip_constraints(dip: Dict[str, int], response: Dict[str, int]) -> None:
-        nonlocal constraint_tag
-        constraint_tag += 1
-        for side, keys in (("A", keys_a), ("B", keys_b)):
-            prefix = f"c{side}{constraint_tag}@"
-            shared = {net: keys[index] for index, net in enumerate(key_nets)}
-            shared.update({net: f"{prefix}{net}" for net in functional_nets})
-            encoder.encode(locked_view, prefix=prefix, shared_nets=shared)
-            for net in functional_nets:
-                encoder.add_value(f"{prefix}{net}", dip[net])
-            for out in shared_outputs:
-                encoder.add_value(f"{prefix}{out}", response[out])
+    iterations = 0
 
     def finish(outcome: AttackOutcome, key: Optional[Dict[str, int]] = None, **details) -> AttackResult:
         return AttackResult(
             attack="appsat", outcome=outcome, key=key,
-            iterations=harvester.iterations,
+            iterations=iterations,
             runtime_seconds=time.monotonic() - start,
-            details={"oracle_queries": oracle.queries, "engine": engine,
-                     "dip_rounds": dip_rounds,
+            details={"oracle_queries": oracle.queries,
                      "solver": session.telemetry.to_dict(), **details},
         )
 
@@ -162,48 +117,35 @@ def appsat_attack(
         outcome = AttackOutcome.CORRECT if verdict.equivalent else AttackOutcome.WRONG_KEY
         return finish(outcome, key=candidate, approximate=approximate)
 
-    # Harvest quota ramps 1, 2, 4, ... like the exact attack, but never past
-    # the next settle boundary: the sampling cadence (every ``settle_rounds``
-    # DIP iterations) is part of AppSAT's semantics, and a round that
-    # overshot it would skip an early-exit opportunity the scalar path took.
-    round_quota = 1
+    rounds = 0
     next_settle = settle_rounds
-    harvest_rounds = 0
-    while harvester.iterations < max_iterations:
+    while iterations < max_iterations:
         if time.monotonic() > deadline:
             return finish(AttackOutcome.TIMEOUT, reason="time limit")
 
-        quota = min(round_quota, max(1, next_settle - harvester.iterations))
-        harvested = harvester.round(quota)
-        harvest_rounds += 1
+        status = miter.search()
+        rounds += 1
+        if status:
+            iterations += 1
         trace_event(
             "attack-round",
             attack="appsat",
-            round=harvest_rounds,
-            harvested=len(harvested),
-            iterations=harvester.iterations,
+            round=rounds,
+            harvested=int(bool(status)),
+            iterations=iterations,
         )
-        if len(harvested) >= quota:
-            round_quota = min(round_quota * 2, dip_batch)
-        if harvested:
-            dip_rounds += 1
-            if batched:
-                responses = oracle.query_batch(harvested)
-            else:
-                responses = [oracle.query(dip) for dip in harvested]
-            for dip, response in zip(harvested, responses):
-                add_dip_constraints(dip, response)
-        elif harvester.solver_limited:
+        if status is None:
             return finish(AttackOutcome.TIMEOUT, reason="solver limit during DIP search")
-
-        if harvester.converged:
+        if status is False:
             candidate = extract_candidate()
             if candidate is None:
                 return finish(AttackOutcome.CNS,
                               reason="no static key satisfies all DIP constraints")
             return classify(candidate, approximate=False)
+        dip = miter.dip()
+        miter.observe(dip, oracle.query(dip))
 
-        if harvester.iterations >= next_settle:
+        if iterations >= next_settle:
             next_settle += settle_rounds
             candidate = extract_candidate()
             if candidate is None:

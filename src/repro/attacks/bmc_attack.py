@@ -29,18 +29,13 @@ def bmc_attack(
     max_iterations: int = 128,
     time_limit: float = 180.0,
     conflict_limit: Optional[int] = 200_000,
-    dis_batch: int = 8,
-    key_batch: int = 8,
-    engine: str = "packed",
     solver_backend: str = DEFAULT_BACKEND,
     proof_dir: Optional[Union[str, Path]] = None,
 ) -> AttackResult:
     """Run the non-incremental unrolling attack (NEOS ``bbo`` equivalent).
 
-    ``dis_batch`` DISes are harvested per solver rebuild and answered by one
-    lane-parallel oracle pass — for this mode that also amortizes the
-    rebuild, its dominant per-query cost.  ``engine="scalar"`` restores the
-    original one-DIS-per-rebuild reference path.
+    The solver is rebuilt before every DIS query, the dominant per-query
+    cost of this mode.
     """
     return sequential_oracle_guided_attack(
         locked,
@@ -53,9 +48,6 @@ def bmc_attack(
         max_iterations=max_iterations,
         time_limit=time_limit,
         conflict_limit=conflict_limit,
-        dis_batch=dis_batch,
-        key_batch=key_batch,
-        engine=engine,
         solver_backend=solver_backend,
         proof_dir=proof_dir,
     )

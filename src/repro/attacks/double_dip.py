@@ -15,7 +15,7 @@ import time
 from typing import Dict, Optional, Union
 
 from repro.attacks.results import AttackOutcome, AttackResult
-from repro.attacks.sat_attack import _as_locked_pair, _extract_dip
+from repro.attacks.sat_attack import _as_locked_pair, _DipMiter
 from repro.engine.batch_oracle import BatchedCombinationalOracle
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit
@@ -57,32 +57,8 @@ def double_dip_attack(
     session = SolveSession(
         solver_backend, conflict_limit=conflict_limit, deadline=deadline
     )
-    encoder = session.encoder
-    shared_functional = {net: net for net in functional_nets}
-    encoder.encode(locked_view, prefix="A@", shared_nets=shared_functional)
-    encoder.encode(locked_view, prefix="B@", shared_nets=shared_functional)
-    keys_a = [f"A@{net}" for net in key_nets]
-    keys_b = [f"B@{net}" for net in key_nets]
-    diff_net = encoder.encode_inequality(
-        [f"A@{out}" for out in shared_outputs], [f"B@{out}" for out in shared_outputs]
-    )
-    diff_literal = encoder.literal(diff_net, True)
-
+    miter = _DipMiter(session, locked_view, key_nets, functional_nets, shared_outputs)
     iterations = 0
-    constraint_blocks = 0
-
-    def add_constraints(dip: Dict[str, int], response: Dict[str, int]) -> None:
-        nonlocal constraint_blocks
-        constraint_blocks += 1
-        for side, keys in (("A", keys_a), ("B", keys_b)):
-            prefix = f"c{side}{constraint_blocks}@"
-            shared = {net: keys[index] for index, net in enumerate(key_nets)}
-            shared.update({net: f"{prefix}{net}" for net in functional_nets})
-            encoder.encode(locked_view, prefix=prefix, shared_nets=shared)
-            for net in functional_nets:
-                encoder.add_value(f"{prefix}{net}", dip[net])
-            for out in shared_outputs:
-                encoder.add_value(f"{prefix}{out}", response[out])
 
     def finish(outcome: AttackOutcome, key: Optional[Dict[str, int]] = None, **details) -> AttackResult:
         return AttackResult(
@@ -98,14 +74,14 @@ def double_dip_attack(
         iterations += 1
         found_any = False
         for _ in range(2):  # harvest up to two DIPs per round
-            status = session.solve(assumptions=[diff_literal], phase="dip-search")
+            status = miter.search()
             if status is None:
                 return finish(AttackOutcome.TIMEOUT, reason="solver limit during DIP search")
             if status is False:
                 break
             found_any = True
-            dip = _extract_dip(encoder, session.model(), functional_nets)
-            add_constraints(dip, oracle.query(dip))
+            dip = miter.dip()
+            miter.observe(dip, oracle.query(dip))
         if not found_any:
             # Converged: extract and classify a consistent key (if any).
             status = session.solve(phase="key-extract")
@@ -114,8 +90,7 @@ def double_dip_attack(
             if status is False:
                 return finish(AttackOutcome.CNS,
                               reason="no static key satisfies all DIP constraints")
-            model = session.model()
-            key = {net: model.get(encoder.varmap.get(f"A@{net}", -1), 0) for net in key_nets}
+            key = miter.key()
             verdict = random_equivalence_check(
                 original, locked_circuit, key_assignment=key, num_vectors=verify_vectors
             )

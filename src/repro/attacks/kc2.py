@@ -30,18 +30,13 @@ def int_attack(
     max_iterations: int = 128,
     time_limit: float = 180.0,
     conflict_limit: Optional[int] = 200_000,
-    dis_batch: int = 8,
-    key_batch: int = 8,
-    engine: str = "packed",
     solver_backend: str = DEFAULT_BACKEND,
     proof_dir: Optional[Union[str, Path]] = None,
 ) -> AttackResult:
     """Run the incremental unrolling attack (NEOS ``int`` equivalent).
 
-    With ``engine="packed"`` the solver stays warm across the whole attack:
-    ``dis_batch`` DISes are harvested per round, answered lane-parallel, and
-    depth increases extend the unrolling in place (learned clauses survive).
-    ``engine="scalar"`` restores the one-DIS-at-a-time reference path.
+    The solver stays warm across the whole attack: depth increases extend
+    the unrolling in place, so learned clauses survive.
     """
     return sequential_oracle_guided_attack(
         locked,
@@ -54,9 +49,6 @@ def int_attack(
         max_iterations=max_iterations,
         time_limit=time_limit,
         conflict_limit=conflict_limit,
-        dis_batch=dis_batch,
-        key_batch=key_batch,
-        engine=engine,
         solver_backend=solver_backend,
         proof_dir=proof_dir,
     )
@@ -71,16 +63,13 @@ def kc2_attack(
     max_iterations: int = 128,
     time_limit: float = 180.0,
     conflict_limit: Optional[int] = 200_000,
-    dis_batch: int = 8,
-    key_batch: int = 8,
-    engine: str = "packed",
     solver_backend: str = DEFAULT_BACKEND,
     proof_dir: Optional[Union[str, Path]] = None,
 ) -> AttackResult:
     """Run the key-condition-crunching attack (NEOS ``kc2`` equivalent).
 
-    Crunching runs once per harvested batch of ``dis_batch`` DISes rather
-    than per DIS; see :func:`int_attack` for the engine switches.
+    Crunching runs after every DIS observation, on the warm incremental
+    solver of :func:`int_attack`.
     """
     return sequential_oracle_guided_attack(
         locked,
@@ -93,9 +82,6 @@ def kc2_attack(
         max_iterations=max_iterations,
         time_limit=time_limit,
         conflict_limit=conflict_limit,
-        dis_batch=dis_batch,
-        key_batch=key_batch,
-        engine=engine,
         solver_backend=solver_backend,
         proof_dir=proof_dir,
     )

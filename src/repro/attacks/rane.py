@@ -42,21 +42,43 @@ static key makes the designs equivalent), which is reported as ``CNS`` /
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.attacks.results import AttackOutcome, AttackResult
-from repro.attacks.sequential_core import (
-    _as_locked_pair,
-    _block_input_sequence,
-    _extract_input_sequence,
-)
+from repro.attacks.sat_attack import _as_locked_pair
+from repro.attacks.sequential_core import _extract_input_sequence
 from repro.attacks.unroll import encode_unrolled, extend_unrolled
 from repro.engine.batch_oracle import BatchedSequentialOracle
 from repro.locking.base import LockedCircuit, pack_key_bits
 from repro.netlist.circuit import Circuit
 from repro.sat.session import DEFAULT_BACKEND, SolveSession, SolverTelemetry
+from repro.sat.tseitin import TseitinEncoder
 from repro.sim.equivalence import sequential_equivalence_check
 from repro.trace.writer import trace_event
+
+
+def _block_input_sequence(
+    encoder: TseitinEncoder,
+    frame_inputs: Sequence[Dict[str, str]],
+    functional_inputs: Sequence[str],
+    sequence: Sequence[Dict[str, int]],
+    act_name: str,
+) -> int:
+    """Add an activation-gated clause forbidding ``sequence`` as the input.
+
+    Returns the activation literal: the clause only bites while that literal
+    is assumed, so the block is scoped to the harvesting round that created
+    it (afterwards an unassumed activation variable keeps the clause
+    satisfiable — in particular input-free solves are unaffected).
+    """
+    act_literal = encoder.literal(act_name, True)
+    clause = [-act_literal]
+    for frame, vector in enumerate(sequence):
+        frame_map = frame_inputs[frame]
+        for net in functional_inputs:
+            clause.append(encoder.literal(frame_map[net], not bool(vector[net])))
+    encoder.cnf.add_clause(clause)
+    return act_literal
 
 
 def rane_attack(

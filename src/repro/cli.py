@@ -63,7 +63,6 @@ from repro.benchmarks_data import (
 from repro.locking.base import KeySchedule
 from repro.locking.baselines import lock_dklock, lock_harpoon, lock_rll, lock_sarlock, lock_ttlock
 from repro.locking.cutelock_str import CuteLockStr
-from repro.engine.packed import ENGINE_CHOICES
 from repro.netlist.bench import load_bench, save_bench
 from repro.sat.session import solver_backends
 from repro.synthesis.overhead import analyze_circuit
@@ -136,18 +135,13 @@ def _emit_json(payload: Dict[str, object], destination: Optional[str]) -> None:
 def _cmd_attack(args: argparse.Namespace) -> int:
     """Run one attack.  Exit codes: 0 defense held, 1 key recovered, 2 error.
 
-    The machine-readable surface (``--json``, ``--engine``, the exit codes)
-    is shared with campaign workers and scripts: a crash inside the attack is
-    reported as structured output and exit code 2 instead of a traceback.
+    The machine-readable surface (``--json``, the exit codes) is shared with
+    campaign workers and scripts: a crash inside the attack is reported as
+    structured output and exit code 2 instead of a traceback.
     """
     attack = _ATTACKS[args.attack]
     kwargs: Dict[str, object] = {"time_limit": args.time_limit}
     parameters = inspect.signature(attack).parameters
-    if "engine" in parameters:
-        kwargs["engine"] = args.engine
-    elif args.engine != "packed":
-        print(f"note: {args.attack} has no engine switch; --engine ignored",
-              file=sys.stderr)
     if "solver_backend" in parameters:
         kwargs["solver_backend"] = args.solver_backend
     certify_dir: Optional[Path] = None
@@ -268,9 +262,9 @@ def _campaign_spec(args: argparse.Namespace, store) -> "object":
     """Resolve the campaign spec for one ``campaign`` subcommand.
 
     ``run`` always builds the grid from its flags (``--grid``/``--full``/
-    ``--time-limit``/``--engine``) and persists it as the store's manifest —
-    so changed flags take effect instead of being silently shadowed by an
-    older manifest; cells unchanged by the flags keep their content-hashed
+    ``--time-limit``/``--solver-backend``) and persists it as the store's
+    manifest — so changed flags take effect instead of being silently
+    shadowed by an older manifest; cells unchanged by the flags keep their content-hashed
     keys and are still skipped.  ``resume``/``status``/``report`` always use
     the stored manifest.
     """
@@ -281,7 +275,6 @@ def _campaign_spec(args: argparse.Namespace, store) -> "object":
             args.grid or "full",
             quick=not args.full,
             attack_time_limit=args.time_limit,
-            engine=args.engine,
             solver_backend=args.solver_backend,
         )
     if store.has_manifest():
@@ -751,10 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("oracle")
     attack.add_argument("--attack", default="sat", choices=sorted(_ATTACKS))
     attack.add_argument("--time-limit", type=float, default=60.0)
-    attack.add_argument("--engine", default="packed", choices=list(ENGINE_CHOICES),
-                        help="packed = batched DIP/DIS harvesting through the "
-                             "bit-parallel engine (default); scalar = one "
-                             "query per solver call (reference path)")
     attack.add_argument("--solver-backend", default="cdcl",
                         choices=list(solver_backends()),
                         help="CDCL session backend: cdcl = reference solver; "
@@ -870,8 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "quick subsets")
     campaign_run.add_argument("--time-limit", type=float, default=20.0,
                               help="per-attack time budget in seconds")
-    campaign_run.add_argument("--engine", default="packed",
-                              choices=list(ENGINE_CHOICES))
     campaign_run.add_argument("--solver-backend", default="cdcl",
                               choices=list(solver_backends()),
                               help="CDCL session backend every attack cell "

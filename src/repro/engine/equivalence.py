@@ -4,8 +4,10 @@ These are the vectorized counterparts of the scalar routines in
 :mod:`repro.sim.logicsim` / :mod:`repro.sim.equivalence`.  They draw random
 stimulus from the *same* seeded RNG in the *same* order as the scalar
 implementations and report identical :class:`EquivalenceResult` fields
-(verdict, ``checked`` count, counterexample dict), so callers can switch
-engines without perturbing any seeded experiment.
+(verdict, ``checked`` count, counterexample dict), so the ``engine=``
+switch of the :mod:`repro.sim` routers (``random_equivalence_check``,
+``sequential_equivalence_check``, ``toggle_counts``) never perturbs a seeded
+experiment, and the scalar routines stay the bit-exact reference.
 """
 
 from __future__ import annotations
@@ -174,92 +176,6 @@ def packed_sequential_equivalence_check(
                 method="sequential",
             )
     raise AssertionError("diff_any set but no failing cycle found")  # pragma: no cover
-
-
-def packed_candidate_key_filter(
-    original: Circuit,
-    locked: Circuit,
-    candidates: Sequence[Mapping[str, int]],
-    key_inputs: Sequence[str],
-    *,
-    num_sequences: int = 8,
-    sequence_length: int = 48,
-    seed: int = 0,
-) -> List[bool]:
-    """Lane-parallel refutation of candidate static keys.
-
-    Simulates ``locked`` under every candidate key against ``original`` over
-    ``num_sequences`` seeded random input sequences, with candidate ``c``
-    occupying lanes ``[c*num_sequences, (c+1)*num_sequences)`` of one packed
-    run per circuit.  Returns one bool per candidate: ``True`` if the
-    candidate matched the original on every observed cycle (it *survives*),
-    ``False`` if some sequence refuted it.
-
-    The stimulus is drawn exactly as :func:`packed_sequential_equivalence_\
-    check` draws it (same rng, same order), so for any single candidate the
-    verdict equals ``sequential_equivalence_check(original, locked,
-    key_schedule=[packed key], ...)`` with the same parameters — which is
-    what lets the sequential attacks use this as a prefilter before their
-    authoritative per-key verification.
-    """
-    if not candidates:
-        return []
-    blocks = len(candidates)
-    if num_sequences == 0 or sequence_length == 0:
-        return [True] * blocks
-
-    rng = random.Random(seed)
-    key_inputs = list(key_inputs)
-    key_set = set(key_inputs)
-    shared_outputs = [o for o in original.outputs if o in set(locked.outputs)]
-    functional_inputs = [i for i in locked.inputs if i not in key_set]
-
-    sequences = [
-        [
-            {net: rng.randint(0, 1) for net in functional_inputs}
-            for _ in range(sequence_length)
-        ]
-        for _ in range(num_sequences)
-    ]
-
-    lanes = blocks * num_sequences
-    block_mask = (1 << num_sequences) - 1
-    # Multiplying a num_sequences-wide word by this replicates it into every
-    # candidate's lane block (blocks are disjoint, so no carries).
-    replicator = sum(1 << (b * num_sequences) for b in range(blocks))
-    key_words: Dict[str, int] = {}
-    for net in key_inputs:
-        word = 0
-        for b, candidate in enumerate(candidates):
-            if int(candidate.get(net, 0)) & 1:
-                word |= block_mask << (b * num_sequences)
-        key_words[net] = word
-
-    orig_sim = PackedSimulator(original)
-    locked_sim = PackedSimulator(locked)
-    orig_state = orig_sim.initial_state_words(num_sequences)
-    locked_state = locked_sim.initial_state_words(lanes)
-
-    refuted = 0
-    all_refuted = (1 << blocks) - 1
-    for t in range(sequence_length):
-        base = pack_vectors([seq[t] for seq in sequences], functional_inputs)
-        locked_words = {
-            net: key_words[net] if net in key_set else base.get(net, 0) * replicator
-            for net in locked.inputs
-        }
-        orig_words = {net: base.get(net, 0) for net in original.inputs}
-        orig_out, orig_state = orig_sim.step_words(orig_words, orig_state, width=num_sequences)
-        locked_out, locked_state = locked_sim.step_words(locked_words, locked_state, width=lanes)
-        for net in shared_outputs:
-            diff = locked_out[net] ^ (orig_out[net] * replicator)
-            while diff:
-                block = _lowest_set_lane(diff) // num_sequences
-                refuted |= 1 << block
-                diff &= ~(block_mask << (block * num_sequences))
-        if refuted == all_refuted:
-            break
-    return [not (refuted >> b) & 1 for b in range(blocks)]
 
 
 def packed_toggle_counts(

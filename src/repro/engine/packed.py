@@ -38,16 +38,15 @@ StateArg = Optional[Union[Mapping[str, int], Sequence[Mapping[str, int]]]]
 #: Lane count above which a packed pass is split into word-sized tiles.
 TILE_WIDTH = 128
 
-#: Attack-level ``engine=`` knob values accepted by :func:`parse_engine`.
+#: ``engine=`` values of the :mod:`repro.sim` routers, see :func:`parse_engine`.
 ENGINE_CHOICES = ("packed", "scalar")
 
 
 def parse_engine(engine: str) -> bool:
-    """Validate an attack ``engine`` knob; True when it asks for batching.
+    """Validate a :mod:`repro.sim` router's ``engine``; True for the packed engine.
 
-    ``"packed"`` batches queries through the packed engine; ``"scalar"``
-    keeps the one-at-a-time reference paths (the packed engine still serves
-    their width-1 passes).
+    ``"packed"`` evaluates through this engine; ``"scalar"`` runs the
+    router's one-vector-at-a-time reference loop.
     """
     if engine not in ENGINE_CHOICES:
         raise ValueError(

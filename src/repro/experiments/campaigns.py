@@ -41,13 +41,12 @@ def build_campaign(
     *,
     quick: bool = True,
     attack_time_limit: float = 20.0,
-    engine: str = "packed",
     solver_backend: str = "cdcl",
     name: Optional[str] = None,
 ) -> CampaignSpec:
     """Build the campaign spec for one of the named grids.
 
-    ``quick``/``attack_time_limit``/``engine``/``solver_backend``
+    ``quick``/``attack_time_limit``/``solver_backend``
     parameterise the attack grids exactly like
     :func:`~repro.experiments.runner.run_all`; per-table seeds and benchmark
     subsets keep their driver defaults.
@@ -56,9 +55,9 @@ def build_campaign(
     if grid == "full":
         jobs += table1_jobs()
         jobs += table2_jobs()
-        jobs += table3_jobs(quick=quick, time_limit=attack_time_limit, engine=engine,
+        jobs += table3_jobs(quick=quick, time_limit=attack_time_limit,
                             solver_backend=solver_backend)
-        jobs += table4_jobs(quick=quick, time_limit=attack_time_limit, engine=engine,
+        jobs += table4_jobs(quick=quick, time_limit=attack_time_limit,
                             solver_backend=solver_backend)
         jobs += table5_jobs(quick=quick, solver_backend=solver_backend)
         jobs += figure4_jobs(quick=quick)
@@ -67,10 +66,10 @@ def build_campaign(
     elif grid == "table2":
         jobs += table2_jobs()
     elif grid == "table3":
-        jobs += table3_jobs(quick=quick, time_limit=attack_time_limit, engine=engine,
+        jobs += table3_jobs(quick=quick, time_limit=attack_time_limit,
                             solver_backend=solver_backend)
     elif grid == "table4":
-        jobs += table4_jobs(quick=quick, time_limit=attack_time_limit, engine=engine,
+        jobs += table4_jobs(quick=quick, time_limit=attack_time_limit,
                             solver_backend=solver_backend)
     elif grid == "table5":
         jobs += table5_jobs(quick=quick, solver_backend=solver_backend)
@@ -90,7 +89,7 @@ def build_campaign(
         ]
         jobs += table3_jobs(
             benchmarks=["bcomp"], attacks=["INT"],
-            time_limit=attack_time_limit, engine=engine,
+            time_limit=attack_time_limit,
             solver_backend=solver_backend,
         )
     else:
@@ -102,7 +101,6 @@ def build_campaign(
             "grid": grid,
             "quick": quick,
             "attack_time_limit": attack_time_limit,
-            "engine": engine,
             "solver_backend": solver_backend,
         },
     )

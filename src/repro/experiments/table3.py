@@ -56,7 +56,6 @@ def table3_jobs(
     max_depth: int = 8,
     synthesis_style: str = "auto",
     seed: int = 3,
-    engine: str = "packed",
     solver_backend: str = "cdcl",
 ) -> List[JobSpec]:
     """Declare the Table III grid: one job per (benchmark, attack) cell."""
@@ -74,7 +73,6 @@ def table3_jobs(
                 "max_depth": max_depth,
                 "synthesis_style": synthesis_style,
                 "seed": seed,
-                "engine": engine,
                 "solver_backend": solver_backend,
             },
         )
@@ -108,7 +106,6 @@ def run_table3_cell(params: Mapping[str, object]) -> Dict[str, object]:
         locked,
         time_limit=float(params.get("time_limit", 20.0)),  # type: ignore[arg-type]
         max_depth=int(params.get("max_depth", 8)),  # type: ignore[arg-type]
-        engine=str(params.get("engine", "packed")),
         solver_backend=str(params.get("solver_backend", "cdcl")),
     )
     return {
@@ -220,7 +217,6 @@ def run_table3(
     max_depth: int = 8,
     synthesis_style: str = "auto",
     seed: int = 3,
-    engine: str = "packed",
     solver_backend: str = "cdcl",
     workers: int = 0,
     store: Union[ResultStore, str, None] = None,
@@ -247,7 +243,7 @@ def run_table3(
     jobs = table3_jobs(
         quick=quick, benchmarks=benchmarks, attacks=attacks,
         time_limit=time_limit, max_depth=max_depth,
-        synthesis_style=synthesis_style, seed=seed, engine=engine,
+        synthesis_style=synthesis_style, seed=seed,
         solver_backend=solver_backend,
     )
     spec = CampaignSpec(name="table3", jobs=jobs)

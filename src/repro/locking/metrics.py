@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.engine.packed import PackedSimulator, pack_vectors
 from repro.locking.base import KeySchedule, LockedCircuit
-from repro.sim.seqsim import SequentialSimulator, apply_key_to_sequence
+from repro.sim.seqsim import apply_key_to_sequence
 
 
 @dataclass(frozen=True)
@@ -62,22 +62,15 @@ def output_corruptibility(
     sequence_length: int = 32,
     num_sequences: int = 4,
     seed: int = 0,
-    engine: str = "packed",
 ) -> CorruptibilityReport:
     """Measure how strongly wrong key schedules corrupt the outputs.
 
     For each trial a random wrong schedule is drawn and the locked circuit is
     simulated side by side with the original over seeded random stimulus; the
     fraction of differing (cycle, output) samples and the first divergence
-    cycle are recorded.
-
-    ``engine="packed"`` (the default) simulates each trial's sequences as
-    lanes of one bit-parallel run per circuit via :mod:`repro.engine`;
-    ``engine="scalar"`` keeps the sequence-at-a-time reference loop.  Both
-    draw the same seeded stimulus and report identical statistics.
+    cycle are recorded.  Each trial's sequences are the lanes of one
+    bit-parallel run per circuit (:mod:`repro.engine`).
     """
-    if engine not in ("packed", "scalar"):
-        raise ValueError(f"unknown engine {engine!r} (expected 'packed' or 'scalar')")
     rng = random.Random(seed)
     original = locked.original
     shared_outputs = [o for o in original.outputs if o in set(locked.circuit.outputs)]
@@ -88,16 +81,15 @@ def output_corruptibility(
     total_samples = 0
     corrupted_samples = 0
     first_divergences: List[Optional[int]] = []
-
-    if engine == "packed":
-        golden_sim = PackedSimulator(original)
-        observed_sim = PackedSimulator(locked.circuit)
+    golden_sim = PackedSimulator(original)
+    observed_sim = PackedSimulator(locked.circuit)
+    lanes = num_sequences
 
     for _ in range(trials):
         wrong = _random_wrong_schedule(locked.schedule, rng)
         first_divergence: Optional[int] = None
-        # Stimulus is drawn identically for both engines (simulation itself
-        # consumes no random bits), sequence by sequence.
+        # Stimulus is drawn sequence by sequence (simulation itself consumes
+        # no random bits).
         original_seqs: List[List[Dict[str, int]]] = []
         locked_seqs: List[List[Dict[str, int]]] = []
         for _ in range(num_sequences):
@@ -111,43 +103,28 @@ def output_corruptibility(
             locked_seqs.append(
                 apply_key_to_sequence(vectors, locked.key_inputs, wrong.values)
             )
-        if engine == "packed":
-            # The trial's sequences become lanes of one lockstep run per
-            # circuit.
-            lanes = num_sequences
-            golden_state = golden_sim.initial_state_words(lanes)
-            observed_state = observed_sim.initial_state_words(lanes)
-            for cycle in range(sequence_length):
-                golden_words = pack_vectors(
-                    [seq[cycle] for seq in original_seqs], original.inputs
-                )
-                observed_words = pack_vectors(
-                    [seq[cycle] for seq in locked_seqs], locked.circuit.inputs
-                )
-                golden_out, golden_state = golden_sim.step_words(
-                    golden_words, golden_state, width=lanes
-                )
-                observed_out, observed_state = observed_sim.step_words(
-                    observed_words, observed_state, width=lanes
-                )
-                for net in shared_outputs:
-                    diff = golden_out[net] ^ observed_out[net]
-                    total_samples += lanes
-                    if diff:
-                        corrupted_samples += bin(diff).count("1")
-                        if first_divergence is None or cycle < first_divergence:
-                            first_divergence = cycle
-        else:
-            for original_vectors, locked_vectors in zip(original_seqs, locked_seqs):
-                golden = SequentialSimulator(original).run(original_vectors)
-                observed = SequentialSimulator(locked.circuit).run(locked_vectors)
-                for cycle, (row_g, row_o) in enumerate(zip(golden.rows, observed.rows)):
-                    for net in shared_outputs:
-                        total_samples += 1
-                        if row_g.signals[net] != row_o.signals[net]:
-                            corrupted_samples += 1
-                            if first_divergence is None or cycle < first_divergence:
-                                first_divergence = cycle
+        golden_state = golden_sim.initial_state_words(lanes)
+        observed_state = observed_sim.initial_state_words(lanes)
+        for cycle in range(sequence_length):
+            golden_words = pack_vectors(
+                [seq[cycle] for seq in original_seqs], original.inputs
+            )
+            observed_words = pack_vectors(
+                [seq[cycle] for seq in locked_seqs], locked.circuit.inputs
+            )
+            golden_out, golden_state = golden_sim.step_words(
+                golden_words, golden_state, width=lanes
+            )
+            observed_out, observed_state = observed_sim.step_words(
+                observed_words, observed_state, width=lanes
+            )
+            for net in shared_outputs:
+                diff = golden_out[net] ^ observed_out[net]
+                total_samples += lanes
+                if diff:
+                    corrupted_samples += bin(diff).count("1")
+                    if first_divergence is None or cycle < first_divergence:
+                        first_divergence = cycle
         first_divergences.append(first_divergence)
 
     fraction = corrupted_samples / total_samples if total_samples else 0.0

@@ -1,17 +1,9 @@
-"""Attacks suite: the batched sequential DIS loop plus attack-time trajectory.
-
-The two gating benches port ``benchmarks/bench_sequential_attack_throughput.py``:
-SARLock on the embedded ISCAS'89 ``s5378`` profile is the canonical
-"one DIS per wrong key" scheme, so the DIS-refinement loop runs for exactly
-the iteration cap on both engines and rounds/second compare identical work.
-The packed-engine loop (lane-parallel ``query_batch``, amortized rebuilds)
-must beat the scalar one-DIS-at-a-time path by the recorded bar.
+"""Attacks suite: end-to-end attack-time trajectory.
 
 ``attacks.baseline_sat`` and ``attacks.sanity_singlekey`` carry no bars:
 their correctness is pinned by the pytest suites; here they contribute
 end-to-end attack wall-clock to the perf history so a slow creep in the
-solver/engine stack shows up in ``repro perf compare`` even when every
-ratio bar still passes.
+solver/engine stack shows up in ``repro perf compare``.
 """
 
 from __future__ import annotations
@@ -19,104 +11,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.perf.harness import Harness
-from repro.perf.registry import Bar, perf_benchmark
-
-#: DIS-loop shape shared by both engines (matches the pytest benches).
-DIS_BATCH = 16
-DEPTH = 3
-
-
-def locked_s5378(num_key_bits: int = 8, seed: int = 7):
-    """SARLock on the embedded s5378 profile — the DIS-loop racetrack."""
-    from repro.benchmarks_data.iscas89 import load_iscas89
-    from repro.locking.baselines.sarlock import lock_sarlock
-
-    return lock_sarlock(load_iscas89("s5378").circuit,
-                        num_key_bits=num_key_bits, seed=seed)
-
-
-def dis_loop_rate(locked, *, engine: str, incremental: bool, crunch_keys: bool,
-                  max_iterations: int):
-    """Run the capped DIS loop and return (result, rounds/s, elapsed)."""
-    from repro.attacks.sequential_core import sequential_oracle_guided_attack
-
-    result, elapsed = Harness.timed(
-        lambda: sequential_oracle_guided_attack(
-            locked,
-            attack_name="bench",
-            incremental=incremental,
-            crunch_keys=crunch_keys,
-            engine=engine,
-            dis_batch=DIS_BATCH,
-            initial_depth=DEPTH,
-            max_depth=DEPTH,
-            max_iterations=max_iterations,
-            time_limit=600.0,
-        )
-    )
-    return result, result.iterations / elapsed, elapsed
-
-
-def _dis_loop_speedup(
-    harness: Harness, params: Dict[str, object], *,
-    incremental: bool, crunch_keys: bool,
-) -> Dict[str, float]:
-    max_iterations = int(params["max_iterations"])
-    locked = locked_s5378()
-    packed, packed_rate, packed_elapsed = dis_loop_rate(
-        locked, engine="packed", incremental=incremental,
-        crunch_keys=crunch_keys, max_iterations=max_iterations)
-    scalar, scalar_rate, _ = dis_loop_rate(
-        locked, engine="scalar", incremental=incremental,
-        crunch_keys=crunch_keys, max_iterations=max_iterations)
-
-    # Identical work and identical verdicts before the rates mean anything.
-    if not (packed.iterations == scalar.iterations == max_iterations):
-        raise RuntimeError(
-            f"engines ran different DIS-round counts: packed "
-            f"{packed.iterations}, scalar {scalar.iterations}, "
-            f"cap {max_iterations}")
-    if packed.outcome != scalar.outcome:
-        raise RuntimeError(
-            f"engines disagree on the attack outcome: "
-            f"{packed.outcome} vs {scalar.outcome}")
-    if packed.details["oracle_queries"] != scalar.details["oracle_queries"]:
-        raise RuntimeError("engines spent different oracle-query budgets")
-
-    harness.record_series("packed_loop", [packed_elapsed])
-    return {
-        "packed_rate": packed_rate,
-        "scalar_rate": scalar_rate,
-        "speedup": packed_rate / scalar_rate,
-    }
-
-
-@perf_benchmark(
-    "attacks.dis_loop_bmc",
-    params=dict(max_iterations=48),
-    smoke=dict(max_iterations=16),
-    bars=[Bar("speedup", ">=", 3.0, smoke_threshold=2.0)],
-    primary="packed_loop",
-)
-def dis_loop_bmc(harness: Harness, params: Dict[str, object]) -> Dict[str, float]:
-    """Non-incremental ("BBO") DIS loop: batching also amortizes the rebuild.
-
-    Smoke runs fewer rounds, so the harvest quota ramp (1, 2, 4, ...) has
-    less time at full width and the bar is relaxed to 2x.
-    """
-    return _dis_loop_speedup(harness, params, incremental=False, crunch_keys=False)
-
-
-@perf_benchmark(
-    "attacks.dis_loop_kc2",
-    params=dict(max_iterations=48),
-    smoke=dict(max_iterations=16),
-    bars=[Bar("speedup", ">=", 3.0, smoke_threshold=2.0)],
-    primary="packed_loop",
-)
-def dis_loop_kc2(harness: Harness, params: Dict[str, object]) -> Dict[str, float]:
-    """Incremental + key-condition crunching: crunch runs once per batch."""
-    return _dis_loop_speedup(harness, params, incremental=True, crunch_keys=True)
+from repro.perf.registry import perf_benchmark
 
 
 @perf_benchmark(

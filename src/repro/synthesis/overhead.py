@@ -124,16 +124,12 @@ def analyze_circuit(
     clock_hz: float = DEFAULT_CLOCK_HZ,
     seed: int = 0,
     key_bits: Optional[Mapping[str, int]] = None,
-    engine: str = "packed",
 ) -> CircuitCost:
     """Compute the absolute cost of ``circuit``.
 
     ``key_bits`` optionally pins the key inputs during the activity
     simulation (a locked chip in the field operates with its correct key
     applied, which is the fair setting for dynamic-power comparison).
-    ``engine`` selects the toggle-counting simulator (``"packed"`` runs the
-    compiled bit-parallel engine, ``"scalar"`` the reference loop; the
-    counts are identical).
     """
     library = library or generic_45nm_library()
     mapped = technology_map(circuit, library)
@@ -142,7 +138,7 @@ def analyze_circuit(
     if key_bits:
         for vector in vectors:
             vector.update({net: int(value) & 1 for net, value in key_bits.items()})
-    toggles = toggle_counts(circuit, vectors, engine=engine)
+    toggles = toggle_counts(circuit, vectors)
     cycles = max(1, len(vectors))
 
     leakage_nw = mapped.total_leakage_nw
@@ -172,17 +168,15 @@ def compare_overhead(
     activity_vectors: int = 64,
     clock_hz: float = DEFAULT_CLOCK_HZ,
     seed: int = 0,
-    engine: str = "packed",
 ) -> OverheadReport:
     """Cost the original and locked circuits and return their relative overhead."""
     library = library or generic_45nm_library()
     original_cost = analyze_circuit(
         locked.original, library=library, activity_vectors=activity_vectors,
-        clock_hz=clock_hz, seed=seed, engine=engine,
+        clock_hz=clock_hz, seed=seed,
     )
     locked_cost = analyze_circuit(
         locked.circuit, library=library, activity_vectors=activity_vectors,
         clock_hz=clock_hz, seed=seed, key_bits=locked.correct_key_bits(0),
-        engine=engine,
     )
     return OverheadReport(original=original_cost, locked=locked_cost, scheme=locked.scheme)

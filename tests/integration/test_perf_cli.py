@@ -105,7 +105,7 @@ class TestRunHistorySnapshots:
         assert "synth.fast" in names
         # The real suites are all registered alongside it.
         assert {"engine.packed_speedup", "solver.bcp_ratio",
-                "campaign.store_append", "attacks.dis_loop_bmc",
+                "campaign.store_append", "attacks.baseline_sat",
                 "substrate.micro"} <= names
 
 

@@ -1,19 +1,21 @@
-"""Batched DIP harvesting in the combinational attacks (SAT / AppSAT).
+"""The one-DIP-per-call loop of the combinational attacks (SAT / AppSAT).
 
-Mirrors ``test_sequential_batched.py`` for the combinational DIP loop: the
-packed engine (activation-gated blocking clauses, one ``query_batch`` per
-round) must prove the same facts as the scalar one-DIP-per-solver-call
-reference path, so attack outcomes and recovered keys agree on schemes the
-attacks break and on schemes they provably cannot.
+Outcomes are pinned, and every recovered key is re-checked with the scalar
+``repro.sim`` simulator, independently of the packed engine the attacks
+answer oracle queries and verify keys with.  The DIP bound pins the loop
+itself: each DIP's observation refutes at least one of the two keys the
+miter set apart, so a 3-bit point-function lock falls within 2**3 - 1 DIPs.
 """
 
 import pytest
 
 from repro.attacks import appsat_attack, sat_attack
 from repro.attacks.results import AttackOutcome, AttackResult
+from repro.benchmarks_data.iscas89 import load_iscas89
 from repro.fsm.random_fsm import random_fsm
 from repro.fsm.synthesis import synthesize_fsm
 from repro.locking.baselines import lock_rll, lock_sarlock, lock_ttlock
+from repro.sim.equivalence import random_equivalence_check
 
 BUDGET = dict(time_limit=30.0)
 
@@ -32,54 +34,65 @@ def locked_variants(base_circuit):
     }
 
 
+def scalar_key_check(locked, key):
+    """Re-check ``key`` with the scalar reference simulator.
+
+    Seed 1 draws other vectors than the attacks' own verification (seed 0).
+    """
+    return random_equivalence_check(
+        locked.original, locked.circuit, key_assignment=key,
+        num_vectors=256, seed=1, engine="scalar",
+    ).equivalent
+
+
 class TestSatAttackEngines:
     @pytest.mark.parametrize("scheme", ["rll", "sarlock", "ttlock"])
     def test_packed_and_scalar_agree(self, locked_variants, scheme):
+        """The key the attack verified with the packed engine passes the scalar check."""
         locked = locked_variants[scheme]
-        packed = sat_attack(locked, engine="packed", **BUDGET)
-        scalar = sat_attack(locked, engine="scalar", **BUDGET)
-        assert packed.outcome == scalar.outcome == AttackOutcome.CORRECT
-        assert packed.key == scalar.key
-        assert packed.details["engine"] == "packed"
-        assert scalar.details["engine"] == "scalar"
-
-    def test_packed_with_unit_batch_matches_scalar_iterations(self, locked_variants):
-        """``dip_batch=1`` disables harvesting: both paths do identical work."""
-        locked = locked_variants["sarlock"]
-        packed = sat_attack(locked, engine="packed", dip_batch=1, **BUDGET)
-        scalar = sat_attack(locked, engine="scalar", **BUDGET)
-        assert packed.iterations == scalar.iterations
-        assert packed.details["oracle_queries"] == scalar.details["oracle_queries"]
-        assert packed.key == scalar.key
-
-    def test_batched_rounds_are_fewer_than_iterations(self, locked_variants):
-        """On SARLock (one DIP per wrong key) harvesting batches the loop."""
-        result = sat_attack(locked_variants["sarlock"], engine="packed",
-                            dip_batch=8, **BUDGET)
+        result = sat_attack(locked, **BUDGET)
         assert result.outcome is AttackOutcome.CORRECT
-        assert result.details["dip_rounds"] < result.iterations
+        assert result.details["oracle_queries"] == result.iterations
+        assert scalar_key_check(locked, result.key)
 
     def test_engine_validation(self, locked_variants):
-        with pytest.raises(ValueError, match="unknown engine"):
-            sat_attack(locked_variants["rll"], engine="warp", **BUDGET)
-        with pytest.raises(ValueError, match="dip_batch"):
-            sat_attack(locked_variants["rll"], dip_batch=0, **BUDGET)
+        """The attack has one loop: no engine knob is accepted."""
+        for engine in ("packed", "scalar"):
+            with pytest.raises(TypeError):
+                sat_attack(locked_variants["rll"], engine=engine, **BUDGET)
+
+
+class TestDipBound:
+    @pytest.fixture(scope="class")
+    def s1196(self):
+        return load_iscas89("s1196").circuit
+
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    @pytest.mark.parametrize("lock", [lock_sarlock, lock_ttlock],
+                             ids=["sarlock", "ttlock"])
+    def test_three_bit_point_function_within_seven_dips(self, s1196, lock, seed):
+        locked = lock(s1196, num_key_bits=3, seed=seed)
+        result = sat_attack(locked, **BUDGET)
+        assert result.outcome is AttackOutcome.CORRECT
+        assert 1 <= result.iterations <= 2 ** 3 - 1
+        assert result.details["oracle_queries"] == result.iterations
+        assert scalar_key_check(locked, result.key)
 
 
 class TestAppSatEngines:
     def test_packed_and_scalar_agree_on_sarlock(self, locked_variants):
+        """AppSAT converges before its first settle point; the scalar check agrees."""
         locked = locked_variants["sarlock"]
-        packed = appsat_attack(locked, engine="packed", **BUDGET)
-        scalar = appsat_attack(locked, engine="scalar", **BUDGET)
-        assert packed.key is not None and scalar.key is not None
-        assert packed.outcome == scalar.outcome
-        assert packed.details["engine"] == "packed"
+        result = appsat_attack(locked, **BUDGET)
+        assert result.outcome is AttackOutcome.CORRECT
+        assert result.details["approximate"] is False
+        assert result.iterations < 4
+        assert scalar_key_check(locked, result.key)
 
     def test_engine_validation(self, locked_variants):
-        with pytest.raises(ValueError, match="unknown engine"):
-            appsat_attack(locked_variants["rll"], engine="warp", **BUDGET)
-        with pytest.raises(ValueError, match="dip_batch"):
-            appsat_attack(locked_variants["rll"], dip_batch=-1, **BUDGET)
+        for engine in ("packed", "scalar"):
+            with pytest.raises(TypeError):
+                appsat_attack(locked_variants["rll"], engine=engine, **BUDGET)
 
 
 class TestAttackResultSerialisation:
@@ -87,7 +100,7 @@ class TestAttackResultSerialisation:
         result = AttackResult(
             attack="sat", outcome=AttackOutcome.CNS,
             key={"k0": 1, "k1": 0}, iterations=7, runtime_seconds=1.25,
-            details={"oracle_queries": 12, "engine": "packed"},
+            details={"oracle_queries": 12},
         )
         rebuilt = AttackResult.from_dict(result.to_dict())
         assert rebuilt.attack == "sat"

@@ -127,16 +127,20 @@ class TestCli:
         locked_path = tmp_path / "locked.bench"
         save_bench(circuit, original_path)
         save_bench(locked.circuit, locked_path)
-        exit_code = cli_main([
-            "attack", str(locked_path), str(original_path),
-            "--attack", "int", "--time-limit", "15",
-            "--engine", "scalar", "--json",
-        ])
+        command = ["attack", str(locked_path), str(original_path),
+                   "--attack", "int", "--time-limit", "15"]
+        # The attacks have one loop, so the CLI has no engine switch.
+        with pytest.raises(SystemExit) as rejected:
+            cli_main(command + ["--engine", "scalar"])
+        assert rejected.value.code == 2
+        capsys.readouterr()
+        exit_code = cli_main(command + ["--json"])
         assert exit_code in (0, 1)  # ran to completion either way
         out = capsys.readouterr().out
         payload = json.loads(out[out.index("{"):])
-        assert payload["details"]["engine"] == "scalar"
         assert payload["outcome"]
+        assert "engine" not in payload["details"]
+        assert payload["details"]["oracle_queries"] == payload["iterations"]
 
     def test_attack_error_exits_2_with_json_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.bench"

@@ -1,5 +1,7 @@
-"""Regression tests for PR 2: batched DIS harvesting, multi-word tiling,
-incremental unroll extension and the oracle-consistency bugfixes."""
+"""Sequential attacks (BMC / INT / KC2) on one DIS per solver call, plus the
+batched oracles, multi-word tiling and incremental unroll extension they
+rely on.  Recovered keys are re-checked with the scalar ``repro.sim``
+sequential simulator."""
 
 import random
 import time
@@ -9,11 +11,9 @@ import pytest
 from repro.attacks import bmc_attack, double_dip_attack, int_attack, kc2_attack
 from repro.attacks.oracle import SequentialOracle
 from repro.attacks.results import AttackOutcome
-from repro.attacks.sequential_core import sequential_oracle_guided_attack
 from repro.attacks.unroll import encode_unrolled, extend_unrolled
 from repro.benchmarks_data.iscas89 import s27_circuit
 from repro.engine.batch_oracle import BatchedSequentialOracle
-from repro.engine.equivalence import packed_candidate_key_filter
 from repro.engine.packed import PackedSimulator
 from repro.fsm.random_fsm import random_fsm
 from repro.fsm.synthesis import synthesize_fsm
@@ -203,58 +203,43 @@ class TestIncrementalUnrollExtension:
         assert ext_tied is fresh_tied is False
 
 
-class TestCandidateKeyPrefilter:
-    def test_filter_matches_per_key_equivalence_checks(self):
-        locked = lock_rll(s27_circuit(), 4, seed=3)
-        key_nets = list(locked.circuit.key_inputs)
-        correct = locked.correct_key_bits()
-        wrong_a = dict(correct)
-        wrong_a[key_nets[0]] ^= 1
-        wrong_b = {net: 1 - bit for net, bit in correct.items()}
-        candidates = [correct, wrong_a, wrong_b]
+def scalar_key_check(locked, key):
+    """Re-check a static key with the scalar sequential simulator.
 
-        survivors = packed_candidate_key_filter(
-            locked.original, locked.circuit, candidates, key_nets,
-            num_sequences=8, sequence_length=48,
-        )
-        expected = [
-            sequential_equivalence_check(
-                locked.original, locked.circuit,
-                key_schedule=[pack_key_bits(candidate, key_nets)],
-                key_inputs=key_nets, num_sequences=8, sequence_length=48,
-            ).equivalent
-            for candidate in candidates
-        ]
-        assert survivors == expected
-        assert survivors[0] is True
-
-    def test_empty_candidate_list(self):
-        locked = lock_rll(s27_circuit(), 2, seed=3)
-        assert packed_candidate_key_filter(
-            locked.original, locked.circuit, [], locked.circuit.key_inputs
-        ) == []
+    Seed 1 draws other sequences than the attacks' own verification (seed 0).
+    """
+    key_nets = list(locked.circuit.key_inputs)
+    return sequential_equivalence_check(
+        locked.original, locked.circuit,
+        key_schedule=[pack_key_bits(key, key_nets)], key_inputs=key_nets,
+        num_sequences=8, sequence_length=48, seed=1, engine="scalar",
+    ).equivalent
 
 
 class TestEngineParity:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            int_attack(_collapsed_fsm(), engine="gpu")
+        """The attacks have one loop: no engine knob is accepted."""
+        for engine in ("gpu", "packed", "scalar"):
+            with pytest.raises(TypeError):
+                int_attack(_collapsed_fsm(), engine=engine)
 
     def test_collapsed_schedule_broken_by_both_engines(self):
+        """One DIS settles the collapsed schedule; the scalar check agrees."""
         locked = _collapsed_fsm()
         for attack in (bmc_attack, int_attack, kc2_attack):
-            outcomes = {}
-            for engine in ("scalar", "packed"):
-                result = attack(locked, max_depth=8, time_limit=30.0, engine=engine)
-                outcomes[engine] = result.outcome
-                assert result.details["engine"] == engine
-            assert outcomes["scalar"] == outcomes["packed"] == AttackOutcome.CORRECT
+            result = attack(locked, max_depth=8, time_limit=30.0)
+            assert result.outcome is AttackOutcome.CORRECT
+            assert result.iterations == result.details["oracle_queries"] == 1
+            assert result.details["depth"] == 2
+            assert scalar_key_check(locked, result.key)
 
     def test_cutelock_resists_both_engines(self):
+        """No static key survives; the scalar check refutes the last candidate."""
         locked = _locked_fsm()
-        for engine in ("scalar", "packed"):
-            result = int_attack(locked, max_depth=8, time_limit=30.0, engine=engine)
-            assert not result.broke_defense
+        result = int_attack(locked, max_depth=8, time_limit=30.0)
+        assert result.outcome is AttackOutcome.WRONG_KEY
+        assert not result.broke_defense
+        assert not scalar_key_check(locked, result.key)
 
     def test_crunching_respects_tiny_deadline(self):
         locked = _locked_fsm()
@@ -264,9 +249,3 @@ class TestEngineParity:
         assert elapsed < 5.0
         assert result.outcome in (AttackOutcome.TIMEOUT, AttackOutcome.CORRECT,
                                   AttackOutcome.WRONG_KEY, AttackOutcome.CNS)
-
-    def test_dis_batch_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sequential_oracle_guided_attack(
-                _collapsed_fsm(), attack_name="x", incremental=True, dis_batch=0
-            )
