@@ -24,7 +24,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 # The acceptance bars measure the shipping configuration: the repro.check
-# runtime sanitizers (kernel verifier, solver-state audit) stay OFF here,
+# runtime sanitizers (op-list check, solver-state audit) stay OFF here,
 # and their disarmed cost must be a single attribute test per decision /
 # tile — bench bars are the guard for that.
 os.environ.setdefault("REPRO_CHECK_KERNELS", "0")

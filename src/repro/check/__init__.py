@@ -9,10 +9,10 @@ Four analyzers, one per invariant the test suite cannot enforce globally
   loops outside :mod:`repro.jsonutil`, no tracing or allocation-heavy calls
   inside loops marked ``# hot-loop``, ``to_dict``/``from_dict`` round-trip
   completeness, and no silently-swallowed broad exception handlers.
-* :mod:`repro.check.program` — a verifier proving every exec-generated
-  engine kernel is a straight-line, levelized, bitwise-only program before
-  it is executed (always-on in the tests; opt-in at runtime via
-  ``REPRO_CHECK_KERNELS=1``).
+* :mod:`repro.check.program` — a structural check proving the engine's
+  compiled op list is levelized and single-assignment with the right arity
+  per op kind (always-on in the tests; opt-in at runtime via
+  ``REPRO_CHECK_KERNELS=1``), plus the packed-word range sanitizer.
 * :mod:`repro.check.solver` — CNF well-formedness checks plus CDCL state
   sanitizers (watch lists, trail/level consistency, implication-graph
   acyclicity) for both session backends, run at decision points under
@@ -20,7 +20,7 @@ Four analyzers, one per invariant the test suite cannot enforce globally
 * :mod:`repro.check.certify` — machine-checkable certificates: DRUP proof
   logging for every UNSAT solver answer, an independent RUP proof checker
   that shares no code with the solvers, and SAT-based translation
-  validation of the packed-kernel compiler
+  validation of the engine compiler's op list
   (:mod:`repro.check.certify.equiv`, imported lazily — it pulls in the
   engine stack).
 """
@@ -49,7 +49,6 @@ from repro.check.lint import (
 from repro.check.program import (
     KernelVerificationError,
     verify_compiled,
-    verify_kernel_source,
     verify_packed_words,
 )
 from repro.check.solver import (
@@ -81,7 +80,6 @@ __all__ = [
     "render_findings",
     "KernelVerificationError",
     "verify_compiled",
-    "verify_kernel_source",
     "verify_packed_words",
     "SolverStateError",
     "Violation",

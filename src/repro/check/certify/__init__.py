@@ -1,8 +1,8 @@
-"""Machine-checkable certificates for the solver and the kernel compiler.
+"""Machine-checkable certificates for the solver and the engine compiler.
 
 Every attack-loop termination and every "key is correct" verdict rests on an
-UNSAT answer from a hand-rolled CDCL, and every oracle query rests on
-exec-generated kernels.  This subpackage makes both claims *checkable*
+UNSAT answer from a hand-rolled CDCL, and every oracle query rests on the
+engine's compiled op list.  This subpackage makes both claims *checkable*
 (documented in ``CHECKS.md``):
 
 * :mod:`repro.check.certify.proof` — DRUP proof logging: a
@@ -17,7 +17,7 @@ exec-generated kernels.  This subpackage makes both claims *checkable*
 * :mod:`repro.check.certify.dimacs` — standard multi-line DIMACS CNF
   reading, shared by ``repro check cnf`` and ``repro check proof``.
 * :mod:`repro.check.certify.equiv` — SAT-based translation validation of the
-  packed-kernel compiler: the generated kernel AST is Tseitin-encoded and
+  engine compiler: the op list the engine interprets is encoded to CNF and
   proven equivalent to the netlist semantics bit by bit, with the miter
   UNSAT answers themselves DRUP-certified and re-checked (imported lazily —
   it pulls in the engine and session stacks).

@@ -1,27 +1,28 @@
-"""SAT-based translation validation of the packed-kernel compiler.
+"""SAT-based translation validation of the engine compiler.
 
-:mod:`repro.check.program` proves a generated kernel is *structurally*
-well-formed (straight-line, levelized, bitwise-only) but says nothing about
-whether it computes the circuit.  This module proves that, per bit:
+:mod:`repro.check.program` proves a compiled op list is *structurally*
+well-formed (levelized, single-assignment, right arity per kind) but says
+nothing about whether it computes the circuit.  This module proves that,
+per bit:
 
 1. the netlist semantics are Tseitin-encoded into a reference CNF (the same
    :class:`~repro.sat.tseitin.TseitinEncoder` every attack trusts);
-2. the generated kernel source — the byte-for-byte
-   :func:`~repro.engine.compiler.kernel_sources` text the engine execs — is
-   parsed back to an AST and encoded into the *same* variable space under
-   1-bit Boolean lane semantics (``mask`` is the true constant, ``~`` is
-   complement, ``&``/``|``/``^`` get fresh gate variables), sharing only
-   the source variables (primary inputs and flip-flop Q pins);
+2. the op list :meth:`~repro.engine.compiler.CompiledCircuit.run`
+   interprets is encoded into the *same* variable space under 1-bit
+   Boolean lane semantics, each op from its kind, fold operator and invert
+   bit (the mask is the true constant, an inverted op is the complement,
+   ``and_``/``or_``/``xor`` get fresh gate variables), sharing only the
+   source variables (primary inputs and flip-flop Q pins);
 3. for every primary output and every next-state (DFF D) bit, a miter
    asserting the two encodings differ is proven UNSAT.
 
-A SAT miter is a real codegen bug and comes with a counterexample input
+A SAT miter is a real lowering bug and comes with a counterexample input
 assignment.  The UNSAT answers are themselves DRUP-certified and replayed
 through the independent checker (:mod:`repro.check.certify.drup`) by
 default, so the validator is self-certifying end to end.
 
-Scope note: the 1-bit Boolean model treats ``~`` as complement-within-mask,
-which is exactly the compiler's contract for mask-confined words.  Word
+Scope note: the 1-bit Boolean model treats inversion as complement-within-
+mask, which is exactly the engine's contract for mask-confined words.  Word
 *confinement* itself (no op leaking bits past the lane width) is the job of
 :func:`repro.check.program.verify_packed_words`, which stays armed under
 ``REPRO_CHECK_KERNELS=1``.
@@ -29,7 +30,7 @@ which is exactly the compiler's contract for mask-confined words.  Word
 
 from __future__ import annotations
 
-import ast
+import operator
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,7 +38,13 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.check.certify.drup import check_certificate
 from repro.check.program import verify_compiled
-from repro.engine.compiler import CompiledCircuit, compile_circuit, kernel_sources
+from repro.engine.compiler import (
+    FOLD,
+    MUX,
+    CompiledCircuit,
+    PackedOp,
+    compile_circuit,
+)
 from repro.netlist.circuit import Circuit
 from repro.sat.session import DEFAULT_BACKEND, SolveSession
 
@@ -53,7 +60,7 @@ __all__ = [
 
 @dataclass
 class BitMismatch:
-    """One output/next-state bit where kernel and netlist disagree."""
+    """One output/next-state bit where the op list and netlist disagree."""
 
     kind: str  # "output" or "next-state"
     name: str  # output net, or the DFF Q net whose D bit diverged
@@ -101,53 +108,47 @@ class EquivalenceReport:
 
 
 # --------------------------------------------------------------------------- #
-# kernel AST -> CNF under 1-bit lane semantics
+# op list -> CNF under 1-bit lane semantics
 # --------------------------------------------------------------------------- #
-def _encode_expr(cnf, true_lit: int, slot_lit: Dict[int, int], node: ast.expr) -> int:
-    """Encode one kernel expression, returning the literal of its value."""
-    if isinstance(node, ast.Name):  # only `mask` survives verification
-        return true_lit
-    if isinstance(node, ast.Constant):  # only the literal 0 survives
-        return -true_lit
-    if isinstance(node, ast.Subscript):
-        return slot_lit[node.slice.value]  # type: ignore[attr-defined]
-    if isinstance(node, ast.UnaryOp):  # ~x == mask ^ x == Boolean NOT
-        return -_encode_expr(cnf, true_lit, slot_lit, node.operand)
-    if isinstance(node, ast.BinOp):
-        a = _encode_expr(cnf, true_lit, slot_lit, node.left)
-        b = _encode_expr(cnf, true_lit, slot_lit, node.right)
-        out = cnf.new_var()
-        if isinstance(node.op, ast.BitAnd):
-            cnf.add_clause([-out, a])
-            cnf.add_clause([-out, b])
-            cnf.add_clause([out, -a, -b])
-        elif isinstance(node.op, ast.BitOr):
-            cnf.add_clause([out, -a])
-            cnf.add_clause([out, -b])
-            cnf.add_clause([-out, a, b])
-        elif isinstance(node.op, ast.BitXor):
-            cnf.add_clause([-out, a, b])
-            cnf.add_clause([-out, -a, -b])
-            cnf.add_clause([out, -a, b])
-            cnf.add_clause([out, a, -b])
-        else:  # pragma: no cover - excluded by verify_compiled
-            raise ValueError(f"non-bitwise operator {type(node.op).__name__}")
-        return out
-    raise ValueError(  # pragma: no cover - excluded by verify_compiled
-        f"node {type(node).__name__} is not kernel-encodable"
-    )
+def _encode_fold(cnf, fold, a: int, b: int) -> int:
+    """Encode ``fold(a, b)`` for one of the engine's fold operators."""
+    out = cnf.new_var()
+    if fold is operator.and_:
+        cnf.add_clause([-out, a])
+        cnf.add_clause([-out, b])
+        cnf.add_clause([out, -a, -b])
+    elif fold is operator.or_:
+        cnf.add_clause([out, -a])
+        cnf.add_clause([out, -b])
+        cnf.add_clause([-out, a, b])
+    elif fold is operator.xor:
+        cnf.add_clause([-out, a, b])
+        cnf.add_clause([-out, -a, -b])
+        cnf.add_clause([out, -a, b])
+        cnf.add_clause([out, a, -b])
+    else:  # pragma: no cover - excluded by verify_compiled
+        raise ValueError(f"fold {fold!r} is not a bitwise operator")
+    return out
 
 
-def _encode_kernel_source(
-    cnf, true_lit: int, slot_lit: Dict[int, int], source: str
-) -> None:
-    """Encode one verified kernel chunk's assignments into ``slot_lit``."""
-    func = ast.parse(source).body[0]
-    for stmt in func.body:  # type: ignore[attr-defined]
-        if isinstance(stmt, ast.Pass):
-            continue
-        slot = stmt.targets[0].slice.value  # type: ignore[attr-defined]
-        slot_lit[slot] = _encode_expr(cnf, true_lit, slot_lit, stmt.value)
+def _encode_op(cnf, true_lit: int, slot_lit: Dict[int, int], op: PackedOp) -> int:
+    """Encode one op exactly as :meth:`CompiledCircuit.run` evaluates it."""
+    ins = [slot_lit[slot] for slot in op.in_slots]
+    if op.kind == FOLD:
+        lit = ins[0]
+        for other in ins[1:]:
+            lit = _encode_fold(cnf, op.fold, lit, other)
+    elif op.kind == MUX:  # (d0 & ~sel) | (d1 & sel)
+        sel, d0, d1 = ins
+        lit = _encode_fold(
+            cnf,
+            operator.or_,
+            _encode_fold(cnf, operator.and_, d0, -sel),
+            _encode_fold(cnf, operator.and_, d1, sel),
+        )
+    else:
+        lit = -true_lit
+    return -lit if op.invert else lit
 
 
 # --------------------------------------------------------------------------- #
@@ -161,11 +162,11 @@ def validate_compiled(
     check_proofs: bool = True,
     label: Optional[str] = None,
 ) -> EquivalenceReport:
-    """Prove a compiled circuit's kernels equivalent to its netlist.
+    """Prove a compiled circuit's op list equivalent to its netlist.
 
     Runs :func:`repro.check.program.verify_compiled` first (the structural
-    whitelist is what makes the AST encoding total), then proves each
-    output and next-state bit with an assumption-scoped miter.  With
+    check is what makes the op encoding total), then proves each output
+    and next-state bit with an assumption-scoped miter.  With
     ``check_proofs`` (the default) every miter UNSAT is DRUP-certified and
     replayed through the independent checker; pass ``proof_dir`` to keep
     the certificate pairs, otherwise they live in a temporary directory.
@@ -191,8 +192,8 @@ def validate_compiled(
             slot_lit[slot] = encoder.var(compiled.net_names[slot])
         for q_net, slot, _init in compiled.state_items:
             slot_lit[slot] = encoder.var(q_net)
-        for _start, source in kernel_sources(compiled.ops):
-            _encode_kernel_source(cnf, true_lit, slot_lit, source)
+        for op in compiled.ops:
+            slot_lit[op.out_slot] = _encode_op(cnf, true_lit, slot_lit, op)
 
         witness_nets = list(compiled.circuit.inputs) + [
             q for q, _slot, _init in compiled.state_items
@@ -205,13 +206,13 @@ def validate_compiled(
             d_net = compiled.circuit.dffs[q_net].d
             targets.append(("next-state", q_net, encoder.var(d_net), slot_lit[d_slot]))
 
-        for kind, bit_name, ref_lit, kernel_lit in targets:
+        for kind, bit_name, ref_lit, op_lit in targets:
             report.bits_total += 1
             diff = cnf.new_var()
-            cnf.add_clause([-diff, ref_lit, kernel_lit])
-            cnf.add_clause([-diff, -ref_lit, -kernel_lit])
-            cnf.add_clause([diff, -ref_lit, kernel_lit])
-            cnf.add_clause([diff, ref_lit, -kernel_lit])
+            cnf.add_clause([-diff, ref_lit, op_lit])
+            cnf.add_clause([-diff, -ref_lit, -op_lit])
+            cnf.add_clause([diff, -ref_lit, op_lit])
+            cnf.add_clause([diff, ref_lit, -op_lit])
             answer = session.solve([diff], phase="equiv")
             if answer is True:
                 model = session.model()
@@ -235,8 +236,8 @@ def validate_compiled(
 
 
 def validate_circuit(circuit: Circuit, **kwargs) -> EquivalenceReport:
-    """Compile (without exec) and validate a circuit; see :func:`validate_compiled`."""
-    compiled = compile_circuit(circuit, codegen=False)
+    """Compile and validate a circuit; see :func:`validate_compiled`."""
+    compiled = compile_circuit(circuit)
     return validate_compiled(compiled, **kwargs)
 
 

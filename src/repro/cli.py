@@ -21,12 +21,11 @@ Python:
   --trace`` / ``campaign run --trace`` (``trace summary|timeline|diff``,
   see :mod:`repro.trace` and ``TRACE_FORMAT.md``).
 * ``check``     — static checks and certificates over the repo's unchecked
-  invariants (``check lint|program|cnf|proof|equiv``, see
-  :mod:`repro.check` and ``CHECKS.md``): the repo-specific AST linter, the
-  generated-kernel verifier, the CNF well-formedness checker, the
-  independent DRUP proof checker (replaying ``attack --certify``
-  certificates) and SAT-based translation validation of the packed-kernel
-  compiler.  Exit 0 clean, 1 findings, 2 error.
+  invariants (``check lint|cnf|proof|equiv``, see :mod:`repro.check` and
+  ``CHECKS.md``): the repo-specific AST linter, the CNF well-formedness
+  checker, the independent DRUP proof checker (replaying ``attack
+  --certify`` certificates) and SAT-based translation validation of the
+  engine compiler.  Exit 0 clean, 1 findings, 2 error.
 * ``perf``      — continuous performance observability (``perf
   run|list|history|compare|gate``, see :mod:`repro.perf` and
   ``PERF_FORMAT.md``): run the registered benchmark suites, append to the
@@ -450,27 +449,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(render_findings(findings))
         return 1 if findings else 0
 
-    if args.command_check == "program":
-        from repro.check.program import KernelVerificationError, verify_compiled
-        from repro.engine.compiler import compile_circuit
-        from repro.netlist.circuit import CircuitError
-
-        try:
-            circuit = load_bench(args.netlist)
-            # codegen=False: verify the kernel source without executing it.
-            compiled = compile_circuit(circuit, codegen=False)
-            count = len(verify_compiled(compiled))
-        except KernelVerificationError as exc:
-            print(f"check program: {exc}", file=sys.stderr)
-            return 1
-        except (OSError, CircuitError) as exc:
-            print(f"check program: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 2
-        print(f"check program: {circuit.name}: verified "
-              f"{count} kernel ops over {compiled.num_slots} slots "
-              f"({compiled.num_levels} levels)")
-        return 0
-
     if args.command_check == "cnf":
         from repro.check.certify.dimacs import DimacsError, load_dimacs
         from repro.check.solver import check_cnf
@@ -545,7 +523,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 print(f"check equiv: {exc.args[0]}", file=sys.stderr)
                 return 2
             except KernelVerificationError as exc:
-                # The kernel is not even structurally valid: that is a
+                # The op list is not even structurally valid: that is a
                 # finding about the compiled program, not an analysis error.
                 print(f"check equiv: {exc}", file=sys.stderr)
                 return 1
@@ -954,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_diff.set_defaults(func=_cmd_trace)
 
     check = sub.add_parser(
-        "check", help="static checks: lint, kernel verifier, CNF/proof audit",
+        "check", help="static checks: lint, CNF/proof audit, translation validation",
         description="Static analysis and certificates over the repo's "
                     "unchecked invariants (rule catalogue: CHECKS.md).  "
                     "Exit 0 = clean, 1 = findings, 2 = analysis error.")
@@ -975,15 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="emit findings as JSON (file, line, rule, "
                                  "message) to PATH or stdout")
     check_lint.set_defaults(func=_cmd_check)
-
-    check_program = check_sub.add_parser(
-        "program", help="verify the generated engine kernels of a netlist",
-        description="Compiles the circuit and proves the generated kernel "
-                    "source is straight-line, levelized, bitwise-only code "
-                    "without executing it (the same verifier the engine runs "
-                    "before exec under REPRO_CHECK_KERNELS=1).")
-    check_program.add_argument("netlist", help=".bench netlist")
-    check_program.set_defaults(func=_cmd_check)
 
     check_cnf_p = check_sub.add_parser(
         "cnf", help="audit a DIMACS CNF file for well-formedness",
@@ -1009,9 +978,9 @@ def build_parser() -> argparse.ArgumentParser:
     check_proof_p.set_defaults(func=_cmd_check)
 
     check_equiv_p = check_sub.add_parser(
-        "equiv", help="translation validation: packed kernels vs netlist",
-        description="Proves the compiler's generated kernel source "
-                    "equivalent to the netlist semantics: both are encoded "
+        "equiv", help="translation validation: compiled op list vs netlist",
+        description="Proves the op list the engine interprets equivalent "
+                    "to the netlist semantics: both are encoded "
                     "to CNF and every output / next-state bit's miter is "
                     "proven UNSAT (a SAT miter prints a counterexample "
                     "assignment).  Miter proofs are themselves DRUP-checked "

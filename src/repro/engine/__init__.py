@@ -12,7 +12,7 @@ from O(gates x vectors) Python dispatch into O(gates) word arithmetic.
 Layers
 ------
 * :mod:`repro.engine.compiler` — Circuit -> :class:`CompiledCircuit` (flat
-  op list, levelization, exec-generated bitwise kernels);
+  levelized op list, one record per gate, and the interpreter that runs it);
 * :mod:`repro.engine.packed` — :class:`PackedSimulator` plus the
   pack/unpack transpose helpers between per-net words and per-vector dicts;
 * :mod:`repro.engine.batch_oracle` — batched drop-in oracles preserving the

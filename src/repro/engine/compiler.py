@@ -2,34 +2,52 @@
 
 Compilation assigns every net a dense integer *slot* (primary inputs first,
 then flip-flop Q pins, then gate outputs in topological order) and lowers
-every gate to one bitwise operation over packed words.  Inversions (NOT,
-NAND, NOR, XNOR, CONST1) are handled by XOR-ing with the batch mask
-``(1 << width) - 1`` so the packed words never grow sign bits; the MUX
-kernel ``(d0 & ~sel) | (d1 & sel)`` needs no mask because both data words
-are already mask-confined.
+every gate to one :class:`PackedOp` record over packed words: a ``FOLD`` of
+its inputs under ``operator.and_``, ``or_`` or ``xor``, a ``MUX``, or a
+``CONST``, each optionally inverted.  Inversions (NOT, NAND, NOR, XNOR,
+CONST1) XOR the result with the batch mask ``(1 << width) - 1`` so the
+packed words never grow sign bits; the MUX ``(d0 & ~sel) | (d1 & sel)``
+needs no mask because both data words are already mask-confined.
 
-The hot path is an ``exec``-generated kernel: one Python function whose body
-is the straight-line sequence of slot assignments (chunked so pathological
-circuits never hit compiler limits).  A table-driven interpreter over the
-same op list is kept as a readable reference (``codegen=False``) and is what
-the unit tests diff against the generated code.  Words are arbitrary-width
-Python ints; :mod:`repro.engine.packed` evaluates wide batches per
-``TILE_WIDTH``-lane tile.  The kernel source is verified structurally
-*before* exec under ``REPRO_CHECK_KERNELS=1`` (always-on in the test suite).
+:meth:`CompiledCircuit.run` interprets that op list, the engine's one
+evaluation path; the structural check
+(:func:`repro.check.program.verify_compiled`, armed by
+``REPRO_CHECK_KERNELS=1`` and always on in the test suite) and the
+translation validator (:mod:`repro.check.certify.equiv`) read the same
+list.  Words are arbitrary-width Python ints; :mod:`repro.engine.packed`
+evaluates wide batches per ``TILE_WIDTH``-lane tile.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import operator
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GateType
 
-#: Maximum number of ops lowered into one generated kernel function.
-_KERNEL_CHUNK = 4096
+#: Op kinds: fold the inputs with ``fold``, select with a 2:1 MUX, or a constant 0.
+FOLD = "fold"
+MUX = "mux"
+CONST = "const"
+
+#: Gate type -> ``(kind, fold, invert)``.  BUF and NOT are one-input folds.
+_LOWERING: Dict[GateType, Tuple[str, Optional[Callable[[int, int], int]], bool]] = {
+    GateType.BUF: (FOLD, operator.and_, False),
+    GateType.NOT: (FOLD, operator.and_, True),
+    GateType.AND: (FOLD, operator.and_, False),
+    GateType.NAND: (FOLD, operator.and_, True),
+    GateType.OR: (FOLD, operator.or_, False),
+    GateType.NOR: (FOLD, operator.or_, True),
+    GateType.XOR: (FOLD, operator.xor, False),
+    GateType.XNOR: (FOLD, operator.xor, True),
+    GateType.MUX: (MUX, None, False),
+    GateType.CONST0: (CONST, None, False),
+    GateType.CONST1: (CONST, None, True),
+}
 
 
 def numpy_available() -> bool:
@@ -41,110 +59,19 @@ def numpy_available() -> bool:
     return importlib.util.find_spec("numpy") is not None
 
 
-@dataclass(frozen=True)
-class PackedOp:
-    """One flat operation: evaluate a gate into its output slot."""
+class PackedOp(NamedTuple):
+    """One flat operation: evaluate a gate into its output slot.
 
-    gtype: GateType
+    A ``FOLD`` combines its input words left to right with ``fold``; a
+    ``MUX`` reads ``(sel, d0, d1)``; a ``CONST`` has no inputs and is 0.
+    ``invert`` XORs the result with the batch mask.
+    """
+
+    kind: str
+    fold: Optional[Callable[[int, int], int]]
+    invert: bool
     out_slot: int
     in_slots: Tuple[int, ...]
-    level: int
-
-
-def _op_expression(op: PackedOp) -> str:
-    """Python expression computing ``op`` over the packed-word list ``v``."""
-    ins = [f"v[{slot}]" for slot in op.in_slots]
-    gtype = op.gtype
-    if gtype is GateType.BUF:
-        return ins[0]
-    if gtype is GateType.NOT:
-        return f"mask ^ {ins[0]}"
-    if gtype is GateType.AND:
-        return " & ".join(ins)
-    if gtype is GateType.NAND:
-        return f"mask ^ ({' & '.join(ins)})"
-    if gtype is GateType.OR:
-        return " | ".join(ins)
-    if gtype is GateType.NOR:
-        return f"mask ^ ({' | '.join(ins)})"
-    if gtype is GateType.XOR:
-        return " ^ ".join(ins)
-    if gtype is GateType.XNOR:
-        return f"mask ^ ({' ^ '.join(ins)})"
-    if gtype is GateType.MUX:
-        sel, d0, d1 = ins
-        return f"({d0} & ~{sel}) | ({d1} & {sel})"
-    if gtype is GateType.CONST0:
-        return "0"
-    if gtype is GateType.CONST1:
-        return "mask"
-    raise CircuitError(f"unsupported gate type {gtype!r}")  # pragma: no cover
-
-
-def kernel_sources(ops: Sequence[PackedOp]) -> Iterator[Tuple[int, str]]:
-    """Yield ``(start_index, source)`` per generated kernel chunk.
-
-    The single source of the synthesized kernel text: both the exec path
-    (:func:`_build_kernels`) and the pre-exec structural verifier
-    (:func:`repro.check.program.verify_compiled`) consume this, so what is
-    verified is byte-for-byte what runs.
-    """
-    for start in range(0, max(len(ops), 1), _KERNEL_CHUNK):
-        lines = ["def _kernel(v, mask):"]
-        chunk = ops[start:start + _KERNEL_CHUNK]
-        for op in chunk:
-            lines.append(f"    v[{op.out_slot}] = {_op_expression(op)}")
-        if not chunk:
-            lines.append("    pass")
-        yield start, "\n".join(lines)
-
-
-def _build_kernels(ops: Sequence[PackedOp]) -> List[Callable[[List[int], int], None]]:
-    """exec-compile the op list into straight-line kernel functions."""
-    kernels: List[Callable[[List[int], int], None]] = []
-    for start, source in kernel_sources(ops):
-        namespace: Dict[str, object] = {}
-        exec(compile(source, f"<repro.engine kernel@{start}>", "exec"), namespace)
-        kernels.append(namespace["_kernel"])  # type: ignore[arg-type]
-    return kernels
-
-
-def _interpret_op(op: PackedOp, values: List[int], mask: int) -> None:
-    """Reference interpreter for one op (mirrors :func:`_op_expression`)."""
-    gtype = op.gtype
-    ins = op.in_slots
-    if gtype is GateType.BUF:
-        word = values[ins[0]]
-    elif gtype is GateType.NOT:
-        word = mask ^ values[ins[0]]
-    elif gtype in (GateType.AND, GateType.NAND):
-        word = mask
-        for slot in ins:
-            word &= values[slot]
-        if gtype is GateType.NAND:
-            word ^= mask
-    elif gtype in (GateType.OR, GateType.NOR):
-        word = 0
-        for slot in ins:
-            word |= values[slot]
-        if gtype is GateType.NOR:
-            word ^= mask
-    elif gtype in (GateType.XOR, GateType.XNOR):
-        word = 0
-        for slot in ins:
-            word ^= values[slot]
-        if gtype is GateType.XNOR:
-            word ^= mask
-    elif gtype is GateType.MUX:
-        sel, d0, d1 = (values[s] for s in ins)
-        word = (d0 & ~sel) | (d1 & sel)
-    elif gtype is GateType.CONST0:
-        word = 0
-    elif gtype is GateType.CONST1:
-        word = mask
-    else:  # pragma: no cover
-        raise CircuitError(f"unsupported gate type {gtype!r}")
-    values[op.out_slot] = word
 
 
 @dataclass
@@ -187,7 +114,6 @@ class CompiledCircuit:
     ops: List[PackedOp]
     num_levels: int
     level_of: Dict[str, int]
-    _kernels: List[Callable[[List[int], int], None]] = field(default_factory=list)
 
     @property
     def num_slots(self) -> int:
@@ -195,38 +121,33 @@ class CompiledCircuit:
 
     def run(self, values: List[int], mask: int) -> None:
         """Evaluate the program in place over ``values`` (one word per slot)."""
-        if self._kernels:
-            for kernel in self._kernels:
-                kernel(values, mask)
-        else:
-            for op in self.ops:
-                _interpret_op(op, values, mask)
+        for kind, fold, invert, out, ins in self.ops:  # hot-loop
+            if kind == FOLD:
+                slots = iter(ins)
+                word = values[next(slots)]
+                for slot in slots:
+                    word = fold(word, values[slot])
+            elif kind == MUX:
+                sel_slot, d0, d1 = ins
+                sel = values[sel_slot]
+                word = (values[d0] & ~sel) | (values[d1] & sel)
+            else:
+                word = 0
+            if invert:
+                word ^= mask
+            values[out] = word
 
-    def run_interpreted(self, values: List[int], mask: int) -> None:
-        """Reference evaluation path bypassing the generated kernels."""
-        for op in self.ops:
-            _interpret_op(op, values, mask)
 
-
-def compile_circuit(
-    circuit: Circuit,
-    *,
-    codegen: bool = True,
-    verify: Optional[bool] = None,
-) -> CompiledCircuit:
+def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     """Compile ``circuit`` into a :class:`CompiledCircuit`.
 
     Raises :class:`CircuitError` for combinational cycles (via
     :meth:`Circuit.topological_order`) and for gate fanins with no driver
     (where the scalar simulator would fail at evaluation time instead).
-
-    ``verify=True`` runs :func:`repro.check.program.verify_compiled` over
-    the generated kernel source *before* it is ``exec``-ed, raising
+    Under ``REPRO_CHECK_KERNELS=1`` the op list is checked by
+    :func:`repro.check.program.verify_compiled`, which raises
     :class:`repro.check.program.KernelVerificationError` (a
-    :class:`CircuitError`) if the program is not straight-line, levelized,
-    bitwise-only code.  The default ``None`` defers to the
-    ``REPRO_CHECK_KERNELS=1`` environment flag (always set by the test
-    suite, opt-in at runtime).
+    :class:`CircuitError`).
     """
     slot_of: Dict[str, int] = {}
     net_names: List[str] = []
@@ -258,16 +179,10 @@ def compile_circuit(
                 )
             in_slots.append(slot_of[src])
             level = max(level, level_of[src])
-        level_of[out] = level + 1 if gate.inputs else 1
-        ops.append(
-            PackedOp(
-                gtype=gate.gtype,
-                out_slot=slot_of[out],
-                in_slots=tuple(in_slots),
-                level=level_of[out],
-            )
-        )
-    ops.sort(key=lambda op: (op.level, op.out_slot))
+        level_of[out] = level + 1
+        kind, fold, invert = _LOWERING[gate.gtype]
+        ops.append(PackedOp(kind, fold, invert, slot_of[out], tuple(in_slots)))
+    ops.sort(key=lambda op: (level_of[net_names[op.out_slot]], op.out_slot))
 
     output_slots = []
     for net in circuit.outputs:
@@ -290,15 +205,11 @@ def compile_circuit(
         state_items=state_items,
         dff_d_slots=dff_d_slots,
         ops=ops,
-        num_levels=max((op.level for op in ops), default=0),
+        num_levels=max(level_of.values(), default=0),
         level_of=level_of,
     )
-    if codegen:
-        if verify is None:
-            verify = os.environ.get("REPRO_CHECK_KERNELS", "") == "1"
-        if verify:
-            from repro.check.program import verify_compiled
+    if os.environ.get("REPRO_CHECK_KERNELS", "") == "1":
+        from repro.check.program import verify_compiled
 
-            verify_compiled(compiled)
-        compiled._kernels = _build_kernels(ops)
+        verify_compiled(compiled)
     return compiled

@@ -1,6 +1,6 @@
 """Integration tests: the `repro check` CLI and ingestion-boundary validation.
 
-Exercises all three analyzers through the command line (exit codes 0/1/2,
+Exercises the analyzers through the command line (exit codes 0/1/2,
 human and ``--json`` output) plus the new strict `repro attack` validation
 and its ``--no-validate`` escape hatch.
 """
@@ -75,31 +75,6 @@ class TestCheckLintCli:
     def test_missing_path_exits_2(self, capsys):
         assert cli_main(["check", "lint", "does/not/exist"]) == 2
         assert "no such path" in capsys.readouterr().err
-
-
-# --------------------------------------------------------------------- #
-# repro check program
-# --------------------------------------------------------------------- #
-class TestCheckProgramCli:
-    def test_real_bench_verifies(self, bench_pair, capsys):
-        original_path, locked_path = bench_pair
-        assert cli_main(["check", "program", str(locked_path)]) == 0
-        out = capsys.readouterr().out
-        assert "verified" in out and "kernel ops" in out
-
-    def test_missing_bench_exits_2(self, tmp_path, capsys):
-        assert cli_main(["check", "program", str(tmp_path / "nope.bench")]) == 2
-        assert "check program" in capsys.readouterr().err
-
-    def test_cyclic_bench_exits_2(self, tmp_path, capsys):
-        # A combinational cycle dies in compile_circuit (CircuitError → 2):
-        # the verifier never even sees a program for it.
-        path = tmp_path / "cycle.bench"
-        path.write_text(
-            "INPUT(a)\nOUTPUT(y)\n"
-            "n1 = AND(a, n2)\nn2 = AND(a, n1)\ny = AND(n1, n2)\n"
-        )
-        assert cli_main(["check", "program", str(path)]) == 2
 
 
 # --------------------------------------------------------------------- #
@@ -189,13 +164,36 @@ class TestCheckEquivCli:
         assert "kernel == netlist" in out and "proof(s) re-checked" in out
 
     def test_bench_path(self, bench_pair, capsys):
-        original_path, _locked = bench_pair
-        assert cli_main(["check", "equiv", "--circuit", str(original_path)]) == 0
-        assert "kernel == netlist" in capsys.readouterr().out
+        # The locked netlist adds key inputs and a counter, which no
+        # bundled fixture has.
+        for path in bench_pair:
+            assert cli_main(["check", "equiv", "--circuit", str(path)]) == 0
+            assert "kernel == netlist" in capsys.readouterr().out
 
     def test_unknown_fixture_exits_2(self, capsys):
         assert cli_main(["check", "equiv", "--circuit", "nope999"]) == 2
         assert "unknown fixture" in capsys.readouterr().err
+
+    def test_missing_bench_exits_2(self, tmp_path, capsys):
+        assert cli_main(["check", "equiv", "--circuit", str(tmp_path / "nope.bench")]) == 2
+        assert "check equiv" in capsys.readouterr().err
+
+    def test_cyclic_bench_exits_2(self, tmp_path, capsys):
+        # A combinational cycle dies in compile_circuit (CircuitError -> 2):
+        # validation never even sees an op list for it.
+        path = tmp_path / "cycle.bench"
+        path.write_text(
+            "INPUT(a)\nOUTPUT(y)\n"
+            "n1 = AND(a, n2)\nn2 = AND(a, n1)\ny = AND(n1, n2)\n"
+        )
+        assert cli_main(["check", "equiv", "--circuit", str(path)]) == 2
+        assert "check equiv: CircuitError" in capsys.readouterr().err
+
+    def test_program_subcommand_is_gone(self, bench_pair, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["check", "program", str(bench_pair[1])])
+        assert exc.value.code == 2
+        assert "invalid choice: 'program'" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- #

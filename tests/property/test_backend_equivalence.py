@@ -7,8 +7,8 @@ same batch as one arbitrarily wide word.  Both must equal the scalar
 gate type, random DFF init values, and widths straddling every word and
 tile boundary (1, 63, 64, 65, 128, 129, and non-multiples of 64 past the
 tile width).  The suite runs with ``REPRO_CHECK_KERNELS=1`` armed (see
-``tests/conftest.py``), so the kernel is structurally verified before exec
-and every pass is range-checked.
+``tests/conftest.py``), so every op list is structurally checked at compile
+time and every pass is range-checked.
 """
 
 import random

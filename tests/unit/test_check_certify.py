@@ -327,19 +327,45 @@ class TestEquiv:
 
         from repro.check.certify.equiv import load_fixture, validate_compiled
         from repro.engine.compiler import compile_circuit
-        from repro.netlist.gates import GateType
 
-        compiled = compile_circuit(load_fixture("s27"), codegen=False)
+        compiled = compile_circuit(load_fixture("s27"))
+        # Flip the invert bit of the first op: the field the interpreter
+        # reads, so the mutation changes what runs.
         op = compiled.ops[0]
-        flipped = GateType.AND if op.gtype != GateType.AND else GateType.OR
         mutated = dataclasses.replace(
-            compiled, ops=[dataclasses.replace(op, gtype=flipped)] + list(compiled.ops[1:])
+            compiled, ops=[op._replace(invert=not op.invert)] + list(compiled.ops[1:])
         )
         report = validate_compiled(mutated, check_proofs=False)
         assert not report.ok
         mismatch = report.mismatches[0]
         assert mismatch.counterexample  # a concrete witness assignment
         assert "DIVERGE" in report.render()
+
+    def test_validation_reads_the_lowering_that_runs(self, monkeypatch):
+        import operator
+
+        from repro.check.certify.equiv import validate_circuit
+        from repro.engine import compiler
+        from repro.netlist.circuit import Circuit
+        from repro.netlist.gates import GateType
+
+        circuit = Circuit("xnor")
+        circuit.add_input("a")
+        circuit.add_input("b")
+        circuit.add_gate("y", GateType.XNOR, ["a", "b"])
+        circuit.add_output("y")
+        assert validate_circuit(circuit, check_proofs=False).ok
+        # Lower XNOR like XOR (no invert): the op list that runs is wrong,
+        # and validation must see it.
+        monkeypatch.setitem(
+            compiler._LOWERING, GateType.XNOR, (compiler.FOLD, operator.xor, False)
+        )
+        report = validate_circuit(circuit, check_proofs=False)
+        assert not report.ok
+        assert "DIVERGE" in report.render()
+        (mismatch,) = report.mismatches
+        assert (mismatch.kind, mismatch.name) == ("output", "y")
+        assert set(mismatch.counterexample) == {"a", "b"}
 
     def test_unknown_fixture_raises_keyerror(self):
         from repro.check.certify.equiv import load_fixture

@@ -1,14 +1,17 @@
-"""Unit tests for the generated-kernel verifier (repro.check.program)."""
+"""Unit tests for the op-list check and word sanitizer (repro.check.program)."""
+
+import dataclasses
+import operator
 
 import pytest
 
 from repro.check.program import (
     KernelVerificationError,
     verify_compiled,
-    verify_kernel_source,
     verify_packed_words,
 )
-from repro.engine.compiler import compile_circuit, kernel_sources
+from repro.engine import compiler
+from repro.engine.compiler import CONST, FOLD, MUX, PackedOp, compile_circuit
 from repro.engine.packed import PackedSimulator
 from repro.fsm.random_fsm import random_fsm
 from repro.fsm.synthesis import synthesize_fsm
@@ -27,19 +30,34 @@ def small_circuit() -> Circuit:
     return circuit
 
 
+def with_ops(ops, sources=(0,)):
+    """``small_circuit``'s six-slot program with ``ops`` spliced in."""
+    return dataclasses.replace(
+        compile_circuit(small_circuit()),
+        input_slots=list(sources),
+        state_items=[],
+        ops=list(ops),
+    )
+
+
+def violations_of(ops, sources=(0,)):
+    with pytest.raises(KernelVerificationError) as err:
+        verify_compiled(with_ops(ops, sources))
+    return "\n".join(err.value.violations)
+
+
 # --------------------------------------------------------------------- #
 # clean fixtures verify silently
 # --------------------------------------------------------------------- #
 def test_real_compiled_circuit_verifies():
-    compiled = compile_circuit(small_circuit(), codegen=False)
+    compiled = compile_circuit(small_circuit())
     assigned = verify_compiled(compiled)
     assert sorted(assigned) == sorted(op.out_slot for op in compiled.ops)
 
 
 def test_synthesized_fsm_verifies():
     circuit = synthesize_fsm(random_fsm(8, 2, 2, seed=5), style="sop")
-    compiled = compile_circuit(circuit, codegen=False)
-    assert verify_compiled(compiled)
+    assert verify_compiled(compile_circuit(circuit))
 
 
 def test_every_gate_type_verifies():
@@ -65,167 +83,102 @@ def test_every_gate_type_verifies():
                      ("g_buf", "g_not", "g_nand", "g_nor",
                       "g_xor", "g_xnor", "g_mux", "g_c0", "g_c1"))
     circuit.add_output("y")
-    verify_compiled(compile_circuit(circuit, codegen=False))
+    compiled = compile_circuit(circuit)
+    verify_compiled(compiled)
+    assert {op.kind for op in compiled.ops} == {FOLD, MUX, CONST}
 
 
 def test_empty_program_verifies():
     circuit = Circuit(name="wires")
     circuit.add_input("a")
     circuit.add_output("a")
-    assert verify_compiled(compile_circuit(circuit, codegen=False)) == []
+    assert verify_compiled(compile_circuit(circuit)) == []
+
+
+def test_zero_constant_allowed():
+    compiled = with_ops([PackedOp(CONST, None, False, 1, ())])
+    assert verify_compiled(compiled) == [1]
+    values = [1] * compiled.num_slots
+    compiled.run(values, 1)
+    assert values[1] == 0
 
 
 # --------------------------------------------------------------------- #
 # seeded violations are caught with precise messages
 # --------------------------------------------------------------------- #
-def violations_of(source, defined=frozenset()):
-    with pytest.raises(KernelVerificationError) as err:
-        verify_kernel_source(source, set(defined), label="<test>")
-    return "\n".join(err.value.violations)
-
-
 def test_use_before_def_caught():
-    text = violations_of(
-        "def _kernel(v, mask):\n    v[1] = v[0] & v[2]\n", {0}
-    )
-    assert "reads v[2] before it is defined" in text
+    text = violations_of([PackedOp(FOLD, operator.and_, False, 1, (0, 2))])
+    assert "reads slot 2 before it is defined" in text
 
 
 def test_spliced_cycle_caught():
-    # A combinational cycle lowered to straight-line code reads its own
-    # output slot: use-before-def on itself.
-    text = violations_of(
-        "def _kernel(v, mask):\n    v[1] = v[0] & v[1]\n", {0}
-    )
-    assert "reads v[1] before it is defined" in text
+    # A combinational cycle lowered to a straight-line op list reads its
+    # own output slot: use-before-def on itself.
+    text = violations_of([PackedOp(FOLD, operator.and_, False, 1, (0, 1))])
+    assert "reads slot 1 before it is defined" in text
 
 
 def test_double_assignment_caught():
-    text = violations_of(
-        "def _kernel(v, mask):\n    v[1] = v[0]\n    v[1] = mask ^ v[0]\n", {0}
+    text = violations_of([
+        PackedOp(FOLD, operator.and_, False, 1, (0,)),
+        PackedOp(FOLD, operator.and_, True, 1, (0,)),
+    ])
+    assert "slot 1 assigned twice" in text
+    # Writing a source slot is a double assignment too.
+    assert "slot 0 assigned twice" in violations_of(
+        [PackedOp(CONST, None, False, 0, ())]
     )
-    assert "assigned twice" in text
-
-
-def test_call_injection_caught():
-    text = violations_of(
-        "def _kernel(v, mask):\n    v[1] = __import__('os').getpid()\n", {0}
-    )
-    assert "not in the straight-line bitwise whitelist" in text
-
-
-def test_statement_injection_caught():
-    text = violations_of(
-        "def _kernel(v, mask):\n    import os\n    v[1] = v[0]\n", {0}
-    )
-    assert "is not a single v[slot] assignment" in text
 
 
 def test_non_bitwise_operator_caught():
-    text = violations_of(
-        "def _kernel(v, mask):\n    v[1] = v[0] + v[0]\n", {0}
-    )
-    assert "Add" in text and "not a bitwise op" in text
-
-
-def test_stray_literal_caught():
-    # Any constant other than 0 (e.g. a hand-inlined mask) is a
-    # width-consistency bug: only the mask parameter is legal.
-    text = violations_of(
-        "def _kernel(v, mask):\n    v[1] = v[0] ^ 255\n", {0}
-    )
-    assert "literal 255" in text and "mask" in text
-
-
-def test_zero_constant_allowed():
-    defined = {0}
-    assert verify_kernel_source(
-        "def _kernel(v, mask):\n    v[1] = 0\n", defined
-    ) == [1]
-
-
-def test_free_name_caught():
-    text = violations_of(
-        "def _kernel(v, mask):\n    v[1] = v[0] & evil\n", {0}
-    )
-    assert "free name 'evil'" in text
+    text = violations_of([PackedOp(FOLD, operator.add, False, 1, (0, 0))])
+    assert "op #0: fold over 2 input(s)" in text and "add" in text
 
 
 def test_wrong_signature_caught():
-    with pytest.raises(KernelVerificationError) as err:
-        verify_kernel_source("def _kernel(v, mask, extra):\n    pass\n", set())
-    assert "signature" in str(err.value)
-
-
-def test_non_constant_index_caught():
-    text = violations_of(
-        "def _kernel(v, mask):\n    v[1] = v[mask]\n", {0}
-    )
-    assert "non-constant slot index" in text
-
-
-def test_cross_chunk_use_before_def_caught():
-    # Chunk 2 reading a slot no chunk defined must fail even though each
-    # chunk is individually well-formed.
-    defined = {0}
-    verify_kernel_source("def _kernel(v, mask):\n    v[1] = v[0]\n", defined)
-    with pytest.raises(KernelVerificationError):
-        verify_kernel_source("def _kernel(v, mask):\n    v[3] = v[2]\n", defined)
+    # Each kind has one arity: a MUX reads three slots, a CONST none, a
+    # FOLD at least one; an unknown kind never reaches the interpreter.
+    text = violations_of([
+        PackedOp(MUX, None, False, 1, (0, 0)),
+        PackedOp(CONST, None, True, 2, (0,)),
+        PackedOp(FOLD, operator.or_, False, 3, ()),
+        PackedOp("shift", None, False, 4, (0,)),
+        PackedOp(CONST, None, False, 99, ()),
+    ])
+    assert "op #0: mux reads 2 slot(s), expected 3" in text
+    assert "op #1: const reads 1 slot(s), expected 0" in text
+    assert "op #2: fold over 0 input(s)" in text
+    assert "op #3: unknown kind 'shift'" in text
+    assert "op #4: writes slot 99 out of range" in text
 
 
 def test_verify_compiled_catches_corrupted_ops():
-    compiled = compile_circuit(small_circuit(), codegen=False)
+    compiled = compile_circuit(small_circuit())
     # Splice a cycle at the op level: the last op now reads its own output.
     victim = compiled.ops[-1]
-    compiled.ops[-1] = type(victim)(
-        gtype=victim.gtype,
-        out_slot=victim.out_slot,
-        in_slots=(victim.out_slot,) + victim.in_slots[1:],
-        level=victim.level,
+    compiled.ops[-1] = victim._replace(
+        in_slots=(victim.out_slot,) + victim.in_slots[1:]
     )
     with pytest.raises(KernelVerificationError) as err:
         verify_compiled(compiled)
-    assert f"reads v[{victim.out_slot}] before it is defined" in str(err.value)
+    assert f"reads slot {victim.out_slot} before it is defined" in str(err.value)
 
 
 # --------------------------------------------------------------------- #
-# compile-time integration (env flag / verify parameter)
+# compile-time integration (env flag)
 # --------------------------------------------------------------------- #
-def test_compile_circuit_verify_flag_runs_before_exec(monkeypatch):
-    # Corrupt the code generator so it emits a call; verify=True must
-    # refuse to exec it.
-    from repro.engine import compiler
-
-    real = compiler._op_expression
-
-    def evil(op):
-        return "print(" + real(op) + ")"
-
-    monkeypatch.setattr(compiler, "_op_expression", evil)
-    with pytest.raises(KernelVerificationError):
-        compile_circuit(small_circuit(), verify=True)
-    # And the error is a CircuitError, so existing handlers catch it.
-    assert issubclass(KernelVerificationError, CircuitError)
-
-
 def test_compile_circuit_env_opt_in(monkeypatch):
-    from repro.engine import compiler
-
-    real = compiler._op_expression
-    monkeypatch.setattr(compiler, "_op_expression",
-                        lambda op: "print(" + real(op) + ")")
+    # Corrupt the lowering table so XOR folds with a non-bitwise operator.
+    monkeypatch.setitem(
+        compiler._LOWERING, GateType.XOR, (FOLD, operator.add, False)
+    )
     monkeypatch.setenv("REPRO_CHECK_KERNELS", "0")
-    compile_circuit(small_circuit())  # unverified: exec succeeds (prints nothing run)
+    compile_circuit(small_circuit())  # unchecked: compiles
     monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
     with pytest.raises(KernelVerificationError):
         compile_circuit(small_circuit())
-
-
-def test_kernel_sources_match_exec_path():
-    compiled = compile_circuit(small_circuit(), codegen=True, verify=True)
-    chunks = list(kernel_sources(compiled.ops))
-    assert len(chunks) == len(compiled._kernels)
-    assert all(source.startswith("def _kernel(v, mask):") for _, source in chunks)
+    # And the error is a CircuitError, so existing handlers catch it.
+    assert issubclass(KernelVerificationError, CircuitError)
 
 
 # --------------------------------------------------------------------- #
