@@ -26,7 +26,7 @@ from repro.engine.batch_oracle import BatchedCombinationalOracle
 from repro.engine.packed import PackedSimulator
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit
-from repro.sat.session import DEFAULT_BACKEND, SolveSession
+from repro.sat.session import SolveSession
 from repro.sim.equivalence import random_equivalence_check
 from repro.trace.writer import trace_event
 
@@ -43,7 +43,6 @@ def appsat_attack(
     conflict_limit: Optional[int] = 200_000,
     verify_vectors: int = 256,
     seed: int = 0,
-    solver_backend: str = DEFAULT_BACKEND,
 ) -> AttackResult:
     """Run the AppSAT approximate attack.
 
@@ -52,7 +51,7 @@ def appsat_attack(
     most ``error_threshold`` the candidate is returned as the approximate
     key.  The result is classified against the oracle exactly like the exact
     attack (an approximate key that fails full verification is reported as
-    ``WRONG_KEY``).  ``solver_backend`` selects the session's solver backend.
+    ``WRONG_KEY``).
     """
     locked_circuit, original = _as_locked_pair(locked, oracle_circuit)
     start = time.monotonic()
@@ -71,9 +70,7 @@ def appsat_attack(
     shared_outputs = [o for o in locked_view.outputs if o in set(oracle.output_nets)]
 
     deadline = start + time_limit
-    session = SolveSession(
-        solver_backend, conflict_limit=conflict_limit, deadline=deadline
-    )
+    session = SolveSession(conflict_limit=conflict_limit, deadline=deadline)
     miter = _DipMiter(session, locked_view, key_nets, functional_nets, shared_outputs)
 
     def extract_candidate() -> Optional[Dict[str, int]]:

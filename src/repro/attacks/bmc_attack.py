@@ -17,7 +17,6 @@ from repro.attacks.results import AttackResult
 from repro.attacks.sequential_core import sequential_oracle_guided_attack
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit
-from repro.sat.session import DEFAULT_BACKEND
 
 
 def bmc_attack(
@@ -29,7 +28,6 @@ def bmc_attack(
     max_iterations: int = 128,
     time_limit: float = 180.0,
     conflict_limit: Optional[int] = 200_000,
-    solver_backend: str = DEFAULT_BACKEND,
     proof_dir: Optional[Union[str, Path]] = None,
 ) -> AttackResult:
     """Run the non-incremental unrolling attack (NEOS ``bbo`` equivalent).
@@ -48,6 +46,5 @@ def bmc_attack(
         max_iterations=max_iterations,
         time_limit=time_limit,
         conflict_limit=conflict_limit,
-        solver_backend=solver_backend,
         proof_dir=proof_dir,
     )

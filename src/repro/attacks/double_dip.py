@@ -19,7 +19,7 @@ from repro.attacks.sat_attack import _as_locked_pair, _DipMiter
 from repro.engine.batch_oracle import BatchedCombinationalOracle
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit
-from repro.sat.session import DEFAULT_BACKEND, SolveSession
+from repro.sat.session import SolveSession
 from repro.sim.equivalence import random_equivalence_check
 
 
@@ -31,7 +31,6 @@ def double_dip_attack(
     time_limit: float = 120.0,
     conflict_limit: Optional[int] = 200_000,
     verify_vectors: int = 256,
-    solver_backend: str = DEFAULT_BACKEND,
 ) -> AttackResult:
     """Run the DoubleDIP attack (two DIPs harvested per iteration)."""
     locked_circuit, original = _as_locked_pair(locked, oracle_circuit)
@@ -54,9 +53,7 @@ def double_dip_attack(
                             details={"reason": "locked circuit and oracle share no outputs"})
 
     deadline = start + time_limit
-    session = SolveSession(
-        solver_backend, conflict_limit=conflict_limit, deadline=deadline
-    )
+    session = SolveSession(conflict_limit=conflict_limit, deadline=deadline)
     miter = _DipMiter(session, locked_view, key_nets, functional_nets, shared_outputs)
     iterations = 0
 

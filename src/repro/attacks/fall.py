@@ -204,15 +204,12 @@ def _confirm_candidate(
     candidate: Dict[str, int],
     *,
     conflict_limit: Optional[int],
-    solver_backend: str = DEFAULT_BACKEND,
     telemetry: Optional[SolverTelemetry] = None,
 ) -> bool:
     """Oracle-less SAT confirmation: under ``candidate`` the restore comparator
     and the stripping comparator must agree for every input (the corruption
     XOR can never fire)."""
-    session = SolveSession(
-        solver_backend, conflict_limit=conflict_limit, telemetry=telemetry
-    )
+    session = SolveSession(conflict_limit=conflict_limit, telemetry=telemetry)
     session.encoder.encode(locked_view)
     diff_net = session.encoder.encode_inequality([restore_net], [strip_net])
     assumptions = [session.literal(diff_net, True)]
@@ -228,14 +225,12 @@ def fall_attack(
     conflict_limit: Optional[int] = 100_000,
     oracle_circuit: Optional[Circuit] = None,
     verify_with_oracle: bool = False,
-    solver_backend: str = DEFAULT_BACKEND,
 ) -> FallReport:
     """Run the FALL attack and return a :class:`FallReport`.
 
     ``verify_with_oracle`` additionally checks confirmed keys against the
     original circuit (not part of the published oracle-less attack; useful in
-    tests).  ``solver_backend`` selects the CDCL backend of the confirmation
-    sessions; their aggregated telemetry lands in
+    tests).  The confirmation sessions' aggregated solver telemetry lands in
     ``report.details["solver"]``.
     """
     if isinstance(locked, LockedCircuit):
@@ -247,7 +242,7 @@ def fall_attack(
     view = circuit.combinational_view() if circuit.dffs else circuit
 
     report = FallReport(circuit_name=circuit.name)
-    telemetry = SolverTelemetry(backend=solver_backend)
+    telemetry = SolverTelemetry(backend=DEFAULT_BACKEND)
     report.details["solver"] = telemetry.to_dict()
     key_set = set(view.key_inputs)
     if not key_set:
@@ -285,8 +280,7 @@ def fall_attack(
                 continue
             confirmed = _confirm_candidate(
                 view, unit["net"], comparator["net"], candidate,
-                conflict_limit=conflict_limit,
-                solver_backend=solver_backend, telemetry=telemetry,
+                conflict_limit=conflict_limit, telemetry=telemetry,
             )
             if confirmed and verify_with_oracle and oracle_circuit is not None:
                 verdict = random_equivalence_check(

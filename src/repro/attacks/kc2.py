@@ -18,7 +18,6 @@ from repro.attacks.results import AttackResult
 from repro.attacks.sequential_core import sequential_oracle_guided_attack
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit
-from repro.sat.session import DEFAULT_BACKEND
 
 
 def int_attack(
@@ -30,7 +29,6 @@ def int_attack(
     max_iterations: int = 128,
     time_limit: float = 180.0,
     conflict_limit: Optional[int] = 200_000,
-    solver_backend: str = DEFAULT_BACKEND,
     proof_dir: Optional[Union[str, Path]] = None,
 ) -> AttackResult:
     """Run the incremental unrolling attack (NEOS ``int`` equivalent).
@@ -49,7 +47,6 @@ def int_attack(
         max_iterations=max_iterations,
         time_limit=time_limit,
         conflict_limit=conflict_limit,
-        solver_backend=solver_backend,
         proof_dir=proof_dir,
     )
 
@@ -63,7 +60,6 @@ def kc2_attack(
     max_iterations: int = 128,
     time_limit: float = 180.0,
     conflict_limit: Optional[int] = 200_000,
-    solver_backend: str = DEFAULT_BACKEND,
     proof_dir: Optional[Union[str, Path]] = None,
 ) -> AttackResult:
     """Run the key-condition-crunching attack (NEOS ``kc2`` equivalent).
@@ -82,6 +78,5 @@ def kc2_attack(
         max_iterations=max_iterations,
         time_limit=time_limit,
         conflict_limit=conflict_limit,
-        solver_backend=solver_backend,
         proof_dir=proof_dir,
     )

@@ -93,14 +93,12 @@ def rane_attack(
     verify_sequences: int = 8,
     verify_length: int = 48,
     cex_batch: int = 4,
-    solver_backend: str = DEFAULT_BACKEND,
 ) -> AttackResult:
     """Run the RANE-style CEGIS unlocking attack.
 
     ``depth`` bounds the verification horizon; ``initial_depth`` is where the
     adaptive unrolling starts (it doubles, via ``extend_unrolled``, each time
-    a candidate key survives the current horizon).  ``solver_backend``
-    selects the CDCL backend for both CEGIS sides.
+    a candidate key survives the current horizon).
     """
     locked_circuit, reference = _as_locked_pair(locked, oracle_circuit)
     start = time.monotonic()
@@ -122,13 +120,12 @@ def rane_attack(
         return AttackResult(attack="rane", outcome=AttackOutcome.FAIL,
                             details={"reason": "locked circuit and reference share no outputs"})
 
-    telemetry = SolverTelemetry(backend=solver_backend)
+    telemetry = SolverTelemetry(backend=DEFAULT_BACKEND)
 
     # --- synthesis side: one constraint copy of the locked circuit per
     # counterexample, all sharing the KA@ key variables.
     synth = SolveSession(
-        solver_backend, conflict_limit=conflict_limit, deadline=deadline,
-        telemetry=telemetry,
+        conflict_limit=conflict_limit, deadline=deadline, telemetry=telemetry,
     )
     synth_encoder = synth.encoder
     counterexamples: List[Tuple[List[Dict[str, int]], List[Dict[str, int]]]] = []
@@ -155,8 +152,7 @@ def rane_attack(
     # clauses, so the same solver (and its learned clauses) serves every
     # candidate — and survives every adaptive deepening.
     verify = SolveSession(
-        solver_backend, conflict_limit=conflict_limit, deadline=deadline,
-        telemetry=telemetry,
+        conflict_limit=conflict_limit, deadline=deadline, telemetry=telemetry,
     )
     verify_encoder = verify.encoder
     current_depth = min(initial_depth, depth)

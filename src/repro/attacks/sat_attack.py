@@ -31,7 +31,7 @@ from repro.attacks.results import AttackOutcome, AttackResult
 from repro.engine.batch_oracle import BatchedCombinationalOracle
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit, CircuitError
-from repro.sat.session import DEFAULT_BACKEND, SolveSession
+from repro.sat.session import SolveSession
 from repro.sat.tseitin import TseitinEncoder
 from repro.sim.equivalence import random_equivalence_check
 from repro.trace.writer import trace_event
@@ -139,7 +139,6 @@ def sat_attack(
     time_limit: float = 120.0,
     conflict_limit: Optional[int] = 200_000,
     verify_vectors: int = 256,
-    solver_backend: str = DEFAULT_BACKEND,
     attack_name: str = "sat",
     proof_dir: Optional[Union[str, Path]] = None,
 ) -> AttackResult:
@@ -158,9 +157,6 @@ def sat_attack(
         Per-solver-call conflict budget (None = unlimited).
     verify_vectors:
         Random vectors used to verify a recovered key against the oracle.
-    solver_backend:
-        Registry name of the session's solver backend (``"cdcl"`` or the
-        arena-tuned ``"cdcl-arena"``; see :mod:`repro.sat.session`).
     proof_dir:
         Certified mode: directory where every UNSAT solver answer (the
         convergence UNSAT, key extraction) is paired with a DRUP certificate
@@ -192,7 +188,7 @@ def sat_attack(
 
     deadline = start + time_limit
     session = SolveSession(
-        solver_backend, conflict_limit=conflict_limit, deadline=deadline,
+        conflict_limit=conflict_limit, deadline=deadline,
         proof_path=proof_dir, proof_label=attack_name,
     )
     miter = _DipMiter(session, locked_view, key_nets, functional_nets, shared_outputs)

@@ -38,7 +38,7 @@ from repro.attacks.unroll import encode_unrolled, extend_unrolled
 from repro.engine.batch_oracle import BatchedSequentialOracle
 from repro.locking.base import LockedCircuit, pack_key_bits
 from repro.netlist.circuit import Circuit
-from repro.sat.session import DEFAULT_BACKEND, SolveSession
+from repro.sat.session import SolveSession
 from repro.sat.tseitin import TseitinEncoder
 from repro.sim.equivalence import sequential_equivalence_check
 from repro.trace.writer import trace_event
@@ -170,15 +170,14 @@ def sequential_oracle_guided_attack(
     conflict_limit: Optional[int] = 200_000,
     verify_sequences: int = 8,
     verify_length: int = 48,
-    solver_backend: str = DEFAULT_BACKEND,
     proof_dir: Optional[Union[str, Path]] = None,
 ) -> AttackResult:
     """Run the shared sequential attack skeleton (see module docstring).
 
     ``incremental=False`` rebuilds the solver before every DIS query (the
     "BBO" mode); ``crunch_keys`` fixes implied key bits after every
-    observation (KC2).  ``solver_backend`` selects the CDCL backend of the
-    attack's session; its telemetry lands in ``details["solver"]``.
+    observation (KC2).  The session's solver telemetry lands in
+    ``details["solver"]``.
     ``proof_dir`` arms certified mode: the session writes a DRUP certificate
     pair there for each UNSAT answer (``repro check proof`` replays them),
     and the pair count lands in ``details["certificates"]``.
@@ -201,7 +200,7 @@ def sequential_oracle_guided_attack(
 
     depth = initial_depth
     session = SolveSession(
-        solver_backend, conflict_limit=conflict_limit, deadline=deadline,
+        conflict_limit=conflict_limit, deadline=deadline,
         proof_path=proof_dir, proof_label=f"{attack_name}-d{depth:02d}",
     )
     miter = _UnrolledMiter(session, locked_circuit, functional_inputs, shared_outputs, depth)

@@ -15,7 +15,7 @@ Four analyzers, one per invariant the test suite cannot enforce globally
   ``REPRO_CHECK_KERNELS=1``), plus the packed-word range sanitizer.
 * :mod:`repro.check.solver` — CNF well-formedness checks plus CDCL state
   sanitizers (watch lists, trail/level consistency, implication-graph
-  acyclicity) for both session backends, run at decision points under
+  acyclicity) for the CDCL solver, run at decision points under
   ``REPRO_CHECK_SOLVER=1``.
 * :mod:`repro.check.certify` — machine-checkable certificates: DRUP proof
   logging for every UNSAT solver answer, an independent RUP proof checker

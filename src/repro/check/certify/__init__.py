@@ -6,13 +6,13 @@ engine's compiled op list.  This subpackage makes both claims *checkable*
 (documented in ``CHECKS.md``):
 
 * :mod:`repro.check.certify.proof` — DRUP proof logging: a
-  :class:`~repro.check.certify.proof.ProofLogger` both CDCL backends feed
-  their learned/deleted clauses into, plus the certificate writer that pairs
+  :class:`~repro.check.certify.proof.ProofLogger` the CDCL solver feeds
+  its learned/deleted clauses into, plus the certificate writer that pairs
   each UNSAT answer with a DIMACS CNF (assumptions appended as unit clauses)
   and a standard DRUP proof file.
 * :mod:`repro.check.certify.drup` — an independent pure-python RUP checker
   that replays a proof against the original CNF with its own watched-literal
-  propagation.  It shares **no** code with the solvers: a bug would have to
+  propagation.  It shares **no** code with the solver: a bug would have to
   be made twice, independently, to go unnoticed.
 * :mod:`repro.check.certify.dimacs` — standard multi-line DIMACS CNF
   reading, shared by ``repro check cnf`` and ``repro check proof``.

@@ -46,7 +46,7 @@ from repro.engine.compiler import (
     compile_circuit,
 )
 from repro.netlist.circuit import Circuit
-from repro.sat.session import DEFAULT_BACKEND, SolveSession
+from repro.sat.session import SolveSession
 
 __all__ = [
     "BitMismatch",
@@ -78,7 +78,6 @@ class EquivalenceReport:
     """Result of validating one compiled circuit."""
 
     circuit: str
-    backend: str
     bits_total: int = 0
     mismatches: List[BitMismatch] = field(default_factory=list)
     certificates: int = 0
@@ -97,11 +96,11 @@ class EquivalenceReport:
             )
             return (
                 f"{self.circuit}: kernel == netlist on all {self.bits_total} "
-                f"bit(s) [{self.backend}]{checked}"
+                f"bit(s){checked}"
             )
         lines = [
             f"{self.circuit}: {len(self.mismatches)} of {self.bits_total} "
-            f"bit(s) DIVERGE [{self.backend}]"
+            f"bit(s) DIVERGE"
         ]
         lines.extend("  " + mismatch.render() for mismatch in self.mismatches)
         return "\n".join(lines)
@@ -157,7 +156,6 @@ def _encode_op(cnf, true_lit: int, slot_lit: Dict[int, int], op: PackedOp) -> in
 def validate_compiled(
     compiled: CompiledCircuit,
     *,
-    backend: str = DEFAULT_BACKEND,
     proof_dir: Optional[Union[str, Path]] = None,
     check_proofs: bool = True,
     label: Optional[str] = None,
@@ -173,11 +171,10 @@ def validate_compiled(
     """
     name = label or compiled.circuit.name
     verify_compiled(compiled)
-    report = EquivalenceReport(circuit=name, backend=backend)
+    report = EquivalenceReport(circuit=name)
     with tempfile.TemporaryDirectory(prefix="repro-equiv-") as tmp:
         certify = check_proofs or proof_dir is not None
         session = SolveSession(
-            backend,
             proof_path=(proof_dir if proof_dir is not None else tmp) if certify else None,
             proof_label=f"equiv-{name}",
         )

@@ -11,7 +11,7 @@ step per line:
   live clause database once clause-DB reduction lands);
 * a final ``0`` — the empty clause: the formula is UNSAT.
 
-Both CDCL backends carry a ``proof`` attribute (``None`` when disarmed —
+The CDCL solver carries a ``proof`` attribute (``None`` when disarmed —
 the same zero-cost pattern as the trace hooks) pointing at a
 :class:`ProofLogger`.  `SolveSession` owns the logger and, on each UNSAT
 answer, writes a *certificate pair*: the CNF it actually solved (original
@@ -34,7 +34,7 @@ __all__ = ["ProofLogger", "render_proof", "write_certificate"]
 
 
 class ProofLogger:
-    """Collects DRUP steps emitted by a solver backend.
+    """Collects DRUP steps emitted by the CDCL solver.
 
     Steps accumulate across incremental `solve()` calls on purpose: a
     clause learned in query N is part of the solver's database for query

@@ -8,20 +8,18 @@ Two layers:
   inputs the encoders must never emit; ``add_clause`` rejects some of them
   but nothing guards hand-built or deserialized clause lists.
 
-* :func:`check_solver_invariants` — a state sanitizer for both CDCL
-  backends (:class:`repro.sat.solver.Solver` and
-  :class:`repro.sat.arena.ArenaSolver`, distinguished by duck-typing on
-  ``_arena``).  It audits the invariants the search relies on but never
-  re-checks: watch-list structure (every stored clause watched exactly
-  once at each of its two lead literals, nowhere else), trail/assignment/
-  decision-level consistency, and the implication graph (every implied
-  variable's reason clause contains its literal, with every antecedent
-  falsified *earlier* on the trail — which makes the graph acyclic by
-  construction).  On the reference backend it also audits the order heap's
-  dedupe state: every live current entry recorded in ``_heap_activity`` is
-  in the heap, and no entry appears twice.
+* :func:`check_solver_invariants` — a state sanitizer for the CDCL solver
+  (:class:`repro.sat.solver.Solver`).  It audits the invariants the search
+  relies on but never re-checks: watch-list structure (every stored clause
+  watched exactly once at each of its two lead literals, nowhere else),
+  trail/assignment/decision-level consistency, the implication graph
+  (every implied variable's reason clause contains its literal, with every
+  antecedent falsified *earlier* on the trail — which makes the graph
+  acyclic by construction), and the order heap's dedupe state (every live
+  current entry recorded in ``_heap_activity`` is in the heap, and no
+  entry appears twice).
 
-Both solvers call the sanitizer at every decision point when constructed
+The solver calls the sanitizer at every decision point when constructed
 under ``REPRO_CHECK_SOLVER=1`` (one attribute test per decision when off);
 the solver property tests run a pass with it enabled.
 """
@@ -137,34 +135,8 @@ def _lit_value(assign: List[int], lit: int) -> int:
     return value if lit > 0 else -value
 
 
-def _arena_clauses(solver, violations: List[Violation]) -> Dict[int, Tuple[int, ...]]:
-    """Walk the arena; returns ``ref -> literals`` for every stored clause."""
-    arena = solver._arena
-    clauses: Dict[int, Tuple[int, ...]] = {}
-    ref = 0
-    while ref < len(arena):
-        length = arena[ref]
-        if length < 2 or ref + 1 + length > len(arena):
-            violations.append(
-                Violation(
-                    "arena-corrupt",
-                    f"arena[{ref}] declares clause length {length} "
-                    f"(arena size {len(arena)}); walk aborted",
-                )
-            )
-            return clauses
-        clauses[ref] = tuple(arena[ref + 1: ref + 1 + length])
-        ref += 1 + length
-    return clauses
-
-
-def _enc_watch(lit: int) -> int:
-    """Watch-list index of watched literal ``lit`` (visit when it is falsified)."""
-    return (lit << 1 | 1) if lit > 0 else (-lit << 1)
-
-
 def _order_heap_violations(solver) -> List[Violation]:
-    """Audit the reference backend's order-heap dedupe state.
+    """Audit the order heap's dedupe state.
 
     ``_heap_activity[var]`` records the activity of ``var``'s live current
     heap entry (negative: none).  Pushes are skipped on the strength of that
@@ -196,16 +168,15 @@ def _order_heap_violations(solver) -> List[Violation]:
 
 
 def check_solver_invariants(solver) -> List[Violation]:
-    """Audit a CDCL backend's internal state; returns all violations.
+    """Audit the CDCL solver's internal state; returns all violations.
 
-    Works on both backends.  Structural checks (watch lists, trail, levels,
-    implication graph) run unconditionally; the *semantic* watch invariant
-    (a falsified watched literal implies the clause is satisfied by its
-    other watch) only holds once propagation has quiesced, so it is gated
-    on ``qhead == len(trail)``.
+    Structural checks (watch lists, trail, levels, implication graph, order
+    heap) run unconditionally; the *semantic* watch invariant (a falsified
+    watched literal implies the clause is satisfied by its other watch)
+    only holds once propagation has quiesced, so it is gated on
+    ``qhead == len(trail)``.
     """
     violations: List[Violation] = []
-    is_arena = hasattr(solver, "_arena")
     assign: List[int] = solver._assign
     levels: List[int] = solver._level
     trail: List[int] = solver._trail
@@ -213,118 +184,57 @@ def check_solver_invariants(solver) -> List[Violation]:
     num_vars: int = solver.num_vars
 
     # ---- clause database + watch structure ---------------------------- #
-    clause_map: Dict[int, Tuple[int, ...]]
-    if is_arena:
-        clause_map = _arena_clauses(solver, violations)
-        watch_lists = solver._watches
-        occurrences: Dict[Tuple[int, int], int] = {}
-        for widx, watching in enumerate(watch_lists):
-            if len(watching) % 2:
+    clause_map: Dict[int, Tuple[int, ...]] = {
+        index: tuple(clause) for index, clause in enumerate(solver.clauses)
+    }
+    occurrences: Dict[Tuple[int, int], int] = {}
+    for key, watching in solver._watches.items():
+        for ci in watching:
+            if ci not in clause_map:
                 violations.append(
                     Violation(
                         "watch-corrupt",
-                        f"watch list {widx} has odd length {len(watching)} "
-                        "(refs and blockers must pair up)",
+                        f"watch list for {key} holds clause index {ci} "
+                        f"outside the database (size {len(clause_map)})",
                     )
                 )
                 continue
-            for i in range(0, len(watching), 2):
-                ref, blocker = watching[i], watching[i + 1]
-                if ref not in clause_map:
-                    violations.append(
-                        Violation(
-                            "watch-corrupt",
-                            f"watch list {widx} holds ref {ref} which is not "
-                            "a clause boundary in the arena",
-                        )
-                    )
-                    continue
-                if blocker not in clause_map[ref]:
-                    violations.append(
-                        Violation(
-                            "watch-corrupt",
-                            f"watch list {widx}: blocker {blocker} for clause "
-                            f"@{ref} is not one of its literals {clause_map[ref]}",
-                        )
-                    )
-                occurrences[(widx, ref)] = occurrences.get((widx, ref), 0) + 1
-        expected = set()
-        for ref, literals in clause_map.items():
-            for watched in literals[:2]:
-                widx = _enc_watch(watched)
-                expected.add((widx, ref))
-                count = occurrences.get((widx, ref), 0)
-                if count != 1:
-                    violations.append(
-                        Violation(
-                            "watch-missing" if count == 0 else "watch-duplicate",
-                            f"clause @{ref} {literals} watched {count}x at "
-                            f"literal {watched} (watch list {widx}), expected "
-                            "exactly once",
-                        )
-                    )
-        for (widx, ref), count in occurrences.items():
-            if (widx, ref) not in expected and ref in clause_map:
+            occurrences[(key, ci)] = occurrences.get((key, ci), 0) + 1
+    expected = set()
+    for ci, literals in clause_map.items():
+        if len(literals) < 2:
+            violations.append(
+                Violation(
+                    "clause-corrupt",
+                    f"stored clause #{ci} {literals} has fewer than two "
+                    "literals (units are never stored)",
+                )
+            )
+            continue
+        for watched in literals[:2]:
+            key = -watched
+            expected.add((key, ci))
+            count = occurrences.get((key, ci), 0)
+            if count != 1:
                 violations.append(
                     Violation(
-                        "watch-stray",
-                        f"clause @{ref} {clause_map[ref]} appears {count}x in "
-                        f"watch list {widx} but neither of its lead literals "
-                        "maps there",
+                        "watch-missing" if count == 0 else "watch-duplicate",
+                        f"clause #{ci} {literals} watched {count}x at "
+                        f"literal {watched}, expected exactly once",
                     )
                 )
-    else:
-        clause_map = {
-            index: tuple(clause) for index, clause in enumerate(solver.clauses)
-        }
-        occurrences = {}
-        for key, watching in solver._watches.items():
-            for ci in watching:
-                if ci not in clause_map:
-                    violations.append(
-                        Violation(
-                            "watch-corrupt",
-                            f"watch list for {key} holds clause index {ci} "
-                            f"outside the database (size {len(clause_map)})",
-                        )
-                    )
-                    continue
-                occurrences[(key, ci)] = occurrences.get((key, ci), 0) + 1
-        expected = set()
-        for ci, literals in clause_map.items():
-            if len(literals) < 2:
-                violations.append(
-                    Violation(
-                        "clause-corrupt",
-                        f"stored clause #{ci} {literals} has fewer than two "
-                        "literals (units are never stored)",
-                    )
+    for (key, ci), count in occurrences.items():
+        if (key, ci) not in expected and ci in clause_map:
+            violations.append(
+                Violation(
+                    "watch-stray",
+                    f"clause #{ci} {clause_map[ci]} appears {count}x in the "
+                    f"watch list for {key} but neither watched literal "
+                    "maps there",
                 )
-                continue
-            for watched in literals[:2]:
-                key = -watched
-                expected.add((key, ci))
-                count = occurrences.get((key, ci), 0)
-                if count != 1:
-                    violations.append(
-                        Violation(
-                            "watch-missing" if count == 0 else "watch-duplicate",
-                            f"clause #{ci} {literals} watched {count}x at "
-                            f"literal {watched}, expected exactly once",
-                        )
-                    )
-        for (key, ci), count in occurrences.items():
-            if (key, ci) not in expected and ci in clause_map:
-                violations.append(
-                    Violation(
-                        "watch-stray",
-                        f"clause #{ci} {clause_map[ci]} appears {count}x in the "
-                        f"watch list for {key} but neither watched literal "
-                        "maps there",
-                    )
-                )
+            )
 
-        violations.extend(_order_heap_violations(solver))
+    violations.extend(_order_heap_violations(solver))
 
     for where, literals in clause_map.items():
         for lit in literals:
@@ -404,11 +314,10 @@ def check_solver_invariants(solver) -> List[Violation]:
 
     # ---- implication graph -------------------------------------------- #
     reasons = solver._reason
-    no_reason = -1 if is_arena else None
     for pos, lit in enumerate(trail):
         var = abs(lit)
-        reason = reasons[var] if var < len(reasons) else no_reason
-        if reason == no_reason or reason is None:
+        reason = reasons[var] if var < len(reasons) else None
+        if reason is None:
             continue
         literals = clause_map.get(reason)
         if literals is None:
@@ -463,16 +372,9 @@ def check_solver_invariants(solver) -> List[Violation]:
             v1, v2 = _lit_value(assign, first), _lit_value(assign, second)
             if v1 != -1 and v2 != -1:
                 continue
+            # The solver always promotes a true tail literal into the watch
+            # pair, so a false watch demands a true watch.
             if 1 in (v1, v2):
-                continue
-            # The arena backend's blocker skip legitimately leaves a stale
-            # false watch when the clause is satisfied by a *tail* literal
-            # (a blocker-true visit never renormalizes the clause); the
-            # reference backend always promotes a true tail literal into
-            # the watch pair, so for it a false watch demands a true watch.
-            if is_arena and any(
-                _lit_value(assign, other) == 1 for other in literals[2:]
-            ):
                 continue
             if v1 == -1 and v2 == -1:
                 message = (

@@ -63,7 +63,6 @@ from repro.locking.base import KeySchedule
 from repro.locking.baselines import lock_dklock, lock_harpoon, lock_rll, lock_sarlock, lock_ttlock
 from repro.locking.cutelock_str import CuteLockStr
 from repro.netlist.bench import load_bench, save_bench
-from repro.sat.session import solver_backends
 from repro.synthesis.overhead import analyze_circuit
 
 _ATTACKS: Dict[str, Callable] = {
@@ -141,8 +140,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     attack = _ATTACKS[args.attack]
     kwargs: Dict[str, object] = {"time_limit": args.time_limit}
     parameters = inspect.signature(attack).parameters
-    if "solver_backend" in parameters:
-        kwargs["solver_backend"] = args.solver_backend
     certify_dir: Optional[Path] = None
     if args.certify:
         if "proof_dir" in parameters:
@@ -153,11 +150,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
                   file=sys.stderr)
     trace_path: Optional[Path] = None
     if args.trace:
-        # Name by attack + backend so the cdcl and cdcl-arena traces of the
-        # same job coexist in one directory, ready for `repro trace diff`.
-        trace_path = (
-            Path(args.trace) / f"{args.attack}-{args.solver_backend}.trace.jsonl"
-        )
+        trace_path = Path(args.trace) / f"{args.attack}.trace.jsonl"
     try:
         locked = load_bench(args.locked)
         oracle = load_bench(args.oracle)
@@ -174,7 +167,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
             with trace_to(trace_path, metadata={
                 "attack": args.attack,
-                "solver_backend": args.solver_backend,
                 "locked": str(args.locked),
             }):
                 result = attack(locked, oracle, **kwargs)
@@ -261,7 +253,7 @@ def _campaign_spec(args: argparse.Namespace, store) -> "object":
     """Resolve the campaign spec for one ``campaign`` subcommand.
 
     ``run`` always builds the grid from its flags (``--grid``/``--full``/
-    ``--time-limit``/``--solver-backend``) and persists it as the store's
+    ``--time-limit``) and persists it as the store's
     manifest — so changed flags take effect instead of being silently
     shadowed by an older manifest; cells unchanged by the flags keep their content-hashed
     keys and are still skipped.  ``resume``/``status``/``report`` always use
@@ -274,7 +266,6 @@ def _campaign_spec(args: argparse.Namespace, store) -> "object":
             args.grid or "full",
             quick=not args.full,
             attack_time_limit=args.time_limit,
-            solver_backend=args.solver_backend,
         )
     if store.has_manifest():
         return store.read_manifest()
@@ -515,7 +506,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     circuit = load_fixture(name)
                 report = validate_circuit(
                     circuit,
-                    backend=args.solver_backend,
                     proof_dir=args.proof_dir,
                     check_proofs=not args.skip_proofs,
                 )
@@ -722,18 +712,13 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("oracle")
     attack.add_argument("--attack", default="sat", choices=sorted(_ATTACKS))
     attack.add_argument("--time-limit", type=float, default=60.0)
-    attack.add_argument("--solver-backend", default="cdcl",
-                        choices=list(solver_backends()),
-                        help="CDCL session backend: cdcl = reference solver; "
-                             "cdcl-arena = tuned arena-flattened variant "
-                             "(identical SAT/UNSAT answers)")
     attack.add_argument("--json", nargs="?", const="-", default=None,
                         metavar="PATH",
                         help="emit the full result as JSON (to PATH, or to "
                              "stdout when no path is given)")
     attack.add_argument("--trace", default=None, metavar="DIR",
                         help="record a structured event trace to "
-                             "DIR/<attack>-<backend>.trace.jsonl (analyse "
+                             "DIR/<attack>.trace.jsonl (analyse "
                              "with 'repro trace', see TRACE_FORMAT.md)")
     attack.add_argument("--no-validate", action="store_true",
                         help="skip the strict structural validation of the "
@@ -837,11 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "quick subsets")
     campaign_run.add_argument("--time-limit", type=float, default=20.0,
                               help="per-attack time budget in seconds")
-    campaign_run.add_argument("--solver-backend", default="cdcl",
-                              choices=list(solver_backends()),
-                              help="CDCL session backend every attack cell "
-                                   "solves through (telemetry is recorded "
-                                   "either way)")
     _exec_args(campaign_run)
     campaign_run.set_defaults(func=_cmd_campaign)
 
@@ -920,10 +900,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_diff = trace_sub.add_parser(
         "diff", help="A/B per-phase comparison of two traces of one job",
-        description="Compare two traces of the same job (e.g. cdcl vs "
-                    "cdcl-arena): per-phase seconds and conflicts, total "
-                    "counters, and the maximum relative drift (0% for "
-                    "identical traces).")
+        description="Compare two traces of the same job (e.g. two runs of "
+                    "one attack, or before/after a solver change): "
+                    "per-phase seconds and conflicts, total counters, and "
+                    "the maximum relative drift (0% for identical "
+                    "traces).")
     trace_diff.add_argument("a", help="baseline .trace.jsonl")
     trace_diff.add_argument("b", help="comparison .trace.jsonl")
     trace_diff.add_argument("--json", nargs="?", const="-", default=None,
@@ -992,9 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
     check_equiv_p.add_argument("--all-fixtures", action="store_true",
                                help="validate every bundled ISCAS'89 + "
                                     "ITC'99 fixture")
-    check_equiv_p.add_argument("--solver-backend", default="cdcl",
-                               choices=list(solver_backends()),
-                               help="backend that solves the miters")
     check_equiv_p.add_argument("--proof-dir", default=None, metavar="DIR",
                                help="keep the miter certificate pairs here "
                                     "(default: a temporary directory)")

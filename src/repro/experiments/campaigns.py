@@ -41,13 +41,11 @@ def build_campaign(
     *,
     quick: bool = True,
     attack_time_limit: float = 20.0,
-    solver_backend: str = "cdcl",
     name: Optional[str] = None,
 ) -> CampaignSpec:
     """Build the campaign spec for one of the named grids.
 
-    ``quick``/``attack_time_limit``/``solver_backend``
-    parameterise the attack grids exactly like
+    ``quick``/``attack_time_limit`` parameterise the attack grids exactly like
     :func:`~repro.experiments.runner.run_all`; per-table seeds and benchmark
     subsets keep their driver defaults.
     """
@@ -55,24 +53,20 @@ def build_campaign(
     if grid == "full":
         jobs += table1_jobs()
         jobs += table2_jobs()
-        jobs += table3_jobs(quick=quick, time_limit=attack_time_limit,
-                            solver_backend=solver_backend)
-        jobs += table4_jobs(quick=quick, time_limit=attack_time_limit,
-                            solver_backend=solver_backend)
-        jobs += table5_jobs(quick=quick, solver_backend=solver_backend)
+        jobs += table3_jobs(quick=quick, time_limit=attack_time_limit)
+        jobs += table4_jobs(quick=quick, time_limit=attack_time_limit)
+        jobs += table5_jobs(quick=quick)
         jobs += figure4_jobs(quick=quick)
     elif grid == "table1":
         jobs += table1_jobs()
     elif grid == "table2":
         jobs += table2_jobs()
     elif grid == "table3":
-        jobs += table3_jobs(quick=quick, time_limit=attack_time_limit,
-                            solver_backend=solver_backend)
+        jobs += table3_jobs(quick=quick, time_limit=attack_time_limit)
     elif grid == "table4":
-        jobs += table4_jobs(quick=quick, time_limit=attack_time_limit,
-                            solver_backend=solver_backend)
+        jobs += table4_jobs(quick=quick, time_limit=attack_time_limit)
     elif grid == "table5":
-        jobs += table5_jobs(quick=quick, solver_backend=solver_backend)
+        jobs += table5_jobs(quick=quick)
     elif grid == "figure4":
         jobs += figure4_jobs(quick=quick)
     elif grid == "smoke":
@@ -90,7 +84,6 @@ def build_campaign(
         jobs += table3_jobs(
             benchmarks=["bcomp"], attacks=["INT"],
             time_limit=attack_time_limit,
-            solver_backend=solver_backend,
         )
     else:
         raise ValueError(f"unknown grid {grid!r}; expected one of {GRIDS}")
@@ -101,7 +94,6 @@ def build_campaign(
             "grid": grid,
             "quick": quick,
             "attack_time_limit": attack_time_limit,
-            "solver_backend": solver_backend,
         },
     )
 

@@ -39,7 +39,6 @@ def run_all(
     workers: int = 0,
     store_path: Optional[str] = None,
     job_timeout: Optional[float] = None,
-    solver_backend: str = "cdcl",
 ) -> Dict[str, ExperimentTable]:
     """Run every table/figure driver and return the tables by name.
 
@@ -56,10 +55,7 @@ def run_all(
             print(message, flush=True)
 
     start = time.monotonic()
-    spec = build_campaign(
-        "full", quick=quick, attack_time_limit=attack_time_limit,
-        solver_backend=solver_backend,
-    )
+    spec = build_campaign("full", quick=quick, attack_time_limit=attack_time_limit)
     store = ResultStore(store_path)
     log(
         f"campaign {spec.name}: {len(spec.jobs)} jobs across groups "

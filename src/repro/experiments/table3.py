@@ -56,7 +56,6 @@ def table3_jobs(
     max_depth: int = 8,
     synthesis_style: str = "auto",
     seed: int = 3,
-    solver_backend: str = "cdcl",
 ) -> List[JobSpec]:
     """Declare the Table III grid: one job per (benchmark, attack) cell."""
     if benchmarks is None:
@@ -73,7 +72,6 @@ def table3_jobs(
                 "max_depth": max_depth,
                 "synthesis_style": synthesis_style,
                 "seed": seed,
-                "solver_backend": solver_backend,
             },
         )
         for name in benchmarks
@@ -106,7 +104,6 @@ def run_table3_cell(params: Mapping[str, object]) -> Dict[str, object]:
         locked,
         time_limit=float(params.get("time_limit", 20.0)),  # type: ignore[arg-type]
         max_depth=int(params.get("max_depth", 8)),  # type: ignore[arg-type]
-        solver_backend=str(params.get("solver_backend", "cdcl")),
     )
     return {
         "circuit": name,
@@ -217,7 +214,6 @@ def run_table3(
     max_depth: int = 8,
     synthesis_style: str = "auto",
     seed: int = 3,
-    solver_backend: str = "cdcl",
     workers: int = 0,
     store: Union[ResultStore, str, None] = None,
     job_timeout: Optional[float] = None,
@@ -244,7 +240,6 @@ def run_table3(
         quick=quick, benchmarks=benchmarks, attacks=attacks,
         time_limit=time_limit, max_depth=max_depth,
         synthesis_style=synthesis_style, seed=seed,
-        solver_backend=solver_backend,
     )
     spec = CampaignSpec(name="table3", jobs=jobs)
     result_store = store if isinstance(store, ResultStore) else ResultStore(store)

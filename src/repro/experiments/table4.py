@@ -63,7 +63,6 @@ def table4_jobs(
     num_locked_ffs: int = 2,
     seed: int = 4,
     max_key_width: Optional[int] = None,
-    solver_backend: str = "cdcl",
 ) -> List[JobSpec]:
     """Declare the Table IV grid: one job per (benchmark, attack) cell.
 
@@ -88,7 +87,6 @@ def table4_jobs(
                 "num_locked_ffs": num_locked_ffs,
                 "seed": seed,
                 "max_key_width": max_key_width,
-                "solver_backend": solver_backend,
             },
         )
         for name in benchmarks
@@ -119,18 +117,15 @@ def run_table4_cell(params: Mapping[str, object]) -> Dict[str, object]:
     attack_name = str(params["attack"])
     attack = _attack_table()[attack_name]
     time_limit = float(params.get("time_limit", 20.0))  # type: ignore[arg-type]
-    solver_backend = str(params.get("solver_backend", "cdcl"))
     if attack_name == "RANE":
         result = attack(
             locked, time_limit=time_limit,
             depth=int(params.get("rane_depth", 6)),  # type: ignore[arg-type]
-            solver_backend=solver_backend,
         )
     else:
         result = attack(
             locked, time_limit=time_limit,
             max_depth=int(params.get("max_depth", 8)),  # type: ignore[arg-type]
-            solver_backend=solver_backend,
         )
     return {
         "circuit": name,
@@ -238,7 +233,6 @@ def run_table4(
     num_locked_ffs: int = 2,
     seed: int = 4,
     max_key_width: Optional[int] = None,
-    solver_backend: str = "cdcl",
     workers: int = 0,
     store: Union[ResultStore, str, None] = None,
     job_timeout: Optional[float] = None,
@@ -254,7 +248,6 @@ def run_table4(
         quick=quick, benchmarks=benchmarks, attacks=attacks,
         time_limit=time_limit, max_depth=max_depth, rane_depth=rane_depth,
         num_locked_ffs=num_locked_ffs, seed=seed, max_key_width=max_key_width,
-        solver_backend=solver_backend,
     )
     spec = CampaignSpec(name="table4", jobs=jobs)
     result_store = store if isinstance(store, ResultStore) else ResultStore(store)

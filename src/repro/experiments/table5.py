@@ -54,7 +54,6 @@ def table5_jobs(
     num_locked_ffs: int = DEFAULT_LOCKED_FFS,
     seed: int = 5,
     max_key_width: int = 8,
-    solver_backend: str = "cdcl",
 ) -> List[JobSpec]:
     """Declare the Table V grid: one job per (benchmark, removal attack)."""
     if benchmarks is None:
@@ -69,7 +68,6 @@ def table5_jobs(
                 "num_locked_ffs": num_locked_ffs,
                 "seed": seed,
                 "max_key_width": max_key_width,
-                "solver_backend": solver_backend,
             },
         )
         for name in benchmarks
@@ -117,9 +115,7 @@ def run_table5_cell(params: Mapping[str, object]) -> Dict[str, object]:
             "dana_locked": attacked.to_dict(),
         }
     if attack == "FALL":
-        fall = fall_attack(
-            locked, solver_backend=str(params.get("solver_backend", "cdcl"))
-        )
+        fall = fall_attack(locked)
         return {
             "circuit": name,
             "attack": attack,

@@ -1,23 +1,18 @@
-"""Solver suite: backend propagation rates and trace-overhead bars.
+"""Solver suite: the trace-overhead bars of the CDCL solver.
 
 The workload builders (layered BCP CNF, random 3-SAT corpus, pigeonhole)
 and the benches of ``benchmarks/bench_solver_throughput.py`` live here as
 registry data:
 
-* ``solver.bcp_ratio`` — propagations/second of both backends (``cdcl``
-  and ``cdcl-arena``) on a conflict-free BCP cascade (the DIP/DIS hot-loop
-  shape), and their ratio;
-* ``solver.search_ratio`` — the same on conflict-heavy search, with
-  identical SAT/UNSAT answers;
 * ``solver.trace_off_overhead`` — session + trace hooks with no active
-  writer cost <= 5% of raw-solver BCP throughput;
+  writer cost <= 5% of raw-solver propagation throughput on a
+  conflict-free BCP cascade (the DIP/DIS hot-loop shape);
 * ``solver.trace_on_overhead`` — tracing at the default stride keeps
-  >= 75% of search throughput, and the traces must parse.
+  >= 75% of conflict-heavy search throughput, and the traces must parse.
 
-The two rate benches carry no bar: neither backend has to beat the other
-(the default ``cdcl`` wins on real attack cells), so they record absolute
-rates, with the default backend's timings as the primary series.  The two
-overhead benches measure the default backend, the one every attack runs.
+Each also records the absolute rates it compares: ``raw_rate`` is the raw
+solver's BCP propagations/second, ``untraced_rate`` the untraced search
+rate through :class:`~repro.sat.session.SolveSession`.
 """
 
 from __future__ import annotations
@@ -102,17 +97,17 @@ def _assumption_sets(num_inputs: int, queries: int) -> List[List[int]]:
 
 # --------------------------------------------------------------------- rates
 def bcp_rate(
-    backend: str, *, num_gates: int, queries: int, repeats: int = REPEATS,
+    *, num_gates: int, queries: int, repeats: int = REPEATS,
     samples_out: Optional[List[float]] = None,
 ) -> float:
     """Best sustained propagations/second on the BCP cascade (raw solver)."""
-    from repro.sat.session import create_solver
+    from repro.sat.solver import Solver
 
     clauses, num_inputs = layered_circuit_cnf(num_gates=num_gates)
     assumption_sets = _assumption_sets(num_inputs, queries)
     best = 0.0
     for _ in range(repeats):
-        solver = create_solver(backend)
+        solver = Solver()
         solver.add_clauses(clauses)
         solver.solve(assumptions=assumption_sets[0])  # warm-up
         before = solver.stats.propagations
@@ -121,7 +116,7 @@ def bcp_rate(
                      for assumptions in assumption_sets]
         )
         if not all(result):  # type: ignore[arg-type]
-            raise RuntimeError(f"{backend}: BCP cascade query came back UNSAT")
+            raise RuntimeError("BCP cascade query came back UNSAT")
         if samples_out is not None:
             samples_out.append(elapsed)
         best = max(best, (solver.stats.propagations - before) / elapsed)
@@ -129,7 +124,7 @@ def bcp_rate(
 
 
 def session_bcp_rate(
-    backend: str, *, num_gates: int, queries: int, repeats: int = REPEATS,
+    *, num_gates: int, queries: int, repeats: int = REPEATS,
     samples_out: Optional[List[float]] = None,
 ) -> float:
     """BCP-cascade propagation rate through the full SolveSession path.
@@ -143,7 +138,7 @@ def session_bcp_rate(
     assumption_sets = _assumption_sets(num_inputs, queries)
     best = 0.0
     for _ in range(repeats):
-        session = SolveSession(backend)
+        session = SolveSession()
         session.solver.add_clauses(clauses)
         session.solve(assumptions=assumption_sets[0])  # warm-up
         before = session.solver.stats.propagations
@@ -152,47 +147,15 @@ def session_bcp_rate(
                      for assumptions in assumption_sets]
         )
         if not all(result):  # type: ignore[arg-type]
-            raise RuntimeError(f"{backend}: session BCP query came back UNSAT")
+            raise RuntimeError("session BCP query came back UNSAT")
         if samples_out is not None:
             samples_out.append(elapsed)
         best = max(best, (session.solver.stats.propagations - before) / elapsed)
     return best
 
 
-def search_rate(
-    backend: str, *, instances: int, num_vars: int, conflicts: int, smoke: bool,
-    answers_out: Optional[Dict[str, List[Optional[bool]]]] = None,
-    samples_out: Optional[List[float]] = None,
-    repeats: int = REPEATS,
-) -> float:
-    """Best propagations/second over the search corpus (raw solver)."""
-    from repro.sat.session import create_solver
-
-    corpus = search_instances(instances=instances, num_vars=num_vars, smoke=smoke)
-    best = 0.0
-    for repeat in range(repeats):
-        propagations = 0
-        answers: List[Optional[bool]] = []
-
-        def sweep() -> None:
-            nonlocal propagations
-            for clauses in corpus:
-                solver = create_solver(backend)
-                solver.add_clauses(clauses)
-                answers.append(solver.solve(conflict_limit=conflicts))
-                propagations += solver.stats.propagations
-
-        _, elapsed = Harness.timed(sweep)
-        if samples_out is not None:
-            samples_out.append(elapsed)
-        best = max(best, propagations / elapsed)
-        if repeat == 0 and answers_out is not None:
-            answers_out[backend] = answers
-    return best
-
-
 def session_search_rate(
-    backend: str, *, instances: int, num_vars: int, conflicts: int, smoke: bool,
+    *, instances: int, num_vars: int, conflicts: int, smoke: bool,
     trace_dir: Optional[Path] = None, repeats: int = REPEATS,
 ) -> float:
     """Conflict-heavy search rate through SolveSession, optionally traced.
@@ -208,7 +171,7 @@ def session_search_rate(
     best = 0.0
     for repeat in range(repeats):
         tracing = (
-            trace_to(trace_dir / f"search-{backend}-{repeat}.trace.jsonl")
+            trace_to(trace_dir / f"search-{repeat}.trace.jsonl")
             if trace_dir is not None
             else nullcontext()
         )
@@ -217,7 +180,7 @@ def session_search_rate(
         def sweep() -> None:
             nonlocal propagations
             for clauses in corpus:
-                session = SolveSession(backend)
+                session = SolveSession()
                 session.solver.add_clauses(clauses)
                 session.solve(conflict_limit=conflicts)
                 propagations += session.solver.stats.propagations
@@ -229,59 +192,6 @@ def session_search_rate(
 
 
 # ------------------------------------------------------------------- benches
-@perf_benchmark(
-    "solver.bcp_ratio",
-    params=dict(num_gates=4000, queries=60),
-    smoke=dict(num_gates=2000, queries=30),
-    primary="cdcl_cascade",
-)
-def bcp_ratio(harness: Harness, params: Dict[str, object]) -> Dict[str, float]:
-    """Both backends' propagation rates on a conflict-free BCP cascade."""
-    num_gates, queries = int(params["num_gates"]), int(params["queries"])
-    cdcl_samples: List[float] = []
-    arena_samples: List[float] = []
-    cdcl = bcp_rate("cdcl", num_gates=num_gates, queries=queries,
-                    samples_out=cdcl_samples)
-    arena = bcp_rate("cdcl-arena", num_gates=num_gates, queries=queries,
-                     samples_out=arena_samples)
-    harness.record_series("cdcl_cascade", cdcl_samples)
-    harness.record_series("arena_cascade", arena_samples)
-    return {"cdcl_rate": cdcl, "arena_rate": arena, "ratio": arena / cdcl}
-
-
-@perf_benchmark(
-    "solver.search_ratio",
-    params=dict(instances=6, num_vars=120, conflicts=20_000),
-    smoke=dict(instances=3, num_vars=100, conflicts=12_000),
-    primary="cdcl_search",
-)
-def search_ratio(harness: Harness, params: Dict[str, object]) -> Dict[str, float]:
-    """Both backends' end-to-end rates on conflict-heavy search.
-
-    Definite answers (True/False) must be identical; a conflict-limited
-    None may legitimately differ between backends, but not on this corpus
-    with this budget — a disagreement is an error, not a measurement.
-    """
-    kwargs = dict(
-        instances=int(params["instances"]), num_vars=int(params["num_vars"]),
-        conflicts=int(params["conflicts"]), smoke=harness.smoke,
-    )
-    answers: Dict[str, List[Optional[bool]]] = {}
-    cdcl_samples: List[float] = []
-    arena_samples: List[float] = []
-    cdcl = search_rate("cdcl", answers_out=answers, samples_out=cdcl_samples,
-                       **kwargs)
-    arena = search_rate("cdcl-arena", answers_out=answers,
-                        samples_out=arena_samples, **kwargs)
-    if answers["cdcl"] != answers["cdcl-arena"]:
-        raise RuntimeError(
-            "solver backends disagreed on the search corpus: "
-            f"{answers['cdcl']} vs {answers['cdcl-arena']}")
-    harness.record_series("cdcl_search", cdcl_samples)
-    harness.record_series("arena_search", arena_samples)
-    return {"cdcl_rate": cdcl, "arena_rate": arena, "ratio": arena / cdcl}
-
-
 @perf_benchmark(
     "solver.trace_off_overhead",
     params=dict(num_gates=4000, queries=60),
@@ -297,17 +207,13 @@ def trace_off_overhead(harness: Harness, params: Dict[str, object]) -> Dict[str,
     one-sided and transient while a real hook-in-the-hot-loop regression
     slows every single pair.
     """
-    from repro.sat.session import DEFAULT_BACKEND
-
     num_gates, queries = int(params["num_gates"]), int(params["queries"])
     session_samples: List[float] = []
     pairs = []
     for _ in range(REPEATS):
-        raw = bcp_rate(DEFAULT_BACKEND, num_gates=num_gates, queries=queries,
-                       repeats=1)
-        session = session_bcp_rate(DEFAULT_BACKEND, num_gates=num_gates,
-                                   queries=queries, repeats=1,
-                                   samples_out=session_samples)
+        raw = bcp_rate(num_gates=num_gates, queries=queries, repeats=1)
+        session = session_bcp_rate(num_gates=num_gates, queries=queries,
+                                   repeats=1, samples_out=session_samples)
         pairs.append((raw, session))
     raw, session = max(pairs, key=lambda pair: pair[1] / pair[0])
     harness.record_series("session_cascade", session_samples)
@@ -331,17 +237,16 @@ def trace_on_overhead(harness: Harness, params: Dict[str, object]) -> Dict[str, 
     sampled conflict events — an empty trace would make the bar
     meaningless.
     """
-    from repro.sat.session import DEFAULT_BACKEND
     from repro.trace import read_trace_events
 
     kwargs = dict(
         instances=int(params["instances"]), num_vars=int(params["num_vars"]),
         conflicts=int(params["conflicts"]), smoke=harness.smoke,
     )
-    untraced = session_search_rate(DEFAULT_BACKEND, **kwargs)
+    untraced = session_search_rate(**kwargs)
     with tempfile.TemporaryDirectory(prefix="repro-perf-trace-") as tmp:
         trace_dir = Path(tmp)
-        traced = session_search_rate(DEFAULT_BACKEND, trace_dir=trace_dir, **kwargs)
+        traced = session_search_rate(trace_dir=trace_dir, **kwargs)
         files = sorted(trace_dir.glob("*.trace.jsonl"))
         if not files:
             raise RuntimeError("tracing-on run produced no trace files")

@@ -1,28 +1,24 @@
-"""A self-contained SAT layer: CNF containers, CDCL solver backends and
+"""A self-contained SAT layer: CNF containers, one CDCL solver and
 circuit-to-CNF (Tseitin) encoding plus miter construction.
 
 All oracle-guided attacks in :mod:`repro.attacks` (SAT attack, AppSAT,
 DoubleDIP, BMC/"BBO", KC2, RANE) are built on this layer, which stands in for
 the MiniSAT/Glucose back-ends embedded in the NEOS and RANE tools used by the
-paper.  Attacks reach the solvers through :class:`repro.sat.session.\
-SolveSession`, which owns solver construction (via the backend registry:
-``"cdcl"`` = the reference solver, ``"cdcl-arena"`` = the arena-flattened
-variant), incremental clause syncing, budget accounting and the
+paper.  Attacks reach the :class:`~repro.sat.solver.Solver` through
+:class:`repro.sat.session.SolveSession`, which owns incremental clause
+syncing, budget accounting and the
 :class:`~repro.sat.session.SolverTelemetry` counters every attack and
-campaign record carries.
+campaign record carries.  ``DEFAULT_BACKEND`` (``"cdcl"``) is the solver's
+name in those counters and in trace ``session`` events.
 """
 
 from repro.sat.cnf import CNF, Clause
 from repro.sat.solver import Solver, SolverStats
-from repro.sat.arena import ArenaSolver
 from repro.sat.session import (
     DEFAULT_BACKEND,
     SolveSession,
     SolverTelemetry,
     capture_solver_telemetry,
-    create_solver,
-    register_solver_backend,
-    solver_backends,
 )
 from repro.sat.tseitin import TseitinEncoder
 from repro.sat.miter import build_miter, build_key_miter
@@ -32,14 +28,10 @@ __all__ = [
     "Clause",
     "Solver",
     "SolverStats",
-    "ArenaSolver",
     "DEFAULT_BACKEND",
     "SolveSession",
     "SolverTelemetry",
     "capture_solver_telemetry",
-    "create_solver",
-    "register_solver_backend",
-    "solver_backends",
     "TseitinEncoder",
     "build_miter",
     "build_key_miter",

@@ -5,10 +5,8 @@ Every oracle-guided attack in :mod:`repro.attacks` used to hand-roll its own
 inside each attack and there was no single place to tune or instrument the
 CDCL hot loop.  :class:`SolveSession` is that place:
 
-* **backend registry** — sessions construct their solver through a small
-  name -> factory registry (:func:`register_solver_backend`), shipping the
-  reference CDCL solver as ``"cdcl"`` and the arena-flattened variant
-  (:class:`repro.sat.arena.ArenaSolver`) as ``"cdcl-arena"``;
+* **one solver** — every session builds a :class:`repro.sat.solver.Solver`
+  and attaches the active trace writer and proof logger to its hooks;
 * **incremental queries** — the session keeps one encoder and one solver in
   sync (clauses added to the encoder flow into the solver before each
   query) and exposes assumption-scoped :meth:`SolveSession.solve` calls;
@@ -29,9 +27,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.sat.arena import ArenaSolver
 from repro.sat.solver import Solver
 from repro.sat.tseitin import TseitinEncoder
 from repro.trace.writer import active_tracer
@@ -50,7 +47,7 @@ _COUNTER_FIELDS = (
     "solve_calls",
 )
 
-#: Default backend used when no ``solver_backend`` is requested.
+#: Name of the solver in telemetry blocks and trace ``session`` events.
 DEFAULT_BACKEND = "cdcl"
 
 
@@ -142,43 +139,6 @@ class SolverTelemetry:
 
 
 # --------------------------------------------------------------------------- #
-# backend registry
-# --------------------------------------------------------------------------- #
-SolverFactory = Callable[[], object]
-
-_BACKENDS: Dict[str, SolverFactory] = {}
-
-
-def register_solver_backend(
-    name: str, factory: SolverFactory, *, override: bool = False
-) -> None:
-    """Bind ``name`` to a zero-argument solver factory."""
-    if not override and name in _BACKENDS:
-        raise ValueError(f"solver backend {name!r} is already registered")
-    _BACKENDS[name] = factory
-
-
-def solver_backends() -> Tuple[str, ...]:
-    """Registered backend names (sorted, for CLI choices and error text)."""
-    return tuple(sorted(_BACKENDS))
-
-
-def create_solver(backend: str = DEFAULT_BACKEND):
-    """Instantiate a solver through the registry."""
-    factory = _BACKENDS.get(backend)
-    if factory is None:
-        raise ValueError(
-            f"unknown solver backend {backend!r}; registered backends: "
-            f"{', '.join(solver_backends())}"
-        )
-    return factory()
-
-
-register_solver_backend("cdcl", Solver)
-register_solver_backend("cdcl-arena", ArenaSolver)
-
-
-# --------------------------------------------------------------------------- #
 # process-wide capture (the campaign executor's per-attempt snapshot)
 # --------------------------------------------------------------------------- #
 _CAPTURE_FRAMES: List[SolverTelemetry] = []
@@ -210,12 +170,10 @@ def capture_solver_telemetry() -> Iterator[SolverTelemetry]:
 # the session
 # --------------------------------------------------------------------------- #
 class SolveSession:
-    """One encoder + one backend solver + budgets + telemetry.
+    """One encoder + one solver + budgets + telemetry.
 
     Parameters
     ----------
-    backend:
-        Registry name of the solver backend (``"cdcl"``, ``"cdcl-arena"``).
     encoder:
         Optional shared :class:`TseitinEncoder` (a fresh one by default).
     conflict_limit:
@@ -228,13 +186,13 @@ class SolveSession:
         sides) to aggregate one attack-wide block.
     proof_path:
         Directory to write UNSAT certificates into (created if missing).
-        When set, the backend solver logs DRUP steps into a
+        When set, the solver logs DRUP steps into a
         :class:`repro.check.certify.proof.ProofLogger` and every UNSAT
         answer is paired with a ``<label>-sNNN-qNNNN.cnf`` /
         ``<label>-sNNN-qNNNN.drup`` certificate checkable by
         ``repro check proof``; the pairs accumulate in
         :attr:`certificates`.  Disarmed (the default) this costs the
-        backends one ``is not None`` test per *conflict* — the same
+        solver one ``is not None`` test per *conflict* — the same
         zero-cost pattern as the trace hooks.
     proof_label:
         Filename stem for certificates written by this session.
@@ -242,7 +200,6 @@ class SolveSession:
 
     def __init__(
         self,
-        backend: str = DEFAULT_BACKEND,
         *,
         encoder: Optional[TseitinEncoder] = None,
         conflict_limit: Optional[int] = None,
@@ -251,16 +208,13 @@ class SolveSession:
         proof_path: Optional[Union[str, Path]] = None,
         proof_label: str = "query",
     ) -> None:
-        self.backend = backend
         self.encoder = encoder if encoder is not None else TseitinEncoder()
-        self.solver = create_solver(backend)
+        self.solver = Solver()
         self.conflict_limit = conflict_limit
         self.deadline = deadline
         self.telemetry = telemetry if telemetry is not None else SolverTelemetry()
         if not self.telemetry.backend:
-            self.telemetry.backend = backend
-        elif self.telemetry.backend != backend:
-            self.telemetry.backend = "mixed"
+            self.telemetry.backend = DEFAULT_BACKEND
         self._synced = 0
         # Event tracing (repro.trace): bind to the writer active at session
         # construction.  With no writer active, every later check is a single
@@ -280,36 +234,18 @@ class SolveSession:
             self.proof_dir = Path(proof_path)
             self.proof_dir.mkdir(parents=True, exist_ok=True)
             self._proof = ProofLogger()
-            self._attach_proof()
         if self.tracer is not None:
             self.tracer.emit(
-                "session", backend=backend, session=self._session_id
+                "session", backend=DEFAULT_BACKEND, session=self._session_id
             )
-            self._attach_trace()
+        self._attach_hooks()
 
-    def _attach_trace(self) -> None:
-        """Point the backend solver's trace hooks at the session's writer."""
-        tracer = self.tracer
-        if tracer is None:
-            return
-        try:
-            self.solver.trace = tracer
-            self.solver.trace_stride = tracer.stride
-        except AttributeError:
-            # Third-party backends without trace hooks still solve fine;
-            # they just emit no conflict/restart events.
-            pass
-
-    def _attach_proof(self) -> None:
-        """Point the backend solver's proof hook at the session's logger."""
-        if self._proof is None:
-            return
-        try:
-            self.solver.proof = self._proof
-        except AttributeError:
-            # Third-party backends without proof hooks still solve fine;
-            # their UNSAT answers just come without certificates.
-            pass
+    def _attach_hooks(self) -> None:
+        """Attach the session's trace writer and proof logger to the solver."""
+        if self.tracer is not None:
+            self.solver.trace = self.tracer
+            self.solver.trace_stride = self.tracer.stride
+        self.solver.proof = self._proof
 
     # ------------------------------------------------------------- budgets
     def set_deadline(self, deadline: Optional[float]) -> None:
@@ -331,19 +267,18 @@ class SolveSession:
             self._synced = len(clauses)
 
     def reset_solver(self) -> None:
-        """Rebuild the backend solver from scratch (non-incremental modes).
+        """Rebuild the solver from scratch (non-incremental modes).
 
         The encoder — and the accumulated telemetry — survive; the next
         :meth:`solve` re-syncs the full CNF into the fresh solver.
         """
-        self.solver = create_solver(self.backend)
+        self.solver = Solver()
         self._synced = 0
-        self._attach_trace()
         if self._proof is not None:
             # The fresh solver has no learned clauses, so the replay starts
             # over from the original formula.
             self._proof.reset()
-            self._attach_proof()
+        self._attach_hooks()
 
     # -------------------------------------------------------------- queries
     def solve(
@@ -417,9 +352,7 @@ class SolveSession:
         self.telemetry.note_call(deltas, answer=answer, seconds=seconds, phase=phase)
         for frame in _CAPTURE_FRAMES:
             if not frame.backend:
-                frame.backend = self.backend
-            elif frame.backend != self.backend:
-                frame.backend = "mixed"
+                frame.backend = DEFAULT_BACKEND
             frame.note_call(deltas, answer=answer, seconds=seconds, phase=phase)
         return answer
 

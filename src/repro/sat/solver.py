@@ -31,7 +31,8 @@ search can observe — watch lists keep their order, the in-place literal
 swaps inside clauses stay as they are, and the order heap yields the same
 variable at every decision.  Blocker literals, binary-clause shortcuts and
 an ``in_heap`` flag (which drops the re-push when only a *stale* entry is
-left) each change the search; that is why ``cdcl-arena`` diverges.
+left) each change the search, so adding one means re-pinning the golden
+test on purpose.
 
 The hot loops (``_propagate``, ``_backtrack``, ``_analyze``,
 ``_pick_branch_variable``, ``add_clause``, ``add_clauses``) are inlined by
@@ -551,7 +552,7 @@ class Solver:
         propagate, backtrack = self._propagate, self._backtrack
         trail, trail_lim = self._trail, self._trail_lim
         assign, levels, reasons = self._assign, self._level, self._reason
-        deadline = time.monotonic() + time_limit if time_limit else None
+        deadline = time.monotonic() + time_limit if time_limit is not None else None
         conflicts_this_call = 0
         restart_index = 1
         restart_budget = 32 * _luby(restart_index)

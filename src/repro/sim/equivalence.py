@@ -187,28 +187,24 @@ def sat_equivalence_check(
     *,
     key_assignment: Optional[Mapping[str, int]] = None,
     conflict_limit: Optional[int] = None,
-    solver_backend: Optional[str] = None,
 ) -> EquivalenceResult:
     """Formal combinational equivalence via a SAT miter.
 
     Returns ``equivalent=True`` when the miter is UNSAT.  Sequential circuits
     are compared through their scan-access combinational views.  The miter is
     solved through a :class:`~repro.sat.session.SolveSession` (so the query
-    shows up in any active solver-telemetry capture); ``solver_backend``
-    picks the backend (session default when None).  The import of the SAT
+    shows up in any active solver-telemetry capture).  The import of the SAT
     layer is deferred so :mod:`repro.sim` has no hard dependency on
     :mod:`repro.sat`.
     """
     from repro.sat.miter import build_miter
-    from repro.sat.session import DEFAULT_BACKEND, SolveSession
+    from repro.sat.session import SolveSession
 
     orig_view = original.combinational_view() if original.dffs else original
     cand_view = candidate.combinational_view() if candidate.dffs else candidate
     miter, diff_net = build_miter(orig_view, cand_view)
 
-    session = SolveSession(
-        solver_backend or DEFAULT_BACKEND, conflict_limit=conflict_limit
-    )
+    session = SolveSession(conflict_limit=conflict_limit)
     encoder = session.encoder
     encoder.encode(miter)
     assumptions: List[int] = [encoder.literal(diff_net, True)]

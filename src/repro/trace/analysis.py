@@ -1,4 +1,4 @@
-"""Trace analysis: per-phase summaries, rate timelines, backend A/B diffs.
+"""Trace analysis: per-phase summaries, rate timelines, A/B diffs of two traces.
 
 Everything here consumes the event vocabulary in ``TRACE_FORMAT.md`` and is
 deliberately tolerant of partial traces — a killed run's trace still

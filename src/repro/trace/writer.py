@@ -66,7 +66,7 @@ class TraceWriter:
     ``stride`` is the conflict-sampling stride the attached solvers use;
     it is recorded in the leading ``meta`` event so readers can interpret
     sampled counters.  ``metadata`` is free-form context (job key, attack
-    name, backend) folded into the ``meta`` event.
+    name, locked netlist) folded into the ``meta`` event.
     """
 
     def __init__(

@@ -104,7 +104,7 @@ class TestRunHistorySnapshots:
                  for bench in json.loads(json_path.read_text())["benchmarks"]}
         assert "synth.fast" in names
         # The real suites are all registered alongside it.
-        assert {"engine.packed_speedup", "solver.bcp_ratio",
+        assert {"engine.packed_speedup", "solver.trace_off_overhead",
                 "campaign.store_append", "attacks.baseline_sat",
                 "substrate.micro"} <= names
 

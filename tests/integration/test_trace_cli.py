@@ -1,8 +1,8 @@
 """Integration tests: the event-trace subsystem end to end through the CLI.
 
 Covers the full observability loop the trace subsystem exists for: a traced
-``repro attack`` run on both CDCL backends produces analysable traces
-(``repro trace summary|timeline|diff``), a traced campaign records one
+``repro attack`` run produces analysable traces
+(``repro trace summary|timeline|diff``, and a rerun diffs to zero drift), a traced campaign records one
 shard-safe trace file per job and points each result record at it, the
 campaign report grows the per-phase flame view, and tracing never perturbs
 the (redacted) report a campaign aggregates to.
@@ -37,58 +37,51 @@ def bench_pair(tmp_path_factory):
     return original_path, locked_path
 
 
-def _traced_attack(bench_pair, trace_dir, backend, json_path):
+def _traced_attack(bench_pair, trace_dir, json_path):
     original_path, locked_path = bench_pair
     exit_code = cli_main([
         "attack", str(locked_path), str(original_path),
         "--attack", "sat", "--time-limit", "30",
-        "--solver-backend", backend,
         "--trace", str(trace_dir),
         "--json", str(json_path),
     ])
     assert exit_code in (0, 1)  # attack ran; either side may win
-    return trace_dir / f"sat-{backend}.trace.jsonl"
+    return trace_dir / "sat.trace.jsonl"
 
 
 class TestTracedAttackCli:
     def test_attack_trace_analysis_cycle(self, bench_pair, tmp_path, capsys):
         trace_dir = tmp_path / "traces"
-        paths = {}
-        for backend in ("cdcl", "cdcl-arena"):
-            json_path = tmp_path / f"{backend}.json"
-            paths[backend] = _traced_attack(
-                bench_pair, trace_dir, backend, json_path
-            )
-            out = capsys.readouterr().out
-            assert f"trace written to {paths[backend]}" in out
-            # The --json payload points at the trace file.
-            payload = json.loads(json_path.read_text())  # repro-lint: disable=R003 (whole --json document, not JSONL)
-            assert payload["trace"] == str(paths[backend])
-            # The trace itself is real: header, session binding, solve
-            # markers and at least one attack round marker.
-            events = read_trace_events(paths[backend])
-            kinds = {event["kind"] for event in events}
-            assert {"meta", "session", "solve-begin", "solve-end",
-                    "attack-round"} <= kinds
-            meta = events[0]
-            assert meta["attack"] == "sat"
-            assert meta["solver_backend"] == backend
-            summary = summarize_trace(paths[backend])
-            assert summary["backends"] == [backend]
-            assert summary["attack_rounds"] >= 1
-            assert summary["calls"] >= 1
+        json_path = tmp_path / "sat.json"
+        path = _traced_attack(bench_pair, trace_dir, json_path)
+        out = capsys.readouterr().out
+        assert f"trace written to {path}" in out
+        # The --json payload points at the trace file.
+        payload = json.loads(json_path.read_text())  # repro-lint: disable=R003 (whole --json document, not JSONL)
+        assert payload["trace"] == str(path)
+        # The trace itself is real: header, session binding, solve
+        # markers and at least one attack round marker.
+        events = read_trace_events(path)
+        kinds = {event["kind"] for event in events}
+        assert {"meta", "session", "solve-begin", "solve-end",
+                "attack-round"} <= kinds
+        meta = events[0]
+        assert meta["attack"] == "sat"
+        assert meta["locked"] == str(bench_pair[1])
+        summary = summarize_trace(path)
+        assert summary["backends"] == ["cdcl"]
+        assert summary["attack_rounds"] >= 1
+        assert summary["calls"] >= 1
 
-        # summary renders and exits 0 on both traces.
-        for backend, path in paths.items():
-            assert cli_main(["trace", "summary", str(path)]) == 0
-            out = capsys.readouterr().out
-            assert f"backend={backend}" in out
-            assert "phase" in out
+        # summary renders and exits 0.
+        assert cli_main(["trace", "summary", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "backend=cdcl" in out
+        assert "phase" in out
 
     def test_trace_summary_json(self, bench_pair, tmp_path, capsys):
         trace_dir = tmp_path / "traces"
-        path = _traced_attack(bench_pair, trace_dir, "cdcl",
-                              tmp_path / "a.json")
+        path = _traced_attack(bench_pair, trace_dir, tmp_path / "a.json")
         capsys.readouterr()
         summary_json = tmp_path / "summary.json"
         assert cli_main(["trace", "summary", str(path),
@@ -100,8 +93,7 @@ class TestTracedAttackCli:
 
     def test_trace_timeline(self, bench_pair, tmp_path, capsys):
         trace_dir = tmp_path / "traces"
-        path = _traced_attack(bench_pair, trace_dir, "cdcl",
-                              tmp_path / "a.json")
+        path = _traced_attack(bench_pair, trace_dir, tmp_path / "a.json")
         capsys.readouterr()
         assert cli_main(["trace", "timeline", str(path),
                          "--buckets", "8"]) == 0
@@ -109,17 +101,26 @@ class TestTracedAttackCli:
         assert "confl/s" in out
         assert out.count("\n") >= 8
 
-    def test_trace_diff_backends_and_self(self, bench_pair, tmp_path, capsys):
-        trace_dir = tmp_path / "traces"
-        a = _traced_attack(bench_pair, trace_dir, "cdcl", tmp_path / "a.json")
-        b = _traced_attack(bench_pair, trace_dir, "cdcl-arena",
-                           tmp_path / "b.json")
+    def test_trace_diff_of_a_rerun_and_self(self, bench_pair, tmp_path, capsys):
+        a = _traced_attack(bench_pair, tmp_path / "run-a", tmp_path / "a.json")
+        b = _traced_attack(bench_pair, tmp_path / "run-b", tmp_path / "b.json")
         capsys.readouterr()
-        # Backend A/B diff: both files named, drift table rendered.
+        # Rerun diff: both files named, drift table rendered.
         assert cli_main(["trace", "diff", str(a), str(b)]) == 0
         out = capsys.readouterr().out
-        assert "[cdcl]" in out and "[cdcl-arena]" in out
+        assert f"A: {a} [cdcl]" in out and f"B: {b} [cdcl]" in out
         assert "max drift:" in out
+        # The search is deterministic, so a rerun repeats every counter;
+        # only the seconds may differ.
+        rerun_json = tmp_path / "rerun.json"
+        assert cli_main(["trace", "diff", str(a), str(b),
+                         "--json", str(rerun_json)]) == 0
+        capsys.readouterr()
+        rerun = json.loads(rerun_json.read_text())
+        assert rerun["totals"]
+        assert all(entry["drift"] == 0.0 for entry in rerun["totals"].values())
+        assert rerun["phases"]
+        assert all(row["a_conflicts"] == row["b_conflicts"] for row in rerun["phases"])
         # A trace diffed against itself reports exactly zero drift.
         diff_json = tmp_path / "diff.json"
         assert cli_main(["trace", "diff", str(a), str(a),

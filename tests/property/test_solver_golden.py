@@ -188,7 +188,7 @@ def replay(name: str) -> Tuple[Tuple[Call, ...], Tuple[int, ...]]:
     session: Optional[SolveSession] = None
     for op in CASES[name]():
         if op[0] == "session":
-            session = SolveSession("cdcl", encoder=op[1])
+            session = SolveSession(encoder=op[1])
             solver = session.solver
             solver.proof = ProofLogger()
             continue

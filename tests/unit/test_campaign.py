@@ -790,9 +790,8 @@ class TestBuildCampaign:
             build_campaign("nope")
 
     def test_single_table_grid_parameters_propagate(self):
-        spec = build_campaign("table3", attack_time_limit=7.5, solver_backend="cdcl-arena")
+        spec = build_campaign("table3", attack_time_limit=7.5)
         assert all(job.params["time_limit"] == 7.5 for job in spec.jobs)
-        assert all(job.params["solver_backend"] == "cdcl-arena" for job in spec.jobs)
-        assert spec.metadata["solver_backend"] == "cdcl-arena"
+        assert spec.metadata["attack_time_limit"] == 7.5
         assert not any("engine" in job.params for job in spec.jobs)
         assert "engine" not in spec.metadata

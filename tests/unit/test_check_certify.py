@@ -243,14 +243,13 @@ class TestProofLogger:
 
 
 # --------------------------------------------------------------------- #
-# end-to-end: both solver backends emit checkable proofs
+# end-to-end: the solver emits checkable proofs
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", ["cdcl", "cdcl-arena"])
 class TestSolverProofs:
-    def _session(self, backend, tmp_path):
+    def _session(self, tmp_path):
         from repro.sat.session import SolveSession
 
-        return SolveSession(backend, proof_path=tmp_path, proof_label="t")
+        return SolveSession(proof_path=tmp_path, proof_label="t")
 
     def _load_unsat_chain(self, session):
         """Encode an UNSAT chain a=1, a->b, b->c, -c over session nets."""
@@ -261,8 +260,8 @@ class TestSolverProofs:
         encoder.cnf.add_clause([-b, c])
         return a, b, c
 
-    def test_plain_unsat_emits_verified_pair(self, backend, tmp_path):
-        session = self._session(backend, tmp_path)
+    def test_plain_unsat_emits_verified_pair(self, tmp_path):
+        session = self._session(tmp_path)
         a, b, c = self._load_unsat_chain(session)
         session.encoder.cnf.add_clause([-c])
         assert session.solve() is False
@@ -270,8 +269,8 @@ class TestSolverProofs:
         cnf_path, proof_path = session.certificates[0]
         assert check_certificate(cnf_path, proof_path).additions >= 1
 
-    def test_assumption_unsat_emits_verified_pair(self, backend, tmp_path):
-        session = self._session(backend, tmp_path)
+    def test_assumption_unsat_emits_verified_pair(self, tmp_path):
+        session = self._session(tmp_path)
         a, b, c = self._load_unsat_chain(session)
         assert session.solve() is True          # SAT without assumptions
         assert session.certificates == []       # SAT answers emit nothing
@@ -279,16 +278,16 @@ class TestSolverProofs:
         assert len(session.certificates) == 1
         check_certificate(*session.certificates[0])
 
-    def test_incremental_growth_keeps_proofs_sound(self, backend, tmp_path):
-        session = self._session(backend, tmp_path)
+    def test_incremental_growth_keeps_proofs_sound(self, tmp_path):
+        session = self._session(tmp_path)
         a, b, c = self._load_unsat_chain(session)
         assert session.solve() is True
         session.encoder.cnf.add_clause([-c])    # now UNSAT
         assert session.solve() is False
         check_certificate(*session.certificates[-1])
 
-    def test_reset_solver_resets_the_proof(self, backend, tmp_path):
-        session = self._session(backend, tmp_path)
+    def test_reset_solver_resets_the_proof(self, tmp_path):
+        session = self._session(tmp_path)
         a, b, c = self._load_unsat_chain(session)
         session.encoder.cnf.add_clause([-c])
         assert session.solve() is False
@@ -298,15 +297,15 @@ class TestSolverProofs:
         for pair in session.certificates:
             check_certificate(*pair)
 
-    def test_disarmed_session_has_no_proof_hook(self, backend, tmp_path):
+    def test_disarmed_session_has_no_proof_hook(self, tmp_path):
         from repro.sat.session import SolveSession
 
-        session = SolveSession(backend)
+        session = SolveSession()
         a, b, c = self._load_unsat_chain(session)
         session.encoder.cnf.add_clause([-c])
         assert session.solve() is False
         assert session.certificates == []
-        assert getattr(session.solver, "proof", None) is None
+        assert session.solver.proof is None
 
 
 # --------------------------------------------------------------------- #
@@ -400,7 +399,7 @@ class TestCertifiedAttacks:
     def test_corrupting_an_emitted_proof_is_caught(self, tmp_path):
         from repro.sat.session import SolveSession
 
-        session = SolveSession("cdcl", proof_path=tmp_path, proof_label="t")
+        session = SolveSession(proof_path=tmp_path, proof_label="t")
         encoder = session.encoder
         lits = [encoder.var(f"n{i}") for i in range(4)]
         # A small UNSAT XOR-ish system so the proof has real content.

@@ -17,7 +17,6 @@ from repro.check.solver import (
     check_cnf,
     check_solver_invariants,
 )
-from repro.sat.arena import ArenaSolver
 from repro.sat.cnf import CNF
 from repro.sat.solver import Solver
 
@@ -67,9 +66,8 @@ def test_plain_clause_iterables_accepted():
 
 
 # --------------------------------------------------------------------- #
-# clean solver states are silent (both backends)
+# clean solver states are silent
 # --------------------------------------------------------------------- #
-BACKENDS = [Solver, ArenaSolver]
 PIGEON_6 = [
     # 3 pigeons / 2 holes: small, UNSAT, exercises learning + backtracking.
     [1, 2], [3, 4], [5, 6],
@@ -78,90 +76,35 @@ PIGEON_6 = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fresh_solver_is_clean(backend):
-    solver = backend()
+def test_fresh_solver_is_clean():
+    solver = Solver()
     solver.add_clauses([[1, 2, 3], [-1, 2], [-2, 3]])
     assert check_solver_invariants(solver) == []
     assert_solver_invariants(solver)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_solver_with_sanitizer_enabled_solves_clean(backend):
-    sat = backend()
+def test_solver_with_sanitizer_enabled_solves_clean():
+    sat = Solver()
     sat.check_invariants = True
     sat.add_clauses([[1, 2, 3], [-1, 2], [-2, 3], [-3, -1]])
     assert sat.solve() is True
     assert check_solver_invariants(sat) == []
 
-    unsat = backend()
+    unsat = Solver()
     unsat.check_invariants = True
     unsat.add_clauses(PIGEON_6)
     assert unsat.solve() is False
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_env_flag_arms_sanitizer(backend, monkeypatch):
+def test_env_flag_arms_sanitizer(monkeypatch):
     monkeypatch.setenv("REPRO_CHECK_SOLVER", "1")
-    assert backend().check_invariants
+    assert Solver().check_invariants
     monkeypatch.delenv("REPRO_CHECK_SOLVER")
-    assert not backend().check_invariants
+    assert not Solver().check_invariants
 
 
 # --------------------------------------------------------------------- #
-# corrupted arena states
-# --------------------------------------------------------------------- #
-def arena_with(clauses):
-    solver = ArenaSolver()
-    solver.add_clauses(clauses)
-    return solver
-
-
-def test_arena_mutated_watch_list_caught():
-    solver = arena_with([[1, 2, 3], [-1, 2]])
-    # Clause @0 watches literals 1 and 2; drop its entry from literal 1's
-    # watch list (the bug a botched watch relocation would leave behind).
-    watch_index = 1 << 1 | 1
-    assert solver._watches[watch_index]
-    solver._watches[watch_index].clear()
-    violations = check_solver_invariants(solver)
-    assert kinds_of(violations) == ["watch-missing"]
-    assert "clause @0" in violations[0].message
-    with pytest.raises(SolverStateError):
-        assert_solver_invariants(solver)
-
-
-def test_arena_duplicated_watch_caught():
-    solver = arena_with([[1, 2, 3]])
-    watch_index = 1 << 1 | 1
-    solver._watches[watch_index].extend(solver._watches[watch_index])
-    assert "watch-duplicate" in kinds_of(check_solver_invariants(solver))
-
-
-def test_arena_stray_watch_caught():
-    solver = arena_with([[1, 2, 3]])
-    # Watch the clause at its *tail* literal 3 as well: structurally a
-    # valid (ref, blocker) pair, but not one of the two lead literals.
-    solver._watches[3 << 1 | 1].extend([0, 1])
-    assert "watch-stray" in kinds_of(check_solver_invariants(solver))
-
-
-def test_arena_bad_blocker_caught():
-    solver = arena_with([[1, 2, 3]])
-    watch_index = 1 << 1 | 1
-    solver._watches[watch_index][1] = 9  # blocker not a literal of clause @0
-    assert "watch-corrupt" in kinds_of(check_solver_invariants(solver))
-
-
-def test_arena_length_corruption_caught():
-    solver = arena_with([[1, 2, 3]])
-    solver._arena[0] = 999  # clause length overruns the arena
-    violations = check_solver_invariants(solver)
-    assert "arena-corrupt" in kinds_of(violations)
-
-
-# --------------------------------------------------------------------- #
-# corrupted reference-solver states
+# corrupted watch lists, clauses and order heap
 # --------------------------------------------------------------------- #
 def reference_with(clauses):
     solver = Solver()
@@ -175,6 +118,20 @@ def test_reference_mutated_watch_list_caught():
     violations = check_solver_invariants(solver)
     assert kinds_of(violations) == ["watch-missing"]
     assert "clause #0" in violations[0].message
+
+
+def test_reference_duplicated_watch_caught():
+    solver = reference_with([[1, 2, 3]])
+    solver._watches[-1].extend(solver._watches[-1])  # clause 0 twice at literal 1
+    assert "watch-duplicate" in kinds_of(check_solver_invariants(solver))
+
+
+def test_reference_stray_watch_caught():
+    solver = reference_with([[1, 2, 3]])
+    # Watch clause 0 at its *tail* literal 3 as well: a valid clause index,
+    # but not one of its two lead literals.
+    solver._watches.setdefault(-3, []).append(0)
+    assert "watch-stray" in kinds_of(check_solver_invariants(solver))
 
 
 def test_reference_dangling_watch_caught():
@@ -207,7 +164,7 @@ def test_reference_dropped_heap_entry_caught():
 
 
 # --------------------------------------------------------------------- #
-# trail / assignment / implication-graph corruption (both backends)
+# trail / assignment / implication-graph corruption
 # --------------------------------------------------------------------- #
 def test_trail_assign_mismatch_caught():
     solver = reference_with([[1, 2]])
@@ -273,8 +230,7 @@ def test_reason_without_implied_literal_caught():
 
 def test_missed_unit_propagation_caught():
     # Watched literal 1 false at quiescence with the clause unsatisfied:
-    # the propagator should have enqueued 2 (reference backend keeps the
-    # strong semantic watch invariant).
+    # the propagator should have enqueued 2.
     solver = reference_with([[1, 2]])
     solver._assign[1] = -1
     solver._trail.append(-1)
@@ -304,20 +260,9 @@ def test_semantic_watch_check_waits_for_quiescence():
     assert check_solver_invariants(solver) == []
 
 
-def test_arena_blocker_skip_staleness_tolerated():
-    # Arena-only: a false lead watch with a *tail* literal true is legal
-    # (the blocker skip never renormalizes a satisfied clause).
-    solver = arena_with([[1, 2, 3]])
-    solver._assign[1] = -1
-    solver._assign[3] = 1
-    solver._trail.extend([-1, 3])
-    solver._qhead = 2
-    assert check_solver_invariants(solver) == []
-
-
 def test_solve_raises_on_corrupted_state_when_armed():
-    solver = arena_with([[1, 2, 3], [-1, 2], [-2, -3], [3, -2, 1]])
+    solver = reference_with([[1, 2, 3], [-1, 2], [-2, -3], [3, -2, 1]])
     solver.check_invariants = True
-    solver._watches[1 << 1 | 1].clear()
+    solver._watches[-1].clear()  # clause 0 no longer watched at literal 1
     with pytest.raises(SolverStateError):
         solver.solve()

@@ -142,6 +142,18 @@ class TestCli:
         assert "engine" not in payload["details"]
         assert payload["details"]["oracle_queries"] == payload["iterations"]
 
+    @pytest.mark.parametrize("command", [
+        ["attack", "locked.bench", "design.bench"],
+        ["campaign", "run", "--store", "store"],
+        ["check", "equiv", "--circuit", "s27"],
+    ])
+    def test_backend_choice_option_is_gone(self, command, capsys):
+        # One CDCL solver, so no command takes a backend choice.
+        with pytest.raises(SystemExit) as rejected:
+            cli_main(command + ["--solver-backend", "cdcl"])
+        assert rejected.value.code == 2
+        assert "unrecognized arguments: --solver-backend" in capsys.readouterr().err
+
     def test_attack_error_exits_2_with_json_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.bench"
         oracle = tmp_path / "oracle.bench"

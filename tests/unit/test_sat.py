@@ -10,7 +10,6 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.sat.cnf import CNF
 from repro.sat.miter import build_key_miter, build_miter
-from repro.sat.session import create_solver, solver_backends
 from repro.sat.solver import Solver, _luby, solve_cnf
 from repro.sat.tseitin import TseitinEncoder
 from repro.sim.logicsim import evaluate_combinational
@@ -136,6 +135,8 @@ class TestSolver:
         solver = Solver()
         solver.add_clauses(clauses)
         assert solver.solve(conflict_limit=1) is None
+        # A zero time limit is an expired budget, not "no limit".
+        assert solver.solve(time_limit=0.0) is None
         # and with a real budget it proves UNSAT
         assert solver.solve() is False
 
@@ -158,9 +159,8 @@ class TestSolver:
                     for clause in clauses
                 )
 
-    @pytest.mark.parametrize("backend", solver_backends())
-    def test_rejects_zero_assumption(self, backend):
-        solver = create_solver(backend)
+    def test_rejects_zero_assumption(self):
+        solver = Solver()
         solver.add_clauses([[1, 2], [-1, 2]])
         with pytest.raises(ValueError, match="literal 0 is not allowed"):
             solver.solve(assumptions=[0])

@@ -1,5 +1,4 @@
-"""Unit tests for the unified solving layer: backend registry, SolveSession
-semantics, SolverTelemetry serialization/reset and the end-to-end telemetry
+"""Unit tests for the unified solving layer: SolveSession semantics, SolverTelemetry serialization/reset and the end-to-end telemetry
 spine (attack details -> campaign records)."""
 
 import time
@@ -24,16 +23,11 @@ from repro.locking.baselines import lock_rll
 from repro.locking.cutelock_str import CuteLockStr
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
-from repro.sat.arena import ArenaSolver
 from repro.sat.session import (
     SolveSession,
     SolverTelemetry,
     capture_solver_telemetry,
-    create_solver,
-    register_solver_backend,
-    solver_backends,
 )
-from repro.sat.solver import Solver
 
 #: Counter keys every serialized telemetry block must carry.
 TELEMETRY_KEYS = {
@@ -43,29 +37,9 @@ TELEMETRY_KEYS = {
 }
 
 
-class TestBackendRegistry:
-    def test_builtin_backends(self):
-        names = solver_backends()
-        assert "cdcl" in names and "cdcl-arena" in names
-        assert isinstance(create_solver("cdcl"), Solver)
-        assert isinstance(create_solver("cdcl-arena"), ArenaSolver)
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            create_solver("minisat")
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            SolveSession("z3")
-
-    def test_register_custom_backend(self):
-        register_solver_backend("cdcl-test-alias", Solver, override=True)
-        assert isinstance(create_solver("cdcl-test-alias"), Solver)
-        with pytest.raises(ValueError, match="already registered"):
-            register_solver_backend("cdcl", Solver)
-
-
 class TestSolverTelemetry:
     def test_serialization_round_trip(self):
-        telemetry = SolverTelemetry(backend="cdcl-arena")
+        telemetry = SolverTelemetry(backend="cdcl")
         telemetry.note_call(
             {"decisions": 5, "propagations": 40, "conflicts": 2,
              "learned_clauses": 2, "restarts": 1, "solve_calls": 1},
@@ -85,7 +59,7 @@ class TestSolverTelemetry:
         a = SolverTelemetry(backend="cdcl")
         a.note_call({"conflicts": 3, "solve_calls": 1}, answer=False,
                     seconds=0.1, phase="verify")
-        b = SolverTelemetry(backend="cdcl-arena")
+        b = SolverTelemetry(backend="other")  # e.g. a record from another solver
         b.note_call({"conflicts": 4, "solve_calls": 2}, answer=True,
                     seconds=0.2, phase="verify")
         a.merge(b)
@@ -113,9 +87,8 @@ def _xor_locked_circuit():
 
 
 class TestSolveSession:
-    @pytest.mark.parametrize("backend", ["cdcl", "cdcl-arena"])
-    def test_incremental_queries_and_model(self, backend):
-        session = SolveSession(backend)
+    def test_incremental_queries_and_model(self):
+        session = SolveSession()
         encoder = session.encoder
         encoder.encode(_xor_locked_circuit())
         assert session.solve(assumptions=[session.literal("y", True)]) is True
@@ -134,7 +107,7 @@ class TestSolveSession:
         ) is False
 
     def test_telemetry_accumulates_across_queries_and_resets(self):
-        session = SolveSession("cdcl")
+        session = SolveSession()
         session.encoder.cnf.add_clause([1, 2])
         session.encoder.cnf.add_clause([-1, 2])
         assert session.solve(phase="alpha") is True
@@ -155,7 +128,7 @@ class TestSolveSession:
         assert telemetry.propagations <= max(first_props, 1)
 
     def test_deadline_clamps_queries(self):
-        session = SolveSession("cdcl", deadline=time.monotonic() - 1.0)
+        session = SolveSession(deadline=time.monotonic() - 1.0)
         assert session.remaining() == 0.0
         # Hard pigeonhole-ish instance would take a while; the expired
         # deadline forces the floored 1ms budget, so the call still returns.
@@ -176,7 +149,7 @@ class TestSolveSession:
             assert session.telemetry.limited == 1
 
     def test_reset_solver_resyncs_and_keeps_telemetry(self):
-        session = SolveSession("cdcl")
+        session = SolveSession()
         session.encoder.cnf.add_clause([1])
         assert session.solve() is True
         calls_before = session.telemetry.solve_calls
@@ -186,8 +159,8 @@ class TestSolveSession:
 
     def test_shared_telemetry_across_sessions(self):
         shared = SolverTelemetry()
-        one = SolveSession("cdcl", telemetry=shared)
-        two = SolveSession("cdcl", telemetry=shared)
+        one = SolveSession(telemetry=shared)
+        two = SolveSession(telemetry=shared)
         one.encoder.cnf.add_clause([1])
         two.encoder.cnf.add_clause([2])
         one.solve()
@@ -196,7 +169,7 @@ class TestSolveSession:
 
     def test_capture_frames_nest(self):
         with capture_solver_telemetry() as outer:
-            session = SolveSession("cdcl")
+            session = SolveSession()
             session.encoder.cnf.add_clause([1])
             session.solve()
             with capture_solver_telemetry() as inner:
@@ -204,13 +177,12 @@ class TestSolveSession:
         assert outer.solve_calls == 2
         assert inner.solve_calls == 1
 
-    @pytest.mark.parametrize("backend", ["cdcl", "cdcl-arena"])
-    def test_backends_agree_on_key_recovery(self, backend):
+    def test_key_recovery_reports_the_cdcl_solver(self):
         locked = lock_rll(synthesize_fsm(random_fsm(6, 2, 2, seed=3), style="sop"),
                           4, seed=1)
-        result = sat_attack(locked, time_limit=30.0, solver_backend=backend)
+        result = sat_attack(locked, time_limit=30.0)
         assert result.outcome.value == "correct"
-        assert result.details["solver"]["backend"] == backend
+        assert result.details["solver"]["backend"] == "cdcl"
 
 
 class TestAttackTelemetryBlocks:

@@ -1,9 +1,8 @@
 """Unit tests for the event-trace subsystem (:mod:`repro.trace`).
 
 Covers the writer/reader round trip for every event kind, the shared
-torn-tail tolerance policy, the activation stack, solver-hook integration on
-both CDCL backends (including the telemetry reconciliation the trace summary
-must satisfy), timeline bucketing, A/B diffs, the flame-bar renderer and the
+torn-tail tolerance policy, the activation stack, solver-hook integration
+(including the telemetry reconciliation the trace summary must satisfy), timeline bucketing, A/B diffs, the flame-bar renderer and the
 campaign-side wiring (executor trace paths, live status line).
 """
 
@@ -52,7 +51,7 @@ def pigeonhole(holes, pigeons):
 
 #: One representative event per non-meta kind in the schema-1 vocabulary.
 EVENT_VOCABULARY = [
-    ("session", {"session": 1, "backend": "cdcl-arena"}),
+    ("session", {"session": 1, "backend": "cdcl"}),
     ("solve-begin", {"session": 1, "call": 1, "phase": "dip-search",
                      "assumptions": 12}),
     ("solve-end", {"session": 1, "call": 1, "phase": "dip-search",
@@ -198,17 +197,16 @@ class TestActivationStack:
 
 
 class TestSolverHooks:
-    @pytest.mark.parametrize("backend", ["cdcl", "cdcl-arena"])
-    def test_conflict_and_restart_events(self, backend, tmp_path):
-        path = tmp_path / f"{backend}.trace.jsonl"
+    def test_conflict_and_restart_events(self, tmp_path):
+        path = tmp_path / "pigeonhole.trace.jsonl"
         with trace_to(path, stride=1):
-            session = SolveSession(backend)
+            session = SolveSession()
             session.solver.add_clauses(pigeonhole(6, 7))
             assert session.solve(phase="pigeonhole") is False
         events = read_trace_events(path)
         kinds = [event["kind"] for event in events]
         assert kinds[0] == "meta" and kinds[1] == "session"
-        assert events[1]["backend"] == backend
+        assert events[1]["backend"] == "cdcl"
         conflicts = [event for event in events if event["kind"] == "conflict"]
         restarts = [event for event in events if event["kind"] == "restart"]
         assert conflicts and restarts
@@ -226,11 +224,10 @@ class TestSolverHooks:
         assert len(conflicts) <= end["conflicts"] <= len(conflicts) + 1
         assert end["restarts"] == len(restarts)
 
-    @pytest.mark.parametrize("backend", ["cdcl", "cdcl-arena"])
-    def test_stride_samples_every_nth_conflict(self, backend, tmp_path):
-        path = tmp_path / f"{backend}-stride.trace.jsonl"
+    def test_stride_samples_every_nth_conflict(self, tmp_path):
+        path = tmp_path / "stride.trace.jsonl"
         with trace_to(path, stride=16):
-            session = SolveSession(backend)
+            session = SolveSession()
             session.solver.add_clauses(pigeonhole(6, 7))
             session.solve()
         conflicts = [
@@ -241,7 +238,7 @@ class TestSolverHooks:
         assert all(event["conflicts"] % 16 == 0 for event in conflicts)
 
     def test_no_tracer_attaches_nothing(self):
-        session = SolveSession("cdcl")
+        session = SolveSession()
         assert session.tracer is None
         assert session.solver.trace is None
 
@@ -253,10 +250,10 @@ class TestSolverHooks:
         """
         path = tmp_path / "reconcile.trace.jsonl"
         with capture_solver_telemetry() as telemetry, trace_to(path):
-            session = SolveSession("cdcl-arena")
+            session = SolveSession()
             session.solver.add_clauses(pigeonhole(6, 7))
             session.solve(phase="verify")
-            fresh = SolveSession("cdcl-arena")
+            fresh = SolveSession()
             fresh.solver.add_clauses(pigeonhole(5, 6))
             fresh.solve(phase="dip-search")
             fresh.solve(assumptions=[1], phase="dip-search")
@@ -283,7 +280,7 @@ class TestAnalysis:
     def _traced_solve(self, tmp_path, name="a"):
         path = tmp_path / f"{name}.trace.jsonl"
         with trace_to(path, stride=1):
-            session = SolveSession("cdcl")
+            session = SolveSession()
             session.solver.add_clauses(pigeonhole(6, 7))
             session.solve(phase="verify")
         return path
