@@ -26,7 +26,7 @@ if str(_SRC) not in sys.path:
 # The acceptance bars measure the shipping configuration: the repro.check
 # runtime sanitizers (op-list check, solver-state audit) stay OFF here,
 # and their disarmed cost must be a single attribute test per decision /
-# tile — bench bars are the guard for that.
+# packed pass — bench bars are the guard for that.
 os.environ.setdefault("REPRO_CHECK_KERNELS", "0")
 os.environ.setdefault("REPRO_CHECK_SOLVER", "0")
 

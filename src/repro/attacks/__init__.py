@@ -21,7 +21,6 @@ Structural / removal attacks:
 """
 
 from repro.attacks.results import AttackOutcome, AttackResult
-from repro.attacks.oracle import CombinationalOracle, SequentialOracle
 from repro.attacks.sat_attack import sat_attack
 from repro.attacks.appsat import appsat_attack
 from repro.attacks.double_dip import double_dip_attack
@@ -34,8 +33,6 @@ from repro.attacks.dana import dana_attack, DanaReport
 __all__ = [
     "AttackOutcome",
     "AttackResult",
-    "CombinationalOracle",
-    "SequentialOracle",
     "sat_attack",
     "appsat_attack",
     "double_dip_attack",

@@ -165,55 +165,47 @@ class CampaignSpec:
         index: int,
         count: int,
         *,
-        strategy: str = "round-robin",
         costs: Optional[Mapping[str, float]] = None,
     ) -> "CampaignSpec":
         """Deterministic ``1``-of-``count`` partition of this campaign.
 
-        Two strategies are available; both are pure functions of the spec
-        (and, for ``"cost"``, of the supplied cost table), so every host that
-        builds the same spec computes the identical partition:
+        The partition is a pure function of the spec and ``costs``, so every
+        host that builds the same spec (and passes the same cost table)
+        computes the identical partition:
 
-        * ``"round-robin"`` (default) — jobs are striped over **spec order**
-          (job ``i`` lands in shard ``i % count``).  Striping (rather than
-          contiguous blocks) spreads each table's expensive benchmarks across
-          shards, which roughly balances wall-clock without any cost model.
-        * ``"cost"`` — greedy LPT (longest-processing-time-first) partition
-          fed by measured per-job costs, keyed by job key — typically the
-          ``cpu_seconds`` of a previous sweep of the same grid (see
-          :func:`repro.campaign.store.measured_job_costs`).  Jobs are
-          assigned, most expensive first, to the currently lightest shard
-          (ties: lowest shard index), so shards finish together even when a
-          few cells dominate the grid.  Jobs with no measured cost get the
-          mean of the known costs; when ``costs`` has no overlap with the
-          spec at all, the partition **falls back to round-robin**.
+        * with ``costs`` — measured per-job costs keyed by job key, typically
+          the ``cpu_seconds`` of a previous sweep of the same grid (see
+          :func:`repro.campaign.store.measured_job_costs`) — a greedy LPT
+          (longest-processing-time-first) partition: jobs are assigned,
+          most expensive first, to the currently lightest shard (ties:
+          lowest shard index), so shards finish together even when a few
+          cells dominate the grid.  Jobs with no measured cost get the mean
+          of the known costs.
+        * without costs, or when no cost matches a job of the spec —
+          round-robin over **spec order** (job ``i`` lands in shard
+          ``i % count``).  Striping (rather than contiguous blocks) spreads
+          each table's expensive benchmarks across shards, which roughly
+          balances wall-clock without any cost model.
 
         The shard keeps the campaign ``name`` (it is the *same* campaign —
         the manifest always describes the full grid), preserves spec order
         within the shard (aggregation depends on it) and records its slice
-        in ``metadata["shard"]`` so status/report output can label it.
+        and the partition it used in ``metadata["shard"]`` so status/report
+        output can label it.
         """
         label = shard_label(index, count)  # validates index/count
-        if strategy == "cost":
-            jobs = self._cost_shard_jobs(index, count, costs)
-            applied = "cost" if jobs is not None else "round-robin (no costs)"
-            if jobs is None:
-                jobs = list(self.jobs[index::count])
-        elif strategy == "round-robin":
+        jobs = self._cost_shard_jobs(index, count, costs)
+        strategy = "cost"
+        if jobs is None:
             jobs = list(self.jobs[index::count])
-            applied = "round-robin"
-        else:
-            raise ValueError(
-                f"unknown shard strategy {strategy!r}; expected "
-                "'round-robin' or 'cost'"
-            )
+            strategy = "round-robin"
         return CampaignSpec(
             name=self.name,
             jobs=jobs,
             metadata={
                 **self.metadata,
                 "shard": {"index": index, "count": count, "label": label,
-                          "strategy": applied},
+                          "strategy": strategy},
             },
         )
 

@@ -471,7 +471,7 @@ def measured_job_costs(
     """Per-job-key cost table from a store's latest records.
 
     The returned ``{job key: cost}`` mapping feeds cost-balanced sharding
-    (``CampaignSpec.shard(..., strategy="cost", costs=...)``): run the grid
+    (``CampaignSpec.shard(..., costs=...)``): run the grid
     once (or let a partial sweep finish), then shard the next sweep by the
     measured ``cpu_seconds``.  Records without a usable metric (errors
     recorded before the job ran, foreign records) are skipped — the shard

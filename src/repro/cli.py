@@ -59,10 +59,11 @@ from repro.benchmarks_data import (
     ITC99_PROFILES,
     SYNTHEZZA_PROFILES,
 )
-from repro.locking.base import KeySchedule
+from repro.locking.base import LockingError
 from repro.locking.baselines import lock_dklock, lock_harpoon, lock_rll, lock_sarlock, lock_ttlock
 from repro.locking.cutelock_str import CuteLockStr
 from repro.netlist.bench import load_bench, save_bench
+from repro.netlist.circuit import CircuitError
 from repro.synthesis.overhead import analyze_circuit
 
 _ATTACKS: Dict[str, Callable] = {
@@ -82,38 +83,49 @@ _CAMPAIGN_GRIDS = ("full", "table1", "table2", "table3", "table4", "table5",
                    "figure4", "smoke")
 
 
-def _cmd_lock(args: argparse.Namespace) -> int:
-    circuit = load_bench(args.netlist)
+#: What a missing or malformed netlist or an impossible lock parameter
+#: raises; ``lock`` and ``overhead`` report it as one line and exit 2.
+_INPUT_ERRORS = (OSError, CircuitError, LockingError)
+
+
+def _lock(circuit, args: argparse.Namespace):
+    """Lock ``circuit`` with the scheme and parameters named on the command line."""
     if args.scheme == "cute-lock-str":
         transform = CuteLockStr(
             num_keys=args.keys, key_width=args.key_width,
             num_locked_ffs=args.locked_ffs, seed=args.seed,
         )
-        locked = transform.lock(circuit)
-    elif args.scheme == "rll":
-        locked = lock_rll(circuit, args.key_width, seed=args.seed)
-    elif args.scheme == "sarlock":
-        locked = lock_sarlock(circuit, num_key_bits=args.key_width, seed=args.seed)
-    elif args.scheme == "ttlock":
-        locked = lock_ttlock(circuit, num_key_bits=args.key_width, seed=args.seed)
-    elif args.scheme == "harpoon":
-        locked = lock_harpoon(circuit, key_width=args.key_width, seed=args.seed)
-    elif args.scheme == "dk-lock":
-        locked = lock_dklock(circuit, key_width=args.key_width, seed=args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown scheme {args.scheme}")
+        return transform.lock(circuit)
+    if args.scheme == "rll":
+        return lock_rll(circuit, args.key_width, seed=args.seed)
+    if args.scheme == "sarlock":
+        return lock_sarlock(circuit, num_key_bits=args.key_width, seed=args.seed)
+    if args.scheme == "ttlock":
+        return lock_ttlock(circuit, num_key_bits=args.key_width, seed=args.seed)
+    if args.scheme == "harpoon":
+        return lock_harpoon(circuit, key_width=args.key_width, seed=args.seed)
+    if args.scheme == "dk-lock":
+        return lock_dklock(circuit, key_width=args.key_width, seed=args.seed)
+    raise ValueError(f"unknown scheme {args.scheme}")  # pragma: no cover - argparse choices
 
+
+def _cmd_lock(args: argparse.Namespace) -> int:
     output = Path(args.output or f"{Path(args.netlist).stem}_{args.scheme}.bench")
-    save_bench(locked.circuit, output, header=f"locked with {locked.scheme}")
-    secret = {
-        "scheme": locked.scheme,
-        "key_inputs": locked.key_inputs,
-        "key_width": locked.key_width,
-        "schedule": list(locked.schedule.values),
-        "locked_ffs": locked.locked_ffs,
-    }
     secret_path = output.with_suffix(".key.json")
-    secret_path.write_text(json.dumps(secret, indent=2))
+    try:
+        locked = _lock(load_bench(args.netlist), args)
+        save_bench(locked.circuit, output, header=f"locked with {locked.scheme}")
+        secret = {
+            "scheme": locked.scheme,
+            "key_inputs": locked.key_inputs,
+            "key_width": locked.key_width,
+            "schedule": list(locked.schedule.values),
+            "locked_ffs": locked.locked_ffs,
+        }
+        secret_path.write_text(json.dumps(secret, indent=2))
+    except _INPUT_ERRORS as exc:
+        print(f"lock error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     print(f"locked netlist : {output}")
     print(f"key schedule   : {secret_path}")
     print(f"summary        : {locked.describe()}")
@@ -196,8 +208,12 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
-    circuit = load_bench(args.netlist)
-    cost = analyze_circuit(circuit, activity_vectors=args.vectors)
+    try:
+        circuit = load_bench(args.netlist)
+        cost = analyze_circuit(circuit, activity_vectors=args.vectors)
+    except _INPUT_ERRORS as exc:
+        print(f"overhead error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     print(f"circuit    : {circuit.name}")
     print(f"power (uW) : {cost.power_uw:.2f}")
     print(f"area (um2) : {cost.area_um2:.2f}")
@@ -312,24 +328,17 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         # manifest a previous run already wrote.
         if args.command_campaign == "run" and store.persistent:
             store.write_manifest(spec)
-        strategy = getattr(args, "shard_strategy", "round-robin")
+        # The cost table must be a frozen, shared input: every host (and
+        # every later status/report call) has to compute the identical
+        # partition, and a host's own store is still filling up — so the
+        # cost-balanced partition needs an explicit prior-sweep store.
         costs = None
-        if strategy == "cost":
-            # The cost table must be a frozen, shared input: every host (and
-            # every later status/report call) has to compute the identical
-            # partition, and a host's own store is still filling up — so an
-            # explicit prior-sweep store is required, never defaulted.
-            costs_store = getattr(args, "shard_costs", None)
-            if not costs_store:
-                raise SystemExit(
-                    "--shard-strategy cost requires --shard-costs STORE (a "
-                    "prior sweep's store; pass the same one on every host "
-                    "and every status/report call)"
-                )
+        costs_store = getattr(args, "shard_costs", None)
+        if costs_store:
             from repro.campaign import measured_job_costs
 
             costs = measured_job_costs(costs_store)
-        spec = spec.shard(*shard, strategy=strategy, costs=costs)
+        spec = spec.shard(*shard, costs=costs)
 
     if args.command_campaign in ("run", "resume"):
         quiet = getattr(args, "quiet", False)
@@ -769,24 +778,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--store", required=True,
                        help="campaign store directory (manifest + results.jsonl)")
 
-    def _shard_arg(p: argparse.ArgumentParser) -> None:
+    def _shard_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--shard", type=_parse_shard, default=None, metavar="I/N",
                        help="operate on shard I of N (deterministic 1-based "
                             "partition of the grid; results go to "
                             "results-IofN.jsonl, see 'campaign merge')")
-
-    def _shard_strategy_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--shard-strategy", default="round-robin",
-                       choices=["round-robin", "cost"],
-                       help="how --shard partitions the grid: round-robin "
-                            "striping (default) or a greedy LPT partition "
-                            "balanced by measured per-cell cpu_seconds")
         p.add_argument("--shard-costs", default=None, metavar="STORE",
-                       help="store directory whose records supply the "
-                            "per-cell costs (required with --shard-strategy "
-                            "cost; give every host and every status/report "
-                            "call the SAME store so they all compute the "
-                            "identical partition)")
+                       help="balance --shard by the per-cell cpu_seconds "
+                            "measured in this prior sweep's store (greedy "
+                            "LPT; round-robin striping without it, or when "
+                            "no measured cell is in the grid); give every "
+                            "host and every status/report call the SAME "
+                            "store so they all compute the identical "
+                            "partition")
 
     def _exec_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=int, default=0,
@@ -804,8 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "DIR/<jobkey>.trace.jsonl (shard-safe: keys are "
                             "disjoint across shards; the path lands on each "
                             "result record under 'trace')")
-        _shard_arg(p)
-        _shard_strategy_args(p)
+        _shard_args(p)
 
     campaign_run = campaign_sub.add_parser(
         "run", help="start (or continue) a campaign",
@@ -837,8 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_status_p = campaign_sub.add_parser(
         "status", help="show completed/timeout/error/remaining counts")
     _store_arg(campaign_status_p)
-    _shard_arg(campaign_status_p)
-    _shard_strategy_args(campaign_status_p)
+    _shard_args(campaign_status_p)
     campaign_status_p.set_defaults(func=_cmd_campaign)
 
     campaign_merge = campaign_sub.add_parser(
@@ -864,8 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_report = campaign_sub.add_parser(
         "report", help="aggregate stored results into the Markdown report")
     _store_arg(campaign_report)
-    _shard_arg(campaign_report)
-    _shard_strategy_args(campaign_report)
+    _shard_args(campaign_report)
     campaign_report.add_argument("--output", default=None,
                                  help="report path (default: print to stdout)")
     campaign_report.add_argument("--redact-runtimes", action="store_true",

@@ -15,14 +15,17 @@ Layers
   levelized op list, one record per gate, and the interpreter that runs it);
 * :mod:`repro.engine.packed` — :class:`PackedSimulator` plus the
   pack/unpack transpose helpers between per-net words and per-vector dicts;
-* :mod:`repro.engine.batch_oracle` — batched drop-in oracles preserving the
-  query-count accounting of :mod:`repro.attacks.oracle`;
+* :mod:`repro.engine.batch_oracle` — the scan-access and reset-and-run
+  oracles the oracle-guided attacks query, with per-query accounting;
 * :mod:`repro.engine.equivalence` — packed random equivalence checking and
   packed toggle/activity counting.
 
-The scalar simulators in :mod:`repro.sim` remain the reference
-implementation; the engine is cross-checked against them bit-for-bit by the
-property tests.
+The engine runs every oracle query, equivalence check and activity count.
+The scalar simulators and ``scalar_*`` loops in :mod:`repro.sim` are the
+test reference (the property tests cross-check the engine against them bit
+for bit); outside the tests and the benches that time one against the
+other, only the Table I/II waveform capture steps the scalar
+:class:`~repro.sim.seqsim.SequentialSimulator`.
 """
 
 from repro.engine.compiler import CompiledCircuit, compile_circuit

@@ -1,35 +1,62 @@
-"""Batched oracle adapters.
+"""Oracle models, answered by the packed engine.
 
-Drop-in replacements for the scalar oracles in :mod:`repro.attacks.oracle`
-that answer N queries per call through the packed engine while preserving
-the query-count accounting (``queries`` counts *logical* queries, i.e. one
-per vector / sequence, exactly as the attack-cost tables expect — batching
-is an implementation detail of the simulator, not of the threat model).
+Oracle-guided attacks assume the attacker owns a *working chip* bought off
+the market.  Two observability models are used in the literature and in the
+paper's evaluation:
 
-Both classes subclass their scalar counterpart, so every attack written
-against the scalar oracle API keeps working and picks up the fast path by
-constructing the batched variant instead.  Batches wider than one packed
-word are tiled by the simulator (see :data:`repro.engine.packed.TILE_WIDTH`).
+* **scan access** (:class:`BatchedCombinationalOracle`) — the attacker can
+  shift an arbitrary state into the scan chain, apply one vector, and
+  observe both the primary outputs and the captured next state.  This
+  reduces the sequential problem to a combinational one.
+* **no scan access** (:class:`BatchedSequentialOracle`) — the attacker can
+  only reset the chip, apply an input *sequence* and observe the output
+  sequence (the model used by the BMC/KC2/RANE sequential attacks).
+
+The oracles wrap the *original* circuit: a functional chip behaves exactly
+like the unlocked design.  Both answer N queries per call through one
+packed pass; ``queries`` still counts *logical* queries (one per vector /
+sequence), the standard attack-cost metric the tables report — batching is
+an implementation detail of the simulator, not of the threat model.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence
 
-from repro.attacks.oracle import CombinationalOracle, SequentialOracle
 from repro.engine.packed import PackedSimulator, pack_vectors
 from repro.netlist.circuit import Circuit
 
 
-class BatchedCombinationalOracle(CombinationalOracle):
+class BatchedCombinationalOracle:
     """Scan-access oracle answering whole batches of vectors per call."""
 
     def __init__(self, original: Circuit) -> None:
-        super().__init__(original)
+        self.circuit = original
+        self.view = original.combinational_view() if original.dffs else original
+        self.queries = 0
         self._packed = PackedSimulator(self.view)
 
+    @property
+    def input_nets(self) -> List[str]:
+        """Nets the attacker controls: primary inputs plus scanned-in state."""
+        return list(self.view.inputs)
+
+    @property
+    def output_nets(self) -> List[str]:
+        """Nets the attacker observes: primary outputs plus captured state."""
+        return list(self.view.outputs)
+
     def query(self, assignment: Mapping[str, int]) -> Dict[str, int]:
-        """Scalar query, served by the packed engine (width-1 batch)."""
+        """Apply one input/state vector and return the observed response.
+
+        The response maps every net in :attr:`output_nets` to its value.
+        For a sequential circuit attacked through the scan chain this covers
+        both the primary outputs *and* the captured next state — the latter
+        appears as the ``<q>__ns`` pseudo-outputs of the combinational view
+        (see :meth:`Circuit.combinational_view`), not under the Q net names.
+        For a purely combinational circuit the response is exactly the
+        primary outputs.  Missing nets in ``assignment`` default to 0.
+        """
         return self.query_batch([assignment])[0]
 
     def query_batch(
@@ -37,8 +64,7 @@ class BatchedCombinationalOracle(CombinationalOracle):
     ) -> List[Dict[str, int]]:
         """Apply N input/state vectors in one packed pass.
 
-        Missing nets default to 0 per lane, matching the scalar oracle's
-        ``assignment.get(net, 0)`` coercion.  ``queries`` advances by N.
+        Missing nets default to 0 per lane.  ``queries`` advances by N.
         """
         self.queries += len(assignments)
         if not assignments:
@@ -50,17 +76,27 @@ class BatchedCombinationalOracle(CombinationalOracle):
         return self._packed.outputs_batch(vectors)
 
 
-class BatchedSequentialOracle(SequentialOracle):
+class BatchedSequentialOracle:
     """Reset-and-run oracle simulating N independent sequences as lanes."""
 
     def __init__(self, original: Circuit) -> None:
-        super().__init__(original)
+        self.circuit = original
+        self.queries = 0
+        self.cycles = 0
         self._packed = PackedSimulator(original)
+
+    @property
+    def input_nets(self) -> List[str]:
+        return list(self.circuit.inputs)
+
+    @property
+    def output_nets(self) -> List[str]:
+        return list(self.circuit.outputs)
 
     def query(
         self, input_sequence: Sequence[Mapping[str, int]]
     ) -> List[Dict[str, int]]:
-        """Scalar query, served by the packed engine (single lane)."""
+        """Reset the chip, apply ``input_sequence`` and return per-cycle outputs."""
         return self.query_batch([input_sequence])[0]
 
     def query_batch(
@@ -71,10 +107,9 @@ class BatchedSequentialOracle(SequentialOracle):
         Sequences may have different lengths: every lane steps until the
         longest sequence ends (short lanes see all-zero inputs once
         exhausted, and those surplus outputs are discarded), so each result
-        list has exactly the length of its input sequence.  ``queries``
-        advances by N and ``cycles`` by the total number of input vectors.
-        N is unbounded — batches wider than one packed word are split into
-        tiles by the simulator (see :data:`repro.engine.packed.TILE_WIDTH`).
+        list has exactly the length of its input sequence.  Missing nets
+        default to 0.  ``queries`` advances by N and ``cycles`` by the total
+        number of input vectors.
         """
         self.queries += len(sequences)
         self.cycles += sum(len(seq) for seq in sequences)

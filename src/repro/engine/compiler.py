@@ -15,7 +15,7 @@ evaluation path; the structural check
 ``REPRO_CHECK_KERNELS=1`` and always on in the test suite) and the
 translation validator (:mod:`repro.check.certify.equiv`) read the same
 list.  Words are arbitrary-width Python ints; :mod:`repro.engine.packed`
-evaluates wide batches per ``TILE_WIDTH``-lane tile.
+evaluates a batch of any width as one pass.
 """
 
 from __future__ import annotations

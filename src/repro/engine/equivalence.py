@@ -1,13 +1,11 @@
 """Packed random equivalence checking and packed toggle/activity counting.
 
-These are the vectorized counterparts of the scalar routines in
-:mod:`repro.sim.logicsim` / :mod:`repro.sim.equivalence`.  They draw random
-stimulus from the *same* seeded RNG in the *same* order as the scalar
-implementations and report identical :class:`EquivalenceResult` fields
-(verdict, ``checked`` count, counterexample dict), so the ``engine=``
-switch of the :mod:`repro.sim` routers (``random_equivalence_check``,
-``sequential_equivalence_check``, ``toggle_counts``) never perturbs a seeded
-experiment, and the scalar routines stay the bit-exact reference.
+These back the :mod:`repro.sim` routers (``random_equivalence_check``,
+``sequential_equivalence_check``, ``toggle_counts``).  They draw random
+stimulus from the *same* seeded RNG in the *same* order as the ``scalar_*``
+reference loops in :mod:`repro.sim` and report identical
+:class:`EquivalenceResult` fields (verdict, ``checked`` count,
+counterexample dict), which the property tests check bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ def packed_random_equivalence_check(
     num_vectors: int = 256,
     seed: int = 0,
 ) -> EquivalenceResult:
-    """Bit-parallel version of :func:`repro.sim.equivalence.random_equivalence_check`.
+    """Bit-parallel :func:`repro.sim.equivalence.scalar_random_equivalence_check`.
 
     All ``num_vectors`` vectors are evaluated in one packed pass per circuit;
     the first differing (vector, output) pair — in the scalar iteration
@@ -95,7 +93,7 @@ def packed_sequential_equivalence_check(
     sequence_length: int = 32,
     seed: int = 0,
 ) -> EquivalenceResult:
-    """Bit-parallel version of :func:`repro.sim.equivalence.sequential_equivalence_check`.
+    """Bit-parallel :func:`repro.sim.equivalence.scalar_sequential_equivalence_check`.
 
     The ``num_sequences`` random sequences become the lanes of one packed
     sequential simulation per circuit (all sequences advance in lockstep),
@@ -185,7 +183,7 @@ def packed_toggle_counts(
     initial_state: Optional[Mapping[str, int]] = None,
     simulator: Optional[PackedSimulator] = None,
 ) -> Dict[str, int]:
-    """Bit-parallel version of :func:`repro.sim.logicsim.toggle_counts`.
+    """Bit-parallel :func:`repro.sim.logicsim.scalar_toggle_counts`.
 
     The sequence is simulated cycle by cycle (state must advance, so time
     cannot be packed into lanes), but each cycle runs the compiled flat

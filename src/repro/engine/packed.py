@@ -10,17 +10,14 @@ The batch entry points (``evaluate_batch`` / ``outputs_batch`` /
 ``next_state_batch``) mirror the scalar :class:`~repro.sim.logicsim.\
 CombinationalSimulator` contract vector-for-vector, including the missing-
 input :class:`~repro.netlist.circuit.CircuitError` and the ``ff.init``
-default for absent state bits, so the two simulators are interchangeable and
-can be diffed bit-for-bit.  A per-lane state list must hold exactly one
+default for absent state bits, so the property tests can diff the two
+simulators bit for bit.  A per-lane state list must hold exactly one
 mapping per input vector (:class:`ValueError` otherwise).
 
-Batches of arbitrary width are supported through *multi-word tiling*: a pass
-wider than :data:`TILE_WIDTH` lanes is split transparently into word-sized
-tiles, each evaluated as its own packed pass, and the per-tile results are
-stitched back into full-width words.  Tiling keeps every intermediate word
-inside CPython's fast fixed-digit-count big-int range instead of letting
-one enormous int flow through every gate, and callers never see it: the
-word-level and batch APIs accept any width / batch size.
+Every pass evaluates all lanes at once, one word per net, whatever the
+batch width.  Splitting a wide pass into narrower tiles would only repeat
+the per-gate interpreter overhead, which costs more than the big-int
+operations themselves.
 """
 
 from __future__ import annotations
@@ -28,32 +25,12 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.engine.compiler import CompiledCircuit, compile_circuit
+from repro.engine.compiler import compile_circuit
 from repro.netlist.circuit import Circuit, CircuitError
 
 #: Per-lane state: either one mapping broadcast to every lane, or one
 #: mapping per lane.
 StateArg = Optional[Union[Mapping[str, int], Sequence[Mapping[str, int]]]]
-
-#: Lane count above which a packed pass is split into word-sized tiles.
-TILE_WIDTH = 128
-
-#: ``engine=`` values of the :mod:`repro.sim` routers, see :func:`parse_engine`.
-ENGINE_CHOICES = ("packed", "scalar")
-
-
-def parse_engine(engine: str) -> bool:
-    """Validate a :mod:`repro.sim` router's ``engine``; True for the packed engine.
-
-    ``"packed"`` evaluates through this engine; ``"scalar"`` runs the
-    router's one-vector-at-a-time reference loop.
-    """
-    if engine not in ENGINE_CHOICES:
-        raise ValueError(
-            f"unknown engine {engine!r} (expected one of {', '.join(ENGINE_CHOICES)})"
-        )
-    return engine == "packed"
-
 
 def pack_bits(bits: Sequence[int]) -> int:
     """Pack scalar 0/1 values into a word (bit ``j`` = ``bits[j] & 1``)."""
@@ -120,27 +97,16 @@ class PackedSimulator:
     Word-level methods (``eval_words``, ``output_words``,
     ``next_state_words``, ``step_words``) operate directly on per-net words
     and take an explicit ``width``; batch methods accept/return per-vector
-    dicts and infer the width from the batch size.  Widths beyond
-    ``tile_width`` lanes are evaluated tile by tile (see the module
-    docstring); ``tile_width=None`` disables tiling and runs every pass as
-    one arbitrarily wide word.
+    dicts and infer the width from the batch size.  Every pass runs once
+    over all ``width`` lanes.
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        *,
-        compiled: Optional[CompiledCircuit] = None,
-        tile_width: Optional[int] = TILE_WIDTH,
-    ) -> None:
-        if tile_width is not None and tile_width < 1:
-            raise ValueError("tile_width must be a positive lane count or None")
+    def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
-        self.compiled = compiled if compiled is not None else compile_circuit(circuit)
-        self.tile_width = tile_width
+        self.compiled = compile_circuit(circuit)
         # Debug sanitizer (see repro.check.program): after every packed pass,
         # assert no word leaked bits past the batch mask.  One attribute test
-        # per tile when off.
+        # per pass when off.
         self.check_words = os.environ.get("REPRO_CHECK_KERNELS", "") == "1"
 
     def refresh(self) -> None:
@@ -155,20 +121,19 @@ class PackedSimulator:
         mask = (1 << width) - 1
         return {q: (mask if init else 0) for q, _, init in self.compiled.state_items}
 
-    def _eval_slots_tile(
+    def _eval_slots(
         self,
         input_words: Mapping[str, int],
         state_words: Optional[Mapping[str, int]],
         width: int,
-        offset: int,
     ) -> List[int]:
-        """One packed pass over ``width`` lanes starting at lane ``offset``."""
+        """One packed pass over ``width`` lanes; returns the per-slot words."""
         compiled = self.compiled
         mask = (1 << width) - 1
         values = [0] * compiled.num_slots
         for net, slot in zip(self.circuit.inputs, compiled.input_slots):
             try:
-                values[slot] = (input_words[net] >> offset) & mask
+                values[slot] = input_words[net] & mask
             except KeyError as exc:
                 raise CircuitError(f"missing word for primary input {net!r}") from exc
         state_words = state_words or {}
@@ -177,35 +142,12 @@ class PackedSimulator:
             if word is None:
                 values[slot] = mask if init else 0
             else:
-                values[slot] = (word >> offset) & mask
+                values[slot] = word & mask
         compiled.run(values, mask)
         if self.check_words:
             from repro.check.program import verify_packed_words
 
-            verify_packed_words(
-                values, mask,
-                label=f"<packed pass width={width} offset={offset}>",
-            )
-        return values
-
-    def _eval_slots(
-        self,
-        input_words: Mapping[str, int],
-        state_words: Optional[Mapping[str, int]],
-        width: int,
-    ) -> List[int]:
-        """Per-slot result words, tiled above ``tile_width`` lanes."""
-        tile = self.tile_width
-        if tile is None or width <= tile:
-            return self._eval_slots_tile(input_words, state_words, width, 0)
-        values = [0] * self.compiled.num_slots
-        for offset in range(0, width, tile):  # hot-loop
-            tile_values = self._eval_slots_tile(
-                input_words, state_words, min(tile, width - offset), offset
-            )
-            for slot, word in enumerate(tile_values):
-                if word:
-                    values[slot] |= word << offset
+            verify_packed_words(values, mask, label=f"<packed pass width={width}>")
         return values
 
     def eval_words(

@@ -1,8 +1,8 @@
 """Run every experiment and assemble a combined report.
 
-``python -m repro.experiments.runner`` regenerates the full evaluation
-(quick mode by default) and writes a Markdown report; the same entry point is
-used by ``examples/reproduce_paper.py`` and by the integration tests.
+:func:`run_all` regenerates the full evaluation (quick mode by default) and
+writes a Markdown report; ``python -m repro reproduce`` and
+``examples/reproduce_paper.py`` call it, and so do the integration tests.
 
 Since the :mod:`repro.campaign` refactor the sweep is declared as one
 campaign grid (every table/figure cell is an independent job, see
@@ -16,8 +16,6 @@ the historical serial in-process behaviour — same tables, same return value.
 
 from __future__ import annotations
 
-import argparse
-import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -108,31 +106,3 @@ def write_latex_report(tables: Dict[str, ExperimentTable], path: str) -> Path:
     output = Path(path)
     output.write_text(render_latex_tables(tables.values()))
     return output
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description="Regenerate the Cute-Lock evaluation")
-    parser.add_argument("--full", action="store_true",
-                        help="run every benchmark from the paper (slow)")
-    parser.add_argument("--time-limit", type=float, default=20.0,
-                        help="per-attack time budget in seconds")
-    parser.add_argument("--output", default="experiments_report.md",
-                        help="path of the Markdown report to write")
-    parser.add_argument("--latex", default=None, metavar="PATH",
-                        help="also write the tables as a LaTeX fragment")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="worker processes (0 = serial in-process)")
-    parser.add_argument("--store", default=None,
-                        help="campaign store directory (enables resume)")
-    parser.add_argument("--job-timeout", type=float, default=None,
-                        help="per-cell wall-clock budget in seconds")
-    args = parser.parse_args(argv)
-    run_all(quick=not args.full, attack_time_limit=args.time_limit,
-            output_path=args.output, latex_path=args.latex,
-            workers=args.workers, store_path=args.store,
-            job_timeout=args.job_timeout)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry point
-    sys.exit(main())

@@ -2,11 +2,13 @@
 simulation, waveform capture and equivalence checking.
 
 This package is the reproduction's stand-in for the Xilinx Vivado simulation
-used in the paper's validation section (Tables I and II) and also provides
-the oracle that the oracle-guided attacks query.
+used in the paper's validation section (Tables I and II).  Its scalar
+simulators are the reference the packed engine (:mod:`repro.engine`) is
+tested against; the equivalence checks and toggle counts that production
+code calls run on the engine.
 """
 
-from repro.sim.logicsim import evaluate_combinational, CombinationalSimulator
+from repro.sim.logicsim import CombinationalSimulator
 from repro.sim.seqsim import SequentialSimulator, simulate_sequence
 from repro.sim.waveform import Waveform, WaveformRow
 from repro.sim.equivalence import (
@@ -17,7 +19,6 @@ from repro.sim.equivalence import (
 )
 
 __all__ = [
-    "evaluate_combinational",
     "CombinationalSimulator",
     "SequentialSimulator",
     "simulate_sequence",

@@ -10,6 +10,13 @@ Three flavours are provided:
   to the locked circuit); this is how Tables I/II style validation is scored.
 * :func:`sat_equivalence_check` — formal combinational equivalence via a SAT
   miter (used on small circuits and in the attack verifiers).
+
+The two simulation checks run on the packed engine
+(:mod:`repro.engine.equivalence`, imported at call time because it imports
+:class:`EquivalenceResult` from here).  :func:`scalar_random_equivalence_check`
+and :func:`scalar_sequential_equivalence_check` are their one-vector-at-a-
+time reference loops: they draw the same seeded stimulus, report identical
+results, and only the tests call them.
 """
 
 from __future__ import annotations
@@ -49,32 +56,35 @@ def random_equivalence_check(
     key_assignment: Optional[Mapping[str, int]] = None,
     num_vectors: int = 256,
     seed: int = 0,
-    engine: str = "packed",
 ) -> EquivalenceResult:
     """Compare two circuits combinationally on random vectors.
 
     Sequential circuits are compared through their scan-access combinational
     views (flip-flop Q pins driven as pseudo-inputs, D pins observed), which
     is the same observability model the oracle-guided SAT attack uses.
-    ``key_assignment`` fixes the candidate's key inputs.
-
-    ``engine="packed"`` (the default) evaluates all vectors in one
-    bit-parallel pass per circuit via :mod:`repro.engine`;
-    ``engine="scalar"`` keeps the vector-at-a-time reference loop.  Both
-    draw the same seeded stimulus and report identical results.
+    ``key_assignment`` fixes the candidate's key inputs.  All vectors are
+    evaluated in one packed pass per circuit.
     """
-    from repro.engine.packed import parse_engine
+    from repro.engine.equivalence import packed_random_equivalence_check
 
-    if parse_engine(engine):
-        from repro.engine.equivalence import packed_random_equivalence_check
+    return packed_random_equivalence_check(
+        original,
+        candidate,
+        key_assignment=key_assignment,
+        num_vectors=num_vectors,
+        seed=seed,
+    )
 
-        return packed_random_equivalence_check(
-            original,
-            candidate,
-            key_assignment=key_assignment,
-            num_vectors=num_vectors,
-            seed=seed,
-        )
+
+def scalar_random_equivalence_check(
+    original: Circuit,
+    candidate: Circuit,
+    *,
+    key_assignment: Optional[Mapping[str, int]] = None,
+    num_vectors: int = 256,
+    seed: int = 0,
+) -> EquivalenceResult:
+    """Reference :func:`random_equivalence_check`: one vector at a time."""
     rng = random.Random(seed)
     orig_view = original.combinational_view() if original.dffs else original
     cand_view = candidate.combinational_view() if candidate.dffs else candidate
@@ -111,7 +121,6 @@ def sequential_equivalence_check(
     num_sequences: int = 16,
     sequence_length: int = 32,
     seed: int = 0,
-    engine: str = "packed",
 ) -> EquivalenceResult:
     """Compare the cycle-by-cycle primary-output behaviour of two circuits.
 
@@ -119,27 +128,33 @@ def sequential_equivalence_check(
     its ``key_inputs`` (MSB first); remaining inputs are driven identically
     in both circuits from a seeded random source.  This mirrors the paper's
     validation methodology: under the scheduled keys the locked circuit must
-    match the original on every observed cycle.
-
-    ``engine="packed"`` (the default) simulates all sequences as lanes of
-    one bit-parallel run per circuit via :mod:`repro.engine`;
-    ``engine="scalar"`` keeps the sequence-at-a-time reference loop.  Both
-    draw the same seeded stimulus and report identical results.
+    match the original on every observed cycle.  All sequences run as lanes
+    of one packed simulation per circuit.
     """
-    from repro.engine.packed import parse_engine
+    from repro.engine.equivalence import packed_sequential_equivalence_check
 
-    if parse_engine(engine):
-        from repro.engine.equivalence import packed_sequential_equivalence_check
+    return packed_sequential_equivalence_check(
+        original,
+        locked,
+        key_schedule=key_schedule,
+        key_inputs=key_inputs,
+        num_sequences=num_sequences,
+        sequence_length=sequence_length,
+        seed=seed,
+    )
 
-        return packed_sequential_equivalence_check(
-            original,
-            locked,
-            key_schedule=key_schedule,
-            key_inputs=key_inputs,
-            num_sequences=num_sequences,
-            sequence_length=sequence_length,
-            seed=seed,
-        )
+
+def scalar_sequential_equivalence_check(
+    original: Circuit,
+    locked: Circuit,
+    *,
+    key_schedule: Optional[Sequence[int]] = None,
+    key_inputs: Optional[Sequence[str]] = None,
+    num_sequences: int = 16,
+    sequence_length: int = 32,
+    seed: int = 0,
+) -> EquivalenceResult:
+    """Reference :func:`sequential_equivalence_check`: one sequence at a time."""
     rng = random.Random(seed)
     key_inputs = list(key_inputs if key_inputs is not None else locked.key_inputs)
     shared_outputs = [o for o in original.outputs if o in set(locked.outputs)]

@@ -4,8 +4,9 @@ The simulator advances a circuit one clock cycle at a time: combinational
 logic is evaluated from the current state and inputs, outputs are sampled,
 and every flip-flop captures its D value.  This is the reproduction's
 equivalent of the Vivado behavioural simulation used in the paper's
-validation section, and it also backs the sequential oracle that the
-BMC/KC2/RANE-style attacks query.
+validation section (the Table I/II waveforms), and the scalar reference for
+the packed engine's lockstep lanes, which answer the sequential oracle that
+the BMC/KC2/RANE-style attacks query.
 """
 
 from __future__ import annotations

@@ -215,6 +215,30 @@ class TestShardedSweeps:
         assert cli_main(["campaign", "status", "--store", store]) == 0
         assert "remaining : 0" in capsys.readouterr().out
 
+    def test_cli_shard_costs_alone_balance_the_partition(self, tmp_path, capsys):
+        """``--shard-costs`` by itself selects the LPT partition: one heavy
+        cell gets a shard to itself (round-robin would give shard 1/2 three
+        of the five cells)."""
+        store = str(tmp_path / "store")
+        spec = CampaignSpec(name="costdemo", jobs=[
+            JobSpec(kind="sleep", group="sleep", params={"marker": i})
+            for i in range(5)
+        ])
+        ResultStore(store).write_manifest(spec)
+        costs = ResultStore(tmp_path / "costs")
+        for index, job in enumerate(spec.jobs):
+            costs.append({"key": job.key, "status": "completed",
+                          "cpu_seconds": 100.0 if index == 2 else 1.0})
+        for shard, remaining in (("1/2", 1), ("2/2", 4)):
+            assert cli_main(["campaign", "status", "--store", store,
+                             "--shard", shard,
+                             "--shard-costs", str(tmp_path / "costs")]) == 0
+            assert f"remaining : {remaining}\n" in capsys.readouterr().out
+        # No measured cell in the grid: round-robin striping.
+        assert cli_main(["campaign", "status", "--store", store,
+                         "--shard", "1/2", "--shard-costs", store]) == 0
+        assert "remaining : 3\n" in capsys.readouterr().out
+
     def test_cli_report_latex_from_store(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
         jobs = table3_jobs(benchmarks=["bcomp"], attacks=["INT"], time_limit=60.0)

@@ -1,10 +1,12 @@
 """Property tests: the packed engine is bit-exact versus the scalar simulators.
 
-The scalar simulators in :mod:`repro.sim` are the reference implementation;
-every claim the engine makes (combinational evaluation, next-state capture,
-lockstep sequential simulation, toggle counting, random equivalence
-verdicts) is cross-checked here on randomized FSM- and ISCAS-style circuits
-covering all gate types, DFF init values, and batch widths from 1 to 128.
+The scalar simulators and ``scalar_*`` loops in :mod:`repro.sim` are the
+reference implementation; every claim the engine makes (combinational
+evaluation, next-state capture, lockstep sequential simulation, toggle
+counting, random and sequential equivalence verdicts) is cross-checked here
+on randomized FSM- and ISCAS-style circuits covering all gate types, DFF
+init values, and batch widths from 1 to 256 (the lane count of every key
+verification).
 """
 
 import random
@@ -23,10 +25,10 @@ from repro.fsm.synthesis import synthesize_fsm
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.sim.equivalence import (
-    random_equivalence_check,
-    sequential_equivalence_check,
+    scalar_random_equivalence_check,
+    scalar_sequential_equivalence_check,
 )
-from repro.sim.logicsim import CombinationalSimulator, toggle_counts
+from repro.sim.logicsim import CombinationalSimulator, scalar_toggle_counts
 from repro.sim.seqsim import SequentialSimulator
 
 SLOW = settings(max_examples=25, deadline=None,
@@ -136,13 +138,13 @@ def test_packed_matches_scalar_on_fsm_circuits(seed):
     rng = random.Random(seed)
     fsm = random_fsm(rng.randint(2, 6), 2, 2, seed=seed)
     circuit = synthesize_fsm(fsm, style=rng.choice(["sop", "mux"]))
-    sim = CombinationalSimulator(circuit)
+    scalar = CombinationalSimulator(circuit)
     width = rng.randint(1, 128)
     vectors = [
         {net: rng.randint(0, 1) for net in circuit.inputs} for _ in range(width)
     ]
-    assert sim.outputs_batch(vectors) == [
-        CombinationalSimulator(circuit).outputs(v) for v in vectors
+    assert PackedSimulator(circuit).outputs_batch(vectors) == [
+        scalar.outputs(v) for v in vectors
     ]
 
 
@@ -163,7 +165,7 @@ def test_packed_toggle_counts_match_scalar(seed):
     ]
     initial = {q: rng.randint(0, 1) for q in circuit.dffs} or None
     assert packed_toggle_counts(circuit, vectors, initial_state=initial) == \
-        toggle_counts(circuit, vectors, initial_state=initial, engine="scalar")
+        scalar_toggle_counts(circuit, vectors, initial_state=initial)
 
 
 # --------------------------------------------------------------------------- #
@@ -194,11 +196,12 @@ def test_packed_random_equivalence_matches_scalar(seed, mutate):
                       else list(gate.inputs))
         candidate.add_gate(victim, new_type, new_inputs)
 
-    num_vectors = rng.choice([1, 16, 64, 128])
+    # 256 is the lane count of every SAT / DoubleDIP / AppSAT key check.
+    num_vectors = rng.choice([1, 16, 64, 128, 200, 256])
     packed = packed_random_equivalence_check(
         circuit, candidate, num_vectors=num_vectors, seed=seed)
-    scalar = random_equivalence_check(
-        circuit, candidate, num_vectors=num_vectors, seed=seed, engine="scalar")
+    scalar = scalar_random_equivalence_check(
+        circuit, candidate, num_vectors=num_vectors, seed=seed)
     assert (packed.equivalent, packed.checked, packed.counterexample) == \
         (scalar.equivalent, scalar.checked, scalar.counterexample)
 
@@ -222,7 +225,6 @@ def test_packed_sequential_equivalence_matches_scalar(seed):
                   num_sequences=rng.randint(1, 4),
                   sequence_length=rng.randint(1, 10), seed=seed)
     packed = packed_sequential_equivalence_check(circuit, locked.circuit, **kwargs)
-    scalar = sequential_equivalence_check(circuit, locked.circuit,
-                                          engine="scalar", **kwargs)
+    scalar = scalar_sequential_equivalence_check(circuit, locked.circuit, **kwargs)
     assert (packed.equivalent, packed.checked, packed.counterexample) == \
         (scalar.equivalent, scalar.checked, scalar.counterexample)

@@ -17,7 +17,7 @@ from repro.netlist.gates import GateType
 from repro.sat.solver import Solver
 from repro.sat.tseitin import TseitinEncoder
 from repro.sim.equivalence import random_equivalence_check
-from repro.sim.logicsim import evaluate_combinational
+from repro.sim.logicsim import CombinationalSimulator
 from repro.sim.seqsim import SequentialSimulator
 
 SLOW = settings(max_examples=25, deadline=None,
@@ -107,7 +107,7 @@ def test_truth_table_synthesis_matches(num_vars, onset_bits, style):
     for assignment in range(size):
         values = {nets[i]: (assignment >> i) & 1 for i in range(num_vars)}
         expected = (onset >> assignment) & 1
-        assert evaluate_combinational(circuit, values)[out] == expected
+        assert CombinationalSimulator(circuit).evaluate(values)[out] == expected
 
 
 # --------------------------------------------------------------------------- #
@@ -137,7 +137,7 @@ def test_tseitin_consistent_with_simulation(seed):
     circuit.add_output(nets[-1])
 
     vector = {f"i{k}": rng.randint(0, 1) for k in range(3)}
-    expected = evaluate_combinational(circuit, vector)[nets[-1]]
+    expected = CombinationalSimulator(circuit).evaluate(vector)[nets[-1]]
 
     encoder = TseitinEncoder()
     cnf = encoder.encode(circuit)

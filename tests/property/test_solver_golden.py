@@ -50,7 +50,7 @@ from repro.perf.suites.solver import layered_circuit_cnf, pigeonhole, search_ins
 from repro.sat.session import SolveSession
 from repro.sat.solver import Solver
 from repro.sat.tseitin import TseitinEncoder
-from repro.sim.logicsim import evaluate_combinational
+from repro.sim.logicsim import CombinationalSimulator
 
 #: One solve call: (answer, decisions, propagations, conflicts,
 #: learned_clauses, restarts, digest of the call's learned clauses + model).
@@ -150,7 +150,7 @@ def _miter() -> Iterator[Op]:
     yield ("solve", [diff], None)
     for tag in (1, 2):
         dip = {net: rng.randint(0, 1) for net in functional}
-        response = evaluate_combinational(design, dip)
+        response = CombinationalSimulator(design).evaluate(dip)
         for side in ("A", "B"):
             prefix = f"c{side}{tag}@"
             shared = {net: f"{side}@{net}" for net in locked.key_inputs}

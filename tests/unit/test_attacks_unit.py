@@ -10,11 +10,11 @@ from repro.attacks.dana import (
     register_dependency_graph,
 )
 from repro.attacks.fall import fall_attack
-from repro.attacks.oracle import CombinationalOracle, SequentialOracle
 from repro.attacks.results import AttackOutcome, AttackResult, format_runtime
 from repro.attacks.unroll import encode_unrolled
 from repro.benchmarks_data.generator import word_structured_circuit
 from repro.benchmarks_data.iscas89 import s27_circuit
+from repro.engine.batch_oracle import BatchedCombinationalOracle, BatchedSequentialOracle
 from repro.fsm.random_fsm import random_fsm
 from repro.fsm.synthesis import synthesize_fsm
 from repro.locking.baselines import lock_ttlock
@@ -43,7 +43,7 @@ class TestResults:
 
 class TestOracles:
     def test_combinational_oracle_exposes_state(self):
-        oracle = CombinationalOracle(s27_circuit())
+        oracle = BatchedCombinationalOracle(s27_circuit())
         assert any(net.endswith("__ns") for net in oracle.output_nets)
         response = oracle.query({net: 0 for net in oracle.input_nets})
         assert set(response) == set(oracle.output_nets)
@@ -51,7 +51,7 @@ class TestOracles:
 
     def test_sequential_oracle_matches_simulator(self):
         circuit = s27_circuit()
-        oracle = SequentialOracle(circuit)
+        oracle = BatchedSequentialOracle(circuit)
         vectors = [{net: (t + i) % 2 for i, net in enumerate(circuit.inputs)} for t in range(6)]
         responses = oracle.query(vectors)
         sim = SequentialSimulator(circuit)

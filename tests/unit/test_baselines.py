@@ -85,10 +85,8 @@ class TestSarlock:
             vector[net] = (wrong_value >> (locked.key_width - 1 - index)) & 1
         locked_out = sim.outputs(vector)
         oracle_view = locked.original.combinational_view()
-        from repro.sim.logicsim import evaluate_combinational
-
-        oracle_out = evaluate_combinational(
-            oracle_view, {net: vector.get(net, 0) for net in oracle_view.inputs}
+        oracle_out = CombinationalSimulator(oracle_view).evaluate(
+            {net: vector.get(net, 0) for net in oracle_view.inputs}
         )
         target = locked.metadata["target_output"]
         assert locked_out[target] != oracle_out[target]

@@ -127,7 +127,7 @@ class TestSharding:
         # One dominant job plus light ones: LPT must isolate the heavy job.
         costs = {job.key: 1.0 for job in spec.jobs}
         costs[spec.jobs[0].key] = 100.0
-        shards = [spec.shard(index, 2, strategy="cost", costs=costs)
+        shards = [spec.shard(index, 2, costs=costs)
                   for index in range(2)]
         keys = [job.key for shard in shards for job in shard.jobs]
         assert sorted(keys) == sorted(job.key for job in spec.jobs)  # partition
@@ -137,7 +137,7 @@ class TestSharding:
         assert len(heavy_shard.jobs) == 1
         assert heavy_shard.metadata["shard"]["strategy"] == "cost"
         # Deterministic: same inputs, same partition.
-        again = spec.shard(0, 2, strategy="cost", costs=costs)
+        again = spec.shard(0, 2, costs=costs)
         assert [j.key for j in again.jobs] == [j.key for j in shards[0].jobs]
         # Spec order is preserved within each shard (aggregation needs it).
         position = {job.key: index for index, job in enumerate(spec.jobs)}
@@ -148,7 +148,7 @@ class TestSharding:
     def test_cost_shard_mean_fills_missing_costs(self):
         spec = CampaignSpec(name="c", jobs=sleep_jobs(6))
         costs = {spec.jobs[0].key: 10.0, spec.jobs[1].key: 30.0}
-        shards = [spec.shard(index, 3, strategy="cost", costs=costs)
+        shards = [spec.shard(index, 3, costs=costs)
                   for index in range(3)]
         keys = [job.key for shard in shards for job in shard.jobs]
         assert sorted(keys) == sorted(job.key for job in spec.jobs)
@@ -157,14 +157,16 @@ class TestSharding:
         spec = CampaignSpec(name="c", jobs=sleep_jobs(6))
         for costs in (None, {}, {"not-a-job-key": 5.0}):
             for index in range(2):
-                fallback = spec.shard(index, 2, strategy="cost", costs=costs)
+                fallback = spec.shard(index, 2, costs=costs)
                 assert [j.key for j in fallback.jobs] ==                     [j.key for j in spec.shard(index, 2).jobs]
                 assert "round-robin" in fallback.metadata["shard"]["strategy"]
 
     def test_unknown_shard_strategy_rejected(self):
+        """The costs alone choose the partition: no strategy keyword exists."""
         spec = CampaignSpec(name="c", jobs=sleep_jobs(2))
-        with pytest.raises(ValueError, match="unknown shard strategy"):
-            spec.shard(0, 2, strategy="random")
+        for strategy in ("random", "cost", "round-robin"):
+            with pytest.raises(TypeError):
+                spec.shard(0, 2, strategy=strategy)
 
     def test_measured_costs_feed_cost_sharding(self, tmp_path):
         spec = CampaignSpec(name="c", jobs=sleep_jobs(4))
@@ -173,7 +175,7 @@ class TestSharding:
         costs = measured_job_costs(store)
         assert set(costs) == {job.key for job in spec.jobs}
         assert all(value >= 0.0 for value in costs.values())
-        shards = [spec.shard(index, 2, strategy="cost", costs=costs)
+        shards = [spec.shard(index, 2, costs=costs)
                   for index in range(2)]
         keys = [job.key for shard in shards for job in shard.jobs]
         assert sorted(keys) == sorted(job.key for job in spec.jobs)

@@ -15,7 +15,7 @@ from repro.benchmarks_data.iscas89 import load_iscas89
 from repro.fsm.random_fsm import random_fsm
 from repro.fsm.synthesis import synthesize_fsm
 from repro.locking.baselines import lock_rll, lock_sarlock, lock_ttlock
-from repro.sim.equivalence import random_equivalence_check
+from repro.sim.equivalence import scalar_random_equivalence_check
 
 BUDGET = dict(time_limit=30.0)
 
@@ -39,9 +39,9 @@ def scalar_key_check(locked, key):
 
     Seed 1 draws other vectors than the attacks' own verification (seed 0).
     """
-    return random_equivalence_check(
+    return scalar_random_equivalence_check(
         locked.original, locked.circuit, key_assignment=key,
-        num_vectors=256, seed=1, engine="scalar",
+        num_vectors=256, seed=1,
     ).equivalent
 
 

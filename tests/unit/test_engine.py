@@ -2,8 +2,8 @@
 
 Covers the compiler's levelization and slot allocation, every gate type's
 packed evaluation against the scalar gate semantics, the packing/transpose
-round trip, the ``engine=`` choice of the :mod:`repro.sim` routers, and the
-batched oracles' accounting.
+round trip, the removed simulation knobs, and the batched oracles'
+accounting against the scalar :mod:`repro.sim` reference.
 """
 
 import pickle
@@ -11,7 +11,6 @@ import random
 
 import pytest
 
-from repro.attacks.oracle import CombinationalOracle, SequentialOracle
 from repro.engine.batch_oracle import (
     BatchedCombinationalOracle,
     BatchedSequentialOracle,
@@ -19,18 +18,17 @@ from repro.engine.batch_oracle import (
 from repro.engine.compiler import compile_circuit
 from repro.engine.equivalence import packed_toggle_counts
 from repro.engine.packed import (
-    ENGINE_CHOICES,
     PackedSimulator,
     pack_bits,
     pack_vectors,
-    parse_engine,
     unpack_bits,
     unpack_vectors,
 )
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GATE_EVAL, GateType
-from repro.sim.equivalence import random_equivalence_check
-from repro.sim.logicsim import CombinationalSimulator, toggle_counts
+from repro.sim.equivalence import random_equivalence_check, sequential_equivalence_check
+from repro.sim.logicsim import CombinationalSimulator, scalar_toggle_counts, toggle_counts
+from repro.sim.seqsim import simulate_sequence
 
 
 def _small_circuit() -> Circuit:
@@ -186,7 +184,7 @@ class TestPackedSimulator:
         sim = PackedSimulator(circuit)
         with pytest.raises(CircuitError):
             sim.outputs_batch([{"a": 1}])
-        # Word-level API, across several tiles.
+        # Word-level API, on a pass wider than one machine word.
         with pytest.raises(CircuitError, match="missing word for primary input"):
             sim.output_words({"a": 0}, width=200)
 
@@ -224,12 +222,7 @@ class TestPackedSimulator:
         assert sim.outputs_batch(vectors, [{"q": 1}] * 4) == [{"n": 1}] * 4
         for states in ([{"q": 1}] * 2, [{"q": 1}] * 5):
             message = f"{len(states)} state vectors for a batch of 4"
-            for batch in (
-                sim.evaluate_batch,
-                sim.outputs_batch,
-                sim.next_state_batch,
-                CombinationalSimulator(circuit).outputs_batch,
-            ):
+            for batch in (sim.evaluate_batch, sim.outputs_batch, sim.next_state_batch):
                 with pytest.raises(ValueError, match=message):
                     batch(vectors, states)
 
@@ -242,42 +235,31 @@ class TestPackedSimulator:
         sim.refresh()
         assert sim.outputs_batch([{"a": 1, "b": 1}]) == [{"n3": 1, "n4": 0}]
 
-    def test_combinational_simulator_batch_entry_points(self):
-        circuit = _small_circuit()
-        sim = CombinationalSimulator(circuit)
-        rng = random.Random(3)
-        vectors = [
-            {"a": rng.randint(0, 1), "b": rng.randint(0, 1)} for _ in range(17)
-        ]
-        assert sim.outputs_batch(vectors) == [sim.outputs(v) for v in vectors]
-        assert sim.evaluate_batch(vectors) == [sim.evaluate(v) for v in vectors]
-
 
 class TestEngineChoice:
-    def test_parse_engine_choices(self):
-        assert ENGINE_CHOICES == ("packed", "scalar")
-        assert parse_engine("packed") is True
-        assert parse_engine("scalar") is False
-
     def test_unknown_engine_rejected(self):
-        for engine in ("packed-bigint", "packed-numpy", "vector"):
-            with pytest.raises(ValueError, match="unknown engine"):
-                parse_engine(engine)
+        """One simulation path: the routers accept no engine knob at all."""
         circuit = _small_circuit()
-        with pytest.raises(ValueError, match="unknown engine"):
-            random_equivalence_check(circuit, circuit, engine="packed-numpy")
+        vectors = [{"a": 1, "b": 0}] * 4
+        for engine in ("packed-numpy", "vector", "packed", "scalar"):
+            with pytest.raises(TypeError):
+                random_equivalence_check(circuit, circuit, engine=engine)
+            with pytest.raises(TypeError):
+                sequential_equivalence_check(circuit, circuit, engine=engine)
+            with pytest.raises(TypeError):
+                toggle_counts(circuit, vectors, engine=engine)
 
 
 class TestBatchedOracles:
     def test_combinational_query_accounting_and_values(self):
         circuit = _small_circuit()
-        scalar = CombinationalOracle(circuit)
+        scalar = CombinationalSimulator(circuit)
         batched = BatchedCombinationalOracle(circuit)
         vectors = [{"a": a, "b": b} for a in (0, 1) for b in (0, 1)]
         batch_out = batched.query_batch(vectors)
         assert batched.queries == len(vectors)
         for vector, out in zip(vectors, batch_out):
-            assert out == scalar.query(vector)
+            assert out == scalar.outputs(vector)
         # Scalar query on the batched oracle keeps counting by one.
         assert batched.query(vectors[0]) == batch_out[0]
         assert batched.queries == len(vectors) + 1
@@ -289,7 +271,6 @@ class TestBatchedOracles:
         circuit.add_dff("q", "d", init=0)
         circuit.add_gate("y", GateType.BUF, ["q"])
         circuit.add_output("y")
-        scalar = SequentialOracle(circuit)
         batched = BatchedSequentialOracle(circuit)
         sequences = [
             [{"x": 1}, {"x": 0}, {"x": 1}],
@@ -301,7 +282,7 @@ class TestBatchedOracles:
         assert batched.cycles == 4
         assert [len(rows) for rows in batch_out] == [3, 1, 0]
         for seq, rows in zip(sequences, batch_out):
-            assert rows == scalar.query(seq)
+            assert rows == [row.signals for row in simulate_sequence(circuit, seq).rows]
 
     def test_sequential_oracle_reuses_simulator_and_resets(self):
         circuit = Circuit("seq")
@@ -310,11 +291,14 @@ class TestBatchedOracles:
         circuit.add_dff("q", "d", init=0)
         circuit.add_gate("y", GateType.BUF, ["q"])
         circuit.add_output("y")
-        oracle = SequentialOracle(circuit)
-        first = oracle.query([{"x": 1}, {"x": 0}])
+        oracle = BatchedSequentialOracle(circuit)
+        sequence = [{"x": 1}, {"x": 0}]
+        first = oracle.query(sequence)
+        assert first == [row.signals for row in simulate_sequence(circuit, sequence).rows]
         # A second identical query must see a freshly reset chip.
-        assert oracle.query([{"x": 1}, {"x": 0}]) == first
+        assert oracle.query(sequence) == first
         assert oracle.queries == 2
+        assert oracle.cycles == 4
 
 
 class TestPackedToggleCounts:
@@ -328,8 +312,8 @@ class TestPackedToggleCounts:
         vectors = [
             {net: rng.randint(0, 1) for net in circuit.inputs} for _ in range(40)
         ]
-        assert packed_toggle_counts(circuit, vectors) == toggle_counts(
-            circuit, vectors, engine="scalar"
+        assert packed_toggle_counts(circuit, vectors) == scalar_toggle_counts(
+            circuit, vectors
         )
 
     def test_empty_sequence(self):

@@ -12,7 +12,7 @@ from repro.fsm.stg import FSM, FSMError
 from repro.fsm.synthesis import TruthTable, synthesize_fsm, synthesize_truth_table
 from repro.netlist.circuit import Circuit
 from repro.netlist.validate import has_errors, validate_circuit
-from repro.sim.logicsim import evaluate_combinational
+from repro.sim.logicsim import CombinationalSimulator
 from repro.sim.seqsim import SequentialSimulator
 
 
@@ -140,7 +140,7 @@ class TestTruthTableSynthesis:
         circuit.add_output(out)
         for assignment in range(16):
             values = {nets[i]: (assignment >> i) & 1 for i in range(4)}
-            assert evaluate_combinational(circuit, values)[out] == int(assignment in onset)
+            assert CombinationalSimulator(circuit).evaluate(values)[out] == int(assignment in onset)
 
     def test_constant_function(self):
         table = TruthTable.from_function(3, lambda row: 1)

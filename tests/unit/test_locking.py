@@ -123,20 +123,20 @@ class TestMuxTree:
             decode_nets=["t0", "t1"],
         )
         circuit.add_output(info.root_net)
-        from repro.sim.logicsim import evaluate_combinational
+        from repro.sim.logicsim import CombinationalSimulator
 
         # Counter time 0, correct key 0b10 -> passes the correct net through.
-        values = evaluate_combinational(circuit, {
+        values = CombinationalSimulator(circuit).evaluate({
             "correct": 1, "wrong": 0, "k0": 1, "k1": 0, "t0": 1, "t1": 0,
         })
         assert values[info.root_net] == 1
         # Wrong key at time 0 -> wrongful net.
-        values = evaluate_combinational(circuit, {
+        values = CombinationalSimulator(circuit).evaluate({
             "correct": 1, "wrong": 0, "k0": 0, "k1": 1, "t0": 1, "t1": 0,
         })
         assert values[info.root_net] == 0
         # Time 1 requires key 0b01.
-        values = evaluate_combinational(circuit, {
+        values = CombinationalSimulator(circuit).evaluate({
             "correct": 1, "wrong": 0, "k0": 0, "k1": 1, "t0": 0, "t1": 1,
         })
         assert values[info.root_net] == 1

@@ -163,3 +163,16 @@ class TestCli:
         assert exit_code == 2
         payload = json.loads(capsys.readouterr().out)
         assert "error" in payload
+
+    @pytest.mark.parametrize("command", ["lock", "overhead"])
+    @pytest.mark.parametrize("netlist", ["malformed", "missing"])
+    def test_bad_netlist_exits_2_with_one_line(self, command, netlist, tmp_path, capsys):
+        path = tmp_path / f"{netlist}.bench"
+        if netlist == "malformed":
+            path.write_text("INPUT(a)\nOUTPUT(y)\ny = FOO(a\n")
+        assert cli_main([command, str(path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"{command} error: ")
+        assert "\n" not in err
+        expected = "BenchParseError: line 3" if netlist == "malformed" else "FileNotFoundError"
+        assert expected in err

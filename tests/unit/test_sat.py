@@ -12,7 +12,7 @@ from repro.sat.cnf import CNF
 from repro.sat.miter import build_key_miter, build_miter
 from repro.sat.solver import Solver, _luby, solve_cnf
 from repro.sat.tseitin import TseitinEncoder
-from repro.sim.logicsim import evaluate_combinational
+from repro.sim.logicsim import CombinationalSimulator
 
 
 def brute_force_sat(clauses, num_vars):
@@ -190,7 +190,7 @@ class TestTseitin:
         encoder = TseitinEncoder()
         cnf = encoder.encode(circuit)
         for assignment in itertools.product((0, 1), repeat=arity):
-            expected = evaluate_combinational(circuit, dict(zip(inputs, assignment)))["y"]
+            expected = CombinationalSimulator(circuit).evaluate(dict(zip(inputs, assignment)))["y"]
             solver = Solver()
             solver.add_clauses(cnf.clauses)
             assumptions = [encoder.literal(net, bool(v)) for net, v in zip(inputs, assignment)]

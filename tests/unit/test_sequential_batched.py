@@ -1,7 +1,7 @@
 """Sequential attacks (BMC / INT / KC2) on one DIS per solver call, plus the
-batched oracles, multi-word tiling and incremental unroll extension they
-rely on.  Recovered keys are re-checked with the scalar ``repro.sim``
-sequential simulator."""
+batched oracles, passes wider than one machine word and the incremental
+unroll extension they rely on.  Recovered keys are re-checked with the
+scalar ``repro.sim`` sequential simulator."""
 
 import random
 import time
@@ -9,11 +9,11 @@ import time
 import pytest
 
 from repro.attacks import bmc_attack, double_dip_attack, int_attack, kc2_attack
-from repro.attacks.oracle import SequentialOracle
 from repro.attacks.results import AttackOutcome
 from repro.attacks.unroll import encode_unrolled, extend_unrolled
 from repro.benchmarks_data.iscas89 import s27_circuit
 from repro.engine.batch_oracle import BatchedSequentialOracle
+from repro.engine.compiler import compile_circuit
 from repro.engine.packed import PackedSimulator
 from repro.fsm.random_fsm import random_fsm
 from repro.fsm.synthesis import synthesize_fsm
@@ -24,8 +24,9 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.sat.solver import Solver
 from repro.sat.tseitin import TseitinEncoder
-from repro.sim.equivalence import sequential_equivalence_check
+from repro.sim.equivalence import scalar_sequential_equivalence_check
 from repro.sim.logicsim import CombinationalSimulator
+from repro.sim.seqsim import simulate_sequence
 
 
 def _locked_fsm():
@@ -78,15 +79,18 @@ class TestRaggedSequentialBatches:
         batched = BatchedSequentialOracle(circuit)
         responses = batched.query_batch(sequences)
 
-        scalar = SequentialOracle(circuit)
-        expected = [scalar.query(seq) for seq in sequences]
-        assert responses == expected
+        assert responses == [
+            [row.signals for row in simulate_sequence(circuit, seq).rows]
+            for seq in sequences
+        ]
         assert [len(r) for r in responses] == [5, 2, 0, 7, 1]
-        assert batched.queries == scalar.queries == len(sequences)
-        assert batched.cycles == scalar.cycles == sum(len(s) for s in sequences)
+        assert batched.queries == len(sequences)
+        assert batched.cycles == sum(len(s) for s in sequences)
 
 
 class TestMultiWordTiling:
+    """Batches wider than one 64-bit machine word run as one packed pass."""
+
     def test_combinational_batch_wider_than_one_word(self):
         circuit = s27_circuit().combinational_view()
         rng = random.Random(11)
@@ -97,9 +101,6 @@ class TestMultiWordTiling:
         expected = [scalar.outputs(v) for v in vectors]
 
         assert PackedSimulator(circuit).outputs_batch(vectors) == expected
-        # Tiny tiles and tiling disabled must agree bit-for-bit too.
-        assert PackedSimulator(circuit, tile_width=8).outputs_batch(vectors) == expected
-        assert PackedSimulator(circuit, tile_width=None).outputs_batch(vectors) == expected
 
     def test_sequential_batch_wider_than_one_word(self):
         circuit = s27_circuit()
@@ -113,21 +114,32 @@ class TestMultiWordTiling:
         ]
         batched = BatchedSequentialOracle(circuit)
         responses = batched.query_batch(sequences)
-        scalar = SequentialOracle(circuit)
-        assert responses == [scalar.query(seq) for seq in sequences]
+        assert responses == [
+            [row.signals for row in simulate_sequence(circuit, seq).rows]
+            for seq in sequences
+        ]
 
-    def test_word_level_tiling_matches_untiled(self):
+    def test_word_level_pass_matches_scalar(self):
         circuit = s27_circuit().combinational_view()
         rng = random.Random(13)
         width = 200
-        words = {net: rng.getrandbits(width) for net in circuit.inputs}
-        tiled = PackedSimulator(circuit, tile_width=64).output_words(words, width=width)
-        untiled = PackedSimulator(circuit, tile_width=None).output_words(words, width=width)
-        assert tiled == untiled
+        # Bits above the width must be ignored, not leak into the pass.
+        words = {net: rng.getrandbits(width + 8) for net in circuit.inputs}
+        out = PackedSimulator(circuit).output_words(words, width=width)
+        scalar = CombinationalSimulator(circuit)
+        for lane in range(width):
+            expected = scalar.outputs({net: (w >> lane) & 1 for net, w in words.items()})
+            assert {net: (word >> lane) & 1 for net, word in out.items()} == expected
+        assert all(word >> width == 0 for word in out.values())
 
     def test_invalid_tile_width_rejected(self):
-        with pytest.raises(ValueError):
-            PackedSimulator(s27_circuit().combinational_view(), tile_width=0)
+        """Every batch is one untiled pass: no tiling or prebuilt-program knob."""
+        circuit = s27_circuit().combinational_view()
+        for tile_width in (None, 0, 128):
+            with pytest.raises(TypeError):
+                PackedSimulator(circuit, tile_width=tile_width)
+        with pytest.raises(TypeError):
+            PackedSimulator(circuit, compiled=compile_circuit(circuit))
 
 
 class TestIncrementalUnrollExtension:
@@ -209,10 +221,10 @@ def scalar_key_check(locked, key):
     Seed 1 draws other sequences than the attacks' own verification (seed 0).
     """
     key_nets = list(locked.circuit.key_inputs)
-    return sequential_equivalence_check(
+    return scalar_sequential_equivalence_check(
         locked.original, locked.circuit,
         key_schedule=[pack_key_bits(key, key_nets)], key_inputs=key_nets,
-        num_sequences=8, sequence_length=48, seed=1, engine="scalar",
+        num_sequences=8, sequence_length=48, seed=1,
     ).equivalent
 
 

@@ -11,7 +11,7 @@ from repro.sim.equivalence import (
     sat_equivalence_check,
     sequential_equivalence_check,
 )
-from repro.sim.logicsim import CombinationalSimulator, evaluate_combinational, toggle_counts
+from repro.sim.logicsim import CombinationalSimulator, toggle_counts
 from repro.sim.seqsim import (
     SequentialSimulator,
     apply_key_to_sequence,
@@ -42,13 +42,13 @@ class TestCombinationalSim:
         for a in (0, 1):
             for b in (0, 1):
                 for cin in (0, 1):
-                    values = evaluate_combinational(circuit, {"a": a, "b": b, "cin": cin})
+                    values = CombinationalSimulator(circuit).evaluate({"a": a, "b": b, "cin": cin})
                     assert values["s"] == (a ^ b ^ cin)
                     assert values["cout"] == int(a + b + cin >= 2)
 
     def test_missing_input_raises(self):
         with pytest.raises(CircuitError):
-            evaluate_combinational(adder_bit(), {"a": 1, "b": 0})
+            CombinationalSimulator(adder_bit()).evaluate({"a": 1, "b": 0})
 
     def test_simulator_matches_function(self):
         circuit = adder_bit()
