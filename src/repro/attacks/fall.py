@@ -202,20 +202,22 @@ def _confirm_candidate(
     restore_net: str,
     strip_net: str,
     candidate: Dict[str, int],
+    telemetry: SolverTelemetry,
     *,
     conflict_limit: Optional[int],
-    telemetry: Optional[SolverTelemetry] = None,
 ) -> bool:
     """Oracle-less SAT confirmation: under ``candidate`` the restore comparator
     and the stripping comparator must agree for every input (the corruption
-    XOR can never fire)."""
-    session = SolveSession(conflict_limit=conflict_limit, telemetry=telemetry)
+    XOR can never fire).  The session's solver block is merged into
+    ``telemetry``."""
+    session = SolveSession(conflict_limit=conflict_limit)
     session.encoder.encode(locked_view)
     diff_net = session.encoder.encode_inequality([restore_net], [strip_net])
     assumptions = [session.literal(diff_net, True)]
     for net, value in candidate.items():
         assumptions.append(session.literal(net, bool(value)))
     status = session.solve(assumptions=assumptions, phase="confirm")
+    telemetry.merge(session.telemetry)
     return status is False
 
 
@@ -279,8 +281,8 @@ def fall_attack(
                 prefiltered += 1
                 continue
             confirmed = _confirm_candidate(
-                view, unit["net"], comparator["net"], candidate,
-                conflict_limit=conflict_limit, telemetry=telemetry,
+                view, unit["net"], comparator["net"], candidate, telemetry,
+                conflict_limit=conflict_limit,
             )
             if confirmed and verify_with_oracle and oracle_circuit is not None:
                 verdict = random_equivalence_check(

@@ -18,8 +18,9 @@ synthesis (CEGIS) loop on top of our SAT layer:
    constraint set and the loop repeats.
 
 Both sides of the loop are incremental :class:`~repro.sat.session.\
-SolveSession` queries sharing one :class:`~repro.sat.session.SolverTelemetry`
-block: the verification unrolling is encoded once, with the candidate key
+SolveSession` queries, whose two :class:`~repro.sat.session.SolverTelemetry`
+blocks are merged into the result's one ``solver`` block when the attack
+ends: the verification unrolling is encoded once, with the candidate key
 applied through solver *assumptions* rather than baked-in unit clauses, so
 learned clauses survive across candidates; and each verification round
 harvests up to ``cex_batch`` distinct counterexamples behind
@@ -51,7 +52,7 @@ from repro.attacks.unroll import encode_unrolled, extend_unrolled
 from repro.engine.batch_oracle import BatchedSequentialOracle
 from repro.locking.base import LockedCircuit, pack_key_bits
 from repro.netlist.circuit import Circuit
-from repro.sat.session import DEFAULT_BACKEND, SolveSession, SolverTelemetry
+from repro.sat.session import SolveSession, SolverTelemetry
 from repro.sat.tseitin import TseitinEncoder
 from repro.sim.equivalence import sequential_equivalence_check
 from repro.trace.writer import trace_event
@@ -120,13 +121,9 @@ def rane_attack(
         return AttackResult(attack="rane", outcome=AttackOutcome.FAIL,
                             details={"reason": "locked circuit and reference share no outputs"})
 
-    telemetry = SolverTelemetry(backend=DEFAULT_BACKEND)
-
     # --- synthesis side: one constraint copy of the locked circuit per
     # counterexample, all sharing the KA@ key variables.
-    synth = SolveSession(
-        conflict_limit=conflict_limit, deadline=deadline, telemetry=telemetry,
-    )
+    synth = SolveSession(conflict_limit=conflict_limit, deadline=deadline)
     synth_encoder = synth.encoder
     counterexamples: List[Tuple[List[Dict[str, int]], List[Dict[str, int]]]] = []
 
@@ -151,9 +148,7 @@ def rane_attack(
     # key enters through assumptions on the VK@ variables, never through unit
     # clauses, so the same solver (and its learned clauses) serves every
     # candidate — and survives every adaptive deepening.
-    verify = SolveSession(
-        conflict_limit=conflict_limit, deadline=deadline, telemetry=telemetry,
-    )
+    verify = SolveSession(conflict_limit=conflict_limit, deadline=deadline)
     verify_encoder = verify.encoder
     current_depth = min(initial_depth, depth)
     locked_copy = encode_unrolled(
@@ -197,6 +192,9 @@ def rane_attack(
     iterations = 0
 
     def finish(outcome: AttackOutcome, key: Optional[Dict[str, int]] = None, **details) -> AttackResult:
+        telemetry = SolverTelemetry()
+        telemetry.merge(synth.telemetry)
+        telemetry.merge(verify.telemetry)
         return AttackResult(
             attack="rane", outcome=outcome, key=key, iterations=iterations,
             runtime_seconds=time.monotonic() - start,

@@ -27,10 +27,12 @@ once, and records an ``error`` row for any job that kills the pool twice.
 Every finished-attempt record carries the attempt's resource metrics —
 ``runtime_seconds`` (wall clock), ``cpu_seconds`` (process CPU time) and
 ``max_rss_kb`` (peak RSS via ``getrusage``; None off-POSIX) — plus a
-``solver`` block: the attempt-wide :class:`~repro.sat.session.SolverTelemetry` snapshot (decisions/propagations/conflicts/… aggregated
-over every ``SolveSession`` the job created), captured in the process that
-ran the job, so solver-level metrics flow from the CDCL inner loop all the
-way to ``campaign status`` / ``report``.
+``solver`` block: the attempt's capture frame
+(:func:`~repro.sat.session.capture_solver_telemetry`, decisions/
+propagations/conflicts/… over every ``SolveSession`` the job created, up to
+the moment a timeout interrupted it), taken in the process that ran the
+job, so solver-level metrics flow from the CDCL inner loop all the way to
+``campaign status`` / ``report``.
 
 Resume is a property of the (spec, store) pair, not of this module: jobs
 whose key already has a record in the store are skipped up front (completed
@@ -47,7 +49,7 @@ import traceback
 from concurrent.futures import CancelledError, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
@@ -227,7 +229,6 @@ class RunSummary:
     timeouts: int = 0
     errors: int = 0
     wall_seconds: float = 0.0
-    records: List[Record] = field(default_factory=list)
 
     def note(self, record: Record) -> None:
         self.executed += 1
@@ -238,11 +239,6 @@ class RunSummary:
             self.timeouts += 1
         else:
             self.errors += 1
-        self.records.append(record)
-
-    @property
-    def remaining(self) -> int:
-        return self.total - self.skipped - self.executed
 
 
 ProgressFn = Callable[[Record, int, int], None]
@@ -254,7 +250,6 @@ def run_campaign(
     *,
     workers: int = 0,
     job_timeout: Optional[float] = None,
-    resume: bool = True,
     retry_failed: bool = False,
     progress: Optional[ProgressFn] = None,
     write_manifest: bool = True,
@@ -262,16 +257,18 @@ def run_campaign(
 ) -> RunSummary:
     """Execute ``spec``'s jobs, appending one record per finished attempt.
 
+    Jobs whose key already has a record are skipped: completed rows always,
+    error/timeout rows too unless ``retry_failed``.
+
     Parameters
     ----------
     workers:
         ``0`` = serial in-process (deterministic reference); ``N >= 1`` = a
         process pool with ``N`` workers (``1`` still buys crash isolation).
     job_timeout:
-        Per-job wall-clock budget in seconds (None = unbounded).
-    resume:
-        Skip jobs whose key already has a record (completed rows always;
-        error/timeout rows too unless ``retry_failed``).
+        Per-job wall-clock budget in seconds, ``> 0`` (None = unbounded).
+    retry_failed:
+        Re-run jobs whose latest record is an error or timeout row.
     progress:
         Optional ``fn(record, finished_count, pending_total)`` callback,
         invoked after each record is appended.
@@ -282,6 +279,8 @@ def run_campaign(
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
+    if job_timeout is not None and job_timeout <= 0:
+        raise ValueError(f"job_timeout must be > 0 seconds, got {job_timeout}")
     started = time.perf_counter()
     summary = RunSummary(total=len(spec.jobs))
     if trace_dir is not None:
@@ -292,7 +291,7 @@ def run_campaign(
 
     pending: List[JobSpec] = []
     for job in spec.jobs:
-        record = store.record_for(job.key) if resume else None
+        record = store.record_for(job.key)
         if record is not None:
             if record.get("status") == STATUS_COMPLETED or not retry_failed:
                 summary.skipped += 1

@@ -1,4 +1,11 @@
-"""Campaign progress reporting: per-group status and live run logging."""
+"""Campaign progress reporting: per-group status and live run logging.
+
+:func:`campaign_status` folds a store's latest records against the spec.
+Each record's ``solver`` block is rebuilt with
+:meth:`~repro.sat.session.SolverTelemetry.from_dict` and summed with
+:meth:`~repro.sat.session.SolverTelemetry.merge`, so the status lines and
+the report's solver tables are projections of one fold.
+"""
 
 from __future__ import annotations
 
@@ -8,87 +15,58 @@ from typing import Callable, Dict, List, Optional
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import (
     STATUS_COMPLETED,
-    STATUS_ERROR,
     STATUS_TIMEOUT,
     MergeSummary,
     Record,
     ResultStore,
 )
+from repro.sat.session import SolverTelemetry
 
 
 @dataclass
-class SolverTally:
-    """Aggregate solver telemetry summed over a set of records."""
+class _Tally:
+    """Latest-record tallies over a set of jobs (one group, or a campaign)."""
 
-    solve_calls: int = 0
-    decisions: int = 0
-    propagations: int = 0
-    conflicts: int = 0
-    learned_clauses: int = 0
-    restarts: int = 0
-    solve_seconds: float = 0.0
-    records: int = 0  #: records that carried a solver block
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
+    total: int = 0
+    completed: int = 0
+    timeouts: int = 0
+    errors: int = 0
+    missing: int = 0
+    solver_records: int = 0  #: latest records that carried a solver block
+    solver: SolverTelemetry = field(default_factory=SolverTelemetry)
 
-    def add(self, block: object) -> None:
-        """Fold one record's ``solver`` block (ignores records without one)."""
-        if not isinstance(block, dict):
+    def note(self, record: Optional[Record]) -> None:
+        """Fold one job's latest record (None: the job never finished)."""
+        self.total += 1
+        if record is None:
+            self.missing += 1
             return
-        self.records += 1
-        for name in ("solve_calls", "decisions", "propagations", "conflicts",
-                     "learned_clauses", "restarts"):
-            value = block.get(name, 0)
-            if isinstance(value, (int, float)):
-                setattr(self, name, getattr(self, name) + int(value))
-        seconds = block.get("solve_seconds", 0.0)
-        if isinstance(seconds, (int, float)):
-            self.solve_seconds += float(seconds)
-        phases = block.get("phase_seconds")
-        if isinstance(phases, dict):
-            for phase, value in phases.items():
-                if isinstance(value, (int, float)):
-                    label = str(phase)
-                    self.phase_seconds[label] = (
-                        self.phase_seconds.get(label, 0.0) + float(value)
-                    )
-
-    @property
-    def conflict_rate(self) -> float:
-        """Conflicts per solver second across the tallied records."""
-        if self.solve_seconds <= 0.0:
-            return 0.0
-        return self.conflicts / self.solve_seconds
+        block = record.get("solver")
+        if isinstance(block, dict):
+            self.solver_records += 1
+            self.solver.merge(SolverTelemetry.from_dict(block))
+        state = record.get("status")
+        if state == STATUS_COMPLETED:
+            self.completed += 1
+        elif state == STATUS_TIMEOUT:
+            self.timeouts += 1
+        else:
+            self.errors += 1
 
 
 @dataclass
-class GroupStatus:
+class GroupStatus(_Tally):
     """Latest-record tallies for one aggregation group."""
 
-    group: str
-    total: int = 0
-    completed: int = 0
-    timeouts: int = 0
-    errors: int = 0
-    missing: int = 0
-    solver: SolverTally = field(default_factory=SolverTally)
-
-    @property
-    def done(self) -> bool:
-        return self.missing == 0
+    group: str = ""
 
 
 @dataclass
-class CampaignStatus:
+class CampaignStatus(_Tally):
     """Where a campaign stands: spec size vs latest store records."""
 
-    name: str
-    total: int = 0
-    completed: int = 0
-    timeouts: int = 0
-    errors: int = 0
-    missing: int = 0
+    name: str = ""
     shard: Optional[str] = None  #: "I/N" when the spec is one shard of a grid
-    solver: SolverTally = field(default_factory=SolverTally)
     groups: List[GroupStatus] = field(default_factory=list)
 
     @property
@@ -109,33 +87,21 @@ def _shard_text(spec: CampaignSpec) -> Optional[str]:
 
 
 def campaign_status(spec: CampaignSpec, store: ResultStore) -> CampaignStatus:
-    """Tally the latest record per job against the spec, overall and per group."""
-    status = CampaignStatus(name=spec.name, total=len(spec.jobs),
-                            shard=_shard_text(spec))
+    """Tally the latest record per job against the spec, overall and per group.
+
+    This is the one fold of a store's latest records: ``campaign status``
+    and the report's solver tables both render from it.
+    """
+    status = CampaignStatus(name=spec.name, shard=_shard_text(spec))
     by_group: Dict[str, GroupStatus] = {}
     for job in spec.jobs:
         group = by_group.get(job.group)
         if group is None:
             group = by_group[job.group] = GroupStatus(group=job.group)
             status.groups.append(group)
-        group.total += 1
         record = store.record_for(job.key)
-        if record is None:
-            status.missing += 1
-            group.missing += 1
-            continue
-        status.solver.add(record.get("solver"))
-        group.solver.add(record.get("solver"))
-        state = record.get("status")
-        if state == STATUS_COMPLETED:
-            status.completed += 1
-            group.completed += 1
-        elif state == STATUS_TIMEOUT:
-            status.timeouts += 1
-            group.timeouts += 1
-        else:
-            status.errors += 1
-            group.errors += 1
+        status.note(record)
+        group.note(record)
     return status
 
 
@@ -153,25 +119,25 @@ def render_status(status: CampaignStatus) -> str:
         f"errors    : {status.errors}",
         f"remaining : {status.remaining}",
     ]
-    if status.solver.records:
-        tally = status.solver
+    if status.solver_records:
+        solver = status.solver
         rate = (
-            f", {tally.conflict_rate:,.0f} conflicts/s"
-            if tally.solve_seconds > 0 else ""
+            f", {solver.conflicts / solver.solve_seconds:,.0f} conflicts/s"
+            if solver.solve_seconds > 0 else ""
         )
         lines.append(
-            f"solver    : {tally.conflicts} conflicts, "
-            f"{tally.decisions} decisions, {tally.propagations} propagations "
-            f"({tally.solve_calls} solve calls, {tally.solve_seconds:.1f}s{rate})"
+            f"solver    : {solver.conflicts} conflicts, "
+            f"{solver.decisions} decisions, {solver.propagations} propagations "
+            f"({solver.solve_calls} solve calls, {solver.solve_seconds:.1f}s{rate})"
         )
-        if tally.phase_seconds:
+        if solver.phase_seconds:
             # The live line: where solver time is going right now, from the
             # latest telemetry snapshot of every finished job so far — not
             # just an end-of-sweep aggregate.
             phases = ", ".join(
                 f"{phase} {seconds:.1f}s"
                 for phase, seconds in sorted(
-                    tally.phase_seconds.items(),
+                    solver.phase_seconds.items(),
                     key=lambda item: (-item[1], item[0]),
                 )
             )

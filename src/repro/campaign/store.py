@@ -54,7 +54,6 @@ _SHARD_TAG_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 STATUS_COMPLETED = "completed"
 STATUS_ERROR = "error"
 STATUS_TIMEOUT = "timeout"
-STATUSES = (STATUS_COMPLETED, STATUS_ERROR, STATUS_TIMEOUT)
 
 Record = Dict[str, object]
 
@@ -240,29 +239,6 @@ class ResultStore:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    # ------------------------------------------------------------------ stats
-    def counts(self, spec: Optional[CampaignSpec] = None) -> Dict[str, int]:
-        """Latest-record status counts (restricted to ``spec``'s jobs if given).
-
-        Includes a ``"missing"`` bucket when a spec is supplied: jobs with no
-        record at all — the cells a resume still has to run.
-        """
-        counts = {status: 0 for status in STATUSES}
-        if spec is None:
-            for record in self._index.values():
-                status = str(record.get("status", STATUS_ERROR))
-                counts[status] = counts.get(status, 0) + 1
-            return counts
-        counts["missing"] = 0
-        for job in spec.jobs:
-            record = self._index.get(job.key)
-            if record is None:
-                counts["missing"] += 1
-            else:
-                status = str(record.get("status", STATUS_ERROR))
-                counts[status] = counts.get(status, 0) + 1
-        return counts
 
 
 # ------------------------------------------------------------------- merging

@@ -252,6 +252,28 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    """Parse ``--workers`` (0 = serial in-process, N = a pool of N)."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if workers < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {workers}")
+    return workers
+
+
+def _job_timeout(text: str) -> float:
+    """Parse ``--job-timeout`` (seconds; omit the flag for no limit)."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0 seconds, got {text}")
+    return seconds
+
+
 def _parse_shard(text: str) -> Tuple[int, int]:
     """Parse ``--shard I/N`` (1-based on the command line) to ``(index, count)``."""
     match = re.fullmatch(r"(\d+)/(\d+)", text.strip())
@@ -314,6 +336,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         except MergeVerificationError as exc:
             print(f"merge --prune refused: {exc}", file=sys.stderr)
             return 1
+        except OSError as exc:
+            print(f"campaign merge: {exc}", file=sys.stderr)
+            return 2
         print(render_merge_summary(summary))
         return 0
 
@@ -407,22 +432,28 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         summarize_trace,
     )
 
-    if args.command_trace == "summary":
-        summary = summarize_trace(args.trace)
-        print(render_summary(summary))
-        if args.json:
-            _emit_json(summary, args.json)
-        return 0
-    if args.command_trace == "timeline":
-        print(render_timeline(args.trace, buckets=args.buckets))
-        return 0
-    if args.command_trace == "diff":
-        diff = diff_traces(args.a, args.b)
-        print(render_diff(diff))
-        if args.json:
-            _emit_json(diff, args.json)
-        return 0
-    raise SystemExit(f"unknown trace command {args.command_trace!r}")
+    command = args.command_trace
+    payload = None
+    # A missing file, a directory, a newer trace schema or a bad bucket
+    # count is one error line and exit 2, not a traceback.
+    try:
+        if command == "summary":
+            payload = summarize_trace(args.trace)
+            text = render_summary(payload)
+        elif command == "timeline":
+            text = render_timeline(args.trace, buckets=args.buckets)
+        elif command == "diff":
+            payload = diff_traces(args.a, args.b)
+            text = render_diff(payload)
+        else:
+            raise SystemExit(f"unknown trace command {command!r}")
+    except (OSError, ValueError) as exc:
+        print(f"trace {command}: {exc}", file=sys.stderr)
+        return 2
+    print(text)
+    if payload is not None and args.json:
+        _emit_json(payload, args.json)
+    return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -756,11 +787,11 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--output", default="experiments_report.md")
     reproduce.add_argument("--latex", default=None, metavar="PATH",
                            help="also write the tables as a LaTeX fragment")
-    reproduce.add_argument("--workers", type=int, default=0,
+    reproduce.add_argument("--workers", type=_worker_count, default=0,
                            help="worker processes (0 = serial in-process)")
     reproduce.add_argument("--store", default=None,
                            help="campaign store directory (enables resume)")
-    reproduce.add_argument("--job-timeout", type=float, default=None,
+    reproduce.add_argument("--job-timeout", type=_job_timeout, default=None,
                            help="per-cell wall-clock budget in seconds")
     reproduce.set_defaults(func=_cmd_reproduce)
 
@@ -793,9 +824,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "partition")
 
     def _exec_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workers", type=int, default=0,
+        p.add_argument("--workers", type=_worker_count, default=0,
                        help="worker processes (0 = serial in-process)")
-        p.add_argument("--job-timeout", type=float, default=None,
+        p.add_argument("--job-timeout", type=_job_timeout, default=None,
                        help="per-job wall-clock budget in seconds")
         p.add_argument("--retry-failed", action="store_true",
                        help="re-run jobs whose latest row is error/timeout")

@@ -13,16 +13,18 @@ orchestrator and the paper's evaluation: it knows how to
 
 Aggregation is driven purely by the spec's job order and the store's latest
 records, so it works identically for live, resumed and partially-complete
-campaigns.
+campaigns.  The two solver tables render from the same
+:func:`~repro.campaign.progress.campaign_status` fold as ``campaign
+status``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.campaign.store import ResultStore
-from repro.campaign.progress import SolverTally
+from repro.campaign.progress import CampaignStatus, GroupStatus, campaign_status
 from repro.trace.analysis import ascii_bar
 from repro.experiments.figure4 import aggregate_figure4, figure4_jobs
 from repro.experiments.report import ExperimentTable, render_latex_tables
@@ -155,22 +157,22 @@ def aggregate_campaign(
             figure_tables, _ = aggregate_figure4(jobs, records)
             for metric, table in figure_tables.items():
                 tables[f"figure4_{metric}"] = table
+    status = campaign_status(spec, store)
     tables["solver"] = solver_telemetry_table(
-        spec, records, redact_runtimes=redact_runtimes
+        status, redact_runtimes=redact_runtimes
     )
     tables["solver_flame"] = solver_flame_table(
-        spec, records, redact_runtimes=redact_runtimes
+        status, redact_runtimes=redact_runtimes
     )
     return tables
 
 
 def solver_telemetry_table(
-    spec: CampaignSpec,
-    records: Mapping[str, "object"],
+    status: CampaignStatus,
     *,
     redact_runtimes: bool = False,
 ) -> ExperimentTable:
-    """Aggregate the per-record solver telemetry blocks into one table.
+    """Render the status's per-group solver blocks as one table.
 
     One row per campaign group plus a total row: solve calls, decisions,
     propagations, conflicts, learned clauses and restarts summed over the
@@ -187,22 +189,14 @@ def solver_telemetry_table(
         columns=["Group", "Jobs", "Solve calls", "Decisions", "Propagations",
                  "Conflicts", "Learned", "Restarts", "Solve time (s)"],
     )
-    total = SolverTally()
-    for group in spec.groups():
-        tally = SolverTally()
-        for job in spec.jobs_in_group(group):
-            record = records.get(job.key)
-            if isinstance(record, dict):
-                tally.add(record.get("solver"))
-                total.add(record.get("solver"))
-        table.add_row(**_solver_row(group or "-", tally, redact_runtimes))
-    table.add_row(**_solver_row("total", total, redact_runtimes))
+    for group in status.groups:
+        table.add_row(**_solver_row(group.group or "-", group, redact_runtimes))
+    table.add_row(**_solver_row("total", status, redact_runtimes))
     return table
 
 
 def solver_flame_table(
-    spec: CampaignSpec,
-    records: Mapping[str, "object"],
+    status: CampaignStatus,
     *,
     redact_runtimes: bool = False,
     width: int = 24,
@@ -222,20 +216,16 @@ def solver_flame_table(
         title="Per-phase solver time per campaign group",
         columns=["Group", "Phase", "Seconds", "Share", "Flame"],
     )
-    for group in spec.groups():
-        tally = SolverTally()
-        for job in spec.jobs_in_group(group):
-            record = records.get(job.key)
-            if isinstance(record, dict):
-                tally.add(record.get("solver"))
-        if not tally.phase_seconds:
+    for group in status.groups:
+        phases = group.solver.phase_seconds
+        if not phases:
             continue
-        group_total = sum(tally.phase_seconds.values())
-        for phase in sorted(tally.phase_seconds):
-            seconds = tally.phase_seconds[phase]
+        group_total = sum(phases.values())
+        for phase in sorted(phases):
+            seconds = phases[phase]
             share = seconds / group_total if group_total > 0 else 0.0
             table.add_row(
-                Group=group or "-",
+                Group=group.group or "-",
                 Phase=phase,
                 Seconds="-" if redact_runtimes else round(seconds, 2),
                 Share="-" if redact_runtimes else f"{share:.1%}",
@@ -249,17 +239,20 @@ def solver_flame_table(
     return table
 
 
-def _solver_row(label: str, tally: SolverTally, redact_runtimes: bool) -> Dict[str, object]:
+def _solver_row(
+    label: str, tally: GroupStatus | CampaignStatus, redact_runtimes: bool
+) -> Dict[str, object]:
+    solver = tally.solver
     return {
         "Group": label,
-        "Jobs": tally.records,
-        "Solve calls": tally.solve_calls,
-        "Decisions": tally.decisions,
-        "Propagations": tally.propagations,
-        "Conflicts": tally.conflicts,
-        "Learned": tally.learned_clauses,
-        "Restarts": tally.restarts,
-        "Solve time (s)": "-" if redact_runtimes else round(tally.solve_seconds, 2),
+        "Jobs": tally.solver_records,
+        "Solve calls": solver.solve_calls,
+        "Decisions": solver.decisions,
+        "Propagations": solver.propagations,
+        "Conflicts": solver.conflicts,
+        "Learned": solver.learned_clauses,
+        "Restarts": solver.restarts,
+        "Solve time (s)": "-" if redact_runtimes else round(solver.solve_seconds, 2),
     }
 
 

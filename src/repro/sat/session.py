@@ -14,10 +14,13 @@ CDCL hot loop.  :class:`SolveSession` is that place:
   limit and an absolute wall-clock deadline; every query is automatically
   clamped to the remaining budget;
 * **telemetry** — each query folds the solver's counter deltas, the answer
-  and the per-phase wall time into a serializable :class:`SolverTelemetry`,
-  which attacks attach to ``AttackResult.details["solver"]`` and the
-  campaign executor snapshots onto every result record (via
-  :func:`capture_solver_telemetry`) next to ``cpu_seconds``/``max_rss_kb``.
+  and the per-phase wall time into the session's :class:`SolverTelemetry`
+  (attacks attach it to ``AttackResult.details["solver"]``, merging the
+  blocks when they run several sessions) and into every open capture
+  frame.  The frames (:func:`capture_solver_telemetry`) are the one
+  cross-session accumulator: the campaign executor stores one per job
+  attempt on its result record, so a timed-out attempt keeps its partial
+  counters.
 """
 
 from __future__ import annotations
@@ -96,24 +99,17 @@ class SolverTelemetry:
         self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
 
     def merge(self, other: "SolverTelemetry") -> None:
-        """Fold another telemetry block into this one (aggregation)."""
-        if other.backend:
-            if not self.backend:
-                self.backend = other.backend
-            elif self.backend != other.backend:
-                self.backend = "mixed"
+        """Fold another telemetry block into this one (aggregation).
+
+        An empty backend label takes the other block's; a set one is kept.
+        """
+        if not self.backend:
+            self.backend = other.backend
         for name in _COUNTER_FIELDS + ("sat", "unsat", "limited"):
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.solve_seconds += other.solve_seconds
         for phase, seconds in other.phase_seconds.items():
             self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
-
-    def reset(self) -> None:
-        """Zero every counter (the backend label is kept)."""
-        for name in _COUNTER_FIELDS + ("sat", "unsat", "limited"):
-            setattr(self, name, 0)
-        self.solve_seconds = 0.0
-        self.phase_seconds = {}
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable form (stored on attack results and campaign records)."""
@@ -126,14 +122,26 @@ class SolverTelemetry:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SolverTelemetry":
-        telemetry = cls(backend=str(data.get("backend", "")))
+        """Rebuild a block from :meth:`to_dict` output.
+
+        Store records are outside input, so only numeric values count: a
+        missing or non-numeric counter reads as zero, and a non-numeric
+        phase entry is dropped.
+        """
+        backend = data.get("backend")
+        telemetry = cls(backend=backend if isinstance(backend, str) else "")
         for name in _COUNTER_FIELDS + ("sat", "unsat", "limited"):
-            setattr(telemetry, name, int(data.get(name, 0)))  # type: ignore[arg-type]
-        telemetry.solve_seconds = float(data.get("solve_seconds", 0.0))  # type: ignore[arg-type]
-        phases = data.get("phase_seconds", {})
+            value = data.get(name)
+            if isinstance(value, (int, float)):
+                setattr(telemetry, name, int(value))
+        seconds = data.get("solve_seconds")
+        if isinstance(seconds, (int, float)):
+            telemetry.solve_seconds = float(seconds)
+        phases = data.get("phase_seconds")
         if isinstance(phases, Mapping):
             telemetry.phase_seconds = {
-                str(phase): float(seconds) for phase, seconds in phases.items()  # type: ignore[arg-type]
+                str(phase): float(value) for phase, value in phases.items()
+                if isinstance(value, (int, float))
             }
         return telemetry
 
@@ -150,8 +158,9 @@ def capture_solver_telemetry() -> Iterator[SolverTelemetry]:
 
     The campaign executor wraps each job attempt in this, so every result
     record carries the attempt's end-to-end solver telemetry no matter how
-    many sessions (attack + verification + …) the job created.  Frames nest:
-    each active frame sees every call.
+    many sessions (attack + verification + …) the job created, and even
+    when the attempt is interrupted before an attack could report its own
+    block.  Frames nest: each active frame sees every call.
     """
     frame = SolverTelemetry()
     _CAPTURE_FRAMES.append(frame)
@@ -172,6 +181,10 @@ def capture_solver_telemetry() -> Iterator[SolverTelemetry]:
 class SolveSession:
     """One encoder + one solver + budgets + telemetry.
 
+    :attr:`telemetry` holds this session's calls only; an attack running
+    several sessions (e.g. RANE's synthesis + verification sides) ``merge``-s
+    their blocks into its attack-wide one.
+
     Parameters
     ----------
     encoder:
@@ -180,10 +193,6 @@ class SolveSession:
         Default per-call conflict budget (None = unlimited).
     deadline:
         Absolute ``time.monotonic()`` deadline every call is clamped to.
-    telemetry:
-        Optional shared :class:`SolverTelemetry` accumulator — pass the same
-        object to several sessions (e.g. RANE's synthesis + verification
-        sides) to aggregate one attack-wide block.
     proof_path:
         Directory to write UNSAT certificates into (created if missing).
         When set, the solver logs DRUP steps into a
@@ -204,7 +213,6 @@ class SolveSession:
         encoder: Optional[TseitinEncoder] = None,
         conflict_limit: Optional[int] = None,
         deadline: Optional[float] = None,
-        telemetry: Optional[SolverTelemetry] = None,
         proof_path: Optional[Union[str, Path]] = None,
         proof_label: str = "query",
     ) -> None:
@@ -212,9 +220,7 @@ class SolveSession:
         self.solver = Solver()
         self.conflict_limit = conflict_limit
         self.deadline = deadline
-        self.telemetry = telemetry if telemetry is not None else SolverTelemetry()
-        if not self.telemetry.backend:
-            self.telemetry.backend = DEFAULT_BACKEND
+        self.telemetry = SolverTelemetry(backend=DEFAULT_BACKEND)
         self._synced = 0
         # Event tracing (repro.trace): bind to the writer active at session
         # construction.  With no writer active, every later check is a single

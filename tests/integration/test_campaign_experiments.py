@@ -239,6 +239,86 @@ class TestShardedSweeps:
                          "--shard", "1/2", "--shard-costs", store]) == 0
         assert "remaining : 3\n" in capsys.readouterr().out
 
+    def test_status_and_report_fold_only_numeric_solver_values(
+        self, tmp_path, capsys
+    ):
+        # Store records are outside input: a record without a solver key,
+        # with "solver": null, or with non-numeric values must not break
+        # status or report, and only the numeric values are summed.
+        store_dir = tmp_path / "store"
+        spec = CampaignSpec(name="tolerant", jobs=[
+            JobSpec(kind="sleep", group="g", params={"marker": index})
+            for index in range(4)
+        ])
+        store = ResultStore(store_dir)
+        store.write_manifest(spec)
+        extras = [
+            {},
+            {"solver": None},
+            {"solver": {"backend": "cdcl", "conflicts": "12", "decisions": 5,
+                        "propagations": 40, "solve_calls": 2,
+                        "solve_seconds": 0.5,
+                        "phase_seconds": {"verify": "x", "dip-search": 0.5}}},
+            {"solver": {"conflicts": 8, "solve_seconds": "slow",
+                        "phase_seconds": "x"}},
+        ]
+        for job, extra in zip(spec.jobs, extras):
+            store.append({"key": job.key, "status": "completed", **extra})
+
+        assert cli_main(["campaign", "status", "--store", str(store_dir)]) == 0
+        out = capsys.readouterr().out
+        assert ("solver    : 8 conflicts, 5 decisions, 40 propagations "
+                "(2 solve calls, 0.5s, 16 conflicts/s)\n") in out
+        assert "phases    : dip-search 0.5s\n" in out
+
+        assert cli_main(["campaign", "report", "--store", str(store_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "Solver telemetry" in out and "Solver flame view" in out
+        tables = aggregate_campaign(spec, ResultStore(store_dir))
+        group, total = tables["solver"].rows
+        assert group == {**total, "Group": "g"}
+        assert total == {
+            "Group": "total", "Jobs": 2, "Solve calls": 2, "Decisions": 5,
+            "Propagations": 40, "Conflicts": 8, "Learned": 0, "Restarts": 0,
+            "Solve time (s)": 0.5,
+        }
+        assert [(row["Group"], row["Phase"], row["Seconds"])
+                for row in tables["solver_flame"].rows] == [("g", "dip-search", 0.5)]
+
+    @pytest.mark.parametrize("command, flags", [
+        (["campaign", "run", "--grid", "smoke"], ["--workers", "-1"]),
+        (["campaign", "resume"], ["--workers", "-1"]),
+        (["reproduce"], ["--workers", "-1"]),
+        (["campaign", "run", "--grid", "smoke"], ["--job-timeout", "0"]),
+        (["campaign", "resume"], ["--job-timeout", "0"]),
+        (["reproduce"], ["--job-timeout", "-5"]),
+        (["campaign", "resume"], ["--job-timeout", "nan"]),
+    ])
+    def test_cli_rejects_bad_execution_arguments(self, tmp_path, capsys,
+                                                 command, flags):
+        # Rejected while parsing: nothing is written and nothing runs.
+        store = tmp_path / "store"
+        spec = CampaignSpec(name="tiny", jobs=[
+            JobSpec(kind="sleep", group="sleep", params={"seconds": 0.0}),
+        ])
+        ResultStore(store).write_manifest(spec)
+        manifest = (store / "manifest.json").read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            cli_main(command + ["--store", str(store)] + flags)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flags[0] in err and "Traceback" not in err
+        assert (store / "manifest.json").read_bytes() == manifest
+        assert not (store / "results.jsonl").exists()
+
+    def test_merge_of_a_missing_store_is_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-store"
+        assert cli_main(["campaign", "merge", "--store", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("campaign merge: nothing to merge")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not missing.exists()
+
     def test_cli_report_latex_from_store(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
         jobs = table3_jobs(benchmarks=["bcomp"], attacks=["INT"], time_limit=60.0)

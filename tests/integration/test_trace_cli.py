@@ -20,7 +20,7 @@ from repro.fsm.random_fsm import random_fsm
 from repro.fsm.synthesis import synthesize_fsm
 from repro.locking.cutelock_str import CuteLockStr
 from repro.netlist.bench import save_bench
-from repro.trace import read_trace_events, summarize_trace
+from repro.trace import TRACE_SCHEMA_VERSION, TraceWriter, read_trace_events, summarize_trace
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +128,45 @@ class TestTracedAttackCli:
         capsys.readouterr()
         payload = json.loads(diff_json.read_text())
         assert payload["max_drift"] == 0.0
+
+
+class TestTraceCliErrors:
+    """Unreadable input is one ``trace <command>: ...`` line and exit 2."""
+
+    @pytest.fixture
+    def traces(self, tmp_path):
+        good = tmp_path / "good.trace.jsonl"
+        with TraceWriter(good):
+            pass
+        future = tmp_path / "future.trace.jsonl"
+        future.write_text(json.dumps({
+            "kind": "meta", "t": 0.0, "schema": TRACE_SCHEMA_VERSION + 1,
+            "stride": 1,
+        }) + "\n")
+        return {"good": str(good), "future": str(future),
+                "missing": str(tmp_path / "missing.trace.jsonl"),
+                "dir": str(tmp_path)}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["summary", "missing"], "No such file"),
+        (["summary", "dir"], "Is a directory"),
+        (["summary", "future"], "newer than supported"),
+        (["timeline", "missing"], "No such file"),
+        (["timeline", "future"], "newer than supported"),
+        (["timeline", "good", "--buckets", "0"], "buckets must be >= 1"),
+        (["diff", "good", "missing"], "No such file"),
+        (["diff", "dir", "good"], "Is a directory"),
+        (["diff", "good", "future"], "newer than supported"),
+    ])
+    def test_bad_input_exits_2_with_one_line(self, traces, capsys, argv, message):
+        command, *rest = argv
+        args = [traces.get(item, item) for item in rest]
+        assert cli_main(["trace", command] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"trace {command}: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestTracedCampaign:

@@ -226,7 +226,7 @@ class TestMergeStores:
         assert summary.keys == 5
         merged = ResultStore(root)
         assert len(merged) == 5
-        assert merged.counts(spec)["missing"] == 0
+        assert campaign_status(spec, merged).missing == 0
         assert "5 read, 5 kept" in render_merge_summary(summary)
 
     def test_merge_is_idempotent_and_byte_stable(self, tmp_path):
@@ -263,7 +263,7 @@ class TestMergeStores:
                      workers=0, write_manifest=False)
         summary = merge_stores(local, extra=[remote])
         assert summary.records_out == 4
-        assert ResultStore(local).counts(spec)["missing"] == 0
+        assert campaign_status(spec, ResultStore(local)).missing == 0
 
     def test_merge_with_no_sources_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nothing to merge"):
@@ -304,7 +304,7 @@ class TestMergePrune:
         assert not list(root.glob("results-*.jsonl"))
         assert (root / "results.jsonl").exists()
         merged = ResultStore(root)
-        assert merged.counts(spec)["missing"] == 0
+        assert campaign_status(spec, merged).missing == 0
         # Re-merging the pruned store is a clean no-op on the canonical file.
         first = (root / "results.jsonl").read_bytes()
         merge_stores(root)
@@ -471,9 +471,10 @@ class TestResultStore:
         spec = CampaignSpec(name="c", jobs=sleep_jobs(3))
         store = ResultStore(tmp_path / "store")
         store.append({"key": spec.jobs[0].key, "status": "completed"})
-        counts = store.counts(spec)
-        assert counts["completed"] == 1
-        assert counts["missing"] == 2
+        store.append({"key": "not-in-the-spec", "status": "completed"})
+        status = campaign_status(spec, store)
+        assert (status.total, status.completed, status.errors) == (3, 1, 0)
+        assert status.missing == 2
 
     def test_in_memory_store_has_no_paths(self):
         store = ResultStore(None)
@@ -534,7 +535,7 @@ class TestSerialExecutor:
         store = ResultStore(tmp_path / "store")
         summary = run_campaign(spec, store, workers=0)
         assert (summary.executed, summary.completed, summary.skipped) == (3, 3, 0)
-        assert store.counts(spec)["missing"] == 0
+        assert campaign_status(spec, store).missing == 0
 
     def test_resume_skips_completed_jobs(self, tmp_path):
         spec = CampaignSpec(name="c", jobs=sleep_jobs(3))
@@ -601,6 +602,17 @@ class TestSerialExecutor:
         with pytest.raises(ValueError):
             run_campaign(CampaignSpec(name="c", jobs=[]), ResultStore(None), workers=-1)
 
+    @pytest.mark.parametrize("job_timeout", [0.0, -5.0])
+    def test_non_positive_job_timeout_rejected_before_anything_runs(
+        self, tmp_path, job_timeout
+    ):
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="job_timeout"):
+            run_campaign(CampaignSpec(name="c", jobs=sleep_jobs(2)), store,
+                         job_timeout=job_timeout)
+        assert not store.has_manifest()
+        assert len(store) == 0
+
 
 class TestParallelExecutor:
     def test_parallel_run_completes_all_jobs(self, tmp_path):
@@ -608,7 +620,7 @@ class TestParallelExecutor:
         store = ResultStore(tmp_path / "store")
         summary = run_campaign(spec, store, workers=2)
         assert summary.completed == 4
-        assert store.counts(spec)["missing"] == 0
+        assert campaign_status(spec, store).missing == 0
 
     def test_worker_timeout_does_not_abort_the_sweep(self, tmp_path):
         jobs = [

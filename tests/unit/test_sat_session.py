@@ -1,4 +1,4 @@
-"""Unit tests for the unified solving layer: SolveSession semantics, SolverTelemetry serialization/reset and the end-to-end telemetry
+"""Unit tests for the unified solving layer: SolveSession semantics, SolverTelemetry serialization/merging and the end-to-end telemetry
 spine (attack details -> campaign records)."""
 
 import time
@@ -59,21 +59,36 @@ class TestSolverTelemetry:
         a = SolverTelemetry(backend="cdcl")
         a.note_call({"conflicts": 3, "solve_calls": 1}, answer=False,
                     seconds=0.1, phase="verify")
-        b = SolverTelemetry(backend="other")  # e.g. a record from another solver
+        b = SolverTelemetry(backend="cdcl")
         b.note_call({"conflicts": 4, "solve_calls": 2}, answer=True,
                     seconds=0.2, phase="verify")
         a.merge(b)
         assert a.conflicts == 7 and a.solve_calls == 3
-        assert a.backend == "mixed"
+        assert (a.sat, a.unsat, a.limited) == (1, 1, 0)
+        assert a.backend == "cdcl"
         assert a.phase_seconds["verify"] == pytest.approx(0.3)
+        # An empty accumulator (a campaign fold, a sleep job's block) takes
+        # the backend of the first block that has one, and keeps it.
+        total = SolverTelemetry()
+        total.merge(SolverTelemetry())
+        assert total.backend == ""
+        total.merge(a)
+        total.merge(SolverTelemetry())
+        assert total.backend == "cdcl" and total.conflicts == 7
 
-    def test_reset_zeroes_counters_but_keeps_backend(self):
-        telemetry = SolverTelemetry(backend="cdcl")
-        telemetry.note_call({"decisions": 9, "solve_calls": 1}, answer=True,
-                            seconds=0.7, phase="solve")
-        telemetry.reset()
-        assert telemetry == SolverTelemetry(backend="cdcl")
-        assert telemetry.phase_seconds == {}
+    def test_from_dict_counts_only_numeric_values(self):
+        # Store records are outside input: a block with missing, mistyped or
+        # non-numeric fields folds to zeros instead of raising.
+        block = SolverTelemetry.from_dict({
+            "backend": None, "conflicts": "12", "decisions": 5,
+            "propagations": 7.0, "solve_seconds": "slow",
+            "phase_seconds": {"verify": "x", "dip-search": 0.5},
+        })
+        assert block.backend == ""
+        assert (block.conflicts, block.decisions, block.propagations) == (0, 5, 7)
+        assert block.solve_seconds == 0.0
+        assert block.phase_seconds == {"dip-search": 0.5}
+        assert SolverTelemetry.from_dict({"phase_seconds": [1.0]}) == SolverTelemetry()
 
 
 def _xor_locked_circuit():
@@ -118,14 +133,16 @@ class TestSolveSession:
         assert set(telemetry.phase_seconds) == {"alpha", "beta"}
         first_props = telemetry.propagations
 
-        # Reset, then query again: counters restart from zero and only the
-        # new activity is recorded.
-        telemetry.reset()
-        assert telemetry.solve_calls == 0 and telemetry.propagations == 0
-        assert session.solve(phase="alpha") is True
-        assert telemetry.solve_calls == 1
-        assert telemetry.sat == 1 and telemetry.unsat == 0
-        assert telemetry.propagations <= max(first_props, 1)
+        # A fresh capture frame starts from zero and records only the new
+        # activity, while the session block keeps accumulating.
+        with capture_solver_telemetry() as frame:
+            assert session.solve(phase="alpha") is True
+        assert frame.solve_calls == 1
+        assert frame.sat == 1 and frame.unsat == 0
+        assert frame.propagations <= max(first_props, 1)
+        assert set(frame.phase_seconds) == {"alpha"}
+        assert telemetry.solve_calls == 3 and telemetry.sat == 2
+        assert telemetry.propagations == first_props + frame.propagations
 
     def test_deadline_clamps_queries(self):
         session = SolveSession(deadline=time.monotonic() - 1.0)
@@ -158,14 +175,22 @@ class TestSolveSession:
         assert session.telemetry.solve_calls == calls_before + 1
 
     def test_shared_telemetry_across_sessions(self):
+        # Each session keeps its own block; an attack-wide block is their
+        # merge, and a capture frame sees every session's calls.
+        with capture_solver_telemetry() as frame:
+            one = SolveSession()
+            two = SolveSession()
+            one.encoder.cnf.add_clause([1])
+            two.encoder.cnf.add_clause([2])
+            one.solve()
+            two.solve()
+        assert one.telemetry.solve_calls == 1
+        assert two.telemetry.solve_calls == 1
         shared = SolverTelemetry()
-        one = SolveSession(telemetry=shared)
-        two = SolveSession(telemetry=shared)
-        one.encoder.cnf.add_clause([1])
-        two.encoder.cnf.add_clause([2])
-        one.solve()
-        two.solve()
-        assert shared.solve_calls == 2
+        shared.merge(one.telemetry)
+        shared.merge(two.telemetry)
+        assert shared.solve_calls == 2 and shared.backend == "cdcl"
+        assert shared == frame
 
     def test_capture_frames_nest(self):
         with capture_solver_telemetry() as outer:

@@ -12,8 +12,10 @@ import warnings
 import pytest
 
 from repro.campaign.executor import execute_job_attempt, job_trace_path
-from repro.campaign.progress import CampaignStatus, SolverTally, render_status
-from repro.sat.session import SolveSession, capture_solver_telemetry
+from repro.campaign.progress import CampaignStatus, campaign_status, render_status
+from repro.campaign.spec import CampaignSpec, JobSpec
+from repro.campaign.store import ResultStore
+from repro.sat.session import SolveSession, SolverTelemetry, capture_solver_telemetry
 from repro.trace import (
     DEFAULT_STRIDE,
     TRACE_SCHEMA_VERSION,
@@ -395,29 +397,49 @@ class TestCampaignWiring:
         assert "trace" not in record
 
     def test_solver_tally_phase_seconds_and_rate(self):
-        tally = SolverTally()
-        tally.add({"solve_calls": 2, "conflicts": 300, "solve_seconds": 1.5,
-                   "phase_seconds": {"dip-search": 1.0, "verify": 0.5}})
-        tally.add({"solve_calls": 1, "conflicts": 100, "solve_seconds": 0.5,
-                   "phase_seconds": {"dip-search": 0.5}})
-        assert tally.phase_seconds == {"dip-search": 1.5, "verify": 0.5}
-        assert tally.conflict_rate == pytest.approx(400 / 2.0)
-        empty = SolverTally()
-        assert empty.conflict_rate == 0.0
+        spec = CampaignSpec(name="demo", jobs=[
+            JobSpec(kind="sleep", group="g", params={"marker": index})
+            for index in range(3)
+        ])
+        store = ResultStore(None)
+        blocks = [
+            {"solve_calls": 2, "conflicts": 300, "solve_seconds": 1.5,
+             "phase_seconds": {"dip-search": 1.0, "verify": 0.5}},
+            {"solve_calls": 1, "conflicts": 100, "solve_seconds": 0.5,
+             "phase_seconds": {"dip-search": 0.5}},
+        ]
+        for job, block in zip(spec.jobs, blocks):
+            store.append({"key": job.key, "status": "completed", "solver": block})
+        status = campaign_status(spec, store)
+        assert status.solver_records == 2 and status.missing == 1
+        assert status.solver.phase_seconds == {"dip-search": 1.5, "verify": 0.5}
+        assert status.groups[0].solver == status.solver
+        assert "solver    : 400 conflicts" in render_status(status)
+        assert "200 conflicts/s" in render_status(status)
+        # No solver time yet: the line shows without a rate.
+        status.solver.solve_seconds = 0.0
+        assert "conflicts/s" not in render_status(status)
+        empty = campaign_status(spec, ResultStore(None))
+        assert "solver    :" not in render_status(empty)
 
     def test_render_status_live_solver_line(self):
-        status = CampaignStatus(name="demo", total=2, completed=2)
-        status.solver.add({
-            "solve_calls": 4, "conflicts": 1000, "decisions": 50,
-            "propagations": 9000, "solve_seconds": 2.0,
-            "phase_seconds": {"dip-search": 1.5, "verify": 0.5},
-        })
+        status = CampaignStatus(
+            name="demo", total=2, completed=2, solver_records=1,
+            solver=SolverTelemetry.from_dict({
+                "solve_calls": 4, "conflicts": 1000, "decisions": 50,
+                "propagations": 9000, "solve_seconds": 2.0,
+                "phase_seconds": {"dip-search": 1.5, "verify": 0.5},
+            }),
+        )
         text = render_status(status)
         assert "500 conflicts/s" in text
         assert "phases    : dip-search 1.5s, verify 0.5s" in text
 
     def test_render_status_without_phases_omits_line(self):
-        status = CampaignStatus(name="demo", total=1, completed=1)
-        status.solver.add({"solve_calls": 1, "conflicts": 10})
+        status = CampaignStatus(
+            name="demo", total=1, completed=1, solver_records=1,
+            solver=SolverTelemetry.from_dict({"solve_calls": 1, "conflicts": 10}),
+        )
         text = render_status(status)
+        assert "solver    : 10 conflicts" in text
         assert "phases" not in text
