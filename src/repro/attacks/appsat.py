@@ -23,7 +23,6 @@ from typing import Dict, Optional, Union
 from repro.attacks.results import AttackOutcome, AttackResult
 from repro.attacks.sat_attack import _as_locked_pair, _DipMiter
 from repro.engine.batch_oracle import BatchedCombinationalOracle
-from repro.engine.packed import PackedSimulator
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit
 from repro.sat.session import SolveSession
@@ -63,15 +62,12 @@ def appsat_attack(
 
     locked_view = locked_circuit.combinational_view() if locked_circuit.dffs else locked_circuit
     oracle = BatchedCombinationalOracle(original)
-    locked_sim = PackedSimulator(locked_view)
 
-    key_nets = list(locked_view.key_inputs)
-    functional_nets = [n for n in locked_view.inputs if n not in set(key_nets)]
     shared_outputs = [o for o in locked_view.outputs if o in set(oracle.output_nets)]
 
     deadline = start + time_limit
     session = SolveSession(conflict_limit=conflict_limit, deadline=deadline)
-    miter = _DipMiter(session, locked_view, key_nets, functional_nets, shared_outputs)
+    miter = _DipMiter(session, locked_view, shared_outputs)
 
     def extract_candidate() -> Optional[Dict[str, int]]:
         status = session.solve(phase="key-extract")
@@ -82,11 +78,11 @@ def appsat_attack(
     def sample_error(candidate: Dict[str, int]) -> float:
         # One packed pass per side: all samples of the round are lanes.
         vectors = [
-            {net: rng.randint(0, 1) for net in functional_nets}
+            {net: rng.randint(0, 1) for net in miter.functional_nets}
             for _ in range(samples_per_round)
         ]
         oracle_outs = oracle.query_batch(vectors)
-        locked_outs = locked_sim.outputs_batch(
+        locked_outs = miter.simulator.outputs_batch(
             [{**vector, **candidate} for vector in vectors]
         )
         errors = sum(

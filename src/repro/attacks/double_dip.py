@@ -42,8 +42,6 @@ def double_dip_attack(
 
     locked_view = locked_circuit.combinational_view() if locked_circuit.dffs else locked_circuit
     oracle = BatchedCombinationalOracle(original)
-    key_nets = list(locked_view.key_inputs)
-    functional_nets = [n for n in locked_view.inputs if n not in set(key_nets)]
     shared_outputs = [o for o in locked_view.outputs if o in set(oracle.output_nets)]
     if not shared_outputs:
         # Without shared outputs the inequality below would be a degenerate
@@ -54,7 +52,7 @@ def double_dip_attack(
 
     deadline = start + time_limit
     session = SolveSession(conflict_limit=conflict_limit, deadline=deadline)
-    miter = _DipMiter(session, locked_view, key_nets, functional_nets, shared_outputs)
+    miter = _DipMiter(session, locked_view, shared_outputs)
     iterations = 0
 
     def finish(outcome: AttackOutcome, key: Optional[Dict[str, int]] = None, **details) -> AttackResult:

@@ -19,16 +19,24 @@ the miter set apart, so on a lock with one correct ``k``-bit static key the
 loop ends within ``2**k - 1`` iterations.  The oracle answers through the packed engine
 (:class:`~repro.engine.batch_oracle.BatchedCombinationalOracle`), which also
 runs the final key verification as one bit-parallel pass.
+
+The miter (:class:`_DipMiter`, shared with AppSAT and DoubleDIP) encodes
+the key-independent logic once.  Only the *key cone* — the gates in a key
+input's combinational fanout that reach a compared output — differs between
+the two key copies, and only the cone is encoded again per DIP, with its
+key-independent fanins folded to constants.  A point-function lock's cone is
+a handful of gates, so the miter stays close to one copy of the view.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.attacks.results import AttackOutcome, AttackResult
 from repro.engine.batch_oracle import BatchedCombinationalOracle
+from repro.engine.packed import PackedSimulator
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.sat.session import SolveSession
@@ -48,39 +56,83 @@ def _as_locked_pair(
     return locked, oracle_circuit
 
 
+#: The nets the per-DIP cone copies read a key-independent 0 or 1 from; each
+#: is fixed once by a unit clause.
+_CONSTANTS = ("const@0", "const@1")
+
+
+def _key_cone(view: Circuit, outputs: Sequence[str]) -> Tuple[Set[str], Circuit]:
+    """The key-dependent nets of ``view`` and its key cone.
+
+    The key-dependent nets are the key inputs and every gate in their
+    combinational fanout.  The cone is the sub-circuit of those gates that
+    reach a member of ``outputs``: its inputs are the key inputs, then the
+    key-independent nets its gates read; its outputs are the members of
+    ``outputs`` that depend on a key.
+    """
+    gates = view.gates
+    keyed = set(view.key_inputs) | view.key_dependent_gates()
+    cone = Circuit(f"{view.name}_keycone")
+    cone.outputs = [net for net in outputs if net in keyed]
+    stack = [net for net in cone.outputs if net in gates]
+    while stack:
+        net = stack.pop()
+        if net not in cone.gates:
+            cone.gates[net] = gates[net]
+            stack.extend(src for src in gates[net].inputs if src in gates and src in keyed)
+    boundary = dict.fromkeys(
+        src for gate in cone.gates.values() for src in gate.inputs if src not in keyed
+    )
+    cone.inputs = [*view.key_inputs, *boundary]
+    cone.key_inputs = list(view.key_inputs)
+    return keyed, cone
+
+
 class _DipMiter:
     """The two-key DIP miter of the combinational attacks (SAT, AppSAT, DoubleDIP).
 
-    Two copies of ``locked_view`` (``A@`` and ``B@``) share the functional
-    inputs and keep private keys; ``diff_literal`` asserts that their shared
-    outputs differ.  :meth:`observe` adds one oracle observation as a fresh
-    copy per key side with the inputs fixed to the DIP and the outputs to the
-    oracle's response.
+    ``A@`` encodes all of ``locked_view`` with every key-independent net
+    under its own name, so both key copies share it (the structural sharing
+    of AIG miters, Kuehlmann et al., IEEE TCAD 2002); ``B@`` encodes only
+    the key cone (:func:`_key_cone`) over those shared nets.
+    ``diff_literal`` asserts that the copies differ on a shared output
+    inside the cone: outside it both copies read one variable.
+
+    :meth:`observe` evaluates ``locked_view`` on the DIP in one packed pass.
+    A key-independent output that disagrees with the oracle refutes every
+    key, so it adds a level-0 contradiction.  Otherwise each key side gets
+    one copy of the cone, its key-independent fanins bound to the
+    :data:`_CONSTANTS` nets (the solver's clause intake folds them away)
+    and its outputs fixed to the oracle's response.  The miter admits the
+    same keys as one full copy of the view per side and DIP would.
     """
 
     def __init__(
-        self,
-        session: SolveSession,
-        locked_view: Circuit,
-        key_nets: Sequence[str],
-        functional_nets: Sequence[str],
-        shared_outputs: Sequence[str],
+        self, session: SolveSession, locked_view: Circuit, shared_outputs: Sequence[str]
     ) -> None:
         self.session = session
         self.encoder = session.encoder
-        self.locked_view = locked_view
-        self.key_nets = list(key_nets)
-        self.functional_nets = list(functional_nets)
-        self.shared_outputs = list(shared_outputs)
+        self.simulator = PackedSimulator(locked_view)
+        self.key_nets = list(locked_view.key_inputs)
+        keyed, self.cone = _key_cone(locked_view, shared_outputs)
+        self.functional_nets = [net for net in locked_view.inputs if net not in keyed]
+        # Shared outputs outside the cone: the DIP alone sets their values.
+        self.fixed_outputs = [out for out in shared_outputs if out not in keyed]
+        self.boundary = self.cone.inputs[len(self.key_nets):]
         self.observations = 0
-        shared_functional = {net: net for net in self.functional_nets}
-        self.encoder.encode(locked_view, prefix="A@", shared_nets=shared_functional)
-        self.encoder.encode(locked_view, prefix="B@", shared_nets=shared_functional)
+        independent = {net: net for net in self.functional_nets}
+        independent.update((out, out) for out in locked_view.gates if out not in keyed)
+        self.encoder.encode(locked_view, prefix="A@", shared_nets=independent)
+        self.encoder.encode(
+            self.cone, prefix="B@", shared_nets={net: net for net in self.boundary}
+        )
         diff_net = self.encoder.encode_inequality(
-            [f"A@{out}" for out in self.shared_outputs],
-            [f"B@{out}" for out in self.shared_outputs],
+            [f"A@{out}" for out in self.cone.outputs],
+            [f"B@{out}" for out in self.cone.outputs],
         )
         self.diff_literal = self.encoder.literal(diff_net, True)
+        for value, net in enumerate(_CONSTANTS):
+            self.encoder.add_value(net, value)
 
     def search(self) -> Optional[bool]:
         """One DIP query: True (a DIP is in the model), False (none left), None (limited)."""
@@ -93,15 +145,21 @@ class _DipMiter:
     def observe(self, dip: Mapping[str, int], response: Mapping[str, int]) -> None:
         """Constrain both key copies to reproduce the oracle ``response`` on ``dip``."""
         self.observations += 1
+        # Any key will do: only key-independent nets are read from the pass.
+        words = {net: dip[net] for net in self.functional_nets}
+        words.update(dict.fromkeys(self.key_nets, 0))
+        values = self.simulator.eval_words(words, width=1)
+        if any(values[out] != response[out] for out in self.fixed_outputs):
+            # No key explains this response: contradict the constant 1.
+            self.encoder.add_value(_CONSTANTS[1], 0)
+            return
         for side in ("A", "B"):
             prefix = f"c{side}{self.observations}@"
-            shared = {net: f"{side}@{net}" for net in self.key_nets}
-            shared.update({net: f"{prefix}{net}" for net in self.functional_nets})
-            self.encoder.encode(self.locked_view, prefix=prefix, shared_nets=shared)
-            for net in self.functional_nets:
-                self.encoder.add_value(f"{prefix}{net}", dip[net])
-            for out in self.shared_outputs:
-                self.encoder.add_value(f"{prefix}{out}", response[out])
+            shared = {net: _CONSTANTS[values[net]] for net in self.boundary}
+            shared.update((net, f"{side}@{net}") for net in self.key_nets)
+            self.encoder.encode(self.cone, prefix=prefix, shared_nets=shared)
+            for out in self.cone.outputs:
+                self.encoder.add_value(shared.get(out, prefix + out), response[out])
 
     def key(self) -> Dict[str, int]:
         """The ``A@`` key of the last satisfiable solve."""
@@ -176,8 +234,6 @@ def sat_attack(
     locked_view = locked_circuit.combinational_view() if locked_circuit.dffs else locked_circuit
     oracle = BatchedCombinationalOracle(original)
 
-    key_nets = list(locked_view.key_inputs)
-    functional_nets = [n for n in locked_view.inputs if n not in set(key_nets)]
     shared_outputs = [o for o in locked_view.outputs if o in set(oracle.output_nets)]
     if not shared_outputs:
         return AttackResult(
@@ -191,7 +247,7 @@ def sat_attack(
         conflict_limit=conflict_limit, deadline=deadline,
         proof_path=proof_dir, proof_label=attack_name,
     )
-    miter = _DipMiter(session, locked_view, key_nets, functional_nets, shared_outputs)
+    miter = _DipMiter(session, locked_view, shared_outputs)
     iterations = 0
 
     def finish(outcome: AttackOutcome, key: Optional[Dict[str, int]] = None, **details) -> AttackResult:

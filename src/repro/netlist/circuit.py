@@ -275,12 +275,18 @@ class Circuit:
         return seen
 
     def key_dependent_gates(self) -> Set[str]:
-        """Gate outputs whose combinational fan-in includes a key input."""
+        """Gate outputs whose combinational fan-in includes a key input.
+
+        One pass in topological order: a gate depends on a key when one of
+        its inputs is a key input or a key-dependent gate.  A combinational
+        cycle raises :class:`CircuitError`, as in :meth:`topological_order`.
+        """
+        keyed = set(self.key_inputs)
         result: Set[str] = set()
-        for key in self.key_inputs:
-            result.update(
-                n for n in self.transitive_fanout(key) if not n.startswith("DFF:")
-            )
+        for out in self.topological_order():
+            if not keyed.isdisjoint(self.gates[out].inputs):
+                keyed.add(out)
+                result.add(out)
         return result
 
     # ------------------------------------------------------------------ #

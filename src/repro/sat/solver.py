@@ -123,7 +123,6 @@ class Solver:
     def __init__(self) -> None:
         self.num_vars = 0
         self.clauses: List[List[int]] = []
-        self._learned_start = 0  # clauses before this index are problem clauses
         self._watches: Dict[int, List[int]] = {}
         self._assign: List[int] = [0]  # 1-indexed; 0 unassigned, +1 true, -1 false
         self._level: List[int] = [0]

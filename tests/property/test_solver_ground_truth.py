@@ -5,6 +5,9 @@ every assignment for random CNF instances (with and without incremental
 assumptions, and with the state sanitizer armed), and scalar simulation of
 every functional input for the key-miter queries the SAT attack issues on
 randomly locked netlists — the formula family every attack actually solves.
+The key miters come both hand-built (two full copies of the view) and as
+the attacks build them (``_DipMiter``: shared key-independent logic, DIP
+observations folded down to the key cone).
 """
 
 import itertools
@@ -12,9 +15,10 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.attacks.sat_attack import _DipMiter
 from repro.fsm.random_fsm import random_fsm
 from repro.fsm.synthesis import synthesize_fsm
-from repro.locking.baselines import lock_rll
+from repro.locking.baselines import lock_rll, lock_sarlock
 from repro.sat.session import SolveSession
 from repro.sat.solver import Solver
 from repro.sat.tseitin import TseitinEncoder
@@ -152,6 +156,69 @@ def test_solver_matches_simulation_on_locked_circuit_miters(seed):
     # Unconstrained query: is there any DIP for any key pair?
     expected = len(set(tables.values())) > 1
     assert session.solve(assumptions=[encoder.literal(diff, True)]) is expected
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sampled_from(["rll-3", "sarlock-2"]))
+def test_dip_miter_matches_simulation_after_observations(seed, scheme):
+    """Brute-force check of the attacks' folded miter after two observations.
+
+    ``_DipMiter`` shares the key-independent logic between its key copies
+    and encodes each observation as the key cone with constant fanins.  A
+    key-pair query must be SAT exactly when, under scalar simulation, both
+    keys reproduce every observed oracle response and their output tables
+    differ.
+    """
+    circuit = synthesize_fsm(random_fsm(4, 2, 1, seed=seed % 97), style="sop")
+    if scheme == "rll-3":
+        locked = lock_rll(circuit, 3, seed=seed)
+    else:
+        locked = lock_sarlock(circuit, num_key_bits=2, seed=seed)
+    view = locked.circuit.combinational_view()
+    oracle = CombinationalSimulator(locked.original.combinational_view())
+    key_nets = list(view.key_inputs)
+    functional = [n for n in view.inputs if n not in set(key_nets)]
+    assert oracle.circuit.outputs == view.outputs
+
+    miter = _DipMiter(SolveSession(), view, view.outputs)
+    rng = random.Random(seed)
+    observed = []
+    for _ in range(2):
+        if miter.search():
+            dip = miter.dip()
+        else:
+            dip = {net: rng.randint(0, 1) for net in functional}
+        response = oracle.outputs(dip)
+        miter.observe(dip, response)
+        observed.append((dip, response))
+
+    sim = CombinationalSimulator(view)
+    keys = list(itertools.product((0, 1), repeat=len(key_nets)))
+    tables = {
+        bits: _output_table(sim, view, functional, dict(zip(key_nets, bits)))
+        for bits in keys
+    }
+    consistent = {
+        bits: all(
+            sim.outputs({**dip, **dict(zip(key_nets, bits))}) == response
+            for dip, response in observed
+        )
+        for bits in keys
+    }
+    encoder = miter.encoder
+    for key_a in keys:
+        for key_b in keys:
+            assumptions = [miter.diff_literal]
+            for net, bit_a, bit_b in zip(key_nets, key_a, key_b):
+                assumptions.append(encoder.literal(f"A@{net}", bool(bit_a)))
+                assumptions.append(encoder.literal(f"B@{net}", bool(bit_b)))
+            expected = (consistent[key_a] and consistent[key_b]
+                        and tables[key_a] != tables[key_b])
+            assert miter.session.solve(assumptions=assumptions) is expected, (
+                f"keys {key_a} / {key_b}"
+            )
 
 
 @FAST

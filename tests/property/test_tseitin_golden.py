@@ -17,9 +17,14 @@ The corpus:
   flip-flop);
 * ``random`` — a seeded random netlist, encoded twice under two prefixes;
 * ``shared`` — ``shared_nets`` mapping two local nets to one global name;
-* ``miter`` — the SAT-attack miter: ``A@``/``B@`` copies sharing the
-  functional inputs, ``encode_inequality`` over the outputs, a blocking
-  clause and two DIP constraint copies fixed with ``add_value``;
+* ``miter`` — the encoder primitives a two-key miter is built from:
+  ``A@``/``B@`` copies sharing the functional inputs, ``encode_inequality``
+  over the outputs, a blocking clause and two DIP constraint copies fixed
+  with ``add_value``;
+* ``dip-miter`` — the attacks' miter as ``_DipMiter`` builds it on a seeded
+  random locked circuit with one key-independent output: ``A@`` over the
+  whole circuit, ``B@`` over the key cone, then two observations that each
+  encode the key cone per key side with constant fanins;
 * ``unrolled`` — ``encode_unrolled`` with ``key_prefix`` and
   ``shared_input_prefix`` for two copies, then ``extend_unrolled``;
 * ``any-equality`` — ``encode_any``, ``add_equality`` and
@@ -43,11 +48,14 @@ from typing import Callable, Dict, Iterator, List, Tuple
 
 import pytest
 
+from repro.attacks.sat_attack import _DipMiter
 from repro.attacks.unroll import encode_unrolled, extend_unrolled
 from repro.check.solver import check_cnf
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
+from repro.sat.session import SolveSession
 from repro.sat.tseitin import TseitinEncoder
+from repro.sim.logicsim import CombinationalSimulator
 
 #: Violation kinds a correct encoding may produce (repeated gate inputs).
 ALLOWED_KINDS = {"duplicate-literal", "tautology"}
@@ -172,6 +180,20 @@ def _miter() -> Iterator[Tuple[TseitinEncoder, object]]:
             yield encoder, f"dip{tag}{side}"
 
 
+def _dip_miter() -> Iterator[Tuple[TseitinEncoder, object]]:
+    locked = _random_circuit(23, inputs=6, keys=4, gates=50, outputs=3)
+    locked.add_output("g45")  # outside every key's fanout
+    miter = _DipMiter(SolveSession(), locked, locked.outputs)
+    yield miter.encoder, (miter.cone.inputs, miter.cone.outputs, miter.fixed_outputs)
+    sim = CombinationalSimulator(locked)
+    rng = random.Random(3)
+    key = {net: rng.randint(0, 1) for net in locked.key_inputs}
+    for tag in (1, 2):
+        dip = {net: rng.randint(0, 1) for net in miter.functional_nets}
+        miter.observe(dip, sim.outputs({**dip, **key}))
+        yield miter.encoder, f"dip{tag}"
+
+
 def _unrolled() -> Iterator[Tuple[TseitinEncoder, object]]:
     circuit = _random_circuit(31, inputs=3, keys=2, gates=40, outputs=2, dffs=3)
     encoder = TseitinEncoder()
@@ -205,6 +227,7 @@ CASES: Dict[str, Callable[[], Iterator[Tuple[TseitinEncoder, object]]]] = {
     "random": _random,
     "shared": _shared,
     "miter": _miter,
+    "dip-miter": _dip_miter,
     "unrolled": _unrolled,
     "any-equality": _any_equality,
 }
@@ -224,13 +247,19 @@ def replay(name: str) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, ...], ...]]:
 
 
 # Recorded from the encoder that built a Gate per gate and checked every
-# clause through CNF.add_clause.
+# clause through CNF.add_clause; ``dip-miter`` from the first key-cone
+# ``_DipMiter``.
 EXPECTED: Dict[str, List[str]] = {
     'any-equality': [
         '1161d4f27decb034',
         'f998e6f69207457b',
         '6e90e3295cce0c6d',
         'd3871b1ce4255f01',
+    ],
+    'dip-miter': [
+        '65c971bec18743f3',
+        '8b9d8e91818bf21b',
+        '9fabdb349ba5f9e6',
     ],
     'gates': [
         'a8073156e79fe391',

@@ -5,16 +5,22 @@ Outcomes are pinned, and every recovered key is re-checked with the scalar
 answer oracle queries and verify keys with.  The DIP bound pins the loop
 itself: each DIP's observation refutes at least one of the two keys the
 miter set apart, so a 3-bit point-function lock falls within 2**3 - 1 DIPs.
+The edge cases pin the miter's key-cone fold: an oracle that disagrees
+outside every key's fanout, a key that reaches no output and a functional
+input no gate reads.
 """
 
 import pytest
 
-from repro.attacks import appsat_attack, sat_attack
+from repro.attacks import appsat_attack, double_dip_attack, sat_attack
 from repro.attacks.results import AttackOutcome, AttackResult
+from repro.attacks.sat_attack import _DipMiter
 from repro.benchmarks_data.iscas89 import load_iscas89
 from repro.fsm.random_fsm import random_fsm
 from repro.fsm.synthesis import synthesize_fsm
 from repro.locking.baselines import lock_rll, lock_sarlock, lock_ttlock
+from repro.netlist.gates import GateType
+from repro.sat.session import SolveSession
 from repro.sim.equivalence import scalar_random_equivalence_check
 
 BUDGET = dict(time_limit=30.0)
@@ -77,6 +83,52 @@ class TestDipBound:
         assert 1 <= result.iterations <= 2 ** 3 - 1
         assert result.details["oracle_queries"] == result.iterations
         assert scalar_key_check(locked, result.key)
+
+
+COMBINATIONAL_ATTACKS = pytest.mark.parametrize(
+    "attack", [sat_attack, double_dip_attack, appsat_attack],
+    ids=["sat", "double-dip", "appsat"],
+)
+
+
+class TestKeyConeEdgeCases:
+    @pytest.fixture(scope="class")
+    def s27_sarlock(self):
+        return lock_sarlock(load_iscas89("s27").circuit, num_key_bits=2, seed=3)
+
+    @COMBINATIONAL_ATTACKS
+    def test_oracle_mismatch_outside_every_key_fanout_ends_cns(self, s27_sarlock, attack):
+        """No key explains an oracle that inverts a key-independent next-state net."""
+        locked = s27_sarlock
+        keyed = locked.circuit.combinational_view().key_dependent_gates()
+        q = next(q for q in locked.original.dffs if f"{q}__ns" not in keyed)
+        oracle = locked.original.copy()
+        inverted = oracle.fresh_net("inv")
+        oracle.add_gate(inverted, GateType.NOT, [oracle.dffs[q].d])
+        oracle.replace_dff_input(q, inverted)
+        result = attack(locked, oracle, **BUDGET)
+        assert result.outcome is AttackOutcome.CNS
+
+    @COMBINATIONAL_ATTACKS
+    def test_dead_key_and_unread_input(self, s27_sarlock, attack):
+        """A key that reaches no output and an input no gate reads keep their variables."""
+        locked = s27_sarlock.circuit.copy()
+        original = s27_sarlock.original.copy()
+        for circuit in (locked, original):
+            circuit.add_input("unread")
+        locked.add_input("dead_key", is_key=True)
+        locked.add_gate("dead_end", GateType.AND, ["dead_key", "G0"])
+        view = locked.combinational_view()
+        miter = _DipMiter(SolveSession(), view, view.outputs)
+        assert miter.search()
+        assert sorted(miter.dip()) == sorted(set(view.inputs) - set(view.key_inputs))
+
+        result = attack(locked, original, **BUDGET)
+        assert result.outcome is AttackOutcome.CORRECT
+        assert sorted(result.key) == sorted(view.key_inputs)
+        assert scalar_random_equivalence_check(
+            original, locked, key_assignment=result.key, num_vectors=256, seed=1,
+        ).equivalent
 
 
 class TestAppSatEngines:
