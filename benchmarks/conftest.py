@@ -1,16 +1,17 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark module regenerates one table or figure of the paper (see
-DESIGN.md's per-experiment index).  The benchmarks run the *quick*
-configurations of the experiment drivers so the whole suite finishes in
-minutes on a laptop; pass ``--benchmark-full-eval`` to sweep the complete
-benchmark lists from the paper (slow).
+Most benchmark modules regenerate one table or figure of the paper with
+pytest-benchmark.  They run the *quick* configurations of the experiment
+drivers so the whole suite finishes in minutes on a laptop; pass
+``--benchmark-full-eval`` to sweep the complete benchmark lists from the
+paper (slow).
 
-Acceptance bars live in the :mod:`repro.perf` registry (workload params,
-smoke scaling and thresholds as data); the ``test_*_bar`` functions in
-these modules are thin wrappers over :func:`repro.perf.run_registered` via
-the ``perf_run`` fixture.  ``REPRO_BENCH_SMOKE=1`` (the CI smoke job sets
-it) selects every bench's smoke workload and relaxed bars.
+The seven acceptance bars are plain ``test_*_bar`` functions in
+``bench_engine_throughput.py``, ``bench_solver_throughput.py``,
+``bench_campaign_throughput.py`` and ``bench_campaign_store.py``; each
+prints its measured value, operator and limit, and fails on a miss.
+``REPRO_BENCH_SMOKE=1`` (the CI smoke job sets it) selects every bench's
+smoke workload and relaxed bars.
 """
 
 import os
@@ -60,19 +61,3 @@ def attack_time_limit(full_eval):
 def perf_smoke():
     """True when the reduced smoke workloads were requested via env."""
     return SMOKE
-
-
-@pytest.fixture(scope="session")
-def perf_run(perf_smoke):
-    """Run a registered perf bench and fail the test if any bar fails."""
-    from repro.perf import load_suites, render_run, run_registered
-
-    load_suites()
-
-    def run(name):
-        result = run_registered(name, smoke=perf_smoke)
-        print("\n" + render_run(result))
-        assert not result.failed_bars, result.failure_text()
-        return result
-
-    return run

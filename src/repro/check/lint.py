@@ -72,8 +72,8 @@ RULES: Dict[str, Tuple[str, str]] = {
 
 #: Modules whose serialized output feeds byte-compared artifacts (campaign
 #: records, merge ordering, reports, LaTeX emission) or whose measurements
-#: must come from monotonic clocks (perf series).  Prefix match on the
-#: dotted module name.
+#: must come from monotonic clocks (the acceptance bars' timers in
+#: ``repro.perf``).  Prefix match on the dotted module name.
 DETERMINISTIC_PREFIXES: Tuple[str, ...] = (
     "repro.campaign",
     "repro.experiments",
@@ -121,11 +121,6 @@ ALLOWLIST: Dict[Tuple[str, str, str], str] = {
         "finished_at is the latest-wins merge ordinal and must be real wall "
         "clock so records merged across hosts order correctly; reports "
         "redact it before byte comparison",
-    ("R001", "repro.perf.history", "PerfHistory.append"):
-        "recorded_at timestamps when a measurement was taken and must be "
-        "real wall clock so history records order across sessions and "
-        "hosts; every measured duration in the record itself comes from "
-        "monotonic clocks",
 }
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")

@@ -26,12 +26,6 @@ Python:
   checker, the independent DRUP proof checker (replaying ``attack
   --certify`` certificates) and SAT-based translation validation of the
   engine compiler.  Exit 0 clean, 1 findings, 2 error.
-* ``perf``      — continuous performance observability (``perf
-  run|list|history|compare|gate``, see :mod:`repro.perf` and
-  ``PERF_FORMAT.md``): run the registered benchmark suites, append to the
-  perf history, detect noise-aware regressions between commits and gate on
-  the declared acceptance bars.  Exit 0 clean, 1 regression/bar failure,
-  2 error.
 """
 
 from __future__ import annotations
@@ -208,6 +202,12 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
+    if args.vectors < 2:
+        # Toggles are counted between consecutive vectors: fewer than two
+        # would report zero dynamic power.
+        print(f"overhead error: --vectors must be >= 2, got {args.vectors}",
+              file=sys.stderr)
+        return 2
     try:
         circuit = load_bench(args.netlist)
         cost = analyze_circuit(circuit, activity_vectors=args.vectors)
@@ -263,8 +263,8 @@ def _worker_count(text: str) -> int:
     return workers
 
 
-def _job_timeout(text: str) -> float:
-    """Parse ``--job-timeout`` (seconds; omit the flag for no limit)."""
+def _positive_seconds(text: str) -> float:
+    """Parse a positive number of seconds (``--time-limit``, ``--job-timeout``)."""
     try:
         seconds = float(text)
     except ValueError:
@@ -568,166 +568,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     raise SystemExit(f"unknown check command {args.command_check!r}")
 
 
-def _perf_selection(args: argparse.Namespace):
-    """Resolve --suite/--bench filters to registered benchmarks."""
-    from repro.perf import load_suites, select_benchmarks
-
-    load_suites()
-    return select_benchmarks(
-        suites=tuple(getattr(args, "suite", None) or ()),
-        benches=tuple(getattr(args, "bench", None) or ()),
-    )
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    """Performance observability (see repro.perf / PERF_FORMAT.md).
-
-    Exit codes: 0 = clean, 1 = regression / bar failure, 2 = error.
-    """
-    from repro.perf import (
-        PerfHistory,
-        compare_records,
-        environment_fingerprint,
-        evaluate_gate,
-        render_compare,
-        render_gate,
-        render_run,
-        run_registered,
-        write_snapshots,
-    )
-
-    if args.command_perf == "list":
-        benches = _perf_selection(args)
-        if args.json:
-            _emit_json({"benchmarks": [bench.to_dict() for bench in benches]},
-                       args.json)
-            return 0
-        for bench in benches:
-            bars = "; ".join(bar.describe() for bar in bench.bars) or "(no bars)"
-            print(f"{bench.name:28s} {bars}")
-            if bench.description:
-                print(f"  {bench.description}")
-        print(f"{len(benches)} registered bench(es)")
-        return 0
-
-    if args.command_perf == "run":
-        try:
-            benches = _perf_selection(args)
-        except KeyError as exc:
-            print(f"perf run: {exc.args[0]}", file=sys.stderr)
-            return 2
-        history = PerfHistory(args.history)
-        env = environment_fingerprint()
-        results = []
-        for bench in benches:
-            print(f"[{len(results) + 1}/{len(benches)}] {bench.name} ...",
-                  flush=True)
-            try:
-                result = run_registered(bench.name, smoke=args.smoke, env=env)
-            except Exception as exc:
-                print(f"perf run: {bench.name}: {type(exc).__name__}: {exc}",
-                      file=sys.stderr)
-                return 2
-            print(render_run(result))
-            results.append(result)
-            history.append(result.to_record())
-        if not args.no_snapshots:
-            for path in write_snapshots(history, args.snapshot_dir):
-                print(f"snapshot written to {path}")
-        print(f"history appended to {history.path} "
-              f"({len(results)} record(s))")
-        failed = [result for result in results if not result.ok]
-        if args.json:
-            _emit_json({
-                "smoke": args.smoke,
-                "results": [result.to_record() for result in results],
-                "failed": [result.bench for result in failed],
-                "ok": not failed,
-            }, args.json)
-        if failed:
-            for result in failed:
-                print(f"BAR FAILURE: {result.failure_text()}", file=sys.stderr)
-            return 1
-        return 0
-
-    if args.command_perf == "history":
-        history = PerfHistory(args.history)
-        if not Path(history.path).exists():
-            print(f"perf history: no history at {history.path}", file=sys.stderr)
-            return 2
-        records = history.records()
-        if args.bench:
-            records = [record for record in records
-                       if record.get("bench") in set(args.bench)]
-        if args.limit:
-            records = records[-args.limit:]
-        if args.json:
-            _emit_json({"records": records, "count": len(records)}, args.json)
-            return 0
-        for record in records:
-            env = record.get("env") or {}
-            sha = str(env.get("git_sha") or "-")[:12]
-            mode = "smoke" if record.get("smoke") else "full"
-            ok = "ok" if record.get("ok") else "FAIL"
-            elapsed = record.get("elapsed_seconds")
-            elapsed_text = (
-                f"{float(elapsed):8.2f}s" if isinstance(elapsed, (int, float))
-                else "       -")
-            print(f"{str(record.get('bench')):28s} {sha:12s} {mode:5s} "
-                  f"{elapsed_text}  {ok}")
-        print(f"{len(records)} record(s) in {history.path}")
-        return 0
-
-    if args.command_perf == "compare":
-        baseline_history = PerfHistory(args.baseline)
-        candidate_history = PerfHistory(args.candidate or args.history)
-        for history in (baseline_history, candidate_history):
-            if not Path(history.path).exists():
-                print(f"perf compare: no history at {history.path}",
-                      file=sys.stderr)
-                return 2
-        try:
-            baseline = (
-                baseline_history.for_sha(args.baseline_sha, smoke=args.smoke)
-                if args.baseline_sha
-                else baseline_history.latest(smoke=args.smoke)
-            )
-            candidate = (
-                candidate_history.for_sha(args.candidate_sha, smoke=args.smoke)
-                if args.candidate_sha
-                else candidate_history.latest(smoke=args.smoke)
-            )
-            comparison = compare_records(baseline, candidate,
-                                         threshold=args.threshold)
-        except ValueError as exc:
-            print(f"perf compare: {exc}", file=sys.stderr)
-            return 2
-        print(render_compare(comparison))
-        if args.json:
-            _emit_json(comparison, args.json)
-        return 0 if comparison["ok"] else 1
-
-    if args.command_perf == "gate":
-        try:
-            benches = _perf_selection(args)
-        except KeyError as exc:
-            print(f"perf gate: {exc.args[0]}", file=sys.stderr)
-            return 2
-        history = PerfHistory(args.history)
-        if not Path(history.path).exists():
-            print(f"perf gate: no history at {history.path} "
-                  "(run `repro perf run` first)", file=sys.stderr)
-            return 2
-        gate = evaluate_gate(history.latest(smoke=args.smoke),
-                             smoke=args.smoke, benchmarks=benches)
-        print(render_gate(gate))
-        if args.json:
-            _emit_json(gate, args.json)
-        return 0 if gate["ok"] else 1
-
-    raise SystemExit(f"unknown perf command {args.command_perf!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -751,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("locked")
     attack.add_argument("oracle")
     attack.add_argument("--attack", default="sat", choices=sorted(_ATTACKS))
-    attack.add_argument("--time-limit", type=float, default=60.0)
+    attack.add_argument("--time-limit", type=_positive_seconds, default=60.0)
     attack.add_argument("--json", nargs="?", const="-", default=None,
                         metavar="PATH",
                         help="emit the full result as JSON (to PATH, or to "
@@ -783,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     reproduce = sub.add_parser("reproduce", help="regenerate the paper's evaluation")
     reproduce.add_argument("--full", action="store_true")
-    reproduce.add_argument("--time-limit", type=float, default=20.0)
+    reproduce.add_argument("--time-limit", type=_positive_seconds, default=20.0)
     reproduce.add_argument("--output", default="experiments_report.md")
     reproduce.add_argument("--latex", default=None, metavar="PATH",
                            help="also write the tables as a LaTeX fragment")
@@ -791,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="worker processes (0 = serial in-process)")
     reproduce.add_argument("--store", default=None,
                            help="campaign store directory (enables resume)")
-    reproduce.add_argument("--job-timeout", type=_job_timeout, default=None,
+    reproduce.add_argument("--job-timeout", type=_positive_seconds, default=None,
                            help="per-cell wall-clock budget in seconds")
     reproduce.set_defaults(func=_cmd_reproduce)
 
@@ -826,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     def _exec_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=_worker_count, default=0,
                        help="worker processes (0 = serial in-process)")
-        p.add_argument("--job-timeout", type=_job_timeout, default=None,
+        p.add_argument("--job-timeout", type=_positive_seconds, default=None,
                        help="per-job wall-clock budget in seconds")
         p.add_argument("--retry-failed", action="store_true",
                        help="re-run jobs whose latest row is error/timeout")
@@ -854,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("--full", action="store_true",
                               help="paper-sized benchmark lists instead of the "
                                    "quick subsets")
-    campaign_run.add_argument("--time-limit", type=float, default=20.0,
+    campaign_run.add_argument("--time-limit", type=_positive_seconds, default=20.0,
                               help="per-attack time budget in seconds")
     _exec_args(campaign_run)
     campaign_run.set_defaults(func=_cmd_campaign)
@@ -1013,115 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "proofs with the independent checker")
     check_equiv_p.set_defaults(func=_cmd_check)
 
-    perf = sub.add_parser(
-        "perf", help="run/compare/gate the registered performance benchmarks",
-        description="Continuous performance observability (see repro.perf "
-                    "and PERF_FORMAT.md): a registry of benchmarks with "
-                    "declarative acceptance bars, an append-only JSONL "
-                    "history and noise-aware regression detection.  Exit "
-                    "0 = clean, 1 = regression / bar failure, 2 = error.")
-    perf_sub = perf.add_subparsers(dest="command_perf", required=True)
-
-    def _perf_history_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--history", default="perf-history.jsonl",
-                       help="perf history JSONL file "
-                            "(default: perf-history.jsonl)")
-
-    def _perf_select_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--suite", action="append", default=None,
-                       metavar="SUITE",
-                       help="restrict to one suite (repeatable)")
-        p.add_argument("--bench", action="append", default=None,
-                       metavar="NAME",
-                       help="restrict to one bench by full name (repeatable)")
-
-    def _perf_json_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", nargs="?", const="-", default=None,
-                       metavar="PATH",
-                       help="emit the machine-readable result as JSON "
-                            "(to PATH, or stdout when no path is given)")
-
-    perf_run = perf_sub.add_parser(
-        "run", help="run registered benches and append to the history",
-        description="Runs the selected benches (default: all), appends one "
-                    "record per bench to the history and refreshes the "
-                    "BENCH_<suite>.json snapshots.  Exit 1 if any "
-                    "acceptance bar failed.")
-    _perf_select_args(perf_run)
-    _perf_history_arg(perf_run)
-    perf_run.add_argument("--smoke", action="store_true",
-                          help="reduced workloads and relaxed bars (same as "
-                               "REPRO_BENCH_SMOKE=1 for the pytest wrappers)")
-    perf_run.add_argument("--snapshot-dir", default=".",
-                          help="directory for BENCH_<suite>.json snapshots "
-                               "(default: current directory)")
-    perf_run.add_argument("--no-snapshots", action="store_true",
-                          help="skip writing the snapshot files")
-    _perf_json_arg(perf_run)
-    perf_run.set_defaults(func=_cmd_perf)
-
-    perf_list = perf_sub.add_parser(
-        "list", help="list the registered benches, params and bars")
-    _perf_select_args(perf_list)
-    _perf_json_arg(perf_list)
-    perf_list.set_defaults(func=_cmd_perf)
-
-    perf_history = perf_sub.add_parser(
-        "history", help="show recorded perf runs",
-        description="One line per record: bench, git sha, mode, elapsed, "
-                    "bar outcome.")
-    _perf_history_arg(perf_history)
-    perf_history.add_argument("--bench", action="append", default=None,
-                              metavar="NAME",
-                              help="only records of this bench (repeatable)")
-    perf_history.add_argument("--limit", type=int, default=0,
-                              help="show only the last N records")
-    _perf_json_arg(perf_history)
-    perf_history.set_defaults(func=_cmd_perf)
-
-    perf_compare = perf_sub.add_parser(
-        "compare", help="noise-aware regression check between two runs",
-        description="Compares the latest record per bench on each side "
-                    "(median + IQR of the primary series).  A bench is only "
-                    "'regressed'/'improved' when the medians differ by more "
-                    "than --threshold AND the IQR ranges do not overlap; a "
-                    "bench recorded in the baseline but absent from the "
-                    "candidate is 'missing' and fails the comparison.  "
-                    "Exit 1 on any regression or missing bench.")
-    perf_compare.add_argument("baseline",
-                              help="baseline history JSONL file")
-    perf_compare.add_argument("candidate", nargs="?", default=None,
-                              help="candidate history JSONL (default: "
-                                   "--history)")
-    _perf_history_arg(perf_compare)
-    perf_compare.add_argument("--baseline-sha", default=None, metavar="SHA",
-                              help="pick the baseline records by git sha "
-                                   "(unique prefix) instead of latest")
-    perf_compare.add_argument("--candidate-sha", default=None, metavar="SHA",
-                              help="pick the candidate records by git sha "
-                                   "(unique prefix) instead of latest")
-    perf_compare.add_argument("--threshold", type=float, default=0.10,
-                              help="relative median change below which drift "
-                                   "is always noise (default: 0.10)")
-    perf_compare.add_argument("--smoke", action="store_true",
-                              help="compare smoke-mode records (default: "
-                                   "full-mode records)")
-    _perf_json_arg(perf_compare)
-    perf_compare.set_defaults(func=_cmd_perf)
-
-    perf_gate = perf_sub.add_parser(
-        "gate", help="enforce the declared acceptance bars on the history",
-        description="Re-evaluates every selected bar-bearing bench's bars "
-                    "against its latest recorded metrics.  A bar-bearing "
-                    "bench with no record gates as missing.  Exit 1 on any "
-                    "failure.")
-    _perf_select_args(perf_gate)
-    _perf_history_arg(perf_gate)
-    perf_gate.add_argument("--smoke", action="store_true",
-                           help="gate smoke-mode records against the "
-                                "relaxed smoke bars")
-    _perf_json_arg(perf_gate)
-    perf_gate.set_defaults(func=_cmd_perf)
     return parser
 
 

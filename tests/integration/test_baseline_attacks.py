@@ -29,8 +29,9 @@ def base_circuit():
 
 
 class TestSatAttackBreaksClassicSchemes:
-    def test_rll_broken(self, base_circuit):
-        locked = lock_rll(base_circuit, 5, seed=1)
+    @pytest.mark.parametrize("key_bits", [5, 6])
+    def test_rll_broken(self, base_circuit, key_bits):
+        locked = lock_rll(base_circuit, key_bits, seed=1)
         result = sat_attack(locked, **ATTACK_BUDGET)
         assert result.outcome is AttackOutcome.CORRECT
         assert result.iterations >= 1

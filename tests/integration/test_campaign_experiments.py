@@ -286,17 +286,27 @@ class TestShardedSweeps:
                 for row in tables["solver_flame"].rows] == [("g", "dip-search", 0.5)]
 
     @pytest.mark.parametrize("command, flags", [
-        (["campaign", "run", "--grid", "smoke"], ["--workers", "-1"]),
-        (["campaign", "resume"], ["--workers", "-1"]),
-        (["reproduce"], ["--workers", "-1"]),
-        (["campaign", "run", "--grid", "smoke"], ["--job-timeout", "0"]),
-        (["campaign", "resume"], ["--job-timeout", "0"]),
-        (["reproduce"], ["--job-timeout", "-5"]),
-        (["campaign", "resume"], ["--job-timeout", "nan"]),
+        (["campaign", "run", "--grid", "smoke", "--store"], ["--workers", "-1"]),
+        (["campaign", "resume", "--store"], ["--workers", "-1"]),
+        (["reproduce", "--store"], ["--workers", "-1"]),
+        (["campaign", "run", "--grid", "smoke", "--store"], ["--job-timeout", "0"]),
+        (["campaign", "resume", "--store"], ["--job-timeout", "0"]),
+        (["reproduce", "--store"], ["--job-timeout", "-5"]),
+        (["campaign", "resume", "--store"], ["--job-timeout", "nan"]),
+        (["campaign", "run", "--grid", "smoke", "--store"], ["--time-limit", "-5"]),
+        (["campaign", "run", "--grid", "smoke", "--store"], ["--time-limit", "0"]),
+        (["campaign", "run", "--grid", "smoke", "--store"], ["--time-limit", "nan"]),
+        (["reproduce", "--store"], ["--time-limit", "nan"]),
+        (["reproduce", "--store"], ["--time-limit", "0"]),
+        (["attack", "locked.bench", "oracle.bench", "--trace"], ["--time-limit", "0"]),
+        (["attack", "locked.bench", "oracle.bench", "--trace"], ["--time-limit", "-1"]),
+        (["attack", "locked.bench", "oracle.bench", "--trace"], ["--time-limit", "nan"]),
     ])
     def test_cli_rejects_bad_execution_arguments(self, tmp_path, capsys,
                                                  command, flags):
-        # Rejected while parsing: nothing is written and nothing runs.
+        # Rejected while parsing: nothing is written and nothing runs.  A
+        # zero, negative or NaN --time-limit would end each attack at once
+        # as a "timeout", which `attack` reports as exit 0, "defense held".
         store = tmp_path / "store"
         spec = CampaignSpec(name="tiny", jobs=[
             JobSpec(kind="sleep", group="sleep", params={"seconds": 0.0}),
@@ -304,12 +314,12 @@ class TestShardedSweeps:
         ResultStore(store).write_manifest(spec)
         manifest = (store / "manifest.json").read_bytes()
         with pytest.raises(SystemExit) as exc:
-            cli_main(command + ["--store", str(store)] + flags)
+            cli_main(command + [str(store)] + flags)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert flags[0] in err and "Traceback" not in err
         assert (store / "manifest.json").read_bytes() == manifest
-        assert not (store / "results.jsonl").exists()
+        assert [path.name for path in store.iterdir()] == ["manifest.json"]
 
     def test_merge_of_a_missing_store_is_one_error_line(self, tmp_path, capsys):
         missing = tmp_path / "no-such-store"

@@ -46,7 +46,7 @@ import pytest
 from repro.benchmarks_data.generator import random_sequential_circuit
 from repro.check.certify.proof import ProofLogger
 from repro.netlist.gates import GateType
-from repro.perf.suites.solver import layered_circuit_cnf, pigeonhole, search_instances
+from repro.perf import layered_circuit_cnf, pigeonhole, search_instances
 from repro.sat.session import SolveSession
 from repro.sat.solver import Solver
 from repro.sat.tseitin import TseitinEncoder

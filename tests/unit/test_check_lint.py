@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.check.lint import (
     ALLOWLIST,
     RULES,
@@ -65,6 +67,31 @@ def test_r001_monotonic_clocks_allowed():
         "    return time.monotonic() - t0, time.perf_counter()\n"
     )
     assert lint_source(source, path=CAMPAIGN_PATH) == []
+
+
+def test_r001_covers_the_bar_timers():
+    # The acceptance bars time through repro.perf: its clock must stay
+    # monotonic.  (A helper under benchmarks/ would be out of scope.)
+    wall = "import time\ndef timed():\n    return time.time()\n"
+    assert rules_of(lint_source(wall, path="src/repro/perf.py")) == ["R001"]
+    assert lint_source(wall, path="benchmarks/bench_x.py") == []
+    monotonic = "import time\ndef timed():\n    return time.perf_counter()\n"
+    assert lint_source(monotonic, path="src/repro/perf.py") == []
+
+
+@pytest.mark.parametrize("call", [
+    "time.time()",
+    "time.time_ns()",
+    "datetime.datetime.now()",
+    "datetime.datetime.utcnow()",
+    "datetime.datetime.today()",
+    "datetime.date.today()",
+])
+def test_r001_flags_every_wall_clock_in_the_bar_timers(call):
+    source = f"import datetime\nimport time\ndef timed():\n    return {call}\n"
+    findings = lint_source(source, path="src/repro/perf.py")
+    assert rules_of(findings) == ["R001"]
+    assert findings[0].line == 4
 
 
 def test_r001_outside_deterministic_scope_is_silent():
@@ -359,7 +386,6 @@ def test_allowlist_entry_matches_rule_module_and_qualname():
 def test_shipped_allowlist_is_minimal_and_documented():
     assert set(ALLOWLIST) == {
         ("R001", "repro.campaign.store", "ResultStore.append"),
-        ("R001", "repro.perf.history", "PerfHistory.append"),
     }
     for reason in ALLOWLIST.values():
         assert reason.strip()

@@ -107,6 +107,34 @@ class TestCli:
         assert "power (uW)" in captured
         assert "cells" in captured
 
+    @pytest.mark.parametrize("vectors", ["1", "0", "-3"])
+    def test_overhead_rejects_fewer_than_two_vectors(self, tmp_path, locked_pair,
+                                                     capsys, vectors):
+        # Toggles are counted between consecutive vectors, so fewer than
+        # two would print a power figure with no dynamic part.
+        circuit, _ = locked_pair
+        path = tmp_path / "design.bench"
+        save_bench(circuit, path)
+        assert cli_main(["overhead", str(path), "--vectors", vectors]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"overhead error: --vectors must be >= 2, got {vectors}\n"
+
+    def test_overhead_accepts_two_vectors(self, tmp_path, locked_pair, capsys):
+        circuit, _ = locked_pair
+        path = tmp_path / "design.bench"
+        save_bench(circuit, path)
+        assert cli_main(["overhead", str(path), "--vectors", "2"]) == 0
+        captured = capsys.readouterr()
+        assert "power (uW)" in captured.out and captured.err == ""
+
+    def test_perf_subcommand_is_gone(self, capsys):
+        # The acceptance bars are pytest tests under benchmarks/ now.
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["perf", "run"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
+
     def test_benchmarks_listing(self, capsys):
         assert cli_main(["benchmarks", "--suite", "itc99"]) == 0
         captured = capsys.readouterr().out

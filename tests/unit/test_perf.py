@@ -1,412 +1,185 @@
-"""Unit tests for repro.perf: harness math, registry, history, compare, gate."""
+"""Unit tests for repro.perf: the acceptance bars' timers and solver workloads."""
 
-import json
+import math
+import random
 
 import pytest
 
+import repro.perf as perf
 from repro.perf import (
-    Bar,
-    Harness,
-    IMPROVED,
-    MISSING,
-    NEW,
-    NOISY,
-    PERF_SCHEMA_VERSION,
-    PerfBenchmark,
-    PerfHistory,
-    REGRESSED,
-    SeriesStats,
-    compare_records,
-    environment_fingerprint,
-    evaluate_bars,
-    evaluate_gate,
-    git_revision,
-    perf_benchmark,
-    primary_stats,
-    quantile,
-    register,
-    render_compare,
-    render_gate,
-    render_run,
-    run_registered,
-    series_stats,
-    snapshot_payload,
-    unregister,
-    write_snapshots,
+    layered_circuit_cnf,
+    pigeonhole,
+    search_instances,
+    sustained_rate,
+    timed,
 )
+from repro.sat.solver import Solver
 
 
-# --------------------------------------------------------------------- #
-# harness
-# --------------------------------------------------------------------- #
-def test_quantile_linear_interpolation():
-    samples = [4.0, 1.0, 3.0, 2.0]
-    assert quantile(samples, 0.0) == 1.0
-    assert quantile(samples, 1.0) == 4.0
-    assert quantile(samples, 0.5) == pytest.approx(2.5)
-    assert quantile(samples, 0.25) == pytest.approx(1.75)
-    with pytest.raises(ValueError):
-        quantile([], 0.5)
-    with pytest.raises(ValueError):
-        quantile(samples, 1.5)
+class FakeClock:
+    """A ``perf_counter`` stand-in that moves only when the workload says so."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
 
 
-def test_series_stats_quartiles_and_iqr():
-    stats = series_stats([5.0, 1.0, 3.0, 2.0, 4.0])
-    assert stats.repeats == 5
-    assert stats.seconds_min == 1.0
-    assert stats.median == 3.0
-    assert stats.q1 == 2.0 and stats.q3 == 4.0
-    assert stats.iqr == pytest.approx(2.0)
-    assert SeriesStats.from_dict(stats.to_dict()) == stats
+@pytest.fixture()
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(perf.time, "perf_counter", fake)
+    return fake
 
 
-def test_harness_record_series_rejects_empty():
-    harness = Harness()
-    with pytest.raises(ValueError, match="no samples"):
-        harness.record_series("empty", [])
-
-
-def test_harness_time_series_counts_warmup_and_repeats():
-    harness = Harness(smoke=True)
+def work_taking(clock, durations):
+    """A workload whose successive calls take ``durations`` (binary-exact)."""
+    steps = iter(durations)
     calls = []
-    stats = harness.time_series("calls", lambda: calls.append(1),
-                                repeats=4, warmup=2)
-    assert len(calls) == 6  # 2 warmup + 4 recorded
-    assert stats.repeats == 4
-    assert harness.series["calls"] is stats
-    assert harness.smoke is True
+
+    def work():
+        calls.append(None)
+        clock.now += next(steps)
+
+    return work, calls
 
 
+def satisfies(clauses, model):
+    return all(any(model.get(abs(lit), 0) == (lit > 0) for lit in clause)
+               for clause in clauses)
+
+
+# --------------------------------------------------------------------- #
+# timers
+# --------------------------------------------------------------------- #
 def test_harness_timed_and_sustained_rate():
-    result, elapsed = Harness.timed(lambda: "value")
+    result, elapsed = timed(lambda: "value")
     assert result == "value" and elapsed >= 0.0
-    rate = Harness.sustained_rate(lambda: None, units=64, repeats=1,
-                                  min_seconds=0.001)
+    rate = sustained_rate(lambda: None, units=64, repeats=1, min_seconds=0.001)
     assert rate > 0.0
 
 
-def test_environment_fingerprint_is_stable_and_carries_git_sha():
-    first = environment_fingerprint()
-    second = environment_fingerprint()
-    assert first == second  # stability is what makes (bench, sha) an index
-    assert set(first) == {"git_sha", "python", "implementation", "platform",
-                          "cpu_count", "flags"}
-    assert first["git_sha"] == git_revision()
+def test_timed_measures_the_call_on_the_monotonic_clock(clock):
+    work, calls = work_taking(clock, [0.75])
+    assert timed(lambda: work() or "done") == ("done", 0.75)
+    assert len(calls) == 1
 
 
-def test_git_revision_outside_a_repo_is_none(tmp_path):
-    assert git_revision(cwd=str(tmp_path)) is None
+def test_timed_propagates_exceptions():
+    with pytest.raises(ZeroDivisionError):
+        timed(lambda: 1 / 0)
 
 
-# --------------------------------------------------------------------- #
-# bars and registry
-# --------------------------------------------------------------------- #
-def test_bar_limits_and_smoke_relaxation():
-    bar = Bar("speedup", ">=", 10.0, smoke_threshold=5.0)
-    assert bar.limit() == 10.0 and bar.limit(smoke=True) == 5.0
-    assert bar.passes(7.0, smoke=True) and not bar.passes(7.0)
-    ceiling = Bar("slowdown", "<=", 0.05)
-    assert ceiling.limit(smoke=True) == 0.05  # no smoke override -> same bar
-    assert ceiling.passes(0.01) and not ceiling.passes(0.2)
-    assert Bar.from_dict(bar.to_dict()) == bar
+def test_sustained_rate_loops_until_min_seconds(clock):
+    work, calls = work_taking(clock, [0.25] * 4)
+    assert sustained_rate(work, units=8, repeats=1, min_seconds=1.0) == 32.0
+    assert len(calls) == 4
 
 
-def test_bar_rejects_unknown_operator():
-    with pytest.raises(ValueError):
-        Bar("metric", ">", 1.0)
+def test_sustained_rate_divides_by_measured_time_not_the_floor(clock):
+    # The second round overshoots the floor: 2 rounds over 1.5 s, not 1 s.
+    work, calls = work_taking(clock, [0.75, 0.75])
+    assert sustained_rate(work, units=3, repeats=1, min_seconds=1.0) == 4.0
+    assert len(calls) == 2
 
 
-def test_evaluate_bars_flags_missing_metric():
-    results = evaluate_bars([Bar("rate", ">=", 100.0)], {}, smoke=False)
-    assert len(results) == 1
-    assert not results[0].passed and results[0].value is None
+def test_sustained_rate_keeps_the_best_repeat(clock):
+    # Repeats run 2, 4 and 2 rounds per second; the best one wins.
+    work, calls = work_taking(clock, [0.5] * 2 + [0.25] * 4 + [0.5] * 2)
+    assert sustained_rate(work, units=10, repeats=3, min_seconds=1.0) == 40.0
+    assert len(calls) == 8
 
 
-def _synthetic_bench(name="testsuite.widget", **kwargs):
-    defaults = dict(
-        params=dict(size=100), smoke=dict(size=10),
-        bars=[Bar("rate", ">=", 50.0, smoke_threshold=5.0)],
-        primary="loop",
-    )
-    defaults.update(kwargs)
-
-    @perf_benchmark(name, **defaults)
-    def widget(harness, params):
-        harness.record_series("loop", [0.01, 0.011, 0.012])
-        return {"rate": float(params["size"])}
-
-    return widget
-
-
-def test_registry_round_trip_and_run():
-    _synthetic_bench()
-    try:
-        result = run_registered("testsuite.widget")
-        assert result.ok and result.metrics == {"rate": 100.0}
-        assert result.suite == "testsuite" and not result.smoke
-        assert "loop" in result.series
-        # Smoke run: reduced workload (rate 10) against the relaxed bar (5).
-        smoke = run_registered("testsuite.widget", smoke=True)
-        assert smoke.ok and smoke.metrics == {"rate": 10.0}
-        record = smoke.to_record()
-        assert record["bench"] == "testsuite.widget" and record["smoke"] is True
-        assert record["series"]["loop"]["repeats"] == 3
-        assert "recorded_at" not in record  # stamped by the history, not here
-        assert "rate" in render_run(result)
-    finally:
-        unregister("testsuite.widget")
-
-
-def test_registry_rejects_duplicates_and_bad_names():
-    _synthetic_bench()
-    try:
-        with pytest.raises(ValueError, match="already registered"):
-            _synthetic_bench()
-    finally:
-        unregister("testsuite.widget")
-    with pytest.raises(ValueError, match="<suite>.<bench>"):
-        register(PerfBenchmark(name="nodot", suite="nodot", func=lambda h, p: {}))
-
-
-def test_run_registered_fails_bar_without_raising():
-    _synthetic_bench(bars=[Bar("rate", ">=", 1e9)])
-    try:
-        result = run_registered("testsuite.widget")
-        assert not result.ok
-        assert [bar.metric for bar in result.failed_bars] == ["rate"]
-        assert "rate" in result.failure_text()
-    finally:
-        unregister("testsuite.widget")
-
-
-def test_run_registered_unknown_name_lists_known():
-    with pytest.raises(KeyError):
-        run_registered("nosuch.bench")
+@pytest.mark.parametrize("repeats", [0, -3])
+def test_sustained_rate_runs_at_least_one_repeat(clock, repeats):
+    work, calls = work_taking(clock, [0.5, 0.5])
+    assert sustained_rate(work, units=1, repeats=repeats, min_seconds=1.0) == 2.0
+    assert len(calls) == 2
 
 
 # --------------------------------------------------------------------- #
-# history store
+# solver workloads
 # --------------------------------------------------------------------- #
-def _record(bench, median, *, smoke=False, sha="a" * 40, iqr=0.002,
-            metrics=None, suite=None):
-    q1 = median - iqr / 2
-    q3 = median + iqr / 2
-    return {
-        "bench": bench,
-        "suite": suite or bench.split(".")[0],
-        "smoke": smoke,
-        "metrics": metrics or {},
-        "series": {
-            "loop": {"repeats": 5, "min": q1, "q1": q1, "median": median,
-                     "q3": q3},
-        },
-        "primary": "loop",
-        "bars": [],
-        "ok": True,
-        "elapsed_seconds": median * 5,
-        "env": {"git_sha": sha},
-    }
+@pytest.mark.parametrize("holes, pigeons", [(2, 3), (3, 4), (6, 7)])
+def test_pigeonhole_shape(holes, pigeons):
+    clauses = pigeonhole(holes, pigeons)
+    assert len(clauses) == pigeons + holes * math.comb(pigeons, 2)
+    at_least_one, at_most_one = clauses[:pigeons], clauses[pigeons:]
+    assert all(len(clause) == holes and min(clause) > 0
+               for clause in at_least_one)
+    assert all(len(clause) == 2 and max(clause) < 0 for clause in at_most_one)
+    used = {abs(lit) for clause in clauses for lit in clause}
+    assert used == set(range(1, holes * pigeons + 1))
 
 
-def test_history_append_and_read_round_trip(tmp_path):
-    history = PerfHistory(tmp_path / "perf.jsonl")
-    assert history.records() == []
-    written = history.append(_record("s.a", 0.5))
-    assert written["schema"] == PERF_SCHEMA_VERSION
-    assert written["recorded_at"] > 0
-    records = history.records()
-    assert len(records) == 1 and records[0]["bench"] == "s.a"
+@pytest.mark.parametrize("holes, pigeons", [(1, 2), (2, 3), (3, 4)])
+def test_pigeonhole_with_more_pigeons_is_unsat(holes, pigeons):
+    solver = Solver()
+    solver.add_clauses(pigeonhole(holes, pigeons))
+    assert solver.solve() is False
 
 
-def test_history_tolerates_torn_final_line_silently(tmp_path, recwarn):
-    history = PerfHistory(tmp_path / "perf.jsonl")
-    history.append(_record("s.a", 0.5))
-    with history.path.open("a") as handle:
-        handle.write('{"bench": "s.b", "tr')  # killed mid-append
-    records = history.records()
-    assert [record["bench"] for record in records] == ["s.a"]
-    assert not recwarn.list  # a torn tail is expected, not noteworthy
+@pytest.mark.parametrize("holes, pigeons", [(2, 2), (3, 3), (4, 2)])
+def test_pigeonhole_with_room_for_every_pigeon_is_sat(holes, pigeons):
+    clauses = pigeonhole(holes, pigeons)
+    solver = Solver()
+    solver.add_clauses(clauses)
+    assert solver.solve() is True
+    model = solver.model()
+    assert satisfies(clauses, model)
+    seated = [[h for h in range(holes) if model.get(p * holes + h + 1)]
+              for p in range(pigeons)]
+    taken = [h for holes_of_p in seated for h in holes_of_p]
+    assert all(seated) and len(taken) == len(set(taken))
 
 
-def test_history_warns_on_midfile_corruption_with_location(tmp_path):
-    history = PerfHistory(tmp_path / "perf.jsonl")
-    history.append(_record("s.a", 0.5))
-    with history.path.open("a") as handle:
-        handle.write("not json at all\n")
-    history.append(_record("s.b", 0.7))
-    with pytest.warns(RuntimeWarning, match=r"perf\.jsonl:2"):
-        records = history.records()
-    assert [record["bench"] for record in records] == ["s.a", "s.b"]
+def test_layered_circuit_cnf_shape():
+    clauses, num_inputs = layered_circuit_cnf(num_inputs=10, num_gates=300)
+    assert num_inputs == 10
+    assert 3 * 300 <= len(clauses) <= 4 * 300
+    assert all(len(clause) in (2, 3) for clause in clauses)
+    used = {abs(lit) for clause in clauses for lit in clause}
+    # Every gate output is constrained, and nothing past the last gate is.
+    assert set(range(11, 311)) <= used <= set(range(1, 311))
 
 
-def test_history_skips_newer_schema_records(tmp_path):
-    history = PerfHistory(tmp_path / "perf.jsonl")
-    history.append(_record("s.a", 0.5))
-    history.append({**_record("s.b", 0.7), "schema": PERF_SCHEMA_VERSION + 1})
-    with pytest.warns(RuntimeWarning, match="schema"):
-        records = history.records()
-    assert [record["bench"] for record in records] == ["s.a"]
+def test_layered_circuit_cnf_is_deterministic_per_seed():
+    assert layered_circuit_cnf(8, 100, seed=4) == layered_circuit_cnf(8, 100, seed=4)
+    assert layered_circuit_cnf(8, 100, seed=4) != layered_circuit_cnf(8, 100, seed=5)
 
 
-def test_history_latest_is_last_match_per_mode(tmp_path):
-    history = PerfHistory(tmp_path / "perf.jsonl")
-    history.append(_record("s.a", 0.5))
-    history.append(_record("s.a", 0.6))
-    history.append(_record("s.a", 0.1, smoke=True))
-    latest = history.latest(smoke=False)
-    assert latest["s.a"]["series"]["loop"]["median"] == 0.6
-    assert history.latest(smoke=True)["s.a"]["series"]["loop"]["median"] == 0.1
-    assert history.latest()["s.a"]["series"]["loop"]["median"] == 0.1
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_layered_circuit_cnf_gates_are_functions_of_the_inputs(seed):
+    # Every input pattern extends to exactly one model: the clauses define
+    # each gate output, which is what makes the BCP bar's queries all SAT.
+    clauses, num_inputs = layered_circuit_cnf(num_inputs=8, num_gates=60, seed=seed)
+    rng = random.Random(seed)
+    inputs = [var if rng.random() < 0.5 else -var
+              for var in range(1, num_inputs + 1)]
+    solver = Solver()
+    solver.add_clauses(clauses)
+    assert solver.solve(assumptions=inputs) is True
+    model = solver.model()
+    assert satisfies(clauses, model)
+    assert all(solver.model_literal(lit) == 1 for lit in inputs)
+    gates = range(num_inputs + 1, num_inputs + 61)
+    solver.add_clause([-var if model.get(var) else var for var in gates])
+    assert solver.solve(assumptions=inputs) is False
 
 
-def test_history_sha_index_and_prefix_resolution(tmp_path):
-    history = PerfHistory(tmp_path / "perf.jsonl")
-    history.append(_record("s.a", 0.5, sha="a" * 40))
-    history.append(_record("s.a", 0.9, sha="b" * 40))
-    assert history.shas() == ["a" * 40, "b" * 40]
-    by_sha = history.latest_by_sha()
-    assert by_sha[("s.a", "a" * 40)]["series"]["loop"]["median"] == 0.5
-    assert history.for_sha("bbbb")["s.a"]["series"]["loop"]["median"] == 0.9
-    with pytest.raises(ValueError, match="no perf records"):
-        history.for_sha("c" * 40)
-    history.append(_record("s.a", 0.7, sha="ab" + "c" * 38))
-    with pytest.raises(ValueError, match="ambiguous"):
-        history.for_sha("a")
+@pytest.mark.parametrize("smoke, tail", [(True, (6, 7)), (False, (7, 8))])
+def test_search_instances_shape(smoke, tail):
+    corpus = search_instances(instances=3, num_vars=20, smoke=smoke)
+    assert len(corpus) == 4
+    assert corpus[-1] == pigeonhole(*tail)
+    for clauses in corpus[:-1]:
+        assert len(clauses) == int(20 * 4.26)
+        assert all(len(clause) == 3 and all(1 <= abs(lit) <= 20 for lit in clause)
+                   for clause in clauses)
 
 
-def test_snapshots_are_deterministic_and_per_suite(tmp_path):
-    history = PerfHistory(tmp_path / "perf.jsonl")
-    history.append(_record("alpha.x", 0.5, metrics={"rate": 10.0}))
-    history.append(_record("beta.y", 0.2))
-    paths = write_snapshots(history, tmp_path)
-    assert [path.name for path in paths] == ["BENCH_ALPHA.json", "BENCH_BETA.json"]
-    first_bytes = paths[0].read_bytes()
-    payload = json.loads(first_bytes)
-    assert payload["suite"] == "alpha"
-    assert payload["benches"]["alpha.x"]["metrics"] == {"rate": 10.0}
-    # Re-writing unchanged data must be byte-identical (committable marker).
-    write_snapshots(history, tmp_path)
-    assert paths[0].read_bytes() == first_bytes
-    only = write_snapshots(history, tmp_path, suites=("beta",))
-    assert [path.name for path in only] == ["BENCH_BETA.json"]
-    assert snapshot_payload(history.latest(), "nosuch")["benches"] == {}
-
-
-# --------------------------------------------------------------------- #
-# compare verdicts
-# --------------------------------------------------------------------- #
-def _verdict_of(comparison, bench):
-    return next(row for row in comparison["rows"] if row["bench"] == bench)
-
-
-def test_compare_flags_injected_2x_regression():
-    baseline = {"s.a": _record("s.a", 0.100)}
-    candidate = {"s.a": _record("s.a", 0.200)}  # 2x slower, disjoint IQRs
-    comparison = compare_records(baseline, candidate)
-    row = _verdict_of(comparison, "s.a")
-    assert row["verdict"] == REGRESSED
-    assert row["relative_change"] == pytest.approx(1.0)
-    assert not comparison["ok"]
-    assert "REGRESSION" in render_compare(comparison)
-
-
-def test_compare_calls_jitter_within_iqr_noisy():
-    # 15% median drift, but wide overlapping noise bands -> indistinguishable.
-    baseline = {"s.a": _record("s.a", 0.100, iqr=0.050)}
-    candidate = {"s.a": _record("s.a", 0.115, iqr=0.050)}
-    comparison = compare_records(baseline, candidate)
-    row = _verdict_of(comparison, "s.a")
-    assert row["verdict"] == NOISY and row["iqr_overlap"] is True
-    assert comparison["ok"]
-
-
-def test_compare_small_drift_is_noise_even_without_overlap():
-    baseline = {"s.a": _record("s.a", 0.1000, iqr=0.0001)}
-    candidate = {"s.a": _record("s.a", 0.1050, iqr=0.0001)}  # +5% < threshold
-    assert _verdict_of(compare_records(baseline, candidate),
-                       "s.a")["verdict"] == NOISY
-
-
-def test_compare_flags_improvement_and_respects_threshold():
-    baseline = {"s.a": _record("s.a", 0.200)}
-    candidate = {"s.a": _record("s.a", 0.100)}
-    comparison = compare_records(baseline, candidate)
-    assert _verdict_of(comparison, "s.a")["verdict"] == IMPROVED
-    assert comparison["ok"]  # improvements never fail a comparison
-    # A 100% threshold calls the same halving noise.
-    loose = compare_records(baseline, candidate, threshold=1.0)
-    assert _verdict_of(loose, "s.a")["verdict"] == NOISY
-    with pytest.raises(ValueError):
-        compare_records(baseline, candidate, threshold=-0.1)
-
-
-def test_compare_missing_fails_and_new_does_not():
-    baseline = {"s.gone": _record("s.gone", 0.1)}
-    candidate = {"s.born": _record("s.born", 0.1)}
-    comparison = compare_records(baseline, candidate)
-    assert _verdict_of(comparison, "s.gone")["verdict"] == MISSING
-    assert _verdict_of(comparison, "s.born")["verdict"] == NEW
-    assert not comparison["ok"]  # a silently-dropped bench is a finding
-
-
-def test_compare_zero_median_baseline_degenerates_gracefully():
-    baseline = {"s.a": _record("s.a", 0.0, iqr=0.0)}
-    fast = {"s.a": _record("s.a", 0.0, iqr=0.0)}
-    assert _verdict_of(compare_records(baseline, fast), "s.a")["verdict"] == NOISY
-    slow = {"s.a": _record("s.a", 0.5, iqr=0.001)}
-    row = _verdict_of(compare_records(baseline, slow), "s.a")
-    assert row["verdict"] == REGRESSED
-    assert row["relative_change"] == float("inf")
-
-
-def test_primary_stats_falls_back_to_elapsed_seconds():
-    record = {"bench": "s.a", "elapsed_seconds": 2.0}
-    stats = primary_stats(record)
-    assert stats.median == 2.0 and stats.iqr == 0.0
-    assert primary_stats({"bench": "s.a"}) is None
-
-
-# --------------------------------------------------------------------- #
-# gate
-# --------------------------------------------------------------------- #
-def _gate_bench(name, threshold, smoke_threshold=None):
-    return PerfBenchmark(
-        name=name, suite=name.split(".")[0], func=lambda h, p: {},
-        bars=(Bar("rate", ">=", threshold, smoke_threshold=smoke_threshold),),
-    )
-
-
-def test_gate_passes_fails_and_misses():
-    benches = [
-        _gate_bench("s.good", 50.0),
-        _gate_bench("s.bad", 50.0),
-        _gate_bench("s.absent", 50.0),
-        PerfBenchmark(name="s.unbarred", suite="s", func=lambda h, p: {}),
-    ]
-    latest = {
-        "s.good": _record("s.good", 0.1, metrics={"rate": 100.0}),
-        "s.bad": _record("s.bad", 0.1, metrics={"rate": 10.0}),
-        "s.unbarred": _record("s.unbarred", 0.1),
-    }
-    gate = evaluate_gate(latest, benchmarks=benches)
-    statuses = {entry["bench"]: entry["status"] for entry in gate["entries"]}
-    assert statuses == {"s.good": "pass", "s.bad": "fail", "s.absent": "missing"}
-    assert gate["gated"] == 3 and gate["failed"] == 2 and not gate["ok"]
-    text = render_gate(gate)
-    assert "MISSING" in text and "gating failure" in text
-
-
-def test_gate_re_evaluates_registry_bars_not_stored_ones():
-    # The record passed at write time; gating against a *tightened* registry
-    # bar must fail it — the registry is the source of truth.
-    latest = {"s.a": _record("s.a", 0.1, metrics={"rate": 100.0})}
-    assert evaluate_gate(latest, benchmarks=[_gate_bench("s.a", 50.0)])["ok"]
-    assert not evaluate_gate(latest, benchmarks=[_gate_bench("s.a", 500.0)])["ok"]
-
-
-def test_gate_smoke_uses_relaxed_threshold():
-    latest = {"s.a": _record("s.a", 0.1, metrics={"rate": 10.0}, smoke=True)}
-    benches = [_gate_bench("s.a", 50.0, smoke_threshold=5.0)]
-    assert evaluate_gate(latest, smoke=True, benchmarks=benches)["ok"]
-    assert not evaluate_gate(latest, smoke=False, benchmarks=benches)["ok"]
+def test_search_instances_are_deterministic():
+    first = search_instances(instances=2, num_vars=30, smoke=True)
+    assert first == search_instances(instances=2, num_vars=30, smoke=True)
+    assert first[0] != first[1]
