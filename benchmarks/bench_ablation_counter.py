@@ -5,8 +5,7 @@ paper evaluates); a saturating counter needs the key sequence only once and
 then stays on the last key.  Both must preserve functionality under the
 correct schedule; this benchmark measures the locking + verification cost of
 each and checks the functional contract.  ``REPRO_BENCH_SMOKE=1`` halves
-the equivalence-check sequences (matching the registry's
-``ablation.counter_mode`` smoke params).
+the equivalence-check sequences and their length.
 """
 
 import pytest

@@ -5,8 +5,7 @@ oracle-guided SAT attacks, locking more FFs would provide more resilience
 against dataflow and removal attacks."  This benchmark sweeps the number of
 locked flip-flops on one ITC'99-like benchmark and reports the DANA NMI —
 which should fall (or at least not rise) as more flip-flops are locked.
-``REPRO_BENCH_SMOKE=1`` thins the sweep to its endpoints (matching the
-registry's ``ablation.locked_ffs`` smoke params).
+``REPRO_BENCH_SMOKE=1`` thins the sweep to its endpoints.
 """
 
 import os

@@ -1,11 +1,10 @@
 """Ablation: MUX-tree cost versus key width and key count.
 
-DESIGN.md calls out the layer-1 realisation (comparator + donor select
-instead of a full 2^ki-to-1 MUX) as a design choice worth quantifying: this
-benchmark sweeps ki and k on a fixed circuit and reports the cell-count and
-area overhead growth, which should be roughly linear in both parameters.
-``REPRO_BENCH_SMOKE=1`` thins both sweeps to their endpoints (matching the
-registry's ``ablation.muxtree`` smoke params).
+The layer-1 realisation (comparator + donor select instead of a full
+2^ki-to-1 MUX) is a design choice worth quantifying: this benchmark sweeps
+ki and k on a fixed circuit and reports the cell-count and area overhead
+growth, which should be roughly linear in both parameters.
+``REPRO_BENCH_SMOKE=1`` thins both sweeps to their endpoints.
 """
 
 import os

@@ -3,8 +3,7 @@
 These are conventional pytest-benchmark measurements (multiple rounds) that
 track the performance of the building blocks every experiment rests on.
 pytest-benchmark sizes its rounds adaptively, so ``REPRO_BENCH_SMOKE``
-changes nothing here by design; the registry's ``substrate.micro`` bench
-carries the smoke-scaled repeat counts.
+changes nothing here by design.
 """
 
 import random

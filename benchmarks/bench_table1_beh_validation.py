@@ -3,7 +3,7 @@
 Prints the regenerated waveform table and asserts the paper's qualitative
 result: the locked design matches the original under the scheduled keys and
 diverges under wrong keys.  ``REPRO_BENCH_SMOKE=1`` halves the simulated
-cycle count (matching the registry's ``experiments.table1`` smoke params).
+cycle count (16 to 8).
 """
 
 from repro.experiments.table1 import run_table1

@@ -1,7 +1,6 @@
 """Benchmark / regeneration of Table II (Cute-Lock-Str validation on s27).
 
-``REPRO_BENCH_SMOKE=1`` halves the simulated cycle count (matching the
-registry's ``experiments.table2`` smoke params).
+``REPRO_BENCH_SMOKE=1`` halves the simulated cycle count (15 to 8).
 """
 
 from repro.experiments.table2 import run_table2

@@ -6,10 +6,12 @@ single-key control experiment: every benchmark is locked twice — once with a
 real time-varying schedule, once with the schedule collapsed to a single
 repeated key — and both versions are attacked with the SAT, INT and RANE
 attacks.  The time-varying lock must survive every attack; the collapsed lock
-must fall.
+must fall.  The script exits 1 when either claim fails.
 
 Run with:  python examples/lock_and_attack_iscas.py
 """
+
+import sys
 
 from repro import CuteLockStr, int_attack, rane_attack, sat_attack
 from repro.benchmarks_data import ISCAS89_PROFILES, ITC99_PROFILES, load_iscas89, load_itc99
@@ -31,7 +33,7 @@ def load(name):
     return load_itc99(name).circuit, profile.num_keys, min(profile.key_width, 4)
 
 
-def main() -> None:
+def main() -> int:
     rows = []
     for name in BENCHMARKS:
         circuit, num_keys, key_width = load(name)
@@ -62,7 +64,8 @@ def main() -> None:
     print()
     print(f"Cute-Lock survived every attack            : {survived}")
     print(f"single-key reduction broken by some attack : {fell}")
+    return 0 if survived and fell else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

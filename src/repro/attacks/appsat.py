@@ -17,17 +17,12 @@ lanes of one packed pass.
 from __future__ import annotations
 
 import random
-import time
 from typing import Dict, Optional, Union
 
 from repro.attacks.results import AttackOutcome, AttackResult
-from repro.attacks.sat_attack import _as_locked_pair, _DipMiter
-from repro.engine.batch_oracle import BatchedCombinationalOracle
+from repro.attacks.sat_attack import _AttackFrame, _DipMiter
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit
-from repro.sat.session import SolveSession
-from repro.sim.equivalence import random_equivalence_check
-from repro.trace.writer import trace_event
 
 
 def appsat_attack(
@@ -52,28 +47,15 @@ def appsat_attack(
     attack (an approximate key that fails full verification is reported as
     ``WRONG_KEY``).
     """
-    locked_circuit, original = _as_locked_pair(locked, oracle_circuit)
-    start = time.monotonic()
+    frame = _AttackFrame(
+        "appsat", locked, oracle_circuit, scan=True, time_limit=time_limit,
+        conflict_limit=conflict_limit, key_check={"num_vectors": verify_vectors},
+    )
+    if frame.refusal is not None:
+        return frame.refusal
     rng = random.Random(seed)
-
-    if not locked_circuit.key_inputs:
-        return AttackResult(attack="appsat", outcome=AttackOutcome.FAIL,
-                            details={"reason": "circuit has no key inputs"})
-
-    locked_view = locked_circuit.combinational_view() if locked_circuit.dffs else locked_circuit
-    oracle = BatchedCombinationalOracle(original)
-
-    shared_outputs = [o for o in locked_view.outputs if o in set(oracle.output_nets)]
-
-    deadline = start + time_limit
-    session = SolveSession(conflict_limit=conflict_limit, deadline=deadline)
-    miter = _DipMiter(session, locked_view, shared_outputs)
-
-    def extract_candidate() -> Optional[Dict[str, int]]:
-        status = session.solve(phase="key-extract")
-        if not status:
-            return None
-        return miter.key()
+    session = frame.session()
+    miter = _DipMiter(session, frame.view, frame.shared_outputs)
 
     def sample_error(candidate: Dict[str, int]) -> float:
         # One packed pass per side: all samples of the round are lanes.
@@ -81,70 +63,37 @@ def appsat_attack(
             {net: rng.randint(0, 1) for net in miter.functional_nets}
             for _ in range(samples_per_round)
         ]
-        oracle_outs = oracle.query_batch(vectors)
+        oracle_outs = frame.oracle.query_batch(vectors)
         locked_outs = miter.simulator.outputs_batch(
             [{**vector, **candidate} for vector in vectors]
         )
         errors = sum(
             1
             for locked_out, oracle_out in zip(locked_outs, oracle_outs)
-            if any(locked_out[o] != oracle_out[o] for o in shared_outputs)
+            if any(locked_out[o] != oracle_out[o] for o in frame.shared_outputs)
         )
         return errors / max(samples_per_round, 1)
 
-    iterations = 0
-
-    def finish(outcome: AttackOutcome, key: Optional[Dict[str, int]] = None, **details) -> AttackResult:
-        return AttackResult(
-            attack="appsat", outcome=outcome, key=key,
-            iterations=iterations,
-            runtime_seconds=time.monotonic() - start,
-            details={"oracle_queries": oracle.queries,
-                     "solver": session.telemetry.to_dict(), **details},
-        )
-
-    def classify(candidate: Dict[str, int], approximate: bool) -> AttackResult:
-        verdict = random_equivalence_check(
-            original, locked_circuit, key_assignment=candidate, num_vectors=verify_vectors
-        )
-        outcome = AttackOutcome.CORRECT if verdict.equivalent else AttackOutcome.WRONG_KEY
-        return finish(outcome, key=candidate, approximate=approximate)
-
-    rounds = 0
     next_settle = settle_rounds
-    while iterations < max_iterations:
-        if time.monotonic() > deadline:
-            return finish(AttackOutcome.TIMEOUT, reason="time limit")
-
+    while frame.iterations < max_iterations:
+        if frame.out_of_time():
+            return frame.finish(AttackOutcome.TIMEOUT, reason="time limit")
         status = miter.search()
-        rounds += 1
-        if status:
-            iterations += 1
-        trace_event(
-            "attack-round",
-            attack="appsat",
-            round=rounds,
-            harvested=int(bool(status)),
-            iterations=iterations,
-        )
+        frame.round(status)
         if status is None:
-            return finish(AttackOutcome.TIMEOUT, reason="solver limit during DIP search")
+            return frame.finish(AttackOutcome.TIMEOUT, reason="solver limit during DIP search")
         if status is False:
-            candidate = extract_candidate()
-            if candidate is None:
-                return finish(AttackOutcome.CNS,
-                              reason="no static key satisfies all DIP constraints")
-            return classify(candidate, approximate=False)
+            candidate, ended = frame.extract_key(session, miter.key)
+            return ended or frame.classify(candidate, approximate=False)
         dip = miter.dip()
-        miter.observe(dip, oracle.query(dip))
+        miter.observe(dip, frame.oracle.query(dip))
 
-        if iterations >= next_settle:
+        if frame.iterations >= next_settle:
             next_settle += settle_rounds
-            candidate = extract_candidate()
-            if candidate is None:
-                return finish(AttackOutcome.CNS,
-                              reason="no static key satisfies all DIP constraints")
+            candidate, ended = frame.extract_key(session, miter.key)
+            if ended is not None:
+                return ended
             if sample_error(candidate) <= error_threshold:
-                return classify(candidate, approximate=True)
+                return frame.classify(candidate, approximate=True)
 
-    return finish(AttackOutcome.TIMEOUT, reason="iteration limit reached")
+    return frame.finish(AttackOutcome.TIMEOUT, reason="iteration limit reached")

@@ -11,16 +11,12 @@ the schemes reproduced here.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from repro.attacks.results import AttackOutcome, AttackResult
-from repro.attacks.sat_attack import _as_locked_pair, _DipMiter
-from repro.engine.batch_oracle import BatchedCombinationalOracle
+from repro.attacks.sat_attack import _AttackFrame, _DipMiter
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit
-from repro.sat.session import SolveSession
-from repro.sim.equivalence import random_equivalence_check
 
 
 def double_dip_attack(
@@ -33,63 +29,31 @@ def double_dip_attack(
     verify_vectors: int = 256,
 ) -> AttackResult:
     """Run the DoubleDIP attack (two DIPs harvested per iteration)."""
-    locked_circuit, original = _as_locked_pair(locked, oracle_circuit)
-    start = time.monotonic()
-
-    if not locked_circuit.key_inputs:
-        return AttackResult(attack="double-dip", outcome=AttackOutcome.FAIL,
-                            details={"reason": "circuit has no key inputs"})
-
-    locked_view = locked_circuit.combinational_view() if locked_circuit.dffs else locked_circuit
-    oracle = BatchedCombinationalOracle(original)
-    shared_outputs = [o for o in locked_view.outputs if o in set(oracle.output_nets)]
-    if not shared_outputs:
-        # Without shared outputs the inequality below would be a degenerate
-        # always-false miter and the attack would "converge" instantly on a
-        # meaningless key; report the broken setup instead.
-        return AttackResult(attack="double-dip", outcome=AttackOutcome.FAIL,
-                            details={"reason": "locked circuit and oracle share no outputs"})
-
-    deadline = start + time_limit
-    session = SolveSession(conflict_limit=conflict_limit, deadline=deadline)
-    miter = _DipMiter(session, locked_view, shared_outputs)
-    iterations = 0
-
-    def finish(outcome: AttackOutcome, key: Optional[Dict[str, int]] = None, **details) -> AttackResult:
-        return AttackResult(
-            attack="double-dip", outcome=outcome, key=key, iterations=iterations,
-            runtime_seconds=time.monotonic() - start,
-            details={"oracle_queries": oracle.queries,
-                     "solver": session.telemetry.to_dict(), **details},
-        )
-
-    while iterations < max_iterations:
-        if time.monotonic() > deadline:
-            return finish(AttackOutcome.TIMEOUT, reason="time limit")
-        iterations += 1
+    frame = _AttackFrame(
+        "double-dip", locked, oracle_circuit, scan=True, time_limit=time_limit,
+        conflict_limit=conflict_limit, key_check={"num_vectors": verify_vectors},
+    )
+    if frame.refusal is not None:
+        return frame.refusal
+    session = frame.session()
+    miter = _DipMiter(session, frame.view, frame.shared_outputs)
+    while frame.iterations < max_iterations:
+        if frame.out_of_time():
+            return frame.finish(AttackOutcome.TIMEOUT, reason="time limit")
+        frame.iterations += 1
         found_any = False
         for _ in range(2):  # harvest up to two DIPs per round
             status = miter.search()
             if status is None:
-                return finish(AttackOutcome.TIMEOUT, reason="solver limit during DIP search")
+                return frame.finish(AttackOutcome.TIMEOUT, reason="solver limit during DIP search")
             if status is False:
                 break
             found_any = True
             dip = miter.dip()
-            miter.observe(dip, oracle.query(dip))
+            miter.observe(dip, frame.oracle.query(dip))
         if not found_any:
             # Converged: extract and classify a consistent key (if any).
-            status = session.solve(phase="key-extract")
-            if status is None:
-                return finish(AttackOutcome.TIMEOUT, reason="solver limit during key extraction")
-            if status is False:
-                return finish(AttackOutcome.CNS,
-                              reason="no static key satisfies all DIP constraints")
-            key = miter.key()
-            verdict = random_equivalence_check(
-                original, locked_circuit, key_assignment=key, num_vectors=verify_vectors
-            )
-            outcome = AttackOutcome.CORRECT if verdict.equivalent else AttackOutcome.WRONG_KEY
-            return finish(outcome, key=key)
+            key, ended = frame.extract_key(session, miter.key)
+            return ended or frame.classify(key)
 
-    return finish(AttackOutcome.TIMEOUT, reason="iteration limit reached")
+    return frame.finish(AttackOutcome.TIMEOUT, reason="iteration limit reached")

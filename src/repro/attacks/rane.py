@@ -20,12 +20,11 @@ synthesis (CEGIS) loop on top of our SAT layer:
 Both sides of the loop are incremental :class:`~repro.sat.session.\
 SolveSession` queries, whose two :class:`~repro.sat.session.SolverTelemetry`
 blocks are merged into the result's one ``solver`` block when the attack
-ends: the verification unrolling is encoded once, with the candidate key
+ends.  The verification unrolling is encoded once, with the candidate key
 applied through solver *assumptions* rather than baked-in unit clauses, so
-learned clauses survive across candidates; and each verification round
-harvests up to ``cex_batch`` distinct counterexamples behind
-activation-gated blocking clauses, answering them with one lane-parallel
-pass of the batched sequential oracle.
+learned clauses survive across candidates.  Each verification call yields
+at most one counterexample, which the oracle answers with one single-lane
+:meth:`~repro.engine.batch_oracle.BatchedSequentialOracle.query`.
 
 **Adaptive verify depth.**  Verification starts at ``initial_depth`` frames
 and only deepens — via :func:`~repro.attacks.unroll.extend_unrolled`, in
@@ -42,44 +41,15 @@ static key makes the designs equivalent), which is reported as ``CNS`` /
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.attacks.results import AttackOutcome, AttackResult
-from repro.attacks.sat_attack import _as_locked_pair
+from repro.attacks.sat_attack import _AttackFrame
 from repro.attacks.sequential_core import _extract_input_sequence
 from repro.attacks.unroll import encode_unrolled, extend_unrolled
-from repro.engine.batch_oracle import BatchedSequentialOracle
-from repro.locking.base import LockedCircuit, pack_key_bits
+from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit
-from repro.sat.session import SolveSession, SolverTelemetry
-from repro.sat.tseitin import TseitinEncoder
-from repro.sim.equivalence import sequential_equivalence_check
 from repro.trace.writer import trace_event
-
-
-def _block_input_sequence(
-    encoder: TseitinEncoder,
-    frame_inputs: Sequence[Dict[str, str]],
-    functional_inputs: Sequence[str],
-    sequence: Sequence[Dict[str, int]],
-    act_name: str,
-) -> int:
-    """Add an activation-gated clause forbidding ``sequence`` as the input.
-
-    Returns the activation literal: the clause only bites while that literal
-    is assumed, so the block is scoped to the harvesting round that created
-    it (afterwards an unassumed activation variable keeps the clause
-    satisfiable — in particular input-free solves are unaffected).
-    """
-    act_literal = encoder.literal(act_name, True)
-    clause = [-act_literal]
-    for frame, vector in enumerate(sequence):
-        frame_map = frame_inputs[frame]
-        for net in functional_inputs:
-            clause.append(encoder.literal(frame_map[net], not bool(vector[net])))
-    encoder.cnf.add_clause(clause)
-    return act_literal
 
 
 def rane_attack(
@@ -93,7 +63,6 @@ def rane_attack(
     conflict_limit: Optional[int] = 200_000,
     verify_sequences: int = 8,
     verify_length: int = 48,
-    cex_batch: int = 4,
 ) -> AttackResult:
     """Run the RANE-style CEGIS unlocking attack.
 
@@ -101,45 +70,22 @@ def rane_attack(
     adaptive unrolling starts (it doubles, via ``extend_unrolled``, each time
     a candidate key survives the current horizon).
     """
-    locked_circuit, reference = _as_locked_pair(locked, oracle_circuit)
-    start = time.monotonic()
-    deadline = start + time_limit
-    if cex_batch < 1:
-        raise ValueError("cex_batch must be at least 1")
     if initial_depth < 1:
         raise ValueError("initial_depth must be at least 1")
-
-    if not locked_circuit.key_inputs:
-        return AttackResult(attack="rane", outcome=AttackOutcome.FAIL,
-                            details={"reason": "circuit has no key inputs"})
-
-    oracle = BatchedSequentialOracle(reference)
-    key_nets = list(locked_circuit.key_inputs)
-    functional_inputs = [n for n in locked_circuit.inputs if n not in set(key_nets)]
-    shared_outputs = [o for o in locked_circuit.outputs if o in set(reference.outputs)]
-    if not shared_outputs:
-        return AttackResult(attack="rane", outcome=AttackOutcome.FAIL,
-                            details={"reason": "locked circuit and reference share no outputs"})
+    frame = _AttackFrame(
+        "rane", locked, oracle_circuit, scan=False, time_limit=time_limit,
+        conflict_limit=conflict_limit,
+        key_check={"num_sequences": verify_sequences, "sequence_length": verify_length},
+    )
+    if frame.refusal is not None:
+        return frame.refusal
+    locked_circuit, reference = frame.locked, frame.original
+    key_nets, shared_outputs = frame.key_nets, frame.shared_outputs
 
     # --- synthesis side: one constraint copy of the locked circuit per
     # counterexample, all sharing the KA@ key variables.
-    synth = SolveSession(conflict_limit=conflict_limit, deadline=deadline)
+    synth = frame.session()
     synth_encoder = synth.encoder
-    counterexamples: List[Tuple[List[Dict[str, int]], List[Dict[str, int]]]] = []
-
-    def add_counterexample(dis: List[Dict[str, int]], responses: List[Dict[str, int]]) -> None:
-        tag = len(counterexamples)
-        copy = encode_unrolled(
-            synth_encoder, locked_circuit, len(dis), prefix=f"ce{tag}#",
-            shared_input_prefix=f"ce{tag}X", key_prefix="KA@",
-        )
-        for frame, (vector, response) in enumerate(zip(dis, responses)):
-            for net in functional_inputs:
-                synth_encoder.add_value(copy.frame_inputs[frame][net], vector[net])
-            for out in shared_outputs:
-                synth_encoder.add_value(copy.frame_outputs[frame][out], response[out])
-        counterexamples.append((dis, responses))
-
     # Touch the key variables so a candidate exists even with no constraints.
     for net in key_nets:
         synth_encoder.var(f"KA@{net}")
@@ -148,7 +94,7 @@ def rane_attack(
     # key enters through assumptions on the VK@ variables, never through unit
     # clauses, so the same solver (and its learned clauses) serves every
     # candidate — and survives every adaptive deepening.
-    verify = SolveSession(conflict_limit=conflict_limit, deadline=deadline)
+    verify = frame.session()
     verify_encoder = verify.encoder
     current_depth = min(initial_depth, depth)
     locked_copy = encode_unrolled(
@@ -164,140 +110,94 @@ def rane_attack(
         """Inequality net over the output pairs of frames [start, end)."""
         nets_locked: List[str] = []
         nets_reference: List[str] = []
-        for frame in range(start_frame, end_frame):
+        for index in range(start_frame, end_frame):
             for out in shared_outputs:
-                nets_locked.append(locked_copy.frame_outputs[frame][out])
-                nets_reference.append(reference_copy.frame_outputs[frame][out])
+                nets_locked.append(locked_copy.frame_outputs[index][out])
+                nets_reference.append(reference_copy.frame_outputs[index][out])
         return verify_encoder.encode_inequality(nets_locked, nets_reference)
 
     diff_net = encode_diff(0, current_depth)
-    blocking_clauses = 0
     depth_extensions = 0
 
-    def extract_dis(model: Dict[int, int]) -> List[Dict[str, int]]:
-        return _extract_input_sequence(
-            verify_encoder, model, locked_copy.frame_inputs, functional_inputs,
-            current_depth,
-        )
+    def details() -> Dict[str, object]:
+        return {"depth": depth, "verify_depth": current_depth,
+                "depth_extensions": depth_extensions}
 
-    def block_dis(dis: List[Dict[str, int]]) -> int:
-        """Activation-gated clause forbidding ``dis``; scoped to one round."""
-        nonlocal blocking_clauses
-        blocking_clauses += 1
-        return _block_input_sequence(
-            verify_encoder, locked_copy.frame_inputs, functional_inputs, dis,
-            f"__cex_block_{blocking_clauses}",
-        )
-
-    iterations = 0
-
-    def finish(outcome: AttackOutcome, key: Optional[Dict[str, int]] = None, **details) -> AttackResult:
-        telemetry = SolverTelemetry()
-        telemetry.merge(synth.telemetry)
-        telemetry.merge(verify.telemetry)
-        return AttackResult(
-            attack="rane", outcome=outcome, key=key, iterations=iterations,
-            runtime_seconds=time.monotonic() - start,
-            details={"oracle_queries": oracle.queries, "depth": depth,
-                     "verify_depth": current_depth,
-                     "depth_extensions": depth_extensions,
-                     "solver": telemetry.to_dict(), **details},
-        )
-
-    while iterations < max_iterations:
-        if time.monotonic() > deadline:
-            return finish(AttackOutcome.TIMEOUT, reason="time limit")
-        iterations += 1
+    while frame.iterations < max_iterations:
+        if frame.out_of_time():
+            return frame.finish(AttackOutcome.TIMEOUT, reason="time limit", **details())
+        frame.iterations += 1
 
         # Synthesis: propose a key consistent with all counterexamples.
         status = synth.solve(phase="synthesis")
         if status is None:
-            return finish(AttackOutcome.TIMEOUT, reason="solver limit during synthesis")
+            return frame.finish(AttackOutcome.TIMEOUT, reason="solver limit during synthesis",
+                                **details())
         if status is False:
-            return finish(AttackOutcome.CNS,
-                          reason="no static key makes the designs equivalent")
+            return frame.finish(AttackOutcome.CNS,
+                                reason="no static key makes the designs equivalent", **details())
         model = synth.model()
         candidate = {
             net: model.get(synth_encoder.varmap.get(f"KA@{net}", -1), 0) for net in key_nets
         }
 
-        # Verification: bounded equivalence of locked(candidate) vs reference,
-        # harvesting up to cex_batch distinguishing sequences per round; a
-        # candidate that survives the current horizon deepens the unrolling
-        # in place (extend_unrolled) until the full depth is reached.
+        # Verification: bounded equivalence of locked(candidate) vs reference.
+        # A candidate that survives the current horizon deepens the unrolling
+        # in place (same encoder, same solver, learned clauses kept) and is
+        # re-verified, until the full depth is reached; the comparator grows
+        # incrementally too — only the new frames are encoded, OR-ed with the
+        # previous diff net.
         key_assumptions = [
             verify_encoder.literal(f"VK@{net}", bool(candidate[net])) for net in key_nets
         ]
-        harvested: List[List[Dict[str, int]]] = []
-        equivalent = False
-        solver_limited = False
         while True:
-            block_assumptions: List[int] = []
-            round_equivalent = False
-            while len(harvested) < cex_batch:
-                status = verify.solve(
-                    assumptions=[verify_encoder.literal(diff_net, True)]
-                    + key_assumptions + block_assumptions,
-                    phase="verify",
-                )
-                if status is None:
-                    solver_limited = True
-                    break
-                if status is False:
-                    # Only an unblocked UNSAT proves bounded equivalence.
-                    round_equivalent = not block_assumptions
-                    break
-                dis = extract_dis(verify.model())
-                harvested.append(dis)
-                if len(harvested) >= cex_batch or time.monotonic() > deadline:
-                    break
-                block_assumptions.append(block_dis(dis))
-            if round_equivalent and current_depth < depth:
-                # The candidate survived this horizon: deepen the existing
-                # unrolling (same encoder, same solver, learned clauses kept)
-                # and re-verify instead of accepting a too-shallow proof.
-                # The comparator grows incrementally too — only the new
-                # frames are encoded, OR-ed with the previous diff net.
-                previous_depth = current_depth
-                current_depth = min(current_depth * 2, depth)
-                extend_unrolled(verify_encoder, locked_circuit, locked_copy,
-                                current_depth)
-                extend_unrolled(verify_encoder, reference, reference_copy,
-                                current_depth)
-                diff_net = verify_encoder.encode_any(
-                    [diff_net, encode_diff(previous_depth, current_depth)]
-                )
-                depth_extensions += 1
-                continue
-            equivalent = round_equivalent
-            break
+            status = verify.solve(
+                assumptions=[verify_encoder.literal(diff_net, True)] + key_assumptions,
+                phase="verify",
+            )
+            if status is not False or current_depth >= depth:
+                break
+            previous_depth = current_depth
+            current_depth = min(current_depth * 2, depth)
+            extend_unrolled(verify_encoder, locked_circuit, locked_copy, current_depth)
+            extend_unrolled(verify_encoder, reference, reference_copy, current_depth)
+            diff_net = verify_encoder.encode_any(
+                [diff_net, encode_diff(previous_depth, current_depth)]
+            )
+            depth_extensions += 1
 
         trace_event(
             "attack-round",
             attack="rane",
-            round=iterations,
+            round=frame.iterations,
             depth=current_depth,
-            harvested=len(harvested),
-            equivalent=equivalent,
+            harvested=int(bool(status)),
+            equivalent=status is False,
         )
-        if equivalent:
+        if status is False:
             # Bounded-equivalent at full depth: accept after a final
             # simulation check.
-            packed = pack_key_bits(candidate, key_nets)
-            verdict = sequential_equivalence_check(
-                reference, locked_circuit, key_schedule=[packed], key_inputs=key_nets,
-                num_sequences=verify_sequences, sequence_length=verify_length,
-            )
-            outcome = AttackOutcome.CORRECT if verdict.equivalent else AttackOutcome.WRONG_KEY
-            return finish(outcome, key=candidate)
-        if solver_limited and not harvested:
-            return finish(AttackOutcome.TIMEOUT, reason="solver limit during verification")
+            return frame.classify(candidate, **details())
+        if status is None:
+            return frame.finish(AttackOutcome.TIMEOUT, reason="solver limit during verification",
+                                **details())
 
-        # Counterexamples: one lane-parallel oracle pass answers the whole
-        # round; every response refutes the current candidate in synthesis.
-        responses_list = oracle.query_batch(harvested)
-        for dis, responses in zip(harvested, responses_list):
-            responses = [{out: resp[out] for out in shared_outputs} for resp in responses]
-            add_counterexample(dis, responses)
+        # The counterexample and the oracle's response to it refute the
+        # candidate: one more constraint copy in synthesis.
+        dis = _extract_input_sequence(
+            verify_encoder, verify.model(), locked_copy.frame_inputs,
+            frame.functional_inputs, current_depth,
+        )
+        responses = frame.oracle.query(dis)
+        tag = frame.iterations
+        copy = encode_unrolled(
+            synth_encoder, locked_circuit, len(dis), prefix=f"ce{tag}#",
+            shared_input_prefix=f"ce{tag}X", key_prefix="KA@",
+        )
+        for index, (vector, response) in enumerate(zip(dis, responses)):
+            for net in frame.functional_inputs:
+                synth_encoder.add_value(copy.frame_inputs[index][net], vector[net])
+            for out in shared_outputs:
+                synth_encoder.add_value(copy.frame_outputs[index][out], response[out])
 
-    return finish(AttackOutcome.TIMEOUT, reason="iteration limit reached")
+    return frame.finish(AttackOutcome.TIMEOUT, reason="iteration limit reached", **details())

@@ -26,34 +26,184 @@ input's combinational fanout that reach a compared output — differs between
 the two key copies, and only the cone is encoded again per DIP, with its
 key-independent fanins folded to constants.  A point-function lock's cone is
 a handful of gates, so the miter stays close to one copy of the view.
+
+The set-up, budget and result path (:class:`_AttackFrame`) is shared by
+every oracle-guided attack of :mod:`repro.attacks`, combinational and
+sequential; each attack keeps only its own loop.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.attacks.results import AttackOutcome, AttackResult
-from repro.engine.batch_oracle import BatchedCombinationalOracle
+from repro.engine.batch_oracle import BatchedCombinationalOracle, BatchedSequentialOracle
 from repro.engine.packed import PackedSimulator
-from repro.locking.base import LockedCircuit
+from repro.locking.base import LockedCircuit, pack_key_bits
 from repro.netlist.circuit import Circuit, CircuitError
-from repro.sat.session import SolveSession
+from repro.sat.session import DEFAULT_BACKEND, SolverTelemetry, SolveSession
 from repro.sat.tseitin import TseitinEncoder
-from repro.sim.equivalence import random_equivalence_check
+from repro.sim.equivalence import random_equivalence_check, sequential_equivalence_check
 from repro.trace.writer import trace_event
 
 
-def _as_locked_pair(
-    locked: Union[LockedCircuit, Circuit], oracle_circuit: Optional[Circuit]
-) -> Tuple[Circuit, Circuit]:
-    """Normalise the (locked netlist, oracle netlist) pair."""
-    if isinstance(locked, LockedCircuit):
-        return locked.circuit, oracle_circuit or locked.original
-    if oracle_circuit is None:
-        raise ValueError("an oracle circuit is required when passing a bare Circuit")
-    return locked, oracle_circuit
+class _AttackFrame:
+    """The set-up, budget and result path every oracle-guided attack shares.
+
+    One frame runs one attack.  It normalises the (locked, oracle) pair,
+    owns the wall-clock deadline and builds the oracle of one of two
+    observability models:
+
+    * scan access (``scan=True``: SAT, AppSAT, DoubleDIP) — :attr:`view` is
+      the locked circuit's combinational view, the oracle a
+      :class:`BatchedCombinationalOracle`, and a key is checked with
+      :func:`random_equivalence_check`;
+    * reset-and-run (``scan=False``: BBO, INT, KC2, RANE) — :attr:`view` is
+      the sequential circuit, the oracle a :class:`BatchedSequentialOracle`,
+      and a static key is checked with :func:`sequential_equivalence_check`.
+
+    ``key_check`` holds the keyword arguments of that check (how many
+    vectors, or sequences and their length).
+
+    :attr:`refusal` is the FAIL result of a pair no attack can run on (no
+    key inputs, or no output shared with the oracle), else None.
+    :meth:`session` opens a solve session under the attack's budget,
+    :meth:`extract_key` is the key-extract step, :meth:`classify` the key
+    check, and :meth:`finish` builds the :class:`AttackResult` from the
+    oracle and every session the attack opened.  The attack's loop counts
+    its refinement iterations in :attr:`iterations`.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        locked: Union[LockedCircuit, Circuit],
+        oracle_circuit: Optional[Circuit],
+        *,
+        scan: bool,
+        time_limit: float,
+        conflict_limit: Optional[int],
+        key_check: Mapping[str, int],
+        proof_dir: Optional[Union[str, Path]] = None,
+    ) -> None:
+        if not time_limit > 0:  # also refuses NaN
+            raise ValueError(f"time_limit must be > 0 seconds, got {time_limit!r}")
+        if isinstance(locked, LockedCircuit):
+            locked, oracle_circuit = locked.circuit, oracle_circuit or locked.original
+        elif oracle_circuit is None:
+            raise ValueError("an oracle circuit is required when passing a bare Circuit")
+        self.name = name
+        self.locked, self.original = locked, oracle_circuit
+        self.start = time.monotonic()
+        self.deadline = self.start + time_limit
+        self.conflict_limit = conflict_limit
+        self.proof_dir = proof_dir
+        self.scan = scan
+        self.key_check = key_check
+        self.sessions: List[SolveSession] = []
+        self.iterations = 0
+        self.rounds = 0
+        self.key_nets = list(locked.key_inputs)
+        self.oracle: Union[BatchedCombinationalOracle, BatchedSequentialOracle]
+        if scan:
+            self.view = locked.combinational_view() if locked.dffs else locked
+            self.oracle = BatchedCombinationalOracle(oracle_circuit)
+        else:
+            self.view = locked
+            self.oracle = BatchedSequentialOracle(oracle_circuit)
+        observed = set(self.oracle.output_nets)
+        self.shared_outputs = [out for out in self.view.outputs if out in observed]
+        keys = set(self.key_nets)
+        self.functional_inputs = [net for net in self.view.inputs if net not in keys]
+        self.refusal: Optional[AttackResult] = None
+        if not self.key_nets:
+            self.refusal = self.finish(AttackOutcome.FAIL, reason="circuit has no key inputs")
+        elif not self.shared_outputs:
+            # The miter would compare nothing and "converge" at once on a
+            # meaningless key: report the broken set-up instead.
+            self.refusal = self.finish(
+                AttackOutcome.FAIL, reason="locked circuit and oracle share no outputs"
+            )
+
+    def out_of_time(self) -> bool:
+        return time.monotonic() > self.deadline
+
+    def session(self, label: Optional[str] = None) -> SolveSession:
+        """A solve session under the attack's conflict limit and deadline."""
+        session = SolveSession(
+            conflict_limit=self.conflict_limit, deadline=self.deadline,
+            proof_path=self.proof_dir, proof_label=label or self.name,
+        )
+        self.sessions.append(session)
+        return session
+
+    def round(self, found: Optional[bool], **fields: object) -> None:
+        """Count one DIP/DIS search and emit its ``attack-round`` trace marker."""
+        self.rounds += 1
+        if found:
+            self.iterations += 1
+        trace_event(
+            "attack-round", attack=self.name, round=self.rounds,
+            harvested=int(bool(found)), iterations=self.iterations, **fields,
+        )
+
+    def extract_key(
+        self, session: SolveSession, read_key: Callable[[], Dict[str, int]], **details: object
+    ) -> Tuple[Optional[Dict[str, int]], Optional[AttackResult]]:
+        """The key-extract step: ``(key, None)``, or ``(None, result)`` when it ends the attack.
+
+        A limited call ends the attack TIMEOUT; UNSAT ends it CNS — no
+        static key is consistent with the oracle, so the attack's model of
+        the lock (one key applied at all times) cannot explain the chip.
+        """
+        status = session.solve(phase="key-extract")
+        if status is None:
+            return None, self.finish(
+                AttackOutcome.TIMEOUT, reason="solver limit during key extraction", **details
+            )
+        if status is False:
+            return None, self.finish(
+                AttackOutcome.CNS, reason="no static key is consistent with the oracle",
+                **details,
+            )
+        return read_key(), None
+
+    def classify(self, key: Dict[str, int], **details: object) -> AttackResult:
+        """CORRECT or WRONG_KEY by the observability model's key check."""
+        if self.scan:
+            verdict = random_equivalence_check(
+                self.original, self.locked, key_assignment=key, **self.key_check
+            )
+        else:
+            verdict = sequential_equivalence_check(
+                self.original, self.locked, key_schedule=[pack_key_bits(key, self.key_nets)],
+                key_inputs=self.key_nets, **self.key_check,
+            )
+        if verdict.equivalent:
+            return self.finish(AttackOutcome.CORRECT, key, **details)
+        return self.finish(
+            AttackOutcome.WRONG_KEY, key, counterexample=verdict.counterexample, **details
+        )
+
+    def finish(
+        self, outcome: AttackOutcome, key: Optional[Dict[str, int]] = None, **details: object
+    ) -> AttackResult:
+        """The attack's result: oracle queries, merged solver block, certificates."""
+        solver = SolverTelemetry(backend=DEFAULT_BACKEND)
+        for session in self.sessions:
+            solver.merge(session.telemetry)
+        payload: Dict[str, object] = {
+            "oracle_queries": self.oracle.queries, "solver": solver.to_dict(), **details,
+        }
+        if self.proof_dir is not None:
+            payload["certificates"] = sum(len(s.certificates) for s in self.sessions)
+            payload["proof_dir"] = str(self.proof_dir)
+        return AttackResult(
+            attack=self.name, outcome=outcome, key=key, iterations=self.iterations,
+            runtime_seconds=time.monotonic() - self.start, details=payload,
+        )
 
 
 #: The nets the per-DIP cone copies read a key-independent 0 or 1 from; each
@@ -221,94 +371,29 @@ def sat_attack(
         checkable by ``repro check proof`` (see CHECKS.md);
         ``details["certificates"]`` counts the pairs written.
     """
-    locked_circuit, original = _as_locked_pair(locked, oracle_circuit)
-    start = time.monotonic()
-
-    if not locked_circuit.key_inputs:
-        return AttackResult(
-            attack=attack_name,
-            outcome=AttackOutcome.FAIL,
-            details={"reason": "circuit has no key inputs"},
-        )
-
-    locked_view = locked_circuit.combinational_view() if locked_circuit.dffs else locked_circuit
-    oracle = BatchedCombinationalOracle(original)
-
-    shared_outputs = [o for o in locked_view.outputs if o in set(oracle.output_nets)]
-    if not shared_outputs:
-        return AttackResult(
-            attack=attack_name,
-            outcome=AttackOutcome.FAIL,
-            details={"reason": "locked circuit and oracle share no outputs"},
-        )
-
-    deadline = start + time_limit
-    session = SolveSession(
-        conflict_limit=conflict_limit, deadline=deadline,
-        proof_path=proof_dir, proof_label=attack_name,
+    frame = _AttackFrame(
+        attack_name, locked, oracle_circuit, scan=True, time_limit=time_limit,
+        conflict_limit=conflict_limit, key_check={"num_vectors": verify_vectors},
+        proof_dir=proof_dir,
     )
-    miter = _DipMiter(session, locked_view, shared_outputs)
-    iterations = 0
-
-    def finish(outcome: AttackOutcome, key: Optional[Dict[str, int]] = None, **details) -> AttackResult:
-        payload = {
-            "oracle_queries": oracle.queries,
-            "solver": session.telemetry.to_dict(),
-            **details,
-        }
-        if proof_dir is not None:
-            payload["certificates"] = len(session.certificates)
-            payload["proof_dir"] = str(proof_dir)
-        return AttackResult(
-            attack=attack_name,
-            outcome=outcome,
-            key=key,
-            iterations=iterations,
-            runtime_seconds=time.monotonic() - start,
-            details=payload,
-        )
-
-    rounds = 0
-    while iterations < max_iterations:
+    if frame.refusal is not None:
+        return frame.refusal
+    session = frame.session()
+    miter = _DipMiter(session, frame.view, frame.shared_outputs)
+    while frame.iterations < max_iterations:
         status = miter.search()
-        rounds += 1
-        if status:
-            iterations += 1
-        trace_event(
-            "attack-round",
-            attack="sat",
-            round=rounds,
-            harvested=int(bool(status)),
-            iterations=iterations,
-        )
+        frame.round(status)
         if status is None:
-            return finish(AttackOutcome.TIMEOUT, reason="solver limit during DIP search")
+            return frame.finish(AttackOutcome.TIMEOUT, reason="solver limit during DIP search")
         if status is False:
             break
         dip = miter.dip()
-        miter.observe(dip, oracle.query(dip))
-        if time.monotonic() > deadline:
-            return finish(AttackOutcome.TIMEOUT, reason="time limit after DIP refinement")
+        miter.observe(dip, frame.oracle.query(dip))
+        if frame.out_of_time():
+            return frame.finish(AttackOutcome.TIMEOUT, reason="time limit after DIP refinement")
     else:
-        return finish(AttackOutcome.TIMEOUT, reason="iteration limit reached")
+        return frame.finish(AttackOutcome.TIMEOUT, reason="iteration limit reached")
 
     # DIP loop converged: extract a key consistent with every observation.
-    status = session.solve(phase="key-extract")
-    if status is None:
-        return finish(AttackOutcome.TIMEOUT, reason="solver limit during key extraction")
-    if status is False:
-        # No static key is consistent with the oracle: the attack's model of
-        # the lock (one key applied at all times) cannot explain the chip.
-        return finish(AttackOutcome.CNS, reason="no static key satisfies all DIP constraints")
-
-    key = miter.key()
-    verdict = random_equivalence_check(
-        original, locked_circuit, key_assignment=key, num_vectors=verify_vectors
-    )
-    if verdict.equivalent:
-        return finish(AttackOutcome.CORRECT, key=key)
-    return finish(
-        AttackOutcome.WRONG_KEY,
-        key=key,
-        counterexample=verdict.counterexample,
-    )
+    key, ended = frame.extract_key(session, miter.key)
+    return ended or frame.classify(key)

@@ -28,20 +28,16 @@ clauses across depths.
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.attacks.results import AttackOutcome, AttackResult
-from repro.attacks.sat_attack import _as_locked_pair
+from repro.attacks.sat_attack import _AttackFrame
 from repro.attacks.unroll import encode_unrolled, extend_unrolled
-from repro.engine.batch_oracle import BatchedSequentialOracle
-from repro.locking.base import LockedCircuit, pack_key_bits
+from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit
 from repro.sat.session import SolveSession
 from repro.sat.tseitin import TseitinEncoder
-from repro.sim.equivalence import sequential_equivalence_check
-from repro.trace.writer import trace_event
 
 
 def _extract_input_sequence(
@@ -83,6 +79,7 @@ class _UnrolledMiter:
         self.encoder = session.encoder
         self.depth = depth
         self.locked = locked
+        self.key_nets = list(locked.key_inputs)
         self.functional_inputs = list(functional_inputs)
         self.shared_outputs = list(shared_outputs)
         self.copy_a = encode_unrolled(
@@ -131,11 +128,11 @@ class _UnrolledMiter:
             self.functional_inputs, self.depth,
         )
 
-    def key(self, key_nets: Sequence[str]) -> Dict[str, int]:
+    def key(self) -> Dict[str, int]:
         """The ``KA@`` key of the last satisfiable solve."""
         model = self.session.model()
         varmap = self.encoder.varmap
-        return {net: model.get(varmap.get(f"KA@{net}", -1), 0) for net in key_nets}
+        return {net: model.get(varmap.get(f"KA@{net}", -1), 0) for net in self.key_nets}
 
     def observe(self, dis: List[Dict[str, int]], responses: List[Dict[str, int]]) -> None:
         """Constrain both key copies to reproduce the oracle's response on ``dis``."""
@@ -182,124 +179,64 @@ def sequential_oracle_guided_attack(
     pair there for each UNSAT answer (``repro check proof`` replays them),
     and the pair count lands in ``details["certificates"]``.
     """
-    locked_circuit, original = _as_locked_pair(locked, oracle_circuit)
-    start = time.monotonic()
-    deadline = start + time_limit
-
-    if not locked_circuit.key_inputs:
-        return AttackResult(attack=attack_name, outcome=AttackOutcome.FAIL,
-                            details={"reason": "circuit has no key inputs"})
-
-    oracle = BatchedSequentialOracle(original)
-    key_nets = list(locked_circuit.key_inputs)
-    functional_inputs = [n for n in locked_circuit.inputs if n not in set(key_nets)]
-    shared_outputs = [o for o in locked_circuit.outputs if o in set(oracle.output_nets)]
-    if not shared_outputs:
-        return AttackResult(attack=attack_name, outcome=AttackOutcome.FAIL,
-                            details={"reason": "locked circuit and oracle share no outputs"})
-
-    depth = initial_depth
-    session = SolveSession(
-        conflict_limit=conflict_limit, deadline=deadline,
-        proof_path=proof_dir, proof_label=f"{attack_name}-d{depth:02d}",
+    frame = _AttackFrame(
+        attack_name, locked, oracle_circuit, scan=False, time_limit=time_limit,
+        conflict_limit=conflict_limit, proof_dir=proof_dir,
+        key_check={"num_sequences": verify_sequences, "sequence_length": verify_length},
     )
-    miter = _UnrolledMiter(session, locked_circuit, functional_inputs, shared_outputs, depth)
-    iterations = 0
-    rounds = 0
-    candidate: Optional[Dict[str, int]] = None
-
-    def finish(outcome: AttackOutcome, key: Optional[Dict[str, int]] = None, **details) -> AttackResult:
-        payload = {"oracle_queries": oracle.queries,
-                   "solver": session.telemetry.to_dict(), **details}
-        if proof_dir is not None:
-            payload["certificates"] = len(session.certificates)
-            payload["proof_dir"] = str(proof_dir)
-        return AttackResult(
-            attack=attack_name, outcome=outcome, key=key, iterations=iterations,
-            runtime_seconds=time.monotonic() - start, details=payload,
-        )
-
-    def verify(key: Dict[str, int]) -> bool:
-        verdict = sequential_equivalence_check(
-            original, locked_circuit,
-            key_schedule=[pack_key_bits(key, key_nets)], key_inputs=key_nets,
-            num_sequences=verify_sequences, sequence_length=verify_length,
-        )
-        return verdict.equivalent
-
-    while depth <= max_depth:
+    if frame.refusal is not None:
+        return frame.refusal
+    depth = initial_depth
+    session = frame.session(f"{attack_name}-d{depth:02d}")
+    miter = _UnrolledMiter(
+        session, frame.view, frame.functional_inputs, frame.shared_outputs, depth
+    )
+    while True:
         while True:
-            if time.monotonic() > deadline:
-                return finish(AttackOutcome.TIMEOUT, reason="time limit", depth=depth)
-            if iterations >= max_iterations:
-                return finish(AttackOutcome.TIMEOUT, reason="iteration limit", depth=depth)
+            if frame.out_of_time():
+                return frame.finish(AttackOutcome.TIMEOUT, reason="time limit", depth=depth)
+            if frame.iterations >= max_iterations:
+                return frame.finish(AttackOutcome.TIMEOUT, reason="iteration limit", depth=depth)
             if not incremental:
                 session.reset_solver()
             status = miter.search()
-            rounds += 1
-            if status:
-                iterations += 1
-            trace_event(
-                "attack-round",
-                attack=attack_name,
-                round=rounds,
-                depth=depth,
-                harvested=int(bool(status)),
-                iterations=iterations,
-            )
+            frame.round(status, depth=depth)
             if status is None:
-                return finish(AttackOutcome.TIMEOUT, reason="solver limit during DIS search",
-                              depth=depth)
+                return frame.finish(AttackOutcome.TIMEOUT, reason="solver limit during DIS search",
+                                    depth=depth)
             if status is False:
                 break
             dis = miter.dis()
-            miter.observe(dis, oracle.query(dis))
+            miter.observe(dis, frame.oracle.query(dis))
             if crunch_keys:
-                _crunch_key_conditions(miter, key_nets, deadline)
+                _crunch_key_conditions(miter, frame)
 
-        # No DIS left at this depth: extract a consistent static key.
-        status = session.solve(phase="key-extract")
-        if status is None:
-            return finish(AttackOutcome.TIMEOUT, reason="solver limit during key extraction",
-                          depth=depth)
-        if status is False:
-            return finish(AttackOutcome.CNS,
-                          reason="no static key is consistent with the oracle",
-                          depth=depth)
-        candidate = miter.key(key_nets)
-        if verify(candidate):
-            return finish(AttackOutcome.CORRECT, key=candidate, depth=depth)
-
+        # No DIS left at this depth: extract a consistent static key.  One
+        # that fails the key check sends the search twice as deep.
+        key, ended = frame.extract_key(session, miter.key, depth=depth)
+        result = ended or frame.classify(key, depth=depth)
         depth *= 2
-        if depth > max_depth:
-            break
+        if result.outcome is not AttackOutcome.WRONG_KEY or depth > max_depth:
+            return result
         miter.extend(depth)
 
-    return finish(AttackOutcome.WRONG_KEY, key=candidate,
-                  reason="maximum unroll depth reached without a verified key",
-                  depth=max_depth)
 
-
-def _crunch_key_conditions(
-    miter: _UnrolledMiter,
-    key_nets: Sequence[str],
-    deadline: float,
-) -> None:
+def _crunch_key_conditions(miter: _UnrolledMiter, frame: _AttackFrame) -> None:
     """KC2-style simplification: permanently fix key bits implied by the
     observations accumulated so far (both for the A and B key copies)."""
     for prefix in ("KA@", "KB@"):
-        for net in key_nets:
+        for net in miter.key_nets:
             # Each probe is cheap but there are 2x|key| of them: clamp every
             # probe (recomputed per solve, the first may eat the budget) to
             # 0.5s (the session clamps to the attack's remaining wall-clock
             # on top) so crunching cannot overshoot the deadline.
-            if time.monotonic() >= deadline:
+            if frame.out_of_time():
                 return
             literal = miter.encoder.literal(f"{prefix}{net}", True)
             can_be_true = miter.session.solve(
                 assumptions=[literal], phase="crunch", time_limit=0.5,
             )
-            if time.monotonic() >= deadline:
+            if frame.out_of_time():
                 return
             can_be_false = miter.session.solve(
                 assumptions=[-literal], phase="crunch", time_limit=0.5,

@@ -1,9 +1,9 @@
 """Benchmark circuits and FSMs used by the evaluation.
 
 The paper evaluates on three suites that are not redistributable here
-(Synthezza FSM benchmarks, ISCAS'89, ITC'99).  As documented in DESIGN.md,
-this package provides deterministic seeded stand-ins with matching names and
-approximately matching sizes:
+(Synthezza FSM benchmarks, ISCAS'89, ITC'99).  This package provides
+deterministic seeded stand-ins with matching names and approximately
+matching sizes:
 
 * :mod:`repro.benchmarks_data.synthezza` — Mealy FSMs (``bcomp``, ``bech``, …)
   grouped small/medium/large as in Table III;

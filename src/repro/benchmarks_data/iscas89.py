@@ -6,7 +6,7 @@ The remaining ISCAS'89 names used in Table IV are generated by the seeded
 random sequential-circuit generator with per-benchmark size profiles.  The
 profiles keep the *relative* ordering of the real suite (s298 is small,
 s13207/s15850/s35932 are the big ones) but are scaled down so that the pure
-Python SAT attacks stay tractable — see the substitution notes in DESIGN.md.
+Python SAT attacks stay tractable.
 
 Each profile also records the ``(k, ki)`` locking parameters the paper's
 Table IV uses for that benchmark, so the experiment drivers can lock each

@@ -8,9 +8,9 @@ The stand-ins are produced by :func:`word_structured_circuit`, which arranges
 flip-flops into multi-bit words with word-level dataflow — the property DANA
 needs a ground truth for.  Sizes grow monotonically from b01 to b22 (the real
 b17–b19 are two orders of magnitude larger than b01; here the growth is
-compressed so the pure-Python attack stack stays tractable, as documented in
-DESIGN.md).  Each profile also carries the (k, ki) locking parameters used in
-Table IV and the paper's three overhead test-run configurations.
+compressed so the pure-Python attack stack stays tractable).  Each profile
+also carries the (k, ki) locking parameters used in Table IV and the paper's
+three overhead test-run configurations.
 """
 
 from __future__ import annotations

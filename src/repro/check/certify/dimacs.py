@@ -1,13 +1,12 @@
-"""Standard DIMACS CNF reading.
+"""Standard DIMACS CNF reading and writing.
 
-`repro.sat.cnf.CNF.from_dimacs` deliberately mirrors `to_dimacs` (one
-clause per line) because it round-trips our own files.  External instances
-— and the certificate CNFs written next to DRUP proofs — follow the
-*standard* format: clauses are token streams terminated by ``0`` that may
-span lines or share one, with ``c`` comments, an optional ``p cnf V C``
-header, and the ``%``/``0`` trailer some benchmark suites append.  This
-module parses that dialect; ``repro check cnf`` and ``repro check proof``
-both read through it.
+External instances — and the certificate CNFs written next to DRUP
+proofs — follow the *standard* format: clauses are token streams
+terminated by ``0`` that may span lines or share one, with ``c``
+comments, an optional ``p cnf V C`` header, and the ``%``/``0`` trailer
+some benchmark suites append.  This module parses that dialect and
+renders it (:func:`render_dimacs`, one clause per line); ``repro check
+cnf`` and ``repro check proof`` both read through it.
 
 No imports from the rest of `repro` — the certify core stays dependency-free
 so the checker cannot inherit a solver bug.

@@ -3,7 +3,7 @@
 Provides the paper's running example (the ``1001`` Mealy sequence detector of
 Fig. 1 / Fig. 2), simple parametric machines (counters), and the seeded
 random Mealy machines that stand in for the Synthezza FSM benchmark suite
-(see the substitution notes in ``DESIGN.md``).
+(see :mod:`repro.benchmarks_data.synthezza`).
 """
 
 from __future__ import annotations

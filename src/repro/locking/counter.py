@@ -55,8 +55,9 @@ def insert_counter(
 
     The counter has ``ceil(log2(period))`` flip-flops (at least 1), resets to
     0, increments every clock cycle and wraps to 0 after ``period - 1``
-    (or holds there when ``saturate`` is set — the ablation discussed in
-    DESIGN.md).  Per-value decode nets are also created.
+    (or holds there when ``saturate`` is set — the ablation
+    ``benchmarks/bench_ablation_counter.py`` measures).  Per-value decode
+    nets are also created.
 
     Returns a :class:`CounterInfo` describing the new nets.
     """

@@ -10,8 +10,8 @@ For one locked flip-flop the tree has ``m = log2(k) + 1`` layers:
   2:1 MUX plus (when several donors are supplied) a small selector over the
   donors driven by the low key bits.  The realised behaviour is identical —
   exactly one key value per time step selects the correct hardware — while
-  keeping the cell count linear in ``ki`` (this engineering choice is listed
-  as an ablation in DESIGN.md).
+  keeping the cell count linear in ``ki`` (``benchmarks/bench_ablation_muxtree.py``
+  measures this choice).
 * **Layers 2 … m** — a binary selection tree steered by the counter decode
   signals (OR-ed per half, as described in Section III-C), which routes the
   block of the *current* counter time to the flip-flop's D pin.

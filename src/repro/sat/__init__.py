@@ -21,7 +21,7 @@ from repro.sat.session import (
     capture_solver_telemetry,
 )
 from repro.sat.tseitin import TseitinEncoder
-from repro.sat.miter import build_miter, build_key_miter
+from repro.sat.miter import build_miter
 
 __all__ = [
     "CNF",
@@ -34,5 +34,4 @@ __all__ = [
     "capture_solver_telemetry",
     "TseitinEncoder",
     "build_miter",
-    "build_key_miter",
 ]

@@ -3,13 +3,15 @@
 Literals follow the DIMACS convention: variables are positive integers and a
 negative literal is the negated variable.  :class:`CNF` is a thin container
 used to pass formulas between the Tseitin encoder, the attacks and the
-solver; the solver itself keeps its own internal clause database.
+solver; the solver itself keeps its own internal clause database.  DIMACS
+text is read and written by :mod:`repro.check.certify.dimacs`.
 
 :meth:`CNF.add_clause` is the checked entry point for clauses built outside
-the encoder (blocking clauses, DIMACS input, test fixtures): it stores plain
-``int`` tuples and rejects an empty clause or a literal 0.  The Tseitin
-encoder appends to ``clauses`` directly, since its literals are valid by
-construction (see :mod:`repro.sat.tseitin`).
+the encoder (KC2's fixed key bits, the translation validator's gate
+clauses, test fixtures): it stores plain ``int`` tuples and rejects an
+empty clause or a literal 0.  The Tseitin encoder appends to
+``clauses`` directly, since its literals are valid by construction (see
+:mod:`repro.sat.tseitin`).
 """
 
 from __future__ import annotations
@@ -56,33 +58,6 @@ class CNF:
     def copy(self) -> "CNF":
         """Shallow copy (clauses are immutable tuples)."""
         return CNF(num_vars=self.num_vars, clauses=list(self.clauses))
-
-    def to_dimacs(self) -> str:
-        """Serialise in DIMACS format (useful for debugging/export)."""
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for clause in self.clauses:
-            lines.append(" ".join(str(l) for l in clause) + " 0")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_dimacs(cls, text: str) -> "CNF":
-        """Parse a DIMACS CNF file."""
-        cnf = cls()
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith(("c", "%")):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) >= 3:
-                    cnf.num_vars = max(cnf.num_vars, int(parts[2]))
-                continue
-            literals = [int(tok) for tok in line.split()]
-            if literals and literals[-1] == 0:
-                literals = literals[:-1]
-            if literals:
-                cnf.add_clause(literals)
-        return cnf
 
     def __len__(self) -> int:
         return len(self.clauses)

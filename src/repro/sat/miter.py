@@ -2,13 +2,12 @@
 
 A *miter* joins two circuits that share primary inputs and compares their
 outputs; the miter output is 1 iff the two circuits disagree on at least one
-output for the applied input.  Two flavours are used by the attacks:
-
-* :func:`build_miter` — classic equivalence miter between two circuits
-  (shared functional inputs, each side keeps its own key inputs);
-* :func:`build_key_miter` — the SAT-attack miter: *two copies of the same
-  locked circuit*, shared functional inputs, independent key inputs, outputs
-  compared.  A satisfying assignment is a Discriminating Input Pattern (DIP).
+output for the applied input.  :func:`build_miter` builds the equivalence
+miter between two circuits (shared functional inputs, each side keeps its
+own key inputs) that the SAT-based equivalence check encodes.  The
+oracle-guided attacks encode their two-key miters directly on the solver's
+encoder (:class:`repro.attacks.sat_attack._DipMiter`,
+:class:`repro.attacks.sequential_core._UnrolledMiter`).
 """
 
 from __future__ import annotations
@@ -75,39 +74,3 @@ def build_miter(circuit_a: Circuit, circuit_b: Circuit,
     diff_net = "miter_diff"
     _comparison_network(miter, pairs, diff_net)
     return miter, diff_net
-
-
-def build_key_miter(locked: Circuit) -> Tuple[Circuit, str, List[str], List[str]]:
-    """Build the double-key SAT-attack miter for a locked combinational circuit.
-
-    Returns ``(miter, diff_net, keys_a, keys_b)`` where ``keys_a``/``keys_b``
-    are the renamed key-input nets of the two copies (order matching
-    ``locked.key_inputs``).
-    """
-    functional = set(locked.functional_inputs)
-
-    def make_mapping(prefix: str) -> Dict[str, str]:
-        return {
-            net: (net if net in functional else f"{prefix}{net}")
-            for net in locked.all_nets()
-        }
-
-    copy_a = locked.renamed(make_mapping("KA_"), name="KA")
-    copy_b = locked.renamed(make_mapping("KB_"), name="KB")
-
-    miter = Circuit(name=f"keymiter_{locked.name}")
-    for net in copy_a.inputs:
-        miter.add_input(net, is_key=net in copy_a.key_inputs)
-    for net in copy_b.inputs:
-        if net not in miter.inputs:
-            miter.add_input(net, is_key=net in copy_b.key_inputs)
-    miter.gates.update(copy_a.gates)
-    miter.gates.update(copy_b.gates)
-
-    pairs = [(f"KA_{out}", f"KB_{out}") for out in locked.outputs]
-    diff_net = "miter_diff"
-    _comparison_network(miter, pairs, diff_net)
-
-    keys_a = [f"KA_{net}" for net in locked.key_inputs]
-    keys_b = [f"KB_{net}" for net in locked.key_inputs]
-    return miter, diff_net, keys_a, keys_b

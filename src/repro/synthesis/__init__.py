@@ -6,7 +6,7 @@ Without access to Genus, this package provides a deterministic generic
 45 nm-style cell model (:mod:`repro.synthesis.library`), a direct technology
 mapping (:mod:`repro.synthesis.mapping`) and the overhead calculator
 (:mod:`repro.synthesis.overhead`).  Absolute numbers differ from Genus; the
-relative overhead trends are what the reproduction targets (see DESIGN.md).
+relative overhead trends are what the reproduction targets.
 """
 
 from repro.synthesis.library import Cell, CellLibrary, generic_45nm_library

@@ -130,7 +130,11 @@ def analyze_circuit(
     ``key_bits`` optionally pins the key inputs during the activity
     simulation (a locked chip in the field operates with its correct key
     applied, which is the fair setting for dynamic-power comparison).
+    ``activity_vectors`` must be at least 2: toggles are counted between
+    consecutive vectors, so fewer would report no dynamic power.
     """
+    if activity_vectors < 2:
+        raise ValueError(f"activity_vectors must be >= 2, got {activity_vectors}")
     library = library or generic_45nm_library()
     mapped = technology_map(circuit, library)
 
@@ -139,7 +143,7 @@ def analyze_circuit(
         for vector in vectors:
             vector.update({net: int(value) & 1 for net, value in key_bits.items()})
     toggles = toggle_counts(circuit, vectors)
-    cycles = max(1, len(vectors))
+    cycles = len(vectors)
 
     leakage_nw = mapped.total_leakage_nw
     dynamic_uw = 0.0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaign import CampaignSpec, ResultStore, run_campaign
 from repro.experiments import (
     run_figure4,
     run_table1,
@@ -11,6 +12,7 @@ from repro.experiments import (
     run_table5,
 )
 from repro.experiments.report import ExperimentTable, format_table
+from repro.experiments.table3 import table3_jobs
 
 
 class TestValidationTables:
@@ -34,6 +36,16 @@ class TestAttackTables:
         table, raw = run_table3(benchmarks=["bcomp"], attacks=["INT"], time_limit=20)
         assert len(table.rows) == 1
         assert not any(result.broke_defense for results in raw.values() for result in results)
+
+    def test_negative_time_limit_writes_an_error_row(self, tmp_path):
+        """A cell whose attack refuses its budget is an error, not a timed-out attack."""
+        jobs = table3_jobs(benchmarks=["bcomp"], attacks=["INT"], time_limit=-5.0)
+        store = ResultStore(tmp_path / "store")
+        summary = run_campaign(CampaignSpec(name="t3", jobs=jobs), store, workers=0)
+        assert (summary.errors, summary.completed) == (1, 0)
+        record = store.record_for(jobs[0].key)
+        assert record["status"] == "error"
+        assert "time_limit" in record["error"]
 
     def test_table4_no_attack_breaks_cutelock_str(self):
         table, raw = run_table4(benchmarks=["s27", "b01"], attacks=["INT", "RANE"],

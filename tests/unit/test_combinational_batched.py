@@ -7,7 +7,8 @@ itself: each DIP's observation refutes at least one of the two keys the
 miter set apart, so a 3-bit point-function lock falls within 2**3 - 1 DIPs.
 The edge cases pin the miter's key-cone fold: an oracle that disagrees
 outside every key's fanout, a key that reaches no output and a functional
-input no gate reads.
+input no gate reads.  AppSAT shares the exact attack's guards and
+key-extract step: no shared output ends FAIL, a limited extraction TIMEOUT.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.benchmarks_data.iscas89 import load_iscas89
 from repro.fsm.random_fsm import random_fsm
 from repro.fsm.synthesis import synthesize_fsm
 from repro.locking.baselines import lock_rll, lock_sarlock, lock_ttlock
+from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.sat.session import SolveSession
 from repro.sim.equivalence import scalar_random_equivalence_check
@@ -145,6 +147,38 @@ class TestAppSatEngines:
         for engine in ("packed", "scalar"):
             with pytest.raises(TypeError):
                 appsat_attack(locked_variants["rll"], engine=engine, **BUDGET)
+
+    def test_no_shared_output_fails_like_sat_and_double_dip(self):
+        """An oracle whose output is named differently leaves nothing to compare."""
+        locked = Circuit("locked")
+        locked.add_input("a")
+        locked.add_input("k", is_key=True)
+        locked.add_gate("y", GateType.XOR, ["a", "k"])
+        locked.add_output("y")
+        oracle = Circuit("oracle")
+        oracle.add_input("a")
+        oracle.add_gate("z", GateType.BUF, ["a"])
+        oracle.add_output("z")
+        for attack in (sat_attack, double_dip_attack, appsat_attack):
+            result = attack(locked, oracle, **BUDGET)
+            assert result.outcome is AttackOutcome.FAIL
+            assert result.key is None
+            assert "share no outputs" in result.details["reason"]
+
+    def test_limited_key_extraction_ends_timeout(self, locked_variants, monkeypatch):
+        """A key-extract call that hits its limit proves nothing: TIMEOUT, not CNS."""
+        solve = SolveSession.solve
+
+        def limited_key_extract(session, *args, **kwargs):
+            if kwargs.get("phase") == "key-extract":
+                return None
+            return solve(session, *args, **kwargs)
+
+        monkeypatch.setattr(SolveSession, "solve", limited_key_extract)
+        for attack in (sat_attack, double_dip_attack, appsat_attack):
+            result = attack(locked_variants["sarlock"], **BUDGET)
+            assert result.outcome is AttackOutcome.TIMEOUT
+            assert result.details["reason"] == "solver limit during key extraction"
 
 
 class TestAttackResultSerialisation:

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
+from repro.check.certify.dimacs import parse_dimacs, render_dimacs
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.sat.cnf import CNF
-from repro.sat.miter import build_key_miter, build_miter
+from repro.sat.miter import build_miter
 from repro.sat.solver import Solver, _luby, solve_cnf
 from repro.sat.tseitin import TseitinEncoder
 from repro.sim.logicsim import CombinationalSimulator
@@ -76,8 +77,7 @@ class TestCnf:
     def test_dimacs_roundtrip(self):
         cnf = CNF()
         cnf.extend([[1, 2], [-1, 3], [-2, -3]])
-        text = cnf.to_dimacs()
-        parsed = CNF.from_dimacs(text)
+        parsed = parse_dimacs(render_dimacs(cnf.clauses, cnf.num_vars), strict=True)
         assert parsed.clauses == cnf.clauses
         assert parsed.num_vars == cnf.num_vars
 
@@ -251,18 +251,3 @@ class TestMiter:
         solver = Solver()
         solver.add_clauses(cnf.clauses)
         assert solver.solve(assumptions=[encoder.literal(diff, True)]) is False
-
-    def test_key_miter_finds_dip(self):
-        circuit = Circuit("locked")
-        circuit.add_input("a")
-        circuit.add_input("keyinput0", is_key=True)
-        circuit.add_gate("y", GateType.XOR, ["a", "keyinput0"])
-        circuit.add_output("y")
-        miter, diff, keys_a, keys_b = build_key_miter(circuit)
-        assert keys_a == ["KA_keyinput0"] and keys_b == ["KB_keyinput0"]
-        encoder = TseitinEncoder()
-        cnf = encoder.encode(miter)
-        solver = Solver()
-        solver.add_clauses(cnf.clauses)
-        # Different keys must make the outputs differ for some input.
-        assert solver.solve(assumptions=[encoder.literal(diff, True)]) is True

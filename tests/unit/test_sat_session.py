@@ -267,6 +267,29 @@ class TestAttackTelemetryBlocks:
         assert report.to_attack_result().details["solver"] == block
 
 
+class TestAttackTimeLimit:
+    """Every oracle-guided attack refuses a budget that is not > 0 seconds."""
+
+    ATTACKS = [sat_attack, appsat_attack, double_dip_attack, bmc_attack,
+               int_attack, kc2_attack, rane_attack]
+
+    @pytest.fixture(scope="class")
+    def rll_locked(self):
+        return lock_rll(synthesize_fsm(random_fsm(6, 2, 2, seed=3), style="sop"),
+                        4, seed=1)
+
+    @pytest.mark.parametrize("attack", ATTACKS, ids=lambda attack: attack.__name__)
+    @pytest.mark.parametrize("time_limit", [0.0, -1.0, float("nan")])
+    def test_non_positive_or_nan_time_limit_rejected(self, rll_locked, attack, time_limit):
+        with pytest.raises(ValueError, match="time_limit"):
+            attack(rll_locked, time_limit=time_limit)
+
+    def test_rane_has_no_counterexample_batch(self, rll_locked):
+        """RANE verifies one counterexample per solver call: no batch knob."""
+        with pytest.raises(TypeError):
+            rane_attack(rll_locked, time_limit=5.0, cex_batch=4)
+
+
 class TestCampaignRecordTelemetry:
     def test_attack_job_record_carries_solver_block(self):
         def tiny_attack_job(params):

@@ -89,6 +89,12 @@ class TestOverhead:
         big_report = compare_overhead(big, activity_vectors=8)
         assert big_report.area_overhead_pct > small_report.area_overhead_pct
 
+    @pytest.mark.parametrize("vectors", [0, 1])
+    def test_fewer_than_two_activity_vectors_rejected(self, vectors):
+        """Toggles are counted between consecutive vectors: one vector has none."""
+        with pytest.raises(ValueError, match="activity_vectors"):
+            analyze_circuit(s27_circuit(), activity_vectors=vectors)
+
     def test_as_dict_keys(self):
         cost = analyze_circuit(s27_circuit(), activity_vectors=8)
         assert set(cost.as_dict()) == {"power_uw", "area_um2", "cell_count", "io_count"}
