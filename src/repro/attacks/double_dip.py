@@ -44,6 +44,7 @@ def double_dip_attack(
         found_any = False
         for _ in range(2):  # harvest up to two DIPs per round
             status = miter.search()
+            frame.round(status, iteration=False)
             if status is None:
                 return frame.finish(AttackOutcome.TIMEOUT, reason="solver limit during DIP search")
             if status is False:

@@ -137,9 +137,7 @@ def rane_attack(
             return frame.finish(AttackOutcome.CNS,
                                 reason="no static key makes the designs equivalent", **details())
         model = synth.model()
-        candidate = {
-            net: model.get(synth_encoder.varmap.get(f"KA@{net}", -1), 0) for net in key_nets
-        }
+        candidate = {net: synth_encoder.value(model, f"KA@{net}") for net in key_nets}
 
         # Verification: bounded equivalence of locked(candidate) vs reference.
         # A candidate that survives the current horizon deepens the unrolling

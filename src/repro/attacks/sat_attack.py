@@ -139,10 +139,15 @@ class _AttackFrame:
         self.sessions.append(session)
         return session
 
-    def round(self, found: Optional[bool], **fields: object) -> None:
-        """Count one DIP/DIS search and emit its ``attack-round`` trace marker."""
+    def round(self, found: Optional[bool], *, iteration: bool = True, **fields: object) -> None:
+        """Count one DIP/DIS search and emit its ``attack-round`` trace marker.
+
+        A search that found a DIP/DIS is one refinement iteration, unless the
+        attack counts its iterations itself (``iteration=False``: DoubleDIP's
+        iterations are its rounds of up to two searches).
+        """
         self.rounds += 1
-        if found:
+        if found and iteration:
             self.iterations += 1
         trace_event(
             "attack-round", attack=self.name, round=self.rounds,
@@ -314,8 +319,7 @@ class _DipMiter:
     def key(self) -> Dict[str, int]:
         """The ``A@`` key of the last satisfiable solve."""
         model = self.session.model()
-        varmap = self.encoder.varmap
-        return {net: model.get(varmap.get(f"A@{net}", -1), 0) for net in self.key_nets}
+        return {net: self.encoder.value(model, f"A@{net}") for net in self.key_nets}
 
 
 def _extract_dip(
@@ -324,18 +328,17 @@ def _extract_dip(
     """Read a DIP out of a miter model, refusing to invent missing bits.
 
     Every functional input is touched by ``encoder.encode()``; a missing
-    variable means the miter is malformed, and quietly defaulting the bit to
+    literal means the miter is malformed, and quietly defaulting the bit to
     0 would corrupt the DIP constraints built from it.
     """
     dip: Dict[str, int] = {}
     for net in functional_nets:
-        var = encoder.varmap.get(net)
-        if var is None:
+        if net not in encoder.varmap:
             raise CircuitError(
-                f"functional input {net!r} has no CNF variable; "
+                f"functional input {net!r} has no CNF literal; "
                 "cannot extract a trustworthy DIP from the miter"
             )
-        dip[net] = model.get(var, 0)
+        dip[net] = encoder.value(model, net)
     return dip
 
 
@@ -347,7 +350,6 @@ def sat_attack(
     time_limit: float = 120.0,
     conflict_limit: Optional[int] = 200_000,
     verify_vectors: int = 256,
-    attack_name: str = "sat",
     proof_dir: Optional[Union[str, Path]] = None,
 ) -> AttackResult:
     """Run the combinational oracle-guided SAT attack.
@@ -372,7 +374,7 @@ def sat_attack(
         ``details["certificates"]`` counts the pairs written.
     """
     frame = _AttackFrame(
-        attack_name, locked, oracle_circuit, scan=True, time_limit=time_limit,
+        "sat", locked, oracle_circuit, scan=True, time_limit=time_limit,
         conflict_limit=conflict_limit, key_check={"num_vectors": verify_vectors},
         proof_dir=proof_dir,
     )

@@ -48,14 +48,10 @@ def _extract_input_sequence(
     num_frames: int,
 ) -> List[Dict[str, int]]:
     """Read an unrolled copy's shared input sequence out of a SAT model."""
-    sequence: List[Dict[str, int]] = []
-    for frame in range(num_frames):
-        frame_map = frame_inputs[frame]
-        sequence.append({
-            net: model.get(encoder.varmap.get(frame_map[net], -1), 0)
-            for net in functional_inputs
-        })
-    return sequence
+    return [
+        {net: encoder.value(model, frame_inputs[frame][net]) for net in functional_inputs}
+        for frame in range(num_frames)
+    ]
 
 
 class _UnrolledMiter:
@@ -131,8 +127,7 @@ class _UnrolledMiter:
     def key(self) -> Dict[str, int]:
         """The ``KA@`` key of the last satisfiable solve."""
         model = self.session.model()
-        varmap = self.encoder.varmap
-        return {net: model.get(varmap.get(f"KA@{net}", -1), 0) for net in self.key_nets}
+        return {net: self.encoder.value(model, f"KA@{net}") for net in self.key_nets}
 
     def observe(self, dis: List[Dict[str, int]], responses: List[Dict[str, int]]) -> None:
         """Constrain both key copies to reproduce the oracle's response on ``dis``."""

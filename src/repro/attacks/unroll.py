@@ -30,7 +30,7 @@ from repro.sat.tseitin import TseitinEncoder
 class UnrolledCircuit:
     """Net-name bookkeeping for one unrolled copy of a circuit.
 
-    All names refer to entries of the shared encoder's variable map.
+    All names refer to entries of the shared encoder's literal map.
     ``frame_inputs[t]`` maps the original input net to its frame-``t`` name,
     and similarly for outputs and state.  ``next_state_names`` maps each
     flip-flop Q to the net holding its captured next state after the last
@@ -45,12 +45,6 @@ class UnrolledCircuit:
     frame_outputs: List[Dict[str, str]] = field(default_factory=list)
     frame_states: List[Dict[str, str]] = field(default_factory=list)
     next_state_names: Dict[str, str] = field(default_factory=dict)
-
-    def input_name(self, frame: int, net: str) -> str:
-        return self.frame_inputs[frame][net]
-
-    def output_name(self, frame: int, net: str) -> str:
-        return self.frame_outputs[frame][net]
 
 
 def _encode_frame(

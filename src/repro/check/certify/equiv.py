@@ -213,9 +213,7 @@ def validate_compiled(
             answer = session.solve([diff], phase="equiv")
             if answer is True:
                 model = session.model()
-                counterexample = {
-                    net: model.get(encoder.varmap[net], 0) for net in witness_nets
-                }
+                counterexample = {net: encoder.value(model, net) for net in witness_nets}
                 report.mismatches.append(BitMismatch(kind, bit_name, counterexample))
             elif answer is None:  # pragma: no cover - no budgets are set
                 raise RuntimeError(

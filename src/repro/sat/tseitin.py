@@ -1,10 +1,18 @@
 """Tseitin encoding of circuits into CNF.
 
-Every net of a (combinational view of a) circuit gets a SAT variable; each
-gate contributes the standard Tseitin clauses relating its output variable to
-its input variables.  The encoder also supports *instantiating* the same
+Every net of a (combinational view of a) circuit gets a SAT literal; each
+gate contributes the standard Tseitin clauses relating its output literal to
+its input literals.  The encoder also supports *instantiating* the same
 circuit multiple times under different net-name prefixes, which is how the
 attacks build miters and time-frame unrollings without copying circuits.
+
+BUF and NOT gates cost nothing: their output reuses the fanin's literal,
+complemented for NOT (the complemented edges of an AIG, Kuehlmann et al.,
+IEEE TCAD 2002), so a chain of buffers and inverters adds no variable, no
+clause and no propagation.  :attr:`TseitinEncoder.varmap` therefore maps a
+net to its *literal*, which is negative only for an aliased inverter
+output; read a net's value out of a solver model with
+:meth:`TseitinEncoder.value`, never by indexing the model with the map.
 
 CNF identity
 ------------
@@ -17,16 +25,22 @@ from them (pinned by ``tests/property/test_tseitin_golden.py``).
   topological order — the output first, then the inputs in order, then the
   gate's XOR-chain auxiliaries — and afterwards "touches" the primary
   inputs, the primary outputs and each flip-flop's Q and D, in that order,
-  so every IO net has a variable even when no gate reads it.
+  so every IO net has a literal even when no gate reads it.  A BUF or NOT
+  gate allocates nothing for its output: it resolves its input (allocating
+  it on first use) and maps the output to that literal, or to its
+  complement.
 * Clauses: gate by gate in the same order, each gate's clauses and the
   literals inside them in the order of its pattern below.  A repeated gate
-  input stays a duplicate literal (or a tautology) in the CNF.
+  input stays a duplicate literal (or a tautology) in the CNF.  An aliased
+  BUF or NOT gate emits no clause.  Only a BUF or NOT whose output already
+  has a literal (a ``shared_nets`` name encoded earlier) emits the two
+  equivalence clauses between that literal and its input's.
 
 Encoder clauses are appended to ``cnf.clauses`` as tuples, without
 :meth:`CNF.add_clause`'s checks: every literal comes from a variable the
-encoder allocated on ``cnf.num_vars``, so it is a non-zero ``int`` no larger
-than ``num_vars``.  Clauses built anywhere else (blocking clauses, DIMACS
-input) go through ``CNF.add_clause``.
+encoder allocated on ``cnf.num_vars``, so it is a non-zero ``int`` whose
+variable is no larger than ``num_vars``.  Clauses built anywhere else
+(blocking clauses, DIMACS input) go through ``CNF.add_clause``.
 """
 
 from __future__ import annotations
@@ -38,11 +52,11 @@ from repro.netlist.gates import GateType
 from repro.sat.cnf import CNF
 
 
-class _NetVars(dict):
-    """Local net -> variable for one :meth:`TseitinEncoder.encode` call.
+class _NetLiterals(dict):
+    """Local net -> literal for one :meth:`TseitinEncoder.encode` call.
 
-    A missing net is resolved once: its ``shared_nets`` name as given, else
-    prefix + net, looked up in the encoder's variable map or allocated.
+    A missing net is resolved once: its global name (:meth:`name`) looked
+    up in the encoder's literal map, or given a fresh variable.
     """
 
     def __init__(self, encoder: "TseitinEncoder", prefix: str,
@@ -53,24 +67,29 @@ class _NetVars(dict):
         self.prefix = prefix
         self.shared = shared
 
-    def __missing__(self, net: str) -> int:
+    def name(self, net: str) -> str:
+        """The global name of ``net``: its ``shared_nets`` name, else prefix + net."""
         name = self.shared.get(net)
-        if name is None:
-            name = self.prefix + net
-        variable = self.varmap.get(name)
-        if variable is None:
-            variable = self.cnf.new_var()
-            self.varmap[name] = variable
-        self[net] = variable
-        return variable
+        return self.prefix + net if name is None else name
+
+    def __missing__(self, net: str) -> int:
+        name = self.name(net)
+        literal = self.varmap.get(name)
+        if literal is None:
+            literal = self.cnf.new_var()
+            self.varmap[name] = literal
+        self[net] = literal
+        return literal
 
 
 class TseitinEncoder:
-    """Maps circuit nets to SAT variables and emits gate clauses.
+    """Maps circuit nets to SAT literals and emits gate clauses.
 
     A single encoder instance can encode several circuits / circuit copies
-    into the same variable space, sharing variables whenever net names are
+    into the same variable space, sharing literals whenever net names are
     shared (e.g. key inputs common to all time frames of an unrolling).
+    :attr:`varmap` maps each net name to its literal (see the module
+    docstring: an aliased inverter output maps to a negative literal).
     """
 
     def __init__(self, cnf: Optional[CNF] = None) -> None:
@@ -78,10 +97,15 @@ class TseitinEncoder:
         self.varmap: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
-    # variables and literals
+    # literals and model reads
     # ------------------------------------------------------------------ #
     def var(self, net: str) -> int:
-        """Variable for ``net``, allocating it on first use."""
+        """The literal of ``net``, allocating a fresh variable on first use.
+
+        It is a positive variable for every net the encoder allocated, and
+        the fanin's literal (complemented through a NOT) for a BUF or NOT
+        output it aliased.
+        """
         existing = self.varmap.get(net)
         if existing is not None:
             return existing
@@ -91,15 +115,26 @@ class TseitinEncoder:
 
     def literal(self, net: str, value: bool) -> int:
         """Literal asserting that ``net`` equals ``value``."""
-        variable = self.var(net)
-        return variable if value else -variable
+        literal = self.var(net)
+        return literal if value else -literal
 
-    def has(self, net: str) -> bool:
-        """True if ``net`` already has a variable."""
-        return net in self.varmap
+    def value(self, model: Mapping[int, int], net: str, default: int = 0) -> int:
+        """Value (0/1) of ``net`` under a solver model (variable -> 0/1).
+
+        This is the one way to read a net out of a model, since the net's
+        literal may be a complemented one.  A net with no literal, or whose
+        variable the model does not assign, reads as ``default``.
+        """
+        literal = self.varmap.get(net)
+        if literal is None:
+            return default
+        value = model.get(abs(literal))
+        if value is None:
+            return default
+        return value if literal > 0 else 1 - value
 
     # ------------------------------------------------------------------ #
-    # gate clauses (variables in, clause tuples appended to the CNF)
+    # gate clauses (literals in, clause tuples appended to the CNF)
     # ------------------------------------------------------------------ #
     def _encode_and(self, out: int, ins: Sequence[int], *, negate: bool = False) -> None:
         out_lit = -out if negate else out
@@ -136,7 +171,7 @@ class TseitinEncoder:
             prev = target
 
     def _encode_gate(self, gtype: GateType, out: int, ins: List[int]) -> None:
-        """Append the clauses of one gate over already-allocated variables."""
+        """Append the clauses of one gate over already-resolved literals."""
         clauses = self.cnf.clauses
         if gtype == GateType.BUF:
             clauses.append((-out, ins[0]))
@@ -186,7 +221,7 @@ class TseitinEncoder:
         shared_nets:
             Optional mapping ``local net -> global net``.  A mapped net takes
             its global name as given, *without* the prefix; nets mapped to
-            the same global name share a variable (used to tie key inputs
+            the same global name share a literal (used to tie key inputs
             across copies / time frames).
 
         Flip-flops are **not** encoded; callers decide how to connect the
@@ -195,21 +230,30 @@ class TseitinEncoder:
         clauses come in the order the module docstring ("CNF identity")
         fixes.
         """
-        nets = _NetVars(self, prefix, shared_nets or {})
-        variable = nets.__getitem__
+        nets = _NetLiterals(self, prefix, shared_nets or {})
+        literal = nets.__getitem__
+        varmap = self.varmap
         gates = circuit.gates
         encode_gate = self._encode_gate
         for out in circuit.topological_order():
             gate = gates[out]
-            encode_gate(gate.gtype, variable(gate.output), list(map(variable, gate.inputs)))
-        # Touch IO nets so they always have variables even if undriven/unused.
+            gtype = gate.gtype
+            if gtype == GateType.BUF or gtype == GateType.NOT:
+                fanin = literal(gate.inputs[0])
+                name = nets.name(out)
+                if name not in varmap:
+                    # Alias: the output is its fanin, complemented through a NOT.
+                    nets[out] = varmap[name] = fanin if gtype == GateType.BUF else -fanin
+                    continue
+            encode_gate(gtype, literal(out), list(map(literal, gate.inputs)))
+        # Touch IO nets so they always have literals even if undriven/unused.
         for net in circuit.inputs:
-            variable(net)
+            literal(net)
         for net in circuit.outputs:
-            variable(net)
+            literal(net)
         for q, ff in circuit.dffs.items():
-            variable(q)
-            variable(ff.d)
+            literal(q)
+            literal(ff.d)
         return self.cnf
 
     # ------------------------------------------------------------------ #
@@ -224,11 +268,6 @@ class TseitinEncoder:
     def add_value(self, net: str, value: int) -> None:
         """Constrain a net to a constant value."""
         self.cnf.clauses.append((self.literal(net, bool(value)),))
-
-    def add_assignment(self, values: Mapping[str, int], *, prefix: str = "") -> None:
-        """Constrain many nets to constant values."""
-        for net, value in values.items():
-            self.add_value(prefix + net, value)
 
     def encode_any(self, nets: Sequence[str]) -> str:
         """Add logic asserting a fresh net true iff any of ``nets`` is true.

@@ -235,10 +235,9 @@ def sat_equivalence_check(
         return EquivalenceResult(equivalent=False, checked=0, method="sat-unknown")
     if outcome:
         model = session.model()
+        inputs = set(miter.inputs)
         counterexample = {
-            net: model.get(var, 0)
-            for net, var in encoder.varmap.items()
-            if net in miter.inputs
+            net: encoder.value(model, net) for net in encoder.varmap if net in inputs
         }
         return EquivalenceResult(
             equivalent=False, checked=1, counterexample=counterexample, method="sat"

@@ -145,7 +145,7 @@ def test_tseitin_consistent_with_simulation(seed):
     solver.add_clauses(cnf.clauses)
     assumptions = [encoder.literal(net, bool(value)) for net, value in vector.items()]
     assert solver.solve(assumptions=assumptions) is True
-    assert solver.model()[encoder.var(nets[-1])] == expected
+    assert encoder.value(solver.model(), nets[-1]) == expected
 
 
 # --------------------------------------------------------------------------- #

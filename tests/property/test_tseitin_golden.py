@@ -27,8 +27,12 @@ The corpus:
   encode the key cone per key side with constant fanins;
 * ``unrolled`` — ``encode_unrolled`` with ``key_prefix`` and
   ``shared_input_prefix`` for two copies, then ``extend_unrolled``;
-* ``any-equality`` — ``encode_any``, ``add_equality`` and
-  ``add_assignment``.
+* ``any-equality`` — ``encode_any``, ``add_equality`` and ``add_value``;
+* ``fallback`` — BUF/NOT chains with a double inversion, a NOT on a
+  flip-flop's D pin and on a key input, all aliased to their fanin's
+  literal; then a second copy whose ``shared_nets`` map BUF/NOT outputs to
+  names the first copy encoded, so those gates take the two equivalence
+  clauses instead.
 
 Encoder clauses do not pass through the checked ``CNF.add_clause``, so the
 test also runs :func:`repro.check.solver.check_cnf` on every CNF: only the
@@ -217,9 +221,36 @@ def _any_equality() -> Iterator[Tuple[TseitinEncoder, object]]:
     yield encoder, "equality"
     second = encoder.encode_any([first, "y", "z"])
     yield encoder, second
-    encoder.add_assignment({"x0": 1, "z": 0, "w": 1}, prefix="")
-    encoder.add_assignment({"w": 0}, prefix="P@")
+    for net, value in (("x0", 1), ("z", 0), ("w", 1), ("P@w", 0)):
+        encoder.add_value(net, value)
     yield encoder, "assignment"
+
+
+def _fallback() -> Iterator[Tuple[TseitinEncoder, object]]:
+    circuit = Circuit("inverter-chains")
+    for net in ("a", "b"):
+        circuit.add_input(net)
+    circuit.add_input("k", is_key=True)
+    specs = [
+        ("n1", GateType.NOT, ["a"]), ("n2", GateType.NOT, ["n1"]),
+        ("b1", GateType.BUF, ["n2"]), ("x", GateType.AND, ["b1", "b", "state"]),
+        ("nx", GateType.NOT, ["x"]), ("nk", GateType.NOT, ["k"]),
+        ("y", GateType.XOR, ["nx", "nk"]), ("d", GateType.NOT, ["y"]),
+        ("out", GateType.NOT, ["y"]),
+    ]
+    for output, gtype, fanin in specs:
+        circuit.add_gate(output, gtype, fanin)
+    circuit.add_dff("state", "d")
+    for net in ("out", "nx", "b1"):
+        circuit.add_output(net)
+    encoder = TseitinEncoder()
+    encoder.encode(circuit, prefix="A@", shared_nets={"nk": "NK"})
+    yield encoder, "aliased"
+    # BUF/NOT outputs mapped to names copy A already encoded: each takes
+    # the two equivalence clauses instead of an alias.
+    shared = {"b": "A@b", "nx": "A@nx", "b1": "A@b1", "d": "A@d"}
+    encoder.encode(circuit, prefix="B@", shared_nets=shared)
+    yield encoder, "fallback"
 
 
 CASES: Dict[str, Callable[[], Iterator[Tuple[TseitinEncoder, object]]]] = {
@@ -230,6 +261,7 @@ CASES: Dict[str, Callable[[], Iterator[Tuple[TseitinEncoder, object]]]] = {
     "dip-miter": _dip_miter,
     "unrolled": _unrolled,
     "any-equality": _any_equality,
+    "fallback": _fallback,
 }
 
 
@@ -246,9 +278,11 @@ def replay(name: str) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, ...], ...]]:
     return tuple(digests), tuple(kinds)
 
 
-# Recorded from the encoder that built a Gate per gate and checked every
-# clause through CNF.add_clause; ``dip-miter`` from the first key-cone
-# ``_DipMiter``.
+# Re-recorded when BUF and NOT outputs started reusing their fanin's
+# literal (every case with such a gate moved; ``any-equality`` has none and
+# kept its digests).  Earlier: recorded from the encoder that built a Gate
+# per gate and checked every clause through CNF.add_clause; ``dip-miter``
+# from the first key-cone ``_DipMiter``.
 EXPECTED: Dict[str, List[str]] = {
     'any-equality': [
         '1161d4f27decb034',
@@ -257,37 +291,41 @@ EXPECTED: Dict[str, List[str]] = {
         'd3871b1ce4255f01',
     ],
     'dip-miter': [
-        '65c971bec18743f3',
-        '8b9d8e91818bf21b',
-        '9fabdb349ba5f9e6',
+        '290cdab34ae90297',
+        '6a4090eb85d4bbaa',
+        '1d06732b6f66279f',
+    ],
+    'fallback': [
+        '8f1f36d32759f50f',
+        'a8e1e45d18e9ff49',
     ],
     'gates': [
-        'a8073156e79fe391',
-        '413e2e9958fdc5f1',
+        '026fdd25322952d0',
+        '84fd2dba5667b0b6',
     ],
     'miter': [
-        '9ea7cb19efb83b3c',
-        '7be17f3fc6eabfd9',
-        'eab212b877f9c584',
-        'dbbc0e109dc10b13',
-        '9578a48527a8b5af',
-        '7b6df40860892374',
-        'cbb61960757d3ba5',
-        'b38a79d46a0e688a',
+        '8b7c5ae898b057ef',
+        'df7b8287fe11eb89',
+        '738f02da422715c1',
+        '47ddf3846e727164',
+        '42ae39c3d8e2a715',
+        '613e04aaa728f2a3',
+        '24bec4e386858d6b',
+        '2920b7e9371a65ab',
     ],
     'random': [
-        'f2b5134f1b940565',
-        '6b262e41e9190d94',
+        '4babf801e1440382',
+        '933155017131df75',
     ],
     'shared': [
-        '84b6ae246591fa06',
-        '6b2b3a4d15af85f1',
+        '7dc116b3412e548f',
+        'a73ad510de365577',
     ],
     'unrolled': [
-        'a4a831504e0f0bf3',
-        '934f974f22b92d56',
-        '775343a966108c81',
-        '1c5c696d791e3fe1',
+        'a93f0cf07dfab6ed',
+        '7a44fa284661d141',
+        '39c5d4c27ced5821',
+        'ca9dfd58cc7fee92',
     ],
 }
 

@@ -84,7 +84,7 @@ class TestUnrolling:
             expected = sim.outputs(vector)
             for out, value in expected.items():
                 name = unrolled.frame_outputs[frame][out]
-                assert model[encoder.varmap[name]] == value
+                assert encoder.value(model, name) == value
 
     def test_key_nets_shared_across_frames(self):
         fsm = random_fsm(4, 1, 1, seed=2)

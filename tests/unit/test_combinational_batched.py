@@ -15,14 +15,15 @@ import pytest
 
 from repro.attacks import appsat_attack, double_dip_attack, sat_attack
 from repro.attacks.results import AttackOutcome, AttackResult
-from repro.attacks.sat_attack import _DipMiter
+from repro.attacks.sat_attack import _DipMiter, _extract_dip
 from repro.benchmarks_data.iscas89 import load_iscas89
 from repro.fsm.random_fsm import random_fsm
 from repro.fsm.synthesis import synthesize_fsm
 from repro.locking.baselines import lock_rll, lock_sarlock, lock_ttlock
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GateType
 from repro.sat.session import SolveSession
+from repro.sat.tseitin import TseitinEncoder
 from repro.sim.equivalence import scalar_random_equivalence_check
 
 BUDGET = dict(time_limit=30.0)
@@ -68,6 +69,11 @@ class TestSatAttackEngines:
         for engine in ("packed", "scalar"):
             with pytest.raises(TypeError):
                 sat_attack(locked_variants["rll"], engine=engine, **BUDGET)
+
+    def test_attack_name_is_not_an_option(self, locked_variants):
+        """The result, trace markers and certificates are always named ``sat``."""
+        with pytest.raises(TypeError):
+            sat_attack(locked_variants["rll"], attack_name="x", **BUDGET)
 
 
 class TestDipBound:
@@ -131,6 +137,19 @@ class TestKeyConeEdgeCases:
         assert scalar_random_equivalence_check(
             original, locked, key_assignment=result.key, num_vectors=256, seed=1,
         ).equivalent
+
+    def test_dip_read_refuses_a_net_without_a_literal(self):
+        """A DIP bit is never invented; an inverted input reads through its literal."""
+        encoder = TseitinEncoder()
+        circuit = Circuit("inv")
+        circuit.add_input("a")
+        circuit.add_gate("na", GateType.NOT, ["a"])
+        circuit.add_output("na")
+        encoder.encode(circuit)
+        model = {encoder.var("a"): 1}
+        assert _extract_dip(encoder, model, ["a", "na"]) == {"a": 1, "na": 0}
+        with pytest.raises(CircuitError, match="no CNF literal"):
+            _extract_dip(encoder, model, ["a", "missing"])
 
 
 class TestAppSatEngines:

@@ -195,7 +195,7 @@ class TestTseitin:
             solver.add_clauses(cnf.clauses)
             assumptions = [encoder.literal(net, bool(v)) for net, v in zip(inputs, assignment)]
             assert solver.solve(assumptions=assumptions) is True
-            assert solver.model()[encoder.var("y")] == expected
+            assert encoder.value(solver.model(), "y") == expected
 
     def test_constants(self):
         circuit = Circuit("const")
@@ -224,6 +224,38 @@ class TestTseitin:
         solver.add_clause([encoder.literal("L@y", True), encoder.literal("R@y", True)])
         solver.add_clause([encoder.literal("L@y", False), encoder.literal("R@y", False)])
         assert solver.solve() is False
+
+    @pytest.mark.parametrize("gtype,sign", [(GateType.BUF, 1), (GateType.NOT, -1)])
+    def test_buf_and_not_alias_their_fanin(self, gtype, sign):
+        circuit = Circuit("alias")
+        for net in ("a", "b"):
+            circuit.add_input(net)
+        circuit.add_gate("x", GateType.AND, ["a", "b"])
+        circuit.add_output("x")
+        encoder = TseitinEncoder()
+        cnf = encoder.encode(circuit)
+        counts = (cnf.num_vars, len(cnf.clauses))
+        circuit.add_gate("y", gtype, ["x"])
+        circuit.add_output("y")
+        encoder.encode(circuit, prefix="P@")
+        plain = (cnf.num_vars - counts[0], len(cnf.clauses) - counts[1])
+        # The aliased gate adds no variable and no clause: copy P@ costs what
+        # the AND gate alone costs.
+        assert plain == counts
+        assert encoder.varmap["P@y"] == sign * encoder.varmap["P@x"]
+
+    @pytest.mark.parametrize("gtype,sign", [(GateType.BUF, 1), (GateType.NOT, -1)])
+    def test_buf_and_not_onto_an_encoded_name_add_two_clauses(self, gtype, sign):
+        circuit = Circuit("fallback")
+        circuit.add_input("a")
+        circuit.add_gate("y", gtype, ["a"])
+        circuit.add_output("y")
+        encoder = TseitinEncoder()
+        z = encoder.var("z")
+        cnf = encoder.encode(circuit, shared_nets={"y": "z"})
+        a = encoder.var("a")
+        assert cnf.num_vars == 2  # z and a: y has z's literal
+        assert cnf.clauses == [(-z, sign * a), (z, -sign * a)]
 
     def test_encode_inequality(self):
         encoder = TseitinEncoder()

@@ -2,8 +2,10 @@
 
 Covers the writer/reader round trip for every event kind, the shared
 torn-tail tolerance policy, the activation stack, solver-hook integration
-(including the telemetry reconciliation the trace summary must satisfy), timeline bucketing, A/B diffs, the flame-bar renderer and the
-campaign-side wiring (executor trace paths, live status line).
+(including the telemetry reconciliation the trace summary must satisfy), the
+attacks' ``attack-round`` markers, timeline bucketing, A/B diffs, the
+flame-bar renderer and the campaign-side wiring (executor trace paths, live
+status line).
 """
 
 import json
@@ -11,10 +13,13 @@ import warnings
 
 import pytest
 
+from repro.attacks import double_dip_attack, sat_attack
+from repro.benchmarks_data.iscas89 import s27_circuit
 from repro.campaign.executor import execute_job_attempt, job_trace_path
 from repro.campaign.progress import CampaignStatus, campaign_status, render_status
 from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.campaign.store import ResultStore
+from repro.locking.baselines.sarlock import lock_sarlock
 from repro.sat.session import SolveSession, SolverTelemetry, capture_solver_telemetry
 from repro.trace import (
     DEFAULT_STRIDE,
@@ -196,6 +201,26 @@ class TestActivationStack:
         assert events[-1]["kind"] == "attack-round"
         assert events[-1]["attack"] == "appsat"
         assert events[-1]["round"] == 3
+
+
+class TestAttackRoundMarkers:
+    @pytest.mark.parametrize("attack", [sat_attack, double_dip_attack])
+    def test_one_marker_per_dip_search(self, tmp_path, attack):
+        locked = lock_sarlock(s27_circuit(), num_key_bits=3, seed=1)
+        path = tmp_path / "dip.trace.jsonl"
+        with trace_to(path):
+            result = attack(locked, time_limit=30.0)
+        events = read_trace_events(path)
+        searches = [e for e in events
+                    if e["kind"] == "solve-begin" and e["phase"] == "dip-search"]
+        markers = [e for e in events if e["kind"] == "attack-round"]
+        assert searches and len(markers) == len(searches)
+        assert {e["attack"] for e in markers} == {result.attack}
+        assert [e["round"] for e in markers] == list(range(1, len(markers) + 1))
+        assert {e["harvested"] for e in markers} <= {0, 1}
+        # The last search found no DIP; `iterations` ends at the result's.
+        assert markers[-1]["harvested"] == 0
+        assert markers[-1]["iterations"] == result.iterations
 
 
 class TestSolverHooks:
