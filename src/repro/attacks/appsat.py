@@ -11,7 +11,8 @@ The DIP loop is the exact attack's (:func:`~repro.attacks.sat_attack.\
 sat_attack`): one solver call, one DIP, one oracle query, one constraint per
 iteration.  Every ``settle_rounds`` iterations the candidate key is checked
 against the oracle on ``samples_per_round`` random patterns, all of them
-lanes of one packed pass.
+lanes of one packed pass, drawn in bulk as lane words
+(:func:`~repro.engine.packed.random_bits`).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Dict, Optional, Union
 
 from repro.attacks.results import AttackOutcome, AttackResult
 from repro.attacks.sat_attack import _AttackFrame, _DipMiter
+from repro.engine.packed import random_bits, stimulus_words
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit
 
@@ -58,21 +60,19 @@ def appsat_attack(
     miter = _DipMiter(session, frame.view, frame.shared_outputs)
 
     def sample_error(candidate: Dict[str, int]) -> float:
-        # One packed pass per side: all samples of the round are lanes.
-        vectors = [
-            {net: rng.randint(0, 1) for net in miter.functional_nets}
-            for _ in range(samples_per_round)
-        ]
-        oracle_outs = frame.oracle.query_batch(vectors)
-        locked_outs = miter.simulator.outputs_batch(
-            [{**vector, **candidate} for vector in vectors]
-        )
-        errors = sum(
-            1
-            for locked_out, oracle_out in zip(locked_outs, oracle_outs)
-            if any(locked_out[o] != oracle_out[o] for o in frame.shared_outputs)
-        )
-        return errors / max(samples_per_round, 1)
+        # One packed pass per side: all samples of the round are lanes,
+        # drawn sample by sample, each functional net in order.
+        width = samples_per_round
+        mask = (1 << width) - 1
+        nets = miter.functional_nets
+        words = stimulus_words(random_bits(rng, width * len(nets)), nets)
+        oracle_words = frame.oracle.query_words(words, width)
+        words.update((net, mask if bit & 1 else 0) for net, bit in candidate.items())
+        locked_words = miter.simulator.output_words(words, width=width)
+        wrong_lanes = 0
+        for out in frame.shared_outputs:
+            wrong_lanes |= locked_words[out] ^ oracle_words[out]
+        return bin(wrong_lanes).count("1") / max(width, 1)
 
     next_settle = settle_rounds
     while frame.iterations < max_iterations:

@@ -182,12 +182,10 @@ def _activity_classes(
     import random
 
     from repro.engine.equivalence import packed_toggle_counts
+    from repro.engine.packed import random_bits, stimulus_words
 
-    rng = random.Random(seed)
-    vectors = [
-        {net: rng.randint(0, 1) for net in circuit.inputs} for _ in range(cycles)
-    ]
-    toggles = packed_toggle_counts(circuit, vectors)
+    bits = random_bits(random.Random(seed), cycles * len(circuit.inputs))
+    toggles = packed_toggle_counts(circuit, stimulus_words(bits, circuit.inputs), cycles)
     transitions = max(1, cycles - 1)
     return {
         q: min(buckets - 1, (toggles.get(q, 0) * buckets) // (transitions + 1))

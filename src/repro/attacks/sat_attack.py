@@ -45,7 +45,11 @@ from repro.locking.base import LockedCircuit, pack_key_bits
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.sat.session import DEFAULT_BACKEND, SolverTelemetry, SolveSession
 from repro.sat.tseitin import TseitinEncoder
-from repro.sim.equivalence import random_equivalence_check, sequential_equivalence_check
+from repro.sim.equivalence import (
+    check_sizes,
+    random_equivalence_check,
+    sequential_equivalence_check,
+)
 from repro.trace.writer import trace_event
 
 
@@ -65,7 +69,9 @@ class _AttackFrame:
       and a static key is checked with :func:`sequential_equivalence_check`.
 
     ``key_check`` holds the keyword arguments of that check (how many
-    vectors, or sequences and their length).
+    vectors, or sequences and their length); like a ``time_limit`` that is
+    not > 0, a size below 1 raises :class:`ValueError` before anything is
+    solved, since a check that examines nothing passes any key.
 
     :attr:`refusal` is the FAIL result of a pair no attack can run on (no
     key inputs, or no output shared with the oracle), else None.
@@ -90,6 +96,7 @@ class _AttackFrame:
     ) -> None:
         if not time_limit > 0:  # also refuses NaN
             raise ValueError(f"time_limit must be > 0 seconds, got {time_limit!r}")
+        check_sizes(key_check)
         if isinstance(locked, LockedCircuit):
             locked, oracle_circuit = locked.circuit, oracle_circuit or locked.original
         elif oracle_circuit is None:

@@ -14,7 +14,8 @@ Layers
 * :mod:`repro.engine.compiler` — Circuit -> :class:`CompiledCircuit` (flat
   levelized op list, one record per gate, and the interpreter that runs it);
 * :mod:`repro.engine.packed` — :class:`PackedSimulator` plus the
-  pack/unpack transpose helpers between per-net words and per-vector dicts;
+  pack/unpack transpose helpers between per-net words and per-vector dicts
+  and the bulk random-stimulus draw (``random_bits``, ``stimulus_words``);
 * :mod:`repro.engine.batch_oracle` — the scan-access and reset-and-run
   oracles the oracle-guided attacks query, with per-query accounting;
 * :mod:`repro.engine.equivalence` — packed random equivalence checking and

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence
 
-from repro.engine.packed import PackedSimulator, pack_vectors
+from repro.engine.packed import PackedSimulator, pack_vectors, unpack_vectors
 from repro.netlist.circuit import Circuit
 
 
@@ -66,14 +66,20 @@ class BatchedCombinationalOracle:
 
         Missing nets default to 0 per lane.  ``queries`` advances by N.
         """
-        self.queries += len(assignments)
         if not assignments:
             return []
-        vectors = [
-            {net: int(a.get(net, 0)) & 1 for net in self.view.inputs}
-            for a in assignments
-        ]
-        return self._packed.outputs_batch(vectors)
+        width = len(assignments)
+        words = self.query_words(pack_vectors(assignments, self.view.inputs, default=0), width)
+        return unpack_vectors(words, self.view.outputs, width)
+
+    def query_words(self, input_words: Mapping[str, int], width: int) -> Dict[str, int]:
+        """Apply ``width`` vectors given as lane words; one word per output net.
+
+        Missing nets are 0 in every lane.  ``queries`` advances by ``width``.
+        """
+        self.queries += width
+        words = {net: input_words.get(net, 0) for net in self.view.inputs}
+        return self._packed.output_words(words, width=width)
 
 
 class BatchedSequentialOracle:

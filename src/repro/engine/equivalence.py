@@ -1,21 +1,28 @@
 """Packed random equivalence checking and packed toggle/activity counting.
 
 These back the :mod:`repro.sim` routers (``random_equivalence_check``,
-``sequential_equivalence_check``, ``toggle_counts``).  They draw random
-stimulus from the *same* seeded RNG in the *same* order as the ``scalar_*``
-reference loops in :mod:`repro.sim` and report identical
+``sequential_equivalence_check``, ``toggle_counts``).  The checks draw
+random stimulus from the *same* seeded RNG in the *same* order as the
+``scalar_*`` reference loops in :mod:`repro.sim` -- one
+:func:`~repro.engine.packed.random_bits` call yields the bits of every
+one-bit ``randint`` call those loops make -- and report identical
 :class:`EquivalenceResult` fields (verdict, ``checked`` count,
-counterexample dict), which the property tests check bit for bit.
+counterexample dict), which the property tests check bit for bit.  Each
+net's lane word is sliced straight out of the drawn bits; a key is one
+all-ones or all-zeros word per key net (and cycle).  Drawing the stimulus
+this way costs about as much as the packed pass it feeds, where building
+and transposing one dict per vector cost many times more.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.engine.packed import PackedSimulator, pack_vectors
+from repro.engine.packed import PackedSimulator, key_words, random_bits, stimulus_words
 from repro.netlist.circuit import Circuit, CircuitError
-from repro.sim.equivalence import EquivalenceResult
+from repro.sim.equivalence import EquivalenceResult, check_sizes
 
 
 def _lowest_set_lane(word: int) -> int:
@@ -35,8 +42,10 @@ def packed_random_equivalence_check(
 
     All ``num_vectors`` vectors are evaluated in one packed pass per circuit;
     the first differing (vector, output) pair — in the scalar iteration
-    order — is reported as the counterexample.
+    order — is reported as the counterexample.  ``num_vectors`` below 1
+    raises :class:`ValueError`.
     """
+    check_sizes({"num_vectors": num_vectors})
     rng = random.Random(seed)
     orig_view = original.combinational_view() if original.dffs else original
     cand_view = candidate.combinational_view() if candidate.dffs else candidate
@@ -45,23 +54,17 @@ def packed_random_equivalence_check(
     shared_outputs = [o for o in orig_view.outputs if o in set(cand_view.outputs)]
     free_inputs = [i for i in cand_view.inputs if i not in key_assignment]
 
-    vectors: List[Dict[str, int]] = []
-    for _ in range(num_vectors):
-        vector = {net: rng.randint(0, 1) for net in free_inputs}
-        vector.update(key_assignment)
-        vectors.append(vector)
-    if not vectors:
-        return EquivalenceResult(equivalent=True, checked=0, method="random")
-
-    orig_vectors = [
-        {net: vec.get(net, 0) for net in orig_view.inputs} for vec in vectors
-    ]
-    width = len(vectors)
-    cand_words = PackedSimulator(cand_view).output_words(
-        pack_vectors(vectors, cand_view.inputs), width=width
+    # Vector v draws free_inputs in order: bits[v * count:(v + 1) * count].
+    count = len(free_inputs)
+    bits = random_bits(rng, num_vectors * count)
+    mask = (1 << num_vectors) - 1
+    words = stimulus_words(bits, free_inputs)
+    words.update(
+        (net, mask if int(value) & 1 else 0) for net, value in key_assignment.items()
     )
+    cand_words = PackedSimulator(cand_view).output_words(words, width=num_vectors)
     orig_words = PackedSimulator(orig_view).output_words(
-        pack_vectors(orig_vectors, orig_view.inputs), width=width
+        {net: words.get(net, 0) for net in orig_view.inputs}, width=num_vectors
     )
 
     diff_words = {net: cand_words[net] ^ orig_words[net] for net in shared_outputs}
@@ -75,10 +78,12 @@ def packed_random_equivalence_check(
     for net in shared_outputs:
         if (diff_words[net] >> lane) & 1:
             break
+    vector = dict(zip(free_inputs, bits[lane * count:(lane + 1) * count]))
+    vector.update(key_assignment)
     return EquivalenceResult(
         equivalent=False,
         checked=lane + 1,
-        counterexample={"inputs": vectors[lane], "net": net},
+        counterexample={"inputs": vector, "net": net},
         method="random",
     )
 
@@ -99,39 +104,25 @@ def packed_sequential_equivalence_check(
     sequential simulation per circuit (all sequences advance in lockstep),
     instead of ``num_sequences`` full scalar runs.  The verdict, ``checked``
     cycle count and counterexample reproduce the scalar sequence-by-sequence
-    iteration exactly.
+    iteration exactly.  The simulation stops after the first cycle in which
+    lane 0 differs: the scalar loop reports that very mismatch.
+    ``num_sequences`` or ``sequence_length`` below 1 raises
+    :class:`ValueError`.
     """
-    from repro.sim.seqsim import apply_key_to_sequence
-
+    check_sizes({"num_sequences": num_sequences, "sequence_length": sequence_length})
     rng = random.Random(seed)
     key_inputs = list(key_inputs if key_inputs is not None else locked.key_inputs)
     shared_outputs = [o for o in original.outputs if o in set(locked.outputs)]
     functional_inputs = [i for i in locked.inputs if i not in set(key_inputs)]
 
-    all_vectors: List[List[Dict[str, int]]] = []
-    orig_seqs: List[List[Dict[str, int]]] = []
-    locked_seqs: List[List[Dict[str, int]]] = []
-    for _ in range(num_sequences):
-        vectors = [
-            {net: rng.randint(0, 1) for net in functional_inputs}
-            for _ in range(sequence_length)
-        ]
-        all_vectors.append(vectors)
-        orig_seqs.append(
-            [{net: vec.get(net, 0) for net in original.inputs} for vec in vectors]
-        )
-        if key_schedule:
-            locked_seqs.append(apply_key_to_sequence(vectors, key_inputs, key_schedule))
-        else:
-            locked_vectors = [dict(vec) for vec in vectors]
-            for vec in locked_vectors:
-                for net in key_inputs:
-                    vec.setdefault(net, 0)
-            locked_seqs.append(locked_vectors)
-
+    # Sequence s draws its cycles in order, each cycle functional_inputs in
+    # order: cycle t of lane s starts at bit s * stride + t * count.
+    count = len(functional_inputs)
+    stride = sequence_length * count
     lanes = num_sequences
-    if lanes == 0 or sequence_length == 0:
-        return EquivalenceResult(equivalent=True, checked=0, method="sequential")
+    bits = random_bits(rng, lanes * stride)
+    mask = (1 << lanes) - 1
+    schedule = list(key_schedule) if key_schedule else [0]
 
     orig_sim = PackedSimulator(original)
     locked_sim = PackedSimulator(locked)
@@ -141,14 +132,17 @@ def packed_sequential_equivalence_check(
     per_cycle_diffs: List[Dict[str, int]] = []
     diff_any = 0
     for t in range(sequence_length):
-        orig_words = pack_vectors([seq[t] for seq in orig_seqs], original.inputs)
-        locked_words = pack_vectors([seq[t] for seq in locked_seqs], locked.inputs)
+        words = stimulus_words(bits, functional_inputs, start=t * count, stride=stride)
+        orig_words = {net: words.get(net, 0) for net in original.inputs}
+        words.update(key_words(key_inputs, schedule[t % len(schedule)], mask))
         orig_out, orig_state = orig_sim.step_words(orig_words, orig_state, width=lanes)
-        locked_out, locked_state = locked_sim.step_words(locked_words, locked_state, width=lanes)
+        locked_out, locked_state = locked_sim.step_words(words, locked_state, width=lanes)
         diffs = {net: orig_out[net] ^ locked_out[net] for net in shared_outputs}
         per_cycle_diffs.append(diffs)
         for word in diffs.values():
             diff_any |= word
+        if diff_any & 1:
+            break
 
     if not diff_any:
         return EquivalenceResult(
@@ -158,10 +152,16 @@ def packed_sequential_equivalence_check(
     # The scalar check walks sequences in order and stops at the first
     # mismatch, so the reported failure is the lowest failing lane, then the
     # earliest cycle within it, then the first output in declaration order.
+    # That is why the loop above may stop once lane 0 fails.
     lane = _lowest_set_lane(diff_any)
     for cycle, diffs in enumerate(per_cycle_diffs):
         failing = [net for net in shared_outputs if (diffs[net] >> lane) & 1]
         if failing:
+            start = lane * stride
+            vectors = [
+                dict(zip(functional_inputs, bits[start + c * count:start + (c + 1) * count]))
+                for c in range(cycle + 1)
+            ]
             return EquivalenceResult(
                 equivalent=False,
                 checked=lane * sequence_length + cycle + 1,
@@ -169,7 +169,7 @@ def packed_sequential_equivalence_check(
                     "sequence": lane,
                     "cycle": cycle,
                     "net": failing[0],
-                    "inputs": all_vectors[lane][: cycle + 1],
+                    "inputs": vectors,
                 },
                 method="sequential",
             )
@@ -178,51 +178,49 @@ def packed_sequential_equivalence_check(
 
 def packed_toggle_counts(
     circuit: Circuit,
-    input_vectors: Sequence[Mapping[str, int]],
+    input_words: Mapping[str, int],
+    num_cycles: int,
     *,
     initial_state: Optional[Mapping[str, int]] = None,
     simulator: Optional[PackedSimulator] = None,
 ) -> Dict[str, int]:
     """Bit-parallel :func:`repro.sim.logicsim.scalar_toggle_counts`.
 
-    The sequence is simulated cycle by cycle (state must advance, so time
-    cannot be packed into lanes), but each cycle runs the compiled flat
-    program instead of the dict-based scalar simulator, and every net's
-    value history is accumulated into one word per net.  Toggles are then
-    counted in bulk as ``popcount(history ^ (history >> 1))``.
+    ``input_words`` holds one *cycle word* per primary input: bit ``t`` is
+    the input's value in cycle ``t`` of the ``num_cycles`` simulated
+    (:func:`~repro.sim.logicsim.toggle_counts` packs a list of vectors into
+    that form).  The sequence is simulated cycle by cycle (state must
+    advance, so time cannot be packed into lanes), each cycle one run of
+    the compiled flat program, and every net's toggles are counted at C
+    level with one ``map`` of ``xor`` against the previous cycle and one of
+    ``add`` into the running counts.
 
     Callers counting toggles of the same circuit repeatedly can pass a
     prebuilt ``simulator`` to amortize the one-time compilation.
     """
     sim = simulator if simulator is not None else PackedSimulator(circuit)
     compiled = sim.compiled
-    num_cycles = len(input_vectors)
-    if num_cycles == 0:
+    if num_cycles <= 0:
         return {}
+    try:
+        columns = [(net, input_words[net]) for net in circuit.inputs]
+    except KeyError as exc:
+        raise CircuitError(f"missing value for primary input {exc.args[0]!r}") from exc
 
     state = {q: (1 if init else 0) for q, _, init in compiled.state_items}
     if initial_state:
         for q, value in initial_state.items():
             if q in state:
                 state[q] = int(value) & 1
-    history = [0] * compiled.num_slots
-    for t, vector in enumerate(input_vectors):
-        try:
-            words = {net: int(vector[net]) & 1 for net in circuit.inputs}
-        except KeyError as exc:
-            raise CircuitError(f"missing value for primary input {exc.args[0]!r}") from exc
-        values = sim._eval_slots(words, state, 1)
-        for slot in range(compiled.num_slots):
-            if values[slot]:
-                history[slot] |= 1 << t
+    counts = [0] * compiled.num_slots
+    previous: Optional[List[int]] = None
+    for t in range(num_cycles):
+        # A one-lane pass keeps bit 0 of every word: cycle t's input value.
+        values = sim._eval_slots({net: word >> t for net, word in columns}, state, 1)
+        if previous is not None:
+            counts = list(map(operator.add, counts, map(operator.xor, previous, values)))
+        previous = values
         state = {q: values[d_slot] for q, d_slot in compiled.dff_d_slots}
 
-    span_mask = (1 << (num_cycles - 1)) - 1
-    toggles: Dict[str, int] = {}
     names = compiled.net_names
-    for slot in range(compiled.num_slots):
-        word = history[slot]
-        count = bin((word ^ (word >> 1)) & span_mask).count("1")
-        if count:
-            toggles[names[slot]] = count
-    return toggles
+    return {names[slot]: count for slot, count in enumerate(counts) if count}

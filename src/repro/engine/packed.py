@@ -6,6 +6,11 @@ the net's value under vector ``j`` (lane ``j``).  The helpers at the top of
 this module convert between the two layouts; :class:`PackedSimulator` runs
 the compiled flat program over the word layout.
 
+Random stimulus never goes through the dict layout: :func:`random_bits`
+draws the bits of a whole batch at once -- the very bits one
+``rng.randint`` call per bit (over 0 and 1) would draw -- and
+:func:`stimulus_words` slices each net's lane word out of them.
+
 The batch entry points (``evaluate_batch`` / ``outputs_batch`` /
 ``next_state_batch``) mirror the scalar :class:`~repro.sim.logicsim.\
 CombinationalSimulator` contract vector-for-vector, including the missing-
@@ -23,6 +28,7 @@ operations themselves.
 from __future__ import annotations
 
 import os
+import random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.engine.compiler import compile_circuit
@@ -32,18 +38,80 @@ from repro.netlist.circuit import Circuit, CircuitError
 #: mapping per lane.
 StateArg = Optional[Union[Mapping[str, int], Sequence[Mapping[str, int]]]]
 
+#: ``bytes.translate`` table: a byte value to the ASCII digit of its low bit.
+_BINARY_DIGITS = bytes(ord("0") + (value & 1) for value in range(256))
+
+#: ``bytes.translate`` table and deletions of :func:`random_bits`: the top
+#: byte of a 32-bit Mersenne Twister output below 0x80 is a one-bit
+#: ``randint`` draw equal to its bit 6; from 0x80 up the draw is redrawn.
+_DRAW_BIT = bytes((value >> 6) & 1 for value in range(256))
+_REDRAWN = bytes(range(0x80, 0x100))
+
+
+def random_bits(rng: random.Random, count: int) -> bytes:
+    """``count`` one-bit ``rng.randint`` draws (over 0 and 1), one per byte.
+
+    The bits, and the state ``rng`` is left in, are exactly those of a loop
+    of ``count`` such ``randint`` calls.  CPython draws each as
+    ``getrandbits(2)`` -- the top two bits of one 32-bit output -- and
+    redraws on 2 or 3.  So each round takes as many 32-bit outputs as bits
+    are still missing in one ``getrandbits`` call, keeps the top byte of
+    each, and maps the accepted ones to their draw with one
+    ``bytes.translate``.  Every output yields at most one bit, so a round
+    never draws past what the ``randint`` loop would have drawn.
+    """
+    chunks: List[bytes] = []
+    missing = count
+    while missing > 0:
+        top_bytes = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")[3::4]
+        chunk = top_bytes.translate(_DRAW_BIT, _REDRAWN)
+        chunks.append(chunk)
+        missing -= len(chunk)
+    return b"".join(chunks)
+
+
 def pack_bits(bits: Sequence[int]) -> int:
-    """Pack scalar 0/1 values into a word (bit ``j`` = ``bits[j] & 1``)."""
-    word = 0
-    for lane, bit in enumerate(bits):
-        if bit & 1:
-            word |= 1 << lane
-    return word
+    """Pack scalar 0/1 values into a word (bit ``j`` = ``bits[j] & 1``).
+
+    ``bits`` holds values from 0 to 255 (a ``bytes`` from
+    :func:`random_bits`, or a list); the word is one ``int(..., 2)`` parse.
+    """
+    if not bits:
+        return 0
+    return int(bytes(bits)[::-1].translate(_BINARY_DIGITS), 2)
 
 
 def unpack_bits(word: int, count: int) -> List[int]:
     """Inverse of :func:`pack_bits` for the first ``count`` lanes."""
     return [(word >> lane) & 1 for lane in range(count)]
+
+
+def stimulus_words(
+    bits: bytes, nets: Sequence[str], *, start: int = 0, stride: int = 0
+) -> Dict[str, int]:
+    """Per-net lane words sliced out of drawn stimulus ``bits``.
+
+    ``nets[i]`` takes ``bits[start + i]``, ``bits[start + i + stride]``, ...
+    as lanes 0, 1, ...  The default ``stride`` is ``len(nets)``: ``bits``
+    holds one vector after the other, each drawn net by net, and lane ``j``
+    is vector ``j``.
+    """
+    stride = stride or len(nets)
+    return {net: pack_bits(bits[start + index::stride]) for index, net in enumerate(nets)}
+
+
+def key_words(key_inputs: Sequence[str], key_value: int, mask: int) -> Dict[str, int]:
+    """All-ones or all-zeros words that apply ``key_value`` to every lane.
+
+    ``key_inputs`` is MSB first, as in
+    :func:`~repro.sim.seqsim.apply_key_to_sequence`: bit 0 of ``key_value``
+    drives the last key input.
+    """
+    width = len(key_inputs)
+    return {
+        net: mask if (key_value >> (width - 1 - index)) & 1 else 0
+        for index, net in enumerate(key_inputs)
+    }
 
 
 def pack_vectors(

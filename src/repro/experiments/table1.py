@@ -17,6 +17,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.benchmarks_data.synthezza import SYNTHEZZA_PROFILES, load_synthezza
+from repro.engine.packed import random_bits
 from repro.experiments.report import ExperimentTable
 from repro.locking.base import KeySchedule
 from repro.locking.cutelock_beh import CuteLockBeh
@@ -44,8 +45,11 @@ def run_table1(
     rng = random.Random(seed)
     input_nets = [f"in_{i}" for i in range(fsm.num_inputs)]
     output_nets = [f"out_{i}" for i in range(fsm.num_outputs)]
+    # Cycle by cycle, each input in order: one fair bit per input and cycle.
+    width = len(input_nets)
+    bits = random_bits(rng, num_cycles * width)
     vectors = [
-        {net: rng.randint(0, 1) for net in input_nets} for _ in range(num_cycles)
+        dict(zip(input_nets, bits[t * width:(t + 1) * width])) for t in range(num_cycles)
     ]
 
     original_wave = SequentialSimulator(locked.original).run(vectors)

@@ -13,6 +13,7 @@ import random
 from typing import Dict, List, Tuple
 
 from repro.benchmarks_data.iscas89 import s27_circuit
+from repro.engine.packed import random_bits
 from repro.experiments.report import ExperimentTable
 from repro.locking.base import KeySchedule
 from repro.locking.cutelock_str import CuteLockStr
@@ -42,8 +43,11 @@ def run_table2(
     locked = transform.lock(original, schedule=S27_SCHEDULE)
 
     rng = random.Random(seed)
+    # Cycle by cycle, each input in order: one fair bit per input and cycle.
+    width = len(original.inputs)
+    bits = random_bits(rng, num_cycles * width)
     vectors = [
-        {net: rng.randint(0, 1) for net in original.inputs} for _ in range(num_cycles)
+        dict(zip(original.inputs, bits[t * width:(t + 1) * width])) for t in range(num_cycles)
     ]
 
     original_wave = SequentialSimulator(original).run(vectors)

@@ -13,9 +13,14 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.engine.packed import PackedSimulator, pack_vectors
+from repro.engine.packed import (
+    PackedSimulator,
+    key_words,
+    pack_bits,
+    random_bits,
+    stimulus_words,
+)
 from repro.locking.base import KeySchedule, LockedCircuit
-from repro.sim.seqsim import apply_key_to_sequence
 
 
 @dataclass(frozen=True)
@@ -84,34 +89,26 @@ def output_corruptibility(
     golden_sim = PackedSimulator(original)
     observed_sim = PackedSimulator(locked.circuit)
     lanes = num_sequences
+    count = len(functional_inputs)
+    stride = sequence_length * count
+    mask = (1 << lanes) - 1
 
     for _ in range(trials):
         wrong = _random_wrong_schedule(locked.schedule, rng)
         first_divergence: Optional[int] = None
-        # Stimulus is drawn sequence by sequence (simulation itself consumes
-        # no random bits).
-        original_seqs: List[List[Dict[str, int]]] = []
-        locked_seqs: List[List[Dict[str, int]]] = []
-        for _ in range(num_sequences):
-            vectors = [
-                {net: rng.randint(0, 1) for net in functional_inputs}
-                for _ in range(sequence_length)
-            ]
-            original_seqs.append(
-                [{net: vec.get(net, 0) for net in original.inputs} for vec in vectors]
-            )
-            locked_seqs.append(
-                apply_key_to_sequence(vectors, locked.key_inputs, wrong.values)
-            )
+        # Stimulus is drawn sequence by sequence, each cycle functional
+        # input by functional input, after the trial's wrong schedule
+        # (simulation itself consumes no random bits).
+        bits = random_bits(rng, lanes * stride)
         golden_state = golden_sim.initial_state_words(lanes)
         observed_state = observed_sim.initial_state_words(lanes)
         for cycle in range(sequence_length):
-            golden_words = pack_vectors(
-                [seq[cycle] for seq in original_seqs], original.inputs
+            observed_words = stimulus_words(
+                bits, functional_inputs, start=cycle * count, stride=stride
             )
-            observed_words = pack_vectors(
-                [seq[cycle] for seq in locked_seqs], locked.circuit.inputs
-            )
+            golden_words = {net: observed_words.get(net, 0) for net in original.inputs}
+            key_value = wrong.values[cycle % len(wrong.values)]
+            observed_words.update(key_words(locked.key_inputs, key_value, mask))
             golden_out, golden_state = golden_sim.step_words(
                 golden_words, golden_state, width=lanes
             )
@@ -173,14 +170,23 @@ def switching_activity_divergence(
     rng = random.Random(seed)
     circuit = locked.circuit
     simulator = PackedSimulator(circuit)
-    functional_inputs = [n for n in circuit.inputs if n not in set(locked.key_inputs)]
-    vectors = [
-        {net: rng.randint(0, 1) for net in functional_inputs} for _ in range(cycles)
-    ]
+    key_inputs = locked.key_inputs
+    functional_inputs = [n for n in circuit.inputs if n not in set(key_inputs)]
+    bits = random_bits(rng, cycles * len(functional_inputs))
+    stimulus = stimulus_words(bits, functional_inputs)
 
     def total_toggles(schedule: KeySchedule) -> int:
-        keyed = apply_key_to_sequence(vectors, locked.key_inputs, schedule.values)
-        return sum(packed_toggle_counts(circuit, keyed, simulator=simulator).values())
+        # A key input's cycle word: bit t is its bit of the key of cycle t.
+        values = schedule.values
+        keyed = dict(stimulus)
+        for index, net in enumerate(key_inputs):
+            shift = len(key_inputs) - 1 - index
+            keyed[net] = pack_bits(
+                [(values[t % len(values)] >> shift) & 1 for t in range(cycles)]
+            )
+        return sum(
+            packed_toggle_counts(circuit, keyed, cycles, simulator=simulator).values()
+        )
 
     baseline = total_toggles(locked.schedule)
     deltas = []

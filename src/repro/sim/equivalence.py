@@ -15,8 +15,11 @@ The two simulation checks run on the packed engine
 (:mod:`repro.engine.equivalence`, imported at call time because it imports
 :class:`EquivalenceResult` from here).  :func:`scalar_random_equivalence_check`
 and :func:`scalar_sequential_equivalence_check` are their one-vector-at-a-
-time reference loops: they draw the same seeded stimulus, report identical
-results, and only the tests call them.
+time reference loops: they draw the same seeded stimulus, one
+``rng.randint(0, 1)`` per input bit (the engine draws the identical bits in
+bulk), report identical results, and only the tests call them.  Every
+simulation check refuses a size below 1 (:func:`check_sizes`): a check of
+no vectors or cycles would pass any key.
 """
 
 from __future__ import annotations
@@ -45,6 +48,20 @@ class EquivalenceResult:
     method: str = "random"
 
 
+def check_sizes(sizes: Mapping[str, int]) -> None:
+    """Raise :class:`ValueError` unless every size of a check is at least 1.
+
+    ``sizes`` maps a check's size arguments (``num_vectors``,
+    ``num_sequences``, ``sequence_length``) to their values.
+    """
+    for name, value in sizes.items():
+        if not value >= 1:
+            raise ValueError(
+                f"{name} must be >= 1, got {value!r}: a check that examines "
+                "nothing passes any key"
+            )
+
+
 def _random_vector(nets: Sequence[str], rng: random.Random) -> Dict[str, int]:
     return {net: rng.randint(0, 1) for net in nets}
 
@@ -63,7 +80,8 @@ def random_equivalence_check(
     views (flip-flop Q pins driven as pseudo-inputs, D pins observed), which
     is the same observability model the oracle-guided SAT attack uses.
     ``key_assignment`` fixes the candidate's key inputs.  All vectors are
-    evaluated in one packed pass per circuit.
+    evaluated in one packed pass per circuit.  ``num_vectors`` below 1 raises
+    :class:`ValueError`.
     """
     from repro.engine.equivalence import packed_random_equivalence_check
 
@@ -85,6 +103,7 @@ def scalar_random_equivalence_check(
     seed: int = 0,
 ) -> EquivalenceResult:
     """Reference :func:`random_equivalence_check`: one vector at a time."""
+    check_sizes({"num_vectors": num_vectors})
     rng = random.Random(seed)
     orig_view = original.combinational_view() if original.dffs else original
     cand_view = candidate.combinational_view() if candidate.dffs else candidate
@@ -129,7 +148,8 @@ def sequential_equivalence_check(
     in both circuits from a seeded random source.  This mirrors the paper's
     validation methodology: under the scheduled keys the locked circuit must
     match the original on every observed cycle.  All sequences run as lanes
-    of one packed simulation per circuit.
+    of one packed simulation per circuit.  ``num_sequences`` or
+    ``sequence_length`` below 1 raises :class:`ValueError`.
     """
     from repro.engine.equivalence import packed_sequential_equivalence_check
 
@@ -155,6 +175,7 @@ def scalar_sequential_equivalence_check(
     seed: int = 0,
 ) -> EquivalenceResult:
     """Reference :func:`sequential_equivalence_check`: one sequence at a time."""
+    check_sizes({"num_sequences": num_sequences, "sequence_length": sequence_length})
     rng = random.Random(seed)
     key_inputs = list(key_inputs if key_inputs is not None else locked.key_inputs)
     shared_outputs = [o for o in original.outputs if o in set(locked.outputs)]

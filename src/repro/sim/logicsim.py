@@ -89,14 +89,19 @@ def toggle_counts(
 ) -> Dict[str, int]:
     """Count output toggles of every net over a sequence of input vectors.
 
-    Used by the overhead model to estimate dynamic (switching) power.  The
-    circuit is simulated cycle by cycle (flip-flops advance each vector) on
-    the packed engine, and the number of value changes per net is counted
-    in bulk over per-net value histories.
+    The circuit is simulated cycle by cycle (flip-flops advance each
+    vector) on the packed engine: the vectors are packed into one cycle
+    word per input (bit ``t`` = the value in vector ``t``) for
+    :func:`~repro.engine.equivalence.packed_toggle_counts`, which the
+    overhead model and DANA call with words drawn straight from their RNG.
     """
     from repro.engine.equivalence import packed_toggle_counts
+    from repro.engine.packed import pack_vectors
 
-    return packed_toggle_counts(circuit, input_vectors, initial_state=initial_state)
+    words = pack_vectors(input_vectors, circuit.inputs)
+    return packed_toggle_counts(
+        circuit, words, len(input_vectors), initial_state=initial_state
+    )
 
 
 def scalar_toggle_counts(

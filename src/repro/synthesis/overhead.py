@@ -3,18 +3,21 @@
 This is the reproduction's stand-in for the Cadence Genus reports behind
 Figure 4.  Power is modelled as leakage (from the cell library) plus dynamic
 switching power estimated from per-net toggle rates gathered by simulating
-the circuit on random stimulus at a nominal clock frequency.
+the circuit on random stimulus at a nominal clock frequency.  The stimulus
+is drawn in bulk (:func:`~repro.engine.packed.random_bits`: the same bits
+as one ``randint`` draw of 0 or 1 per input and cycle) and sliced into one
+cycle word per input for :func:`~repro.engine.equivalence.packed_toggle_counts`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Optional
 
+from repro.engine.packed import random_bits, stimulus_words
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit
-from repro.sim.logicsim import toggle_counts
 from repro.synthesis.library import CellLibrary, generic_45nm_library
 from repro.synthesis.mapping import MappedCircuit, technology_map
 
@@ -109,13 +112,6 @@ class OverheadReport:
         }
 
 
-def _random_vectors(circuit: Circuit, num_vectors: int, seed: int) -> List[Dict[str, int]]:
-    rng = random.Random(seed)
-    return [
-        {net: rng.randint(0, 1) for net in circuit.inputs} for _ in range(num_vectors)
-    ]
-
-
 def analyze_circuit(
     circuit: Circuit,
     *,
@@ -138,12 +134,17 @@ def analyze_circuit(
     library = library or generic_45nm_library()
     mapped = technology_map(circuit, library)
 
-    vectors = _random_vectors(circuit, activity_vectors, seed)
-    if key_bits:
-        for vector in vectors:
-            vector.update({net: int(value) & 1 for net, value in key_bits.items()})
-    toggles = toggle_counts(circuit, vectors)
-    cycles = len(vectors)
+    from repro.engine.equivalence import packed_toggle_counts
+
+    # Cycle t draws every input in order, key inputs included (a pinned key
+    # overrides its draws): input i's cycle word takes bits i, i + n, ...
+    cycles = activity_vectors
+    bits = random_bits(random.Random(seed), cycles * len(circuit.inputs))
+    words = stimulus_words(bits, circuit.inputs)
+    mask = (1 << cycles) - 1
+    for net, value in (key_bits or {}).items():
+        words[net] = mask if int(value) & 1 else 0
+    toggles = packed_toggle_counts(circuit, words, cycles)
 
     leakage_nw = mapped.total_leakage_nw
     dynamic_uw = 0.0

@@ -6,20 +6,23 @@ evaluation, next-state capture, lockstep sequential simulation, toggle
 counting, random and sequential equivalence verdicts) is cross-checked here
 on randomized FSM- and ISCAS-style circuits covering all gate types, DFF
 init values, and batch widths from 1 to 256 (the lane count of every key
-verification).
+verification).  The engine's bulk stimulus draw (``random_bits``) is checked
+against the ``randint(0, 1)`` loops it replaces, bit for bit and RNG state
+for RNG state; the guarantee rests on CPython drawing ``randint(0, 1)`` as
+``getrandbits(2)`` with a redraw on 2 or 3.
 """
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.benchmarks_data.generator import random_sequential_circuit
 from repro.engine.equivalence import (
     packed_random_equivalence_check,
     packed_sequential_equivalence_check,
-    packed_toggle_counts,
 )
-from repro.engine.packed import PackedSimulator, pack_vectors
+from repro.engine.packed import PackedSimulator, pack_vectors, random_bits
 from repro.fsm.random_fsm import random_fsm
 from repro.fsm.synthesis import synthesize_fsm
 from repro.netlist.circuit import Circuit
@@ -28,8 +31,11 @@ from repro.sim.equivalence import (
     scalar_random_equivalence_check,
     scalar_sequential_equivalence_check,
 )
-from repro.sim.logicsim import CombinationalSimulator, scalar_toggle_counts
+from repro.sim.logicsim import CombinationalSimulator, scalar_toggle_counts, toggle_counts
 from repro.sim.seqsim import SequentialSimulator
+from repro.synthesis.library import generic_45nm_library
+from repro.synthesis.mapping import technology_map
+from repro.synthesis.overhead import DEFAULT_CLOCK_HZ, analyze_circuit
 
 SLOW = settings(max_examples=25, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -164,7 +170,7 @@ def test_packed_toggle_counts_match_scalar(seed):
         {net: rng.randint(0, 1) for net in circuit.inputs} for _ in range(cycles)
     ]
     initial = {q: rng.randint(0, 1) for q in circuit.dffs} or None
-    assert packed_toggle_counts(circuit, vectors, initial_state=initial) == \
+    assert toggle_counts(circuit, vectors, initial_state=initial) == \
         scalar_toggle_counts(circuit, vectors, initial_state=initial)
 
 
@@ -228,3 +234,73 @@ def test_packed_sequential_equivalence_matches_scalar(seed):
     scalar = scalar_sequential_equivalence_check(circuit, locked.circuit, **kwargs)
     assert (packed.equivalent, packed.checked, packed.counterexample) == \
         (scalar.equivalent, scalar.checked, scalar.counterexample)
+
+
+# --------------------------------------------------------------------------- #
+# Bulk stimulus: random_bits draws exactly what a randint(0, 1) loop draws
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 31, 32, 33, 1000, 8192])
+def test_random_bits_match_randint_loop(count):
+    for seed in range(300):
+        bulk, loop = random.Random(seed), random.Random(seed)
+        bits = random_bits(bulk, count)
+        assert list(bits) == [loop.randint(0, 1) for _ in range(count)]
+        assert bulk.getstate() == loop.getstate()
+        assert bulk.random() == loop.random()
+
+
+def test_random_bits_interleaved_with_other_draws():
+    """Rounds of bulk draws between other draws on one RNG, as AppSAT's
+    settle rounds and output_corruptibility's wrong schedules make them."""
+    for seed in range(200):
+        plan = random.Random(seed + 10_000)
+        steps = [(plan.choice(["bits", "randrange", "random", "getrandbits"]),
+                  plan.randint(0, 300)) for _ in range(12)]
+        bulk, loop = random.Random(seed), random.Random(seed)
+        for kind, size in steps:
+            if kind == "bits":
+                assert list(random_bits(bulk, size)) == \
+                    [loop.randint(0, 1) for _ in range(size)]
+            elif kind == "randrange":
+                assert bulk.randrange(1 << (size % 9 + 1)) == \
+                    loop.randrange(1 << (size % 9 + 1))
+            elif kind == "random":
+                assert bulk.random() == loop.random()
+            else:
+                assert bulk.getrandbits(size + 1) == loop.getrandbits(size + 1)
+        assert bulk.getstate() == loop.getstate()
+
+
+def _scalar_power(circuit, vectors):
+    """analyze_circuit's power model over scalar_toggle_counts of ``vectors``."""
+    mapped = technology_map(circuit, generic_45nm_library())
+    toggles = scalar_toggle_counts(circuit, vectors)
+    dynamic_uw = 0.0
+    for cell_instance in mapped.cells:
+        toggle_rate = toggles.get(cell_instance.source_net, 0) / len(vectors)
+        dynamic_uw += (cell_instance.cell.switch_energy_fj * 1e-15 * toggle_rate
+                       * DEFAULT_CLOCK_HZ * 1e6)
+    return mapped.total_leakage_nw / 1000.0 + dynamic_uw
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_analyze_circuit_power_matches_scalar_toggles(seed):
+    """The bulk-drawn activity stimulus is the randint(0, 1) loop's."""
+    from repro.locking.baselines import lock_rll
+
+    rng = random.Random(seed)
+    circuit = random_sequential_circuit(
+        f"pw{seed}", num_inputs=rng.randint(2, 5), num_outputs=2,
+        num_dffs=rng.randint(0, 3), num_gates=rng.randint(10, 30), seed=seed,
+    ).circuit
+    locked = lock_rll(circuit, 4, seed=seed)
+    key_bits = locked.correct_key_bits(0)
+    cycles = rng.randint(2, 80)
+    for target, keys in ((circuit, None), (locked.circuit, key_bits)):
+        draw = random.Random(seed)
+        vectors = [{net: draw.randint(0, 1) for net in target.inputs}
+                   for _ in range(cycles)]
+        for vector in vectors:
+            vector.update(keys or {})
+        cost = analyze_circuit(target, activity_vectors=cycles, seed=seed, key_bits=keys)
+        assert cost.power_uw == _scalar_power(target, vectors)

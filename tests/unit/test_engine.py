@@ -312,9 +312,57 @@ class TestPackedToggleCounts:
         vectors = [
             {net: rng.randint(0, 1) for net in circuit.inputs} for _ in range(40)
         ]
-        assert packed_toggle_counts(circuit, vectors) == scalar_toggle_counts(
+        assert toggle_counts(circuit, vectors) == scalar_toggle_counts(
             circuit, vectors
         )
 
     def test_empty_sequence(self):
-        assert packed_toggle_counts(_small_circuit(), []) == {}
+        assert toggle_counts(_small_circuit(), []) == {}
+
+    def test_cycle_words(self):
+        """Bit t of an input's word is its value in cycle t."""
+        circuit = _small_circuit()
+        words = {"a": 0b0110, "b": 0b1111}
+        vectors = [{"a": (words["a"] >> t) & 1, "b": 1} for t in range(4)]
+        assert packed_toggle_counts(circuit, words, 4) == scalar_toggle_counts(
+            circuit, vectors
+        )
+        with pytest.raises(CircuitError, match="missing value for primary input 'b'"):
+            packed_toggle_counts(circuit, {"a": 0}, 4)
+
+
+class TestPackedSequentialCheck:
+    def test_lane_0_is_reported_when_a_later_lane_fails_first(self):
+        """The check may stop early only once lane 0 fails: a higher lane
+        failing at an earlier cycle must not end it."""
+        from repro.engine.equivalence import packed_sequential_equivalence_check
+        from repro.sim.equivalence import scalar_sequential_equivalence_check
+
+        original, locked = Circuit("zero"), Circuit("echo")
+        for circuit in (original, locked):
+            circuit.add_input("a")
+            circuit.add_output("y")
+        original.add_gate("y", GateType.CONST0, [])
+        locked.add_gate("y", GateType.BUF, ["a"])
+        lanes, length = 4, 8
+
+        def first_one(bits, lane):
+            row = bits[lane * length:(lane + 1) * length]
+            return row.index(1) if 1 in row else length
+
+        # A seed whose lane 0 first sees a = 1 after some other lane does.
+        for seed in range(100):
+            rng = random.Random(seed)
+            bits = [rng.randint(0, 1) for _ in range(lanes * length)]
+            firsts = [first_one(bits, lane) for lane in range(lanes)]
+            if length > firsts[0] > min(firsts[1:]):
+                break
+        else:
+            pytest.fail("no seed below 100 has a later lane failing first")
+        kwargs = dict(num_sequences=lanes, sequence_length=length, seed=seed)
+        packed = packed_sequential_equivalence_check(original, locked, **kwargs)
+        scalar = scalar_sequential_equivalence_check(original, locked, **kwargs)
+        assert (packed.checked, packed.counterexample) == \
+            (scalar.checked, scalar.counterexample)
+        assert packed.counterexample["sequence"] == 0
+        assert packed.counterexample["cycle"] == firsts[0]

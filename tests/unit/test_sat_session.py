@@ -2,6 +2,7 @@
 spine (attack details -> campaign records)."""
 
 import time
+from functools import partial
 
 import pytest
 
@@ -15,6 +16,9 @@ from repro.attacks import (
     rane_attack,
     sat_attack,
 )
+from repro.attacks.results import AttackOutcome
+from repro.attacks.sequential_core import sequential_oracle_guided_attack
+from repro.benchmarks_data.iscas89 import s27_circuit
 from repro.campaign.executor import execute_job_attempt
 from repro.campaign.jobs import register_job_kind
 from repro.fsm.random_fsm import random_fsm
@@ -288,6 +292,54 @@ class TestAttackTimeLimit:
         """RANE verifies one counterexample per solver call: no batch knob."""
         with pytest.raises(TypeError):
             rane_attack(rll_locked, time_limit=5.0, cex_batch=4)
+
+
+class TestAttackKeyCheckSize:
+    """A key check of no vectors, sequences or cycles would pass any key, so
+    every oracle-guided attack refuses one before its first solve."""
+
+    CASES = [
+        pytest.param(sat_attack, "verify_vectors", id="sat"),
+        pytest.param(appsat_attack, "verify_vectors", id="appsat"),
+        pytest.param(double_dip_attack, "verify_vectors", id="double_dip"),
+        pytest.param(rane_attack, "verify_sequences", id="rane-sequences"),
+        pytest.param(rane_attack, "verify_length", id="rane-length"),
+        pytest.param(
+            partial(sequential_oracle_guided_attack, attack_name="bbo", incremental=False),
+            "verify_sequences", id="bbo-sequences",
+        ),
+        pytest.param(
+            partial(sequential_oracle_guided_attack, attack_name="int", incremental=True),
+            "verify_length", id="int-length",
+        ),
+    ]
+
+    @pytest.fixture(scope="class")
+    def rll_locked(self):
+        return lock_rll(synthesize_fsm(random_fsm(6, 2, 2, seed=3), style="sop"),
+                        4, seed=1)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    @pytest.mark.parametrize("attack,knob", CASES)
+    def test_empty_key_check_rejected_before_solving(
+        self, rll_locked, attack, knob, size, monkeypatch
+    ):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the key check was validated")
+
+        monkeypatch.setattr(SolveSession, "solve", solve)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            attack(rll_locked, time_limit=5.0, **{knob: size})
+
+    def test_bbo_without_verification_no_longer_breaks_cute_lock(self):
+        """With no sequences checked, BBO's wrong static key used to pass as
+        ``correct`` (``broke_defense=True``) on Cute-Lock-Str s27."""
+        locked = CuteLockStr(num_keys=4, key_width=2, seed=4).lock(s27_circuit())
+        kwargs = dict(attack_name="BBO", incremental=False, max_depth=8)
+        with pytest.raises(ValueError, match="num_sequences must be >= 1"):
+            sequential_oracle_guided_attack(locked, verify_sequences=0, **kwargs)
+        result = sequential_oracle_guided_attack(locked, **kwargs)
+        assert result.outcome is AttackOutcome.WRONG_KEY
 
 
 class TestCampaignRecordTelemetry:

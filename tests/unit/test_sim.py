@@ -4,11 +4,15 @@ and equivalence checking."""
 import pytest
 
 from repro.benchmarks_data.iscas89 import s27_circuit
+from repro.locking.baselines import lock_rll
+from repro.locking.cutelock_str import CuteLockStr
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GateType
 from repro.sim.equivalence import (
     random_equivalence_check,
     sat_equivalence_check,
+    scalar_random_equivalence_check,
+    scalar_sequential_equivalence_check,
     sequential_equivalence_check,
 )
 from repro.sim.logicsim import CombinationalSimulator, toggle_counts
@@ -159,3 +163,24 @@ class TestEquivalence:
             s27_circuit(), s27_circuit(), num_sequences=4, sequence_length=16
         )
         assert verdict.equivalent
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_random_check_of_no_vectors_rejected(self, size):
+        """Zero vectors used to pass a wrong key (``equivalent=True, checked=0``)."""
+        locked = lock_rll(s27_circuit(), 4, seed=1)
+        wrong = {net: 1 - bit for net, bit in locked.correct_key_bits(0).items()}
+        for check in (random_equivalence_check, scalar_random_equivalence_check):
+            assert not check(locked.original, locked.circuit, key_assignment=wrong).equivalent
+            with pytest.raises(ValueError, match="num_vectors must be >= 1"):
+                check(locked.original, locked.circuit, key_assignment=wrong,
+                      num_vectors=size)
+
+    @pytest.mark.parametrize("knob", ["num_sequences", "sequence_length"])
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_sequential_check_of_nothing_rejected(self, knob, size):
+        locked = CuteLockStr(num_keys=4, key_width=2, seed=4).lock(s27_circuit())
+        wrong = [value ^ 1 for value in locked.schedule.values]
+        for check in (sequential_equivalence_check, scalar_sequential_equivalence_check):
+            with pytest.raises(ValueError, match=f"{knob} must be >= 1"):
+                check(locked.original, locked.circuit, key_schedule=wrong,
+                      key_inputs=locked.key_inputs, **{knob: size})
