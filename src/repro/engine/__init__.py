@@ -4,20 +4,22 @@ The engine compiles a :class:`~repro.netlist.circuit.Circuit` once into a
 flat, levelized program over integer net slots (no string lookups in the
 inner loop) and evaluates W input vectors per pass by packing them into
 arbitrary-width Python ints: bit ``j`` of a net's word is the net's value
-under vector ``j``.  One pass of bitwise word operations then replaces W
-scalar evaluations, which turns the dominant cost of the oracle-guided
-attacks, the random equivalence checks and the switching-activity model
-from O(gates x vectors) Python dispatch into O(gates) word arithmetic.
+under vector ``j`` (these *lane words* are the engine's only layout).  One
+pass of bitwise word operations then replaces W scalar evaluations, which
+turns the dominant cost of the oracle-guided attacks, the random
+equivalence checks and the switching-activity model from O(gates x
+vectors) Python dispatch into O(gates) word arithmetic.
 
 Layers
 ------
 * :mod:`repro.engine.compiler` — Circuit -> :class:`CompiledCircuit` (flat
   levelized op list, one record per gate, and the interpreter that runs it);
-* :mod:`repro.engine.packed` — :class:`PackedSimulator` plus the
-  pack/unpack transpose helpers between per-net words and per-vector dicts
-  and the bulk random-stimulus draw (``random_bits``, ``stimulus_words``);
+* :mod:`repro.engine.packed` — :class:`PackedSimulator` over lane words
+  (one int per net; a one-lane word is the net's 0/1 value) and the bulk
+  random-stimulus draw (``random_bits``, ``stimulus_words``);
 * :mod:`repro.engine.batch_oracle` — the scan-access and reset-and-run
-  oracles the oracle-guided attacks query, with per-query accounting;
+  oracles the oracle-guided attacks query, one one-lane pass per vector,
+  with per-query accounting;
 * :mod:`repro.engine.equivalence` — packed random equivalence checking and
   packed toggle/activity counting.
 
@@ -30,13 +32,7 @@ other, only the Table I/II waveform capture steps the scalar
 """
 
 from repro.engine.compiler import CompiledCircuit, compile_circuit
-from repro.engine.packed import (
-    PackedSimulator,
-    pack_bits,
-    pack_vectors,
-    unpack_bits,
-    unpack_vectors,
-)
+from repro.engine.packed import PackedSimulator, pack_bits
 from repro.engine.batch_oracle import (
     BatchedCombinationalOracle,
     BatchedSequentialOracle,
@@ -52,9 +48,6 @@ __all__ = [
     "compile_circuit",
     "PackedSimulator",
     "pack_bits",
-    "unpack_bits",
-    "pack_vectors",
-    "unpack_vectors",
     "BatchedCombinationalOracle",
     "BatchedSequentialOracle",
     "packed_random_equivalence_check",

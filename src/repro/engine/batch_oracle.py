@@ -13,22 +13,24 @@ paper's evaluation:
   sequence (the model used by the BMC/KC2/RANE sequential attacks).
 
 The oracles wrap the *original* circuit: a functional chip behaves exactly
-like the unlocked design.  Both answer N queries per call through one
-packed pass; ``queries`` still counts *logical* queries (one per vector /
-sequence), the standard attack-cost metric the tables report — batching is
-an implementation detail of the simulator, not of the threat model.
+like the unlocked design.  A one-lane word is just a net's 0/1 value, so
+each query is answered by one-lane packed passes over the vector itself,
+with no transpose; AppSAT's settle samples ask for many vectors at once as
+lane words (:meth:`BatchedCombinationalOracle.query_words`).  ``queries``
+counts *logical* queries (one per vector / sequence), the standard
+attack-cost metric the tables report.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.engine.packed import PackedSimulator, pack_vectors, unpack_vectors
+from repro.engine.packed import PackedSimulator
 from repro.netlist.circuit import Circuit
 
 
 class BatchedCombinationalOracle:
-    """Scan-access oracle answering whole batches of vectors per call."""
+    """Scan-access oracle answering one vector, or lanes of vectors, per call."""
 
     def __init__(self, original: Circuit) -> None:
         self.circuit = original
@@ -57,20 +59,7 @@ class BatchedCombinationalOracle:
         For a purely combinational circuit the response is exactly the
         primary outputs.  Missing nets in ``assignment`` default to 0.
         """
-        return self.query_batch([assignment])[0]
-
-    def query_batch(
-        self, assignments: Sequence[Mapping[str, int]]
-    ) -> List[Dict[str, int]]:
-        """Apply N input/state vectors in one packed pass.
-
-        Missing nets default to 0 per lane.  ``queries`` advances by N.
-        """
-        if not assignments:
-            return []
-        width = len(assignments)
-        words = self.query_words(pack_vectors(assignments, self.view.inputs, default=0), width)
-        return unpack_vectors(words, self.view.outputs, width)
+        return self.query_words(assignment, 1)
 
     def query_words(self, input_words: Mapping[str, int], width: int) -> Dict[str, int]:
         """Apply ``width`` vectors given as lane words; one word per output net.
@@ -83,12 +72,11 @@ class BatchedCombinationalOracle:
 
 
 class BatchedSequentialOracle:
-    """Reset-and-run oracle simulating N independent sequences as lanes."""
+    """Reset-and-run oracle answering one input sequence per call."""
 
     def __init__(self, original: Circuit) -> None:
         self.circuit = original
         self.queries = 0
-        self.cycles = 0
         self._packed = PackedSimulator(original)
 
     @property
@@ -102,43 +90,17 @@ class BatchedSequentialOracle:
     def query(
         self, input_sequence: Sequence[Mapping[str, int]]
     ) -> List[Dict[str, int]]:
-        """Reset the chip, apply ``input_sequence`` and return per-cycle outputs."""
-        return self.query_batch([input_sequence])[0]
+        """Reset the chip, apply ``input_sequence`` and return per-cycle outputs.
 
-    def query_batch(
-        self, sequences: Sequence[Sequence[Mapping[str, int]]]
-    ) -> List[List[Dict[str, int]]]:
-        """Reset N chips and run one input sequence per lane, in lockstep.
-
-        Sequences may have different lengths: every lane steps until the
-        longest sequence ends (short lanes see all-zero inputs once
-        exhausted, and those surplus outputs are discarded), so each result
-        list has exactly the length of its input sequence.  Missing nets
-        default to 0.  ``queries`` advances by N and ``cycles`` by the total
-        number of input vectors.
+        Each cycle is one one-lane packed clock edge.  Missing nets default
+        to 0.  ``queries`` advances by one.
         """
-        self.queries += len(sequences)
-        self.cycles += sum(len(seq) for seq in sequences)
-        lanes = len(sequences)
-        if lanes == 0:
-            return []
-        horizon = max(len(seq) for seq in sequences)
-        results: List[List[Dict[str, int]]] = [[] for _ in sequences]
-        if horizon == 0:
-            return results
+        self.queries += 1
         inputs = self.circuit.inputs
-        state = self._packed.initial_state_words(lanes)
-        empty: Mapping[str, int] = {}
-        for t in range(horizon):
-            cycle_vectors = [
-                {net: int(vec.get(net, 0)) & 1 for net in inputs}
-                for vec in (seq[t] if t < len(seq) else empty for seq in sequences)
-            ]
-            input_words = pack_vectors(cycle_vectors, inputs)
-            out_words, state = self._packed.step_words(input_words, state, width=lanes)
-            for lane, seq in enumerate(sequences):
-                if t < len(seq):
-                    results[lane].append(
-                        {net: (out_words[net] >> lane) & 1 for net in self.circuit.outputs}
-                    )
-        return results
+        state: Optional[Dict[str, int]] = None
+        responses: List[Dict[str, int]] = []
+        for vector in input_sequence:
+            words = {net: vector.get(net, 0) for net in inputs}
+            outputs, state = self._packed.step_words(words, state, width=1)
+            responses.append(outputs)
+        return responses

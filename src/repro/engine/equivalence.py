@@ -1,7 +1,8 @@
 """Packed random equivalence checking and packed toggle/activity counting.
 
-These back the :mod:`repro.sim` routers (``random_equivalence_check``,
-``sequential_equivalence_check``, ``toggle_counts``).  The checks draw
+The checks back the :mod:`repro.sim` routers (``random_equivalence_check``,
+``sequential_equivalence_check``); the overhead model, DANA and the lock
+metrics call :func:`packed_toggle_counts` directly.  The checks draw
 random stimulus from the *same* seeded RNG in the *same* order as the
 ``scalar_*`` reference loops in :mod:`repro.sim` -- one
 :func:`~repro.engine.packed.random_bits` call yields the bits of every
@@ -22,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.engine.packed import PackedSimulator, key_words, random_bits, stimulus_words
 from repro.netlist.circuit import Circuit, CircuitError
-from repro.sim.equivalence import EquivalenceResult, check_sizes
+from repro.sim.equivalence import EquivalenceResult, check_sizes, common_outputs
 
 
 def _lowest_set_lane(word: int) -> int:
@@ -42,8 +43,8 @@ def packed_random_equivalence_check(
 
     All ``num_vectors`` vectors are evaluated in one packed pass per circuit;
     the first differing (vector, output) pair — in the scalar iteration
-    order — is reported as the counterexample.  ``num_vectors`` below 1
-    raises :class:`ValueError`.
+    order — is reported as the counterexample.  ``num_vectors`` below 1, or
+    two circuits that share no output, raise :class:`ValueError`.
     """
     check_sizes({"num_vectors": num_vectors})
     rng = random.Random(seed)
@@ -51,7 +52,7 @@ def packed_random_equivalence_check(
     cand_view = candidate.combinational_view() if candidate.dffs else candidate
     key_assignment = dict(key_assignment or {})
 
-    shared_outputs = [o for o in orig_view.outputs if o in set(cand_view.outputs)]
+    shared_outputs = common_outputs(orig_view.outputs, cand_view.outputs)
     free_inputs = [i for i in cand_view.inputs if i not in key_assignment]
 
     # Vector v draws free_inputs in order: bits[v * count:(v + 1) * count].
@@ -106,13 +107,13 @@ def packed_sequential_equivalence_check(
     cycle count and counterexample reproduce the scalar sequence-by-sequence
     iteration exactly.  The simulation stops after the first cycle in which
     lane 0 differs: the scalar loop reports that very mismatch.
-    ``num_sequences`` or ``sequence_length`` below 1 raises
-    :class:`ValueError`.
+    ``num_sequences`` or ``sequence_length`` below 1, or two circuits that
+    share no output, raise :class:`ValueError`.
     """
     check_sizes({"num_sequences": num_sequences, "sequence_length": sequence_length})
     rng = random.Random(seed)
     key_inputs = list(key_inputs if key_inputs is not None else locked.key_inputs)
-    shared_outputs = [o for o in original.outputs if o in set(locked.outputs)]
+    shared_outputs = common_outputs(original.outputs, locked.outputs)
     functional_inputs = [i for i in locked.inputs if i not in set(key_inputs)]
 
     # Sequence s draws its cycles in order, each cycle functional_inputs in
@@ -187,13 +188,12 @@ def packed_toggle_counts(
     """Bit-parallel :func:`repro.sim.logicsim.scalar_toggle_counts`.
 
     ``input_words`` holds one *cycle word* per primary input: bit ``t`` is
-    the input's value in cycle ``t`` of the ``num_cycles`` simulated
-    (:func:`~repro.sim.logicsim.toggle_counts` packs a list of vectors into
-    that form).  The sequence is simulated cycle by cycle (state must
-    advance, so time cannot be packed into lanes), each cycle one run of
-    the compiled flat program, and every net's toggles are counted at C
-    level with one ``map`` of ``xor`` against the previous cycle and one of
-    ``add`` into the running counts.
+    the input's value in cycle ``t`` of the ``num_cycles`` simulated.  The
+    sequence is simulated cycle by cycle (state must advance, so time cannot
+    be packed into lanes), each cycle one run of the compiled flat program,
+    and every net's toggles are counted at C level with one ``map`` of
+    ``xor`` against the previous cycle and one of ``add`` into the running
+    counts.
 
     Callers counting toggles of the same circuit repeatedly can pass a
     prebuilt ``simulator`` to amortize the one-time compilation.

@@ -1,5 +1,5 @@
 """A self-contained SAT layer: CNF containers, one CDCL solver and
-circuit-to-CNF (Tseitin) encoding plus miter construction.
+circuit-to-CNF (Tseitin) encoding.
 
 All oracle-guided attacks in :mod:`repro.attacks` (SAT attack, AppSAT,
 DoubleDIP, BMC/"BBO", KC2, RANE) are built on this layer, which stands in for
@@ -21,7 +21,6 @@ from repro.sat.session import (
     capture_solver_telemetry,
 )
 from repro.sat.tseitin import TseitinEncoder
-from repro.sat.miter import build_miter
 
 __all__ = [
     "CNF",
@@ -33,5 +32,4 @@ __all__ = [
     "SolverTelemetry",
     "capture_solver_telemetry",
     "TseitinEncoder",
-    "build_miter",
 ]

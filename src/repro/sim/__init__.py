@@ -3,9 +3,11 @@ simulation, waveform capture and equivalence checking.
 
 This package is the reproduction's stand-in for the Xilinx Vivado simulation
 used in the paper's validation section (Tables I and II).  Its scalar
-simulators are the reference the packed engine (:mod:`repro.engine`) is
-tested against; the equivalence checks and toggle counts that production
-code calls run on the engine.
+simulators and ``scalar_*`` loops are the reference the packed engine
+(:mod:`repro.engine`) is tested against.  The two equivalence checks
+route to the engine; toggle counting is the engine's
+:func:`~repro.engine.equivalence.packed_toggle_counts`, with
+:func:`~repro.sim.logicsim.scalar_toggle_counts` as its reference.
 """
 
 from repro.sim.logicsim import CombinationalSimulator
@@ -14,7 +16,6 @@ from repro.sim.waveform import Waveform, WaveformRow
 from repro.sim.equivalence import (
     random_equivalence_check,
     sequential_equivalence_check,
-    sat_equivalence_check,
     EquivalenceResult,
 )
 
@@ -26,6 +27,5 @@ __all__ = [
     "WaveformRow",
     "random_equivalence_check",
     "sequential_equivalence_check",
-    "sat_equivalence_check",
     "EquivalenceResult",
 ]

@@ -1,6 +1,6 @@
 """Equivalence checking between an original and a (locked/unlocked) circuit.
 
-Three flavours are provided:
+Two flavours are provided:
 
 * :func:`random_equivalence_check` — combinational, random-vector based;
   cheap, used as the verification step inside attacks to classify recovered
@@ -8,18 +8,17 @@ Three flavours are provided:
 * :func:`sequential_equivalence_check` — cycle-accurate simulation of both
   circuits over random input sequences (with an optional key schedule applied
   to the locked circuit); this is how Tables I/II style validation is scored.
-* :func:`sat_equivalence_check` — formal combinational equivalence via a SAT
-  miter (used on small circuits and in the attack verifiers).
 
-The two simulation checks run on the packed engine
+Both checks run on the packed engine
 (:mod:`repro.engine.equivalence`, imported at call time because it imports
 :class:`EquivalenceResult` from here).  :func:`scalar_random_equivalence_check`
 and :func:`scalar_sequential_equivalence_check` are their one-vector-at-a-
 time reference loops: they draw the same seeded stimulus, one
 ``rng.randint(0, 1)`` per input bit (the engine draws the identical bits in
 bulk), report identical results, and only the tests call them.  Every
-simulation check refuses a size below 1 (:func:`check_sizes`): a check of
-no vectors or cycles would pass any key.
+check refuses a size below 1 (:func:`check_sizes`) and two circuits that
+share no output (:func:`common_outputs`): a check of no vectors, no cycles
+or no output would pass any key.
 """
 
 from __future__ import annotations
@@ -62,6 +61,21 @@ def check_sizes(sizes: Mapping[str, int]) -> None:
             )
 
 
+def common_outputs(original: Sequence[str], candidate: Sequence[str]) -> List[str]:
+    """The outputs in ``original`` that ``candidate`` also has, in order.
+
+    Raises :class:`ValueError` when there are none.
+    """
+    candidate_nets = set(candidate)
+    shared = [net for net in original if net in candidate_nets]
+    if not shared:
+        raise ValueError(
+            "the two circuits share no output: a check that compares no "
+            "output passes any key"
+        )
+    return shared
+
+
 def _random_vector(nets: Sequence[str], rng: random.Random) -> Dict[str, int]:
     return {net: rng.randint(0, 1) for net in nets}
 
@@ -80,8 +94,8 @@ def random_equivalence_check(
     views (flip-flop Q pins driven as pseudo-inputs, D pins observed), which
     is the same observability model the oracle-guided SAT attack uses.
     ``key_assignment`` fixes the candidate's key inputs.  All vectors are
-    evaluated in one packed pass per circuit.  ``num_vectors`` below 1 raises
-    :class:`ValueError`.
+    evaluated in one packed pass per circuit.  ``num_vectors`` below 1, or
+    two circuits that share no output, raise :class:`ValueError`.
     """
     from repro.engine.equivalence import packed_random_equivalence_check
 
@@ -111,7 +125,7 @@ def scalar_random_equivalence_check(
     cand_sim = CombinationalSimulator(cand_view)
     key_assignment = dict(key_assignment or {})
 
-    shared_outputs = [o for o in orig_view.outputs if o in set(cand_view.outputs)]
+    shared_outputs = common_outputs(orig_view.outputs, cand_view.outputs)
     free_inputs = [i for i in cand_view.inputs if i not in key_assignment]
 
     for index in range(num_vectors):
@@ -149,7 +163,8 @@ def sequential_equivalence_check(
     validation methodology: under the scheduled keys the locked circuit must
     match the original on every observed cycle.  All sequences run as lanes
     of one packed simulation per circuit.  ``num_sequences`` or
-    ``sequence_length`` below 1 raises :class:`ValueError`.
+    ``sequence_length`` below 1, or two circuits that share no output, raise
+    :class:`ValueError`.
     """
     from repro.engine.equivalence import packed_sequential_equivalence_check
 
@@ -178,7 +193,7 @@ def scalar_sequential_equivalence_check(
     check_sizes({"num_sequences": num_sequences, "sequence_length": sequence_length})
     rng = random.Random(seed)
     key_inputs = list(key_inputs if key_inputs is not None else locked.key_inputs)
-    shared_outputs = [o for o in original.outputs if o in set(locked.outputs)]
+    shared_outputs = common_outputs(original.outputs, locked.outputs)
     functional_inputs = [i for i in locked.inputs if i not in set(key_inputs)]
 
     cycles_checked = 0
@@ -215,52 +230,3 @@ def scalar_sequential_equivalence_check(
                         method="sequential",
                     )
     return EquivalenceResult(equivalent=True, checked=cycles_checked, method="sequential")
-
-
-def sat_equivalence_check(
-    original: Circuit,
-    candidate: Circuit,
-    *,
-    key_assignment: Optional[Mapping[str, int]] = None,
-    conflict_limit: Optional[int] = None,
-) -> EquivalenceResult:
-    """Formal combinational equivalence via a SAT miter.
-
-    Returns ``equivalent=True`` when the miter is UNSAT.  Sequential circuits
-    are compared through their scan-access combinational views.  The miter is
-    solved through a :class:`~repro.sat.session.SolveSession` (so the query
-    shows up in any active solver-telemetry capture).  The import of the SAT
-    layer is deferred so :mod:`repro.sim` has no hard dependency on
-    :mod:`repro.sat`.
-    """
-    from repro.sat.miter import build_miter
-    from repro.sat.session import SolveSession
-
-    orig_view = original.combinational_view() if original.dffs else original
-    cand_view = candidate.combinational_view() if candidate.dffs else candidate
-    miter, diff_net = build_miter(orig_view, cand_view)
-
-    session = SolveSession(conflict_limit=conflict_limit)
-    encoder = session.encoder
-    encoder.encode(miter)
-    assumptions: List[int] = [encoder.literal(diff_net, True)]
-    key_assignment = dict(key_assignment or {})
-    for net, value in key_assignment.items():
-        miter_net = f"B_{net}"
-        if miter_net in encoder.varmap:
-            assumptions.append(encoder.literal(miter_net, bool(value)))
-        elif net in encoder.varmap:
-            assumptions.append(encoder.literal(net, bool(value)))
-    outcome = session.solve(assumptions=assumptions, phase="miter-equivalence")
-    if outcome is None:
-        return EquivalenceResult(equivalent=False, checked=0, method="sat-unknown")
-    if outcome:
-        model = session.model()
-        inputs = set(miter.inputs)
-        counterexample = {
-            net: encoder.value(model, net) for net in encoder.varmap if net in inputs
-        }
-        return EquivalenceResult(
-            equivalent=False, checked=1, counterexample=counterexample, method="sat"
-        )
-    return EquivalenceResult(equivalent=True, checked=1, method="sat")

@@ -81,7 +81,7 @@ class CombinationalSimulator:
         return {q: values[ff.d] for q, ff in self.circuit.dffs.items()}
 
 
-def toggle_counts(
+def scalar_toggle_counts(
     circuit: Circuit,
     input_vectors: Sequence[Mapping[str, int]],
     *,
@@ -90,27 +90,10 @@ def toggle_counts(
     """Count output toggles of every net over a sequence of input vectors.
 
     The circuit is simulated cycle by cycle (flip-flops advance each
-    vector) on the packed engine: the vectors are packed into one cycle
-    word per input (bit ``t`` = the value in vector ``t``) for
+    vector), one dict-based evaluation per cycle: the reference for
     :func:`~repro.engine.equivalence.packed_toggle_counts`, which the
-    overhead model and DANA call with words drawn straight from their RNG.
+    overhead model and DANA call with cycle words drawn from their RNG.
     """
-    from repro.engine.equivalence import packed_toggle_counts
-    from repro.engine.packed import pack_vectors
-
-    words = pack_vectors(input_vectors, circuit.inputs)
-    return packed_toggle_counts(
-        circuit, words, len(input_vectors), initial_state=initial_state
-    )
-
-
-def scalar_toggle_counts(
-    circuit: Circuit,
-    input_vectors: Sequence[Mapping[str, int]],
-    *,
-    initial_state: Optional[Mapping[str, int]] = None,
-) -> Dict[str, int]:
-    """Reference :func:`toggle_counts`: one dict-based evaluation per cycle."""
     sim = CombinationalSimulator(circuit)
     state = {q: ff.init for q, ff in circuit.dffs.items()}
     if initial_state:

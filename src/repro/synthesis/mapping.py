@@ -14,6 +14,7 @@ never modified, so the mapping cannot change functional behaviour.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -51,11 +52,11 @@ class MappedCircuit:
 
     @property
     def total_area(self) -> float:
-        return sum(mapped.cell.area for mapped in self.cells)
+        return math.fsum(mapped.cell.area for mapped in self.cells)
 
     @property
     def total_leakage_nw(self) -> float:
-        return sum(mapped.cell.leakage_nw for mapped in self.cells)
+        return math.fsum(mapped.cell.leakage_nw for mapped in self.cells)
 
     def histogram(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}

@@ -11,6 +11,7 @@ from repro.experiments import (
     run_table4,
     run_table5,
 )
+from repro.experiments.figure4 import run_figure4_cell
 from repro.experiments.report import ExperimentTable, format_table
 from repro.experiments.table3 import table3_jobs
 
@@ -75,6 +76,14 @@ class TestFigure4:
         tables, _ = run_figure4(benchmarks=["b01"], activity_vectors=16)
         row = tables["cell_count"].rows[0]
         assert row["Test Run 1"] <= row["DK-Lock avg"]
+
+    def test_area_is_the_same_on_every_python_version(self):
+        """Cell areas add up correctly rounded: the built-in sum() read
+        50.273999999999994 here before Python 3.12 and 50.274 from 3.12 on."""
+        cell = run_figure4_cell(
+            {"benchmark": "b01", "label": "Original", "activity_vectors": 32, "seed": 6}
+        )
+        assert cell["cost"]["area_um2"] == 50.274
 
 
 class TestReportHelpers:

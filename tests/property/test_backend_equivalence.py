@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.engine.packed import PackedSimulator
 from repro.sim.logicsim import CombinationalSimulator
-from test_engine_properties import _random_circuit_all_gates
+from test_engine_properties import _random_circuit_all_gates, lane_values, lane_words
 
 SLOW = settings(max_examples=25, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -38,11 +38,14 @@ def test_backends_match_scalar_combinational(seed, width):
     states = [
         {q: rng.randint(0, 1) for q in circuit.dffs} for _ in range(width)
     ]
-    reference_outputs = [scalar.outputs(v, s) for v, s in zip(vectors, states)]
-    reference_next = [scalar.next_state(v, s) for v, s in zip(vectors, states)]
-    reference_default = [scalar.outputs(v) for v in vectors]
     sim = PackedSimulator(circuit)
-    assert sim.outputs_batch(vectors, states) == reference_outputs
-    assert sim.next_state_batch(vectors, states) == reference_next
+    words = lane_words(vectors, circuit.inputs)
+    outputs, next_state = sim.step_words(
+        words, lane_words(states, circuit.dffs), width=width
+    )
     # Default state (ff.init) path.
-    assert sim.outputs_batch(vectors) == reference_default
+    default_outputs = sim.output_words(words, width=width)
+    for lane, (vector, state) in enumerate(zip(vectors, states)):
+        assert lane_values(outputs, lane) == scalar.outputs(vector, state)
+        assert lane_values(next_state, lane) == scalar.next_state(vector, state)
+        assert lane_values(default_outputs, lane) == scalar.outputs(vector)

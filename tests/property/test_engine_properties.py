@@ -2,13 +2,16 @@
 
 The scalar simulators and ``scalar_*`` loops in :mod:`repro.sim` are the
 reference implementation; every claim the engine makes (combinational
-evaluation, next-state capture, lockstep sequential simulation, toggle
-counting, random and sequential equivalence verdicts) is cross-checked here
-on randomized FSM- and ISCAS-style circuits covering all gate types, DFF
-init values, and batch widths from 1 to 256 (the lane count of every key
-verification).  The engine's bulk stimulus draw (``random_bits``) is checked
-against the ``randint(0, 1)`` loops it replaces, bit for bit and RNG state
-for RNG state; the guarantee rests on CPython drawing ``randint(0, 1)`` as
+evaluation, next-state capture, lockstep sequential simulation, the
+oracles' one-lane answers, toggle counting, random and sequential
+equivalence verdicts) is cross-checked here on randomized FSM- and
+ISCAS-style circuits covering all gate types, DFF init values, and batch
+widths from 1 to 256 (the lane count of every key verification).  The
+engine speaks lane words only; :func:`lane_words` and :func:`lane_values`
+convert to and from the scalar reference's per-vector dicts.  The engine's
+bulk stimulus draw (``random_bits``) is checked against the
+``randint(0, 1)`` loops it replaces, bit for bit and RNG state for RNG
+state; the guarantee rests on CPython drawing ``randint(0, 1)`` as
 ``getrandbits(2)`` with a redraw on 2 or 3.
 """
 
@@ -21,8 +24,10 @@ from repro.benchmarks_data.generator import random_sequential_circuit
 from repro.engine.equivalence import (
     packed_random_equivalence_check,
     packed_sequential_equivalence_check,
+    packed_toggle_counts,
 )
-from repro.engine.packed import PackedSimulator, pack_vectors, random_bits
+from repro.engine.batch_oracle import BatchedCombinationalOracle, BatchedSequentialOracle
+from repro.engine.packed import PackedSimulator, pack_bits, random_bits
 from repro.fsm.random_fsm import random_fsm
 from repro.fsm.synthesis import synthesize_fsm
 from repro.netlist.circuit import Circuit
@@ -31,7 +36,7 @@ from repro.sim.equivalence import (
     scalar_random_equivalence_check,
     scalar_sequential_equivalence_check,
 )
-from repro.sim.logicsim import CombinationalSimulator, scalar_toggle_counts, toggle_counts
+from repro.sim.logicsim import CombinationalSimulator, scalar_toggle_counts
 from repro.sim.seqsim import SequentialSimulator
 from repro.synthesis.library import generic_45nm_library
 from repro.synthesis.mapping import technology_map
@@ -43,6 +48,16 @@ SLOW = settings(max_examples=25, deadline=None,
 _ALL_GATES = [GateType.BUF, GateType.NOT, GateType.AND, GateType.NAND,
               GateType.OR, GateType.NOR, GateType.XOR, GateType.XNOR,
               GateType.MUX, GateType.CONST0, GateType.CONST1]
+
+
+def lane_words(vectors, nets):
+    """One lane word per net: bit ``j`` is the net's value in ``vectors[j]``."""
+    return {net: pack_bits([vector[net] for vector in vectors]) for net in nets}
+
+
+def lane_values(words, index):
+    """The values of lane ``index`` of ``words``, as one per-vector dict."""
+    return {net: (word >> index) & 1 for net, word in words.items()}
 
 
 def _random_circuit_all_gates(seed: int, *, num_dffs: int) -> Circuit:
@@ -92,17 +107,17 @@ def test_packed_matches_combinational_simulator(seed, width):
     states = [
         {q: rng.randint(0, 1) for q in circuit.dffs} for _ in range(width)
     ]
-    assert packed.evaluate_batch(vectors, states) == [
-        scalar.evaluate(v, s) for v, s in zip(vectors, states)
-    ]
-    assert packed.outputs_batch(vectors, states) == [
-        scalar.outputs(v, s) for v, s in zip(vectors, states)
-    ]
-    assert packed.next_state_batch(vectors, states) == [
-        scalar.next_state(v, s) for v, s in zip(vectors, states)
-    ]
-    # Default state (ff.init) path.
-    assert packed.outputs_batch(vectors) == [scalar.outputs(v) for v in vectors]
+    words = lane_words(vectors, circuit.inputs)
+    state_words = lane_words(states, circuit.dffs)
+    values = packed.eval_words(words, state_words, width=width)
+    outputs, next_state = packed.step_words(words, state_words, width=width)
+    default_outputs = packed.output_words(words, width=width)
+    for j, (vector, state) in enumerate(zip(vectors, states)):
+        assert lane_values(values, j) == scalar.evaluate(vector, state)
+        assert lane_values(outputs, j) == scalar.outputs(vector, state)
+        assert lane_values(next_state, j) == scalar.next_state(vector, state)
+        # Default state (ff.init) path.
+        assert lane_values(default_outputs, j) == scalar.outputs(vector)
 
 
 # --------------------------------------------------------------------------- #
@@ -123,7 +138,7 @@ def test_packed_lockstep_matches_sequential_simulator(seed):
     state = packed.initial_state_words(lanes)
     packed_rows = []
     for t in range(length):
-        words = pack_vectors([seq[t] for seq in sequences], circuit.inputs)
+        words = lane_words([seq[t] for seq in sequences], circuit.inputs)
         out, state = packed.step_words(words, state, width=lanes)
         packed_rows.append(out)
 
@@ -149,9 +164,54 @@ def test_packed_matches_scalar_on_fsm_circuits(seed):
     vectors = [
         {net: rng.randint(0, 1) for net in circuit.inputs} for _ in range(width)
     ]
-    assert PackedSimulator(circuit).outputs_batch(vectors) == [
-        scalar.outputs(v) for v in vectors
-    ]
+    out = PackedSimulator(circuit).output_words(
+        lane_words(vectors, circuit.inputs), width=width
+    )
+    for j, vector in enumerate(vectors):
+        assert lane_values(out, j) == scalar.outputs(vector)
+
+
+# --------------------------------------------------------------------------- #
+# Oracles: each query is one one-lane pass, equal to the scalar simulators
+# --------------------------------------------------------------------------- #
+@SLOW
+@given(st.integers(min_value=0, max_value=10_000))
+def test_oracle_queries_match_scalar(seed):
+    """The scan oracle answers like ``CombinationalSimulator.outputs`` on the
+    scan view, the reset-and-run oracle like a fresh ``SequentialSimulator``
+    (so every query starts from reset), a net left out of the vector reads
+    0, and ``queries`` counts one per call."""
+    rng = random.Random(seed)
+    circuit = _random_circuit_all_gates(seed, num_dffs=rng.randint(0, 3))
+
+    scan = BatchedCombinationalOracle(circuit)
+    view = circuit.combinational_view() if circuit.dffs else circuit
+    scalar = CombinationalSimulator(view)
+    for index in range(3):
+        vector = {net: rng.randint(0, 1) for net in view.inputs}
+        left_out = rng.choice(view.inputs)
+        partial = {net: value for net, value in vector.items() if net != left_out}
+        assert scan.query(vector) == scalar.outputs(vector)
+        assert scan.query(partial) == scalar.outputs({**partial, left_out: 0})
+        assert scan.queries == 2 * (index + 1)
+
+    chip = BatchedSequentialOracle(circuit)
+    for index in range(3):
+        sequence = [
+            {net: rng.randint(0, 1) for net in circuit.inputs}
+            for _ in range(rng.randint(0, 10))
+        ]
+        left_out = rng.choice(circuit.inputs)
+        for vector in sequence:
+            if rng.random() < 0.5:
+                vector.pop(left_out)
+        reference = SequentialSimulator(circuit)
+        expected = [
+            reference.outputs({net: vector.get(net, 0) for net in circuit.inputs})
+            for vector in sequence
+        ]
+        assert chip.query(sequence) == expected
+        assert chip.queries == index + 1
 
 
 # --------------------------------------------------------------------------- #
@@ -170,7 +230,8 @@ def test_packed_toggle_counts_match_scalar(seed):
         {net: rng.randint(0, 1) for net in circuit.inputs} for _ in range(cycles)
     ]
     initial = {q: rng.randint(0, 1) for q in circuit.dffs} or None
-    assert toggle_counts(circuit, vectors, initial_state=initial) == \
+    words = lane_words(vectors, circuit.inputs)
+    assert packed_toggle_counts(circuit, words, cycles, initial_state=initial) == \
         scalar_toggle_counts(circuit, vectors, initial_state=initial)
 
 

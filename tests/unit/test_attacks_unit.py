@@ -57,7 +57,7 @@ class TestOracles:
         sim = SequentialSimulator(circuit)
         expected = [sim.outputs(vec) for vec in vectors]
         assert responses == expected
-        assert oracle.cycles == 6
+        assert oracle.queries == 1
 
 
 class TestUnrolling:

@@ -1,9 +1,11 @@
 """Unit tests for the bit-parallel engine (`repro.engine`).
 
 Covers the compiler's levelization and slot allocation, every gate type's
-packed evaluation against the scalar gate semantics, the packing/transpose
-round trip, the removed simulation knobs, and the batched oracles'
-accounting against the scalar :mod:`repro.sim` reference.
+packed evaluation against the scalar gate semantics, lane-word packing and
+per-lane state words, the removed simulation knobs, the oracles' one-lane
+answers and their accounting, and packed toggle counting against the
+scalar :mod:`repro.sim` reference.  The oracles are also checked on random
+circuits in ``tests/property/test_engine_properties.py``.
 """
 
 import pickle
@@ -17,18 +19,17 @@ from repro.engine.batch_oracle import (
 )
 from repro.engine.compiler import compile_circuit
 from repro.engine.equivalence import packed_toggle_counts
-from repro.engine.packed import (
-    PackedSimulator,
-    pack_bits,
-    pack_vectors,
-    unpack_bits,
-    unpack_vectors,
-)
+from repro.engine.packed import PackedSimulator, key_words, pack_bits, stimulus_words
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GATE_EVAL, GateType
 from repro.sim.equivalence import random_equivalence_check, sequential_equivalence_check
-from repro.sim.logicsim import CombinationalSimulator, scalar_toggle_counts, toggle_counts
+from repro.sim.logicsim import CombinationalSimulator, scalar_toggle_counts
 from repro.sim.seqsim import simulate_sequence
+
+
+def lane_words(vectors, nets):
+    """One lane word per net: bit ``j`` is the net's value in ``vectors[j]``."""
+    return {net: pack_bits([vector[net] for vector in vectors]) for net in nets}
 
 
 def _small_circuit() -> Circuit:
@@ -39,6 +40,17 @@ def _small_circuit() -> Circuit:
     circuit.add_gate("n2", GateType.NOT, ["n1"])
     circuit.add_gate("n3", GateType.XOR, ["n2", "a"])
     circuit.add_output("n3")
+    return circuit
+
+
+def _toggle_circuit() -> Circuit:
+    """One flip-flop that toggles on ``x`` and drives ``y``."""
+    circuit = Circuit("seq")
+    circuit.add_input("x")
+    circuit.add_gate("d", GateType.XOR, ["q", "x"])
+    circuit.add_dff("q", "d", init=0)
+    circuit.add_gate("y", GateType.BUF, ["q"])
+    circuit.add_output("y")
     return circuit
 
 
@@ -130,10 +142,10 @@ class TestGateKernels:
             {nets[k]: (code >> k) & 1 for k in range(len(nets))}
             for code in range(1 << len(nets))
         ]
-        packed_out = sim.outputs_batch(vectors)
-        for vector, out in zip(vectors, packed_out):
+        out = sim.output_words(lane_words(vectors, nets), width=len(vectors))
+        for lane, vector in enumerate(vectors):
             operands = [vector[net] for net in nets[:arity]]
-            assert out["y"] == GATE_EVAL[gtype](operands), (gtype, vector)
+            assert (out["y"] >> lane) & 1 == GATE_EVAL[gtype](operands), (gtype, vector)
 
     def test_wide_gates(self):
         # 5-input AND/OR/XOR chains exercise the variadic kernels.
@@ -147,52 +159,49 @@ class TestGateKernels:
             vectors = [
                 {nets[k]: (code >> k) & 1 for k in range(5)} for code in range(32)
             ]
-            for vector, out in zip(vectors, sim.outputs_batch(vectors)):
+            out = sim.output_words(lane_words(vectors, nets), width=32)
+            for lane, vector in enumerate(vectors):
                 operands = [vector[net] for net in nets]
-                assert out["y"] == GATE_EVAL[gtype](operands)
+                assert (out["y"] >> lane) & 1 == GATE_EVAL[gtype](operands)
 
 
 class TestPacking:
-    def test_pack_unpack_bits_roundtrip(self):
+    def test_pack_bits_sets_one_lane_per_value(self):
         rng = random.Random(0)
         for width in (1, 2, 63, 64, 65, 128):
             bits = [rng.randint(0, 1) for _ in range(width)]
-            assert unpack_bits(pack_bits(bits), width) == bits
+            word = pack_bits(bits)
+            assert [(word >> lane) & 1 for lane in range(width)] == bits
+            assert word >> width == 0
 
-    def test_pack_unpack_vectors_roundtrip(self):
-        rng = random.Random(1)
-        nets = ["a", "b", "c"]
-        for count in (1, 7, 64, 130):
-            vectors = [
-                {net: rng.randint(0, 1) for net in nets} for _ in range(count)
-            ]
-            words = pack_vectors(vectors, nets)
-            assert unpack_vectors(words, nets, count) == vectors
+    def test_pack_bits_reads_the_low_bit_of_each_value(self):
+        assert pack_bits(bytes([1, 0, 1, 1])) == 0b1101
+        assert pack_bits([2, 3, 255, 254]) == 0b0110
+        assert pack_bits(b"") == pack_bits([]) == 0
 
-    def test_pack_vectors_missing_net_raises(self):
-        with pytest.raises(CircuitError):
-            pack_vectors([{"a": 1}], ["a", "b"])
+    def test_stimulus_words_slice_lanes_out_of_drawn_bits(self):
+        # Two vectors drawn net by net: lane j of each word is vector j.
+        bits = bytes([1, 0, 1,
+                      0, 1, 1])
+        assert stimulus_words(bits, ["a", "b", "c"]) == {"a": 0b01, "b": 0b10, "c": 0b11}
+        # Skip one leading bit per vector of three.
+        assert stimulus_words(bits, ["b", "c"], start=1, stride=3) == {"b": 0b10, "c": 0b11}
 
-    def test_pack_vectors_default_fills_missing(self):
-        words = pack_vectors([{"a": 1}, {}], ["a", "b"], default=0)
-        assert words == {"a": 0b01, "b": 0}
+    def test_key_words_apply_key_msb_first(self):
+        """Bit 0 of the key value drives the last key input, in every lane."""
+        mask = 0b1111
+        assert key_words(["k0", "k1", "k2"], 0b110, mask) == {"k0": mask, "k1": mask, "k2": 0}
+        assert key_words(["k0", "k1", "k2"], 0b001, mask) == {"k0": 0, "k1": 0, "k2": mask}
 
 
 class TestPackedSimulator:
     def test_missing_primary_input_raises_like_scalar(self):
         circuit = _small_circuit()
         sim = PackedSimulator(circuit)
-        with pytest.raises(CircuitError):
-            sim.outputs_batch([{"a": 1}])
-        # Word-level API, on a pass wider than one machine word.
-        with pytest.raises(CircuitError, match="missing word for primary input"):
-            sim.output_words({"a": 0}, width=200)
-
-    def test_empty_batch(self):
-        sim = PackedSimulator(_small_circuit())
-        assert sim.evaluate_batch([]) == []
-        assert sim.outputs_batch([]) == []
-        assert sim.next_state_batch([]) == []
+        # One lane, and a pass wider than one machine word.
+        for width in (1, 200):
+            with pytest.raises(CircuitError, match="missing word for primary input 'b'"):
+                sim.output_words({"a": 0}, width=width)
 
     def test_state_broadcast_vs_per_lane(self):
         circuit = Circuit("seq")
@@ -202,14 +211,14 @@ class TestPackedSimulator:
         circuit.add_gate("y", GateType.BUF, ["q"])
         circuit.add_output("y")
         sim = PackedSimulator(circuit)
-        vectors = [{"x": 0}, {"x": 1}]
-        broadcast = sim.outputs_batch(vectors, {"q": 1})
-        per_lane = sim.outputs_batch(vectors, [{"q": 1}, {"q": 1}])
-        assert broadcast == per_lane == [{"y": 1}, {"y": 1}]
-        # Absent state bits fall back to ff.init (0 here).
-        assert sim.outputs_batch(vectors, [{}, {"q": 1}]) == [{"y": 0}, {"y": 1}]
+        words = {"x": 0b10}
+        # An all-ones state word sets q in every lane; lane j reads bit j.
+        assert sim.output_words(words, {"q": 0b11}, width=2) == {"y": 0b11}
+        assert sim.output_words(words, {"q": 0b10}, width=2) == {"y": 0b10}
+        # An absent state word starts every lane from ff.init (0 here).
+        assert sim.output_words(words, width=2) == {"y": 0}
 
-    def test_per_lane_state_list_must_match_batch(self):
+    def test_default_state_is_ff_init_in_every_lane(self):
         circuit = Circuit("gated")
         circuit.add_input("a")
         circuit.add_gate("n", GateType.AND, ["a", "q"])
@@ -217,80 +226,92 @@ class TestPackedSimulator:
         circuit.add_dff("q", "d", init=1)
         circuit.add_output("n")
         sim = PackedSimulator(circuit)
-        vectors = [{"a": 1}] * 4
-        assert sim.outputs_batch(vectors) == [{"n": 1}] * 4
-        assert sim.outputs_batch(vectors, [{"q": 1}] * 4) == [{"n": 1}] * 4
-        for states in ([{"q": 1}] * 2, [{"q": 1}] * 5):
-            message = f"{len(states)} state vectors for a batch of 4"
-            for batch in (sim.evaluate_batch, sim.outputs_batch, sim.next_state_batch):
-                with pytest.raises(ValueError, match=message):
-                    batch(vectors, states)
+        words = {"a": 0b1111}
+        assert sim.initial_state_words(4) == {"q": 0b1111}
+        assert sim.output_words(words, width=4) == {"n": 0b1111}
+        assert sim.step_words(words, None, width=4) == ({"n": 0b1111}, {"q": 0b1111})
+        # A state word clears q in the lanes whose bit is 0.
+        assert sim.output_words(words, {"q": 0b0101}, width=4) == {"n": 0b0101}
 
-    def test_refresh_recompiles(self):
+    def test_one_lane_pass_is_a_scalar_evaluation(self):
+        """A one-lane word is the net's 0/1 value: one vector needs no packing."""
         circuit = _small_circuit()
         sim = PackedSimulator(circuit)
-        assert sim.outputs_batch([{"a": 1, "b": 1}]) == [{"n3": 1}]
-        circuit.add_gate("n4", GateType.NOT, ["n3"])
-        circuit.add_output("n4")
-        sim.refresh()
-        assert sim.outputs_batch([{"a": 1, "b": 1}]) == [{"n3": 1, "n4": 0}]
+        scalar = CombinationalSimulator(circuit)
+        for vector in ({"a": a, "b": b} for a in (0, 1) for b in (0, 1)):
+            assert sim.eval_words(vector, width=1) == scalar.evaluate(vector)
+            assert sim.output_words(vector, width=1) == scalar.outputs(vector)
 
 
 class TestEngineChoice:
     def test_unknown_engine_rejected(self):
         """One simulation path: the routers accept no engine knob at all."""
         circuit = _small_circuit()
-        vectors = [{"a": 1, "b": 0}] * 4
         for engine in ("packed-numpy", "vector", "packed", "scalar"):
             with pytest.raises(TypeError):
                 random_equivalence_check(circuit, circuit, engine=engine)
             with pytest.raises(TypeError):
                 sequential_equivalence_check(circuit, circuit, engine=engine)
-            with pytest.raises(TypeError):
-                toggle_counts(circuit, vectors, engine=engine)
 
 
 class TestBatchedOracles:
     def test_combinational_query_accounting_and_values(self):
         circuit = _small_circuit()
         scalar = CombinationalSimulator(circuit)
-        batched = BatchedCombinationalOracle(circuit)
+        oracle = BatchedCombinationalOracle(circuit)
         vectors = [{"a": a, "b": b} for a in (0, 1) for b in (0, 1)]
-        batch_out = batched.query_batch(vectors)
-        assert batched.queries == len(vectors)
-        for vector, out in zip(vectors, batch_out):
-            assert out == scalar.outputs(vector)
-        # Scalar query on the batched oracle keeps counting by one.
-        assert batched.query(vectors[0]) == batch_out[0]
-        assert batched.queries == len(vectors) + 1
+        for count, vector in enumerate(vectors, start=1):
+            assert oracle.query(vector) == scalar.outputs(vector)
+            assert oracle.queries == count
+
+    def test_query_words_answers_and_counts_every_lane(self):
+        circuit = _small_circuit()
+        oracle = BatchedCombinationalOracle(circuit)
+        vectors = [{"a": a, "b": b} for a in (0, 1) for b in (0, 1)]
+        out = oracle.query_words(lane_words(vectors, circuit.inputs), len(vectors))
+        assert oracle.queries == len(vectors)
+        for lane, vector in enumerate(vectors):
+            assert {net: (word >> lane) & 1 for net, word in out.items()} == \
+                oracle.query(vector)
+        assert oracle.queries == 2 * len(vectors)
+
+    def test_scan_oracle_observes_next_state(self):
+        """Through the scan chain the state is an input and the captured next
+        state an output (``q__ns``)."""
+        circuit = _toggle_circuit()
+        scalar = CombinationalSimulator(circuit)
+        oracle = BatchedCombinationalOracle(circuit)
+        assert oracle.input_nets == ["x", "q"]
+        for x in (0, 1):
+            for q in (0, 1):
+                assert oracle.query({"x": x, "q": q}) == {
+                    "y": scalar.outputs({"x": x}, {"q": q})["y"],
+                    "q__ns": scalar.next_state({"x": x}, {"q": q})["q"],
+                }
+
+    def test_missing_nets_read_zero(self):
+        circuit = _toggle_circuit()
+        scan = BatchedCombinationalOracle(circuit)
+        assert scan.query({}) == scan.query({"x": 0, "q": 0}) == {"y": 0, "q__ns": 0}
+        chip = BatchedSequentialOracle(circuit)
+        assert chip.query([{}, {"x": 1}, {}]) == [{"y": 0}, {"y": 0}, {"y": 1}]
 
     def test_sequential_ragged_batch(self):
-        circuit = Circuit("seq")
-        circuit.add_input("x")
-        circuit.add_gate("d", GateType.XOR, ["q", "x"])
-        circuit.add_dff("q", "d", init=0)
-        circuit.add_gate("y", GateType.BUF, ["q"])
-        circuit.add_output("y")
-        batched = BatchedSequentialOracle(circuit)
+        circuit = _toggle_circuit()
+        oracle = BatchedSequentialOracle(circuit)
         sequences = [
             [{"x": 1}, {"x": 0}, {"x": 1}],
             [{"x": 1}],
             [],
         ]
-        batch_out = batched.query_batch(sequences)
-        assert batched.queries == 3
-        assert batched.cycles == 4
-        assert [len(rows) for rows in batch_out] == [3, 1, 0]
-        for seq, rows in zip(sequences, batch_out):
+        responses = [oracle.query(seq) for seq in sequences]
+        assert oracle.queries == 3
+        assert [len(rows) for rows in responses] == [3, 1, 0]
+        for seq, rows in zip(sequences, responses):
             assert rows == [row.signals for row in simulate_sequence(circuit, seq).rows]
 
     def test_sequential_oracle_reuses_simulator_and_resets(self):
-        circuit = Circuit("seq")
-        circuit.add_input("x")
-        circuit.add_gate("d", GateType.XOR, ["q", "x"])
-        circuit.add_dff("q", "d", init=0)
-        circuit.add_gate("y", GateType.BUF, ["q"])
-        circuit.add_output("y")
+        circuit = _toggle_circuit()
         oracle = BatchedSequentialOracle(circuit)
         sequence = [{"x": 1}, {"x": 0}]
         first = oracle.query(sequence)
@@ -298,7 +319,6 @@ class TestBatchedOracles:
         # A second identical query must see a freshly reset chip.
         assert oracle.query(sequence) == first
         assert oracle.queries == 2
-        assert oracle.cycles == 4
 
 
 class TestPackedToggleCounts:
@@ -312,12 +332,13 @@ class TestPackedToggleCounts:
         vectors = [
             {net: rng.randint(0, 1) for net in circuit.inputs} for _ in range(40)
         ]
-        assert toggle_counts(circuit, vectors) == scalar_toggle_counts(
+        words = lane_words(vectors, circuit.inputs)
+        assert packed_toggle_counts(circuit, words, 40) == scalar_toggle_counts(
             circuit, vectors
         )
 
     def test_empty_sequence(self):
-        assert toggle_counts(_small_circuit(), []) == {}
+        assert packed_toggle_counts(_small_circuit(), {}, 0) == {}
 
     def test_cycle_words(self):
         """Bit t of an input's word is its value in cycle t."""

@@ -10,7 +10,6 @@ from repro.check.certify.dimacs import parse_dimacs, render_dimacs
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.sat.cnf import CNF
-from repro.sat.miter import build_miter
 from repro.sat.solver import Solver, _luby, solve_cnf
 from repro.sat.tseitin import TseitinEncoder
 from repro.sim.logicsim import CombinationalSimulator
@@ -268,18 +267,3 @@ class TestTseitin:
         unequal = [encoder.literal("a0", True), encoder.literal("b0", False),
                    encoder.literal("a1", False), encoder.literal("b1", False)]
         assert solver.solve(assumptions=unequal + [encoder.literal(diff, True)]) is True
-
-
-class TestMiter:
-    def test_equivalence_miter_unsat_for_identical(self):
-        circuit = Circuit("c")
-        circuit.add_input("a")
-        circuit.add_input("b")
-        circuit.add_gate("y", GateType.AND, ["a", "b"])
-        circuit.add_output("y")
-        miter, diff = build_miter(circuit, circuit.copy())
-        encoder = TseitinEncoder()
-        cnf = encoder.encode(miter)
-        solver = Solver()
-        solver.add_clauses(cnf.clauses)
-        assert solver.solve(assumptions=[encoder.literal(diff, True)]) is False

@@ -1,6 +1,6 @@
-"""Sequential attacks (BMC / INT / KC2) on one DIS per solver call, plus the
-batched oracles, passes wider than one machine word and the incremental
-unroll extension they rely on.  Recovered keys are re-checked with the
+"""Sequential attacks (BMC / INT / KC2) on one DIS per solver call, plus
+packed passes wider than one machine word and the incremental unroll
+extension the attacks rely on.  Recovered keys are re-checked with the
 scalar ``repro.sim`` sequential simulator."""
 
 import random
@@ -12,7 +12,6 @@ from repro.attacks import bmc_attack, double_dip_attack, int_attack, kc2_attack
 from repro.attacks.results import AttackOutcome
 from repro.attacks.unroll import encode_unrolled, extend_unrolled
 from repro.benchmarks_data.iscas89 import s27_circuit
-from repro.engine.batch_oracle import BatchedSequentialOracle
 from repro.engine.compiler import compile_circuit
 from repro.engine.packed import PackedSimulator
 from repro.fsm.random_fsm import random_fsm
@@ -27,6 +26,7 @@ from repro.sat.tseitin import TseitinEncoder
 from repro.sim.equivalence import scalar_sequential_equivalence_check
 from repro.sim.logicsim import CombinationalSimulator
 from repro.sim.seqsim import simulate_sequence
+from test_engine import lane_words
 
 
 def _locked_fsm():
@@ -65,29 +65,6 @@ class TestDoubleDipGuards:
         assert result.outcome is AttackOutcome.CORRECT
 
 
-class TestRaggedSequentialBatches:
-    def test_query_batch_matches_scalar_per_sequence(self):
-        circuit = s27_circuit()
-        rng = random.Random(3)
-        sequences = [
-            [
-                {net: rng.randint(0, 1) for net in circuit.inputs}
-                for _ in range(length)
-            ]
-            for length in (5, 2, 0, 7, 1)
-        ]
-        batched = BatchedSequentialOracle(circuit)
-        responses = batched.query_batch(sequences)
-
-        assert responses == [
-            [row.signals for row in simulate_sequence(circuit, seq).rows]
-            for seq in sequences
-        ]
-        assert [len(r) for r in responses] == [5, 2, 0, 7, 1]
-        assert batched.queries == len(sequences)
-        assert batched.cycles == sum(len(s) for s in sequences)
-
-
 class TestMultiWordTiling:
     """Batches wider than one 64-bit machine word run as one packed pass."""
 
@@ -97,10 +74,13 @@ class TestMultiWordTiling:
         vectors = [
             {net: rng.randint(0, 1) for net in circuit.inputs} for _ in range(300)
         ]
+        out = PackedSimulator(circuit).output_words(
+            lane_words(vectors, circuit.inputs), width=300
+        )
         scalar = CombinationalSimulator(circuit)
-        expected = [scalar.outputs(v) for v in vectors]
-
-        assert PackedSimulator(circuit).outputs_batch(vectors) == expected
+        for lane, vector in enumerate(vectors):
+            assert {net: (word >> lane) & 1 for net, word in out.items()} == \
+                scalar.outputs(vector)
 
     def test_sequential_batch_wider_than_one_word(self):
         circuit = s27_circuit()
@@ -112,12 +92,21 @@ class TestMultiWordTiling:
             ]
             for _ in range(150)
         ]
-        batched = BatchedSequentialOracle(circuit)
-        responses = batched.query_batch(sequences)
-        assert responses == [
-            [row.signals for row in simulate_sequence(circuit, seq).rows]
-            for seq in sequences
-        ]
+        sim = PackedSimulator(circuit)
+        idle = dict.fromkeys(circuit.inputs, 0)
+        state, rows = None, []
+        for t in range(max(len(seq) for seq in sequences)):
+            # A lane whose sequence has ended idles at 0; its rows go unread.
+            vectors = [seq[t] if t < len(seq) else idle for seq in sequences]
+            outputs, state = sim.step_words(
+                lane_words(vectors, circuit.inputs), state, width=len(sequences)
+            )
+            rows.append(outputs)
+        for lane, seq in enumerate(sequences):
+            assert [
+                {net: (word >> lane) & 1 for net, word in row.items()}
+                for row in rows[:len(seq)]
+            ] == [row.signals for row in simulate_sequence(circuit, seq).rows]
 
     def test_word_level_pass_matches_scalar(self):
         circuit = s27_circuit().combinational_view()

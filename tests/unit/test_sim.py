@@ -10,12 +10,11 @@ from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GateType
 from repro.sim.equivalence import (
     random_equivalence_check,
-    sat_equivalence_check,
     scalar_random_equivalence_check,
     scalar_sequential_equivalence_check,
     sequential_equivalence_check,
 )
-from repro.sim.logicsim import CombinationalSimulator, toggle_counts
+from repro.sim.logicsim import CombinationalSimulator, scalar_toggle_counts
 from repro.sim.seqsim import (
     SequentialSimulator,
     apply_key_to_sequence,
@@ -69,7 +68,7 @@ class TestCombinationalSim:
     def test_toggle_counts_nonzero(self):
         circuit = adder_bit()
         vectors = [{"a": i & 1, "b": (i >> 1) & 1, "cin": 0} for i in range(8)]
-        toggles = toggle_counts(circuit, vectors)
+        toggles = scalar_toggle_counts(circuit, vectors)
         assert any(count > 0 for count in toggles.values())
 
 
@@ -148,16 +147,6 @@ class TestEquivalence:
         assert not verdict.equivalent
         assert verdict.counterexample is not None
 
-    def test_sat_equivalence_identical(self):
-        assert sat_equivalence_check(adder_bit(), adder_bit()).equivalent
-
-    def test_sat_equivalence_detects_difference(self):
-        original = adder_bit()
-        broken = adder_bit()
-        gate = broken.remove_gate("s")
-        broken.add_gate("s", GateType.XNOR, gate.inputs)
-        assert not sat_equivalence_check(original, broken).equivalent
-
     def test_sequential_equivalence_identical(self):
         verdict = sequential_equivalence_check(
             s27_circuit(), s27_circuit(), num_sequences=4, sequence_length=16
@@ -174,6 +163,35 @@ class TestEquivalence:
             with pytest.raises(ValueError, match="num_vectors must be >= 1"):
                 check(locked.original, locked.circuit, key_assignment=wrong,
                       num_vectors=size)
+
+    def test_check_of_no_shared_output_rejected(self):
+        """A BUF driving y against a NOT driving z used to pass (256 vectors,
+        512 cycles compared nothing)."""
+        buffered, inverted = Circuit("buf"), Circuit("not")
+        for circuit in (buffered, inverted):
+            circuit.add_input("a")
+        buffered.add_gate("y", GateType.BUF, ["a"])
+        buffered.add_output("y")
+        inverted.add_gate("z", GateType.NOT, ["a"])
+        inverted.add_output("z")
+        for check in (random_equivalence_check, scalar_random_equivalence_check,
+                      sequential_equivalence_check, scalar_sequential_equivalence_check):
+            with pytest.raises(ValueError, match="share no output"):
+                check(buffered, inverted)
+
+    def test_check_compares_only_shared_outputs(self):
+        """An output that only one circuit has is left out of the comparison."""
+        original, extended, broken = adder_bit(), adder_bit(), adder_bit()
+        gate = broken.remove_gate("cout")
+        broken.add_gate("cout", GateType.AND, gate.inputs)  # OR -> AND bug
+        for circuit in (extended, broken):
+            circuit.add_gate("p", GateType.NAND, ["a", "b"])
+            circuit.add_output("p")
+        for check in (random_equivalence_check, scalar_random_equivalence_check,
+                      sequential_equivalence_check, scalar_sequential_equivalence_check):
+            assert check(original, extended).equivalent
+            assert check(extended, original).equivalent
+            assert not check(original, broken).equivalent
 
     @pytest.mark.parametrize("knob", ["num_sequences", "sequence_length"])
     @pytest.mark.parametrize("size", [0, -3])

@@ -8,8 +8,8 @@ from repro.fsm.synthesis import synthesize_fsm
 from repro.locking.cutelock_str import CuteLockStr
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
-from repro.synthesis.library import generic_45nm_library
-from repro.synthesis.mapping import technology_map
+from repro.synthesis.library import Cell, generic_45nm_library
+from repro.synthesis.mapping import MappedCell, MappedCircuit, technology_map
 from repro.synthesis.overhead import analyze_circuit, compare_overhead
 
 
@@ -59,6 +59,17 @@ class TestMapping:
         circuit.add_output("y")
         mapped = technology_map(circuit)
         assert len(mapped.cells_for("y")) == 3  # n-1 two-input XOR stages
+
+    def test_totals_are_correctly_rounded(self):
+        """Ten 0.1 cells total 1.0 on every Python version; the built-in
+        sum() reads 0.9999999999999999 before Python 3.12."""
+        cell = Cell("TINY_X1", area=0.1, leakage_nw=0.1, switch_energy_fj=0.0,
+                    num_inputs=1)
+        mapped = MappedCircuit(
+            "tiny", "lib", [MappedCell(f"n{k}", cell) for k in range(10)]
+        )
+        assert mapped.total_area == 1.0
+        assert mapped.total_leakage_nw == 1.0
 
 
 class TestOverhead:
