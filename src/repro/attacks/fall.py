@@ -232,8 +232,10 @@ def fall_attack(
 
     ``verify_with_oracle`` additionally checks confirmed keys against the
     original circuit (not part of the published oracle-less attack; useful in
-    tests).  The confirmation sessions' aggregated solver telemetry lands in
-    ``report.details["solver"]``.
+    tests).  A circuit with no key inputs, or an oracle that shares no
+    output with it when ``verify_with_oracle`` is set, ends the run at
+    set-up with ``report.details["reason"]``.  The confirmation sessions'
+    aggregated solver telemetry lands in ``report.details["solver"]``.
     """
     if isinstance(locked, LockedCircuit):
         circuit = locked.circuit
@@ -247,9 +249,18 @@ def fall_attack(
     telemetry = SolverTelemetry(backend=DEFAULT_BACKEND)
     report.details["solver"] = telemetry.to_dict()
     key_set = set(view.key_inputs)
-    if not key_set:
+    reason = "" if key_set else "no key inputs"
+    if not reason and verify_with_oracle and oracle_circuit is not None:
+        # The key check compares the scan views' shared outputs; with none it
+        # could not judge a key.
+        oracle_view = (
+            oracle_circuit.combinational_view() if oracle_circuit.dffs else oracle_circuit
+        )
+        if not set(oracle_view.outputs) & set(view.outputs):
+            reason = "locked circuit and oracle share no outputs"
+    if reason:
         report.cpu_time = time.monotonic() - start
-        report.details["reason"] = "no key inputs"
+        report.details["reason"] = reason
         return report
 
     restore_units = _find_restore_units(view)

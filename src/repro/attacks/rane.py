@@ -190,11 +190,9 @@ def rane_attack(
         tag = frame.iterations
         copy = encode_unrolled(
             synth_encoder, locked_circuit, len(dis), prefix=f"ce{tag}#",
-            shared_input_prefix=f"ce{tag}X", key_prefix="KA@",
+            shared_input_prefix=f"ce{tag}X", key_prefix="KA@", input_values=dis,
         )
-        for index, (vector, response) in enumerate(zip(dis, responses)):
-            for net in frame.functional_inputs:
-                synth_encoder.add_value(copy.frame_inputs[index][net], vector[net])
+        for index, response in enumerate(responses):
             for out in shared_outputs:
                 synth_encoder.add_value(copy.frame_outputs[index][out], response[out])
 

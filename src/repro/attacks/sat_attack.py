@@ -24,8 +24,9 @@ The miter (:class:`_DipMiter`, shared with AppSAT and DoubleDIP) encodes
 the key-independent logic once.  Only the *key cone* — the gates in a key
 input's combinational fanout that reach a compared output — differs between
 the two key copies, and only the cone is encoded again per DIP, with its
-key-independent fanins folded to constants.  A point-function lock's cone is
-a handful of gates, so the miter stays close to one copy of the view.
+key-independent fanins bound to the encoder's constants, so every gate they
+decide folds away.  A point-function lock's cone is a handful of gates, so
+the miter stays close to one copy of the view.
 
 The set-up, budget and result path (:class:`_AttackFrame`) is shared by
 every oracle-guided attack of :mod:`repro.attacks`, combinational and
@@ -218,11 +219,6 @@ class _AttackFrame:
         )
 
 
-#: The nets the per-DIP cone copies read a key-independent 0 or 1 from; each
-#: is fixed once by a unit clause.
-_CONSTANTS = ("const@0", "const@1")
-
-
 def _key_cone(view: Circuit, outputs: Sequence[str]) -> Tuple[Set[str], Circuit]:
     """The key-dependent nets of ``view`` and its key cone.
 
@@ -263,10 +259,13 @@ class _DipMiter:
     :meth:`observe` evaluates ``locked_view`` on the DIP in one packed pass.
     A key-independent output that disagrees with the oracle refutes every
     key, so it adds a level-0 contradiction.  Otherwise each key side gets
-    one copy of the cone, its key-independent fanins bound to the
-    :data:`_CONSTANTS` nets (the solver's clause intake folds them away)
+    one copy of the cone, its key-independent fanins bound to the encoder's
+    constants before encoding (so the encoder folds every gate they decide)
     and its outputs fixed to the oracle's response.  The miter admits the
-    same keys as one full copy of the view per side and DIP would.
+    same keys as one full copy of the view per side and DIP would.  The
+    cone stays although the encoder hashes gates: a full copy with the DIP
+    bound to its inputs would fold to much the same clauses, but only after
+    visiting every gate of the view on every DIP.
     """
 
     def __init__(
@@ -293,8 +292,6 @@ class _DipMiter:
             [f"B@{out}" for out in self.cone.outputs],
         )
         self.diff_literal = self.encoder.literal(diff_net, True)
-        for value, net in enumerate(_CONSTANTS):
-            self.encoder.add_value(net, value)
 
     def search(self) -> Optional[bool]:
         """One DIP query: True (a DIP is in the model), False (none left), None (limited)."""
@@ -312,13 +309,14 @@ class _DipMiter:
         words.update(dict.fromkeys(self.key_nets, 0))
         values = self.simulator.eval_words(words, width=1)
         if any(values[out] != response[out] for out in self.fixed_outputs):
-            # No key explains this response: contradict the constant 1.
-            self.encoder.add_value(_CONSTANTS[1], 0)
+            # No key explains this response: contradict the constant.
+            self.encoder.cnf.add_clause([self.encoder.constant(False)])
             return
         for side in ("A", "B"):
             prefix = f"c{side}{self.observations}@"
-            shared = {net: _CONSTANTS[values[net]] for net in self.boundary}
-            shared.update((net, f"{side}@{net}") for net in self.key_nets)
+            for net in self.boundary:
+                self.encoder.add_value(prefix + net, values[net])
+            shared = {net: f"{side}@{net}" for net in self.key_nets}
             self.encoder.encode(self.cone, prefix=prefix, shared_nets=shared)
             for out in self.cone.outputs:
                 self.encoder.add_value(shared.get(out, prefix + out), response[out])

@@ -130,7 +130,13 @@ class _UnrolledMiter:
         return {net: self.encoder.value(model, f"KA@{net}") for net in self.key_nets}
 
     def observe(self, dis: List[Dict[str, int]], responses: List[Dict[str, int]]) -> None:
-        """Constrain both key copies to reproduce the oracle's response on ``dis``."""
+        """Constrain both key copies to reproduce the oracle's response on ``dis``.
+
+        Each side gets one unrolled copy over its static key, with the DIS
+        bound to its inputs and the reset state to frame 0 before encoding,
+        so the copy folds to the logic the key still controls; its shared
+        outputs are then fixed to the oracle's response.
+        """
         self.constraint_copies += 1
         tag = self.constraint_copies
         frames = min(len(dis), len(responses), self.depth)
@@ -138,12 +144,10 @@ class _UnrolledMiter:
             copy = encode_unrolled(
                 self.encoder, self.locked, frames,
                 prefix=f"o{side}{tag}#", shared_input_prefix=f"o{side}{tag}X",
-                key_prefix=key_prefix,
+                key_prefix=key_prefix, input_values=dis[:frames],
             )
             for frame in range(frames):
-                vector, response = dis[frame], responses[frame]
-                for net in self.functional_inputs:
-                    self.encoder.add_value(copy.frame_inputs[frame][net], vector[net])
+                response = responses[frame]
                 for out in self.shared_outputs:
                     self.encoder.add_value(copy.frame_outputs[frame][out], response[out])
 

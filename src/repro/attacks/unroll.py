@@ -5,9 +5,16 @@ about a locked circuit's behaviour over a bounded number of clock cycles.
 :func:`encode_unrolled` places ``num_frames`` copies of a circuit's
 combinational logic into a shared :class:`~repro.sat.tseitin.TseitinEncoder`,
 wiring each frame's captured next state to the following frame's present
-state, fixing frame 0 to the reset state, and — crucially for the attacks'
+state, binding frame 0 to the reset state, and — crucially for the attacks'
 threat model — tying every frame's key inputs to a single set of *static* key
 variables.
+
+Known values are *bound* before a frame is encoded
+(:meth:`~repro.sat.tseitin.TseitinEncoder.add_value` on a net with no
+literal yet): frame 0's present state takes the reset values, and an
+unrolling built to replay one input sequence (an attack's observation copy)
+takes the sequence's values.  The encoder then folds every gate they decide,
+so such a copy shrinks to the logic the key still controls.
 
 Unrollings are *extensible*: :func:`extend_unrolled` appends frames to an
 existing :class:`UnrolledCircuit` in place, reusing the same encoder (and
@@ -20,7 +27,7 @@ every learned clause from the shallower depth stays valid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.netlist.circuit import Circuit
 from repro.sat.tseitin import TseitinEncoder
@@ -54,8 +61,13 @@ def _encode_frame(
     frame: int,
     *,
     fix_initial_state: bool,
+    input_values: Optional[Mapping[str, int]] = None,
 ) -> None:
-    """Encode one time frame and append its name maps to ``result``."""
+    """Encode one time frame and append its name maps to ``result``.
+
+    ``input_values`` (functional input -> 0/1) binds the frame's functional
+    inputs before the frame is encoded.
+    """
     key_set = set(circuit.key_inputs)
     frame_tag = f"{result.prefix}t{frame}@"
     shared: Dict[str, str] = {}
@@ -71,14 +83,21 @@ def _encode_frame(
         else:
             inputs_map[net] = f"{frame_tag}{net}"
     # Present state of this frame is the captured next state of the
-    # previous frame (shared variable), or a fresh frame-0 variable.
+    # previous frame (shared variable), or a frame-0 net bound to the reset
+    # value (a fresh variable when the initial state is left free).
     states_map: Dict[str, str] = {}
-    for q in circuit.dffs:
+    for q, ff in circuit.dffs.items():
         if frame == 0:
             states_map[q] = f"{frame_tag}{q}"
+            if fix_initial_state:
+                encoder.add_value(states_map[q], ff.init)
         else:
             states_map[q] = result.next_state_names[q]
             shared[q] = result.next_state_names[q]
+    if input_values is not None:
+        for net in circuit.inputs:
+            if net not in key_set:
+                encoder.add_value(inputs_map[net], input_values[net])
 
     encoder.encode(circuit, prefix=frame_tag, shared_nets=shared)
 
@@ -86,11 +105,6 @@ def _encode_frame(
     result.frame_inputs.append(inputs_map)
     result.frame_outputs.append(outputs_map)
     result.frame_states.append(states_map)
-
-    if frame == 0 and fix_initial_state:
-        for q, ff in circuit.dffs.items():
-            encoder.add_value(states_map[q], ff.init)
-
     result.next_state_names = {
         q: shared.get(ff.d, f"{frame_tag}{ff.d}") for q, ff in circuit.dffs.items()
     }
@@ -105,6 +119,7 @@ def encode_unrolled(
     shared_input_prefix: Optional[str] = None,
     key_prefix: Optional[str] = None,
     fix_initial_state: bool = True,
+    input_values: Optional[Sequence[Mapping[str, int]]] = None,
 ) -> UnrolledCircuit:
     """Encode ``num_frames`` time frames of ``circuit``.
 
@@ -122,7 +137,13 @@ def encode_unrolled(
         ``f"{key_prefix}{net}"`` (the static-key assumption).  Otherwise keys
         are per-copy but still shared across frames.
     fix_initial_state:
-        Constrain frame 0's present state to each flip-flop's reset value.
+        Bind frame 0's present state to each flip-flop's reset value before
+        the frame is encoded, so the encoder folds the logic it decides.
+    input_values:
+        If given, one vector per frame (functional input -> 0/1) bound to
+        that frame's functional inputs before the frame is encoded: the
+        unrolling replays that input sequence, and folds to the logic the
+        key inputs still control.
     """
     key_prefix = key_prefix if key_prefix is not None else f"{prefix}KEY@"
     result = UnrolledCircuit(
@@ -131,7 +152,10 @@ def encode_unrolled(
     result.key_nets = {net: f"{key_prefix}{net}" for net in circuit.key_inputs}
 
     for frame in range(num_frames):
-        _encode_frame(encoder, circuit, result, frame, fix_initial_state=fix_initial_state)
+        _encode_frame(
+            encoder, circuit, result, frame, fix_initial_state=fix_initial_state,
+            input_values=None if input_values is None else input_values[frame],
+        )
     return result
 
 

@@ -42,7 +42,6 @@ from repro.attacks import (
     appsat_attack,
     bmc_attack,
     double_dip_attack,
-    fall_attack,
     int_attack,
     kc2_attack,
     rane_attack,

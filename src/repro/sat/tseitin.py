@@ -1,4 +1,4 @@
-"""Tseitin encoding of circuits into CNF.
+"""Tseitin encoding of circuits into CNF, with structural hashing.
 
 Every net of a (combinational view of a) circuit gets a SAT literal; each
 gate contributes the standard Tseitin clauses relating its output literal to
@@ -6,13 +6,41 @@ its input literals.  The encoder also supports *instantiating* the same
 circuit multiple times under different net-name prefixes, which is how the
 attacks build miters and time-frame unrollings without copying circuits.
 
-BUF and NOT gates cost nothing: their output reuses the fanin's literal,
-complemented for NOT (the complemented edges of an AIG, Kuehlmann et al.,
-IEEE TCAD 2002), so a chain of buffers and inverters adds no variable, no
-clause and no propagation.  :attr:`TseitinEncoder.varmap` therefore maps a
-net to its *literal*, which is negative only for an aliased inverter
-output; read a net's value out of a solver model with
-:meth:`TseitinEncoder.value`, never by indexing the model with the map.
+The encoder hashes gates as an AIG package does (Kuehlmann et al., IEEE
+TCAD 2002): each gate is rewritten into a normal form, constants fold, and a
+normal form the encoder has already encoded is not encoded again.  So a
+second copy of a circuit over shared inputs costs nothing outside the logic
+that really differs (the key cone of a two-key miter), an unrolling's frame
+0 shrinks to what its reset state leaves open, and a copy whose inputs are
+all known folds to constants.  :attr:`TseitinEncoder.varmap` therefore maps
+a net to its *literal*, which may be a complemented one or the constant's;
+read a net's value out of a solver model with :meth:`TseitinEncoder.value`,
+never by indexing the model with the map.
+
+Normal forms
+------------
+* AND, NAND, OR and NOR become one AND node over their fanin literals,
+  with the complemented output De Morgan calls for: ``NAND = ¬AND``,
+  ``OR(x…) = ¬AND(¬x…)``, ``NOR(x…) = AND(¬x…)``.  A true fanin drops out,
+  a false one or a pair ``x, ¬x`` folds the AND to 0, repeated fanins
+  collapse, no fanin left folds it to 1 and one left is that literal.  The
+  node's key is the remaining literals sorted by variable.
+* XOR and XNOR become an XOR node over variables plus a parity bit: a
+  complemented fanin, the XNOR and a true constant fanin each flip the
+  parity, and a variable that occurs twice cancels.  No variable left folds
+  to the parity's constant and one left is that variable; otherwise the
+  node's key is the sorted variables, and an odd parity complements it.
+* A MUX gets a positive select (a complemented select swaps the data
+  inputs).  A constant select folds to the chosen data input and two equal
+  data inputs fold to that input.  A data input that is a constant or the
+  select (either polarity) leaves the AND normal form of what remains, e.g.
+  ``MUX(s, 0, d1) = AND(s, d1)`` and ``MUX(s, d0, s) = ¬AND(¬s, ¬d0)``;
+  otherwise the key is ``(sel, d0, d1)``.
+* BUF is its fanin's literal and NOT its complement; CONST0 and CONST1 are
+  the constant's literals.
+
+A gate whose normal form folds, or whose node the encoder's table already
+holds, takes that literal for its output: no variable and no clause.
 
 CNF identity
 ------------
@@ -21,20 +49,25 @@ solver's decisions follow the variable numbering and the clause and literal
 order, so the attack outcomes and the benchmark's work digest are computed
 from them (pinned by ``tests/property/test_tseitin_golden.py``).
 
-* Variables: :meth:`TseitinEncoder.encode` allocates them per gate in
-  topological order — the output first, then the inputs in order, then the
-  gate's XOR-chain auxiliaries — and afterwards "touches" the primary
-  inputs, the primary outputs and each flip-flop's Q and D, in that order,
-  so every IO net has a literal even when no gate reads it.  A BUF or NOT
-  gate allocates nothing for its output: it resolves its input (allocating
-  it on first use) and maps the output to that literal, or to its
-  complement.
-* Clauses: gate by gate in the same order, each gate's clauses and the
-  literals inside them in the order of its pattern below.  A repeated gate
-  input stays a duplicate literal (or a tautology) in the CNF.  An aliased
-  BUF or NOT gate emits no clause.  Only a BUF or NOT whose output already
-  has a literal (a ``shared_nets`` name encoded earlier) emits the two
-  equivalence clauses between that literal and its input's.
+* Variables: :meth:`TseitinEncoder.encode` walks the gates in topological
+  order.  For each gate it resolves the fanins in order (a net not yet
+  seen gets a fresh variable), then allocates a node variable only for a
+  new node, then a new XOR node's chain auxiliaries.  Afterwards it
+  "touches" the primary inputs, the primary outputs and each flip-flop's Q
+  and D, in that order, so every IO net has a literal even when no gate
+  reads it.
+* The constant: one variable per encoder, allocated the first time a
+  constant is needed (a constant gate or fold, or a net bound by
+  :meth:`TseitinEncoder.add_value` before it has a literal), and fixed true
+  by a unit clause appended right then.
+* Clauses: node by node in the same order.  An AND node ``n`` over
+  ``l1…lk`` emits ``(¬n, li)`` for each ``i``, then ``(n, ¬l1, …, ¬lk)``;
+  an XOR node the four clauses of each two-input XOR of its chain
+  ``t1 = v1 ⊕ v2, t2 = t1 ⊕ v3, …``; a MUX node ``n = s ? d1 : d0`` emits
+  ``(¬n, s, d0), (¬n, ¬s, d1), (n, s, ¬d0), (n, ¬s, ¬d1)``.  Only a gate
+  output whose global name already has a literal ``e`` (a ``shared_nets``
+  name encoded earlier) emits the two equivalence clauses ``(¬e, l), (e,
+  ¬l)`` between it and the gate's literal ``l``, unless the two are the same.
 
 Encoder clauses are appended to ``cnf.clauses`` as tuples, without
 :meth:`CNF.add_clause`'s checks: every literal comes from a variable the
@@ -45,7 +78,7 @@ variable is no larger than ``num_vars``.  Clauses built anywhere else
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GateType
@@ -87,14 +120,19 @@ class TseitinEncoder:
 
     A single encoder instance can encode several circuits / circuit copies
     into the same variable space, sharing literals whenever net names are
-    shared (e.g. key inputs common to all time frames of an unrolling).
-    :attr:`varmap` maps each net name to its literal (see the module
-    docstring: an aliased inverter output maps to a negative literal).
+    shared (e.g. key inputs common to all time frames of an unrolling) and
+    whenever two gates have one normal form (see the module docstring).
+    :attr:`varmap` maps each net name to its literal, which may be negative
+    or the constant's.
     """
 
     def __init__(self, cnf: Optional[CNF] = None) -> None:
         self.cnf = cnf if cnf is not None else CNF()
         self.varmap: Dict[str, int] = {}
+        #: Normal form -> literal of every node encoded so far.
+        self._nodes: Dict[Tuple, int] = {}
+        #: The constant variable (fixed true), 0 until first needed.
+        self._true = 0
 
     # ------------------------------------------------------------------ #
     # literals and model reads
@@ -103,8 +141,8 @@ class TseitinEncoder:
         """The literal of ``net``, allocating a fresh variable on first use.
 
         It is a positive variable for every net the encoder allocated, and
-        the fanin's literal (complemented through a NOT) for a BUF or NOT
-        output it aliased.
+        whatever literal the net's gate resolved to otherwise: its fanin's
+        (complemented through a NOT), an earlier node's, or the constant's.
         """
         existing = self.varmap.get(net)
         if existing is not None:
@@ -117,6 +155,18 @@ class TseitinEncoder:
         """Literal asserting that ``net`` equals ``value``."""
         literal = self.var(net)
         return literal if value else -literal
+
+    def constant(self, value: bool) -> int:
+        """The literal that is always ``value``.
+
+        The first call allocates the encoder's constant variable and fixes
+        it true with a unit clause.
+        """
+        true = self._true
+        if not true:
+            true = self._true = self.cnf.new_var()
+            self.cnf.clauses.append((true,))
+        return true if value else -true
 
     def value(self, model: Mapping[int, int], net: str, default: int = 0) -> int:
         """Value (0/1) of ``net`` under a solver model (variable -> 0/1).
@@ -134,76 +184,140 @@ class TseitinEncoder:
         return value if literal > 0 else 1 - value
 
     # ------------------------------------------------------------------ #
-    # gate clauses (literals in, clause tuples appended to the CNF)
+    # normal forms (literals in, the node's literal out)
     # ------------------------------------------------------------------ #
-    def _encode_and(self, out: int, ins: Sequence[int], *, negate: bool = False) -> None:
-        out_lit = -out if negate else out
+    def _and(self, ins: Sequence[int]) -> int:
+        """The literal of the AND of ``ins``: folded, looked up, or a new node."""
+        true = self._true
+        fanin: Set[int] = set()
+        for lit in ins:
+            if lit == true:
+                continue
+            if lit == -true or -lit in fanin:
+                return self.constant(False)
+            fanin.add(lit)
+        if len(fanin) < 2:
+            return fanin.pop() if fanin else self.constant(True)
+        lits = tuple(sorted(fanin, key=abs))
+        key = ("and", lits)
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = self.cnf.new_var()
+            append = self.cnf.clauses.append
+            for lit in lits:
+                append((-node, lit))
+            append((node, *[-lit for lit in lits]))
+        return node
+
+    def _xor(self, ins: Sequence[int], parity: int) -> int:
+        """The literal of the XOR of ``ins`` and ``parity`` (0 or 1)."""
+        true = self._true
+        odd: Set[int] = set()
+        for lit in ins:
+            var = lit
+            if lit < 0:
+                var = -lit
+                parity ^= 1
+            if var == true:
+                parity ^= 1
+            elif var in odd:
+                odd.remove(var)
+            else:
+                odd.add(var)
+        if len(odd) < 2:
+            if not odd:
+                return self.constant(bool(parity))
+            var = odd.pop()
+            return -var if parity else var
+        variables = tuple(sorted(odd))
+        key = ("xor", variables)
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = self.cnf.new_var()
+            self._encode_xor(node, variables)
+        return -node if parity else node
+
+    def _mux(self, sel: int, d0: int, d1: int) -> int:
+        """The literal of ``sel ? d1 : d0``."""
+        if sel < 0:
+            sel, d0, d1 = -sel, d1, d0
+        true = self._true
+        if sel == true:
+            return d1
+        if d0 == d1:
+            return d0
+        # A data input that is a constant or the select itself leaves an AND.
+        if d0 == sel or d0 == -true:
+            return self._and([sel, d1])
+        if d0 == -sel or d0 == true:
+            return -self._and([sel, -d1])
+        if d1 == -sel or d1 == -true:
+            return self._and([-sel, d0])
+        if d1 == sel or d1 == true:
+            return -self._and([-sel, -d0])
+        key = ("mux", sel, d0, d1)
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = self.cnf.new_var()
+            clauses = self.cnf.clauses
+            clauses.append((-node, sel, d0))
+            clauses.append((-node, -sel, d1))
+            clauses.append((node, sel, -d0))
+            clauses.append((node, -sel, -d1))
+        return node
+
+    def _gate(self, gtype: GateType, ins: List[int]) -> int:
+        """The literal of one gate over already-resolved fanin literals."""
+        if gtype == GateType.AND:
+            return self._and(ins)
+        if gtype == GateType.NAND:
+            return -self._and(ins)
+        if gtype == GateType.OR:
+            return -self._and([-lit for lit in ins])
+        if gtype == GateType.NOR:
+            return self._and([-lit for lit in ins])
+        if gtype == GateType.NOT:
+            return -ins[0]
+        if gtype == GateType.BUF:
+            return ins[0]
+        if gtype == GateType.XOR:
+            return self._xor(ins, 0)
+        if gtype == GateType.XNOR:
+            return self._xor(ins, 1)
+        if gtype == GateType.MUX:
+            return self._mux(*ins)
+        if gtype == GateType.CONST0:
+            return self.constant(False)
+        if gtype == GateType.CONST1:
+            return self.constant(True)
+        raise CircuitError(f"cannot encode gate type {gtype}")  # pragma: no cover
+
+    # ------------------------------------------------------------------ #
+    # clause patterns
+    # ------------------------------------------------------------------ #
+    def _encode_or(self, out: int, ins: Sequence[int]) -> None:
         append = self.cnf.clauses.append
         for lit in ins:
-            append((-out_lit, lit))
-        append((out_lit, *[-lit for lit in ins]))
+            append((out, -lit))
+        append((-out, *ins))
 
-    def _encode_or(self, out: int, ins: Sequence[int], *, negate: bool = False) -> None:
-        out_lit = -out if negate else out
-        append = self.cnf.clauses.append
-        for lit in ins:
-            append((out_lit, -lit))
-        append((-out_lit, *ins))
-
-    def _encode_xor2(self, out: int, a: int, b: int, *, negate: bool = False) -> None:
-        out_lit = -out if negate else out
+    def _encode_xor2(self, out: int, a: int, b: int) -> None:
         clauses = self.cnf.clauses
-        clauses.append((-out_lit, a, b))
-        clauses.append((-out_lit, -a, -b))
-        clauses.append((out_lit, -a, b))
-        clauses.append((out_lit, a, -b))
+        clauses.append((-out, a, b))
+        clauses.append((-out, -a, -b))
+        clauses.append((out, -a, b))
+        clauses.append((out, a, -b))
 
-    def _encode_xor(self, out: int, ins: Sequence[int], *, negate: bool = False) -> None:
+    def _encode_xor(self, out: int, ins: Sequence[int]) -> None:
         if len(ins) == 2:
-            self._encode_xor2(out, ins[0], ins[1], negate=negate)
+            self._encode_xor2(out, ins[0], ins[1])
             return
         # Chain: t1 = a xor b ; t2 = t1 xor c ; ...
         prev = ins[0]
         for index, lit in enumerate(ins[1:], start=1):
-            last = index == len(ins) - 1
-            target = out if last else self.cnf.new_var()
-            self._encode_xor2(target, prev, lit, negate=negate and last)
+            target = out if index == len(ins) - 1 else self.cnf.new_var()
+            self._encode_xor2(target, prev, lit)
             prev = target
-
-    def _encode_gate(self, gtype: GateType, out: int, ins: List[int]) -> None:
-        """Append the clauses of one gate over already-resolved literals."""
-        clauses = self.cnf.clauses
-        if gtype == GateType.BUF:
-            clauses.append((-out, ins[0]))
-            clauses.append((out, -ins[0]))
-        elif gtype == GateType.NOT:
-            clauses.append((-out, -ins[0]))
-            clauses.append((out, ins[0]))
-        elif gtype == GateType.AND:
-            self._encode_and(out, ins)
-        elif gtype == GateType.NAND:
-            self._encode_and(out, ins, negate=True)
-        elif gtype == GateType.OR:
-            self._encode_or(out, ins)
-        elif gtype == GateType.NOR:
-            self._encode_or(out, ins, negate=True)
-        elif gtype == GateType.XOR:
-            self._encode_xor(out, ins)
-        elif gtype == GateType.XNOR:
-            self._encode_xor(out, ins, negate=True)
-        elif gtype == GateType.MUX:
-            sel, d0, d1 = ins
-            # out = sel ? d1 : d0
-            clauses.append((-out, sel, d0))
-            clauses.append((-out, -sel, d1))
-            clauses.append((out, sel, -d0))
-            clauses.append((out, -sel, -d1))
-        elif gtype == GateType.CONST0:
-            clauses.append((-out,))
-        elif gtype == GateType.CONST1:
-            clauses.append((out,))
-        else:  # pragma: no cover - exhaustive above
-            raise CircuitError(f"cannot encode gate type {gtype}")
 
     # ------------------------------------------------------------------ #
     # circuit-level encoding
@@ -224,28 +338,32 @@ class TseitinEncoder:
             the same global name share a literal (used to tie key inputs
             across copies / time frames).
 
-        Flip-flops are **not** encoded; callers decide how to connect the
-        sequential boundary (pseudo-inputs for the combinational attack,
-        frame-to-frame wiring for the unrolling attacks).  Variables and
-        clauses come in the order the module docstring ("CNF identity")
-        fixes.
+        A net whose global name already has a literal reads that literal,
+        so a net bound to a constant beforehand (:meth:`add_value`) folds
+        every gate over it.  Flip-flops are **not** encoded; callers decide
+        how to connect the sequential boundary (pseudo-inputs for the
+        combinational attack, frame-to-frame wiring for the unrolling
+        attacks).  Variables and clauses come in the order the module
+        docstring ("CNF identity") fixes.
         """
         nets = _NetLiterals(self, prefix, shared_nets or {})
         literal = nets.__getitem__
         varmap = self.varmap
+        clauses = self.cnf.clauses
         gates = circuit.gates
-        encode_gate = self._encode_gate
+        gate_literal = self._gate
         for out in circuit.topological_order():
             gate = gates[out]
-            gtype = gate.gtype
-            if gtype == GateType.BUF or gtype == GateType.NOT:
-                fanin = literal(gate.inputs[0])
-                name = nets.name(out)
-                if name not in varmap:
-                    # Alias: the output is its fanin, complemented through a NOT.
-                    nets[out] = varmap[name] = fanin if gtype == GateType.BUF else -fanin
-                    continue
-            encode_gate(gtype, literal(out), list(map(literal, gate.inputs)))
+            lit = gate_literal(gate.gtype, list(map(literal, gate.inputs)))
+            name = nets.name(out)
+            existing = varmap.get(name)
+            if existing is None:
+                nets[out] = varmap[name] = lit
+                continue
+            nets[out] = existing
+            if existing != lit:
+                clauses.append((-existing, lit))
+                clauses.append((existing, -lit))
         # Touch IO nets so they always have literals even if undriven/unused.
         for net in circuit.inputs:
             literal(net)
@@ -266,8 +384,17 @@ class TseitinEncoder:
         self.cnf.clauses.append((a, -b))
 
     def add_value(self, net: str, value: int) -> None:
-        """Constrain a net to a constant value."""
-        self.cnf.clauses.append((self.literal(net, bool(value)),))
+        """Constrain a net to a constant value.
+
+        A net with no literal yet is *bound*: it takes the constant's
+        literal, costing no variable and no clause, and every gate encoded
+        over it later folds.  A net that has a literal gets a unit clause.
+        """
+        literal = self.varmap.get(net)
+        if literal is None:
+            self.varmap[net] = self.constant(bool(value))
+        else:
+            self.cnf.clauses.append((literal if value else -literal,))
 
     def encode_any(self, nets: Sequence[str]) -> str:
         """Add logic asserting a fresh net true iff any of ``nets`` is true.
@@ -287,14 +414,19 @@ class TseitinEncoder:
         """Add logic asserting that two equal-length net vectors differ.
 
         Returns the name of a fresh net that is true iff the vectors differ
-        in at least one position (the caller typically assumes it true).
+        in at least one position (the caller typically assumes it true).  A
+        pair whose two nets have one literal can never differ and adds
+        nothing; when every pair is such, the net is false.
         """
         if len(nets_a) != len(nets_b):
             raise ValueError("vectors must have equal length")
         diff_vars: List[int] = []
         for a_net, b_net in zip(nets_a, nets_b):
+            a, b = self.var(a_net), self.var(b_net)
+            if a == b:
+                continue
             diff = self.cnf.new_var()
-            self._encode_xor2(diff, self.var(a_net), self.var(b_net))
+            self._encode_xor2(diff, a, b)
             diff_vars.append(diff)
         any_name = f"__diff_{len(self.varmap)}"
         any_var = self.var(any_name)

@@ -28,10 +28,6 @@ class CombinationalSimulator:
         self.circuit = circuit
         self._order: List[str] = circuit.topological_order()
 
-    def refresh(self) -> None:
-        """Recompute the evaluation order after the circuit was mutated."""
-        self._order = self.circuit.topological_order()
-
     def evaluate(
         self,
         input_values: Mapping[str, int],

@@ -221,9 +221,9 @@ def replay(name: str) -> Tuple[Tuple[Call, ...], Tuple[int, ...]]:
 # Recorded from the solver as it stood before its hot loops were inlined
 # and its order heap deduplicated; both must leave every value unchanged.
 # The miter case was re-recorded when the Tseitin encoder stopped giving
-# BUF and NOT outputs a variable of their own (its CNF changed, the solver
-# did not); the plain-clause shortcut of add_clauses must leave it
-# unchanged.
+# BUF and NOT outputs a variable of their own, and again when it started
+# hashing gates and folding constants (its CNF changed, the solver did
+# not); the plain-clause shortcut of add_clauses must leave it unchanged.
 EXPECTED: Dict[str, List[Call]] = {
     'cascade': [
         (True, 14, 376, 2, 2, 0, '47b264d92ab92ca6'),
@@ -244,10 +244,10 @@ EXPECTED: Dict[str, List[Call]] = {
         (False, 78, 357, 14, 13, 0, '053530fafa409638'),
     ],
     'miter': [
-        (True, 19, 159, 0, 0, 0, '1ebd6db2eeb8f03f'),
-        (True, 34, 468, 0, 0, 0, 'a34b004ca49e6eb8'),
-        (True, 62, 1083, 4, 3, 0, '4808d0e0b1d62787'),
-        (True, 76, 1282, 4, 3, 0, 'fdc59c80103f2ef6'),
+        (True, 19, 121, 0, 0, 0, '8911974a58066d38'),
+        (True, 34, 392, 0, 0, 0, '10312d7a10c822da'),
+        (True, 78, 1427, 17, 15, 0, '79f66a1ad8eb7ed8'),
+        (True, 93, 1588, 17, 15, 0, 'faf013d82fbd1e29'),
     ],
     'pigeonhole': [
         (False, 1075, 10316, 809, 805, 14, '2a7169014b455d38'),

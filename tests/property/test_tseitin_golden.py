@@ -7,14 +7,15 @@ outcomes and the benchmark's work digest do too.  This test replays a
 seeded corpus of encoder calls and pins, after every step, a digest of
 ``(cnf.num_vars, cnf.clauses, sorted(encoder.varmap.items()))``.  A change
 to the encoder that renumbers a variable, reorders a clause or a literal,
-or drops a duplicate literal changes a digest.
+or hashes or folds a gate differently changes a digest.
 
 The corpus:
 
-* ``gates`` — every gate type, XOR/XNOR with 3 and 5 inputs, AND/OR/XOR
-  with a repeated input, MUX, both constants, and nets only the IO/DFF
-  "touch" pass allocates (unread inputs, an undriven output, an idle
-  flip-flop);
+* ``gates`` — every gate type, XOR/XNOR with 3 and 5 inputs (the XNOR over
+  the XOR's inputs reversed, so one node serves both), AND/OR/XOR with a
+  repeated input, MUX, both constants and an OR over them, and nets only
+  the IO/DFF "touch" pass allocates (unread inputs, an undriven output, an
+  idle flip-flop);
 * ``random`` — a seeded random netlist, encoded twice under two prefixes;
 * ``shared`` — ``shared_nets`` mapping two local nets to one global name;
 * ``miter`` — the encoder primitives a two-key miter is built from:
@@ -24,10 +25,12 @@ The corpus:
 * ``dip-miter`` — the attacks' miter as ``_DipMiter`` builds it on a seeded
   random locked circuit with one key-independent output: ``A@`` over the
   whole circuit, ``B@`` over the key cone, then two observations that each
-  encode the key cone per key side with constant fanins;
+  encode the key cone per key side with its fanins bound to constants;
 * ``unrolled`` — ``encode_unrolled`` with ``key_prefix`` and
-  ``shared_input_prefix`` for two copies, then ``extend_unrolled``;
-* ``any-equality`` — ``encode_any``, ``add_equality`` and ``add_value``;
+  ``shared_input_prefix`` for two copies (frame 0 bound to the reset
+  state), then ``extend_unrolled``;
+* ``any-equality`` — ``encode_any``, ``add_equality`` and ``add_value``
+  (units on nets with literals, bindings of nets without);
 * ``fallback`` — BUF/NOT chains with a double inversion, a NOT on a
   flip-flop's D pin and on a key input, all aliased to their fanin's
   literal; then a second copy whose ``shared_nets`` map BUF/NOT outputs to
@@ -36,9 +39,10 @@ The corpus:
 
 Encoder clauses do not pass through the checked ``CNF.add_clause``, so the
 test also runs :func:`repro.check.solver.check_cnf` on every CNF: only the
-``duplicate-literal`` and ``tautology`` kinds may appear (gates with a
-repeated input produce them legitimately); an empty clause, a 0 or an
-out-of-range variable fails.
+``duplicate-literal`` and ``tautology`` kinds may appear (``encode_any``
+over a repeated net, or a comparison of complementary literals, produce
+them legitimately; gates never do, since their fanins fold); an empty
+clause, a 0 or an out-of-range variable fails.
 
 To re-record after a deliberate encoding change::
 
@@ -61,7 +65,8 @@ from repro.sat.session import SolveSession
 from repro.sat.tseitin import TseitinEncoder
 from repro.sim.logicsim import CombinationalSimulator
 
-#: Violation kinds a correct encoding may produce (repeated gate inputs).
+#: Violation kinds a correct encoding may produce (``encode_any`` over a
+#: repeated net, a comparison of complementary literals).
 ALLOWED_KINDS = {"duplicate-literal", "tautology"}
 
 #: Gate types of the random netlists, with their (min, max) fan-in.
@@ -278,54 +283,56 @@ def replay(name: str) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, ...], ...]]:
     return tuple(digests), tuple(kinds)
 
 
-# Re-recorded when BUF and NOT outputs started reusing their fanin's
-# literal (every case with such a gate moved; ``any-equality`` has none and
-# kept its digests).  Earlier: recorded from the encoder that built a Gate
-# per gate and checked every clause through CNF.add_clause; ``dip-miter``
-# from the first key-cone ``_DipMiter``.
+# Re-recorded when the encoder started hashing gates into normal forms and
+# folding constants (every case moved but the first three steps of
+# ``any-equality``, whose ``encode_any``/``add_equality`` do not hash).
+# Earlier: re-recorded when BUF and NOT outputs started reusing their
+# fanin's literal; recorded from the encoder that built a Gate per gate and
+# checked every clause through CNF.add_clause; ``dip-miter`` from the first
+# key-cone ``_DipMiter``.
 EXPECTED: Dict[str, List[str]] = {
     'any-equality': [
         '1161d4f27decb034',
         'f998e6f69207457b',
         '6e90e3295cce0c6d',
-        'd3871b1ce4255f01',
+        '9ebcfb98983d78e7',
     ],
     'dip-miter': [
-        '290cdab34ae90297',
-        '6a4090eb85d4bbaa',
-        '1d06732b6f66279f',
+        '0e37c59a2845c465',
+        '9b20aef9c70d01cc',
+        '2cc3618759f5ff2e',
     ],
     'fallback': [
-        '8f1f36d32759f50f',
-        'a8e1e45d18e9ff49',
+        '38924fa9b4b6a017',
+        '034cbb5cb54c8bc6',
     ],
     'gates': [
-        '026fdd25322952d0',
-        '84fd2dba5667b0b6',
+        'e131ff927437ab2f',
+        'cd6fa227f07fcc23',
     ],
     'miter': [
-        '8b7c5ae898b057ef',
-        'df7b8287fe11eb89',
-        '738f02da422715c1',
-        '47ddf3846e727164',
-        '42ae39c3d8e2a715',
-        '613e04aaa728f2a3',
-        '24bec4e386858d6b',
-        '2920b7e9371a65ab',
+        '4d76bbca6c83055a',
+        'dc427066a962e68b',
+        '6ac07cba363b9879',
+        '05dad4a5910c3450',
+        '5cca52f9fabdc999',
+        '78393fde65866bbc',
+        '677a75b26b5c5403',
+        'c843113010a08e7a',
     ],
     'random': [
-        '4babf801e1440382',
-        '933155017131df75',
+        '989b9581c1dc865a',
+        '3ab248f8926bbf7b',
     ],
     'shared': [
-        '7dc116b3412e548f',
-        'a73ad510de365577',
+        '0b49056d3cd5157a',
+        'c3235270184efa3f',
     ],
     'unrolled': [
-        'a93f0cf07dfab6ed',
-        '7a44fa284661d141',
-        '39c5d4c27ced5821',
-        'ca9dfd58cc7fee92',
+        'f5586af1b0f536d2',
+        '3b4a5bc4da006140',
+        '78fa85165e3a0bb6',
+        '1bea3d9ba0305706',
     ],
 }
 
@@ -347,12 +354,21 @@ def test_cnf_is_well_formed(name):
 
 
 def test_corpus_covers_what_it_claims():
-    """Repeated inputs really produce duplicate literals and tautologies."""
+    """Repeated and constant fanins fold: no gate leaves a duplicate literal
+    or a tautology, and folded or repeated gates share one literal."""
     _, kinds = replay("gates")
-    assert set(kinds[0]) == ALLOWED_KINDS
+    assert kinds == ((), ())
     encoder = next(CASES["gates"]())[0]
+    literal = encoder.varmap
+    assert literal["and_rep"] == literal["and2"]
+    assert literal["or_rep"] == literal["or2"]
+    assert literal["xnor5"] == -literal["xor5"]
+    assert literal["xor_rep"] == literal["zero"] == encoder.constant(False)
+    assert literal["top"] == literal["one"] == encoder.constant(True)
     types = {len(clause) for clause in encoder.cnf.clauses}
-    assert {1, 2, 3, 4, 6} <= types
+    assert {1, 2, 3, 4} <= types
+    # encode_any does not fold: its repeated net stays a duplicate literal.
+    assert "duplicate-literal" in replay("any-equality")[1][0]
 
 
 if __name__ == "__main__":

@@ -119,6 +119,21 @@ class TestFallUnit:
         report = fall_attack(s27_circuit())
         assert report.to_attack_result().outcome is AttackOutcome.FAIL
 
+    def test_oracle_sharing_no_output_is_refused_at_set_up(self):
+        """The key check used to raise ValueError out of the attack at the
+        first confirmed key, after the analysis and the SAT confirmation."""
+        circuit = synthesize_fsm(random_fsm(8, 2, 2, seed=5), style="sop")
+        locked = lock_ttlock(circuit, num_key_bits=4, seed=4)
+        oracle = circuit.renamed({
+            net: f"o_{net}" for net in circuit.all_nets() if net not in circuit.inputs
+        })
+        report = fall_attack(locked, oracle_circuit=oracle, verify_with_oracle=True)
+        assert report.details["reason"] == "locked circuit and oracle share no outputs"
+        assert report.num_candidates == 0 and report.num_keys == 0
+        assert report.to_attack_result().outcome is AttackOutcome.FAIL
+        # Without the oracle check the same pair is analysed as usual.
+        assert fall_attack(locked, oracle_circuit=oracle).num_keys >= 1
+
 
 class TestDanaUnit:
     def test_dependency_graph(self):
