@@ -13,7 +13,6 @@ import pytest
 from repro.benchmarks_data.itc99 import load_itc99
 from repro.locking.cutelock_str import CuteLockStr
 from repro.sim.equivalence import sequential_equivalence_check
-from repro.sim.seqsim import apply_key_to_sequence
 
 
 @pytest.mark.parametrize("saturate", [False, True], ids=["wrap", "saturate"])

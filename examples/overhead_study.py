@@ -9,7 +9,6 @@ Run with:  python examples/overhead_study.py
 """
 
 from repro.experiments.figure4 import run_figure4
-from repro.experiments.report import format_table
 
 
 def main() -> None:

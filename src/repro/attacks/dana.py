@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit

@@ -33,7 +33,7 @@ from repro.attacks.results import AttackOutcome, AttackResult
 from repro.engine.packed import PackedSimulator
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit
-from repro.netlist.gates import Gate, GateType
+from repro.netlist.gates import GateType
 from repro.sat.session import DEFAULT_BACKEND, SolveSession, SolverTelemetry
 from repro.sim.equivalence import random_equivalence_check
 

@@ -68,10 +68,13 @@ def rane_attack(
 
     ``depth`` bounds the verification horizon; ``initial_depth`` is where the
     adaptive unrolling starts (it doubles, via ``extend_unrolled``, each time
-    a candidate key survives the current horizon).
+    a candidate key survives the current horizon).  Either below 1 raises
+    :class:`ValueError` before anything is solved: a horizon of no frames
+    verifies nothing.
     """
-    if initial_depth < 1:
-        raise ValueError("initial_depth must be at least 1")
+    for knob, value in (("depth", depth), ("initial_depth", initial_depth)):
+        if value < 1:
+            raise ValueError(f"{knob} must be >= 1, got {value!r}")
     frame = _AttackFrame(
         "rane", locked, oracle_circuit, scan=False, time_limit=time_limit,
         conflict_limit=conflict_limit,

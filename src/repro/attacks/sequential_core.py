@@ -177,7 +177,11 @@ def sequential_oracle_guided_attack(
     ``proof_dir`` arms certified mode: the session writes a DRUP certificate
     pair there for each UNSAT answer (``repro check proof`` replays them),
     and the pair count lands in ``details["certificates"]``.
+    An ``initial_depth`` below 1 raises :class:`ValueError` before anything
+    is solved: an unrolling of no frames has no distinguishing sequence.
     """
+    if initial_depth < 1:
+        raise ValueError(f"initial_depth must be >= 1, got {initial_depth!r}")
     frame = _AttackFrame(
         attack_name, locked, oracle_circuit, scan=False, time_limit=time_limit,
         conflict_limit=conflict_limit, proof_dir=proof_dir,

@@ -60,13 +60,14 @@ def _encode_frame(
     result: UnrolledCircuit,
     frame: int,
     *,
-    fix_initial_state: bool,
     input_values: Optional[Mapping[str, int]] = None,
 ) -> None:
     """Encode one time frame and append its name maps to ``result``.
 
+    Frame 0's present state is bound to each flip-flop's reset value, and
     ``input_values`` (functional input -> 0/1) binds the frame's functional
-    inputs before the frame is encoded.
+    inputs, before the frame is encoded, so the encoder folds the logic they
+    decide.
     """
     key_set = set(circuit.key_inputs)
     frame_tag = f"{result.prefix}t{frame}@"
@@ -84,13 +85,12 @@ def _encode_frame(
             inputs_map[net] = f"{frame_tag}{net}"
     # Present state of this frame is the captured next state of the
     # previous frame (shared variable), or a frame-0 net bound to the reset
-    # value (a fresh variable when the initial state is left free).
+    # value.
     states_map: Dict[str, str] = {}
     for q, ff in circuit.dffs.items():
         if frame == 0:
             states_map[q] = f"{frame_tag}{q}"
-            if fix_initial_state:
-                encoder.add_value(states_map[q], ff.init)
+            encoder.add_value(states_map[q], ff.init)
         else:
             states_map[q] = result.next_state_names[q]
             shared[q] = result.next_state_names[q]
@@ -118,10 +118,9 @@ def encode_unrolled(
     prefix: str,
     shared_input_prefix: Optional[str] = None,
     key_prefix: Optional[str] = None,
-    fix_initial_state: bool = True,
     input_values: Optional[Sequence[Mapping[str, int]]] = None,
 ) -> UnrolledCircuit:
-    """Encode ``num_frames`` time frames of ``circuit``.
+    """Encode ``num_frames`` time frames of ``circuit`` from its reset state.
 
     Parameters
     ----------
@@ -136,9 +135,6 @@ def encode_unrolled(
         If given, key inputs of every frame share the single net
         ``f"{key_prefix}{net}"`` (the static-key assumption).  Otherwise keys
         are per-copy but still shared across frames.
-    fix_initial_state:
-        Bind frame 0's present state to each flip-flop's reset value before
-        the frame is encoded, so the encoder folds the logic it decides.
     input_values:
         If given, one vector per frame (functional input -> 0/1) bound to
         that frame's functional inputs before the frame is encoded: the
@@ -153,7 +149,7 @@ def encode_unrolled(
 
     for frame in range(num_frames):
         _encode_frame(
-            encoder, circuit, result, frame, fix_initial_state=fix_initial_state,
+            encoder, circuit, result, frame,
             input_values=None if input_values is None else input_values[frame],
         )
     return result
@@ -179,6 +175,6 @@ def extend_unrolled(
             f"cannot shrink an unrolling ({unrolled.num_frames} -> {num_frames} frames)"
         )
     for frame in range(unrolled.num_frames, num_frames):
-        _encode_frame(encoder, circuit, unrolled, frame, fix_initial_state=False)
+        _encode_frame(encoder, circuit, unrolled, frame)
     unrolled.num_frames = num_frames
     return unrolled

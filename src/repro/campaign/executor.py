@@ -4,8 +4,8 @@ Two modes, selected by ``workers``:
 
 * ``workers == 0`` — **serial in-process**: jobs run one after another inside
   the calling process.  This is the deterministic reference mode the
-  experiment drivers default to, and what the tests compare the parallel
-  mode against.
+  experiment drivers run in (:func:`run_in_memory`), and what the tests
+  compare the parallel mode against.
 * ``workers >= 1`` — **process pool**: jobs are fanned out over a
   ``concurrent.futures.ProcessPoolExecutor`` with ``workers`` workers.
 
@@ -322,6 +322,18 @@ def run_campaign(
 
     summary.wall_seconds = time.perf_counter() - started
     return summary
+
+
+def run_in_memory(name: str, jobs: List[JobSpec]) -> Dict[str, Record]:
+    """Run ``jobs`` serially in this process; return their records by key.
+
+    The experiment drivers' one-call execution: no store on disk, no
+    manifest, no per-job timeout.  Parallel, resumable or time-bounded runs
+    go through :func:`run_campaign` with a persistent :class:`ResultStore`.
+    """
+    store = ResultStore(None)
+    run_campaign(CampaignSpec(name=name, jobs=jobs), store)
+    return store.load_index()
 
 
 def _run_pool(

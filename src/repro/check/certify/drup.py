@@ -25,7 +25,7 @@ kept set is still a genuine refutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.check.certify.dimacs import load_dimacs

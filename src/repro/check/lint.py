@@ -24,6 +24,9 @@ R006   except-swallow        no bare ``except:``, and no ``except Exception``
                              (or ``BaseException``) whose body only ``pass``es
                              — swallowed failures corrupt campaign results
                              silently
+R007   unused-import         no imported name the module never reads (names
+                             in ``__all__`` and in string annotations count
+                             as read; ``from __future__`` is exempt)
 ====== ===================== =====================================================
 
 Suppression: append ``# repro-lint: disable=R001`` (comma-separated IDs, or
@@ -36,7 +39,6 @@ qualified name) with a recorded reason — see ``CHECKS.md``.
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,6 +69,10 @@ RULES: Dict[str, Tuple[str, str]] = {
     "R006": (
         "except-swallow",
         "bare except, or except Exception whose body only passes",
+    ),
+    "R007": (
+        "unused-import",
+        "imported name the module never reads",
     ),
 }
 
@@ -443,6 +449,41 @@ class _Linter(ast.NodeVisitor):
             )
 
 
+def _unread_imports(tree: ast.Module) -> List[Tuple[str, ast.stmt]]:
+    """(name, import statement) for each imported name the module never reads.
+
+    Reads are loads of the name anywhere in the module, names inside string
+    annotations (``-> "Circuit"``) and the strings of ``__all__``.
+    """
+    imported: List[Tuple[str, ast.stmt]] = []
+    read: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.asname or alias.name.split(".")[0], node) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(alias.asname or alias.name, node) for alias in node.names
+                         if alias.name != "*"]
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        ):
+            read.update(item.value for item in ast.walk(node.value)
+                        if isinstance(item, ast.Constant) and isinstance(item.value, str))
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for part in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    try:
+                        expression = ast.parse(part.value, mode="eval")
+                    except SyntaxError:
+                        continue
+                    read.update(name.id for name in ast.walk(expression)
+                                if isinstance(name, ast.Name))
+    imported.sort(key=lambda entry: entry[1].lineno)
+    return [(name, node) for name, node in imported if name not in read]
+
+
 def _suppressions(source_lines: Sequence[str]) -> Tuple[Dict[int, Set[str]], Set[str]]:
     """Parse per-line and file-wide ``# repro-lint:`` suppression comments."""
     per_line: Dict[int, Set[str]] = {}
@@ -494,6 +535,12 @@ def lint_source(
     lines = source.splitlines()
     linter = _Linter(path, module, lines)
     linter.visit(tree)
+    for name, node in _unread_imports(tree):
+        linter._report(
+            node, "R007",
+            f"{name!r} is imported but never read; delete the import, or list "
+            "the name in __all__ to re-export it",
+        )
     per_line, per_file = _suppressions(lines)
     return [
         finding
@@ -527,11 +574,3 @@ def render_findings(findings: Sequence[Finding]) -> str:
     lines = [finding.render() for finding in findings]
     lines.append(f"{len(findings)} finding(s)")
     return "\n".join(lines)
-
-
-def findings_json(findings: Sequence[Finding]) -> str:
-    """Machine-readable report: ``{"findings": [...], "count": N}``."""
-    return json.dumps(
-        {"findings": [f.to_dict() for f in findings], "count": len(findings)},
-        indent=2,
-    )

@@ -792,11 +792,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     check_lint = check_sub.add_parser(
         "lint", help="run the repo-specific AST linter",
-        description="AST lint with repo-specific rules (R001-R006: "
+        description="AST lint with repo-specific rules (R001-R007: "
                     "wall-clock/unseeded-random in byte-identity-critical "
                     "modules, raw JSONL loops, # hot-loop call discipline, "
                     "to_dict/from_dict completeness, silent exception "
-                    "swallowing).  Suppress per line with "
+                    "swallowing, unused imports).  Suppress per line with "
                     "'# repro-lint: disable=RULE'.")
     check_lint.add_argument("paths", nargs="*",
                             help="files or directories (default: src)")

@@ -22,12 +22,12 @@ the two DK-Lock baselines — declared by :func:`figure4_jobs`, costed by
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.benchmarks_data.itc99 import itc99_names, load_itc99
-from repro.campaign.executor import run_campaign
-from repro.campaign.spec import CampaignSpec, JobSpec
-from repro.campaign.store import STATUS_COMPLETED, Record, ResultStore
+from repro.campaign.executor import run_in_memory
+from repro.campaign.spec import JobSpec
+from repro.campaign.store import STATUS_COMPLETED, Record
 from repro.experiments.report import ExperimentTable
 from repro.locking.baselines.dklock import lock_dklock
 from repro.locking.cutelock_str import CuteLockStr
@@ -100,8 +100,8 @@ def run_figure4_cell(params: Mapping[str, object]) -> Dict[str, object]:
     """
     name = str(params["benchmark"])
     label = str(params["label"])
-    activity_vectors = int(params.get("activity_vectors", 32))  # type: ignore[arg-type]
-    seed = int(params.get("seed", 6))  # type: ignore[arg-type]
+    activity_vectors = int(params["activity_vectors"])  # type: ignore[arg-type]
+    seed = int(params["seed"])  # type: ignore[arg-type]
     generated = load_itc99(name)
     circuit = generated.circuit
     num_inputs = len(circuit.inputs)
@@ -200,33 +200,17 @@ def aggregate_figure4(
 
 
 def run_figure4(
-    *,
-    quick: bool = True,
-    benchmarks: Optional[Sequence[str]] = None,
-    activity_vectors: int = 32,
-    seed: int = 6,
-    workers: int = 0,
-    store: Union[ResultStore, str, None] = None,
-    job_timeout: Optional[float] = None,
+    **grid: Any,
 ) -> Tuple[Dict[str, ExperimentTable], Dict[str, Dict[str, object]]]:
-    """Regenerate Figure 4.
+    """Regenerate Figure 4: the :func:`figure4_jobs` grid, run serially in memory.
 
     Returns one :class:`ExperimentTable` per metric (keyed by the metric
     field name) plus the raw per-benchmark ``CircuitCost`` objects.  See
-    :func:`~repro.experiments.table3.run_table3` for the campaign execution
-    parameters (``workers`` / ``store`` / ``job_timeout``).
+    :func:`~repro.experiments.table3.run_table3` for parallel, resumable or
+    time-bounded runs.
     """
-    jobs = figure4_jobs(
-        quick=quick, benchmarks=benchmarks,
-        activity_vectors=activity_vectors, seed=seed,
-    )
-    spec = CampaignSpec(name="figure4", jobs=jobs)
-    result_store = store if isinstance(store, ResultStore) else ResultStore(store)
-    run_campaign(spec, result_store, workers=workers, job_timeout=job_timeout,
-                 # A driver call is a slice of the evaluation: never clobber a
-                 # manifest that may describe a larger CLI-managed campaign.
-                 write_manifest=False)
-    return aggregate_figure4(jobs, result_store.load_index())
+    jobs = figure4_jobs(**grid)
+    return aggregate_figure4(jobs, run_in_memory("figure4", jobs))
 
 
 def _relative_overhead_shrinks(table: ExperimentTable) -> bool:

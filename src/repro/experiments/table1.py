@@ -14,7 +14,7 @@ hexadecimal input and output columns exactly like the paper's table.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.benchmarks_data.synthezza import SYNTHEZZA_PROFILES, load_synthezza
 from repro.engine.packed import random_bits
@@ -134,12 +134,7 @@ def run_table1_cell(params: Dict[str, object]) -> Dict[str, object]:
     The circuit/waveform artefacts stay in the worker — only the rendered
     table and the two validation booleans travel through the result store.
     """
-    table, artefacts = run_table1(
-        benchmark=str(params.get("benchmark", "bcomp")),
-        num_cycles=int(params.get("num_cycles", 16)),  # type: ignore[arg-type]
-        seed=int(params.get("seed", 1)),  # type: ignore[arg-type]
-        synthesis_style=str(params.get("synthesis_style", "auto")),
-    )
+    table, artefacts = run_table1(**params)  # type: ignore[arg-type]
     return {
         "table": table.to_dict(),
         "matches_correct": bool(artefacts["matches_correct"]),

@@ -117,11 +117,7 @@ def table2_jobs(
 
 def run_table2_cell(params: Dict[str, object]) -> Dict[str, object]:
     """Campaign worker: run Table II and ship the table + verdicts as JSON."""
-    table, artefacts = run_table2(
-        num_cycles=int(params.get("num_cycles", 15)),  # type: ignore[arg-type]
-        seed=int(params.get("seed", 2)),  # type: ignore[arg-type]
-        num_locked_ffs=int(params.get("num_locked_ffs", 1)),  # type: ignore[arg-type]
-    )
+    table, artefacts = run_table2(**params)  # type: ignore[arg-type]
     return {
         "table": table.to_dict(),
         "matches_correct": bool(artefacts["matches_correct"]),

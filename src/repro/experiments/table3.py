@@ -17,21 +17,21 @@ The sweep is declared as a :mod:`repro.campaign` grid — one job per
 from the job parameters alone), and folded back into the paper's table by
 :func:`aggregate_table3` in job order, so parallel and serial executions
 produce identical tables.  :func:`run_table3` wires the three together and
-keeps its original signature; ``workers``/``store``/``job_timeout`` opt into
-parallel, resumable execution.
+runs the cells serially in memory.  Table IV is the same experiment on
+Cute-Lock-Str, so :func:`aggregate_attack_table` folds both tables.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.attacks.bmc_attack import bmc_attack
 from repro.attacks.kc2 import int_attack, kc2_attack
 from repro.attacks.results import AttackOutcome, AttackResult, format_runtime
 from repro.benchmarks_data.synthezza import SYNTHEZZA_PROFILES, load_synthezza, synthezza_names
-from repro.campaign.executor import run_campaign
-from repro.campaign.spec import CampaignSpec, JobSpec
-from repro.campaign.store import STATUS_COMPLETED, Record, ResultStore
+from repro.campaign.executor import run_in_memory
+from repro.campaign.spec import JobSpec
+from repro.campaign.store import STATUS_COMPLETED, Record
 from repro.experiments.report import ExperimentTable
 from repro.locking.cutelock_beh import CuteLockBeh
 from repro.netlist.validate import validate_circuit
@@ -57,7 +57,20 @@ def table3_jobs(
     synthesis_style: str = "auto",
     seed: int = 3,
 ) -> List[JobSpec]:
-    """Declare the Table III grid: one job per (benchmark, attack) cell."""
+    """Declare the Table III grid: one job per (benchmark, attack) cell.
+
+    Parameters
+    ----------
+    quick:
+        Run the representative subset (:data:`QUICK_BENCHMARKS`) instead of
+        all 33 Synthezza benchmarks.
+    benchmarks / attacks:
+        Explicit benchmark / attack-mode selections (override ``quick``).
+    time_limit / max_depth:
+        Per-attack budget.
+    synthesis_style / seed:
+        How the locked FSM is synthesised, and the Cute-Lock-Beh seed.
+    """
     if benchmarks is None:
         benchmarks = QUICK_BENCHMARKS if quick else synthezza_names()
     attack_names = list(attacks or ATTACKS.keys())
@@ -92,9 +105,9 @@ def run_table3_cell(params: Mapping[str, object]) -> Dict[str, object]:
     locked_fsm = CuteLockBeh(
         num_keys=profile.num_keys,
         key_width=profile.key_width,
-        seed=int(params.get("seed", 3)),  # type: ignore[arg-type]
+        seed=int(params["seed"]),  # type: ignore[arg-type]
     ).lock(fsm)
-    locked = locked_fsm.synthesize(style=str(params.get("synthesis_style", "auto")))
+    locked = locked_fsm.synthesize(style=str(params["synthesis_style"]))
     # Strict ingestion-boundary validation: a synthesis/transform bug fails
     # the cell here (recorded as an error row) instead of mid-attack.
     validate_circuit(locked.circuit, strict=True)
@@ -102,8 +115,8 @@ def run_table3_cell(params: Mapping[str, object]) -> Dict[str, object]:
     attack_name = str(params["attack"])
     result = ATTACKS[attack_name](
         locked,
-        time_limit=float(params.get("time_limit", 20.0)),  # type: ignore[arg-type]
-        max_depth=int(params.get("max_depth", 8)),  # type: ignore[arg-type]
+        time_limit=float(params["time_limit"]),  # type: ignore[arg-type]
+        max_depth=int(params["max_depth"]),  # type: ignore[arg-type]
     )
     return {
         "circuit": name,
@@ -134,68 +147,65 @@ def placeholder_attack_result(attack: str, record: Optional[Record]) -> AttackRe
     )
 
 
-def aggregate_table3(
+def aggregate_attack_table(
     jobs: Sequence[JobSpec],
     records: Mapping[str, Record],
     *,
-    redact_runtimes: bool = False,
+    name: str,
+    title: str,
+    profile_columns: Sequence[str],
+    profile: Callable[[str], Sequence[object]],
+    redact_runtimes: bool,
 ) -> Tuple[ExperimentTable, Dict[str, List[AttackResult]]]:
-    """Fold completed cell payloads back into the paper's Table III.
+    """Fold (benchmark, attack) cells into one security table (III or IV).
 
-    Rows follow the job order of the spec — not completion order — so a
-    parallel run reproduces the serial table.  ``redact_runtimes`` replaces
-    the wall-clock columns with ``-`` (used when comparing runs for
+    Each row is a benchmark: its name, its ``profile(benchmark)`` values
+    under ``profile_columns``, then one outcome and one time column per
+    attack.  Rows and columns follow the job order of the spec — not
+    completion order — so a parallel run reproduces the serial table.  A
+    cell without a completed record renders through
+    :func:`placeholder_attack_result`.  ``redact_runtimes`` replaces the
+    wall-clock columns with ``-`` (used when comparing runs for
     byte-identity: runtimes are the one legitimately nondeterministic field).
+    The note says whether any attack recovered a working key.
     """
-    benchmarks: List[str] = []
-    attack_names: List[str] = []
-    cells: Dict[Tuple[str, str], JobSpec] = {}
-    for job in jobs:
-        name = str(job.params["benchmark"])
-        attack = str(job.params["attack"])
-        if name not in benchmarks:
-            benchmarks.append(name)
-        if attack not in attack_names:
-            attack_names.append(attack)
-        cells[(name, attack)] = job
-
+    cells: Dict[Tuple[str, str], JobSpec] = {
+        (str(job.params["benchmark"]), str(job.params["attack"])): job for job in jobs
+    }
+    benchmarks = list(dict.fromkeys(benchmark for benchmark, _ in cells))
+    attack_names = list(dict.fromkeys(attack for _, attack in cells))
     table = ExperimentTable(
-        name="Table III",
-        title="Cute-Lock-Beh security against logic attacks (NEOS BBO/INT/KC2 stand-ins)",
-        columns=["Circuit", "Group", "# Keys (k)", "Key Size (ki)"]
-        + [f"{name} outcome" for name in attack_names]
-        + [f"{name} time" for name in attack_names],
+        name=name,
+        title=title,
+        columns=["Circuit", *profile_columns]
+        + [f"{attack} outcome" for attack in attack_names]
+        + [f"{attack} time" for attack in attack_names],
     )
     raw: Dict[str, List[AttackResult]] = {}
 
-    for name in benchmarks:
-        profile = SYNTHEZZA_PROFILES[name]
-        row: Dict[str, object] = {
-            "Circuit": name,
-            "Group": profile.group,
-            "# Keys (k)": profile.num_keys,
-            "Key Size (ki)": profile.key_width,
-        }
+    for benchmark in benchmarks:
+        row: Dict[str, object] = {"Circuit": benchmark}
+        row.update(zip(profile_columns, profile(benchmark)))
         results: List[AttackResult] = []
-        for attack_name in attack_names:
-            job = cells.get((name, attack_name))
+        for attack in attack_names:
+            job = cells.get((benchmark, attack))
             record = records.get(job.key) if job is not None else None
             if record is not None and record.get("status") == STATUS_COMPLETED:
                 payload = record.get("payload") or {}
                 result = AttackResult.from_dict(payload["result"])  # type: ignore[index]
             else:
-                result = placeholder_attack_result(attack_name, record)
+                result = placeholder_attack_result(attack, record)
             results.append(result)
-            row[f"{attack_name} outcome"] = result.outcome.value
-            row[f"{attack_name} time"] = (
+            row[f"{attack} outcome"] = result.outcome.value
+            row[f"{attack} time"] = (
                 "-" if redact_runtimes else format_runtime(result.runtime_seconds)
             )
-        raw[name] = results
+        raw[benchmark] = results
         table.add_row(**row)
 
     broken = [
-        (name, result.attack)
-        for name, results in raw.items()
+        (benchmark, result.attack)
+        for benchmark, results in raw.items()
         for result in results
         if result.broke_defense
     ]
@@ -205,46 +215,35 @@ def aggregate_table3(
     return table, raw
 
 
-def run_table3(
+def aggregate_table3(
+    jobs: Sequence[JobSpec],
+    records: Mapping[str, Record],
     *,
-    quick: bool = True,
-    benchmarks: Optional[Sequence[str]] = None,
-    attacks: Optional[Sequence[str]] = None,
-    time_limit: float = 20.0,
-    max_depth: int = 8,
-    synthesis_style: str = "auto",
-    seed: int = 3,
-    workers: int = 0,
-    store: Union[ResultStore, str, None] = None,
-    job_timeout: Optional[float] = None,
+    redact_runtimes: bool = False,
 ) -> Tuple[ExperimentTable, Dict[str, List[AttackResult]]]:
-    """Regenerate Table III.
+    """Fold completed cell payloads back into the paper's Table III."""
 
-    Parameters
-    ----------
-    quick:
-        Run the representative subset (:data:`QUICK_BENCHMARKS`) instead of
-        all 33 Synthezza benchmarks.
-    benchmarks / attacks:
-        Explicit benchmark / attack-mode selections (override ``quick``).
-    time_limit / max_depth:
-        Per-attack budget.
-    workers / store / job_timeout:
-        Campaign execution: ``workers=0`` (default) runs the grid serially
-        in-process; ``workers=N`` fans cells out over N worker processes.
-        ``store`` (a :class:`ResultStore` or directory path) persists cell
-        results and enables resume; ``job_timeout`` bounds each cell's
-        wall-clock.
-    """
-    jobs = table3_jobs(
-        quick=quick, benchmarks=benchmarks, attacks=attacks,
-        time_limit=time_limit, max_depth=max_depth,
-        synthesis_style=synthesis_style, seed=seed,
+    def profile(benchmark: str) -> Tuple[object, ...]:
+        entry = SYNTHEZZA_PROFILES[benchmark]
+        return entry.group, entry.num_keys, entry.key_width
+
+    return aggregate_attack_table(
+        jobs, records,
+        name="Table III",
+        title="Cute-Lock-Beh security against logic attacks (NEOS BBO/INT/KC2 stand-ins)",
+        profile_columns=("Group", "# Keys (k)", "Key Size (ki)"),
+        profile=profile,
+        redact_runtimes=redact_runtimes,
     )
-    spec = CampaignSpec(name="table3", jobs=jobs)
-    result_store = store if isinstance(store, ResultStore) else ResultStore(store)
-    run_campaign(spec, result_store, workers=workers, job_timeout=job_timeout,
-                 # A driver call is a slice of the evaluation: never clobber a
-                 # manifest that may describe a larger CLI-managed campaign.
-                 write_manifest=False)
-    return aggregate_table3(jobs, result_store.load_index())
+
+
+def run_table3(**grid: Any) -> Tuple[ExperimentTable, Dict[str, List[AttackResult]]]:
+    """Regenerate Table III: the :func:`table3_jobs` grid, run serially in memory.
+
+    For a parallel, resumable or time-bounded run, pass the jobs to
+    :func:`~repro.campaign.executor.run_campaign` with a
+    :class:`~repro.campaign.store.ResultStore` and fold the store with
+    :func:`aggregate_table3` (or run ``repro campaign run --grid table3``).
+    """
+    jobs = table3_jobs(**grid)
+    return aggregate_table3(jobs, run_in_memory("table3", jobs))

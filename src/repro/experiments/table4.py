@@ -8,24 +8,25 @@ mirrors the sweep with the reproduction's attacks on the benchmark stand-ins.
 Like Table III, the sweep is a :mod:`repro.campaign` grid: one job per
 (benchmark, attack) cell declared by :func:`table4_jobs`, executed by
 :func:`run_table4_cell` (which re-derives the locked design from the job
-parameters) and re-assembled in job order by :func:`aggregate_table4`.
+parameters) and re-assembled in job order by :func:`aggregate_table4`, which
+shares Table III's fold (:func:`~repro.experiments.table3.aggregate_attack_table`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.attacks.bmc_attack import bmc_attack
 from repro.attacks.kc2 import int_attack, kc2_attack
 from repro.attacks.rane import rane_attack
-from repro.attacks.results import AttackResult, format_runtime
+from repro.attacks.results import AttackResult
 from repro.benchmarks_data.iscas89 import ISCAS89_PROFILES, iscas89_names, load_iscas89
 from repro.benchmarks_data.itc99 import ITC99_PROFILES, itc99_names, load_itc99
-from repro.campaign.executor import run_campaign
-from repro.campaign.spec import CampaignSpec, JobSpec
-from repro.campaign.store import STATUS_COMPLETED, Record, ResultStore
+from repro.campaign.executor import run_in_memory
+from repro.campaign.spec import JobSpec
+from repro.campaign.store import Record
 from repro.experiments.report import ExperimentTable
-from repro.experiments.table3 import placeholder_attack_result
+from repro.experiments.table3 import aggregate_attack_table
 from repro.locking.cutelock_str import CuteLockStr
 from repro.netlist.validate import validate_circuit
 
@@ -42,13 +43,12 @@ def _attack_table() -> Dict[str, Callable[..., AttackResult]]:
     return {"BBO": bmc_attack, "INT": int_attack, "KC2": kc2_attack, "RANE": rane_attack}
 
 
-def _load(name: str):
+def _suite(name: str) -> Tuple[str, Any]:
+    """(suite, profile) of a Table IV benchmark, without loading its netlist."""
     if name in ISCAS89_PROFILES:
-        profile = ISCAS89_PROFILES[name]
-        return load_iscas89(name), profile.num_keys, profile.key_width, "ISCAS'89"
+        return "ISCAS'89", ISCAS89_PROFILES[name]
     if name in ITC99_PROFILES:
-        profile = ITC99_PROFILES[name]
-        return load_itc99(name), profile.num_keys, profile.key_width, "ITC'99"
+        return "ITC'99", ITC99_PROFILES[name]
     raise KeyError(f"unknown Table IV benchmark {name!r}")
 
 
@@ -66,8 +66,13 @@ def table4_jobs(
 ) -> List[JobSpec]:
     """Declare the Table IV grid: one job per (benchmark, attack) cell.
 
-    ``max_key_width`` is resolved here (quick default vs uncapped) so the job
-    parameters — and therefore the job keys — are fully explicit.
+    ``quick``, ``benchmarks``, ``attacks``, ``time_limit`` and ``max_depth``
+    are as in :func:`~repro.experiments.table3.table3_jobs`; ``rane_depth``
+    is RANE's unrolling depth, and ``num_locked_ffs``/``seed`` configure
+    Cute-Lock-Str.  ``max_key_width`` caps the per-benchmark ``ki``; it is
+    resolved here (:data:`MAX_KEY_WIDTH_QUICK` in quick mode, uncapped
+    otherwise) so the job parameters — and therefore the job keys — are
+    fully explicit.
     """
     if benchmarks is None:
         benchmarks = QUICK_BENCHMARKS if quick else (iscas89_names() + itc99_names())
@@ -97,18 +102,19 @@ def table4_jobs(
 def run_table4_cell(params: Mapping[str, object]) -> Dict[str, object]:
     """Execute one Table IV cell: lock the netlist, run one attack."""
     name = str(params["benchmark"])
-    generated, num_keys, key_width, suite = _load(name)
-    max_key_width = params.get("max_key_width")
-    if max_key_width is not None:
-        key_width = min(key_width, int(max_key_width))  # type: ignore[arg-type]
+    suite, profile = _suite(name)
+    generated = load_iscas89(name) if suite == "ISCAS'89" else load_itc99(name)
+    key_width = profile.key_width
+    if params["max_key_width"] is not None:
+        key_width = min(key_width, int(params["max_key_width"]))  # type: ignore[arg-type]
     locked = CuteLockStr(
-        num_keys=num_keys,
+        num_keys=profile.num_keys,
         key_width=key_width,
         num_locked_ffs=min(
-            int(params.get("num_locked_ffs", 2)),  # type: ignore[arg-type]
+            int(params["num_locked_ffs"]),  # type: ignore[arg-type]
             len(generated.circuit.dffs),
         ),
-        seed=int(params.get("seed", 4)),  # type: ignore[arg-type]
+        seed=int(params["seed"]),  # type: ignore[arg-type]
     ).lock(generated.circuit)
     # Strict ingestion-boundary validation: a locking-transform bug fails
     # the cell here (recorded as an error row) instead of mid-attack.
@@ -116,21 +122,21 @@ def run_table4_cell(params: Mapping[str, object]) -> Dict[str, object]:
 
     attack_name = str(params["attack"])
     attack = _attack_table()[attack_name]
-    time_limit = float(params.get("time_limit", 20.0))  # type: ignore[arg-type]
+    time_limit = float(params["time_limit"])  # type: ignore[arg-type]
     if attack_name == "RANE":
         result = attack(
             locked, time_limit=time_limit,
-            depth=int(params.get("rane_depth", 6)),  # type: ignore[arg-type]
+            depth=int(params["rane_depth"]),  # type: ignore[arg-type]
         )
     else:
         result = attack(
             locked, time_limit=time_limit,
-            max_depth=int(params.get("max_depth", 8)),  # type: ignore[arg-type]
+            max_depth=int(params["max_depth"]),  # type: ignore[arg-type]
         )
     return {
         "circuit": name,
         "suite": suite,
-        "num_keys": num_keys,
+        "num_keys": profile.num_keys,
         "key_width": key_width,
         "attack": attack_name,
         "result": result.to_dict(),
@@ -144,65 +150,27 @@ def aggregate_table4(
     redact_runtimes: bool = False,
 ) -> Tuple[ExperimentTable, Dict[str, List[AttackResult]]]:
     """Fold completed cell payloads back into the paper's Table IV."""
-    benchmarks: List[str] = []
-    attack_names: List[str] = []
-    cells: Dict[Tuple[str, str], JobSpec] = {}
-    max_key_width: Optional[int] = None
-    for job in jobs:
-        name = str(job.params["benchmark"])
-        attack = str(job.params["attack"])
-        if name not in benchmarks:
-            benchmarks.append(name)
-        if attack not in attack_names:
-            attack_names.append(attack)
-        cells[(name, attack)] = job
-        if job.params.get("max_key_width") is not None:
-            max_key_width = int(job.params["max_key_width"])  # type: ignore[arg-type]
+    caps = [
+        int(job.params["max_key_width"])  # type: ignore[arg-type]
+        for job in jobs
+        if job.params["max_key_width"] is not None
+    ]
+    max_key_width = caps[-1] if caps else None
 
-    table = ExperimentTable(
-        name="Table IV",
-        title="Cute-Lock-Str security against logic attacks (NEOS + RANE stand-ins)",
-        columns=["Circuit", "Suite", "# Keys (k)", "Key Size (ki)"]
-        + [f"{name} outcome" for name in attack_names]
-        + [f"{name} time" for name in attack_names],
-    )
-    raw: Dict[str, List[AttackResult]] = {}
-
-    for name in benchmarks:
-        _, num_keys, key_width, suite = _profile_fields(name)
+    def profile(name: str) -> Tuple[object, ...]:
+        suite, entry = _suite(name)
+        key_width = entry.key_width
         if max_key_width is not None:
             key_width = min(key_width, max_key_width)
-        row: Dict[str, object] = {
-            "Circuit": name,
-            "Suite": suite,
-            "# Keys (k)": num_keys,
-            "Key Size (ki)": key_width,
-        }
-        results: List[AttackResult] = []
-        for attack_name in attack_names:
-            job = cells.get((name, attack_name))
-            record = records.get(job.key) if job is not None else None
-            if record is not None and record.get("status") == STATUS_COMPLETED:
-                payload = record.get("payload") or {}
-                result = AttackResult.from_dict(payload["result"])  # type: ignore[index]
-            else:
-                result = placeholder_attack_result(attack_name, record)
-            results.append(result)
-            row[f"{attack_name} outcome"] = result.outcome.value
-            row[f"{attack_name} time"] = (
-                "-" if redact_runtimes else format_runtime(result.runtime_seconds)
-            )
-        raw[name] = results
-        table.add_row(**row)
+        return suite, entry.num_keys, key_width
 
-    broken = [
-        (name, result.attack)
-        for name, results in raw.items()
-        for result in results
-        if result.broke_defense
-    ]
-    table.notes.append(
-        "no attack recovered a working key" if not broken else f"BROKEN: {broken}"
+    table, raw = aggregate_attack_table(
+        jobs, records,
+        name="Table IV",
+        title="Cute-Lock-Str security against logic attacks (NEOS + RANE stand-ins)",
+        profile_columns=("Suite", "# Keys (k)", "Key Size (ki)"),
+        profile=profile,
+        redact_runtimes=redact_runtimes,
     )
     if max_key_width is not None:
         table.notes.append(
@@ -211,48 +179,11 @@ def aggregate_table4(
     return table, raw
 
 
-def _profile_fields(name: str) -> Tuple[None, int, int, str]:
-    """(``None``, k, ki, suite) for a benchmark without loading its netlist."""
-    if name in ISCAS89_PROFILES:
-        profile = ISCAS89_PROFILES[name]
-        return None, profile.num_keys, profile.key_width, "ISCAS'89"
-    if name in ITC99_PROFILES:
-        profile = ITC99_PROFILES[name]
-        return None, profile.num_keys, profile.key_width, "ITC'99"
-    raise KeyError(f"unknown Table IV benchmark {name!r}")
+def run_table4(**grid: Any) -> Tuple[ExperimentTable, Dict[str, List[AttackResult]]]:
+    """Regenerate Table IV: the :func:`table4_jobs` grid, run serially in memory.
 
-
-def run_table4(
-    *,
-    quick: bool = True,
-    benchmarks: Optional[Sequence[str]] = None,
-    attacks: Optional[Sequence[str]] = None,
-    time_limit: float = 20.0,
-    max_depth: int = 8,
-    rane_depth: int = 6,
-    num_locked_ffs: int = 2,
-    seed: int = 4,
-    max_key_width: Optional[int] = None,
-    workers: int = 0,
-    store: Union[ResultStore, str, None] = None,
-    job_timeout: Optional[float] = None,
-) -> Tuple[ExperimentTable, Dict[str, List[AttackResult]]]:
-    """Regenerate Table IV.
-
-    ``max_key_width`` caps the per-benchmark ``ki`` (defaults to
-    :data:`MAX_KEY_WIDTH_QUICK` in quick mode, uncapped otherwise).  See
-    :func:`~repro.experiments.table3.run_table3` for the campaign execution
-    parameters (``workers`` / ``store`` / ``job_timeout``).
+    See :func:`~repro.experiments.table3.run_table3` for parallel, resumable
+    or time-bounded runs.
     """
-    jobs = table4_jobs(
-        quick=quick, benchmarks=benchmarks, attacks=attacks,
-        time_limit=time_limit, max_depth=max_depth, rane_depth=rane_depth,
-        num_locked_ffs=num_locked_ffs, seed=seed, max_key_width=max_key_width,
-    )
-    spec = CampaignSpec(name="table4", jobs=jobs)
-    result_store = store if isinstance(store, ResultStore) else ResultStore(store)
-    run_campaign(spec, result_store, workers=workers, job_timeout=job_timeout,
-                 # A driver call is a slice of the evaluation: never clobber a
-                 # manifest that may describe a larger CLI-managed campaign.
-                 write_manifest=False)
-    return aggregate_table4(jobs, result_store.load_index())
+    jobs = table4_jobs(**grid)
+    return aggregate_table4(jobs, run_in_memory("table4", jobs))

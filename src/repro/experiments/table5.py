@@ -20,14 +20,14 @@ by :func:`table5_jobs` and re-assembled by :func:`aggregate_table5`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.attacks.dana import DanaReport, dana_attack
 from repro.attacks.fall import FallReport, fall_attack
 from repro.benchmarks_data.itc99 import ITC99_PROFILES, itc99_names, load_itc99
-from repro.campaign.executor import run_campaign
-from repro.campaign.spec import CampaignSpec, JobSpec
-from repro.campaign.store import STATUS_COMPLETED, Record, ResultStore
+from repro.campaign.executor import run_in_memory
+from repro.campaign.spec import JobSpec
+from repro.campaign.store import STATUS_COMPLETED, Record
 from repro.experiments.report import ExperimentTable
 from repro.locking.cutelock_str import CuteLockStr
 from repro.netlist.validate import validate_circuit
@@ -80,17 +80,17 @@ def _lock_benchmark(params: Mapping[str, object]):
     profile = ITC99_PROFILES[name]
     generated = load_itc99(name)
     key_width = min(
-        profile.key_width, int(params.get("max_key_width", 8))  # type: ignore[arg-type]
+        profile.key_width, int(params["max_key_width"])  # type: ignore[arg-type]
     )
     locked = CuteLockStr(
         num_keys=profile.num_keys,
         key_width=key_width,
         num_locked_ffs=min(
-            int(params.get("num_locked_ffs", DEFAULT_LOCKED_FFS)),  # type: ignore[arg-type]
+            int(params["num_locked_ffs"]),  # type: ignore[arg-type]
             len(generated.circuit.dffs),
         ),
         donors_per_ff=2,
-        seed=int(params.get("seed", 5)),  # type: ignore[arg-type]
+        seed=int(params["seed"]),  # type: ignore[arg-type]
     ).lock(generated.circuit)
     # Strict ingestion-boundary validation: a generator or locking bug
     # fails the cell here (recorded as an error row) instead of mid-attack.
@@ -214,30 +214,12 @@ def aggregate_table5(
     return table, raw
 
 
-def run_table5(
-    *,
-    quick: bool = True,
-    benchmarks: Optional[Sequence[str]] = None,
-    num_locked_ffs: int = DEFAULT_LOCKED_FFS,
-    seed: int = 5,
-    max_key_width: int = 8,
-    workers: int = 0,
-    store: Union[ResultStore, str, None] = None,
-    job_timeout: Optional[float] = None,
-) -> Tuple[ExperimentTable, Dict[str, Dict[str, object]]]:
-    """Regenerate Table V.  Returns the table and per-benchmark raw reports.
+def run_table5(**grid: Any) -> Tuple[ExperimentTable, Dict[str, Dict[str, object]]]:
+    """Regenerate Table V: the :func:`table5_jobs` grid, run serially in memory.
 
-    See :func:`~repro.experiments.table3.run_table3` for the campaign
-    execution parameters (``workers`` / ``store`` / ``job_timeout``).
+    Returns the table and per-benchmark raw reports.  See
+    :func:`~repro.experiments.table3.run_table3` for parallel, resumable or
+    time-bounded runs.
     """
-    jobs = table5_jobs(
-        quick=quick, benchmarks=benchmarks, num_locked_ffs=num_locked_ffs,
-        seed=seed, max_key_width=max_key_width,
-    )
-    spec = CampaignSpec(name="table5", jobs=jobs)
-    result_store = store if isinstance(store, ResultStore) else ResultStore(store)
-    run_campaign(spec, result_store, workers=workers, job_timeout=job_timeout,
-                 # A driver call is a slice of the evaluation: never clobber a
-                 # manifest that may describe a larger CLI-managed campaign.
-                 write_manifest=False)
-    return aggregate_table5(jobs, result_store.load_index())
+    jobs = table5_jobs(**grid)
+    return aggregate_table5(jobs, run_in_memory("table5", jobs))

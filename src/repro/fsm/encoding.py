@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.fsm.stg import FSM, FSMError
 
@@ -28,16 +28,6 @@ class StateEncoding:
             return self.codes[state]
         except KeyError as exc:
             raise FSMError(f"state {state!r} has no code") from exc
-
-    def state_of(self, code: int) -> Optional[str]:
-        """Inverse lookup; returns None for unused codes."""
-        for state, value in self.codes.items():
-            if value == code:
-                return state
-        return None
-
-    def used_codes(self) -> List[int]:
-        return sorted(self.codes.values())
 
     def unused_codes(self) -> List[int]:
         used = set(self.codes.values())

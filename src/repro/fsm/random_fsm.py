@@ -9,7 +9,7 @@ random Mealy machines that stand in for the Synthezza FSM benchmark suite
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.fsm.stg import FSM
 
@@ -118,25 +118,3 @@ def random_fsm(
                     state, value, rng.choice(states), rng.randrange(max_output)
                 )
     return fsm
-
-
-def random_wrongful_map(
-    fsm: FSM,
-    *,
-    seed: int = 0,
-) -> dict:
-    """A random "wrongful transition" map for behavioural locking.
-
-    For every ``(state, input)`` pair, pick a next state different from the
-    correct one whenever more than one state exists.  This is the wrongful
-    STG of Fig. 1(3): the behaviour the locked machine follows when the key
-    presented at that clock cycle is wrong.
-    """
-    rng = random.Random(seed)
-    wrongful = {}
-    for state in fsm.states:
-        for value in fsm.input_space:
-            correct_next, _ = fsm.next(state, value)
-            candidates = [s for s in fsm.states if s != correct_next]
-            wrongful[(state, value)] = rng.choice(candidates) if candidates else correct_next
-    return wrongful

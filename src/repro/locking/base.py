@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from repro.netlist.circuit import Circuit
 
@@ -151,10 +151,6 @@ class LockedCircuit:
     def correct_key_bits(self, cycle: int = 0) -> Dict[str, int]:
         """Key-input assignment scheduled for ``cycle``."""
         return self.schedule.bits_at(cycle, self.key_inputs)
-
-    def key_sequence(self, num_cycles: int) -> List[Dict[str, int]]:
-        """Per-cycle key-input assignments for ``num_cycles`` clock cycles."""
-        return [self.correct_key_bits(cycle) for cycle in range(num_cycles)]
 
     def wrong_schedule(self, *, seed: int = 1) -> KeySchedule:
         """A schedule guaranteed to differ from the secret in ≥1 position."""

@@ -17,7 +17,7 @@ bits are correct.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from repro.locking.base import KeySchedule, LockedCircuit, LockingError
 from repro.locking.counter import insert_counter

@@ -186,14 +186,3 @@ class CuteLockStr:
         rng.shuffle(candidates)
         count = min(self.donors_per_ff, len(candidates))
         return candidates[:count]
-
-
-def lock_cute_lock_str(
-    circuit: Circuit,
-    num_keys: int,
-    key_width: int,
-    **kwargs,
-) -> LockedCircuit:
-    """Functional convenience wrapper around :class:`CuteLockStr`."""
-    transform = CuteLockStr(num_keys=num_keys, key_width=key_width, **kwargs)
-    return transform.lock(circuit)

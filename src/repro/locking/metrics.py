@@ -16,7 +16,6 @@ from typing import Dict, List, Optional
 from repro.engine.packed import (
     PackedSimulator,
     key_words,
-    pack_bits,
     random_bits,
     stimulus_words,
 )
@@ -147,59 +146,6 @@ def key_space_size(locked: LockedCircuit) -> int:
 def effective_key_bits(locked: LockedCircuit) -> int:
     """log2 of :func:`key_space_size` — the secret's entropy in bits."""
     return locked.schedule.total_bits
-
-
-def switching_activity_divergence(
-    locked: LockedCircuit,
-    *,
-    trials: int = 4,
-    cycles: int = 64,
-    seed: int = 0,
-) -> Dict[str, float]:
-    """Toggle-activity signature of wrong keys (power-side-channel proxy).
-
-    Simulates the locked circuit under its correct key schedule and under
-    ``trials`` random wrong schedules on the same seeded stimulus, counting
-    per-net toggles with the packed engine, and reports how far the wrong-key
-    switching activity deviates from the correct-key baseline.  A large
-    divergence means a wrong key is detectable from dynamic power alone —
-    the activity-side analogue of :func:`output_corruptibility`.
-    """
-    from repro.engine.equivalence import packed_toggle_counts
-
-    rng = random.Random(seed)
-    circuit = locked.circuit
-    simulator = PackedSimulator(circuit)
-    key_inputs = locked.key_inputs
-    functional_inputs = [n for n in circuit.inputs if n not in set(key_inputs)]
-    bits = random_bits(rng, cycles * len(functional_inputs))
-    stimulus = stimulus_words(bits, functional_inputs)
-
-    def total_toggles(schedule: KeySchedule) -> int:
-        # A key input's cycle word: bit t is its bit of the key of cycle t.
-        values = schedule.values
-        keyed = dict(stimulus)
-        for index, net in enumerate(key_inputs):
-            shift = len(key_inputs) - 1 - index
-            keyed[net] = pack_bits(
-                [(values[t % len(values)] >> shift) & 1 for t in range(cycles)]
-            )
-        return sum(
-            packed_toggle_counts(circuit, keyed, cycles, simulator=simulator).values()
-        )
-
-    baseline = total_toggles(locked.schedule)
-    deltas = []
-    for _ in range(trials):
-        wrong = _random_wrong_schedule(locked.schedule, rng)
-        deltas.append(abs(total_toggles(wrong) - baseline))
-    mean_delta = sum(deltas) / trials if trials else 0.0
-    return {
-        "baseline_toggles": float(baseline),
-        "mean_abs_divergence": mean_delta,
-        "max_abs_divergence": float(max(deltas, default=0)),
-        "relative_divergence": mean_delta / baseline if baseline else 0.0,
-    }
 
 
 def structural_overhead_summary(locked: LockedCircuit) -> Dict[str, int]:

@@ -20,7 +20,7 @@ For one locked flip-flop the tree has ``m = log2(k) + 1`` layers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.locking.base import KeySchedule, LockingError
 from repro.netlist.circuit import Circuit

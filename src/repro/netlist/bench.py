@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GateType

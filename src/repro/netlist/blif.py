@@ -11,7 +11,7 @@ supported for reading as long as each cover is a plain SOP.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GateType

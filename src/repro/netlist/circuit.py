@@ -14,8 +14,7 @@ structure through :meth:`topological_order`, :meth:`fanin_cone` and friends.
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.netlist.gates import DFF, Gate, GateType
 
@@ -94,13 +93,6 @@ class Circuit:
         except KeyError as exc:
             raise CircuitError(f"no gate drives {output!r}") from exc
 
-    def remove_dff(self, q: str) -> DFF:
-        """Remove and return the DFF with output ``q``."""
-        try:
-            return self.dffs.pop(q)
-        except KeyError as exc:
-            raise CircuitError(f"no DFF drives {q!r}") from exc
-
     def replace_dff_input(self, q: str, new_d: str) -> DFF:
         """Re-wire the D pin of the DFF driving ``q`` to ``new_d``.
 
@@ -165,20 +157,6 @@ class Circuit:
             nets.add(ff.q)
             nets.add(ff.d)
         return nets
-
-    def driver_of(self, net: str) -> Optional[object]:
-        """Return the :class:`Gate` or :class:`DFF` driving ``net``.
-
-        Primary inputs return ``None`` (they have no internal driver).
-        Raises :class:`CircuitError` for completely unknown nets.
-        """
-        if net in self.gates:
-            return self.gates[net]
-        if net in self.dffs:
-            return self.dffs[net]
-        if net in self.inputs:
-            return None
-        raise CircuitError(f"net {net!r} has no driver and is not an input")
 
     def fanout_map(self) -> Dict[str, List[str]]:
         """Map each net to the list of gate-output nets that consume it.

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.netlist.circuit import Circuit
-from repro.netlist.gates import GateType
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import List, Union
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType

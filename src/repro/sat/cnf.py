@@ -17,7 +17,7 @@ empty clause or a literal 0.  The Tseitin encoder appends to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 Clause = Tuple[int, ...]
 

@@ -254,10 +254,6 @@ class SolveSession:
         self.solver.proof = self._proof
 
     # ------------------------------------------------------------- budgets
-    def set_deadline(self, deadline: Optional[float]) -> None:
-        """Set the absolute ``time.monotonic()`` deadline for later queries."""
-        self.deadline = deadline
-
     def remaining(self) -> Optional[float]:
         """Seconds left until the deadline (None when unbounded)."""
         if self.deadline is None:

@@ -78,7 +78,7 @@ from __future__ import annotations
 import heapq
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 #: ``_heap_activity`` value of a variable without a live current heap entry.

@@ -11,7 +11,7 @@ the BMC/KC2/RANE-style attacks query.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.netlist.circuit import Circuit
 from repro.sim.logicsim import CombinationalSimulator

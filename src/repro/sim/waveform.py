@@ -9,7 +9,7 @@ kind of table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,6 @@ class Waveform:
     def signal(self, net: str) -> List[int]:
         """The per-cycle values of one signal."""
         return [row.signals[net] for row in self.rows]
-
-    def input_signal(self, net: str) -> List[int]:
-        """The per-cycle values of one input."""
-        return [row.inputs[net] for row in self.rows]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -73,14 +69,6 @@ class Waveform:
         for net in order:
             value = (value << 1) | (int(bits.get(net, 0)) & 1)
         return value
-
-    def packed_signal(self, order: Sequence[str]) -> List[int]:
-        """Per-cycle packed integer of the signals listed in ``order`` (MSB first)."""
-        return [self.pack(row.signals, order) for row in self.rows]
-
-    def packed_inputs(self, order: Sequence[str]) -> List[int]:
-        """Per-cycle packed integer of the inputs listed in ``order`` (MSB first)."""
-        return [self.pack(row.inputs, order) for row in self.rows]
 
     # ------------------------------------------------------------------ #
     # rendering

@@ -12,14 +12,14 @@ cycle word per input for :func:`~repro.engine.equivalence.packed_toggle_counts`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from repro.engine.packed import random_bits, stimulus_words
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit
 from repro.synthesis.library import CellLibrary, generic_45nm_library
-from repro.synthesis.mapping import MappedCircuit, technology_map
+from repro.synthesis.mapping import technology_map
 
 #: Nominal clock frequency (Hz) used to convert switching energy to power.
 DEFAULT_CLOCK_HZ = 100e6

@@ -83,7 +83,6 @@ class TraceWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = self.path.open("w", encoding="utf-8")
         self._buffer: List[str] = []
-        self._events_written = 0
         self._closed = False
         self._t0 = time.perf_counter()
         self.emit(
@@ -121,7 +120,6 @@ class TraceWriter:
         if self._buffer and not self._closed:
             self._handle.write("".join(line + "\n" for line in self._buffer))
             self._handle.flush()
-            self._events_written += len(self._buffer)
             self._buffer.clear()
 
     def close(self) -> None:
@@ -131,10 +129,6 @@ class TraceWriter:
         self.flush()
         self._closed = True
         self._handle.close()
-
-    @property
-    def events_written(self) -> int:
-        return self._events_written + len(self._buffer)
 
     # --------------------------------------------------------------- context
     def __enter__(self) -> "TraceWriter":

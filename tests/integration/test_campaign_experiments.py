@@ -28,7 +28,10 @@ from repro.experiments.campaigns import (
     build_campaign,
     campaign_latex,
 )
+from repro.experiments.figure4 import aggregate_figure4, figure4_jobs, run_figure4
 from repro.experiments.table3 import aggregate_table3, run_table3, table3_jobs
+from repro.experiments.table4 import aggregate_table4, run_table4, table4_jobs
+from repro.experiments.table5 import aggregate_table5, run_table5, table5_jobs
 
 #: One cheap benchmark x two attack modes: small enough for CI, wide enough
 #: to exercise multi-cell aggregation.  The generous time limit keeps both
@@ -36,6 +39,23 @@ from repro.experiments.table3 import aggregate_table3, run_table3, table3_jobs
 #: and therefore the aggregated tables — deterministic across engines and
 #: worker counts.
 GRID = dict(benchmarks=["bcomp"], attacks=["INT", "KC2"], time_limit=60.0)
+
+#: Each driver with its grid function, its fold and a small grid.
+DRIVERS = {
+    "table3": (run_table3, table3_jobs, aggregate_table3, GRID),
+    "table4": (run_table4, table4_jobs, aggregate_table4,
+               dict(benchmarks=["b01"], attacks=["INT", "RANE"], time_limit=60.0)),
+    "table5": (run_table5, table5_jobs, aggregate_table5, dict(benchmarks=["b01"])),
+    "figure4": (run_figure4, figure4_jobs, aggregate_figure4,
+                dict(benchmarks=["b01"], activity_vectors=16)),
+}
+
+
+def _untimed_rows(tables):
+    """Rows of one table, or of each table in a dict, without runtime columns."""
+    if isinstance(tables, dict):
+        return {name: _untimed_rows(table) for name, table in tables.items()}
+    return [{k: v for k, v in row.items() if "time" not in k} for row in tables.rows]
 
 
 class TestParallelSerialEquivalence:
@@ -61,19 +81,15 @@ class TestParallelSerialEquivalence:
                 assert left.key == right.key
                 assert left.iterations == right.iterations
 
-    def test_run_table3_matches_explicit_campaign_execution(self):
-        table_direct, _ = run_table3(**GRID)
-        jobs = table3_jobs(**GRID)
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_driver_matches_explicit_campaign_execution(self, driver):
+        run, make_jobs, aggregate, grid = DRIVERS[driver]
+        direct, _ = run(**grid)
+        jobs = make_jobs(**grid)
         store = ResultStore(None)
         run_campaign(CampaignSpec(name="c", jobs=jobs), store, workers=0)
-        table_campaign, _ = aggregate_table3(jobs, store.load_index())
-        assert [
-            {k: v for k, v in row.items() if "time" not in k}
-            for row in table_direct.rows
-        ] == [
-            {k: v for k, v in row.items() if "time" not in k}
-            for row in table_campaign.rows
-        ]
+        campaign, _ = aggregate(jobs, store.load_index())
+        assert _untimed_rows(direct) == _untimed_rows(campaign)
 
 
 class TestResume:

@@ -1,6 +1,5 @@
 """Integration tests for the experiment drivers (tables and figure)."""
 
-import pytest
 
 from repro.campaign import CampaignSpec, ResultStore, run_campaign
 from repro.experiments import (

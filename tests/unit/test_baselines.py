@@ -9,7 +9,6 @@ import pytest
 
 from repro.fsm.random_fsm import random_fsm
 from repro.fsm.synthesis import synthesize_fsm
-from repro.locking.base import pack_key_bits
 from repro.locking.baselines import (
     lock_antisat,
     lock_dklock,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.benchmarks_data.iscas89 import S27_BENCH, s27_circuit
+from repro.benchmarks_data.iscas89 import s27_circuit
 from repro.netlist.bench import BenchParseError, parse_bench, write_bench
 from repro.netlist.blif import parse_blif, write_blif
 from repro.netlist.circuit import Circuit

@@ -88,7 +88,7 @@ def test_r001_covers_the_bar_timers():
     "datetime.date.today()",
 ])
 def test_r001_flags_every_wall_clock_in_the_bar_timers(call):
-    source = f"import datetime\nimport time\ndef timed():\n    return {call}\n"
+    source = f"import {call.split('.')[0]}\n\ndef timed():\n    return {call}\n"
     findings = lint_source(source, path="src/repro/perf.py")
     assert rules_of(findings) == ["R001"]
     assert findings[0].line == 4
@@ -392,6 +392,48 @@ def test_shipped_allowlist_is_minimal_and_documented():
 
 
 # --------------------------------------------------------------------- #
+# R007 unused-import
+# --------------------------------------------------------------------- #
+def test_r007_unread_imports():
+    source = (
+        "import os\n"
+        "import os.path as osp\n"
+        "from typing import Dict, List\n"
+        "from .sibling import helper\n"
+        "def load(path) -> List[str]:\n"
+        "    from json import loads, dumps\n"
+        "    return loads(osp.join(path))\n"
+    )
+    findings = lint_source(source, path="anywhere.py")
+    assert rules_of(findings) == ["R007"] * 4
+    assert [(f.line, f.message.split()[0]) for f in findings] == [
+        (1, "'os'"), (3, "'Dict'"), (4, "'helper'"), (6, "'dumps'"),
+    ]
+
+
+def test_r007_exempts_future_all_and_string_annotations():
+    source = (
+        "from __future__ import annotations\n"
+        "from typing import TYPE_CHECKING, Optional\n"
+        "from repro.netlist.circuit import Circuit\n"
+        "from repro.netlist.gates import Gate, GateType\n"
+        "from repro.sat.cnf import *\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.sat.tseitin import TseitinEncoder\n"
+        "__all__ = ['Circuit']\n"
+        "__all__ += ('GateType',)\n"
+        "def encode(gate: 'Optional[Gate]', encoder: 'TseitinEncoder') -> None:\n"
+        "    pass\n"
+    )
+    assert lint_source(source, path="anywhere.py") == []
+
+
+def test_r007_inline_suppression():
+    source = "import readline  # repro-lint: disable=R007 (imported for its side effect)\n"
+    assert lint_source(source, path="anywhere.py") == []
+
+
+# --------------------------------------------------------------------- #
 # file plumbing
 # --------------------------------------------------------------------- #
 def test_lint_paths_walks_trees_and_orders_findings(tmp_path):
@@ -428,4 +470,4 @@ def test_shipped_tree_is_lint_clean():
 
 
 def test_rule_catalogue_is_stable():
-    assert sorted(RULES) == ["R001", "R002", "R003", "R004", "R005", "R006"]
+    assert sorted(RULES) == ["R001", "R002", "R003", "R004", "R005", "R006", "R007"]

@@ -2,8 +2,8 @@
 
 from pathlib import Path
 
-import pytest
 
+from repro.attacks.results import AttackOutcome, AttackResult
 from repro.experiments.report import (
     ExperimentTable,
     format_table,
@@ -11,6 +11,8 @@ from repro.experiments.report import (
     render_latex_tables,
 )
 from repro.experiments.runner import write_latex_report, write_report
+from repro.experiments.table3 import aggregate_table3, table3_jobs
+from repro.experiments.table4 import aggregate_table4, table4_jobs
 
 
 class TestFormatTable:
@@ -108,3 +110,125 @@ class TestWriteReport:
         content = Path(path).read_text()
         assert "Table I" in content and "Table II" in content
         assert "Total runtime" in content
+
+
+def _completed(attack, outcome, runtime):
+    result = AttackResult(attack=attack, outcome=outcome, runtime_seconds=runtime)
+    return {"status": "completed", "runtime_seconds": runtime,
+            "payload": {"attack": attack, "result": result.to_dict()}}
+
+
+def _cell_records(jobs, correct_at=None):
+    """Hand-made records cycling through every way a cell can end: a stored
+    result, a job timeout, another stored result, a job error, no record."""
+    records = {}
+    for index, job in enumerate(jobs):
+        attack = job.params["attack"]
+        if index == correct_at:
+            records[job.key] = _completed(attack, AttackOutcome.CORRECT, 1.5)
+        elif index % 5 == 0:
+            records[job.key] = _completed(attack, AttackOutcome.WRONG_KEY, 12.25)
+        elif index % 5 == 1:
+            records[job.key] = {"status": "timeout", "runtime_seconds": 30.0,
+                                "error": "job exceeded its 30.000s wall-clock budget"}
+        elif index % 5 == 2:
+            records[job.key] = _completed(attack, AttackOutcome.CNS, 0.5)
+        elif index % 5 == 3:
+            records[job.key] = {"status": "error", "error": "ValueError: boom"}
+    return records
+
+
+TABLE3_TEXT = """\
+## Table III: Cute-Lock-Beh security against logic attacks (NEOS BBO/INT/KC2 stand-ins)
+
+Circuit | Group  | # Keys (k) | Key Size (ki) | BBO outcome | INT outcome | KC2 outcome | BBO time | INT time | KC2 time
+--------+--------+------------+---------------+-------------+-------------+-------------+----------+----------+---------
+bcomp   | small  | 6          | 18            | wrong-key   | timeout     | cns         | -        | -        | -
+acdl    | medium | 5          | 16            | fail        | fail        | wrong-key   | -        | -        | -
+
+* no attack recovered a working key"""
+
+TABLE4_TEXT = """\
+## Table IV: Cute-Lock-Str security against logic attacks (NEOS + RANE stand-ins)
+
+Circuit | Suite    | # Keys (k) | Key Size (ki) | BBO outcome | INT outcome | KC2 outcome | RANE outcome | BBO time | INT time | KC2 time | RANE time
+--------+----------+------------+---------------+-------------+-------------+-------------+--------------+----------+----------+----------+----------
+s27     | ISCAS'89 | 4          | 2             | wrong-key   | timeout     | cns         | fail         | -        | -        | -        | -
+s349    | ISCAS'89 | 4          | 8             | fail        | correct     | timeout     | cns          | -        | -        | -        | -
+b04     | ITC'99   | 4          | 8             | fail        | fail        | wrong-key   | timeout      | -        | -        | -        | -
+
+* BROKEN: [('s349', 'INT')]
+* key widths capped at 8 bits for the pure-Python SAT back-end"""
+
+TABLES_LATEX = r"""% Auto-generated by `python -m repro campaign report --latex`.
+% Each block is a self-contained table environment (plain LaTeX).
+
+\begin{table}[ht]
+  \centering
+  \caption{Table III: Cute-Lock-Beh security against logic attacks (NEOS BBO/INT/KC2 stand-ins)}
+  \label{tab:table-iii}
+  \begin{tabular}{llllllllll}
+    \hline
+    Circuit & Group & \# Keys (k) & Key Size (ki) & BBO outcome & INT outcome & KC2 outcome & BBO time & INT time & KC2 time \\
+    \hline
+    bcomp & small & 6 & 18 & wrong-key & timeout & cns & - & - & - \\
+    acdl & medium & 5 & 16 & fail & fail & wrong-key & - & - & - \\
+    \hline
+  \end{tabular}
+  \par\footnotesize no attack recovered a working key
+\end{table}
+
+\begin{table}[ht]
+  \centering
+  \caption{Table IV: Cute-Lock-Str security against logic attacks (NEOS + RANE stand-ins)}
+  \label{tab:table-iv}
+  \begin{tabular}{llllllllllll}
+    \hline
+    Circuit & Suite & \# Keys (k) & Key Size (ki) & BBO outcome & INT outcome & KC2 outcome & RANE outcome & BBO time & INT time & KC2 time & RANE time \\
+    \hline
+    s27 & ISCAS'89 & 4 & 2 & wrong-key & timeout & cns & fail & - & - & - & - \\
+    s349 & ISCAS'89 & 4 & 8 & fail & correct & timeout & cns & - & - & - & - \\
+    b04 & ITC'99 & 4 & 8 & fail & fail & wrong-key & timeout & - & - & - & - \\
+    \hline
+  \end{tabular}
+  \par\footnotesize BROKEN: [('s349', 'INT')]
+  \par\footnotesize key widths capped at 8 bits for the pure-Python SAT back-end
+\end{table}
+"""
+
+
+class TestAttackTableFold:
+    """Tables III and IV folded from hand-made records, rendered as text and
+    LaTeX with runtimes redacted (the quick Table IV grid caps ki at 8)."""
+
+    def _tables(self):
+        jobs3 = table3_jobs(benchmarks=["bcomp", "acdl"])
+        jobs4 = table4_jobs(benchmarks=["s27", "s349", "b04"])
+        table3, raw3 = aggregate_table3(jobs3, _cell_records(jobs3), redact_runtimes=True)
+        table4, raw4 = aggregate_table4(
+            jobs4, _cell_records(jobs4, correct_at=5), redact_runtimes=True
+        )
+        return table3, raw3, table4, raw4
+
+    def test_text(self):
+        table3, _, table4, _ = self._tables()
+        # The ASCII renderer pads the last column; the golden text does not.
+        for table, expected in ((table3, TABLE3_TEXT), (table4, TABLE4_TEXT)):
+            assert [line.rstrip() for line in table.to_text().split("\n")] == \
+                expected.split("\n")
+
+    def test_latex(self):
+        table3, _, table4, _ = self._tables()
+        assert render_latex_tables([table3, table4]) == TABLES_LATEX
+
+    def test_cells_without_a_result_keep_their_campaign_status(self):
+        _, raw3, _, raw4 = self._tables()
+        assert [result.details for result in raw3["bcomp"]] == [
+            {},
+            {"campaign_status": "timeout",
+             "error": "job exceeded its 30.000s wall-clock budget"},
+            {},
+        ]
+        assert [result.details.get("campaign_status") for result in raw4["b04"]] == \
+            ["error", "missing", None, "timeout"]
+        assert [result.runtime_seconds for result in raw4["s27"]] == [12.25, 30.0, 0.5, 0.0]

@@ -17,7 +17,7 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.netlist.validate import has_errors, validate_circuit
 from repro.sim.equivalence import sequential_equivalence_check
-from repro.sim.seqsim import SequentialSimulator, apply_key_to_sequence
+from repro.sim.seqsim import SequentialSimulator
 
 
 class TestKeySchedule:

@@ -8,7 +8,6 @@ from repro.cli import main as cli_main
 from repro.fsm.dot import fsm_to_dot, locked_fsm_to_dot, wrongful_map_to_dot
 from repro.fsm.random_fsm import random_fsm, sequence_detector_fsm
 from repro.fsm.synthesis import synthesize_fsm
-from repro.locking.base import KeySchedule
 from repro.locking.cutelock_beh import CuteLockBeh
 from repro.locking.cutelock_str import CuteLockStr
 from repro.locking.metrics import (

@@ -342,6 +342,38 @@ class TestAttackKeyCheckSize:
         assert result.outcome is AttackOutcome.WRONG_KEY
 
 
+class TestAttackDepthSize:
+    """An unrolling of no frames has no distinguishing sequence and verifies
+    nothing: BBO/INT spun on it until the time limit, a negative depth failed
+    only after solving, and RANE at depth 0 reported a wrong key.  Each
+    unrolling attack refuses a depth below 1 before its first solve."""
+
+    @pytest.fixture(scope="class")
+    def str_locked(self):
+        circuit = synthesize_fsm(random_fsm(8, 2, 2, seed=5), style="sop")
+        return CuteLockStr(num_keys=4, key_width=2, num_locked_ffs=2, seed=3).lock(circuit)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    @pytest.mark.parametrize("attack,knob", [
+        pytest.param(int_attack, "initial_depth", id="int"),
+        pytest.param(
+            partial(sequential_oracle_guided_attack, attack_name="bbo", incremental=False),
+            "initial_depth", id="bbo",
+        ),
+        pytest.param(rane_attack, "depth", id="rane-depth"),
+        pytest.param(rane_attack, "initial_depth", id="rane-initial-depth"),
+    ])
+    def test_depth_below_one_rejected_before_solving(
+        self, str_locked, attack, knob, size, monkeypatch
+    ):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the depth was validated")
+
+        monkeypatch.setattr(SolveSession, "solve", solve)
+        with pytest.raises(ValueError, match=f"^{knob} must be >= 1, got {size}$"):
+            attack(str_locked, time_limit=3.0, **{knob: size})
+
+
 class TestCampaignRecordTelemetry:
     def test_attack_job_record_carries_solver_block(self):
         def tiny_attack_job(params):

@@ -1,6 +1,5 @@
 """Unit tests for the netlist clean-up transforms."""
 
-import random
 
 import pytest
 
