@@ -4,8 +4,16 @@ This is the baseline sequential oracle-guided attack (El Massad et al.,
 ICCAD 2017, as packaged in NEOS's ``bbo`` mode): time-frame unrolling with a
 static key, a non-incremental solver that is rebuilt for every
 discriminating-input-sequence query, and simulation-based candidate
-verification.  It is the slowest of the three NEOS modes reproduced here,
-matching the relative runtimes of Tables III/IV.
+verification.
+
+The rebuild is this mode's only extra cost over INT and KC2, and on the
+Table III quick grid it no longer makes BBO the slowest mode: the first
+observation fixes both key copies, the miter's congruence pass merges them,
+and every later DIS search is refuted at level 0 in all three modes.  On
+the Table III quick grid the three modes' attack runtimes stay within about
+30% of each other with no consistent order (bcomp 0.05/0.07/0.05 s, acdl
+0.21/0.17/0.18 s, exxm 1.0/1.0/1.3 s for BBO/INT/KC2 on 2 shared vCPUs), so
+this reproduction does not show the paper's relative runtimes.
 """
 
 from __future__ import annotations
@@ -32,8 +40,8 @@ def bmc_attack(
 ) -> AttackResult:
     """Run the non-incremental unrolling attack (NEOS ``bbo`` equivalent).
 
-    The solver is rebuilt before every DIS query, the dominant per-query
-    cost of this mode.
+    The solver is rebuilt after every observation and depth extension, so
+    every DIS query starts from a fresh one.
     """
     return sequential_oracle_guided_attack(
         locked,

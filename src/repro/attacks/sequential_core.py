@@ -24,6 +24,20 @@ doubles, the existing unrolling is extended in place via
 :func:`~repro.attacks.unroll.extend_unrolled` (same encoder, same variables,
 observations stay encoded), so the incremental modes keep their learned
 clauses across depths.
+
+Once the observations fix key bits at decision level 0 (on the Table III
+quick-grid cells, the first observation fixes every bit of both copies),
+the miter runs the encoder's congruence pass
+(:meth:`~repro.sat.tseitin.TseitinEncoder.congruence`): copy ``B#``'s nodes
+merge into copy ``A#``'s, the diff is encoded again over the merged
+literals, and frames added later hash onto the merged nodes.  With both
+keys fixed the diff net is false, so every later DIS search is refuted at
+level 0 instead of proving the two unrolled copies equal frame by frame.
+The pass adds only entailed clauses (DRUP lemmas in certified mode, which
+the pass's own certificate replays), so every SAT/UNSAT answer is what it
+was without it; a DIS or key model may differ.  ``details["key_fixed"]`` records the depth and observation count
+at which both keys first became constant (``None`` if they never did), and
+``details["merged_literals"]`` how many literals the passes merged.
 """
 
 from __future__ import annotations
@@ -60,7 +74,19 @@ class _UnrolledMiter:
     Copies ``A#`` and ``B#`` of ``locked`` share one input sequence and keep
     private static keys (``KA@`` / ``KB@``); ``diff_net`` asserts that their
     shared outputs differ in some frame.  :meth:`extend` deepens the miter in
-    place and :meth:`observe` adds one oracle observation.
+    place and :meth:`observe` adds one oracle observation.  Without
+    ``incremental`` (BBO) each of them rebuilds the solver, so every DIS
+    search starts from a fresh one.
+
+    After each of them, :meth:`collapse` runs the encoder's congruence pass
+    once unit propagation has fixed more key bits than at its last run: the
+    copies' nodes that the fixed key makes equal merge, and the diff is
+    encoded again over the merged literals.  Once both keys are fixed the
+    copies are one, every output pair shares a literal, the diff net is
+    false and each later DIS search is refuted at level 0.
+    :attr:`key_fixed` records the depth and observation count at which
+    every key bit of both copies first became constant, and
+    :attr:`merged` how many literals the passes merged.
     """
 
     def __init__(
@@ -70,12 +96,18 @@ class _UnrolledMiter:
         functional_inputs: Sequence[str],
         shared_outputs: Sequence[str],
         depth: int,
+        *,
+        incremental: bool,
     ) -> None:
         self.session = session
         self.encoder = session.encoder
+        self.incremental = incremental
         self.depth = depth
         self.locked = locked
         self.key_nets = list(locked.key_inputs)
+        self.key_fixed: Optional[Dict[str, int]] = None
+        self.merged = 0
+        self._fixed_keys = 0
         self.functional_inputs = list(functional_inputs)
         self.shared_outputs = list(shared_outputs)
         self.copy_a = encode_unrolled(
@@ -109,7 +141,37 @@ class _UnrolledMiter:
         extend_unrolled(self.encoder, self.locked, self.copy_a, depth)
         extend_unrolled(self.encoder, self.locked, self.copy_b, depth)
         self.depth = depth
+        self._rebuild()
+        if not self.collapse():
+            self.diff_net = self._encode_diff()
+
+    def _rebuild(self) -> None:
+        """Rebuild the solver before the next DIS search (BBO only)."""
+        if not self.incremental:
+            self.session.reset_solver()
+
+    def collapse(self) -> bool:
+        """Run the congruence pass if unit propagation fixed new key bits.
+
+        Returns True when the pass ran (and the diff was encoded again).
+        """
+        values = self.session.level0_values()
+        if values is None:
+            return False
+        encoder = self.encoder
+        fixed = 0
+        for prefix in ("KA@", "KB@"):
+            for net in self.key_nets:
+                literal = encoder.var(prefix + net)
+                fixed += encoder.is_constant(literal) or abs(literal) in values
+        if fixed <= self._fixed_keys:
+            return False
+        self._fixed_keys = fixed
+        self.merged += self.session.congruence(values)
+        if self.key_fixed is None and fixed == 2 * len(self.key_nets):
+            self.key_fixed = {"depth": self.depth, "observations": self.constraint_copies}
         self.diff_net = self._encode_diff()
+        return True
 
     def search(self) -> Optional[bool]:
         """One DIS query: True (a DIS is in the model), False (none left), None (limited)."""
@@ -150,6 +212,8 @@ class _UnrolledMiter:
                 response = responses[frame]
                 for out in self.shared_outputs:
                     self.encoder.add_value(copy.frame_outputs[frame][out], response[out])
+        self._rebuild()
+        self.collapse()
 
 
 def sequential_oracle_guided_attack(
@@ -171,12 +235,14 @@ def sequential_oracle_guided_attack(
     """Run the shared sequential attack skeleton (see module docstring).
 
     ``incremental=False`` rebuilds the solver before every DIS query (the
-    "BBO" mode); ``crunch_keys`` fixes implied key bits after every
-    observation (KC2).  The session's solver telemetry lands in
-    ``details["solver"]``.
+    "BBO" mode: after each observation and each depth extension, so the
+    congruence pass reads level-0 values of a fresh solver); ``crunch_keys``
+    fixes implied key bits after every observation (KC2).  The session's
+    solver telemetry lands in ``details["solver"]``.
     ``proof_dir`` arms certified mode: the session writes a DRUP certificate
-    pair there for each UNSAT answer (``repro check proof`` replays them),
-    and the pair count lands in ``details["certificates"]``.
+    pair there for each UNSAT answer and for each congruence pass that
+    derives lemmas (``repro check proof`` replays them), and the pair count
+    lands in ``details["certificates"]``.
     An ``initial_depth`` below 1 raises :class:`ValueError` before anything
     is solved: an unrolling of no frames has no distinguishing sequence.
     """
@@ -192,21 +258,24 @@ def sequential_oracle_guided_attack(
     depth = initial_depth
     session = frame.session(f"{attack_name}-d{depth:02d}")
     miter = _UnrolledMiter(
-        session, frame.view, frame.functional_inputs, frame.shared_outputs, depth
+        session, frame.view, frame.functional_inputs, frame.shared_outputs, depth,
+        incremental=incremental,
     )
+
+    def details() -> Dict[str, object]:
+        return {"depth": depth, "key_fixed": miter.key_fixed, "merged_literals": miter.merged}
+
     while True:
         while True:
             if frame.out_of_time():
-                return frame.finish(AttackOutcome.TIMEOUT, reason="time limit", depth=depth)
+                return frame.finish(AttackOutcome.TIMEOUT, reason="time limit", **details())
             if frame.iterations >= max_iterations:
-                return frame.finish(AttackOutcome.TIMEOUT, reason="iteration limit", depth=depth)
-            if not incremental:
-                session.reset_solver()
+                return frame.finish(AttackOutcome.TIMEOUT, reason="iteration limit", **details())
             status = miter.search()
             frame.round(status, depth=depth)
             if status is None:
                 return frame.finish(AttackOutcome.TIMEOUT, reason="solver limit during DIS search",
-                                    depth=depth)
+                                    **details())
             if status is False:
                 break
             dis = miter.dis()
@@ -216,8 +285,8 @@ def sequential_oracle_guided_attack(
 
         # No DIS left at this depth: extract a consistent static key.  One
         # that fails the key check sends the search twice as deep.
-        key, ended = frame.extract_key(session, miter.key, depth=depth)
-        result = ended or frame.classify(key, depth=depth)
+        key, ended = frame.extract_key(session, miter.key, **details())
+        result = ended or frame.classify(key, **details())
         depth *= 2
         if result.outcome is not AttackOutcome.WRONG_KEY or depth > max_depth:
             return result
@@ -226,26 +295,28 @@ def sequential_oracle_guided_attack(
 
 def _crunch_key_conditions(miter: _UnrolledMiter, frame: _AttackFrame) -> None:
     """KC2-style simplification: permanently fix key bits implied by the
-    observations accumulated so far (both for the A and B key copies)."""
+    observations accumulated so far (both for the A and B key copies).
+
+    Each probe runs under the session's per-call conflict limit and the
+    attack's deadline, like every other solver call.  A key bit whose
+    literal the congruence pass already made constant is skipped, and the
+    crunch ends with the miter's :meth:`~_UnrolledMiter.collapse`, so bits
+    it fixes merge the copies too.
+    """
+    encoder = miter.encoder
     for prefix in ("KA@", "KB@"):
         for net in miter.key_nets:
-            # Each probe is cheap but there are 2x|key| of them: clamp every
-            # probe (recomputed per solve, the first may eat the budget) to
-            # 0.5s (the session clamps to the attack's remaining wall-clock
-            # on top) so crunching cannot overshoot the deadline.
+            literal = encoder.literal(f"{prefix}{net}", True)
+            if encoder.is_constant(literal):
+                continue
             if frame.out_of_time():
                 return
-            literal = miter.encoder.literal(f"{prefix}{net}", True)
-            can_be_true = miter.session.solve(
-                assumptions=[literal], phase="crunch", time_limit=0.5,
-            )
+            can_be_true = miter.session.solve(assumptions=[literal], phase="crunch")
             if frame.out_of_time():
                 return
-            can_be_false = miter.session.solve(
-                assumptions=[-literal], phase="crunch", time_limit=0.5,
-            )
+            can_be_false = miter.session.solve(assumptions=[-literal], phase="crunch")
             if can_be_true is False and can_be_false is True:
-                miter.encoder.cnf.add_clause([-literal])
+                encoder.cnf.add_clause([-literal])
             elif can_be_false is False and can_be_true is True:
-                miter.encoder.cnf.add_clause([literal])
-    miter.session.sync()
+                encoder.cnf.add_clause([literal])
+    miter.collapse()

@@ -14,7 +14,7 @@ hexadecimal input and output columns exactly like the paper's table.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.benchmarks_data.synthezza import SYNTHEZZA_PROFILES, load_synthezza
 from repro.engine.packed import random_bits
@@ -28,14 +28,20 @@ from repro.sim.waveform import Waveform
 CLOCK_PERIOD_NS = 20
 
 
-def run_table1(
-    *,
-    benchmark: str = "bcomp",
-    num_cycles: int = 16,
-    seed: int = 1,
-    synthesis_style: str = "auto",
+def run_table1(**grid: Any) -> Tuple[ExperimentTable, Dict[str, object]]:
+    """Regenerate Table I: the :func:`table1_jobs` cell, run in memory.
+
+    Returns the table and raw artefacts (the locked design, the stimulus
+    and the two validation verdicts).
+    """
+    (job,) = table1_jobs(**grid)
+    return _table1(**job.params)  # type: ignore[arg-type]
+
+
+def _table1(
+    *, benchmark: str, num_cycles: int, seed: int, synthesis_style: str,
 ) -> Tuple[ExperimentTable, Dict[str, object]]:
-    """Regenerate Table I.  Returns the table and raw artefacts."""
+    """Table I and its artefacts for one explicit parameter set."""
     profile = SYNTHEZZA_PROFILES[benchmark]
     fsm = load_synthezza(benchmark)
     transform = CuteLockBeh(num_keys=profile.num_keys, key_width=profile.key_width, seed=seed)
@@ -134,7 +140,7 @@ def run_table1_cell(params: Dict[str, object]) -> Dict[str, object]:
     The circuit/waveform artefacts stay in the worker — only the rendered
     table and the two validation booleans travel through the result store.
     """
-    table, artefacts = run_table1(**params)  # type: ignore[arg-type]
+    table, artefacts = _table1(**params)  # type: ignore[arg-type]
     return {
         "table": table.to_dict(),
         "matches_correct": bool(artefacts["matches_correct"]),

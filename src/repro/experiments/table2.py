@@ -10,7 +10,7 @@ netlist.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.benchmarks_data.iscas89 import s27_circuit
 from repro.engine.packed import random_bits
@@ -26,13 +26,20 @@ CLOCK_PERIOD_NS = 20
 S27_SCHEDULE = KeySchedule(width=2, values=(1, 3, 2, 0))
 
 
-def run_table2(
-    *,
-    num_cycles: int = 15,
-    seed: int = 2,
-    num_locked_ffs: int = 1,
+def run_table2(**grid: Any) -> Tuple[ExperimentTable, Dict[str, object]]:
+    """Regenerate Table II: the :func:`table2_jobs` cell, run in memory.
+
+    Returns the table and raw artefacts (the locked design, the stimulus
+    and the two validation verdicts).
+    """
+    (job,) = table2_jobs(**grid)
+    return _table2(**job.params)  # type: ignore[arg-type]
+
+
+def _table2(
+    *, num_cycles: int, seed: int, num_locked_ffs: int,
 ) -> Tuple[ExperimentTable, Dict[str, object]]:
-    """Regenerate Table II.  Returns the table and raw artefacts."""
+    """Table II and its artefacts for one explicit parameter set."""
     original = s27_circuit()
     transform = CuteLockStr(
         num_keys=S27_SCHEDULE.num_keys,
@@ -117,7 +124,7 @@ def table2_jobs(
 
 def run_table2_cell(params: Dict[str, object]) -> Dict[str, object]:
     """Campaign worker: run Table II and ship the table + verdicts as JSON."""
-    table, artefacts = run_table2(**params)  # type: ignore[arg-type]
+    table, artefacts = _table2(**params)  # type: ignore[arg-type]
     return {
         "table": table.to_dict(),
         "matches_correct": bool(artefacts["matches_correct"]),

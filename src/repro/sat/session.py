@@ -199,8 +199,9 @@ class SolveSession:
         :class:`repro.check.certify.proof.ProofLogger` and every UNSAT
         answer is paired with a ``<label>-sNNN-qNNNN.cnf`` /
         ``<label>-sNNN-qNNNN.drup`` certificate checkable by
-        ``repro check proof``; the pairs accumulate in
-        :attr:`certificates`.  Disarmed (the default) this costs the
+        ``repro check proof``, and so is every :meth:`congruence` pass
+        that derives lemmas (``<label>-sNNN-cNNNN``); the pairs accumulate
+        in :attr:`certificates`.  Disarmed (the default) this costs the
         solver one ``is not None`` test per *conflict* — the same
         zero-cost pattern as the trace hooks.
     proof_label:
@@ -222,6 +223,8 @@ class SolveSession:
         self.deadline = deadline
         self.telemetry = SolverTelemetry(backend=DEFAULT_BACKEND)
         self._synced = 0
+        self._lemmas_synced = 0
+        self._passes = 0
         # Event tracing (repro.trace): bind to the writer active at session
         # construction.  With no writer active, every later check is a single
         # ``is not None`` test.
@@ -262,20 +265,72 @@ class SolveSession:
 
     # -------------------------------------------------------------- clauses
     def sync(self) -> None:
-        """Flow clauses added to the encoder since the last query into the solver."""
-        clauses = self.encoder.cnf.clauses
+        """Flow clauses added to the encoder since the last query into the solver.
+
+        The encoder's CNF goes first, then its congruence lemmas
+        (:attr:`TseitinEncoder.lemmas`), which the proof log records as
+        DRUP additions: a certificate replays them, its CNF never holds them.
+        """
+        encoder = self.encoder
+        clauses = encoder.cnf.clauses
         if self._synced < len(clauses):
             self.solver.add_clauses(clauses[self._synced:])
             self._synced = len(clauses)
+        lemmas = encoder.lemmas
+        if self._lemmas_synced < len(lemmas):
+            added = lemmas[self._lemmas_synced:]
+            if self._proof is not None:
+                for lemma in added:
+                    self._proof.learned(lemma)
+            self.solver.add_clauses(added)
+            self._lemmas_synced = len(lemmas)
+
+    def level0_values(self) -> Optional[Mapping[int, int]]:
+        """A fresh map of every variable fixed at decision level 0 to its 0/1 value.
+
+        Syncs first, so the values are what unit propagation derives from
+        the encoder's clauses, its lemmas and the solver's learned clauses
+        (all of them in the proof log, when one is armed).  ``None`` once
+        the clauses are unsatisfiable at level 0.
+        """
+        self.sync()
+        literals = self.solver.fixed_literals()
+        if literals is None:
+            return None
+        return {abs(lit): int(lit > 0) for lit in literals}
+
+    def congruence(self, values: Mapping[int, int]) -> int:
+        """Run the encoder's congruence pass over ``values`` (:meth:`level0_values`).
+
+        Returns how many literals the pass merged.  In certified mode the
+        lemmas it derived get a certificate pair of their own
+        (``<label>-sNNN-cNNNN``): its CNF is every encoder clause the pass
+        read plus clauses claiming that some lemma is false, and its proof
+        is every step logged so far, the lemmas in derivation order, and
+        the refutation of that claim.  ``repro check proof`` thus replays
+        each lemma by RUP over the clauses it was derived from.  The DIS
+        certificates that follow log the lemmas too, but their CNF is
+        encoded over the merged literals, so once the copies are one it is
+        contradictory by itself (CHECKS.md, "Certificates").
+        """
+        encoder = self.encoder
+        first = len(encoder.lemmas)
+        merged = encoder.congruence(values)
+        if self._proof is not None and len(encoder.lemmas) > first:
+            self._passes += 1
+            self._write_lemma_certificate(encoder.lemmas[first:])
+        return merged
 
     def reset_solver(self) -> None:
         """Rebuild the solver from scratch (non-incremental modes).
 
         The encoder — and the accumulated telemetry — survive; the next
-        :meth:`solve` re-syncs the full CNF into the fresh solver.
+        :meth:`solve` re-syncs the full CNF into the fresh solver, and
+        re-logs the encoder's lemmas into the fresh proof.
         """
         self.solver = Solver()
         self._synced = 0
+        self._lemmas_synced = 0
         if self._proof is not None:
             # The fresh solver has no learned clauses, so the replay starts
             # over from the original formula.
@@ -289,25 +344,21 @@ class SolveSession:
         *,
         phase: str = "solve",
         conflict_limit: Optional[int] = None,
-        time_limit: Optional[float] = None,
     ) -> Optional[bool]:
         """Sync and run one assumption-scoped query under the session budgets.
 
-        ``conflict_limit`` overrides the session default for this call only;
-        ``time_limit`` is clamped to the session deadline (whichever is
-        tighter), with a small floor so an expired deadline still yields a
-        well-defined ``None`` instead of a zero-length limit.  The call's
-        counter deltas and wall time are folded into the session telemetry
-        under ``phase``, and into every active capture frame.
+        ``conflict_limit`` overrides the session default for this call only.
+        The call's time is what is left until the session deadline, with a
+        small floor so an expired deadline still yields a well-defined
+        ``None`` instead of a zero-length limit.  The call's counter deltas
+        and wall time are folded into the session telemetry under
+        ``phase``, and into every active capture frame.
         """
         self.sync()
         if conflict_limit is None:
             conflict_limit = self.conflict_limit
         remaining = self.remaining()
-        if remaining is not None:
-            time_limit = remaining if time_limit is None else min(time_limit, remaining)
-        if time_limit is not None:
-            time_limit = max(time_limit, 0.001)
+        time_limit = None if remaining is None else max(remaining, 0.001)
 
         stats = self.solver.stats
         before = {name: getattr(stats, name) for name in _COUNTER_FIELDS}
@@ -368,21 +419,60 @@ class SolveSession:
         since its last reset.  Both are exactly what
         ``repro check proof CNF PROOF`` replays.
         """
+        assert self._proof is not None
+        self._write_pair(
+            f"q{self._calls:04d}",
+            self.encoder.cnf.clauses[: self._synced],
+            self.encoder.cnf.num_vars,
+            assumptions=assumptions,
+            steps=self._proof.steps,
+        )
+
+    def _write_lemma_certificate(self, lemmas: Sequence[Tuple[int, ...]]) -> None:
+        """Certify one congruence pass: the encoder's clauses entail its ``lemmas``.
+
+        The certificate formula is the encoder's CNF as the pass read it
+        and the claim that some lemma is false: a fresh selector ``s_i``
+        per lemma ``L_i``, the binary clauses ``(-s_i, -l)`` for each
+        literal ``l`` of ``L_i``, and the clause ``(s_1 ... s_k)``.  The
+        proof replays every step logged so far, adds each lemma in
+        derivation order, then each ``-s_i`` (RUP once ``L_i`` is in), and
+        ends with the empty clause.  While ``L_j`` is checked its negation
+        is assumed, so no selector but ``s_j`` can be forced true: the
+        claim helps no lemma's RUP check.
+        """
+        assert self._proof is not None
+        cnf = self.encoder.cnf
+        clauses: List[Sequence[int]] = list(cnf.clauses)
+        selectors = range(cnf.num_vars + 1, cnf.num_vars + 1 + len(lemmas))
+        for selector, lemma in zip(selectors, lemmas):
+            clauses.extend((-selector, -lit) for lit in lemma)
+        clauses.append(tuple(selectors))
+        steps = list(self._proof.steps)
+        steps.extend(("", lemma) for lemma in lemmas)
+        steps.extend(("", (-selector,)) for selector in selectors)
+        self._write_pair(
+            f"c{self._passes:04d}", clauses, selectors[-1], assumptions=(), steps=steps,
+        )
+
+    def _write_pair(
+        self,
+        name: str,
+        clauses: Sequence[Sequence[int]],
+        num_vars: int,
+        *,
+        assumptions: Sequence[int],
+        steps: Sequence[Tuple[str, Sequence[int]]],
+    ) -> None:
+        """Write one certificate pair ``<label>-sNNN-<name>`` and record it."""
         from repro.check.certify.proof import write_certificate
 
-        stem = f"{self.proof_label}-s{self._session_id:03d}-q{self._calls:04d}"
+        stem = f"{self.proof_label}-s{self._session_id:03d}-{name}"
         assert self.proof_dir is not None
         cnf_path = self.proof_dir / f"{stem}.cnf"
         proof_path = self.proof_dir / f"{stem}.drup"
-        clauses = self.encoder.cnf.clauses[: self._synced]
-        num_vars = self.encoder.cnf.num_vars
         write_certificate(
-            cnf_path,
-            proof_path,
-            clauses,
-            num_vars,
-            assumptions=assumptions,
-            steps=self._proof.steps,
+            cnf_path, proof_path, clauses, num_vars, assumptions=assumptions, steps=steps,
         )
         self.certificates.append((str(cnf_path), str(proof_path)))
         if self.tracer is not None:
@@ -392,7 +482,7 @@ class SolveSession:
                 call=self._calls,
                 cnf=str(cnf_path),
                 proof=str(proof_path),
-                steps=len(self._proof.steps),
+                steps=len(steps),
             )
 
     # --------------------------------------------------------------- models

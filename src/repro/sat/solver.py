@@ -18,6 +18,9 @@ The public surface is small:
     ``ValueError``.
 ``model()``
     The satisfying assignment of the most recent SAT answer.
+``fixed_literals()``
+    The literals fixed at decision level 0 (between solves, every
+    assignment), or ``None`` once the clauses are unsatisfiable there.
 
 Search identity
 ---------------
@@ -673,6 +676,18 @@ class Solver:
     def model(self) -> Dict[int, int]:
         """The satisfying assignment (var -> 0/1) of the last SAT answer."""
         return dict(self._model)
+
+    def fixed_literals(self) -> Optional[List[int]]:
+        """The literals fixed at decision level 0, in the order they were fixed.
+
+        ``None`` once the clauses are unsatisfiable at level 0.  Between
+        solves the trail holds level 0 only: every clause added since has
+        been propagated (module docstring, "Clause intake").
+        """
+        if self._unsat:
+            return None
+        trail = self._trail
+        return trail[: self._trail_lim[0]] if self._trail_lim else list(trail)
 
     def model_literal(self, lit: int) -> int:
         """Value (0/1) of a literal under the last model."""

@@ -127,15 +127,16 @@ class TestTimeoutIsolation:
         assert table.rows[0]["INT outcome"] not in ("fail", "timeout")
 
     def test_timed_out_cell_renders_as_timeout_outcome(self, tmp_path):
-        jobs = table3_jobs(benchmarks=["bcomp"], attacks=["INT"], time_limit=60.0)
+        jobs = table3_jobs(benchmarks=["exxm"], attacks=["INT"], time_limit=60.0)
         store = ResultStore(tmp_path / "store")
-        # A 50 ms budget cannot even load the benchmark: the job times out.
+        # A 50 ms budget cannot even lock and synthesize exxm (seconds): the
+        # job times out.
         summary = run_campaign(CampaignSpec(name="t3", jobs=jobs), store,
                                workers=0, job_timeout=0.05)
         assert summary.timeouts == 1
         table, raw = aggregate_table3(jobs, store.load_index())
         assert table.rows[0]["INT outcome"] == "timeout"
-        assert raw["bcomp"][0].details["campaign_status"] == "timeout"
+        assert raw["exxm"][0].details["campaign_status"] == "timeout"
 
 
 class TestCampaignCli:

@@ -178,6 +178,30 @@ class TestSolveSession:
         assert session.solve(assumptions=[-1]) is False
         assert session.telemetry.solve_calls == calls_before + 1
 
+    def test_level0_values_are_none_once_unsat(self):
+        session = SolveSession()
+        session.encoder.cnf.add_clause([1])
+        session.encoder.cnf.add_clause([-1, 2])
+        session.encoder.cnf.add_clause([3, 4])
+        assert session.level0_values() == {1: 1, 2: 1}
+        session.encoder.cnf.add_clause([-2])
+        assert session.level0_values() is None
+
+    def test_lemmas_sync_after_the_cnf_and_relog_after_reset(self, tmp_path):
+        session = SolveSession(proof_path=tmp_path)
+        cnf = session.encoder.cnf
+        cnf.add_clause([1, 2])
+        cnf.add_clause([-1, 2])
+        session.encoder.lemmas.append((2,))
+        assert session.level0_values() == {2: 1}
+        assert session._proof.steps == [("", (2,))]
+        session.reset_solver()
+        assert session.solve(assumptions=[-2]) is False
+        ((cnf_path, proof_path),) = session.certificates
+        # The lemma is a proof addition, never an input clause.
+        assert "\n2 0\n" not in "\n" + open(cnf_path).read()
+        assert open(proof_path).read().startswith("2 0\n")
+
     def test_shared_telemetry_across_sessions(self):
         # Each session keeps its own block; an attack-wide block is their
         # merge, and a capture frame sees every session's calls.
