@@ -6,7 +6,7 @@ drivers so the whole suite finishes in minutes on a laptop; pass
 ``--benchmark-full-eval`` to sweep the complete benchmark lists from the
 paper (slow).
 
-The seven acceptance bars are plain ``test_*_bar`` functions in
+The six acceptance bars are plain ``test_*_bar`` functions in
 ``bench_engine_throughput.py``, ``bench_solver_throughput.py``,
 ``bench_campaign_throughput.py`` and ``bench_campaign_store.py``; each
 prints its measured value, operator and limit, and fails on a miss.

@@ -20,6 +20,12 @@ from typing import Dict, Mapping, Optional
 
 from repro.jsonutil import jsonable
 
+#: Per-attack wall-clock limit, in seconds, of the paper's attack grids
+#: (Tables III and IV).  ``table3_jobs``, ``table4_jobs``,
+#: ``build_campaign``, ``run_all`` and the ``--time-limit`` of ``repro
+#: reproduce`` and ``repro campaign run`` all default to it.
+GRID_TIME_LIMIT = 20.0
+
 
 class AttackOutcome(str, enum.Enum):
     """Classification of an attack run, mirroring the paper's colour legend."""

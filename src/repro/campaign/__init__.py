@@ -8,8 +8,7 @@ benchmark x attack x seed).  This package runs such grids as *campaigns*:
 * :mod:`~repro.campaign.jobs` — the job-kind registry worker processes use
   to turn a spec cell into a JSON payload;
 * :mod:`~repro.campaign.store` — an append-only JSONL result store with a
-  latest-wins index (the basis of resume), per-shard result files and the
-  shard-merge tooling behind multi-host sweeps;
+  latest-wins index (the basis of resume);
 * :mod:`~repro.campaign.executor` — serial or process-pool execution with
   per-job wall-clock timeouts, crash isolation and per-attempt resource
   metrics (wall/CPU time, peak RSS);
@@ -33,28 +32,15 @@ from repro.campaign.progress import (
     GroupStatus,
     campaign_status,
     progress_printer,
-    render_merge_summary,
     render_status,
 )
-from repro.campaign.spec import (
-    CampaignSpec,
-    JobSpec,
-    canonical_params,
-    job_key,
-    shard_label,
-)
+from repro.campaign.spec import CampaignSpec, JobSpec, canonical_params, job_key
 from repro.campaign.store import (
     STATUS_COMPLETED,
     STATUS_ERROR,
     STATUS_TIMEOUT,
-    MergeSummary,
-    MergeVerificationError,
     ResultStore,
-    measured_job_costs,
-    merge_sources,
-    merge_stores,
     read_records,
-    shard_result_files,
 )
 
 __all__ = [
@@ -63,8 +49,6 @@ __all__ = [
     "GroupStatus",
     "JobSpec",
     "JobTimeout",
-    "MergeSummary",
-    "MergeVerificationError",
     "ResultStore",
     "RunSummary",
     "STATUS_COMPLETED",
@@ -76,16 +60,10 @@ __all__ = [
     "execute_job_attempt",
     "job_deadline",
     "job_key",
-    "measured_job_costs",
-    "merge_sources",
-    "merge_stores",
     "progress_printer",
     "read_records",
     "register_job_kind",
-    "render_merge_summary",
     "render_status",
     "resolve_job_kind",
     "run_campaign",
-    "shard_label",
-    "shard_result_files",
 ]

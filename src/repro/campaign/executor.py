@@ -194,9 +194,8 @@ def execute_job_attempt(
 def job_trace_path(trace_dir: Union[str, Path], key: str) -> Path:
     """Per-job trace file inside ``trace_dir``.
 
-    Named by the job's content-hash key, so concurrent shards of one
-    campaign (disjoint key sets) never collide and a resumed/retried job
-    overwrites its own stale trace.
+    Named by the job's content-hash key, so the jobs of one campaign never
+    collide and a resumed/retried job overwrites its own stale trace.
     """
     return Path(trace_dir) / f"{key}.trace.jsonl"
 

@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import (
-    STATUS_COMPLETED,
-    STATUS_TIMEOUT,
-    MergeSummary,
-    Record,
-    ResultStore,
-)
+from repro.campaign.store import STATUS_COMPLETED, STATUS_TIMEOUT, Record, ResultStore
 from repro.sat.session import SolverTelemetry
 
 
@@ -66,7 +60,6 @@ class CampaignStatus(_Tally):
     """Where a campaign stands: spec size vs latest store records."""
 
     name: str = ""
-    shard: Optional[str] = None  #: "I/N" when the spec is one shard of a grid
     groups: List[GroupStatus] = field(default_factory=list)
 
     @property
@@ -79,20 +72,13 @@ class CampaignStatus(_Tally):
         return self.missing == 0
 
 
-def _shard_text(spec: CampaignSpec) -> Optional[str]:
-    info = spec.metadata.get("shard") if isinstance(spec.metadata, dict) else None
-    if isinstance(info, dict) and "index" in info and "count" in info:
-        return f"{int(info['index']) + 1}/{int(info['count'])}"
-    return None
-
-
 def campaign_status(spec: CampaignSpec, store: ResultStore) -> CampaignStatus:
     """Tally the latest record per job against the spec, overall and per group.
 
     This is the one fold of a store's latest records: ``campaign status``
     and the report's solver tables both render from it.
     """
-    status = CampaignStatus(name=spec.name, shard=_shard_text(spec))
+    status = CampaignStatus(name=spec.name)
     by_group: Dict[str, GroupStatus] = {}
     for job in spec.jobs:
         group = by_group.get(job.group)
@@ -109,10 +95,6 @@ def render_status(status: CampaignStatus) -> str:
     """Human-readable status block (the ``campaign status`` CLI output)."""
     lines = [
         f"campaign  : {status.name}",
-    ]
-    if status.shard:
-        lines.append(f"shard     : {status.shard}")
-    lines += [
         f"jobs      : {status.total}",
         f"completed : {status.completed}",
         f"timeouts  : {status.timeouts}",
@@ -153,20 +135,6 @@ def render_status(status: CampaignStatus) -> str:
                 + (f", {group.errors} error" if group.errors else "")
                 + (f", {group.missing} remaining" if group.missing else "")
             )
-    return "\n".join(lines)
-
-
-def render_merge_summary(summary: MergeSummary) -> str:
-    """Human-readable block for ``campaign merge`` (mirrors render_status)."""
-    lines = [
-        f"merged    : {len(summary.sources)} source file(s) -> {summary.output}",
-        f"records   : {summary.records_in} read, {summary.records_out} kept"
-        + (f" ({summary.duplicates} duplicate(s) dropped)"
-           if summary.duplicates else ""),
-        f"keys      : {summary.keys}"
-        + (f" ({summary.conflicts} with multiple attempts, latest wins)"
-           if summary.conflicts else ""),
-    ]
     return "\n".join(lines)
 
 

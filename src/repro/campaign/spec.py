@@ -46,19 +46,6 @@ def job_key(kind: str, params: Mapping[str, object]) -> str:
     return digest[:KEY_HEX_CHARS]
 
 
-def shard_label(index: int, count: int) -> str:
-    """Human-readable shard tag (1-based) used in store file names.
-
-    ``shard_label(1, 4) == "2of4"`` — the tag a ``--shard 2/4`` run writes
-    its ``results-<tag>.jsonl`` under.
-    """
-    if count < 1:
-        raise ValueError(f"shard count must be >= 1, got {count}")
-    if not 0 <= index < count:
-        raise ValueError(f"shard index must be in [0, {count}), got {index}")
-    return f"{index + 1}of{count}"
-
-
 @dataclass(frozen=True)
 class JobSpec:
     """One cell of a campaign grid.
@@ -159,82 +146,6 @@ class CampaignSpec:
 
     def jobs_in_group(self, group: str) -> List[JobSpec]:
         return [job for job in self.jobs if job.group == group]
-
-    def shard(
-        self,
-        index: int,
-        count: int,
-        *,
-        costs: Optional[Mapping[str, float]] = None,
-    ) -> "CampaignSpec":
-        """Deterministic ``1``-of-``count`` partition of this campaign.
-
-        The partition is a pure function of the spec and ``costs``, so every
-        host that builds the same spec (and passes the same cost table)
-        computes the identical partition:
-
-        * with ``costs`` — measured per-job costs keyed by job key, typically
-          the ``cpu_seconds`` of a previous sweep of the same grid (see
-          :func:`repro.campaign.store.measured_job_costs`) — a greedy LPT
-          (longest-processing-time-first) partition: jobs are assigned,
-          most expensive first, to the currently lightest shard (ties:
-          lowest shard index), so shards finish together even when a few
-          cells dominate the grid.  Jobs with no measured cost get the mean
-          of the known costs.
-        * without costs, or when no cost matches a job of the spec —
-          round-robin over **spec order** (job ``i`` lands in shard
-          ``i % count``).  Striping (rather than contiguous blocks) spreads
-          each table's expensive benchmarks across shards, which roughly
-          balances wall-clock without any cost model.
-
-        The shard keeps the campaign ``name`` (it is the *same* campaign —
-        the manifest always describes the full grid), preserves spec order
-        within the shard (aggregation depends on it) and records its slice
-        and the partition it used in ``metadata["shard"]`` so status/report
-        output can label it.
-        """
-        label = shard_label(index, count)  # validates index/count
-        jobs = self._cost_shard_jobs(index, count, costs)
-        strategy = "cost"
-        if jobs is None:
-            jobs = list(self.jobs[index::count])
-            strategy = "round-robin"
-        return CampaignSpec(
-            name=self.name,
-            jobs=jobs,
-            metadata={
-                **self.metadata,
-                "shard": {"index": index, "count": count, "label": label,
-                          "strategy": strategy},
-            },
-        )
-
-    def _cost_shard_jobs(
-        self, index: int, count: int, costs: Optional[Mapping[str, float]]
-    ) -> Optional[List[JobSpec]]:
-        """Greedy-LPT slice of the spec, or None when no costs overlap."""
-        spec_keys = {job.key for job in self.jobs}
-        known = {
-            key: float(value)
-            for key, value in (costs or {}).items()
-            if key in spec_keys
-        }
-        if not known:
-            return None
-        mean_cost = sum(known.values()) / len(known)
-        weighted = [
-            (known.get(job.key, mean_cost), position, job)
-            for position, job in enumerate(self.jobs)
-        ]
-        # Most expensive first; spec position breaks ties deterministically.
-        weighted.sort(key=lambda item: (-item[0], item[1]))
-        loads = [0.0] * count
-        buckets: List[List[int]] = [[] for _ in range(count)]
-        for cost, position, _job in weighted:
-            target = min(range(count), key=lambda shard: (loads[shard], shard))
-            loads[target] += cost
-            buckets[target].append(position)
-        return [self.jobs[position] for position in sorted(buckets[index])]
 
     def extend(self, jobs: Iterable[JobSpec]) -> None:
         for job in jobs:

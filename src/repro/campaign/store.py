@@ -3,9 +3,8 @@
 Store layout (one directory per campaign)::
 
     <store>/
-      manifest.json         # the CampaignSpec (name, metadata, ordered jobs)
-      results.jsonl         # canonical: one JSON record per finished attempt
-      results-<shard>.jsonl # per-shard stores (written independently)
+      manifest.json   # the CampaignSpec (name, metadata, ordered jobs)
+      results.jsonl   # one JSON record per finished attempt
 
 ``results.jsonl`` is strictly append-only: a re-run of a job (``--retry-
 failed``) appends a new record rather than rewriting history, and the index
@@ -13,18 +12,9 @@ keeps the **latest** record per job key.  A record whose ``status`` is
 ``"completed"`` carries the job's JSON payload; ``"error"`` and ``"timeout"``
 records carry the failure context instead.  Appends are flushed + fsynced per
 record so a killed run (crash, SIGKILL, CI timeout) loses at most the job in
-flight — the foundation of ``campaign resume``.
-
-**Sharding.**  A store opened with a ``shard`` tag (``ResultStore(root,
-shard="2of4")``) appends to its own ``results-2of4.jsonl``; shards of the
-same campaign therefore never contend on a writer, whether they run as
-processes on one machine or on different hosts against copies of the store
-directory.  :func:`merge_stores` folds any set of shard files (plus the
-canonical file, plus files copied in from other hosts) back into one
-canonical ``results.jsonl`` — latest ``finished_at`` wins per key, exact
-duplicates are dropped, attempts are renumbered per key in finish order, and
-the output ordering/encoding is fully deterministic, so re-merging the same
-sources is byte-stable (and a merged report matches a serial run's report).
+flight — the foundation of ``campaign resume``.  The torn last line such a
+kill can leave is skipped on load, and the next append ends it with a
+newline first, so the new record never fuses with the fragment.
 
 ``ResultStore(None)`` is an ephemeral in-memory store with the same API,
 used when a driver just wants the executor semantics without persistence.
@@ -34,21 +24,14 @@ from __future__ import annotations
 
 import json
 import os
-import re
-import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.campaign.spec import CampaignSpec, _jsonable
 from repro.jsonutil import read_jsonl_objects
 
 MANIFEST_NAME = "manifest.json"
 RESULTS_NAME = "results.jsonl"
-#: Shard result files are ``results-<tag>.jsonl`` next to the canonical file.
-SHARD_RESULTS_GLOB = "results-*.jsonl"
-#: Shard tags become file-name components; keep them boring.
-_SHARD_TAG_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 
 #: Record statuses written by the executor.
 STATUS_COMPLETED = "completed"
@@ -104,26 +87,16 @@ def read_records(path: Union[str, Path]) -> List[Record]:
 
 
 class ResultStore:
-    """JSONL-backed (or in-memory) record store for one campaign.
+    """JSONL-backed (or in-memory) record store for one campaign."""
 
-    ``shard`` selects the per-shard results file (``results-<shard>.jsonl``)
-    instead of the canonical ``results.jsonl``; the manifest path is shared
-    by all shards of a store directory.
-    """
-
-    def __init__(
-        self, root: Union[str, Path, None], *, shard: Optional[str] = None
-    ) -> None:
-        if shard is not None and not _SHARD_TAG_RE.match(shard):
-            raise ValueError(
-                f"invalid shard tag {shard!r}: expected letters/digits/._- "
-                "(it becomes part of the results file name)"
-            )
+    def __init__(self, root: Union[str, Path, None]) -> None:
         self.root: Optional[Path] = Path(root) if root is not None else None
-        self.shard: Optional[str] = shard
         self._records: List[Record] = []
         self._index: Dict[str, Record] = {}
         self._attempts: Dict[object, int] = {}
+        #: The results file does not end in a newline (a killed run's torn
+        #: last line); the next append ends that line before its record.
+        self._torn_tail = False
         if self.root is not None and self.results_path.exists():
             self._load()
 
@@ -138,9 +111,7 @@ class ResultStore:
     def results_path(self) -> Path:
         if self.root is None:
             raise ValueError("in-memory store has no results path")
-        if self.shard is None:
-            return self.root / RESULTS_NAME
-        return self.root / f"results-{self.shard}.jsonl"
+        return self.root / RESULTS_NAME
 
     @property
     def persistent(self) -> bool:
@@ -156,9 +127,9 @@ class ResultStore:
             return
         self.root.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(spec.to_dict(), indent=2, sort_keys=False) + "\n"
-        # Concurrent shard runs of one campaign all (re)write the same
-        # full-grid manifest; skip the write when the published bytes already
-        # match rather than churning the file.
+        # A resume or a rerun of the same grid republishes the same
+        # manifest; skip the write when the published bytes already match
+        # rather than churning the file.
         if self.manifest_path.exists():
             try:
                 if self.manifest_path.read_text() == payload:
@@ -167,7 +138,7 @@ class ResultStore:
                 pass
         # Write-then-rename (with fsyncs) so a crash mid-write can neither
         # truncate the manifest nor publish an empty one.  The tmp name is
-        # per-process so concurrent shard runs cannot tear each other's
+        # per-process so two runs against one store cannot tear each other's
         # in-flight write; os.replace keeps the publish itself atomic.
         tmp = self.manifest_path.with_name(f"{MANIFEST_NAME}.tmp.{os.getpid()}")
         durable_replace(tmp, self.manifest_path, payload)
@@ -187,6 +158,11 @@ class ResultStore:
         self._attempts = {}
         for record in read_records(self.results_path):
             self._ingest(record)
+        with self.results_path.open("rb") as handle:
+            end = handle.seek(0, os.SEEK_END)
+            if end:
+                handle.seek(end - 1)
+                self._torn_tail = handle.read(1) != b"\n"
 
     def _ingest(self, record: Record) -> None:
         self._records.append(record)
@@ -211,7 +187,6 @@ class ResultStore:
     def append(self, record: Record) -> Record:
         """Append one finished-attempt record (latest record wins per key)."""
         record = dict(record)
-        record.setdefault("finished_at", time.time())
         # O(1) per append: the per-key counter is maintained by _ingest
         # instead of rescanning every stored record (which made a sweep of n
         # jobs O(n^2) in store appends).
@@ -219,10 +194,16 @@ class ResultStore:
         record = _jsonable(record)  # type: ignore[assignment]
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
+            line = json.dumps(record, sort_keys=False) + "\n"
+            if self._torn_tail:
+                # End the torn line first: on reload it is then a corrupt
+                # line with a warning, and this record stays its own line.
+                line = "\n" + line
             with self.results_path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=False) + "\n")
+                handle.write(line)
                 handle.flush()
                 os.fsync(handle.fileno())
+            self._torn_tail = False
         self._ingest(record)
         return record
 
@@ -239,225 +220,3 @@ class ResultStore:
 
     def __len__(self) -> int:
         return len(self._records)
-
-
-# ------------------------------------------------------------------- merging
-@dataclass
-class MergeSummary:
-    """What one :func:`merge_stores` call folded together."""
-
-    output: Path
-    sources: List[Path] = field(default_factory=list)
-    records_in: int = 0       #: records read across all sources
-    records_out: int = 0      #: records written to the canonical file
-    duplicates: int = 0       #: exact duplicates dropped (ignoring attempt)
-    keys: int = 0             #: distinct job keys in the merged store
-    conflicts: int = 0        #: keys with >1 surviving record (latest wins)
-    pruned: List[Path] = field(default_factory=list)  #: shard files deleted by --prune
-
-
-def _record_identity(record: Record) -> str:
-    """Canonical identity of a record, ignoring the ``attempt`` counter.
-
-    Merging renumbers attempts (each shard counted its own attempts from 1),
-    so two copies of the same attempt — e.g. the canonical file from an
-    earlier merge plus the shard file it was merged from — must compare
-    equal despite differing ``attempt`` fields.
-    """
-    probe = {k: v for k, v in record.items() if k != "attempt"}
-    return json.dumps(probe, sort_keys=True, separators=(",", ":"), default=str)
-
-
-def shard_result_files(root: Union[str, Path]) -> List[Path]:
-    """The per-shard results files inside a store directory, sorted by name."""
-    return sorted(Path(root).glob(SHARD_RESULTS_GLOB))
-
-
-def merge_sources(
-    root: Union[str, Path], extra: Sequence[Union[str, Path]] = ()
-) -> List[Path]:
-    """Resolve the result files a merge of ``root`` folds together.
-
-    The canonical ``results.jsonl`` (if present) and every shard file in the
-    store directory, plus ``extra`` entries — each either a results file or
-    another store directory (e.g. one copied over from a different host).
-    """
-    root = Path(root)
-    sources: List[Path] = []
-    canonical = root / RESULTS_NAME
-    if canonical.exists():
-        sources.append(canonical)
-    sources.extend(shard_result_files(root))
-    for entry in extra:
-        path = Path(entry)
-        if path.is_dir():
-            found = []
-            candidate = path / RESULTS_NAME
-            if candidate.exists():
-                found.append(candidate)
-            found.extend(shard_result_files(path))
-            if not found:
-                # An explicitly-named source that contributes nothing is an
-                # operator mistake (wrong directory level, typo'd rsync
-                # destination), not a store with zero results — failing loud
-                # beats a silently partial merge.
-                raise FileNotFoundError(
-                    f"merge source {path} is a directory with no "
-                    f"{RESULTS_NAME} and no {SHARD_RESULTS_GLOB} shard files"
-                )
-            sources.extend(found)
-        elif path.exists():
-            sources.append(path)
-        else:
-            raise FileNotFoundError(f"merge source {path} does not exist")
-    return sources
-
-
-class MergeVerificationError(RuntimeError):
-    """The written canonical store does not cover a source record.
-
-    Raised by ``merge_stores(..., prune=True)`` *before* any shard file is
-    deleted — a failed or unverifiable fold must never destroy its inputs.
-    """
-
-
-def merge_stores(
-    root: Union[str, Path],
-    extra: Sequence[Union[str, Path]] = (),
-    *,
-    prune: bool = False,
-) -> MergeSummary:
-    """Fold shard stores into the canonical ``results.jsonl`` under ``root``.
-
-    Conflict resolution is **latest-wins per key**: records are ordered by
-    ``finished_at`` (ties broken by key, then by canonical content), so the
-    store's latest-record index resolves exactly as if the attempts had been
-    appended to a single store in finish order.  ``attempt`` is renumbered
-    per key in that order.  Exact duplicates (same record up to ``attempt``)
-    are dropped, which makes the merge idempotent: re-merging the canonical
-    file with the shard files it came from is a byte-identical no-op.
-
-    ``prune=True`` deletes the per-shard ``results-*.jsonl`` files inside
-    the store directory after — and only after — the written canonical file
-    has been read back and **verified** to contain every record of every
-    source (up to ``attempt`` renumbering).  If verification fails, a
-    :class:`MergeVerificationError` is raised and nothing is deleted; if the
-    merge itself fails, the exception propagates before any write or
-    deletion.  Extra sources (files or stores copied in from other hosts)
-    are never pruned — only this store's own shard files are.
-    """
-    root = Path(root)
-    sources = merge_sources(root, extra)
-    if not sources:
-        raise FileNotFoundError(
-            f"nothing to merge under {root}: no {RESULTS_NAME} and no "
-            f"{SHARD_RESULTS_GLOB} shard files"
-        )
-
-    summary = MergeSummary(output=root / RESULTS_NAME, sources=list(sources))
-    merged: Dict[str, Record] = {}
-    for source in sources:
-        for record in read_records(source):
-            summary.records_in += 1
-            identity = _record_identity(record)
-            if identity in merged:
-                summary.duplicates += 1
-            else:
-                merged[identity] = record
-
-    def _finish_order(item):
-        identity, record = item
-        finished = record.get("finished_at")
-        finished = float(finished) if isinstance(finished, (int, float)) else 0.0
-        return (finished, str(record.get("key", "")), identity)
-
-    ordered = [record for _, record in sorted(merged.items(), key=_finish_order)]
-    attempts: Dict[object, int] = {}
-    lines: List[str] = []
-    for record in ordered:
-        key = record.get("key")
-        try:
-            attempts[key] = attempts.get(key, 0) + 1
-            record = {**record, "attempt": attempts[key]}
-        except TypeError:
-            pass
-        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":"),
-                                default=str))
-    summary.records_out = len(ordered)
-    summary.keys = len(attempts)
-    summary.conflicts = sum(1 for count in attempts.values() if count > 1)
-
-    root.mkdir(parents=True, exist_ok=True)
-    payload = "".join(line + "\n" for line in lines)
-    tmp = root / f"{RESULTS_NAME}.tmp.{os.getpid()}"
-    durable_replace(tmp, root / RESULTS_NAME, payload)
-
-    if prune:
-        _verify_and_prune(root, sources, summary)
-    return summary
-
-
-def _verify_and_prune(
-    root: Path, sources: Sequence[Path], summary: MergeSummary
-) -> None:
-    """Delete ``root``'s shard files once the canonical fold is verified.
-
-    Verification re-reads the canonical file *from disk* (not the in-memory
-    merge state) and checks that every source record's identity — the
-    record minus its shard-local ``attempt`` counter — survived the fold.
-    Only then are the store's own ``results-<shard>.jsonl`` files unlinked;
-    a verification failure refuses with :class:`MergeVerificationError` and
-    leaves every file in place.
-    """
-    canonical = root / RESULTS_NAME
-    merged_identities = {
-        _record_identity(record) for record in read_records(canonical)
-    }
-    for source in sources:
-        if source == canonical:
-            continue
-        for line_number, record in enumerate(read_records(source), start=1):
-            if _record_identity(record) not in merged_identities:
-                raise MergeVerificationError(
-                    f"refusing to prune: record #{line_number} of {source} is "
-                    f"not covered by the merged {canonical}; the fold looks "
-                    "incomplete, so the shard files are kept"
-                )
-    # Delete only shard files that were actually merge sources — a shard
-    # file that appeared after the merge enumerated its sources (a straggler
-    # shard run, a late rsync) was neither folded nor verified, so it must
-    # survive for the next merge.
-    shard_files = set(shard_result_files(root)) & set(sources)
-    for source in sorted(shard_files):
-        try:
-            source.unlink()
-        except OSError as exc:
-            raise MergeVerificationError(
-                f"verified fold but failed to delete shard file {source}: {exc}"
-            ) from exc
-        summary.pruned.append(source)
-    _fsync_directory(root)
-
-
-def measured_job_costs(
-    store: Union["ResultStore", str, Path],
-    *,
-    metric: str = "cpu_seconds",
-) -> Dict[str, float]:
-    """Per-job-key cost table from a store's latest records.
-
-    The returned ``{job key: cost}`` mapping feeds cost-balanced sharding
-    (``CampaignSpec.shard(..., costs=...)``): run the grid
-    once (or let a partial sweep finish), then shard the next sweep by the
-    measured ``cpu_seconds``.  Records without a usable metric (errors
-    recorded before the job ran, foreign records) are skipped — the shard
-    falls back to the mean cost for those jobs.
-    """
-    if not isinstance(store, ResultStore):
-        store = ResultStore(store)
-    costs: Dict[str, float] = {}
-    for key, record in store.load_index().items():
-        value = record.get(metric)
-        if isinstance(value, (int, float)) and value >= 0:
-            costs[key] = float(value)
-    return costs

@@ -39,7 +39,6 @@ from repro.check.certify import (
     write_certificate,
 )
 from repro.check.lint import (
-    ALLOWLIST,
     Finding,
     RULES,
     lint_paths,
@@ -72,7 +71,6 @@ __all__ = [
     "load_dimacs",
     "parse_dimacs",
     "write_certificate",
-    "ALLOWLIST",
     "Finding",
     "RULES",
     "lint_paths",

@@ -1,9 +1,9 @@
 """AST linter enforcing repo-specific invariants over ``src/``.
 
 The rules encode invariants no pytest run checks globally — mostly the
-byte-identity contract of the campaign/report path (a merged sharded sweep
-must reproduce the serial report byte-for-byte) and the cost discipline of
-the solver/engine hot loops:
+byte-identity contract of the campaign/report path (a sweep with any number
+of workers must reproduce the serial report byte-for-byte) and the cost
+discipline of the solver/engine hot loops:
 
 ====== ===================== =====================================================
 ID     slug                  invariant
@@ -31,9 +31,8 @@ R007   unused-import         no imported name the module never reads (names
 
 Suppression: append ``# repro-lint: disable=R001`` (comma-separated IDs, or
 ``all``) to the offending line, or put ``# repro-lint: disable-file=R001``
-on its own line anywhere to silence a rule for the whole file.  Permanent,
-reviewed exemptions live in :data:`ALLOWLIST`, keyed by (rule, module,
-qualified name) with a recorded reason — see ``CHECKS.md``.
+on its own line anywhere to silence a rule for the whole file — see
+``CHECKS.md``.
 """
 
 from __future__ import annotations
@@ -77,9 +76,9 @@ RULES: Dict[str, Tuple[str, str]] = {
 }
 
 #: Modules whose serialized output feeds byte-compared artifacts (campaign
-#: records, merge ordering, reports, LaTeX emission) or whose measurements
-#: must come from monotonic clocks (the acceptance bars' timers in
-#: ``repro.perf``).  Prefix match on the dotted module name.
+#: records, reports, LaTeX emission) or whose measurements must come from
+#: monotonic clocks (the acceptance bars' timers in ``repro.perf``).  Prefix
+#: match on the dotted module name.
 DETERMINISTIC_PREFIXES: Tuple[str, ...] = (
     "repro.campaign",
     "repro.experiments",
@@ -119,15 +118,6 @@ _HOT_LOOP_ATTR_DENY = {"emit"}
 #: Marker comment making R004 apply to a loop (on the loop's first line or
 #: the line directly above it).
 HOT_LOOP_MARK = "# hot-loop"
-
-#: Permanent, reviewed rule exemptions: (rule, module, qualified name) ->
-#: reason.  Keep this list minimal; every entry is documented in CHECKS.md.
-ALLOWLIST: Dict[Tuple[str, str, str], str] = {
-    ("R001", "repro.campaign.store", "ResultStore.append"):
-        "finished_at is the latest-wins merge ordinal and must be real wall "
-        "clock so records merged across hosts order correctly; reports "
-        "redact it before byte comparison",
-}
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 _SUPPRESS_FILE_RE = re.compile(r"#\s*repro-lint:\s*disable-file=([A-Za-z0-9_,\s]+)")
@@ -266,15 +256,11 @@ class _Linter(ast.NodeVisitor):
         self.aliases: Dict[str, str] = {}
         self.loop_depth = 0
         self.hot_loop_depth = 0
-        self.scope: List[str] = []
         self.deterministic = _is_deterministic_module(module)
         self.in_jsonutil = module == "repro.jsonutil"
 
     # ------------------------------------------------------------- plumbing
     def _report(self, node: ast.AST, rule: str, message: str) -> None:
-        qualname = ".".join(self.scope)
-        if (rule, self.module, qualname) in ALLOWLIST:
-            return
         self.findings.append(
             Finding(
                 path=self.path,
@@ -303,21 +289,9 @@ class _Linter(ast.NodeVisitor):
         for alias in node.names:
             self.aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
 
-    # ---------------------------------------------------------------- scope
-    def _visit_scoped(self, node, name: str) -> None:
-        self.scope.append(name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_scoped(node, node.name)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_scoped(node, node.name)
-
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self._check_roundtrip(node)
-        self._visit_scoped(node, node.name)
+        self.generic_visit(node)
 
     # ---------------------------------------------------------------- loops
     def _visit_loop(self, node) -> None:

@@ -13,10 +13,8 @@ Python:
 * ``reproduce`` — regenerate the paper's evaluation (same as
   ``examples/reproduce_paper.py``);
 * ``campaign``  — run / resume / inspect a parallel experiment campaign
-  (``campaign run|status|resume|merge|report``, see :mod:`repro.campaign`).
-  Sweeps shard across processes and hosts with ``--shard I/N``; ``campaign
-  merge`` folds the per-shard stores back into one canonical store and
-  ``campaign report --latex`` emits the paper's tables from it.
+  (``campaign run|status|resume|report``, see :mod:`repro.campaign`);
+  ``campaign report --latex`` emits the paper's tables from its store.
 * ``trace``     — analyse structured event traces recorded with ``attack
   --trace`` / ``campaign run --trace`` (``trace summary|timeline|diff``,
   see :mod:`repro.trace` and ``TRACE_FORMAT.md``).
@@ -33,10 +31,9 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import re
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.attacks import (
     appsat_attack,
@@ -47,6 +44,7 @@ from repro.attacks import (
     rane_attack,
     sat_attack,
 )
+from repro.attacks.results import GRID_TIME_LIMIT
 from repro.benchmarks_data import (
     ISCAS89_PROFILES,
     ITC99_PROFILES,
@@ -273,19 +271,6 @@ def _positive_seconds(text: str) -> float:
     return seconds
 
 
-def _parse_shard(text: str) -> Tuple[int, int]:
-    """Parse ``--shard I/N`` (1-based on the command line) to ``(index, count)``."""
-    match = re.fullmatch(r"(\d+)/(\d+)", text.strip())
-    if not match:
-        raise argparse.ArgumentTypeError(
-            f"expected --shard I/N (e.g. 2/4), got {text!r}")
-    index, count = int(match.group(1)), int(match.group(2))
-    if count < 1 or not 1 <= index <= count:
-        raise argparse.ArgumentTypeError(
-            f"shard index must satisfy 1 <= I <= N, got {text!r}")
-    return index - 1, count
-
-
 def _campaign_spec(args: argparse.Namespace, store) -> "object":
     """Resolve the campaign spec for one ``campaign`` subcommand.
 
@@ -316,68 +301,28 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.campaign import (
         ResultStore,
         campaign_status,
-        merge_stores,
         progress_printer,
-        render_merge_summary,
         render_status,
         run_campaign,
-        shard_label,
     )
     from repro.experiments.campaigns import aggregate_campaign, campaign_latex
     from repro.experiments.runner import write_report
 
-    if args.command_campaign == "merge":
-        from repro.campaign import MergeVerificationError
-
-        try:
-            summary = merge_stores(args.store, extra=args.sources,
-                                   prune=args.prune)
-        except MergeVerificationError as exc:
-            print(f"merge --prune refused: {exc}", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"campaign merge: {exc}", file=sys.stderr)
-            return 2
-        print(render_merge_summary(summary))
-        return 0
-
-    shard: Optional[Tuple[int, int]] = getattr(args, "shard", None)
-    store = ResultStore(
-        args.store, shard=shard_label(*shard) if shard else None
-    )
+    store = ResultStore(args.store)
     spec = _campaign_spec(args, store)
-    if shard is not None:
-        # The manifest always describes the FULL grid (merge/report rebuild
-        # it); only the executed slice is sharded.  ``resume`` keeps the
-        # manifest a previous run already wrote.
-        if args.command_campaign == "run" and store.persistent:
-            store.write_manifest(spec)
-        # The cost table must be a frozen, shared input: every host (and
-        # every later status/report call) has to compute the identical
-        # partition, and a host's own store is still filling up — so the
-        # cost-balanced partition needs an explicit prior-sweep store.
-        costs = None
-        costs_store = getattr(args, "shard_costs", None)
-        if costs_store:
-            from repro.campaign import measured_job_costs
-
-            costs = measured_job_costs(costs_store)
-        spec = spec.shard(*shard, costs=costs)
 
     if args.command_campaign in ("run", "resume"):
         quiet = getattr(args, "quiet", False)
         if not quiet:
             mode = f"{args.workers} workers" if args.workers else "serial"
-            shard_note = f", shard {shard[0] + 1}/{shard[1]}" if shard else ""
-            print(f"campaign {spec.name}: {len(spec.jobs)} jobs "
-                  f"({mode}{shard_note})", flush=True)
+            print(f"campaign {spec.name}: {len(spec.jobs)} jobs ({mode})",
+                  flush=True)
         summary = run_campaign(
             spec, store,
             workers=args.workers,
             job_timeout=args.job_timeout,
             retry_failed=args.retry_failed,
             progress=None if quiet else progress_printer(),
-            write_manifest=shard is None,
             trace_dir=getattr(args, "trace", None),
         )
         status = campaign_status(spec, store)
@@ -387,8 +332,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             write_report(tables, args.report, elapsed=summary.wall_seconds)
             print(f"report written to {args.report}")
         # Non-zero when the sweep is not clean, so CI and scripts can gate
-        # on a fully-completed campaign (or shard) without parsing the
-        # status text.
+        # on a fully-completed campaign without parsing the status text.
         return 0 if status.finished and not (status.errors or status.timeouts) else 1
 
     if args.command_campaign == "status":
@@ -622,7 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     reproduce = sub.add_parser("reproduce", help="regenerate the paper's evaluation")
     reproduce.add_argument("--full", action="store_true")
-    reproduce.add_argument("--time-limit", type=_positive_seconds, default=20.0)
+    reproduce.add_argument("--time-limit", type=_positive_seconds,
+                           default=GRID_TIME_LIMIT)
     reproduce.add_argument("--output", default="experiments_report.md")
     reproduce.add_argument("--latex", default=None, metavar="PATH",
                            help="also write the tables as a LaTeX fragment")
@@ -636,31 +581,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign = sub.add_parser(
         "campaign",
-        help="run/resume/inspect/merge a parallel experiment campaign",
+        help="run/resume/inspect a parallel experiment campaign",
         description="Parallel, resumable experiment sweeps backed by an "
-                    "append-only JSONL store (see repro.campaign).  Shard a "
-                    "sweep over processes/hosts with --shard I/N, fold the "
-                    "shard stores together with 'merge', then render with "
+                    "append-only JSONL store (see repro.campaign).  Run a "
+                    "grid over --workers processes, then render it with "
                     "'report' (add --latex for the paper's tables).")
     campaign_sub = campaign.add_subparsers(dest="command_campaign", required=True)
 
     def _store_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("--store", required=True,
                        help="campaign store directory (manifest + results.jsonl)")
-
-    def _shard_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--shard", type=_parse_shard, default=None, metavar="I/N",
-                       help="operate on shard I of N (deterministic 1-based "
-                            "partition of the grid; results go to "
-                            "results-IofN.jsonl, see 'campaign merge')")
-        p.add_argument("--shard-costs", default=None, metavar="STORE",
-                       help="balance --shard by the per-cell cpu_seconds "
-                            "measured in this prior sweep's store (greedy "
-                            "LPT; round-robin striping without it, or when "
-                            "no measured cell is in the grid); give every "
-                            "host and every status/report call the SAME "
-                            "store so they all compute the identical "
-                            "partition")
 
     def _exec_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=_worker_count, default=0,
@@ -675,10 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="suppress per-job progress lines")
         p.add_argument("--trace", default=None, metavar="DIR",
                        help="record a per-job event trace to "
-                            "DIR/<jobkey>.trace.jsonl (shard-safe: keys are "
-                            "disjoint across shards; the path lands on each "
-                            "result record under 'trace')")
-        _shard_args(p)
+                            "DIR/<jobkey>.trace.jsonl (the path lands on "
+                            "each result record under 'trace')")
 
     campaign_run = campaign_sub.add_parser(
         "run", help="start (or continue) a campaign",
@@ -693,7 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("--full", action="store_true",
                               help="paper-sized benchmark lists instead of the "
                                    "quick subsets")
-    campaign_run.add_argument("--time-limit", type=_positive_seconds, default=20.0,
+    campaign_run.add_argument("--time-limit", type=_positive_seconds,
+                              default=GRID_TIME_LIMIT,
                               help="per-attack time budget in seconds")
     _exec_args(campaign_run)
     campaign_run.set_defaults(func=_cmd_campaign)
@@ -710,33 +639,11 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_status_p = campaign_sub.add_parser(
         "status", help="show completed/timeout/error/remaining counts")
     _store_arg(campaign_status_p)
-    _shard_args(campaign_status_p)
     campaign_status_p.set_defaults(func=_cmd_campaign)
-
-    campaign_merge = campaign_sub.add_parser(
-        "merge", help="fold per-shard result stores into the canonical store",
-        description="Folds results-*.jsonl shard files (plus any extra "
-                    "stores/files given positionally, e.g. copied from other "
-                    "hosts) into the store's canonical results.jsonl. "
-                    "Latest finished_at wins per job key, exact duplicates "
-                    "are dropped and the output is byte-stable, so merging "
-                    "is idempotent and a merged report matches a serial "
-                    "single-store run.")
-    _store_arg(campaign_merge)
-    campaign_merge.add_argument(
-        "sources", nargs="*", default=[],
-        help="extra results files or store directories to fold in")
-    campaign_merge.add_argument(
-        "--prune", action="store_true",
-        help="after a successful fold, verify the canonical store covers "
-             "every source record and then delete this store's shard files "
-             "(refuses, deleting nothing, if verification fails)")
-    campaign_merge.set_defaults(func=_cmd_campaign)
 
     campaign_report = campaign_sub.add_parser(
         "report", help="aggregate stored results into the Markdown report")
     _store_arg(campaign_report)
-    _shard_args(campaign_report)
     campaign_report.add_argument("--output", default=None,
                                  help="report path (default: print to stdout)")
     campaign_report.add_argument("--redact-runtimes", action="store_true",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.attacks.results import GRID_TIME_LIMIT
 from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.campaign.store import ResultStore
 from repro.campaign.progress import CampaignStatus, GroupStatus, campaign_status
@@ -42,7 +43,7 @@ def build_campaign(
     grid: str = "full",
     *,
     quick: bool = True,
-    attack_time_limit: float = 20.0,
+    attack_time_limit: float = GRID_TIME_LIMIT,
     name: Optional[str] = None,
 ) -> CampaignSpec:
     """Build the campaign spec for one of the named grids.
@@ -180,7 +181,7 @@ def solver_telemetry_table(
     sleep fillers, overhead cells — contribute zeros).  This is the campaign
     end of the telemetry spine that starts in the CDCL inner loop.
     ``redact_runtimes`` blanks the solve-time column, the one
-    nondeterministic field, so serial and sharded sweeps compare
+    nondeterministic field, so sweeps with any worker count compare
     byte-identically.
     """
     table = ExperimentTable(
@@ -208,7 +209,7 @@ def solver_flame_table(
     report-side companion of ``repro trace summary``.  Rows are ordered by
     spec group order then phase name, so the table skeleton is deterministic;
     under ``redact_runtimes`` the seconds/share/bar cells (all wall-clock
-    derived) are blanked, which keeps serial and sharded sweeps
+    derived) are blanked, which keeps sweeps with any worker count
     byte-identical while still showing which phases ran.
     """
     table = ExperimentTable(
@@ -264,8 +265,7 @@ def campaign_latex(
 ) -> str:
     """Render a (spec, store) pair straight to the paper's LaTeX tables.
 
-    The intended end of a multi-host sweep: run N shards, ``merge`` them,
-    then emit camera-ready tables from the merged store —
+    The intended end of a sweep: emit camera-ready tables from its store —
     ``python -m repro campaign report --store ... --latex``.
     """
     tables = aggregate_campaign(spec, store, redact_runtimes=redact_runtimes)

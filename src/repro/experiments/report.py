@@ -28,7 +28,7 @@ def render_value(value: object) -> str:
     """One cell-rendering policy shared by the ASCII and LaTeX renderers.
 
     A single definition keeps the two outputs cell-for-cell comparable —
-    the serial-vs-merged byte-identity checks render through both paths.
+    the serial-vs-parallel byte-identity checks render through both paths.
     """
     if isinstance(value, float):
         return f"{value:.3f}"

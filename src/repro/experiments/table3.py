@@ -27,7 +27,12 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.attacks.bmc_attack import bmc_attack
 from repro.attacks.kc2 import int_attack, kc2_attack
-from repro.attacks.results import AttackOutcome, AttackResult, format_runtime
+from repro.attacks.results import (
+    GRID_TIME_LIMIT,
+    AttackOutcome,
+    AttackResult,
+    format_runtime,
+)
 from repro.benchmarks_data.synthezza import SYNTHEZZA_PROFILES, load_synthezza, synthezza_names
 from repro.campaign.executor import run_in_memory
 from repro.campaign.spec import JobSpec
@@ -52,7 +57,7 @@ def table3_jobs(
     quick: bool = True,
     benchmarks: Optional[Sequence[str]] = None,
     attacks: Optional[Sequence[str]] = None,
-    time_limit: float = 20.0,
+    time_limit: float = GRID_TIME_LIMIT,
     max_depth: int = 8,
     synthesis_style: str = "auto",
     seed: int = 3,

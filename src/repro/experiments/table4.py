@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.attacks.bmc_attack import bmc_attack
 from repro.attacks.kc2 import int_attack, kc2_attack
 from repro.attacks.rane import rane_attack
-from repro.attacks.results import AttackResult
+from repro.attacks.results import GRID_TIME_LIMIT, AttackResult
 from repro.benchmarks_data.iscas89 import ISCAS89_PROFILES, iscas89_names, load_iscas89
 from repro.benchmarks_data.itc99 import ITC99_PROFILES, itc99_names, load_itc99
 from repro.campaign.executor import run_in_memory
@@ -57,7 +57,7 @@ def table4_jobs(
     quick: bool = True,
     benchmarks: Optional[Sequence[str]] = None,
     attacks: Optional[Sequence[str]] = None,
-    time_limit: float = 20.0,
+    time_limit: float = GRID_TIME_LIMIT,
     max_depth: int = 8,
     rane_depth: int = 6,
     num_locked_ffs: int = 2,

@@ -1,6 +1,6 @@
 """Timers and solver workloads for the acceptance bars.
 
-The seven acceptance bars are plain pytest tests in ``benchmarks/``
+The six acceptance bars are plain pytest tests in ``benchmarks/``
 (``bench_engine_throughput.py``, ``bench_solver_throughput.py``,
 ``bench_campaign_throughput.py``, ``bench_campaign_store.py``).  They time
 through :func:`timed` and :func:`sustained_rate`, which read only

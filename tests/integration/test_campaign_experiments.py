@@ -2,26 +2,18 @@
 
 Covers the acceptance semantics of the campaign subsystem: parallel and
 serial sweeps aggregate to byte-identical tables (modulo the wall-clock
-columns, which are redacted for the comparison), a sweep run as N shard
-stores then merged reports byte-identically to the serial single-store run,
-resume completes only the missing cells, a per-job timeout yields a
-``timeout`` row without aborting the sweep, and the ``python -m repro
-campaign`` CLI drives the whole run / status / resume / shard / merge /
-report (Markdown and LaTeX) cycle.
+columns, which are redacted for the comparison), in memory and from their
+stores on disk, resume completes only the missing cells, a per-job timeout
+yields a ``timeout`` row without aborting the sweep, and the ``python -m
+repro campaign`` CLI drives the whole run / status / resume / report
+(Markdown and LaTeX) cycle.
 """
 
 import json
 
 import pytest
 
-from repro.campaign import (
-    CampaignSpec,
-    JobSpec,
-    ResultStore,
-    merge_stores,
-    run_campaign,
-    shard_label,
-)
+from repro.campaign import CampaignSpec, JobSpec, ResultStore, run_campaign
 from repro.cli import main as cli_main
 from repro.experiments.campaigns import (
     aggregate_campaign,
@@ -80,6 +72,56 @@ class TestParallelSerialEquivalence:
                 assert left.outcome == right.outcome
                 assert left.key == right.key
                 assert left.iterations == right.iterations
+
+    def test_parallel_store_reports_like_the_serial_store(self, tmp_path):
+        """Acceptance: one spec run serially and with two workers into two
+        stores on disk renders, from the reloaded stores, the same report
+        and the same LaTeX tables (runtimes redacted — the one legitimately
+        nondeterministic field)."""
+        spec = CampaignSpec(name="t3", jobs=table3_jobs(**GRID))
+        serial_root, parallel_root = tmp_path / "serial", tmp_path / "parallel"
+        run_campaign(spec, ResultStore(serial_root), workers=0)
+        run_campaign(spec, ResultStore(parallel_root), workers=2)
+
+        def render(root):
+            tables = aggregate_campaign(
+                spec, ResultStore(root), redact_runtimes=True)
+            return "\n\n".join(table.to_text() for table in tables.values())
+
+        assert render(serial_root) == render(parallel_root)
+        assert campaign_latex(spec, ResultStore(parallel_root),
+                              redact_runtimes=True) == \
+            campaign_latex(spec, ResultStore(serial_root), redact_runtimes=True)
+
+    def test_killed_and_resumed_parallel_store_reports_like_the_serial_store(
+        self, tmp_path
+    ):
+        """A sweep killed while writing a record, then resumed with two
+        workers, renders the same report and LaTeX tables as an
+        uninterrupted serial sweep."""
+        spec = CampaignSpec(name="t3", jobs=table3_jobs(**GRID))
+        serial_root, resumed_root = tmp_path / "serial", tmp_path / "resumed"
+        run_campaign(spec, ResultStore(serial_root), workers=0)
+        run_campaign(CampaignSpec(name="t3", jobs=spec.jobs[:1]),
+                     ResultStore(resumed_root), workers=0)
+        torn = json.dumps({"key": spec.jobs[1].key, "status": "completed"})
+        with (resumed_root / "results.jsonl").open("a") as handle:
+            handle.write(torn[:25])
+        summary = run_campaign(spec, ResultStore(resumed_root), workers=2)
+        assert (summary.executed, summary.skipped) == (1, 1)
+
+        with pytest.warns(RuntimeWarning, match="dropping"):
+            resumed = ResultStore(resumed_root)
+        serial = ResultStore(serial_root)
+        assert [
+            table.to_text() for table in
+            aggregate_campaign(spec, resumed, redact_runtimes=True).values()
+        ] == [
+            table.to_text() for table in
+            aggregate_campaign(spec, serial, redact_runtimes=True).values()
+        ]
+        assert campaign_latex(spec, resumed, redact_runtimes=True) == \
+            campaign_latex(spec, serial, redact_runtimes=True)
 
     @pytest.mark.parametrize("driver", sorted(DRIVERS))
     def test_driver_matches_explicit_campaign_execution(self, driver):
@@ -162,6 +204,49 @@ class TestCampaignCli:
         capsys.readouterr()
         assert "Table III" in report.read_text()
 
+    def test_campaign_commands_are_run_resume_status_report(self, tmp_path,
+                                                           capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["campaign", "--help"])
+        assert exc.value.code == 0
+        assert "{run,resume,status,report}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["campaign", "merge", "--store", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'merge'" in capsys.readouterr().err
+
+    def test_status_of_a_partial_store_counts_the_remaining_cells(
+        self, tmp_path, capsys
+    ):
+        store_dir = tmp_path / "store"
+        spec = CampaignSpec(name="partial", jobs=[
+            JobSpec(kind="sleep", group="sleep", params={"marker": index})
+            for index in range(3)
+        ])
+        store = ResultStore(store_dir)
+        store.write_manifest(spec)
+        run_campaign(CampaignSpec(name="partial", jobs=spec.jobs[:1]), store,
+                     workers=0, write_manifest=False)
+        assert cli_main(["campaign", "status", "--store", str(store_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "jobs      : 3\ncompleted : 1\n" in out
+        assert "remaining : 2\n" in out
+        assert out.endswith("  sleep  1/3 completed, 2 remaining\n")
+
+    @pytest.mark.parametrize("workers, mode", [(0, "serial"), (2, "2 workers")])
+    def test_resume_announces_its_job_count_and_mode(self, tmp_path, capsys,
+                                                     workers, mode):
+        store_dir = tmp_path / "store"
+        ResultStore(store_dir).write_manifest(CampaignSpec(name="tiny", jobs=[
+            JobSpec(kind="sleep", group="sleep", params={"marker": index})
+            for index in range(2)
+        ]))
+        assert cli_main(["campaign", "resume", "--store", str(store_dir),
+                         "--workers", str(workers)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"campaign tiny: 2 jobs ({mode})\n")
+        assert "remaining : 0" in out
+
     def test_status_without_manifest_fails_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="no campaign manifest"):
             cli_main(["campaign", "status", "--store", str(tmp_path / "empty")])
@@ -176,85 +261,6 @@ class TestCampaignCli:
         assert cli_main(["campaign", "resume", "--store", str(store_dir),
                          "--quiet"]) == 1
         capsys.readouterr()
-
-
-class TestShardedSweeps:
-    def test_sharded_sweep_merges_to_the_serial_report(self, tmp_path):
-        """Acceptance: N shard stores, merged, report byte-identical to the
-        same spec run serially into a single store (runtimes redacted — the
-        one legitimately nondeterministic field)."""
-        jobs = table3_jobs(**GRID)
-        spec = CampaignSpec(name="t3", jobs=jobs)
-
-        serial_root = tmp_path / "serial"
-        run_campaign(spec, ResultStore(serial_root), workers=0)
-
-        sharded_root = tmp_path / "sharded"
-        ResultStore(sharded_root).write_manifest(spec)
-        for index in range(2):
-            run_campaign(
-                spec.shard(index, 2),
-                ResultStore(sharded_root, shard=shard_label(index, 2)),
-                workers=0, write_manifest=False,
-            )
-        assert not (sharded_root / "results.jsonl").exists()
-        merge_stores(sharded_root)
-
-        def render(root):
-            tables = aggregate_campaign(
-                spec, ResultStore(root), redact_runtimes=True)
-            return "\n\n".join(table.to_text() for table in tables.values())
-
-        assert render(serial_root) == render(sharded_root)
-        # LaTeX output from the merged store matches the serial store too.
-        assert campaign_latex(spec, ResultStore(sharded_root),
-                              redact_runtimes=True) == \
-            campaign_latex(spec, ResultStore(serial_root), redact_runtimes=True)
-
-    def test_cli_shard_merge_status_cycle(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        spec = CampaignSpec(name="clidemo", jobs=[
-            JobSpec(kind="sleep", group="sleep", params={"marker": i})
-            for i in range(5)
-        ])
-        ResultStore(store).write_manifest(spec)
-        assert cli_main(["campaign", "resume", "--store", store,
-                         "--shard", "1/2", "--quiet"]) == 0
-        assert "shard     : 1/2" in capsys.readouterr().out
-        assert cli_main(["campaign", "resume", "--store", store,
-                         "--shard", "2/2", "--quiet"]) == 0
-        capsys.readouterr()
-        # Unmerged canonical store: everything still reads as missing.
-        assert cli_main(["campaign", "status", "--store", store]) == 0
-        assert "remaining : 5" in capsys.readouterr().out
-        assert cli_main(["campaign", "merge", "--store", store]) == 0
-        assert "5 read, 5 kept" in capsys.readouterr().out
-        assert cli_main(["campaign", "status", "--store", store]) == 0
-        assert "remaining : 0" in capsys.readouterr().out
-
-    def test_cli_shard_costs_alone_balance_the_partition(self, tmp_path, capsys):
-        """``--shard-costs`` by itself selects the LPT partition: one heavy
-        cell gets a shard to itself (round-robin would give shard 1/2 three
-        of the five cells)."""
-        store = str(tmp_path / "store")
-        spec = CampaignSpec(name="costdemo", jobs=[
-            JobSpec(kind="sleep", group="sleep", params={"marker": i})
-            for i in range(5)
-        ])
-        ResultStore(store).write_manifest(spec)
-        costs = ResultStore(tmp_path / "costs")
-        for index, job in enumerate(spec.jobs):
-            costs.append({"key": job.key, "status": "completed",
-                          "cpu_seconds": 100.0 if index == 2 else 1.0})
-        for shard, remaining in (("1/2", 1), ("2/2", 4)):
-            assert cli_main(["campaign", "status", "--store", store,
-                             "--shard", shard,
-                             "--shard-costs", str(tmp_path / "costs")]) == 0
-            assert f"remaining : {remaining}\n" in capsys.readouterr().out
-        # No measured cell in the grid: round-robin striping.
-        assert cli_main(["campaign", "status", "--store", store,
-                         "--shard", "1/2", "--shard-costs", store]) == 0
-        assert "remaining : 3\n" in capsys.readouterr().out
 
     def test_status_and_report_fold_only_numeric_solver_values(
         self, tmp_path, capsys
@@ -338,14 +344,6 @@ class TestShardedSweeps:
         assert (store / "manifest.json").read_bytes() == manifest
         assert [path.name for path in store.iterdir()] == ["manifest.json"]
 
-    def test_merge_of_a_missing_store_is_one_error_line(self, tmp_path, capsys):
-        missing = tmp_path / "no-such-store"
-        assert cli_main(["campaign", "merge", "--store", str(missing)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("campaign merge: nothing to merge")
-        assert captured.err.count("\n") == 1 and captured.out == ""
-        assert not missing.exists()
-
     def test_cli_report_latex_from_store(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
         jobs = table3_jobs(benchmarks=["bcomp"], attacks=["INT"], time_limit=60.0)
@@ -364,14 +362,6 @@ class TestShardedSweeps:
         assert cli_main(["campaign", "report", "--store", str(store_dir),
                          "--latex"]) == 0
         assert r"\begin{table}" in capsys.readouterr().out
-
-    def test_cli_rejects_malformed_shard(self, tmp_path):
-        with pytest.raises(SystemExit):
-            cli_main(["campaign", "resume", "--store", str(tmp_path / "s"),
-                      "--shard", "3/2"])
-        with pytest.raises(SystemExit):
-            cli_main(["campaign", "resume", "--store", str(tmp_path / "s"),
-                      "--shard", "nope"])
 
 
 class TestFullGridAggregation:

@@ -3,7 +3,7 @@
 Covers the full observability loop the trace subsystem exists for: a traced
 ``repro attack`` run produces analysable traces
 (``repro trace summary|timeline|diff``, and a rerun diffs to zero drift), a traced campaign records one
-shard-safe trace file per job and points each result record at it, the
+trace file per job key and points each result record at it, the
 campaign report grows the per-phase flame view, and tracing never perturbs
 the (redacted) report a campaign aggregates to.
 """
@@ -192,7 +192,7 @@ class TestTracedCampaign:
         for job in spec.jobs:
             record = records[job.key]
             assert record["status"] == "completed"
-            # Every record names its shard-safe per-key trace file...
+            # Every record names its per-key trace file...
             trace_path = trace_dir / f"{job.key}.trace.jsonl"
             assert record["trace"] == str(trace_path)
             # ...and every trace parses, starting with the meta header.

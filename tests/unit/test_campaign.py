@@ -1,32 +1,41 @@
 """Unit tests for the campaign subsystem: specs, store, executor, progress."""
 
+import hashlib
+import importlib.util
+import inspect
 import json
 import os
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
+from repro.attacks.results import GRID_TIME_LIMIT
 from repro.campaign import (
     CampaignSpec,
     JobSpec,
-    MergeVerificationError,
     ResultStore,
     campaign_status,
     execute_job_attempt,
     job_key,
-    measured_job_costs,
-    merge_stores,
     register_job_kind,
-    render_merge_summary,
     render_status,
     resolve_job_kind,
     run_campaign,
-    shard_label,
 )
 from repro.campaign.jobs import sleep_job
+from repro.cli import build_parser
 from repro.experiments.campaigns import build_campaign
+from repro.experiments.runner import run_all
+from repro.experiments.table3 import table3_jobs
+from repro.experiments.table4 import table4_jobs
+
+EXAMPLE_SCRIPT = (
+    Path(__file__).resolve().parents[2] / "examples" / "reproduce_paper.py"
+)
 
 
 def sleep_jobs(count, **params):
@@ -34,6 +43,76 @@ def sleep_jobs(count, **params):
         JobSpec(kind="sleep", group="sleep", params={"marker": i, **params})
         for i in range(count)
     ]
+
+
+def example_time_limit(monkeypatch):
+    """The time limit ``examples/reproduce_paper.py`` passes when given none."""
+    module_spec = importlib.util.spec_from_file_location(
+        "reproduce_paper", EXAMPLE_SCRIPT)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    calls = []
+    monkeypatch.setattr(module, "run_all", lambda **kwargs: calls.append(kwargs))
+    monkeypatch.setattr(sys, "argv", [str(EXAMPLE_SCRIPT)])
+    module.main()
+    return calls[0]["attack_time_limit"]
+
+
+#: Where each default of the grids' per-attack limit is read.
+TIME_LIMIT_SITES = {
+    "table3_jobs": lambda mp: inspect.signature(table3_jobs)
+    .parameters["time_limit"].default,
+    "table4_jobs": lambda mp: inspect.signature(table4_jobs)
+    .parameters["time_limit"].default,
+    "build_campaign": lambda mp: inspect.signature(build_campaign)
+    .parameters["attack_time_limit"].default,
+    "run_all": lambda mp: inspect.signature(run_all)
+    .parameters["attack_time_limit"].default,
+    "repro reproduce": lambda mp: build_parser()
+    .parse_args(["reproduce"]).time_limit,
+    "repro campaign run": lambda mp: build_parser()
+    .parse_args(["campaign", "run", "--store", "s"]).time_limit,
+    "examples/reproduce_paper.py": example_time_limit,
+}
+
+#: sha256 prefix of ``manifest.json`` for every grid, quick and paper-sized.
+#: Job keys hash each job's params, so a moved pin means a resume against
+#: an existing store of that grid would find none of its finished cells.
+MANIFEST_PINS = {
+    ("full", False): "066953607dd8214e",
+    ("full", True): "197db003c824696e",
+    ("table1", False): "3473b7876177aec5",
+    ("table1", True): "901f6d11591ae73e",
+    ("table2", False): "8cb78064fe3b3fef",
+    ("table2", True): "52c6c47239502813",
+    ("table3", False): "759d325517ec9b8f",
+    ("table3", True): "230bddb08be067f5",
+    ("table4", False): "6f0f319ef8d1e95e",
+    ("table4", True): "52fb203b44c1625f",
+    ("table5", False): "c2d18a88090301c4",
+    ("table5", True): "79facc7db0f56241",
+    ("figure4", False): "af7ff4b2753ef84c",
+    ("figure4", True): "58b9199dc0a45d87",
+    ("smoke", False): "a0293e845e7159c2",
+    ("smoke", True): "95dcc7fd3e0ad4c2",
+}
+
+def resume_over_a_torn_tail(tmp_path, workers):
+    """Kill a three-job sweep while it writes its last record, then resume.
+
+    Returns the summary of the resumed run and the store reloaded after it.
+    """
+    spec = CampaignSpec(name="c", jobs=sleep_jobs(3))
+    root = tmp_path / "store"
+    run_campaign(CampaignSpec(name="c", jobs=spec.jobs[:2]), ResultStore(root),
+                 workers=0)
+    torn = json.dumps({"key": spec.jobs[2].key, "status": "completed"})
+    with (root / "results.jsonl").open("a") as handle:
+        handle.write(torn[:30])
+    summary = run_campaign(spec, ResultStore(root), workers=workers)
+    with pytest.warns(RuntimeWarning, match=r"results\.jsonl:3: dropping"):
+        reloaded = ResultStore(root)
+    return summary, campaign_status(spec, reloaded)
 
 
 class TestJobKeys:
@@ -85,296 +164,6 @@ class TestCampaignSpec:
         assert [j.key for j in rebuilt.jobs] == [j.key for j in spec.jobs]
 
 
-class TestSharding:
-    def test_every_job_lands_in_exactly_one_shard(self):
-        spec = CampaignSpec(name="c", jobs=sleep_jobs(10))
-        for count in (1, 2, 3, 7, 10, 16):
-            shards = [spec.shard(index, count) for index in range(count)]
-            keys = [job.key for shard in shards for job in shard.jobs]
-            assert len(keys) == len(set(keys))  # disjoint
-            assert sorted(keys) == sorted(job.key for job in spec.jobs)  # union
-
-    def test_shards_preserve_spec_order(self):
-        spec = CampaignSpec(name="c", jobs=sleep_jobs(9))
-        position = {job.key: index for index, job in enumerate(spec.jobs)}
-        for index in range(4):
-            order = [position[job.key] for job in spec.shard(index, 4).jobs]
-            assert order == sorted(order)
-
-    def test_shard_is_deterministic_and_labelled(self):
-        spec = CampaignSpec(name="c", jobs=sleep_jobs(5), metadata={"grid": "g"})
-        shard = spec.shard(1, 3)
-        again = spec.shard(1, 3)
-        assert [j.key for j in shard.jobs] == [j.key for j in again.jobs]
-        assert shard.name == spec.name  # same campaign, same manifest
-        assert shard.metadata["grid"] == "g"
-        assert shard.metadata["shard"] == {
-            "index": 1, "count": 3, "label": "2of3", "strategy": "round-robin",
-        }
-        assert shard_label(1, 3) == "2of3"
-
-    def test_invalid_shard_arguments_rejected(self):
-        spec = CampaignSpec(name="c", jobs=sleep_jobs(3))
-        with pytest.raises(ValueError):
-            spec.shard(3, 3)
-        with pytest.raises(ValueError):
-            spec.shard(-1, 3)
-        with pytest.raises(ValueError):
-            spec.shard(0, 0)
-
-    def test_cost_shard_partitions_and_balances(self):
-        spec = CampaignSpec(name="c", jobs=sleep_jobs(8))
-        # One dominant job plus light ones: LPT must isolate the heavy job.
-        costs = {job.key: 1.0 for job in spec.jobs}
-        costs[spec.jobs[0].key] = 100.0
-        shards = [spec.shard(index, 2, costs=costs)
-                  for index in range(2)]
-        keys = [job.key for shard in shards for job in shard.jobs]
-        assert sorted(keys) == sorted(job.key for job in spec.jobs)  # partition
-        heavy_shard = next(s for s in shards if spec.jobs[0].key
-                           in {j.key for j in s.jobs})
-        # The heavy job's shard gets nothing else; the other shard gets all 7.
-        assert len(heavy_shard.jobs) == 1
-        assert heavy_shard.metadata["shard"]["strategy"] == "cost"
-        # Deterministic: same inputs, same partition.
-        again = spec.shard(0, 2, costs=costs)
-        assert [j.key for j in again.jobs] == [j.key for j in shards[0].jobs]
-        # Spec order is preserved within each shard (aggregation needs it).
-        position = {job.key: index for index, job in enumerate(spec.jobs)}
-        for shard in shards:
-            order = [position[job.key] for job in shard.jobs]
-            assert order == sorted(order)
-
-    def test_cost_shard_mean_fills_missing_costs(self):
-        spec = CampaignSpec(name="c", jobs=sleep_jobs(6))
-        costs = {spec.jobs[0].key: 10.0, spec.jobs[1].key: 30.0}
-        shards = [spec.shard(index, 3, costs=costs)
-                  for index in range(3)]
-        keys = [job.key for shard in shards for job in shard.jobs]
-        assert sorted(keys) == sorted(job.key for job in spec.jobs)
-
-    def test_cost_shard_falls_back_to_round_robin_without_costs(self):
-        spec = CampaignSpec(name="c", jobs=sleep_jobs(6))
-        for costs in (None, {}, {"not-a-job-key": 5.0}):
-            for index in range(2):
-                fallback = spec.shard(index, 2, costs=costs)
-                assert [j.key for j in fallback.jobs] ==                     [j.key for j in spec.shard(index, 2).jobs]
-                assert "round-robin" in fallback.metadata["shard"]["strategy"]
-
-    def test_unknown_shard_strategy_rejected(self):
-        """The costs alone choose the partition: no strategy keyword exists."""
-        spec = CampaignSpec(name="c", jobs=sleep_jobs(2))
-        for strategy in ("random", "cost", "round-robin"):
-            with pytest.raises(TypeError):
-                spec.shard(0, 2, strategy=strategy)
-
-    def test_measured_costs_feed_cost_sharding(self, tmp_path):
-        spec = CampaignSpec(name="c", jobs=sleep_jobs(4))
-        store = ResultStore(tmp_path / "store")
-        run_campaign(spec, store, workers=0, write_manifest=False)
-        costs = measured_job_costs(store)
-        assert set(costs) == {job.key for job in spec.jobs}
-        assert all(value >= 0.0 for value in costs.values())
-        shards = [spec.shard(index, 2, costs=costs)
-                  for index in range(2)]
-        keys = [job.key for shard in shards for job in shard.jobs]
-        assert sorted(keys) == sorted(job.key for job in spec.jobs)
-
-    def test_shard_status_is_labelled(self, tmp_path):
-        spec = CampaignSpec(name="demo", jobs=sleep_jobs(4))
-        shard = spec.shard(0, 2)
-        store = ResultStore(tmp_path / "store", shard=shard_label(0, 2))
-        run_campaign(shard, store, workers=0, write_manifest=False)
-        status = campaign_status(shard, store)
-        assert status.shard == "1/2"
-        assert "shard     : 1/2" in render_status(status)
-
-
-class TestShardStores:
-    def test_shard_store_writes_its_own_results_file(self, tmp_path):
-        root = tmp_path / "store"
-        shard_store = ResultStore(root, shard="1of2")
-        shard_store.append({"key": "k1", "status": "completed"})
-        assert (root / "results-1of2.jsonl").exists()
-        assert not (root / "results.jsonl").exists()
-        # The canonical store does not see shard records until a merge.
-        assert ResultStore(root).record_for("k1") is None
-        assert ResultStore(root, shard="1of2").record_for("k1") is not None
-
-    def test_invalid_shard_tag_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="invalid shard tag"):
-            ResultStore(tmp_path / "store", shard="../evil")
-
-
-class TestMergeStores:
-    def _run_sharded(self, root, spec, count):
-        for index in range(count):
-            run_campaign(
-                spec.shard(index, count),
-                ResultStore(root, shard=shard_label(index, count)),
-                workers=0, write_manifest=False,
-            )
-
-    def test_merge_folds_disjoint_shards(self, tmp_path):
-        root = tmp_path / "store"
-        spec = CampaignSpec(name="c", jobs=sleep_jobs(5))
-        self._run_sharded(root, spec, 2)
-        summary = merge_stores(root)
-        assert summary.records_in == 5
-        assert summary.records_out == 5
-        assert summary.duplicates == 0
-        assert summary.keys == 5
-        merged = ResultStore(root)
-        assert len(merged) == 5
-        assert campaign_status(spec, merged).missing == 0
-        assert "5 read, 5 kept" in render_merge_summary(summary)
-
-    def test_merge_is_idempotent_and_byte_stable(self, tmp_path):
-        root = tmp_path / "store"
-        spec = CampaignSpec(name="c", jobs=sleep_jobs(6))
-        self._run_sharded(root, spec, 3)
-        merge_stores(root)
-        first = (root / "results.jsonl").read_bytes()
-        summary = merge_stores(root)  # canonical + the 3 shard files again
-        assert (root / "results.jsonl").read_bytes() == first
-        assert summary.duplicates == 6  # every shard record already canonical
-        assert summary.records_out == 6
-
-    def test_merge_latest_wins_and_renumbers_attempts(self, tmp_path):
-        root = tmp_path / "store"
-        ResultStore(root, shard="1of2").append(
-            {"key": "k1", "status": "error", "finished_at": 100.0})
-        ResultStore(root, shard="2of2").append(
-            {"key": "k1", "status": "completed", "finished_at": 200.0})
-        summary = merge_stores(root)
-        assert summary.conflicts == 1
-        merged = ResultStore(root)
-        assert len(merged) == 2  # history preserved, append-only semantics
-        latest = merged.record_for("k1")
-        assert latest["status"] == "completed"
-        assert latest["attempt"] == 2  # renumbered in finish order
-
-    def test_merge_accepts_stores_copied_from_other_hosts(self, tmp_path):
-        spec = CampaignSpec(name="c", jobs=sleep_jobs(4))
-        local, remote = tmp_path / "local", tmp_path / "remote"
-        run_campaign(spec.shard(0, 2), ResultStore(local, shard="1of2"),
-                     workers=0, write_manifest=False)
-        run_campaign(spec.shard(1, 2), ResultStore(remote, shard="2of2"),
-                     workers=0, write_manifest=False)
-        summary = merge_stores(local, extra=[remote])
-        assert summary.records_out == 4
-        assert campaign_status(spec, ResultStore(local)).missing == 0
-
-    def test_merge_with_no_sources_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="nothing to merge"):
-            merge_stores(tmp_path / "empty")
-        with pytest.raises(FileNotFoundError, match="does not exist"):
-            merge_stores(tmp_path / "empty", extra=[tmp_path / "ghost.jsonl"])
-
-    def test_merge_rejects_extra_dir_without_results(self, tmp_path):
-        """An explicitly-named source directory that matches no results files
-        (wrong directory level, typo'd rsync target) must fail loud, not
-        silently contribute nothing to the merge."""
-        ResultStore(tmp_path / "store", shard="1of1").append(
-            {"key": "k1", "status": "completed"})
-        wrong_level = tmp_path / "from-host-b"
-        (wrong_level / "full").mkdir(parents=True)
-        with pytest.raises(FileNotFoundError, match="no results"):
-            merge_stores(tmp_path / "store", extra=[wrong_level])
-
-
-class TestMergePrune:
-    def _sharded_store(self, root, count=2, jobs=6):
-        spec = CampaignSpec(name="c", jobs=sleep_jobs(jobs))
-        for index in range(count):
-            run_campaign(
-                spec.shard(index, count),
-                ResultStore(root, shard=shard_label(index, count)),
-                workers=0, write_manifest=False,
-            )
-        return spec
-
-    def test_prune_deletes_shard_files_after_verified_fold(self, tmp_path):
-        root = tmp_path / "store"
-        spec = self._sharded_store(root)
-        shard_files = sorted(root.glob("results-*.jsonl"))
-        assert len(shard_files) == 2
-        summary = merge_stores(root, prune=True)
-        assert sorted(summary.pruned) == shard_files
-        assert not list(root.glob("results-*.jsonl"))
-        assert (root / "results.jsonl").exists()
-        merged = ResultStore(root)
-        assert campaign_status(spec, merged).missing == 0
-        # Re-merging the pruned store is a clean no-op on the canonical file.
-        first = (root / "results.jsonl").read_bytes()
-        merge_stores(root)
-        assert (root / "results.jsonl").read_bytes() == first
-
-    def test_prune_keeps_extra_sources(self, tmp_path):
-        local, remote = tmp_path / "local", tmp_path / "remote"
-        spec = CampaignSpec(name="c", jobs=sleep_jobs(4))
-        run_campaign(spec.shard(0, 2), ResultStore(local, shard="1of2"),
-                     workers=0, write_manifest=False)
-        run_campaign(spec.shard(1, 2), ResultStore(remote, shard="2of2"),
-                     workers=0, write_manifest=False)
-        summary = merge_stores(local, extra=[remote], prune=True)
-        # Local shard file pruned; the copied-in host's store is untouched.
-        assert not list(local.glob("results-*.jsonl"))
-        assert list(remote.glob("results-*.jsonl"))
-        assert summary.records_out == 4
-
-    def test_prune_refuses_when_fold_is_unverifiable(self, tmp_path, monkeypatch):
-        root = tmp_path / "store"
-        self._sharded_store(root)
-        shard_files = sorted(root.glob("results-*.jsonl"))
-
-        import repro.campaign.store as store_module
-
-        original = store_module.durable_replace
-
-        def truncating_replace(tmp, target, payload):
-            # Simulate a torn write: the published canonical file loses its
-            # tail, so it cannot cover every shard record.
-            original(tmp, target, "".join(payload.splitlines(keepends=True)[:1]))
-
-        monkeypatch.setattr(store_module, "durable_replace", truncating_replace)
-        with pytest.raises(MergeVerificationError, match="refusing to prune"):
-            merge_stores(root, prune=True)
-        # Refusal path: every shard file is still there.
-        assert sorted(root.glob("results-*.jsonl")) == shard_files
-
-    def test_prune_spares_straggler_shard_files(self, tmp_path, monkeypatch):
-        """A shard file that appears after the merge enumerated its sources
-        (late rsync, straggler shard run) was neither folded nor verified —
-        prune must leave it for the next merge instead of deleting it."""
-        root = tmp_path / "store"
-        self._sharded_store(root)
-        shard_files = sorted(root.glob("results-*.jsonl"))
-
-        import repro.campaign.store as store_module
-
-        original_sources = store_module.merge_sources
-
-        def sources_missing_straggler(r, extra=()):
-            resolved = original_sources(r, extra)
-            # Pretend the second shard file landed after source enumeration.
-            return [path for path in resolved if path != shard_files[1]]
-
-        monkeypatch.setattr(store_module, "merge_sources",
-                            sources_missing_straggler)
-        summary = merge_stores(root, prune=True)
-        assert summary.pruned == [shard_files[0]]
-        assert not shard_files[0].exists()
-        assert shard_files[1].exists()  # straggler survives for the next fold
-
-    def test_merge_without_prune_keeps_shard_files(self, tmp_path):
-        root = tmp_path / "store"
-        self._sharded_store(root)
-        summary = merge_stores(root)
-        assert summary.pruned == []
-        assert len(list(root.glob("results-*.jsonl"))) == 2
-
-
 class TestResultStore:
     def test_append_indexes_latest_record_per_key(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -402,6 +191,87 @@ class TestResultStore:
             reloaded = ResultStore(root)
         assert reloaded.record_for("k1") is not None
         assert reloaded.record_for("k2") is None
+
+    def test_append_after_a_torn_tail_survives_reload(self, tmp_path):
+        root = tmp_path / "store"
+        ResultStore(root).append({"key": "a", "status": "completed"})
+        path = root / "results.jsonl"
+        with path.open("a") as handle:
+            handle.write('{"key": "b", "status": "comp')  # killed mid-write
+        store = ResultStore(root)
+        stored = store.append({"key": "b", "status": "completed"})
+        # The append ends the torn line instead of writing onto it, so the
+        # fragment is now a corrupt line in the middle of the file.
+        with pytest.warns(RuntimeWarning, match=r"results\.jsonl:2: dropping"):
+            reloaded = ResultStore(root)
+        assert reloaded.record_for("a") is not None
+        assert reloaded.record_for("b") == stored
+        # Only the first append after the load ends the line.
+        store.append({"key": "c", "status": "completed"})
+        assert path.read_text().count("\n") == 4
+        assert path.read_bytes().endswith(b"}\n")
+
+    def test_append_after_a_torn_tail_deletes_no_byte(self, tmp_path):
+        root = tmp_path / "store"
+        ResultStore(root).append({"key": "a", "status": "completed"})
+        path = root / "results.jsonl"
+        with path.open("ab") as handle:
+            handle.write(b'{"key": "b", "status": "comp')
+        before = path.read_bytes()
+        stored = ResultStore(root).append({"key": "b", "status": "completed"})
+        after = path.read_bytes()
+        # The old bytes stay a prefix; only the newline that ends the
+        # fragment and the new record's own line follow them.
+        assert after[:len(before)] == before
+        assert after[len(before):] == (
+            b"\n" + json.dumps(stored).encode() + b"\n"
+        )
+
+    def test_append_to_a_clean_store_writes_no_blank_line(self, tmp_path):
+        root = tmp_path / "store"
+        ResultStore(root).append({"key": "a", "status": "completed"})
+        ResultStore(root).append({"key": "b", "status": "completed"})
+        lines = (root / "results.jsonl").read_bytes().split(b"\n")
+        assert [json.loads(line)["key"] for line in lines[:-1]] == ["a", "b"]
+        assert lines[-1] == b""
+
+    def test_empty_results_file_is_not_a_torn_tail(self, tmp_path):
+        root = tmp_path / "store"
+        root.mkdir()
+        (root / "results.jsonl").write_bytes(b"")
+        stored = ResultStore(root).append({"key": "a", "status": "completed"})
+        assert (root / "results.jsonl").read_bytes() == (
+            json.dumps(stored).encode() + b"\n"
+        )
+
+    def test_torn_fragment_takes_no_attempt_number(self, tmp_path):
+        root = tmp_path / "store"
+        ResultStore(root).append({"key": "a", "status": "completed"})
+        with (root / "results.jsonl").open("a") as handle:
+            handle.write('{"key": "b", "status": "error", "attem')
+        assert ResultStore(root).append(
+            {"key": "b", "status": "completed"})["attempt"] == 1
+        with pytest.warns(RuntimeWarning, match=r"results\.jsonl:2: dropping"):
+            assert ResultStore(root).record_for("b")["attempt"] == 1
+
+    def test_results_file_is_a_function_of_the_records_alone(self, tmp_path):
+        # A record holds what the caller gave it plus its attempt number,
+        # and no wall-clock stamp: two stores fed the same records hold
+        # the same bytes.
+        records = [
+            {"key": "a", "status": "error", "error": "boom"},
+            {"key": "a", "status": "completed", "payload": {"x": 1}},
+        ]
+        for name in ("one", "two"):
+            store = ResultStore(tmp_path / name)
+            for record in records:
+                store.append(record)
+        one = (tmp_path / "one" / "results.jsonl").read_bytes()
+        assert one == (tmp_path / "two" / "results.jsonl").read_bytes()
+        assert [sorted(json.loads(line)) for line in one.splitlines()] == [
+            ["attempt", "error", "key", "status"],
+            ["attempt", "key", "payload", "status"],
+        ]
 
     def test_midfile_corruption_warns_with_line_number(self, tmp_path):
         root = tmp_path / "store"
@@ -458,8 +328,8 @@ class TestResultStore:
         spec = CampaignSpec(name="c", jobs=sleep_jobs(2))
         store = ResultStore(tmp_path / "store")
         store.write_manifest(spec)
-        # Concurrent shard runs republish the same full-grid manifest; the
-        # matching-bytes short-circuit must not touch the file again.
+        # A resume republishes the same manifest; the matching-bytes
+        # short-circuit must not touch the file again.
         def boom(src, dst):
             raise AssertionError("manifest rewritten despite identical bytes")
 
@@ -588,6 +458,13 @@ class TestSerialExecutor:
         assert summary.timeouts == 1
         assert summary.completed == 1
 
+    def test_resume_over_a_torn_tail_keeps_every_record(self, tmp_path):
+        # The torn job reruns, and its new record survives a reload rather
+        # than fusing with the fragment into one undecodable last line.
+        summary, status = resume_over_a_torn_tail(tmp_path, workers=0)
+        assert (summary.executed, summary.skipped) == (1, 2)
+        assert (status.completed, status.missing) == (3, 0)
+
     def test_progress_callback_sees_every_record(self, tmp_path):
         seen = []
         spec = CampaignSpec(name="c", jobs=sleep_jobs(3))
@@ -698,6 +575,11 @@ class TestParallelExecutor:
             assert record["attempt"] == 1
             assert log.read_text().splitlines().count("loop") == 1
 
+    def test_parallel_resume_over_a_torn_tail_keeps_every_record(self, tmp_path):
+        summary, status = resume_over_a_torn_tail(tmp_path, workers=2)
+        assert (summary.executed, summary.skipped) == (1, 2)
+        assert (status.completed, status.missing) == (3, 0)
+
     def test_pool_records_carry_resource_metrics(self, tmp_path):
         spec = CampaignSpec(name="c", jobs=sleep_jobs(2, seconds=0.05))
         store = ResultStore(tmp_path / "store")
@@ -802,6 +684,24 @@ class TestBuildCampaign:
     def test_unknown_grid_rejected(self):
         with pytest.raises(ValueError, match="unknown grid"):
             build_campaign("nope")
+
+    @pytest.mark.parametrize("site", sorted(TIME_LIMIT_SITES))
+    def test_every_default_time_limit_reads_the_one_constant(
+        self, site, monkeypatch
+    ):
+        # Identity, not equality: a site that restated the value as its own
+        # literal would still compare equal.
+        assert TIME_LIMIT_SITES[site](monkeypatch) is GRID_TIME_LIMIT
+
+    @pytest.mark.parametrize(
+        "grid, quick", sorted(MANIFEST_PINS),
+        ids=[f"{grid}-{'quick' if quick else 'paper'}"
+             for grid, quick in sorted(MANIFEST_PINS)])
+    def test_manifest_bytes_are_pinned(self, tmp_path, grid, quick):
+        store = ResultStore(tmp_path / "store")
+        store.write_manifest(build_campaign(grid, quick=quick))
+        digest = hashlib.sha256(store.manifest_path.read_bytes()).hexdigest()
+        assert digest[:16] == MANIFEST_PINS[grid, quick]
 
     def test_single_table_grid_parameters_propagate(self):
         spec = build_campaign("table3", attack_time_limit=7.5)

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from repro.check.lint import (
-    ALLOWLIST,
     RULES,
     lint_paths,
     lint_source,
@@ -92,6 +91,19 @@ def test_r001_flags_every_wall_clock_in_the_bar_timers(call):
     findings = lint_source(source, path="src/repro/perf.py")
     assert rules_of(findings) == ["R001"]
     assert findings[0].line == 4
+
+
+@pytest.mark.parametrize("path, rules", [
+    ("src/repro/experiments/table3.py", ["R001"]),
+    ("src/repro/campaign/__init__.py", ["R001"]),
+    ("src/repro/performance.py", []),
+    ("src/repro/campaigns.py", []),
+])
+def test_r001_scope_ends_at_package_boundaries(path, rules):
+    # A deterministic package covers itself and its submodules, not every
+    # module whose name merely starts with the same letters.
+    source = "import time\ndef stamp():\n    return time.time()\n"
+    assert rules_of(lint_source(source, path=path)) == rules
 
 
 def test_r001_outside_deterministic_scope_is_silent():
@@ -331,7 +343,7 @@ def test_r006_inline_suppression():
 
 
 # --------------------------------------------------------------------- #
-# suppressions and the allowlist
+# suppressions
 # --------------------------------------------------------------------- #
 def test_inline_suppression():
     source = (
@@ -363,32 +375,19 @@ def test_file_level_suppression():
     assert lint_source(source, path=CAMPAIGN_PATH) == []
 
 
-def test_allowlist_entry_matches_rule_module_and_qualname():
+def test_r001_exempts_no_call_site_by_name():
+    # Per-line and per-file comments are the only way to exempt a call;
+    # no function is exempt by its qualified name, the store's append
+    # included.
     source = (
         "import time\n"
         "class ResultStore:\n"
         "    def append(self, record):\n"
         "        record.setdefault('finished_at', time.time())\n"
     )
-    # The shipped allowlist entry (R001, repro.campaign.store,
-    # ResultStore.append) silences exactly this call...
-    assert lint_source(source, path="src/repro/campaign/store.py") == []
-    # ...but not the same call in another class or module.
     assert rules_of(
-        lint_source(source.replace("ResultStore", "OtherStore"),
-                    path="src/repro/campaign/store.py")
+        lint_source(source, path="src/repro/campaign/store.py")
     ) == ["R001"]
-    assert rules_of(
-        lint_source(source, path="src/repro/campaign/spec.py")
-    ) == ["R001"]
-
-
-def test_shipped_allowlist_is_minimal_and_documented():
-    assert set(ALLOWLIST) == {
-        ("R001", "repro.campaign.store", "ResultStore.append"),
-    }
-    for reason in ALLOWLIST.values():
-        assert reason.strip()
 
 
 # --------------------------------------------------------------------- #
