@@ -3,9 +3,9 @@ using time-base keys (Lopez & Rezaei, DATE 2025).
 
 The package is organised as a small EDA stack:
 
-* :mod:`repro.netlist` — gate-level netlist IR and BENCH/BLIF/Verilog I/O;
+* :mod:`repro.netlist` — gate-level netlist IR and ``.bench`` I/O;
 * :mod:`repro.sim` — combinational/sequential simulation and equivalence;
-* :mod:`repro.sat` — CDCL SAT solver, Tseitin encoding, miters;
+* :mod:`repro.sat` — CDCL SAT solver, Tseitin encoding, solve sessions;
 * :mod:`repro.fsm` — STG modelling and FSM synthesis;
 * :mod:`repro.locking` — Cute-Lock-Beh, Cute-Lock-Str and baseline schemes;
 * :mod:`repro.attacks` — oracle-guided (SAT/BMC/KC2/RANE/AppSAT/DoubleDIP)

@@ -29,7 +29,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import random
 
-from repro.attacks.results import AttackOutcome, AttackResult
 from repro.engine.packed import PackedSimulator
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit
@@ -82,26 +81,6 @@ class FallReport:
             ],
             cpu_time=float(data.get("cpu_time", 0.0)),  # type: ignore[arg-type]
             details=dict(data.get("details", {})),  # type: ignore[arg-type]
-        )
-
-    def to_attack_result(self) -> AttackResult:
-        """Render as an :class:`AttackResult` (CORRECT iff a key was confirmed)."""
-        if self.confirmed_keys:
-            outcome = AttackOutcome.CORRECT
-            key = self.confirmed_keys[0]
-        elif self.candidates:
-            outcome = AttackOutcome.WRONG_KEY
-            key = self.candidates[0]
-        else:
-            outcome = AttackOutcome.FAIL
-            key = None
-        return AttackResult(
-            attack="fall",
-            outcome=outcome,
-            key=key,
-            iterations=self.num_candidates,
-            runtime_seconds=self.cpu_time,
-            details=dict(self.details),
         )
 
 

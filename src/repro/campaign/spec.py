@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from repro.jsonutil import jsonable as _jsonable
 
@@ -130,12 +130,6 @@ class CampaignSpec:
     def __len__(self) -> int:
         return len(self.jobs)
 
-    def job_for(self, key: str) -> Optional[JobSpec]:
-        for job in self.jobs:
-            if job.key == key:
-                return job
-        return None
-
     def groups(self) -> List[str]:
         """Group names in first-appearance order."""
         ordered: List[str] = []
@@ -146,11 +140,6 @@ class CampaignSpec:
 
     def jobs_in_group(self, group: str) -> List[JobSpec]:
         return [job for job in self.jobs if job.group == group]
-
-    def extend(self, jobs: Iterable[JobSpec]) -> None:
-        for job in jobs:
-            self.jobs.append(job)
-        self.__post_init__()
 
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -4,7 +4,7 @@ Cute-Lock-Beh operates on the behavioural representation of a sequential
 circuit — its State Transition Graph (STG).  This package provides:
 
 * :class:`FSM` — a Mealy machine / STG container (:mod:`repro.fsm.stg`);
-* state encodings (:mod:`repro.fsm.encoding`);
+* the dense binary state encoding (:mod:`repro.fsm.encoding`);
 * two-level (Quine–McCluskey) and Shannon/MUX logic synthesis from truth
   tables (:mod:`repro.fsm.minimize`, :mod:`repro.fsm.synthesis`);
 * FSM generators, including the paper's ``1001`` sequence-detector example
@@ -12,14 +12,10 @@ circuit — its State Transition Graph (STG).  This package provides:
 """
 
 from repro.fsm.stg import FSM, FSMError, Transition
-from repro.fsm.encoding import StateEncoding, binary_encoding, one_hot_encoding, gray_encoding
+from repro.fsm.encoding import StateEncoding, binary_encoding
 from repro.fsm.minimize import quine_mccluskey, Implicant
 from repro.fsm.synthesis import synthesize_fsm, synthesize_truth_table
-from repro.fsm.random_fsm import (
-    random_fsm,
-    sequence_detector_fsm,
-    counter_fsm,
-)
+from repro.fsm.random_fsm import random_fsm, sequence_detector_fsm
 
 __all__ = [
     "FSM",
@@ -27,13 +23,10 @@ __all__ = [
     "Transition",
     "StateEncoding",
     "binary_encoding",
-    "one_hot_encoding",
-    "gray_encoding",
     "quine_mccluskey",
     "Implicant",
     "synthesize_fsm",
     "synthesize_truth_table",
     "random_fsm",
     "sequence_detector_fsm",
-    "counter_fsm",
 ]

@@ -39,16 +39,6 @@ class Implicant:
                 result.append((bit, bool((self.value >> bit) & 1)))
         return result
 
-    def to_pattern(self) -> str:
-        """Render as a BLIF-style pattern, variable 0 first."""
-        chars = []
-        for bit in range(self.num_vars):
-            if (self.mask >> bit) & 1:
-                chars.append("-")
-            else:
-                chars.append("1" if (self.value >> bit) & 1 else "0")
-        return "".join(chars)
-
     def size(self) -> int:
         """Number of minterms covered (2^#don't-cares)."""
         return 1 << bin(self.mask).count("1")

@@ -1,9 +1,8 @@
 """FSM generators.
 
 Provides the paper's running example (the ``1001`` Mealy sequence detector of
-Fig. 1 / Fig. 2), simple parametric machines (counters), and the seeded
-random Mealy machines that stand in for the Synthezza FSM benchmark suite
-(see :mod:`repro.benchmarks_data.synthezza`).
+Fig. 1 / Fig. 2) and the seeded random Mealy machines that stand in for the
+Synthezza FSM benchmark suite (see :mod:`repro.benchmarks_data.synthezza`).
 """
 
 from __future__ import annotations
@@ -53,23 +52,6 @@ def sequence_detector_fsm(pattern: str = "1001", *, name: Optional[str] = None,
             else:
                 progress = longest_prefix_suffix(index, bit)
                 fsm.add_transition(states[index], bit, states[progress], 0)
-    return fsm
-
-
-def counter_fsm(modulus: int, *, name: Optional[str] = None) -> FSM:
-    """A modulo-``modulus`` counter with an enable input.
-
-    Output is 1 on the state preceding wrap-around (terminal count).
-    """
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
-    name = name or f"counter{modulus}"
-    states = [f"C{i}" for i in range(modulus)]
-    fsm = FSM(name=name, num_inputs=1, num_outputs=1, reset_state=states[0])
-    for index, state in enumerate(states):
-        terminal = int(index == modulus - 1)
-        fsm.add_transition(state, 0, state, terminal)
-        fsm.add_transition(state, 1, states[(index + 1) % modulus], terminal)
     return fsm
 
 

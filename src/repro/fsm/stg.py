@@ -13,7 +13,7 @@ circuits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 class FSMError(Exception):
@@ -127,21 +127,6 @@ class FSM:
                     clone.add_transition(state, value, state, 0)
         return clone
 
-    def reachable_states(self) -> Set[str]:
-        """States reachable from the reset state."""
-        seen: Set[str] = set()
-        stack = [self.reset_state]
-        while stack:
-            state = stack.pop()
-            if state in seen:
-                continue
-            seen.add(state)
-            for value in self.input_space:
-                nxt, _ = self.next(state, value)
-                if nxt not in seen:
-                    stack.append(nxt)
-        return seen
-
     # ------------------------------------------------------------------ #
     # behaviour
     # ------------------------------------------------------------------ #
@@ -174,27 +159,6 @@ class FSM:
         for (state, value), (nxt, out) in self._transitions.items():
             clone.add_transition(state, value, nxt, out)
         return clone
-
-    def renamed_states(self, mapping: Dict[str, str]) -> "FSM":
-        """Return a copy with state names passed through ``mapping``."""
-        clone = FSM(self.name, self.num_inputs, self.num_outputs,
-                    mapping.get(self.reset_state, self.reset_state))
-        for state in self.states:
-            clone.add_state(mapping.get(state, state))
-        for (state, value), (nxt, out) in self._transitions.items():
-            clone.add_transition(mapping.get(state, state), value, mapping.get(nxt, nxt), out)
-        return clone
-
-    def to_state_table(self) -> List[Dict[str, object]]:
-        """The STT (state transition table) as a list of dict rows."""
-        rows: List[Dict[str, object]] = []
-        for state in self.states:
-            for value in self.input_space:
-                nxt, out = self.next(state, value)
-                rows.append(
-                    {"state": state, "input": value, "next_state": nxt, "output": out}
-                )
-        return rows
 
     def __repr__(self) -> str:
         return (

@@ -9,7 +9,7 @@ The Cute-Lock family (the paper's contribution) lives here:
 
 State-of-the-art comparison schemes used by the evaluation are implemented in
 :mod:`repro.locking.baselines` (RLL, SARLock, Anti-SAT, TTLock, HARPOON,
-DK-Lock, SLED).
+DK-Lock).
 """
 
 from repro.locking.base import LockedCircuit, LockingError, KeySchedule

@@ -4,7 +4,7 @@ Every locking scheme in this package returns a :class:`LockedCircuit`,
 bundling the locked netlist with the secret needed to operate it:
 
 * single-key schemes (RLL, SARLock, …) carry a schedule of length 1;
-* multi-key time-based schemes (Cute-Lock, SLED) carry a schedule of length
+* the multi-key time-based Cute-Lock schemes carry a schedule of length
   ``k`` — the key value that must be applied while the internal counter
   equals ``t`` is ``schedule[t]``.
 
@@ -55,11 +55,6 @@ class KeySchedule:
     def num_keys(self) -> int:
         """k — number of key values."""
         return len(self.values)
-
-    @property
-    def total_bits(self) -> int:
-        """k * ki — total secret bits an attacker must recover."""
-        return self.width * len(self.values)
 
     def value_at(self, cycle: int) -> int:
         """Key value scheduled for clock cycle ``cycle`` (counter wraps)."""

@@ -11,9 +11,7 @@ These are the comparison points the paper positions Cute-Lock against:
 * :func:`~repro.locking.baselines.harpoon.lock_harpoon` — HARPOON-style
   sequential obfuscation-mode locking;
 * :func:`~repro.locking.baselines.dklock.lock_dklock` — DK-Lock, the
-  multi-key baseline of the paper's overhead study (Figure 4);
-* :func:`~repro.locking.baselines.sled.lock_sled` — SLED-style dynamic keys
-  generated from a static seed.
+  multi-key baseline of the paper's overhead study (Figure 4).
 """
 
 from repro.locking.baselines.rll import lock_rll
@@ -22,7 +20,6 @@ from repro.locking.baselines.antisat import lock_antisat
 from repro.locking.baselines.ttlock import lock_ttlock
 from repro.locking.baselines.harpoon import lock_harpoon
 from repro.locking.baselines.dklock import lock_dklock
-from repro.locking.baselines.sled import lock_sled
 
 __all__ = [
     "lock_rll",
@@ -31,5 +28,4 @@ __all__ = [
     "lock_ttlock",
     "lock_harpoon",
     "lock_dklock",
-    "lock_sled",
 ]

@@ -103,16 +103,6 @@ class LockedFSM:
         """The key values that must be applied for ``num_cycles`` cycles."""
         return [self.schedule.value_at(t) for t in range(num_cycles)]
 
-    def wrong_key_sequence(self, num_cycles: int, *, seed: int = 1) -> List[int]:
-        """A key sequence differing from the correct one in ≥1 cycle."""
-        rng = random.Random(seed)
-        keys = self.correct_key_sequence(num_cycles)
-        if not keys:
-            return keys
-        position = rng.randrange(len(keys))
-        keys[position] ^= 1 << rng.randrange(self.schedule.width)
-        return keys
-
     # ------------------------------------------------------------------ #
     # synthesis to a netlist
     # ------------------------------------------------------------------ #

@@ -1,4 +1,4 @@
-"""Gate-level netlist intermediate representation and file formats.
+"""Gate-level netlist intermediate representation and its ``.bench`` format.
 
 This package provides the circuit data model shared by every other subsystem
 of the Cute-Lock reproduction: the locking transforms mutate :class:`Circuit`
@@ -11,12 +11,6 @@ Circuit, Gate, GateType, DFF
     The in-memory netlist model (:mod:`repro.netlist.circuit`).
 parse_bench, write_bench, load_bench, save_bench
     ISCAS-style ``.bench`` reader/writer (:mod:`repro.netlist.bench`).
-parse_blif, write_blif
-    Minimal BLIF reader/writer (:mod:`repro.netlist.blif`).
-write_verilog
-    Structural Verilog writer (:mod:`repro.netlist.verilog`).
-circuit_stats, CircuitStats
-    Size/depth statistics (:mod:`repro.netlist.stats`).
 validate_circuit
     Structural well-formedness checks (:mod:`repro.netlist.validate`).
 """
@@ -24,9 +18,6 @@ validate_circuit
 from repro.netlist.gates import GateType, Gate, DFF, GATE_EVAL, gate_eval
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.bench import parse_bench, write_bench, load_bench, save_bench
-from repro.netlist.blif import parse_blif, write_blif
-from repro.netlist.verilog import write_verilog
-from repro.netlist.stats import CircuitStats, circuit_stats
 from repro.netlist.validate import validate_circuit, ValidationIssue
 
 __all__ = [
@@ -41,11 +32,6 @@ __all__ = [
     "write_bench",
     "load_bench",
     "save_bench",
-    "parse_blif",
-    "write_blif",
-    "write_verilog",
-    "CircuitStats",
-    "circuit_stats",
     "validate_circuit",
     "ValidationIssue",
 ]

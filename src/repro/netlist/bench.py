@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GateType
@@ -61,6 +61,9 @@ class BenchParseError(CircuitError):
 def parse_bench(text: str, *, name: str = "bench") -> Circuit:
     """Parse the contents of a ``.bench`` file into a :class:`Circuit`.
 
+    Every error a line causes (bad syntax, an unknown gate, a wrong arity, a
+    net driven twice) is raised as a :class:`BenchParseError` naming it.
+
     Parameters
     ----------
     text:
@@ -69,39 +72,45 @@ def parse_bench(text: str, *, name: str = "bench") -> Circuit:
         Name to assign to the resulting circuit.
     """
     circuit = Circuit(name=name)
-    pending_outputs: List[str] = []
+    pending_outputs: List[Tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        io_match = _IO_RE.match(line)
-        if io_match:
-            kind = io_match.group("kind").upper()
-            net = io_match.group("net")
-            if kind == "INPUT":
-                circuit.add_input(net, is_key=net.startswith(KEY_INPUT_PREFIX))
-            else:
-                pending_outputs.append(net)
-            continue
-        assign = _LINE_RE.match(line)
-        if not assign:
-            raise BenchParseError(f"line {lineno}: cannot parse {raw!r}")
-        out = assign.group("out")
-        op = assign.group("op").upper()
-        args = [a.strip() for a in assign.group("args").split(",") if a.strip()]
-        if op == "DFF":
-            if len(args) != 1:
-                raise BenchParseError(f"line {lineno}: DFF takes one input, got {args}")
-            circuit.add_dff(out, args[0])
-            continue
-        gtype = _OP_ALIASES.get(op)
-        if gtype is None:
-            raise BenchParseError(f"line {lineno}: unknown gate type {op!r}")
-        circuit.add_gate(out, gtype, args)
+        try:
+            io_match = _IO_RE.match(line)
+            if io_match:
+                kind = io_match.group("kind").upper()
+                net = io_match.group("net")
+                if kind == "INPUT":
+                    circuit.add_input(net, is_key=net.startswith(KEY_INPUT_PREFIX))
+                else:
+                    pending_outputs.append((lineno, net))
+                continue
+            assign = _LINE_RE.match(line)
+            if not assign:
+                raise BenchParseError(f"cannot parse {raw!r}")
+            out = assign.group("out")
+            op = assign.group("op").upper()
+            args = [a.strip() for a in assign.group("args").split(",") if a.strip()]
+            if op == "DFF":
+                if len(args) != 1:
+                    raise BenchParseError(f"DFF takes one input, got {args}")
+                circuit.add_dff(out, args[0])
+                continue
+            gtype = _OP_ALIASES.get(op)
+            if gtype is None:
+                raise BenchParseError(f"unknown gate type {op!r}")
+            circuit.add_gate(out, gtype, args)
+        except (ValueError, CircuitError) as exc:
+            raise BenchParseError(f"line {lineno}: {exc}") from exc
 
     # Declare outputs only after all drivers are known, keeping declaration order.
-    for net in pending_outputs:
-        circuit.add_output(net)
+    for lineno, net in pending_outputs:
+        try:
+            circuit.add_output(net)
+        except CircuitError as exc:
+            raise BenchParseError(f"line {lineno}: {exc}") from exc
     return circuit
 
 
@@ -109,8 +118,16 @@ def write_bench(circuit: Circuit, *, header: Optional[str] = None) -> str:
     """Serialise a :class:`Circuit` to ``.bench`` text.
 
     Gates are emitted in topological order so the output is stable and easy
-    to diff across locking runs.
+    to diff across locking runs.  ``.bench`` has no syntax for a reset value
+    and :func:`parse_bench` resets every flip-flop to 0, so a flip-flop that
+    resets to 1 raises :class:`CircuitError` rather than being written wrong.
     """
+    resets_high = [q for q, ff in circuit.dffs.items() if ff.init]
+    if resets_high:
+        raise CircuitError(
+            f"cannot write flip-flops that reset to 1 (.bench loads every "
+            f"flip-flop at 0): {', '.join(resets_high)}"
+        )
     lines: List[str] = []
     lines.append(f"# {circuit.name}")
     if header:

@@ -114,13 +114,6 @@ class Circuit:
             if not self.drives(candidate) and candidate not in self.inputs:
                 return candidate
 
-    def mark_key_input(self, net: str) -> None:
-        """Flag an existing primary input as a key input."""
-        if net not in self.inputs:
-            raise CircuitError(f"{net!r} is not a primary input")
-        if net not in self.key_inputs:
-            self.key_inputs.append(net)
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -157,21 +150,6 @@ class Circuit:
             nets.add(ff.q)
             nets.add(ff.d)
         return nets
-
-    def fanout_map(self) -> Dict[str, List[str]]:
-        """Map each net to the list of gate-output nets that consume it.
-
-        DFF D-pin consumption is reported under the pseudo-sink name
-        ``"DFF:<q>"`` so callers can distinguish combinational fanout from
-        the sequential boundary.
-        """
-        fanout: Dict[str, List[str]] = {}
-        for gate in self.gates.values():
-            for src in gate.inputs:
-                fanout.setdefault(src, []).append(gate.output)
-        for ff in self.dffs.values():
-            fanout.setdefault(ff.d, []).append(f"DFF:{ff.q}")
-        return fanout
 
     def topological_order(self) -> List[str]:
         """Topologically sorted combinational gate output nets.
@@ -237,21 +215,6 @@ class Circuit:
                 stack.extend(gate.inputs)
         return seen
 
-    def transitive_fanout(self, net: str) -> Set[str]:
-        """All gate-output nets transitively fed (combinationally) by ``net``."""
-        fanout = self.fanout_map()
-        seen: Set[str] = set()
-        stack = list(fanout.get(net, ()))
-        while stack:
-            current = stack.pop()
-            if current.startswith("DFF:") or current in seen:
-                if current.startswith("DFF:"):
-                    seen.add(current)
-                continue
-            seen.add(current)
-            stack.extend(fanout.get(current, ()))
-        return seen
-
     def key_dependent_gates(self) -> Set[str]:
         """Gate outputs whose combinational fan-in includes a key input.
 
@@ -300,26 +263,6 @@ class Circuit:
         }
         clone._fresh_counter = self._fresh_counter
         return clone
-
-    def prefixed(self, prefix: str, *, name: Optional[str] = None) -> "Circuit":
-        """Return a copy with every net prefixed by ``prefix``."""
-        mapping = {net: f"{prefix}{net}" for net in self.all_nets()}
-        return self.renamed(mapping, name=name)
-
-    def merge_disjoint(self, other: "Circuit") -> None:
-        """Merge another circuit whose net names do not collide with ours.
-
-        Used by the miter/unrolling builders after :meth:`prefixed`.
-        """
-        overlap = self.all_nets() & other.all_nets()
-        if overlap:
-            raise CircuitError(f"cannot merge, overlapping nets: {sorted(overlap)[:5]}")
-        for net in other.inputs:
-            self.add_input(net, is_key=net in other.key_inputs)
-        for net in other.outputs:
-            self.add_output(net)
-        self.gates.update(other.gates)
-        self.dffs.update(other.dffs)
 
     def combinational_view(self, *, next_state_suffix: str = "__ns") -> "Circuit":
         """Return the scan-access combinational view of this circuit.

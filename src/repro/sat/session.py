@@ -490,14 +490,6 @@ class SolveSession:
         """The satisfying assignment of the most recent SAT answer."""
         return self.solver.model()
 
-    def model_value(self, net: str, default: int = 0) -> int:
-        """Value (0/1) of an encoder net under the last model.
-
-        Each call copies the model; to read many nets, fetch :meth:`model`
-        once and read it with :meth:`TseitinEncoder.value`.
-        """
-        return self.encoder.value(self.solver.model(), net, default)
-
     # ---------------------------------------------------------- conveniences
     def literal(self, net: str, value: bool) -> int:
         return self.encoder.literal(net, value)

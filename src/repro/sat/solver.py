@@ -699,11 +699,3 @@ class Solver:
         from repro.check.solver import assert_solver_invariants
 
         assert_solver_invariants(self)
-
-
-def solve_cnf(clauses: Iterable[Iterable[int]], assumptions: Optional[Sequence[int]] = None,
-              **kwargs) -> Optional[bool]:
-    """One-shot convenience wrapper: build a solver, add ``clauses``, solve."""
-    solver = Solver()
-    solver.add_clauses(clauses)
-    return solver.solve(assumptions=assumptions, **kwargs)

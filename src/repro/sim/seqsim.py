@@ -134,12 +134,3 @@ def apply_key_to_sequence(
             merged[net] = (key_value >> shift) & 1
         result.append(merged)
     return result
-
-
-def constant_key_sequence(
-    vectors: Sequence[Mapping[str, int]],
-    key_inputs: Sequence[str],
-    key_value: int,
-) -> List[Dict[str, int]]:
-    """Overlay a single static key value onto every cycle of ``vectors``."""
-    return apply_key_to_sequence(vectors, key_inputs, [key_value], period=1)

@@ -2,8 +2,8 @@
 
 Tables I and II of the paper are simulation waveforms (inputs, outputs under
 the correct key and outputs under a wrong key, sampled per clock edge).  The
-:class:`Waveform` container holds such traces and renders them as the same
-kind of table.
+:class:`Waveform` container holds such traces; :func:`render_table` formats
+the rows the table drivers build from them.
 """
 
 from __future__ import annotations
@@ -53,15 +53,6 @@ class Waveform:
                     return False
         return True
 
-    def first_divergence(self, other: "Waveform", signals: Optional[Sequence[str]] = None) -> Optional[int]:
-        """Index of the first cycle where the two waveforms disagree, else None."""
-        for idx, (row_a, row_b) in enumerate(zip(self.rows, other.rows)):
-            nets = signals if signals is not None else row_a.signals.keys()
-            for net in nets:
-                if row_a.signals.get(net) != row_b.signals.get(net):
-                    return idx
-        return None
-
     @staticmethod
     def pack(bits: Mapping[str, int], order: Sequence[str]) -> int:
         """Pack named bits into an integer, ``order[0]`` being the MSB."""
@@ -69,41 +60,6 @@ class Waveform:
         for net in order:
             value = (value << 1) | (int(bits.get(net, 0)) & 1)
         return value
-
-    # ------------------------------------------------------------------ #
-    # rendering
-    # ------------------------------------------------------------------ #
-    def to_table(
-        self,
-        input_order: Sequence[str],
-        signal_order: Sequence[str],
-        *,
-        hex_groups: Optional[Mapping[str, Sequence[str]]] = None,
-        period: int = 20,
-    ) -> List[Dict[str, str]]:
-        """Render the waveform as rows of formatted strings.
-
-        ``hex_groups`` maps a column label to the list of nets (MSB first)
-        whose packed value should be shown in hexadecimal — this mimics the
-        bus-style columns of Table I (``x[7:0]``, ``y[38:0]``).  Remaining
-        nets are shown individually as single bits.
-        """
-        hex_groups = hex_groups or {}
-        grouped = {net for nets in hex_groups.values() for net in nets}
-        table: List[Dict[str, str]] = []
-        for row in self.rows:
-            rendered: Dict[str, str] = {"Time (ns)": str(row.time * period)}
-            for label, nets in hex_groups.items():
-                source = row.inputs if all(n in row.inputs for n in nets) else row.signals
-                rendered[label] = format(self.pack(source, nets), "x")
-            for net in input_order:
-                if net not in grouped:
-                    rendered[net] = str(row.inputs.get(net, "x"))
-            for net in signal_order:
-                if net not in grouped:
-                    rendered[net] = str(row.signals.get(net, "x"))
-            table.append(rendered)
-        return table
 
 
 def render_table(rows: List[Dict[str, str]]) -> str:

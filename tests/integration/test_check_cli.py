@@ -189,6 +189,16 @@ class TestCheckEquivCli:
         assert cli_main(["check", "equiv", "--circuit", str(path)]) == 2
         assert "check equiv: CircuitError" in capsys.readouterr().err
 
+    def test_wrong_arity_bench_exits_2(self, tmp_path, capsys):
+        # Exit 1 would mean "findings": a netlist that does not parse is
+        # an input error, reported on one line.
+        path = tmp_path / "arity.bench"
+        path.write_text("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n")
+        assert cli_main(["check", "equiv", "--circuit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("check equiv: BenchParseError: line 4: ")
+        assert err.count("\n") == 1
+
     def test_program_subcommand_is_gone(self, bench_pair, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["check", "program", str(bench_pair[1])])

@@ -312,7 +312,7 @@ def test_random_bits_match_randint_loop(count):
 
 def test_random_bits_interleaved_with_other_draws():
     """Rounds of bulk draws between other draws on one RNG, as AppSAT's
-    settle rounds and output_corruptibility's wrong schedules make them."""
+    settle rounds make them."""
     for seed in range(200):
         plan = random.Random(seed + 10_000)
         steps = [(plan.choice(["bits", "randrange", "random", "getrandbits"]),

@@ -16,7 +16,7 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.sat.solver import Solver
 from repro.sat.tseitin import TseitinEncoder
-from repro.sim.equivalence import random_equivalence_check
+from repro.sim.equivalence import random_equivalence_check, sequential_equivalence_check
 from repro.sim.logicsim import CombinationalSimulator
 from repro.sim.seqsim import SequentialSimulator
 
@@ -162,6 +162,10 @@ def test_bench_roundtrip_preserves_behaviour(seed):
     circuit = generated.circuit
     reparsed = parse_bench(write_bench(circuit), name=circuit.name)
     assert random_equivalence_check(circuit, reparsed, num_vectors=32).equivalent
+    # The scan view cannot see a reset value; a run from reset can.
+    assert sequential_equivalence_check(
+        circuit, reparsed, num_sequences=4, sequence_length=8
+    ).equivalent
 
 
 # --------------------------------------------------------------------------- #

@@ -115,10 +115,6 @@ class TestFallUnit:
         assert report.num_candidates == 0
         assert report.details.get("reason") == "no key inputs"
 
-    def test_report_to_attack_result(self):
-        report = fall_attack(s27_circuit())
-        assert report.to_attack_result().outcome is AttackOutcome.FAIL
-
     def test_oracle_sharing_no_output_is_refused_at_set_up(self):
         """The key check used to raise ValueError out of the attack at the
         first confirmed key, after the analysis and the SAT confirmation."""
@@ -130,7 +126,6 @@ class TestFallUnit:
         report = fall_attack(locked, oracle_circuit=oracle, verify_with_oracle=True)
         assert report.details["reason"] == "locked circuit and oracle share no outputs"
         assert report.num_candidates == 0 and report.num_keys == 0
-        assert report.to_attack_result().outcome is AttackOutcome.FAIL
         # Without the oracle check the same pair is analysed as usual.
         assert fall_attack(locked, oracle_circuit=oracle).num_keys >= 1
 

@@ -15,7 +15,6 @@ from repro.locking.baselines import (
     lock_harpoon,
     lock_rll,
     lock_sarlock,
-    lock_sled,
     lock_ttlock,
 )
 from repro.netlist.validate import has_errors, validate_circuit
@@ -160,29 +159,3 @@ class TestDkLock:
     def test_key_pin_count(self, base_circuit):
         locked = lock_dklock(base_circuit, key_width=5, seed=6)
         assert len(locked.key_inputs) == 10
-
-
-class TestSled:
-    def test_correct_dynamic_schedule_equivalent(self, base_circuit):
-        locked = lock_sled(base_circuit, key_width=4, seed=7)
-        assert not has_errors(validate_circuit(locked.circuit))
-        verdict = sequential_equivalence_check(
-            locked.original, locked.circuit,
-            key_schedule=locked.schedule.values, key_inputs=locked.key_inputs,
-            num_sequences=4, sequence_length=40,
-        )
-        assert verdict.equivalent
-
-    def test_static_key_fails(self, base_circuit):
-        locked = lock_sled(base_circuit, key_width=4, seed=7)
-        verdict = sequential_equivalence_check(
-            locked.original, locked.circuit,
-            key_schedule=[locked.schedule.values[0]], key_inputs=locked.key_inputs,
-            num_sequences=4, sequence_length=40,
-        )
-        assert not verdict.equivalent
-
-    def test_schedule_is_lfsr_period(self, base_circuit):
-        locked = lock_sled(base_circuit, key_width=4, seed=7)
-        assert len(locked.schedule.values) >= 3
-        assert len(set(locked.schedule.values)) == len(locked.schedule.values)

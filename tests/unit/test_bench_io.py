@@ -1,15 +1,15 @@
-"""Unit tests for the netlist file formats (bench, blif, verilog) and stats."""
+"""Unit tests for the ``.bench`` reader/writer and netlist validation."""
 
 import pytest
 
 from repro.benchmarks_data.iscas89 import s27_circuit
+from repro.fsm.encoding import StateEncoding
+from repro.fsm.random_fsm import sequence_detector_fsm
+from repro.fsm.synthesis import synthesize_fsm
 from repro.netlist.bench import BenchParseError, parse_bench, write_bench
-from repro.netlist.blif import parse_blif, write_blif
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GateType
-from repro.netlist.stats import circuit_stats, logic_depth
 from repro.netlist.validate import has_errors, validate_circuit
-from repro.netlist.verilog import write_verilog
 from repro.sim.equivalence import random_equivalence_check
 
 
@@ -45,6 +45,37 @@ class TestBench:
         with pytest.raises(BenchParseError):
             parse_bench("INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n",
+         "line 4: gate 'y': NOT expects 1..1 inputs, got 2"),
+        ("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny = BUF(a)\n", "line 4: net 'y' already driven"),
+        ("INPUT(a)\nINPUT(a)\n", "line 2: duplicate primary input 'a'"),
+        ("INPUT(a)\nOUTPUT(a)\n\nOUTPUT(a)\n", "line 4: duplicate primary output 'a'"),
+    ], ids=["wrong-arity", "redefined-net", "duplicate-input", "duplicate-output"])
+    def test_every_line_error_names_its_line(self, text, message):
+        with pytest.raises(BenchParseError) as raised:
+            parse_bench(text)
+        assert str(raised.value) == message
+
+    def test_writer_refuses_flip_flops_that_reset_to_1(self):
+        # .bench has no reset syntax and the reader loads every DFF at 0.
+        circuit = Circuit("reset_high")
+        circuit.add_input("a")
+        circuit.add_dff("q0", "a")
+        circuit.add_dff("q1", "a", init=1)
+        circuit.add_output("q1")
+        with pytest.raises(CircuitError, match="reset to 1.*: q1$"):
+            write_bench(circuit)
+
+    def test_writer_refuses_one_hot_fsm(self):
+        det = sequence_detector_fsm("1001")
+        one_hot = StateEncoding(
+            width=det.num_states, codes={s: 1 << i for i, s in enumerate(det.states)}
+        )
+        # Only the reset state's bit resets to 1.
+        with pytest.raises(CircuitError, match=": state_0$"):
+            write_bench(synthesize_fsm(det, encoding=one_hot))
+
     def test_writer_orders_topologically(self):
         circuit = s27_circuit()
         text = write_bench(circuit)
@@ -58,66 +89,7 @@ class TestBench:
             seen.add(out.strip())
 
 
-class TestBlif:
-    def test_roundtrip_behaviour(self):
-        circuit = s27_circuit()
-        text = write_blif(circuit)
-        reparsed = parse_blif(text, name="s27_blif")
-        verdict = random_equivalence_check(circuit, reparsed, num_vectors=64)
-        assert verdict.equivalent
-
-    def test_latches_roundtrip(self):
-        circuit = s27_circuit()
-        reparsed = parse_blif(write_blif(circuit))
-        assert set(reparsed.dffs) == set(circuit.dffs)
-
-    def test_constants(self):
-        circuit = Circuit("const")
-        circuit.add_input("a")
-        circuit.add_gate("one", GateType.CONST1, [])
-        circuit.add_gate("y", GateType.AND, ["a", "one"])
-        circuit.add_output("y")
-        reparsed = parse_blif(write_blif(circuit))
-        verdict = random_equivalence_check(circuit, reparsed, num_vectors=16)
-        assert verdict.equivalent
-
-
-class TestVerilog:
-    def test_module_structure(self):
-        circuit = s27_circuit()
-        text = write_verilog(circuit)
-        assert "module s27" in text
-        assert "endmodule" in text
-        assert "always @(posedge clk" in text
-        assert text.count("assign") == len(circuit.gates)
-
-    def test_combinational_module_has_no_clock(self):
-        circuit = Circuit("comb")
-        circuit.add_input("a")
-        circuit.add_gate("y", GateType.NOT, ["a"])
-        circuit.add_output("y")
-        text = write_verilog(circuit)
-        assert "clk" not in text
-
-
-class TestStatsAndValidation:
-    def test_stats_counts(self):
-        stats = circuit_stats(s27_circuit())
-        assert stats.num_inputs == 4
-        assert stats.num_dffs == 3
-        assert stats.num_cells == 13
-        assert stats.num_ios == 5
-        assert stats.logic_depth >= 2
-        assert sum(stats.gate_histogram.values()) == stats.num_gates
-
-    def test_logic_depth_simple_chain(self):
-        circuit = Circuit("chain")
-        circuit.add_input("a")
-        circuit.add_gate("b", GateType.NOT, ["a"])
-        circuit.add_gate("c", GateType.NOT, ["b"])
-        circuit.add_output("c")
-        assert logic_depth(circuit) == 2
-
+class TestValidation:
     def test_validate_clean_circuit(self):
         issues = validate_circuit(s27_circuit())
         assert not has_errors(issues)
@@ -137,8 +109,6 @@ class TestStatsAndValidation:
         assert has_errors(validate_circuit(circuit))
 
     def test_validate_strict_raises(self):
-        from repro.netlist.circuit import CircuitError
-
         circuit = Circuit("broken")
         circuit.add_input("a")
         circuit.add_output("nowhere")

@@ -154,7 +154,6 @@ class TestCampaignSpec:
         ])
         assert spec.groups() == ["b", "a"]
         assert len(spec.jobs_in_group("b")) == 2
-        assert spec.job_for(spec.jobs[1].key) is spec.jobs[1]
 
     def test_spec_serialisation_round_trip(self):
         spec = CampaignSpec(name="c", jobs=sleep_jobs(3), metadata={"grid": "t"})

@@ -42,14 +42,6 @@ class TestConstruction:
         assert circuit.key_inputs == ["keyinput0"]
         assert circuit.functional_inputs == ["a"]
 
-    def test_mark_key_input(self):
-        circuit = Circuit()
-        circuit.add_input("k")
-        circuit.mark_key_input("k")
-        assert "k" in circuit.key_inputs
-        with pytest.raises(CircuitError):
-            circuit.mark_key_input("missing")
-
     def test_fresh_net_does_not_collide(self):
         circuit = small_sequential_circuit()
         names = {circuit.fresh_net("n") for _ in range(50)}
@@ -91,11 +83,6 @@ class TestQueries:
         cone = circuit.fanin_cone("y", stop_at_dffs=False)
         assert "next_q" in cone
 
-    def test_transitive_fanout(self):
-        circuit = small_sequential_circuit()
-        fanout = circuit.transitive_fanout("a")
-        assert "ab" in fanout and "y" in fanout and "next_q" in fanout
-
     def test_key_dependent_gates(self):
         circuit = small_sequential_circuit()
         circuit.add_input("keyinput0", is_key=True)
@@ -127,22 +114,6 @@ class TestTransforms:
         assert "X_y" in renamed.outputs
         assert renamed.num_gates == circuit.num_gates
         assert renamed.dffs["X_q"].d == "X_next_q"
-
-    def test_prefixed(self):
-        circuit = small_sequential_circuit()
-        prefixed = circuit.prefixed("P_")
-        assert all(net.startswith("P_") for net in prefixed.inputs)
-
-    def test_merge_disjoint_rejects_overlap(self):
-        circuit = small_sequential_circuit()
-        with pytest.raises(CircuitError):
-            circuit.merge_disjoint(small_sequential_circuit())
-
-    def test_merge_disjoint(self):
-        circuit = small_sequential_circuit()
-        other = small_sequential_circuit().prefixed("P_")
-        circuit.merge_disjoint(other)
-        assert "P_y" in circuit.outputs and "y" in circuit.outputs
 
     def test_combinational_view_exposes_state(self):
         circuit = small_sequential_circuit()

@@ -1,21 +1,13 @@
-"""Unit tests for the locking metrics, the DOT export and the CLI."""
+"""Unit tests for the ``repro`` command line."""
 
 import json
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.fsm.dot import fsm_to_dot, locked_fsm_to_dot, wrongful_map_to_dot
-from repro.fsm.random_fsm import random_fsm, sequence_detector_fsm
+from repro.fsm.random_fsm import random_fsm
 from repro.fsm.synthesis import synthesize_fsm
-from repro.locking.cutelock_beh import CuteLockBeh
 from repro.locking.cutelock_str import CuteLockStr
-from repro.locking.metrics import (
-    effective_key_bits,
-    key_space_size,
-    output_corruptibility,
-    structural_overhead_summary,
-)
 from repro.netlist.bench import save_bench
 
 
@@ -25,49 +17,6 @@ def locked_pair():
     circuit = synthesize_fsm(fsm, style="sop")
     locked = CuteLockStr(num_keys=4, key_width=2, num_locked_ffs=2, seed=3).lock(circuit)
     return circuit, locked
-
-
-class TestMetrics:
-    def test_key_space_grows_with_schedule(self, locked_pair):
-        _, locked = locked_pair
-        assert key_space_size(locked) == 1 << (4 * 2)
-        assert effective_key_bits(locked) == 8
-
-    def test_output_corruptibility_nonzero(self, locked_pair):
-        _, locked = locked_pair
-        report = output_corruptibility(locked, trials=4, sequence_length=24,
-                                       num_sequences=2, seed=1)
-        assert 0.0 < report.corrupted_fraction <= 1.0
-        assert report.trials == 4
-        assert report.cycles_compared > 0
-        assert report.always_diverges
-
-    def test_structural_summary(self, locked_pair):
-        circuit, locked = locked_pair
-        summary = structural_overhead_summary(locked)
-        assert summary["extra_gates"] > 0
-        assert summary["extra_dffs"] == 2
-        assert summary["extra_inputs"] == 2
-        assert summary["locked_ffs"] == 2
-
-
-class TestDotExport:
-    def test_fsm_to_dot_contains_states_and_edges(self):
-        det = sequence_detector_fsm("1001")
-        dot = fsm_to_dot(det)
-        assert dot.startswith("digraph")
-        for state in det.states:
-            assert f'"{state}"' in dot
-        assert "->" in dot and dot.rstrip().endswith("}")
-
-    def test_locked_fsm_to_dot_marks_wrongful_edges(self):
-        det = sequence_detector_fsm("1001")
-        locked_fsm = CuteLockBeh(num_keys=2, key_width=2, seed=1).lock(det)
-        dot = locked_fsm_to_dot(locked_fsm)
-        assert "color=red" in dot
-        assert "wrong key" in dot
-        wrong_dot = wrongful_map_to_dot(det, locked_fsm.wrongful)
-        assert wrong_dot.count("->") == len(locked_fsm.wrongful)
 
 
 class TestCli:
@@ -192,14 +141,20 @@ class TestCli:
         assert "error" in payload
 
     @pytest.mark.parametrize("command", ["lock", "overhead"])
-    @pytest.mark.parametrize("netlist", ["malformed", "missing"])
+    @pytest.mark.parametrize("netlist", ["malformed", "missing", "wrong-arity"])
     def test_bad_netlist_exits_2_with_one_line(self, command, netlist, tmp_path, capsys):
         path = tmp_path / f"{netlist}.bench"
         if netlist == "malformed":
             path.write_text("INPUT(a)\nOUTPUT(y)\ny = FOO(a\n")
+        elif netlist == "wrong-arity":
+            path.write_text("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n")
         assert cli_main([command, str(path)]) == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"{command} error: ")
         assert "\n" not in err
-        expected = "BenchParseError: line 3" if netlist == "malformed" else "FileNotFoundError"
+        expected = {
+            "malformed": "BenchParseError: line 3",
+            "missing": "FileNotFoundError",
+            "wrong-arity": "BenchParseError: line 4",
+        }[netlist]
         assert expected in err

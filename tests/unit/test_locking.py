@@ -34,7 +34,6 @@ class TestKeySchedule:
         assert schedule.value_at(0) == 1
         assert schedule.value_at(5) == 3
         assert schedule.num_keys == 4
-        assert schedule.total_bits == 8
 
     def test_bits_at_msb_first(self):
         schedule = KeySchedule(width=3, values=(0b101,))
@@ -275,4 +274,3 @@ class TestCuteLockBeh:
         locked_fsm = CuteLockBeh(num_keys=2, key_width=2, seed=3).lock(det)
         correct = locked_fsm.correct_key_sequence(6)
         assert correct == [locked_fsm.schedule.value_at(t) for t in range(6)]
-        assert locked_fsm.wrong_key_sequence(6) != correct

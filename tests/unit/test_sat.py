@@ -1,5 +1,5 @@
-"""Unit tests for the SAT layer: CNF container, CDCL solver, Tseitin encoding
-and miter construction."""
+"""Unit tests for the SAT layer: CNF container, CDCL solver and Tseitin
+encoding."""
 
 import itertools
 import random
@@ -10,7 +10,7 @@ from repro.check.certify.dimacs import parse_dimacs, render_dimacs
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.sat.cnf import CNF
-from repro.sat.solver import Solver, _luby, solve_cnf
+from repro.sat.solver import Solver, _luby
 from repro.sat.tseitin import TseitinEncoder
 from repro.sim.logicsim import CombinationalSimulator
 
@@ -167,9 +167,6 @@ class TestSolver:
             solver.solve(assumptions=[2, 0])
         assert solver.stats.solve_calls == 0
         assert solver.solve(assumptions=[2]) is True
-
-    def test_solve_cnf_helper(self):
-        assert solve_cnf([[1, 2], [-1]]) is True
 
 
 class TestTseitin:
