@@ -6,11 +6,18 @@ from repro.benchmarks_data.iscas89 import s27_circuit
 from repro.fsm.encoding import StateEncoding
 from repro.fsm.random_fsm import sequence_detector_fsm
 from repro.fsm.synthesis import synthesize_fsm
-from repro.netlist.bench import BenchParseError, parse_bench, write_bench
+from repro.locking.cutelock_str import CuteLockStr
+from repro.netlist.bench import (
+    BenchParseError,
+    load_bench,
+    parse_bench,
+    save_bench,
+    write_bench,
+)
 from repro.netlist.circuit import Circuit, CircuitError
-from repro.netlist.gates import GateType
+from repro.netlist.gates import GATE_ARITY, GateType
 from repro.netlist.validate import has_errors, validate_circuit
-from repro.sim.equivalence import random_equivalence_check
+from repro.sim.equivalence import random_equivalence_check, sequential_equivalence_check
 
 
 class TestBench:
@@ -37,6 +44,65 @@ class TestBench:
         circuit = parse_bench(text)
         assert circuit.gates["y"].gtype == GateType.BUF
 
+    @pytest.mark.parametrize("gtype", list(GateType), ids=lambda g: g.value)
+    def test_every_gate_type_roundtrips(self, gtype):
+        # Unbounded gates get three inputs, so the fan-in order is checked too.
+        lo, hi = GATE_ARITY[gtype]
+        circuit = Circuit("one_gate")
+        fanin = [circuit.add_input(f"i{n}") for n in range(lo if hi is not None else 3)]
+        circuit.add_gate("y", gtype, fanin)
+        circuit.add_output("y")
+        assert parse_bench(write_bench(circuit)) == circuit
+
+    @pytest.mark.parametrize("op,args,gtype", [
+        ("INV", "a", GateType.NOT),
+        ("GND", "", GateType.CONST0),
+        ("VDD", "", GateType.CONST1),
+        ("nand", "a, b", GateType.NAND),
+        ("Xnor", "a, b", GateType.XNOR),
+    ], ids=["INV", "GND", "VDD", "lower-case", "mixed-case"])
+    def test_reader_aliases_and_case(self, op, args, gtype):
+        circuit = parse_bench(f"INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = {op}({args})\n")
+        assert circuit.gates["y"].gtype is gtype
+
+    def test_io_declarations_ignore_case(self):
+        circuit = parse_bench("input(a)\nOutput(y)\ny = NOT(a)\n")
+        assert circuit.inputs == ["a"] and circuit.outputs == ["y"]
+
+    def test_outputs_may_precede_their_drivers(self):
+        circuit = parse_bench("OUTPUT(y)\nOUTPUT(z)\nINPUT(a)\ny = BUF(z)\nz = NOT(a)\n")
+        assert circuit.outputs == ["y", "z"]
+        assert circuit.topological_order() == ["z", "y"]
+
+    def test_writer_header_and_summary_are_comments(self):
+        circuit = s27_circuit()
+        text = write_bench(circuit, header="locked with rll\nseed 3")
+        assert text.splitlines()[:4] == [
+            "# s27", "# locked with rll", "# seed 3",
+            "# 4 inputs (0 key), 1 outputs, 3 DFFs, 10 gates",
+        ]
+        assert parse_bench(text) == circuit
+
+    def test_save_and_load_name_the_circuit_after_the_file(self, tmp_path):
+        circuit = s27_circuit()
+        path = save_bench(circuit, tmp_path / "copy.bench")
+        assert path == tmp_path / "copy.bench"
+        loaded = load_bench(path)
+        assert loaded.name == "copy"
+        assert loaded == circuit
+
+    def test_locked_netlist_roundtrip_keeps_keys_and_behaviour(self):
+        # `repro lock` writes the locked netlist and `repro attack` reads it.
+        original = s27_circuit()
+        locked = CuteLockStr(num_keys=2, key_width=2, num_locked_ffs=2, seed=1).lock(original)
+        reparsed = parse_bench(write_bench(locked.circuit))
+        assert reparsed.key_inputs == locked.key_inputs
+        assert reparsed == locked.circuit
+        assert sequential_equivalence_check(
+            original, reparsed, key_schedule=locked.schedule.values,
+            key_inputs=locked.key_inputs, num_sequences=4, sequence_length=8,
+        ).equivalent
+
     def test_malformed_line_raises(self):
         with pytest.raises(BenchParseError):
             parse_bench("INPUT(a)\ny == AND(a)\n")
@@ -51,7 +117,23 @@ class TestBench:
         ("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny = BUF(a)\n", "line 4: net 'y' already driven"),
         ("INPUT(a)\nINPUT(a)\n", "line 2: duplicate primary input 'a'"),
         ("INPUT(a)\nOUTPUT(a)\n\nOUTPUT(a)\n", "line 4: duplicate primary output 'a'"),
-    ], ids=["wrong-arity", "redefined-net", "duplicate-input", "duplicate-output"])
+        ("INPUT(a)\ny == AND(a)\n", "line 2: cannot parse 'y == AND(a)'"),
+        ("INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n", "line 3: unknown gate type 'FROB'"),
+        ("INPUT(a)\nINPUT(b)\nq = DFF(a, b)\n", "line 3: DFF takes one input, got ['a', 'b']"),
+        ("INPUT(a)\nOUTPUT(y)\ny = AND(a)\n", "line 3: gate 'y': AND expects 2+ inputs, got 1"),
+        ("INPUT(s)\nINPUT(a)\nOUTPUT(y)\ny = MUX(s, a)\n",
+         "line 4: gate 'y': MUX expects 3..3 inputs, got 2"),
+        ("INPUT(a)\nOUTPUT(y)\ny = CONST1(a)\n",
+         "line 3: gate 'y': CONST1 expects 0..0 inputs, got 1"),
+        ("INPUT(a)\ny = NOT(a)\nINPUT(y)\n",
+         "line 3: net 'y' is already driven, cannot be an input"),
+        ("INPUT(a)\na = DFF(a)\n", "line 2: net 'a' already driven"),
+        # Comment and blank lines count towards the line number.
+        ("# s\n\nINPUT(a)  # first\nINPUT(a)\n", "line 4: duplicate primary input 'a'"),
+    ], ids=["wrong-arity", "redefined-net", "duplicate-input", "duplicate-output",
+            "bad-syntax", "unknown-gate", "dff-arity", "and-arity", "mux-arity",
+            "constant-arity", "input-already-driven", "dff-drives-input",
+            "after-comments"])
     def test_every_line_error_names_its_line(self, text, message):
         with pytest.raises(BenchParseError) as raised:
             parse_bench(text)

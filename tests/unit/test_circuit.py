@@ -57,6 +57,28 @@ class TestConstruction:
             circuit.replace_dff_input("nonexistent", "other")
 
 
+    def test_input_cannot_redeclare_a_driven_net(self):
+        circuit = small_sequential_circuit()
+        for net in ("ab", "q"):  # a gate output and a flip-flop Q
+            with pytest.raises(CircuitError, match="already driven"):
+                circuit.add_input(net)
+        assert circuit.inputs == ["a", "b"]
+
+    def test_remove_gate(self):
+        circuit = small_sequential_circuit()
+        gate = circuit.remove_gate("ab")
+        assert gate.gtype is GateType.AND and gate.inputs == ("a", "b")
+        assert not circuit.drives("ab")
+        with pytest.raises(CircuitError, match="no gate drives 'ab'"):
+            circuit.remove_gate("ab")
+
+    def test_replace_dff_input_keeps_reset_value(self):
+        circuit = small_sequential_circuit()
+        circuit.add_dff("p", "a", init=1)
+        circuit.replace_dff_input("p", "next_q")
+        assert circuit.dffs["p"].d == "next_q"
+        assert circuit.dffs["p"].init == 1
+
 class TestQueries:
     def test_topological_order_respects_dependencies(self):
         circuit = small_sequential_circuit()
@@ -114,6 +136,17 @@ class TestTransforms:
         assert "X_y" in renamed.outputs
         assert renamed.num_gates == circuit.num_gates
         assert renamed.dffs["X_q"].d == "X_next_q"
+
+    def test_equality_is_structural(self):
+        circuit = small_sequential_circuit()
+        assert circuit.copy(name="other") == circuit  # the name is not structure
+        keyed = small_sequential_circuit()
+        keyed.key_inputs.append("b")
+        assert keyed != circuit
+        grown = small_sequential_circuit()
+        grown.add_gate("extra", GateType.NOT, ["a"])
+        assert grown != circuit
+        assert circuit != "small"
 
     def test_combinational_view_exposes_state(self):
         circuit = small_sequential_circuit()

@@ -158,3 +158,18 @@ class TestCli:
             "wrong-arity": "BenchParseError: line 4",
         }[netlist]
         assert expected in err
+
+
+    @pytest.mark.parametrize("side", ["locked", "oracle"])
+    def test_attack_bad_netlist_exits_2_with_one_line(self, side, tmp_path, locked_pair,
+                                                      capsys):
+        circuit, locked = locked_pair
+        paths = {"locked": tmp_path / "locked.bench", "oracle": tmp_path / "oracle.bench"}
+        save_bench(locked.circuit, paths["locked"])
+        save_bench(circuit, paths["oracle"])
+        paths[side].write_text("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n")
+        assert cli_main(["attack", str(paths["locked"]), str(paths["oracle"])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("attack error: BenchParseError: line 4: ")
+        assert captured.err.count("\n") == 1

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.fsm.encoding import binary_encoding
+from repro.fsm.encoding import StateEncoding, binary_encoding
 from repro.fsm.minimize import Implicant, evaluate_cover, quine_mccluskey
 from repro.fsm.random_fsm import random_fsm, sequence_detector_fsm
 from repro.fsm.stg import FSM, FSMError
@@ -161,6 +161,43 @@ class TestFsmSynthesis:
             state, expected = fsm.next(state, value)
             assert Waveform_pack(outputs, fsm.num_outputs) == expected
 
+
+    @pytest.mark.parametrize("code", [
+        lambda i: i ^ (i >> 1),
+        lambda i: 1 << i,
+    ], ids=["gray", "one-hot"])
+    def test_custom_encoding_netlist_matches_stg(self, code):
+        # A custom encoding leaves unused codes as don't-cares, and one-hot
+        # resets its first flip-flop to 1.
+        fsm = random_fsm(6, 2, 2, seed=3)
+        ordered = [fsm.reset_state] + [s for s in fsm.states if s != fsm.reset_state]
+        codes = {s: code(i) for i, s in enumerate(ordered)}
+        encoding = StateEncoding(width=max(codes.values()).bit_length(), codes=codes)
+        circuit = synthesize_fsm(fsm, encoding=encoding)
+        assert circuit.num_dffs == encoding.width
+        assert [ff.init for ff in circuit.dffs.values()] == [
+            (codes[fsm.reset_state] >> bit) & 1 for bit in range(encoding.width)
+        ]
+        sim = SequentialSimulator(circuit)
+        rng = random.Random(2)
+        state = fsm.reset_state
+        for _ in range(60):
+            value = rng.randrange(4)
+            outputs = sim.outputs({"in_0": value & 1, "in_1": (value >> 1) & 1})
+            state, expected = fsm.next(state, value)
+            assert Waveform_pack(outputs, fsm.num_outputs) == expected
+
+    def test_encoding_must_give_each_state_its_own_code(self):
+        det = sequence_detector_fsm("1001")
+        shared = StateEncoding(width=2, codes={s: 0 for s in det.states})
+        with pytest.raises(FSMError, match="two states to code 0"):
+            synthesize_fsm(det, encoding=shared)
+
+    def test_encoding_must_code_every_state(self):
+        det = sequence_detector_fsm("1001")
+        partial = StateEncoding(width=2, codes={det.reset_state: 0})
+        with pytest.raises(FSMError, match="has no code"):
+            synthesize_fsm(det, encoding=partial)
 
 def Waveform_pack(outputs, width):
     """Pack out_<i> bits (LSB first) into an integer."""
