@@ -19,7 +19,7 @@ from repro.locking.baselines import lock_harpoon, lock_rll, lock_sarlock, lock_t
 @pytest.fixture(scope="module")
 def base_circuit():
     fsm = random_fsm(8, 2, 2, seed=5)
-    return synthesize_fsm(fsm, style="sop")
+    return synthesize_fsm(fsm)
 
 
 def test_rll_falls_to_sat_attack(benchmark, base_circuit, attack_time_limit):

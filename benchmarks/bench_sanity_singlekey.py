@@ -17,7 +17,7 @@ from repro.locking.cutelock_str import CuteLockStr
 
 def _collapsed_lock():
     fsm = random_fsm(8, 2, 2, seed=5)
-    circuit = synthesize_fsm(fsm, style="sop")
+    circuit = synthesize_fsm(fsm)
     schedule = KeySchedule(width=2, values=(2, 2, 2, 2))
     return CuteLockStr(num_keys=4, key_width=2, num_locked_ffs=1, seed=3).lock(
         circuit, schedule=schedule

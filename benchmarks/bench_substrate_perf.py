@@ -65,7 +65,7 @@ def test_perf_combinational_simulation(benchmark):
 
 def test_perf_fsm_synthesis(benchmark):
     fsm = random_fsm(16, 3, 3, seed=4)
-    circuit = benchmark(lambda: synthesize_fsm(fsm, style="mux"))
+    circuit = benchmark(lambda: synthesize_fsm(fsm))
     assert circuit.num_gates > 0
 
 

@@ -51,7 +51,7 @@ def main() -> None:
     print(f"wrong keys corrupt behaviour   : {golden != with_wrong}")
 
     # 4. Synthesise and compare waveforms (Table-I style) ----------------------
-    locked = locked_fsm.synthesize(style="sop")
+    locked = locked_fsm.synthesize()
     vectors = [{"in_0": bit} for bit in stimulus]
     original_wave = SequentialSimulator(locked.original).run(vectors)
     locked_wave = SequentialSimulator(locked.circuit).run(

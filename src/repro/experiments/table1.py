@@ -39,14 +39,14 @@ def run_table1(**grid: Any) -> Tuple[ExperimentTable, Dict[str, object]]:
 
 
 def _table1(
-    *, benchmark: str, num_cycles: int, seed: int, synthesis_style: str,
+    *, benchmark: str, num_cycles: int, seed: int,
 ) -> Tuple[ExperimentTable, Dict[str, object]]:
     """Table I and its artefacts for one explicit parameter set."""
     profile = SYNTHEZZA_PROFILES[benchmark]
     fsm = load_synthezza(benchmark)
     transform = CuteLockBeh(num_keys=profile.num_keys, key_width=profile.key_width, seed=seed)
     locked_fsm = transform.lock(fsm)
-    locked = locked_fsm.synthesize(style=synthesis_style)
+    locked = locked_fsm.synthesize()
 
     rng = random.Random(seed)
     input_nets = [f"in_{i}" for i in range(fsm.num_inputs)]
@@ -115,7 +115,6 @@ def table1_jobs(
     benchmark: str = "bcomp",
     num_cycles: int = 16,
     seed: int = 1,
-    synthesis_style: str = "auto",
 ) -> List["JobSpec"]:
     """Declare Table I as a (single-cell) campaign grid."""
     from repro.campaign.spec import JobSpec
@@ -128,7 +127,6 @@ def table1_jobs(
                 "benchmark": benchmark,
                 "num_cycles": num_cycles,
                 "seed": seed,
-                "synthesis_style": synthesis_style,
             },
         )
     ]

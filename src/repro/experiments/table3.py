@@ -59,7 +59,6 @@ def table3_jobs(
     attacks: Optional[Sequence[str]] = None,
     time_limit: float = GRID_TIME_LIMIT,
     max_depth: int = 8,
-    synthesis_style: str = "auto",
     seed: int = 3,
 ) -> List[JobSpec]:
     """Declare the Table III grid: one job per (benchmark, attack) cell.
@@ -73,8 +72,8 @@ def table3_jobs(
         Explicit benchmark / attack-mode selections (override ``quick``).
     time_limit / max_depth:
         Per-attack budget.
-    synthesis_style / seed:
-        How the locked FSM is synthesised, and the Cute-Lock-Beh seed.
+    seed:
+        The Cute-Lock-Beh seed.
     """
     if benchmarks is None:
         benchmarks = QUICK_BENCHMARKS if quick else synthezza_names()
@@ -88,7 +87,6 @@ def table3_jobs(
                 "attack": attack_name,
                 "time_limit": time_limit,
                 "max_depth": max_depth,
-                "synthesis_style": synthesis_style,
                 "seed": seed,
             },
         )
@@ -112,7 +110,7 @@ def run_table3_cell(params: Mapping[str, object]) -> Dict[str, object]:
         key_width=profile.key_width,
         seed=int(params["seed"]),  # type: ignore[arg-type]
     ).lock(fsm)
-    locked = locked_fsm.synthesize(style=str(params["synthesis_style"]))
+    locked = locked_fsm.synthesize()
     # Strict ingestion-boundary validation: a synthesis/transform bug fails
     # the cell here (recorded as an error row) instead of mid-attack.
     validate_circuit(locked.circuit, strict=True)

@@ -4,8 +4,8 @@ Used by the FSM synthesis path to keep the next-state / output logic of the
 behavioural benchmarks compact, the same role Vivado's synthesis plays in the
 paper's flow.  The implementation is exact prime-implicant generation plus a
 greedy cover (classic QM with the usual essential-prime step); it is intended
-for the small functions that arise from FSM synthesis (≲ 12 variables) — the
-caller falls back to Shannon decomposition above that.
+for the small functions that arise from FSM synthesis (the largest Synthezza
+stand-in has 9 variables).
 """
 
 from __future__ import annotations

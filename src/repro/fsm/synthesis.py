@@ -1,23 +1,20 @@
-"""Synthesis of FSMs (STGs) and truth tables into gate-level circuits.
+"""Synthesis of FSMs (STGs) into gate-level circuits.
 
 This is the reproduction's stand-in for the Vivado synthesis step of the
 paper's behavioural flow: a locked (or original) STG is turned into a
 sequential netlist that the attacks and the overhead model can consume.
 
-Two synthesis styles are provided:
-
-* ``"sop"`` — two-level sum-of-products via Quine–McCluskey (compact for
-  small functions);
-* ``"mux"`` — Shannon decomposition into a shared MUX network (robust for
-  wider functions, structurally similar to what FPGA synthesis emits).
-
-``"auto"`` (the default) picks SOP for functions of at most
-:data:`SOP_VARIABLE_LIMIT` variables and MUX decomposition above that.
+There is one path, in three steps: :func:`fsm_truth_tables` tabulates one
+truth table per next-state and output bit (unused state codes are
+don't-cares), :func:`sop_cover` minimises each table into a two-level
+sum-of-products cover (Quine–McCluskey), and :func:`emit_fsm` turns the
+covers into the ``in_*``/``state_*``/``out_*`` netlist.  Cute-Lock-Beh
+emits the same covers into its locked netlist and its oracle.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.fsm.encoding import StateEncoding, binary_encoding
 from repro.fsm.minimize import Implicant, quine_mccluskey
@@ -25,8 +22,8 @@ from repro.fsm.stg import FSM, FSMError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 
-#: Functions with more variables than this use Shannon/MUX decomposition.
-SOP_VARIABLE_LIMIT = 10
+#: A minimised single-output function: a constant 0/1 or an SOP cover.
+Cover = Union[int, List[Implicant]]
 
 
 class TruthTable:
@@ -56,12 +53,6 @@ class TruthTable:
                 onset |= 1 << row
         return cls(num_vars, onset, careset)
 
-    def value(self, row: int) -> Optional[int]:
-        """The function value at ``row`` (None if don't-care)."""
-        if not (self.careset >> row) & 1:
-            return None
-        return (self.onset >> row) & 1
-
     def minterms(self) -> List[int]:
         return [r for r in range(self.size) if (self.careset >> r) & 1 and (self.onset >> r) & 1]
 
@@ -70,54 +61,32 @@ class TruthTable:
 
     def is_constant(self) -> Optional[int]:
         """0/1 if every care row has that value, else None."""
-        has_one = any((self.onset >> r) & 1 for r in range(self.size) if (self.careset >> r) & 1)
-        has_zero = any(
-            not (self.onset >> r) & 1 for r in range(self.size) if (self.careset >> r) & 1
-        )
-        if not has_one:
+        ones = self.onset & self.careset
+        if not ones:
             return 0
-        if not has_zero:
+        if ones == self.careset:
             return 1
         return None
 
-    def cofactors(self) -> Tuple["TruthTable", "TruthTable"]:
-        """Shannon cofactors with respect to the highest variable.
 
-        Returns ``(f_var=0, f_var=1)`` over ``num_vars - 1`` variables.
-        """
-        if self.num_vars == 0:
-            raise ValueError("cannot cofactor a 0-variable function")
-        half = 1 << (self.num_vars - 1)
-        low_mask = (1 << half) - 1
-        f0 = TruthTable(self.num_vars - 1, self.onset & low_mask, self.careset & low_mask)
-        f1 = TruthTable(
-            self.num_vars - 1, (self.onset >> half) & low_mask, (self.careset >> half) & low_mask
-        )
-        return f0, f1
-
-    def key(self) -> Tuple[int, int, int]:
-        """Hashable identity used for structural sharing during synthesis."""
-        return (self.num_vars, self.onset & self.careset, self.careset)
+def sop_cover(table: TruthTable) -> Cover:
+    """Minimise ``table``: its constant, or a Quine–McCluskey SOP cover."""
+    constant = table.is_constant()
+    if constant is not None:
+        return constant
+    return quine_mccluskey(table.minterms(), table.num_vars, dont_cares=table.dont_cares())
 
 
-# --------------------------------------------------------------------------- #
-# gate emission helpers
-# --------------------------------------------------------------------------- #
-def _emit_constant(circuit: Circuit, value: int, prefix: str) -> str:
-    net = circuit.fresh_net(f"{prefix}_const{value}")
-    circuit.add_gate(net, GateType.CONST1 if value else GateType.CONST0, [])
-    return net
+def emit_cover(circuit: Circuit, cover: Cover, input_nets: Sequence[str], prefix: str) -> str:
+    """Emit ``cover`` (from :func:`sop_cover`) into ``circuit``; returns the driving net.
 
-
-def _emit_sop(
-    circuit: Circuit,
-    cover: Sequence[Implicant],
-    input_nets: Sequence[str],
-    prefix: str,
-) -> str:
-    """Emit NOT/AND/OR gates for an SOP cover; returns the driving net."""
-    if not cover:
-        return _emit_constant(circuit, 0, prefix)
+    ``input_nets[i]`` is the net of variable ``i``.  A constant becomes a
+    CONST gate, a cover NOT/AND/OR gates (a one-term cover ends in a BUF).
+    """
+    if isinstance(cover, int):
+        net = circuit.fresh_net(f"{prefix}_const{cover}")
+        circuit.add_gate(net, GateType.CONST1 if cover else GateType.CONST0, [])
+        return net
     inverted: Dict[str, str] = {}
 
     def inverted_net(net: str) -> str:
@@ -129,12 +98,9 @@ def _emit_sop(
 
     term_nets: List[str] = []
     for implicant in cover:
-        literals = implicant.literals()
-        if not literals:
-            return _emit_constant(circuit, 1, prefix)
         nets = [
             input_nets[var] if positive else inverted_net(input_nets[var])
-            for var, positive in literals
+            for var, positive in implicant.literals()
         ]
         if len(nets) == 1:
             term_nets.append(nets[0])
@@ -151,104 +117,26 @@ def _emit_sop(
     return result
 
 
-def _emit_mux_tree(
-    circuit: Circuit,
-    table: TruthTable,
-    input_nets: Sequence[str],
-    prefix: str,
-    cache: Dict[Tuple[int, int, int], str],
-) -> str:
-    """Emit a Shannon/MUX decomposition of ``table``; returns the driving net."""
-    constant = table.is_constant()
-    if constant is not None:
-        key = (0, constant, -1)
-        if key not in cache:
-            cache[key] = _emit_constant(circuit, constant, prefix)
-        return cache[key]
-
-    key = table.key()
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-
-    select_net = input_nets[table.num_vars - 1]
-    f0, f1 = table.cofactors()
-    low = _emit_mux_tree(circuit, f0, input_nets, prefix, cache)
-    high = _emit_mux_tree(circuit, f1, input_nets, prefix, cache)
-    if low == high:
-        cache[key] = low
-        return low
-    out = circuit.fresh_net(f"{prefix}_mux")
-    circuit.add_gate(out, GateType.MUX, [select_net, low, high])
-    cache[key] = out
-    return out
-
-
-def synthesize_truth_table(
-    circuit: Circuit,
-    table: TruthTable,
-    input_nets: Sequence[str],
-    *,
-    prefix: str = "f",
-    style: str = "auto",
-    cache: Optional[Dict[Tuple[int, int, int], str]] = None,
-) -> str:
-    """Synthesise one truth table into ``circuit``; returns the driving net.
-
-    ``input_nets[i]`` is the net of variable ``i`` (LSB of the packed row
-    index).  ``cache`` may be shared across calls to let MUX-style synthesis
-    reuse identical sub-functions between outputs.
-    """
-    if len(input_nets) != table.num_vars:
-        raise ValueError("input_nets length must equal the table's variable count")
-    constant = table.is_constant()
-    if constant is not None:
-        return _emit_constant(circuit, constant, prefix)
-    if style == "auto":
-        style = "sop" if table.num_vars <= SOP_VARIABLE_LIMIT else "mux"
-    if style == "sop":
-        cover = quine_mccluskey(
-            table.minterms(), table.num_vars, dont_cares=table.dont_cares()
-        )
-        return _emit_sop(circuit, cover, input_nets, prefix)
-    if style == "mux":
-        cache = cache if cache is not None else {}
-        return _emit_mux_tree(circuit, table, input_nets, prefix, cache)
-    raise ValueError(f"unknown synthesis style {style!r}")
-
-
 # --------------------------------------------------------------------------- #
 # FSM synthesis
 # --------------------------------------------------------------------------- #
-def synthesize_fsm(
+def fsm_truth_tables(
     fsm: FSM,
-    *,
-    encoding: Optional[StateEncoding] = None,
-    style: str = "auto",
-    input_prefix: str = "in",
-    output_prefix: str = "out",
-    state_prefix: str = "state",
-    name: Optional[str] = None,
-) -> Circuit:
-    """Synthesise a Mealy FSM into a sequential gate-level circuit.
+    encoding: StateEncoding,
+    wrongful: Optional[Mapping[Tuple[str, int], str]] = None,
+) -> Tuple[List[TruthTable], List[TruthTable], List[TruthTable]]:
+    """Per-bit truth tables of ``fsm`` under ``encoding``.
 
-    The resulting circuit has primary inputs ``in_0 … in_{n-1}`` (LSB first),
-    primary outputs ``out_0 … out_{m-1}`` (LSB first) and one DFF per state
-    bit named ``state_0 …``.  Unused state codes are exploited as don't-cares.
+    Variable order: the state bits are the low variables, the inputs the
+    high ones, so row ``r`` is state code ``r % 2**width`` under input value
+    ``r >> width``; rows of unused codes are don't-cares.  Returns the
+    next-state tables (one per state bit), the output tables (one per output
+    bit) and the next-state tables under ``wrongful``, which maps
+    ``(state, input value)`` to another next state (pairs it leaves out keep
+    the correct one); the last list is empty when ``wrongful`` is None.
     """
-    encoding = encoding or binary_encoding(fsm)
     width = encoding.width
     num_vars = width + fsm.num_inputs
-
-    circuit = Circuit(name=name or fsm.name)
-    input_nets = [f"{input_prefix}_{i}" for i in range(fsm.num_inputs)]
-    for net in input_nets:
-        circuit.add_input(net)
-    state_nets = [f"{state_prefix}_{i}" for i in range(width)]
-    output_nets = [f"{output_prefix}_{i}" for i in range(fsm.num_outputs)]
-
-    # Variable order: state bits are the low variables, inputs the high ones.
-    variable_nets = state_nets + input_nets
     code_of_state: Dict[str, int] = {s: encoding.code_of(s) for s in fsm.states}
     state_of_code: Dict[int, str] = {}
     for state, code in code_of_state.items():
@@ -256,53 +144,74 @@ def synthesize_fsm(
             raise FSMError(f"encoding maps two states to code {code}")
         state_of_code[code] = state
 
-    def row_lookup(row: int) -> Optional[Tuple[str, int]]:
-        """Decode a truth-table row into (state, input value); None if unused."""
-        state_code = row & ((1 << width) - 1)
-        input_value = row >> width
-        state = state_of_code.get(state_code)
+    # (next code, output value, wrongful next code) per row; None if unused.
+    rows: List[Optional[Tuple[int, int, int]]] = []
+    for row in range(1 << num_vars):
+        state = state_of_code.get(row & ((1 << width) - 1))
         if state is None:
-            return None
-        return state, input_value
+            rows.append(None)
+            continue
+        value = row >> width
+        next_state, out = fsm.next(state, value)
+        wrong_next = wrongful.get((state, value), next_state) if wrongful else next_state
+        rows.append((code_of_state[next_state], out, code_of_state[wrong_next]))
 
-    def next_state_bit(bit: int) -> Callable[[int], Optional[int]]:
-        def func(row: int) -> Optional[int]:
-            decoded = row_lookup(row)
-            if decoded is None:
-                return None
-            state, value = decoded
-            next_state, _ = fsm.next(state, value)
-            return (code_of_state[next_state] >> bit) & 1
+    def tables(field: int, bits: int) -> List[TruthTable]:
+        return [
+            TruthTable.from_function(
+                num_vars,
+                lambda row, bit=bit: None if rows[row] is None else (rows[row][field] >> bit) & 1,
+            )
+            for bit in range(bits)
+        ]
 
-        return func
+    wrongful_tables = tables(2, width) if wrongful is not None else []
+    return tables(0, width), tables(1, fsm.num_outputs), wrongful_tables
 
-    def output_bit(bit: int) -> Callable[[int], Optional[int]]:
-        def func(row: int) -> Optional[int]:
-            decoded = row_lookup(row)
-            if decoded is None:
-                return None
-            state, value = decoded
-            _, out = fsm.next(state, value)
-            return (out >> bit) & 1
 
-        return func
+def emit_fsm(
+    fsm: FSM,
+    encoding: StateEncoding,
+    next_covers: Sequence[Cover],
+    output_covers: Sequence[Cover],
+) -> Circuit:
+    """The netlist of ``fsm`` from its next-state and output covers.
 
-    shared_cache: Dict[Tuple[int, int, int], str] = {}
-    reset_code = code_of_state[fsm.reset_state]
+    Primary inputs ``in_0 … in_{n-1}`` (LSB first), one DFF per state bit
+    named ``state_0 …`` and reset to the reset state's code, and primary
+    outputs ``out_0 … out_{m-1}`` (LSB first).
+    """
+    circuit = Circuit(name=fsm.name)
+    input_nets = [f"in_{i}" for i in range(fsm.num_inputs)]
+    for net in input_nets:
+        circuit.add_input(net)
+    state_nets = [f"state_{i}" for i in range(encoding.width)]
+    variable_nets = state_nets + input_nets
+    reset_code = encoding.code_of(fsm.reset_state)
 
-    for bit, q_net in enumerate(state_nets):
-        table = TruthTable.from_function(num_vars, next_state_bit(bit))
-        d_net = synthesize_truth_table(
-            circuit, table, variable_nets, prefix=f"ns{bit}", style=style, cache=shared_cache
-        )
+    for bit, (q_net, cover) in enumerate(zip(state_nets, next_covers)):
+        d_net = emit_cover(circuit, cover, variable_nets, f"ns{bit}")
         circuit.add_dff(q_net, d_net, init=(reset_code >> bit) & 1)
 
-    for bit, out_net in enumerate(output_nets):
-        table = TruthTable.from_function(num_vars, output_bit(bit))
-        driver = synthesize_truth_table(
-            circuit, table, variable_nets, prefix=f"o{bit}", style=style, cache=shared_cache
-        )
+    for bit, cover in enumerate(output_covers):
+        driver = emit_cover(circuit, cover, variable_nets, f"o{bit}")
+        out_net = f"out_{bit}"
         circuit.add_gate(out_net, GateType.BUF, [driver])
         circuit.add_output(out_net)
-
     return circuit
+
+
+def synthesize_fsm(fsm: FSM, *, encoding: Optional[StateEncoding] = None) -> Circuit:
+    """Synthesise a Mealy FSM into a sequential gate-level circuit.
+
+    The netlist is :func:`emit_fsm`'s, with every next-state and output bit
+    minimised by :func:`sop_cover`; ``encoding`` defaults to the dense
+    binary one.
+    """
+    encoding = encoding or binary_encoding(fsm)
+    next_tables, output_tables, _ = fsm_truth_tables(fsm, encoding)
+    return emit_fsm(
+        fsm, encoding,
+        [sop_cover(table) for table in next_tables],
+        [sop_cover(table) for table in output_tables],
+    )

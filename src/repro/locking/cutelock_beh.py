@@ -18,6 +18,10 @@ Two artefacts are produced:
   next-state logic, a counter, per-time key comparators and a MUX per state
   bit choosing between the two — "MUXs instead of redesigning the STG from
   the ground up" (Section III-B).
+
+The netlist and its unlocked oracle come from the one SOP synthesis path of
+:mod:`repro.fsm.synthesis`: each correct next-state and output table is
+minimised once, and its cover is emitted into both circuits.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.fsm.encoding import StateEncoding, binary_encoding
+from repro.fsm.encoding import binary_encoding
 from repro.fsm.stg import FSM
-from repro.fsm.synthesis import TruthTable, synthesize_truth_table
+from repro.fsm.synthesis import emit_cover, emit_fsm, fsm_truth_tables, sop_cover
 from repro.locking.base import KeySchedule, LockedCircuit, LockingError
 from repro.locking.counter import insert_counter
 from repro.netlist.circuit import Circuit
@@ -106,26 +110,26 @@ class LockedFSM:
     # ------------------------------------------------------------------ #
     # synthesis to a netlist
     # ------------------------------------------------------------------ #
-    def synthesize(
-        self,
-        *,
-        encoding: Optional[StateEncoding] = None,
-        style: str = "auto",
-        name: Optional[str] = None,
-    ) -> LockedCircuit:
+    def synthesize(self) -> LockedCircuit:
         """Synthesise the locked machine into a sequential netlist.
 
         The resulting :class:`LockedCircuit` has primary inputs
         ``in_0 … in_{n-1}``, key inputs ``keyinput0 … keyinput{ki-1}`` (MSB
         first), outputs ``out_0 …`` and flip-flops for the state bits plus
-        the counter.
+        the counter.  Each correct next-state and output table is minimised
+        once: the locked netlist and its oracle (the original machine,
+        :func:`~repro.fsm.synthesis.synthesize_fsm`'s netlist) are emitted
+        from the same covers.
         """
         fsm = self.fsm
-        encoding = encoding or binary_encoding(fsm)
-        width = encoding.width
-        num_vars = width + fsm.num_inputs
+        encoding = binary_encoding(fsm)
+        correct_tables, output_tables, wrongful_tables = fsm_truth_tables(
+            fsm, encoding, self.wrongful
+        )
+        correct_covers = [sop_cover(table) for table in correct_tables]
+        output_covers = [sop_cover(table) for table in output_tables]
 
-        locked = Circuit(name=name or f"{fsm.name}_cutelock_beh")
+        locked = Circuit(name=f"{fsm.name}_cutelock_beh")
         input_nets = [f"in_{i}" for i in range(fsm.num_inputs)]
         for net in input_nets:
             locked.add_input(net)
@@ -133,54 +137,9 @@ class LockedFSM:
         for net in key_inputs:
             locked.add_input(net, is_key=True)
 
-        state_nets = [f"state_{i}" for i in range(width)]
+        state_nets = [f"state_{i}" for i in range(encoding.width)]
         variable_nets = state_nets + input_nets
-        code_of_state = {s: encoding.code_of(s) for s in fsm.states}
-        state_of_code = {code: state for state, code in code_of_state.items()}
-        reset_code = code_of_state[fsm.reset_state]
-
-        def decode_row(row: int) -> Optional[Tuple[str, int]]:
-            state_code = row & ((1 << width) - 1)
-            input_value = row >> width
-            state = state_of_code.get(state_code)
-            if state is None:
-                return None
-            return state, input_value
-
-        def correct_bit(bit: int):
-            def func(row: int) -> Optional[int]:
-                decoded = decode_row(row)
-                if decoded is None:
-                    return None
-                state, value = decoded
-                next_state, _ = fsm.next(state, value)
-                return (code_of_state[next_state] >> bit) & 1
-
-            return func
-
-        def wrongful_bit(bit: int):
-            def func(row: int) -> Optional[int]:
-                decoded = decode_row(row)
-                if decoded is None:
-                    return None
-                state, value = decoded
-                wrong_next = self.wrongful.get((state, value), fsm.next(state, value)[0])
-                return (code_of_state[wrong_next] >> bit) & 1
-
-            return func
-
-        def output_bit(bit: int):
-            def func(row: int) -> Optional[int]:
-                decoded = decode_row(row)
-                if decoded is None:
-                    return None
-                state, value = decoded
-                _, out = fsm.next(state, value)
-                return (out >> bit) & 1
-
-            return func
-
-        cache: Dict[Tuple[int, int, int], str] = {}
+        reset_code = encoding.code_of(fsm.reset_state)
 
         # Counter synchronising the keys (period = number of keys).
         counter = insert_counter(locked, self.num_keys, prefix="clcnt")
@@ -221,32 +180,23 @@ class LockedFSM:
 
         # Next-state logic: correct and wrongful cones, MUXed by key_ok.
         for bit, q_net in enumerate(state_nets):
-            correct_table = TruthTable.from_function(num_vars, correct_bit(bit))
-            wrongful_table = TruthTable.from_function(num_vars, wrongful_bit(bit))
-            correct_net = synthesize_truth_table(
-                locked, correct_table, variable_nets, prefix=f"ns{bit}", style=style, cache=cache
-            )
-            wrongful_net = synthesize_truth_table(
-                locked, wrongful_table, variable_nets, prefix=f"ws{bit}", style=style, cache=cache
+            correct_net = emit_cover(locked, correct_covers[bit], variable_nets, f"ns{bit}")
+            wrongful_net = emit_cover(
+                locked, sop_cover(wrongful_tables[bit]), variable_nets, f"ws{bit}"
             )
             d_net = locked.fresh_net(f"beh_ns{bit}_mux")
             locked.add_gate(d_net, GateType.MUX, [key_ok_net, wrongful_net, correct_net])
             locked.add_dff(q_net, d_net, init=(reset_code >> bit) & 1)
 
         # Output logic (original, not key-dependent at the current cycle).
-        for bit in range(fsm.num_outputs):
-            table = TruthTable.from_function(num_vars, output_bit(bit))
-            driver = synthesize_truth_table(
-                locked, table, variable_nets, prefix=f"o{bit}", style=style, cache=cache
-            )
+        for bit, cover in enumerate(output_covers):
+            driver = emit_cover(locked, cover, variable_nets, f"o{bit}")
             out_net = f"out_{bit}"
             locked.add_gate(out_net, GateType.BUF, [driver])
             locked.add_output(out_net)
 
         # The unlocked reference netlist (oracle) with matching port names.
-        from repro.fsm.synthesis import synthesize_fsm
-
-        original = synthesize_fsm(fsm, encoding=encoding, style=style, name=fsm.name)
+        original = emit_fsm(fsm, encoding, correct_covers, output_covers)
 
         return LockedCircuit(
             circuit=locked,
@@ -257,7 +207,7 @@ class LockedFSM:
             counter_nets=list(counter.state_nets),
             locked_ffs=list(state_nets),
             metadata={
-                "encoding_width": width,
+                "encoding_width": encoding.width,
                 "comparators": comparator_nets,
                 "key_ok_net": key_ok_net,
                 "wrongful_transitions": len(self.wrongful),

@@ -25,7 +25,7 @@ ATTACK_BUDGET = dict(time_limit=30.0)
 @pytest.fixture(scope="module")
 def base_circuit():
     fsm = random_fsm(8, 2, 2, seed=5)
-    return synthesize_fsm(fsm, style="sop")
+    return synthesize_fsm(fsm)
 
 
 class TestSatAttackBreaksClassicSchemes:

@@ -19,7 +19,7 @@ from repro.netlist.bench import save_bench
 @pytest.fixture(scope="module")
 def bench_pair(tmp_path_factory):
     root = tmp_path_factory.mktemp("check_cli")
-    circuit = synthesize_fsm(random_fsm(8, 2, 2, seed=5), style="sop")
+    circuit = synthesize_fsm(random_fsm(8, 2, 2, seed=5))
     locked = CuteLockStr(num_keys=4, key_width=2, num_locked_ffs=2, seed=3).lock(circuit)
     original_path = root / "design.bench"
     locked_path = root / "design_locked.bench"

@@ -39,7 +39,7 @@ ATTACK_BUDGET = dict(time_limit=30.0)
 def str_locked():
     """Cute-Lock-Str on a small random sequential benchmark."""
     fsm = random_fsm(8, 2, 2, seed=5)
-    circuit = synthesize_fsm(fsm, style="sop")
+    circuit = synthesize_fsm(fsm)
     locked = CuteLockStr(num_keys=4, key_width=2, num_locked_ffs=1, seed=3).lock(circuit)
     return locked
 
@@ -48,7 +48,7 @@ def str_locked():
 def str_collapsed():
     """The same lock reduced to a single repeated key (paper Section IV-A)."""
     fsm = random_fsm(8, 2, 2, seed=5)
-    circuit = synthesize_fsm(fsm, style="sop")
+    circuit = synthesize_fsm(fsm)
     schedule = KeySchedule(width=2, values=(2, 2, 2, 2))
     return CuteLockStr(num_keys=4, key_width=2, num_locked_ffs=1, seed=3).lock(
         circuit, schedule=schedule
@@ -59,7 +59,7 @@ def str_collapsed():
 def beh_locked():
     det = sequence_detector_fsm("1001")
     locked_fsm = CuteLockBeh(num_keys=4, key_width=3, seed=2).lock(det)
-    return locked_fsm.synthesize(style="sop")
+    return locked_fsm.synthesize()
 
 
 class TestCuteLockStrResistsOracleGuidedAttacks:

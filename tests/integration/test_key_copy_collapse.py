@@ -141,7 +141,7 @@ def _no_lemma_is_an_input_clause(proof_dir: Path, encoder: TseitinEncoder, read:
 
 def _cute_lock_cell():
     """A Cute-Lock-Str lock whose first observation fixes both key copies."""
-    circuit = synthesize_fsm(random_fsm(8, 2, 2, seed=5), style="sop")
+    circuit = synthesize_fsm(random_fsm(8, 2, 2, seed=5))
     return CuteLockStr(num_keys=4, key_width=2, num_locked_ffs=2, seed=3).lock(circuit)
 
 
@@ -212,7 +212,7 @@ def test_a_tampered_lemma_is_rejected_in_a_search_certificate(tmp_path, monkeypa
     the refutation that follows needs search and its certificate's CNF is
     not contradictory by itself: its proof replays the lemmas as RUP steps,
     and flipping one in the file gets it rejected at that line."""
-    circuit = synthesize_fsm(random_fsm(4, 1, 1, seed=12), style="sop")
+    circuit = synthesize_fsm(random_fsm(4, 1, 1, seed=12))
     proof_dir = tmp_path / "proofs"
     details, encoder, read = _certified_bmc(lock_rll(circuit, 2, seed=12), proof_dir,
                                             monkeypatch)
@@ -256,7 +256,7 @@ def test_kc2_crunch_fixes_key_bits_and_its_certificates_replay(tmp_path, monkeyp
     monkeypatch.setattr(SolveSession, "solve", spy)
     path = tmp_path / "kc2.trace.jsonl"
     proof_dir = tmp_path / "proofs"
-    circuit = synthesize_fsm(random_fsm(3, 1, 1, seed=20), style="sop")
+    circuit = synthesize_fsm(random_fsm(3, 1, 1, seed=20))
     with trace_to(path, stride=1):
         result = kc2_attack(lock_rll(circuit, 4, seed=20), time_limit=60.0, proof_dir=proof_dir)
     assert result.outcome.value == "correct"

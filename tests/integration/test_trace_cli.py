@@ -28,7 +28,7 @@ def bench_pair(tmp_path_factory):
     """Original + locked bench files for the CLI attack runs."""
     root = tmp_path_factory.mktemp("bench")
     fsm = random_fsm(8, 2, 2, seed=5)
-    circuit = synthesize_fsm(fsm, style="sop")
+    circuit = synthesize_fsm(fsm)
     locked = CuteLockStr(num_keys=4, key_width=2, num_locked_ffs=2, seed=3).lock(circuit)
     original_path = root / "design.bench"
     locked_path = root / "design_locked.bench"

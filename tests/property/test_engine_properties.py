@@ -158,7 +158,7 @@ def test_packed_lockstep_matches_sequential_simulator(seed):
 def test_packed_matches_scalar_on_fsm_circuits(seed):
     rng = random.Random(seed)
     fsm = random_fsm(rng.randint(2, 6), 2, 2, seed=seed)
-    circuit = synthesize_fsm(fsm, style=rng.choice(["sop", "mux"]))
+    circuit = synthesize_fsm(fsm)
     scalar = CombinationalSimulator(circuit)
     width = rng.randint(1, 128)
     vectors = [
@@ -280,7 +280,7 @@ def test_packed_sequential_equivalence_matches_scalar(seed):
 
     rng = random.Random(seed)
     fsm = random_fsm(rng.randint(3, 6), 2, 2, seed=seed)
-    circuit = synthesize_fsm(fsm, style="mux")
+    circuit = synthesize_fsm(fsm)
     locked = CuteLockStr(num_keys=2, key_width=2, num_locked_ffs=1,
                          seed=seed).lock(circuit)
     # Half the examples use the correct schedule (equivalent verdict), half a

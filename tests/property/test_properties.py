@@ -7,9 +7,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fsm.minimize import evaluate_cover, quine_mccluskey
 from repro.fsm.random_fsm import random_fsm
-from repro.fsm.synthesis import TruthTable, synthesize_truth_table
+from repro.fsm.synthesis import TruthTable, emit_cover, sop_cover
 from repro.locking.base import KeySchedule, pack_key_bits, unpack_key_value
 from repro.locking.counter import insert_counter
+from repro.locking.cutelock_beh import CuteLockBeh
 from repro.locking.cutelock_str import CuteLockStr
 from repro.netlist.bench import parse_bench, write_bench
 from repro.netlist.circuit import Circuit
@@ -18,7 +19,7 @@ from repro.sat.solver import Solver
 from repro.sat.tseitin import TseitinEncoder
 from repro.sim.equivalence import random_equivalence_check, sequential_equivalence_check
 from repro.sim.logicsim import CombinationalSimulator
-from repro.sim.seqsim import SequentialSimulator
+from repro.sim.seqsim import SequentialSimulator, apply_key_to_sequence
 
 SLOW = settings(max_examples=25, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -86,15 +87,14 @@ def test_quine_mccluskey_exact_cover(data):
 
 
 # --------------------------------------------------------------------------- #
-# Truth-table synthesis equals the function (both styles)
+# Truth-table synthesis equals the function
 # --------------------------------------------------------------------------- #
 @SLOW
 @given(
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=0, max_value=2**16 - 1),
-    st.sampled_from(["sop", "mux"]),
 )
-def test_truth_table_synthesis_matches(num_vars, onset_bits, style):
+def test_truth_table_synthesis_matches(num_vars, onset_bits):
     size = 1 << num_vars
     onset = onset_bits & ((1 << size) - 1)
     table = TruthTable(num_vars, onset)
@@ -102,7 +102,7 @@ def test_truth_table_synthesis_matches(num_vars, onset_bits, style):
     nets = [f"v{i}" for i in range(num_vars)]
     for net in nets:
         circuit.add_input(net)
-    out = synthesize_truth_table(circuit, table, nets, style=style)
+    out = emit_cover(circuit, sop_cover(table), nets, "f")
     circuit.add_output(out)
     for assignment in range(size):
         values = {nets[i]: (assignment >> i) & 1 for i in range(num_vars)}
@@ -218,7 +218,7 @@ def test_cutelock_str_correct_schedule_always_equivalent(seed):
     fsm = random_fsm(rng.randint(3, 8), 2, 2, seed=seed)
     from repro.fsm.synthesis import synthesize_fsm
 
-    circuit = synthesize_fsm(fsm, style="mux")
+    circuit = synthesize_fsm(fsm)
     num_keys = rng.choice([2, 4])
     key_width = rng.randint(1, 3)
     locked = CuteLockStr(num_keys=num_keys, key_width=key_width,
@@ -232,3 +232,35 @@ def test_cutelock_str_correct_schedule_always_equivalent(seed):
         num_sequences=3, sequence_length=3 * num_keys,
     )
     assert verdict.equivalent
+
+
+# --------------------------------------------------------------------------- #
+# Cute-Lock-Beh netlist equals its STG model under any key sequence
+# --------------------------------------------------------------------------- #
+@SLOW
+@given(st.integers(min_value=0, max_value=10_000))
+def test_cutelock_beh_netlist_matches_stg_model(seed):
+    rng = random.Random(seed)
+    fsm = random_fsm(rng.randint(2, 8), rng.randint(1, 2), rng.randint(1, 2), seed=seed)
+    num_keys = rng.choice([1, 2, 4])
+    key_width = rng.randint(1, 3)
+    locked_fsm = CuteLockBeh(num_keys=num_keys, key_width=key_width, seed=seed).lock(fsm)
+    locked = locked_fsm.synthesize()
+    cycles = 4 * num_keys + 8
+    sequence = [rng.randrange(1 << fsm.num_inputs) for _ in range(cycles)]
+    # Half the cycles get the scheduled key and half a random one, so runs
+    # take the correct and the wrongful cones in every order.
+    keys = [
+        locked_fsm.schedule.value_at(t) if rng.random() < 0.5 else rng.randrange(1 << key_width)
+        for t in range(cycles)
+    ]
+    vectors = apply_key_to_sequence(
+        [{f"in_{i}": (value >> i) & 1 for i in range(fsm.num_inputs)} for value in sequence],
+        locked.key_inputs, keys,
+    )
+    sim = SequentialSimulator(locked.circuit)
+    produced = []
+    for vector in vectors:
+        outputs = sim.outputs(vector)
+        produced.append(sum(outputs[f"out_{bit}"] << bit for bit in range(fsm.num_outputs)))
+    assert produced == locked_fsm.simulate(sequence, keys)

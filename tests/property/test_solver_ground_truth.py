@@ -119,7 +119,7 @@ def test_solver_matches_simulation_on_locked_circuit_miters(seed):
     The truth comes from simulating every functional input (and, for the
     unconstrained query, every key) with the scalar simulator.
     """
-    circuit = synthesize_fsm(random_fsm(4, 2, 1, seed=seed % 97), style="sop")
+    circuit = synthesize_fsm(random_fsm(4, 2, 1, seed=seed % 97))
     locked = lock_rll(circuit, 3, seed=seed).circuit
     view = locked.combinational_view() if locked.dffs else locked
 
@@ -171,7 +171,7 @@ def test_dip_miter_matches_simulation_after_observations(seed, scheme):
     keys reproduce every observed oracle response and their output tables
     differ.
     """
-    circuit = synthesize_fsm(random_fsm(4, 2, 1, seed=seed % 97), style="sop")
+    circuit = synthesize_fsm(random_fsm(4, 2, 1, seed=seed % 97))
     if scheme == "rll-3":
         locked = lock_rll(circuit, 3, seed=seed)
     else:

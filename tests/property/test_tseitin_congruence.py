@@ -108,7 +108,7 @@ def _locked(scheme: str, seed: int) -> Tuple[Circuit, Circuit]:
         return _split_pair()
     if scheme == "wide":
         return _wide_pair()
-    circuit = synthesize_fsm(random_fsm(4 + seed % 3, 1, 1, seed=seed), style="sop")
+    circuit = synthesize_fsm(random_fsm(4 + seed % 3, 1, 1, seed=seed))
     if scheme == "rll":
         locked = lock_rll(circuit, 2 + seed % 2, seed=seed)
     else:

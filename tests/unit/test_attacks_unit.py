@@ -88,7 +88,7 @@ class TestUnrolling:
 
     def test_key_nets_shared_across_frames(self):
         fsm = random_fsm(4, 1, 1, seed=2)
-        circuit = synthesize_fsm(fsm, style="sop")
+        circuit = synthesize_fsm(fsm)
         locked = CuteLockStr(num_keys=2, key_width=2, seed=1).lock(circuit)
         encoder = TseitinEncoder()
         unrolled = encode_unrolled(encoder, locked.circuit, 3, prefix="U#", key_prefix="K@")
@@ -101,7 +101,7 @@ class TestUnrolling:
 class TestFallUnit:
     def test_finds_ttlock_key(self):
         fsm = random_fsm(8, 2, 2, seed=5)
-        circuit = synthesize_fsm(fsm, style="sop")
+        circuit = synthesize_fsm(fsm)
         locked = lock_ttlock(circuit, num_key_bits=4, seed=4)
         report = fall_attack(locked)
         assert report.num_candidates >= 1
@@ -118,7 +118,7 @@ class TestFallUnit:
     def test_oracle_sharing_no_output_is_refused_at_set_up(self):
         """The key check used to raise ValueError out of the attack at the
         first confirmed key, after the analysis and the SAT confirmation."""
-        circuit = synthesize_fsm(random_fsm(8, 2, 2, seed=5), style="sop")
+        circuit = synthesize_fsm(random_fsm(8, 2, 2, seed=5))
         locked = lock_ttlock(circuit, num_key_bits=4, seed=4)
         oracle = circuit.renamed({
             net: f"o_{net}" for net in circuit.all_nets() if net not in circuit.inputs

@@ -24,7 +24,7 @@ from repro.sim.equivalence import random_equivalence_check, sequential_equivalen
 @pytest.fixture(scope="module")
 def base_circuit():
     fsm = random_fsm(8, 2, 2, seed=5)
-    return synthesize_fsm(fsm, style="sop")
+    return synthesize_fsm(fsm)
 
 
 def check_combinational_contract(locked, *, wrong_flip=1):

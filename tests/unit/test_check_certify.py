@@ -383,7 +383,7 @@ class TestCertifiedAttacks:
         from repro.fsm.synthesis import synthesize_fsm
         from repro.locking.cutelock_str import CuteLockStr
 
-        circuit = synthesize_fsm(random_fsm(8, 2, 2, seed=5), style="sop")
+        circuit = synthesize_fsm(random_fsm(8, 2, 2, seed=5))
         locked = CuteLockStr(
             num_keys=4, key_width=2, num_locked_ffs=2, seed=3
         ).lock(circuit)

@@ -56,7 +56,7 @@ def test_real_compiled_circuit_verifies():
 
 
 def test_synthesized_fsm_verifies():
-    circuit = synthesize_fsm(random_fsm(8, 2, 2, seed=5), style="sop")
+    circuit = synthesize_fsm(random_fsm(8, 2, 2, seed=5))
     assert verify_compiled(compile_circuit(circuit))
 
 

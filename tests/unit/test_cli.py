@@ -1,20 +1,25 @@
 """Unit tests for the ``repro`` command line."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main as cli_main
+from repro.cli import build_parser, main as cli_main
 from repro.fsm.random_fsm import random_fsm
 from repro.fsm.synthesis import synthesize_fsm
 from repro.locking.cutelock_str import CuteLockStr
 from repro.netlist.bench import save_bench
 
 
+README = Path(__file__).resolve().parents[2] / "README.md"
+
+
 @pytest.fixture(scope="module")
 def locked_pair():
     fsm = random_fsm(8, 2, 2, seed=5)
-    circuit = synthesize_fsm(fsm, style="sop")
+    circuit = synthesize_fsm(fsm)
     locked = CuteLockStr(num_keys=4, key_width=2, num_locked_ffs=2, seed=3).lock(circuit)
     return circuit, locked
 
@@ -75,6 +80,17 @@ class TestCli:
         assert cli_main(["overhead", str(path), "--vectors", "2"]) == 0
         captured = capsys.readouterr()
         assert "power (uW)" in captured.out and captured.err == ""
+
+    def test_readme_quickstart_commands_parse(self):
+        quickstart = README.read_text(encoding="utf-8").split("## Quickstart", 1)[1]
+        block = quickstart.split("```bash", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("python -m repro ")]
+        assert len(lines) >= 4
+        for line in lines:
+            try:
+                build_parser().parse_args(shlex.split(line)[3:])
+            except SystemExit:
+                pytest.fail(f"README Quickstart line does not parse: {line}")
 
     def test_perf_subcommand_is_gone(self, capsys):
         # The acceptance bars are pytest tests under benchmarks/ now.

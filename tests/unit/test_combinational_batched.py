@@ -31,7 +31,7 @@ BUDGET = dict(time_limit=30.0)
 
 @pytest.fixture(scope="module")
 def base_circuit():
-    return synthesize_fsm(random_fsm(8, 2, 2, seed=5), style="sop")
+    return synthesize_fsm(random_fsm(8, 2, 2, seed=5))
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ from repro.fsm.encoding import StateEncoding, binary_encoding
 from repro.fsm.minimize import Implicant, evaluate_cover, quine_mccluskey
 from repro.fsm.random_fsm import random_fsm, sequence_detector_fsm
 from repro.fsm.stg import FSM, FSMError
-from repro.fsm.synthesis import TruthTable, synthesize_fsm, synthesize_truth_table
+from repro.fsm.synthesis import TruthTable, emit_cover, sop_cover, synthesize_fsm
 from repro.netlist.circuit import Circuit
 from repro.netlist.validate import has_errors, validate_circuit
 from repro.sim.logicsim import CombinationalSimulator
@@ -106,8 +106,7 @@ class TestQuineMccluskey:
 
 
 class TestTruthTableSynthesis:
-    @pytest.mark.parametrize("style", ["sop", "mux"])
-    def test_matches_function(self, style):
+    def test_matches_function(self):
         rng = random.Random(11)
         onset = {m for m in range(16) if rng.random() < 0.5}
         table = TruthTable.from_function(4, lambda row: int(row in onset))
@@ -115,7 +114,7 @@ class TestTruthTableSynthesis:
         nets = [f"v{i}" for i in range(4)]
         for net in nets:
             circuit.add_input(net)
-        out = synthesize_truth_table(circuit, table, nets, style=style)
+        out = emit_cover(circuit, sop_cover(table), nets, "f")
         circuit.add_output(out)
         for assignment in range(16):
             values = {nets[i]: (assignment >> i) & 1 for i in range(4)}
@@ -127,21 +126,20 @@ class TestTruthTableSynthesis:
         nets = [f"v{i}" for i in range(3)]
         for net in nets:
             circuit.add_input(net)
-        out = synthesize_truth_table(circuit, table, nets)
+        out = emit_cover(circuit, sop_cover(table), nets, "f")
         assert circuit.gates[out].gtype.value in ("CONST1",)
-
-    def test_cofactors(self):
-        table = TruthTable.from_function(2, lambda row: (row >> 1) & 1)
-        f0, f1 = table.cofactors()
-        assert f0.is_constant() == 0
-        assert f1.is_constant() == 1
+        # A function is constant when every care row agrees.
+        assert sop_cover(TruthTable.from_function(2, lambda row: 0)) == 0
+        assert sop_cover(TruthTable.from_function(2, lambda row: 1 if row == 2 else None)) == 1
+        assert sop_cover(TruthTable.from_function(2, lambda row: 0 if row == 2 else None)) == 0
+        assert sop_cover(TruthTable.from_function(2, lambda row: None)) == 0
+        assert isinstance(sop_cover(TruthTable.from_function(2, lambda row: row >> 1)), list)
 
 
 class TestFsmSynthesis:
-    @pytest.mark.parametrize("style", ["sop", "mux"])
-    def test_detector_netlist_matches_stg(self, style):
+    def test_detector_netlist_matches_stg(self):
         det = sequence_detector_fsm("1001")
-        circuit = synthesize_fsm(det, style=style)
+        circuit = synthesize_fsm(det)
         assert not has_errors(validate_circuit(circuit))
         sim = SequentialSimulator(circuit)
         sequence = [1, 0, 0, 1, 1, 0, 0, 1, 0, 1]

@@ -1,11 +1,14 @@
 """Unit tests for the locking layer: key schedules, counter insertion, the
 MUX tree, Cute-Lock-Str and Cute-Lock-Beh."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from repro.benchmarks_data.iscas89 import s27_circuit
+from repro.benchmarks_data.synthezza import SYNTHEZZA_PROFILES, load_synthezza
 from repro.fsm.random_fsm import random_fsm, sequence_detector_fsm
 from repro.fsm.synthesis import synthesize_fsm
 from repro.locking.base import KeySchedule, LockingError, pack_key_bits, unpack_key_value
@@ -154,7 +157,7 @@ class TestMuxTree:
 class TestCuteLockStr:
     def make_locked(self, **kwargs):
         fsm = random_fsm(8, 2, 2, seed=5)
-        circuit = synthesize_fsm(fsm, style="sop")
+        circuit = synthesize_fsm(fsm)
         defaults = dict(num_keys=4, key_width=2, num_locked_ffs=2, seed=3)
         defaults.update(kwargs)
         return circuit, CuteLockStr(**defaults).lock(circuit)
@@ -229,7 +232,62 @@ class TestCuteLockStr:
         assert "cute-lock-str" in locked.describe()
 
 
+#: sha256 prefix of (locked circuit, oracle) of every Synthezza FSM locked
+#: with Cute-Lock-Beh at Table III's seed, over :func:`netlist_digest`.
+#: absurd, bulln, camel, exxm, lion and tiger take 1-3 s each and are left
+#: out.  A moved pin moves every Table III CNF, search and work digest.
+BEH_NETLIST_PINS = {
+    "acdl": ("54f8892478d1123d", "c9897b183e127443"),
+    "alf": ("28fa308c13f4e379", "7b83550cdea80d06"),
+    "amtz": ("c94556b4be5e42cb", "23b0f890947b8163"),
+    "ball": ("8b2b550eefd310b6", "4c3791152bbc360f"),
+    "bcomp": ("05cd00c8fda7a85f", "c611f9d1b2d0ec40"),
+    "bech": ("424307a80be556fa", "3ef4c140376b56ef"),
+    "bens": ("29cb493d56c7bc88", "ec44baea1aec3b28"),
+    "berg": ("ba7268ae02992521", "f2298e4ee59e32d4"),
+    "bib": ("cb9a814fd170d4d4", "93da5317d0d52a9a"),
+    "big": ("6235bedb181bf5b1", "6b07cdbcd9c08540"),
+    "bridge": ("64881438a77b807e", "af609f07d4f85b4e"),
+    "bs": ("49e9ffa583355bb2", "87c791b9902eaa9d"),
+    "cat": ("ff63e12203c0092c", "4ec150b94c337190"),
+    "checker9": ("eb597da18cc8f3ed", "2ef3fdf28195c94d"),
+    "codec": ("1345a7e2928e465e", "5e85cb2dd31f1e1c"),
+    "codec1": ("30f0114ca4b4a808", "296be72e0ea5f2d3"),
+    "cow": ("5236f0cb0862f7d9", "b3f44091fa0f6f0a"),
+    "cpu": ("3903492894585363", "b21c54501ac01356"),
+    "cyr": ("f8af806debee0b53", "2002e4af30c676db"),
+    "dav": ("b23aafc1b425ccf0", "f7560876e238e85f"),
+    "dmac": ("70f2bd85afde1305", "44f5dfa311498545"),
+    "doron": ("b9776b4c9cad1e68", "3752cc735705dc56"),
+    "e10": ("79edd3a88c6b0569", "b63b90c7c2128da9"),
+    "e15": ("5ffb6c4328aae37e", "a6e80e616afca957"),
+    "e16": ("514143b674d02295", "fc4621ff19d185ec"),
+    "e161": ("d2c11c0759e40512", "8d1dbad77a1748cd"),
+    "e17": ("f6f5a89ef0f8f9e5", "1ec0a2d75ba711e2"),
+}
+
+
+def netlist_digest(circuit):
+    """Digest of name, ports, key inputs, gates in insertion order and DFFs."""
+    body = json.dumps([
+        circuit.name, circuit.inputs, circuit.outputs, circuit.key_inputs,
+        [[g.output, g.gtype.value, list(g.inputs)] for g in circuit.gates.values()],
+        [[ff.q, ff.d, ff.init] for ff in circuit.dffs.values()],
+    ])
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
+
+
 class TestCuteLockBeh:
+    @pytest.mark.parametrize("name", sorted(BEH_NETLIST_PINS))
+    def test_synthezza_netlists_are_pinned(self, name):
+        profile = SYNTHEZZA_PROFILES[name]
+        fsm = load_synthezza(name)
+        locked = CuteLockBeh(num_keys=profile.num_keys, key_width=profile.key_width,
+                             seed=3).lock(fsm).synthesize()
+        assert (netlist_digest(locked.circuit), netlist_digest(locked.original)) == \
+            BEH_NETLIST_PINS[name]
+        assert locked.original == synthesize_fsm(fsm)
+
     def test_behavioural_simulation(self):
         det = sequence_detector_fsm("1001")
         locked_fsm = CuteLockBeh(num_keys=4, key_width=4, seed=1).lock(det)
@@ -243,7 +301,7 @@ class TestCuteLockBeh:
     def test_synthesis_matches_original_under_schedule(self):
         det = sequence_detector_fsm("1001")
         locked_fsm = CuteLockBeh(num_keys=4, key_width=3, seed=2).lock(det)
-        locked = locked_fsm.synthesize(style="sop")
+        locked = locked_fsm.synthesize()
         assert not has_errors(validate_circuit(locked.circuit))
         verdict = sequential_equivalence_check(
             locked.original, locked.circuit,
@@ -255,7 +313,7 @@ class TestCuteLockBeh:
     def test_synthesis_diverges_under_wrong_schedule(self):
         det = sequence_detector_fsm("1001")
         locked_fsm = CuteLockBeh(num_keys=4, key_width=3, seed=2).lock(det)
-        locked = locked_fsm.synthesize(style="sop")
+        locked = locked_fsm.synthesize()
         wrong = tuple(v ^ 0b111 for v in locked.schedule.values)
         verdict = sequential_equivalence_check(
             locked.original, locked.circuit,

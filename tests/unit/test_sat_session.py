@@ -228,7 +228,7 @@ class TestSolveSession:
         assert inner.solve_calls == 1
 
     def test_key_recovery_reports_the_cdcl_solver(self):
-        locked = lock_rll(synthesize_fsm(random_fsm(6, 2, 2, seed=3), style="sop"),
+        locked = lock_rll(synthesize_fsm(random_fsm(6, 2, 2, seed=3)),
                           4, seed=1)
         result = sat_attack(locked, time_limit=30.0)
         assert result.outcome.value == "correct"
@@ -240,12 +240,12 @@ class TestAttackTelemetryBlocks:
 
     @pytest.fixture(scope="class")
     def rll_locked(self):
-        circuit = synthesize_fsm(random_fsm(6, 2, 2, seed=3), style="sop")
+        circuit = synthesize_fsm(random_fsm(6, 2, 2, seed=3))
         return lock_rll(circuit, 4, seed=1)
 
     @pytest.fixture(scope="class")
     def str_locked(self):
-        circuit = synthesize_fsm(random_fsm(6, 2, 2, seed=3), style="sop")
+        circuit = synthesize_fsm(random_fsm(6, 2, 2, seed=3))
         return CuteLockStr(num_keys=2, key_width=2, num_locked_ffs=1,
                            seed=0).lock(circuit)
 
@@ -300,7 +300,7 @@ class TestAttackTimeLimit:
 
     @pytest.fixture(scope="class")
     def rll_locked(self):
-        return lock_rll(synthesize_fsm(random_fsm(6, 2, 2, seed=3), style="sop"),
+        return lock_rll(synthesize_fsm(random_fsm(6, 2, 2, seed=3)),
                         4, seed=1)
 
     @pytest.mark.parametrize("attack", ATTACKS, ids=lambda attack: attack.__name__)
@@ -337,7 +337,7 @@ class TestAttackKeyCheckSize:
 
     @pytest.fixture(scope="class")
     def rll_locked(self):
-        return lock_rll(synthesize_fsm(random_fsm(6, 2, 2, seed=3), style="sop"),
+        return lock_rll(synthesize_fsm(random_fsm(6, 2, 2, seed=3)),
                         4, seed=1)
 
     @pytest.mark.parametrize("size", [0, -3])
@@ -371,7 +371,7 @@ class TestAttackDepthSize:
 
     @pytest.fixture(scope="class")
     def str_locked(self):
-        circuit = synthesize_fsm(random_fsm(8, 2, 2, seed=5), style="sop")
+        circuit = synthesize_fsm(random_fsm(8, 2, 2, seed=5))
         return CuteLockStr(num_keys=4, key_width=2, num_locked_ffs=2, seed=3).lock(circuit)
 
     @pytest.mark.parametrize("size", [0, -1])
@@ -398,7 +398,7 @@ class TestAttackDepthSize:
 class TestCampaignRecordTelemetry:
     def test_attack_job_record_carries_solver_block(self):
         def tiny_attack_job(params):
-            circuit = synthesize_fsm(random_fsm(6, 2, 2, seed=3), style="sop")
+            circuit = synthesize_fsm(random_fsm(6, 2, 2, seed=3))
             locked = lock_rll(circuit, 4, seed=1)
             result = sat_attack(locked, time_limit=30.0)
             return {"result": result.to_dict()}

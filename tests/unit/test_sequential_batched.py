@@ -31,13 +31,13 @@ from test_engine import lane_words
 
 def _locked_fsm():
     fsm = random_fsm(8, 2, 2, seed=5)
-    circuit = synthesize_fsm(fsm, style="sop")
+    circuit = synthesize_fsm(fsm)
     return CuteLockStr(num_keys=4, key_width=2, num_locked_ffs=1, seed=3).lock(circuit)
 
 
 def _collapsed_fsm():
     fsm = random_fsm(8, 2, 2, seed=5)
-    circuit = synthesize_fsm(fsm, style="sop")
+    circuit = synthesize_fsm(fsm)
     return CuteLockStr(num_keys=4, key_width=2, num_locked_ffs=1, seed=3).lock(
         circuit, schedule=KeySchedule(width=2, values=(2, 2, 2, 2))
     )

@@ -83,7 +83,7 @@ class TestOverhead:
 
     def test_locked_circuit_costs_more(self):
         fsm = random_fsm(8, 2, 2, seed=5)
-        circuit = synthesize_fsm(fsm, style="sop")
+        circuit = synthesize_fsm(fsm)
         locked = CuteLockStr(num_keys=4, key_width=2, num_locked_ffs=1, seed=1).lock(circuit)
         report = compare_overhead(locked, activity_vectors=16)
         assert report.locked.cell_count > report.original.cell_count
@@ -93,7 +93,7 @@ class TestOverhead:
 
     def test_more_keys_cost_more(self):
         fsm = random_fsm(8, 2, 2, seed=5)
-        circuit = synthesize_fsm(fsm, style="sop")
+        circuit = synthesize_fsm(fsm)
         small = CuteLockStr(num_keys=2, key_width=2, num_locked_ffs=1, seed=1).lock(circuit)
         big = CuteLockStr(num_keys=16, key_width=5, num_locked_ffs=1, seed=1).lock(circuit)
         small_report = compare_overhead(small, activity_vectors=8)
